@@ -9,10 +9,9 @@
 //!   batch-section/transaction counts. These are pure functions of the
 //!   specs; a fresh run must reproduce them *exactly*, or the engine's
 //!   cost model silently moved.
-//! * **Measured** — end-to-end throughput (`ops_per_sec`) and the
-//!   sequential→parallel staging speedup. Wall clock varies across
-//!   machines, so throughput is gated loosely ([`THROUGHPUT_FLOOR`]) and
-//!   the speedup is recorded but not gated.
+//! * **Measured** — end-to-end throughput (`ops_per_sec`). Wall clock
+//!   varies across machines, so throughput is gated loosely
+//!   ([`THROUGHPUT_FLOOR`]).
 //!
 //! Re-baseline after an intentional change with:
 //!
@@ -110,8 +109,7 @@ fn stream_fleet(per_feed: usize) -> Vec<FeedSpec> {
     ]
 }
 
-/// Runs the smoke fleet through the three batching modes (and both
-/// scheduler modes for the full-batch configuration) and returns the
+/// Runs the smoke fleet through the three batching modes and returns the
 /// baseline metrics, keyed as in `BENCH_multifeed.json`.
 pub fn measure() -> BTreeMap<String, f64> {
     let unbatched = FeedEngine::run_specs(&EngineConfig::new(SHARDS).unbatched(), fleet())
@@ -119,18 +117,9 @@ pub fn measure() -> BTreeMap<String, f64> {
     let write_only =
         FeedEngine::run_specs(&EngineConfig::new(SHARDS).without_read_batching(), fleet())
             .expect("write-only run");
-    let seq_start = Instant::now();
-    let (full, seq_chain) = FeedEngine::new(&EngineConfig::new(SHARDS), fleet())
-        .expect("engine builds")
-        .run_with_chain()
-        .expect("full-batch run");
-    let seq_elapsed = seq_start.elapsed();
-    let par_start = Instant::now();
-    let (_par, par_chain) = FeedEngine::new(&EngineConfig::new(SHARDS).parallel(), fleet())
-        .expect("engine builds")
-        .run_with_chain()
-        .expect("parallel run");
-    let par_elapsed = par_start.elapsed();
+    let full_start = Instant::now();
+    let full = FeedEngine::run_specs(&EngineConfig::new(SHARDS), fleet()).expect("full-batch run");
+    let full_elapsed = full_start.elapsed();
     // The chain-realism row: the same fleet under the seeded spiking
     // gas-price process. Block heights, and therefore every priced charge,
     // are pure functions of the specs and the seed — the total is exact.
@@ -150,11 +139,6 @@ pub fn measure() -> BTreeMap<String, f64> {
         confirm_run.feed_gas_total(),
         full.feed_gas_total(),
         "confirmation depth and inclusion latency must never move a unit of Gas"
-    );
-    assert_eq!(
-        seq_chain.chain_digest(),
-        par_chain.chain_digest(),
-        "parallel staging must reproduce the sequential chain byte for byte"
     );
     // The hot-path row: the streamed-ingestion fleet (the `stream`
     // experiment's shape at baseline scale) with a bounded block-retention
@@ -207,15 +191,11 @@ pub fn measure() -> BTreeMap<String, f64> {
     );
     out.insert(
         "ops_per_sec".into(),
-        full.total_ops() as f64 / seq_elapsed.as_secs_f64().max(1e-9),
+        full.total_ops() as f64 / full_elapsed.as_secs_f64().max(1e-9),
     );
     out.insert(
         "fee_ops_per_sec".into(),
         fee_run.total_ops() as f64 / fee_elapsed.as_secs_f64().max(1e-9),
-    );
-    out.insert(
-        "seq_par_speedup".into(),
-        seq_elapsed.as_secs_f64() / par_elapsed.as_secs_f64().max(1e-9),
     );
     out.insert(
         "stream_ops_per_sec".into(),
@@ -269,25 +249,10 @@ pub fn parse_json(text: &str) -> BTreeMap<String, f64> {
 }
 
 /// Diffs a fresh measurement against the checked-in baseline on this
-/// machine. Deterministic keys must match exactly, throughput must clear
-/// [`THROUGHPUT_FLOOR`] × baseline, and the sequential→parallel speedup is
-/// gated at ≥ 1.0 when the machine has ≥ 2 cores (informational on 1 core,
-/// where parallel staging degenerates to the pipeline's schedule plus
-/// thread overhead). Delegates to [`compare_with_cores`] with the detected
-/// core count.
-pub fn compare(baseline: &BTreeMap<String, f64>, fresh: &BTreeMap<String, f64>) -> Vec<String> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    compare_with_cores(baseline, fresh, cores)
-}
-
-/// [`compare`] with an explicit core count (testable without pinning the
-/// harness to a machine shape). Returns the list of regressions (empty =
+/// machine. Deterministic keys must match exactly and throughput must clear
+/// [`THROUGHPUT_FLOOR`] × baseline. Returns the list of regressions (empty =
 /// pass).
-pub fn compare_with_cores(
-    baseline: &BTreeMap<String, f64>,
-    fresh: &BTreeMap<String, f64>,
-    cores: usize,
-) -> Vec<String> {
+pub fn compare(baseline: &BTreeMap<String, f64>, fresh: &BTreeMap<String, f64>) -> Vec<String> {
     let mut failures = Vec::new();
     for key in DETERMINISTIC_KEYS {
         match (baseline.get(*key), fresh.get(*key)) {
@@ -307,19 +272,6 @@ pub fn compare_with_cores(
                 failures.push(format!(
                     "{key}: fresh {f:.0} below floor {floor:.0} \
                      ({THROUGHPUT_FLOOR}× baseline {b:.0})"
-                ));
-            }
-        }
-    }
-    // With ≥ 2 cores the persistent staging pool must make parallel mode
-    // at least break even with the sequential pipeline; on 1 core there is
-    // nothing to overlap and the ratio is noise.
-    if cores >= 2 {
-        if let Some(speedup) = fresh.get("seq_par_speedup") {
-            if *speedup < 1.0 {
-                failures.push(format!(
-                    "seq_par_speedup: fresh {speedup:.3} below 1.0 on a {cores}-core machine \
-                     (parallel staging must not lose to the sequential pipeline)"
                 ));
             }
         }
@@ -361,27 +313,5 @@ mod tests {
             compare(&base, &fast).is_empty(),
             "faster is never a regression"
         );
-    }
-
-    #[test]
-    fn speedup_gate_depends_on_core_count() {
-        let mut base = BTreeMap::new();
-        for key in DETERMINISTIC_KEYS {
-            base.insert((*key).to_owned(), 100.0);
-        }
-        let mut slow_parallel = base.clone();
-        slow_parallel.insert("seq_par_speedup".to_owned(), 0.8);
-        assert!(
-            compare_with_cores(&base, &slow_parallel, 1).is_empty(),
-            "one core: speedup is informational"
-        );
-        assert_eq!(
-            compare_with_cores(&base, &slow_parallel, 4).len(),
-            1,
-            "four cores: sub-1.0 speedup is a regression"
-        );
-        let mut even = base.clone();
-        even.insert("seq_par_speedup".to_owned(), 1.3);
-        assert!(compare_with_cores(&base, &even, 4).is_empty());
     }
 }

@@ -939,85 +939,6 @@ pub fn multifeed_batching() -> String {
     out
 }
 
-/// Parallel shard execution (beyond the paper): the same staging-heavy
-/// fleet runs through the sequential pipelined scheduler and the parallel
-/// executor (one staging worker thread per shard + deterministic merge),
-/// and the wall-clock per mode is compared. The merge is contracted to be
-/// byte-for-byte equivalent — the chain digests are asserted equal here —
-/// so the entire difference is scheduling, not work. Speedup requires ≥ 2
-/// shards *and* ≥ 2 cores: staging (policy flush, Merkle recomputation,
-/// section encoding) overlaps across shards, while the chain phases stay
-/// serialized on the merge thread.
-pub fn multifeed_parallel() -> String {
-    use grub_engine::{EngineConfig, FeedEngine, FeedSpec};
-    use std::time::Instant;
-
-    // A staging-dominated fleet: BL2 replicates every record, so each epoch
-    // update carries full 4 KiB values through the DO mirror, the SP store,
-    // and both Merkle trees — exactly the off-chain work the executor fans
-    // out.
-    let build_specs = |tenants: usize| -> Vec<FeedSpec> {
-        (0..tenants)
-            .map(|i| {
-                FeedSpec::new(
-                    format!("bulk-{i:02}"),
-                    SystemConfig::new(PolicyKind::Bl2).epoch_ops(8),
-                    RatioWorkload::new(format!("bulk-{i:02}-key"), 0.25)
-                        .value_len(4096)
-                        .seed(i as u64 + 1)
-                        .generate(24),
-                )
-            })
-            .collect()
-    };
-    let timed = |config: &EngineConfig, tenants: usize| {
-        let engine = FeedEngine::new(config, build_specs(tenants)).expect("engine builds");
-        let start = Instant::now();
-        let (report, chain) = engine.run_with_chain().expect("engine runs");
-        (start.elapsed(), report, chain.chain_digest())
-    };
-
-    let mut out = String::new();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let _ = writeln!(
-        out,
-        "## Multi-tenant engine — sequential pipeline vs parallel shard staging \
-         ({cores} cores available)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<10} {:>7} {:>10} {:>10} {:>9} {:>15} {:>10}",
-        "tenants", "shards", "seq ms", "par ms", "speedup", "feed gas", "identical"
-    );
-    for (tenants, shards) in [(8usize, 1usize), (8, 2), (8, 4)] {
-        let (seq_t, seq_report, seq_digest) = timed(&EngineConfig::new(shards), tenants);
-        let (par_t, par_report, par_digest) = timed(&EngineConfig::new(shards).parallel(), tenants);
-        assert_eq!(
-            seq_digest, par_digest,
-            "parallel merge must reproduce the sequential chain \
-             ({tenants} tenants, {shards} shards)"
-        );
-        assert_eq!(seq_report.feed_gas_total(), par_report.feed_gas_total());
-        let seq_ms = seq_t.as_secs_f64() * 1e3;
-        let par_ms = par_t.as_secs_f64() * 1e3;
-        let _ = writeln!(
-            out,
-            "{tenants:<10} {shards:>7} {seq_ms:>10.1} {par_ms:>10.1} {:>8.2}x {:>15} {:>10}",
-            seq_ms / par_ms.max(1e-9),
-            par_report.feed_gas_total(),
-            "yes"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\nidentical = chain digests byte-for-byte equal across modes (asserted).\n\
-         Wall-clock gains come from overlapping the shards' off-chain staging on\n\
-         worker threads; with 1 shard (or 1 core) the parallel mode degenerates\n\
-         to the pipeline's schedule and the speedup hovers around 1.0x."
-    );
-    out
-}
-
 /// Streamed-scale ingestion (beyond the paper): drives a million-plus-op
 /// workload *per feed* through the multi-tenant engine without ever
 /// materializing a trace — every feed carries a lazy

@@ -85,11 +85,6 @@ pub fn registry() -> Vec<Experiment> {
             e::multifeed_batching,
         ),
         (
-            "parallel",
-            "Multi-tenant engine (extension): parallel shard staging vs sequential pipeline",
-            e::multifeed_parallel,
-        ),
-        (
             "stream",
             "Streamed-scale ingestion (extension): 1M+-op lazy OpSource runs, ops/sec",
             e::stream_scale,

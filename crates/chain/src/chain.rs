@@ -1286,9 +1286,9 @@ impl Blockchain {
     /// the meter's per-layer totals.
     ///
     /// Two runs whose `chain_digest` agree executed byte-for-byte identical
-    /// transactions with identical results — the equivalence the parallel
-    /// shard executor's deterministic merge is contracted to preserve
-    /// against the sequential pipeline (asserted in `tests/engine.rs`).
+    /// transactions with identical results — the equivalence every
+    /// determinism, reorg-replay, and recovery assertion in `tests/` is
+    /// stated in.
     /// Because the fold is incremental, the digest is O(1) to read at any
     /// height and survives [`ChainConfig::retain_blocks`] pruning: it
     /// always covers *every* block ever mined, retained or not.
@@ -1345,13 +1345,12 @@ fn fold_block_digest(acc: &grub_crypto::Hash32, block: &Block) -> grub_crypto::H
 /// lanes (shards) must claim their block-commit slots in strictly
 /// increasing canonical order.
 ///
-/// A parallel executor stages lanes concurrently, so staging can *finish*
-/// in any order; the gate is what the merge stage threads its commits
-/// through to turn "finished first" back into "committed in canonical
-/// order". Claims out of order — the bug class where an eager lane would
-/// interleave its blocks into another lane's round and silently fork the
-/// chain layout — are rejected with a typed [`CommitOrderError`] instead of
-/// corrupting the run.
+/// Staging is off-chain and may be scheduled in any order; the gate is
+/// what the merge stage threads its commits through so that blocks are
+/// always committed in canonical order. Claims out of order — the bug
+/// class where an eager lane would interleave its blocks into another
+/// lane's round and silently fork the chain layout — are rejected with a
+/// typed [`CommitOrderError`] instead of corrupting the run.
 ///
 /// The gate is deliberately chain-agnostic state (it does not borrow the
 /// [`Blockchain`]): the merge loop claims the lane first, then performs
@@ -1995,8 +1994,8 @@ mod tests {
 
     #[test]
     fn env_realism_knobs_parse() {
-        // Env manipulation is process-wide; run the combinations serially.
-        let _guard = grub_fault::injection_lock();
+        // Env manipulation is process-wide: every combination runs serially
+        // inside this one test, the only one in the binary touching the knobs.
         std::env::set_var("GRUB_REORG", "3:9:4");
         std::env::set_var("GRUB_FEE_SCHEDULE", "step:2");
         std::env::set_var("GRUB_MEMPOOL", "6");

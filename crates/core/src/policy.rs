@@ -28,9 +28,8 @@ use grub_workload::{Op, OpSource, Trace};
 /// stream; [`ReplicationPolicy::on_write`] / [`ReplicationPolicy::on_read`]
 /// return the state the record *should* have after the operation.
 ///
-/// The `Send` bound is what lets a parallel scheduler move a feed's whole
-/// off-chain staging half (policy included) to a worker thread — see
-/// `grub_core::system::EpochStage`.
+/// The `Send` bound keeps a feed's whole off-chain staging half (policy
+/// included) movable across threads — see `grub_core::system::EpochStage`.
 pub trait ReplicationPolicy: Send {
     /// Observes a write of `key`, returning the desired state.
     fn on_write(&mut self, key: &str) -> ReplState;

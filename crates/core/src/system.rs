@@ -17,8 +17,7 @@
 //! * [`EpochStage`] — the `Send`-safe off-chain half of one feed: the DO,
 //!   the SP, and the open epoch's buffered operations. Trace ingestion
 //!   ([`EpochStage::push_op`]) and epoch closing
-//!   ([`EpochStage::stage_update`]) never borrow the chain, so a parallel
-//!   scheduler can move them to worker threads;
+//!   ([`EpochStage::stage_update`]) never borrow the chain;
 //! * [`EpochDriver`] — one feed's full deployment (an `EpochStage` plus
 //!   storage-manager and consumer contracts) *without* a chain of its own:
 //!   every chain-facing method borrows a [`Blockchain`], so any number of
@@ -289,10 +288,9 @@ impl StagedReads {
 /// ingestion ([`EpochStage::push_op`]: policy decisions, write staging) and
 /// epoch closing ([`EpochStage::stage_update`]: mirror mutation, SP sync
 /// with Merkle-tree recomputation, `update()` section encoding). None of it
-/// borrows the [`Blockchain`], which is what lets a parallel scheduler
-/// (the `grub-engine` `ParallelExecutor`) move a shard's stages to a worker
-/// thread while the chain stays on the merge thread; the compile-time
-/// `Send` assertion is in this module's tests.
+/// borrows the [`Blockchain`], so where a scheduler places staging relative
+/// to other feeds' blocks cannot change the chain; the compile-time `Send`
+/// assertion is in this module's tests.
 ///
 /// The chain-facing half — read transactions, block sealing, watchdog
 /// delivery, Gas booking — stays on [`EpochDriver`], which owns an
@@ -617,9 +615,8 @@ impl EpochDriver {
         })
     }
 
-    /// The feed's `Send`-safe off-chain staging half — what a parallel
-    /// scheduler moves to a worker thread while the chain-facing half stays
-    /// behind. See [`EpochStage`].
+    /// The feed's `Send`-safe off-chain staging half, which schedulers
+    /// drive without borrowing the chain. See [`EpochStage`].
     pub fn stage_mut(&mut self) -> &mut EpochStage {
         &mut self.stage
     }
@@ -1421,9 +1418,9 @@ mod tests {
 
     #[test]
     fn staging_half_is_send() {
-        // The parallel engine moves a feed's EpochStage (and, when a custom
-        // read-tx builder is installed, the whole driver) across threads;
-        // losing Send here would break it at a distance.
+        // Pins the `Send` bounds on `ReplicationPolicy`, `OpSource` and
+        // `ReadTxBuilder`: a feed's staging half (and, with a custom
+        // read-tx builder, the whole driver) stays movable across threads.
         fn assert_send<T: Send>() {}
         assert_send::<EpochStage>();
         assert_send::<EpochDriver>();

@@ -9,8 +9,6 @@
 //! * [`hmac_sha256`] — HMAC (RFC 2104) over SHA-256, used as the data owner's
 //!   digest authenticator in the simulator (see `DESIGN.md` §3 for the
 //!   substitution rationale).
-//! * [`lamport`] — a Lamport one-time signature scheme, the hash-only "real"
-//!   signature alternative.
 //! * [`Hash32`] — the 32-byte digest newtype shared by every crate.
 //! * [`hex`] — dependency-free hex encoding/decoding.
 //!
@@ -30,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod hex;
-pub mod lamport;
 mod sha2;
 
 use std::fmt;

@@ -10,7 +10,6 @@ use grub_gas::{checked_add_gas, checked_sub_gas, Layer};
 use grub_store::StoreError;
 use grub_workload::{OpSource, PeekableSource, Trace};
 
-use crate::executor::{ParallelExecutor, StageTask};
 use crate::report::{EngineReport, EpochMetrics, TenantReport};
 use crate::router::ShardRouter;
 
@@ -23,26 +22,6 @@ const BATCH_CHUNK_BYTES: usize = grub_core::system::UPDATE_CHUNK_BYTES;
 /// Calldata the section framing adds per batched payload: a 20-byte target
 /// address plus a 4-byte length prefix (see `encode_sections`).
 const SECTION_OVERHEAD_BYTES: usize = 24;
-
-/// How a round's shard epochs are staged.
-///
-/// Both modes produce byte-for-byte identical chains, reports, and Gas
-/// accounting on the same specs (asserted in `tests/engine.rs`): staging is
-/// purely off-chain, and the parallel merge commits shard blocks in the
-/// same canonical shard order the sequential pipeline uses, enforced by a
-/// [`CommitGate`]. The only difference is wall-clock: with ≥ 2 shards,
-/// parallel staging overlaps the shards' policy/Merkle/encoding work on
-/// worker threads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// The pipelined single-thread scheduler: shard `s+1` stages off-chain
-    /// between shard `s`'s write block and read phase.
-    #[default]
-    Sequential,
-    /// One staging worker thread per shard ([`ParallelExecutor`]), then a
-    /// deterministic merge in canonical shard order.
-    Parallel,
-}
 
 /// When (and whether) the engine cross-checks each feed's SP store against
 /// the DO's authoritative records and the on-chain root at scheduler-round
@@ -92,10 +71,6 @@ fn fault_check(point: FaultPoint) -> Result<()> {
 pub struct EngineConfig {
     /// Number of shards feeds are hashed across (≥ 1).
     pub shards: usize,
-    /// How shard epochs are staged: the sequential pipeline or the parallel
-    /// executor with deterministic merge. Defaults to
-    /// [`ExecMode::Sequential`].
-    pub exec: ExecMode,
     /// Whether same-block updates of a shard's feeds are coalesced into one
     /// `batchUpdate` transaction (the engine's reason to exist); disabling
     /// it reproduces N independent single-feed runs on one chain, which is
@@ -121,7 +96,6 @@ impl EngineConfig {
     pub fn new(shards: usize) -> Self {
         EngineConfig {
             shards: shards.max(1),
-            exec: ExecMode::Sequential,
             batching: true,
             read_batching: true,
             scrub: ScrubMode::default(),
@@ -147,14 +121,6 @@ impl EngineConfig {
     /// to isolate what read batching saves on top.
     pub fn without_read_batching(mut self) -> Self {
         self.read_batching = false;
-        self
-    }
-
-    /// Stages shard epochs on worker threads ([`ExecMode::Parallel`]); the
-    /// deterministic merge keeps the chain byte-identical to the sequential
-    /// pipeline's.
-    pub fn parallel(mut self) -> Self {
-        self.exec = ExecMode::Parallel;
         self
     }
 }
@@ -400,10 +366,8 @@ impl FeedSlot {
     }
 
     /// Pulls the next epoch's worth of operations from the stream into the
-    /// driver — the same
-    /// [`EpochStage::ingest`](grub_core::system::EpochStage::ingest) loop
-    /// the parallel staging tasks run. A parked feed is simply not pulled,
-    /// so its stream position never moves.
+    /// driver. A parked feed is simply not pulled, so its stream position
+    /// never moves.
     fn ingest_epoch(&mut self) {
         self.driver.stage_mut().ingest(&mut self.source);
     }
@@ -491,12 +455,8 @@ pub struct FeedEngine {
     feeds: Vec<FeedSlot>,
     batching: bool,
     read_batching: bool,
-    exec: ExecMode,
     scrub: ScrubMode,
     rounds: usize,
-    /// The parallel staging pool, spawned on first use and reused across
-    /// rounds (sequential runs never pay for the threads).
-    executor: Option<ParallelExecutor>,
     metrics: Vec<EpochMetrics>,
     /// Sections the current round's shard batches carried so far — reset at
     /// the top of every round, snapshotted into its [`EpochMetrics`].
@@ -575,10 +535,8 @@ impl FeedEngine {
             feeds,
             batching: config.batching,
             read_batching: config.batching && config.read_batching,
-            exec: config.exec,
             scrub: config.scrub,
             rounds: 0,
-            executor: None,
             metrics: Vec::new(),
             round_update_sections: 0,
             round_deliver_sections: 0,
@@ -608,8 +566,8 @@ impl FeedEngine {
 
     /// Like [`FeedEngine::run`], additionally handing back the final chain
     /// so callers can compare runs byte for byte
-    /// ([`Blockchain::chain_digest`]) — the parallel-vs-sequential
-    /// determinism contract is asserted this way.
+    /// ([`Blockchain::chain_digest`]) — the determinism contract is
+    /// asserted this way.
     ///
     /// # Errors
     ///
@@ -771,11 +729,9 @@ impl FeedEngine {
     ///
     /// Every feed with trace remaining and quota to spend runs one epoch,
     /// higher quota tiers first. With batching off each feed runs
-    /// standalone, one after another (the sum-of-singles baseline). With
-    /// batching on the shards run either as the sequential software
-    /// pipeline or through the parallel executor with a deterministic
-    /// merge — see [`ExecMode`]. All four paths produce byte-identical
-    /// chains on the same specs.
+    /// standalone, one after another (the sum-of-singles reference);
+    /// with batching on the round is the shard loop of
+    /// [`FeedEngine::run_round_batched`].
     fn run_round(&mut self) -> Result<()> {
         let round = self.rounds;
         let mut runnable: Vec<usize> = Vec::new();
@@ -788,31 +744,17 @@ impl FeedEngine {
         // the round. The sort is stable, so same-tier feeds keep their
         // declaration order and the schedule stays deterministic.
         runnable.sort_by_key(|&idx| std::cmp::Reverse(self.feeds[idx].tier()));
-        if !self.batching {
-            return match self.exec {
-                ExecMode::Sequential => self.run_round_unbatched(&runnable),
-                ExecMode::Parallel => self.run_round_unbatched_parallel(&runnable),
-            };
-        }
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for &idx in &runnable {
-            by_shard[self.feeds[idx].shard].push(idx);
-        }
-        let schedule: Vec<usize> = (0..self.shards.len())
-            .filter(|&s| !by_shard[s].is_empty())
-            .collect();
-        if schedule.is_empty() {
-            return Ok(()); // every live feed is parked; quota refills next round
-        }
-        match self.exec {
-            ExecMode::Sequential => self.run_round_pipelined(&by_shard, &schedule),
-            ExecMode::Parallel => self.run_round_parallel(&by_shard, &schedule),
+        if self.batching {
+            self.run_round_batched(&runnable)
+        } else {
+            self.run_round_unbatched(&runnable)
         }
     }
 
-    /// Sum-of-singles baseline: each feed runs its epoch exactly as a
+    /// Sum-of-singles reference: each feed runs its epoch exactly as a
     /// standalone GrubSystem would (update txs share the epoch's read
-    /// block), one feed after another.
+    /// block), one feed after another — the baseline every batching-savings
+    /// assertion compares against.
     fn run_round_unbatched(&mut self, runnable: &[usize]) -> Result<()> {
         for &idx in runnable {
             self.feeds[idx].ingest_epoch();
@@ -824,201 +766,61 @@ impl FeedEngine {
         Ok(())
     }
 
-    /// The unbatched baseline under the parallel executor: staging (which
-    /// is purely off-chain and touches only the feed's own state) fans out
-    /// to one worker per shard, then the chain phases drain in the exact
-    /// feed order the sequential baseline uses — so the chain, and every
-    /// per-tenant number, is byte-identical to
-    /// [`FeedEngine::run_round_unbatched`].
-    fn run_round_unbatched_parallel(&mut self, runnable: &[usize]) -> Result<()> {
-        let staged = self.stage_parallel(runnable)?;
-        fault_check(FaultPoint::PreMerge)?;
-        for (idx, update) in staged {
-            let feed = &mut self.feeds[idx];
-            feed.driver.submit_update(&mut self.chain, &update);
-            feed.driver.run_read_phase(&mut self.chain, &update)?;
-            let cost = feed.driver.reports().last().map_or(0, |e| e.feed_gas);
-            feed.charge_quota(cost);
+    /// The batched round: every scheduled shard's epochs are ingested and
+    /// staged off-chain, then the shards commit in canonical shard order
+    /// (enforced by a [`CommitGate`]) — per shard, the write block (all
+    /// staged update chunks coalesced through the router, spilling past the
+    /// Ctx payload bound) followed by the read phase. Staging never touches
+    /// the chain, so where it sits relative to other shards' blocks cannot
+    /// move a digest.
+    fn run_round_batched(&mut self, runnable: &[usize]) -> Result<()> {
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        for &idx in runnable {
+            by_shard[self.feeds[idx].shard].push(idx);
         }
-        Ok(())
-    }
-
-    /// The sequential software pipeline: while shard `s`'s write block and
-    /// read phase execute on-chain, shard `s+1`'s epochs are already being
-    /// staged off-chain — the staging of one shard overlaps the chain
-    /// phases of the previous one. The pipeline is plain sequential code
-    /// over the canonical shard order (enforced by the [`CommitGate`], the
-    /// same contract the parallel merge runs under), so runs stay
-    /// byte-for-byte deterministic.
-    fn run_round_pipelined(&mut self, by_shard: &[Vec<usize>], schedule: &[usize]) -> Result<()> {
-        let mut gate = CommitGate::new(self.shards.len());
-        let mut staged_next = self.stage_shard(&by_shard[schedule[0]])?;
+        let mut staged: Vec<(usize, Vec<RoundFeed>)> = Vec::new();
+        for (shard, feed_idxs) in by_shard.iter().enumerate() {
+            if feed_idxs.is_empty() {
+                continue;
+            }
+            let mut round_feeds = Vec::with_capacity(feed_idxs.len());
+            for &idx in feed_idxs {
+                let feed = &mut self.feeds[idx];
+                feed.ingest_epoch();
+                let update = feed.driver.stage_update()?;
+                round_feeds.push(RoundFeed {
+                    idx,
+                    batched_before: feed.batched_gas(),
+                    update,
+                });
+            }
+            fault_check(FaultPoint::PostStage)?;
+            staged.push((shard, round_feeds));
+        }
+        if staged.is_empty() {
+            return Ok(()); // every live feed is parked; quota refills next round
+        }
         fault_check(FaultPoint::PreMerge)?;
-        for (pos, &shard) in schedule.iter().enumerate() {
+        let mut gate = CommitGate::new(self.shards.len());
+        for (pos, (shard, mut round_feeds)) in staged.into_iter().enumerate() {
             if pos > 0 {
                 // Between two shard commits of the same round: the previous
-                // shard's block is mined, this shard's is not.
+                // shard's blocks are mined, this shard's are not.
                 fault_check(FaultPoint::MidShardCommit)?;
             }
-            let staged = std::mem::take(&mut staged_next);
             claim_lane(&mut gate, shard)?;
-            self.commit_shard(shard, staged, |engine| {
-                // Pipeline overlap: stage the next shard's epochs (pure
-                // off-chain work) while this shard's write block propagates
-                // and before its read phase begins.
-                if let Some(&next) = schedule.get(pos + 1) {
-                    staged_next = engine.stage_shard(&by_shard[next])?;
+            let mut sections: Vec<(usize, Vec<u8>)> = Vec::new();
+            for rf in &mut round_feeds {
+                for chunk in std::mem::take(&mut rf.update.chunks) {
+                    sections.push((rf.idx, chunk));
                 }
-                Ok(())
-            })?;
+            }
+            self.submit_shard_batch(shard, BatchKind::Update, sections)?;
+            // The shard's write block is mined; its read phase has not begun.
+            fault_check(FaultPoint::PostWriteBlock)?;
+            self.run_shard_read_phase(shard, round_feeds)?;
         }
         Ok(())
-    }
-
-    /// The parallel round: every scheduled shard's staging runs on its own
-    /// worker thread ([`ParallelExecutor`]), then the merge commits each
-    /// shard's write block and read phase in canonical shard order under
-    /// the [`CommitGate`]. Staging never touches the chain, so the block
-    /// sequence — and therefore [`Blockchain::chain_digest`] — is identical
-    /// to the sequential pipeline's on the same specs.
-    fn run_round_parallel(&mut self, by_shard: &[Vec<usize>], schedule: &[usize]) -> Result<()> {
-        let order: Vec<usize> = schedule
-            .iter()
-            .flat_map(|&s| by_shard[s].iter().copied())
-            .collect();
-        let staged = self.stage_parallel(&order)?;
-        fault_check(FaultPoint::PreMerge)?;
-        let mut staged = staged.into_iter();
-        let mut gate = CommitGate::new(self.shards.len());
-        for (pos, &shard) in schedule.iter().enumerate() {
-            if pos > 0 {
-                fault_check(FaultPoint::MidShardCommit)?;
-            }
-            claim_lane(&mut gate, shard)?;
-            let round_feeds: Vec<RoundFeed> = by_shard[shard]
-                .iter()
-                .map(|_| {
-                    // grub-lint: allow(panic) — stage_all_feeds returns exactly one entry per scheduled feed
-                    let (idx, update) = staged.next().expect("one staged epoch per feed");
-                    RoundFeed {
-                        idx,
-                        batched_before: self.feeds[idx].batched_gas(),
-                        update,
-                    }
-                })
-                .collect();
-            self.commit_shard(shard, round_feeds, |_| Ok(()))?;
-        }
-        Ok(())
-    }
-
-    /// Commits one shard's round: the write block (all staged update chunks
-    /// coalesced through the router, spilling past the Ctx payload bound),
-    /// a caller-supplied overlap step, then the shard's read phase.
-    fn commit_shard(
-        &mut self,
-        shard: usize,
-        mut staged: Vec<RoundFeed>,
-        overlap: impl FnOnce(&mut Self) -> Result<()>,
-    ) -> Result<()> {
-        let mut sections: Vec<(usize, Vec<u8>)> = Vec::new();
-        for rf in &mut staged {
-            for chunk in std::mem::take(&mut rf.update.chunks) {
-                sections.push((rf.idx, chunk));
-            }
-        }
-        self.submit_shard_batch(shard, BatchKind::Update, sections)?;
-        // The shard's write block is mined; its read phase has not begun.
-        fault_check(FaultPoint::PostWriteBlock)?;
-        overlap(self)?;
-        self.run_shard_read_phase(shard, staged)
-    }
-
-    /// Stages one epoch for each feed in `order` — grouped into one worker
-    /// lane per shard, results flattened back into `order` — via the
-    /// [`ParallelExecutor`]. Pure off-chain work; the chain stays on the
-    /// calling thread.
-    fn stage_parallel(&mut self, order: &[usize]) -> Result<Vec<(usize, StagedUpdate)>> {
-        let mut lane_of_shard = vec![None; self.shards.len()];
-        let mut lanes_order: Vec<Vec<usize>> = Vec::new();
-        for &idx in order {
-            let shard = self.feeds[idx].shard;
-            let lane = *lane_of_shard[shard].get_or_insert_with(|| {
-                lanes_order.push(Vec::new());
-                lanes_order.len() - 1
-            });
-            lanes_order[lane].push(idx);
-        }
-        let mut staging = vec![false; self.feeds.len()];
-        for &idx in order {
-            staging[idx] = true;
-        }
-        let mut tasks: Vec<Option<StageTask<'_>>> = self
-            .feeds
-            .iter_mut()
-            .enumerate()
-            .map(|(idx, slot)| {
-                // Field-wise split: the task borrows only the Send-safe
-                // staging half and the feed's own stream, disjointly per
-                // feed.
-                staging[idx].then(|| {
-                    let FeedSlot { driver, source, .. } = slot;
-                    StageTask {
-                        feed: idx,
-                        stage: driver.stage_mut(),
-                        source,
-                    }
-                })
-            })
-            .collect();
-        let lanes: Vec<Vec<StageTask<'_>>> = lanes_order
-            .iter()
-            .map(|lane| {
-                lane.iter()
-                    // grub-lint: allow(panic) — every index in lanes_order got a task in the loop above
-                    .map(|&idx| tasks[idx].take().expect("staging task built above"))
-                    .collect()
-            })
-            .collect();
-        let mut staged_by_lane = Vec::with_capacity(lanes.len());
-        let executor = self
-            .executor
-            .get_or_insert_with(|| ParallelExecutor::new(self.shards.len()));
-        for lane_result in executor.stage_round(lanes) {
-            staged_by_lane.push(lane_result?);
-        }
-        // Flatten back into the caller's order: lane l's results are in
-        // lane order, and `order` interleaves lanes deterministically.
-        let mut cursors = vec![0usize; staged_by_lane.len()];
-        let mut out = Vec::with_capacity(order.len());
-        for &idx in order {
-            // grub-lint: allow(panic) — lane_of_shard covers every shard in `order` by construction
-            let lane = lane_of_shard[self.feeds[idx].shard].expect("lane assigned");
-            let (feed, update) = std::mem::take(&mut staged_by_lane[lane][cursors[lane]]);
-            cursors[lane] += 1;
-            debug_assert_eq!(feed, idx, "lane results must align with the order");
-            out.push((idx, update));
-        }
-        fault_check(FaultPoint::PostStage)?;
-        Ok(out)
-    }
-
-    /// Ingests and stages one epoch for each of a shard's runnable feeds —
-    /// off-chain work only, which is what lets the scheduler overlap it
-    /// with another shard's on-chain phases.
-    fn stage_shard(&mut self, feed_idxs: &[usize]) -> Result<Vec<RoundFeed>> {
-        let mut staged = Vec::with_capacity(feed_idxs.len());
-        for &idx in feed_idxs {
-            self.feeds[idx].ingest_epoch();
-            let update = self.feeds[idx].driver.stage_update()?;
-            staged.push(RoundFeed {
-                idx,
-                batched_before: self.feeds[idx].batched_gas(),
-                update,
-            });
-        }
-        fault_check(FaultPoint::PostStage)?;
-        Ok(staged)
     }
 
     /// Runs one shard's read phase: each feed seals its own consumer read

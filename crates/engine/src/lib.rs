@@ -13,15 +13,13 @@
 //! # Architecture
 //!
 //! ```text
-//!               FeedEngine (deterministic shard scheduler, two ExecModes)
+//!               FeedEngine (deterministic shard scheduler, one executor)
 //!
-//!   STAGE (off-chain, Send-safe EpochStage halves)
-//!     Sequential: shard s+1 stages while shard s's blocks execute (pipeline)
-//!     Parallel:   one ParallelExecutor worker thread per shard
-//!        worker 0: [feed a ingest→flush→encode] [feed b …]      (shard 0)
-//!        worker 1: [feed c ingest→flush→encode] [feed d …]      (shard 1)
-//!                     │ staged update/deliver sections, lane-ordered
-//!   MERGE (single thread, canonical shard order, CommitGate-enforced)
+//!   STAGE (off-chain, EpochStage halves — never borrows the chain)
+//!        shard 0: [feed a ingest→flush→encode] [feed b …]
+//!        shard 1: [feed c ingest→flush→encode] [feed d …]
+//!                     │ staged update sections, shard-ordered
+//!   MERGE (canonical shard order, CommitGate-enforced)
 //!        shard 0 write block → shard 0 read phase →
 //!                      shard 1 write block → shard 1 read phase → …
 //!                     │
@@ -42,22 +40,18 @@
 //! * **Scheduling** — the engine runs feeds in *rounds*: round `r` lets
 //!   every feed with trace left (and quota to spend, see below) ingest one
 //!   epoch's worth of operations and close that epoch, higher quota tiers
-//!   first. Two execution modes ([`ExecMode`]) schedule the shards:
-//!   [`ExecMode::Sequential`] is the software pipeline — while shard `s`'s
-//!   write block and read phase execute on-chain, shard `s+1`'s epochs are
-//!   staged off-chain — and [`ExecMode::Parallel`]
-//!   ([`EngineConfig::parallel`]) fans each shard's staging out to its own
-//!   worker thread ([`ParallelExecutor`]) before a single-threaded merge
-//!   commits shard blocks in canonical shard order.
+//!   first. A batched round stages every scheduled shard's epochs
+//!   off-chain, then commits each shard's write block and read phase in
+//!   canonical shard order; with batching off, each feed closes its epoch
+//!   standalone (the sum-of-singles reference the savings are measured
+//!   against).
 //! * **Determinism contract** — a run is a deterministic function of its
-//!   specs in *both* modes, and the modes are interchangeable: staging
-//!   never touches the chain, results are consumed in lane order rather
-//!   than completion order, and the merge claims shard commit slots through
-//!   a [`CommitGate`](grub_chain::CommitGate) in the same canonical order
-//!   the pipeline uses — so the mined chain is byte-for-byte identical
-//!   (equal [`Blockchain::chain_digest`](grub_chain::Blockchain::chain_digest))
-//!   across modes, quotas and parking included. No wall clock, thread
-//!   timing, or map iteration order ever reaches the schedule.
+//!   specs: staging never touches the chain, and the merge claims shard
+//!   commit slots through a [`CommitGate`](grub_chain::CommitGate) in
+//!   canonical shard order — so reruns mine byte-for-byte identical chains
+//!   (equal [`Blockchain::chain_digest`](grub_chain::Blockchain::chain_digest)),
+//!   quotas and parking included. No wall clock or map iteration order
+//!   ever reaches the schedule.
 //! * **Sharding** — each tenant is assigned to one of a fixed set of shards
 //!   by FNV-1a hash of its name ([`tenant_shard`]). A shard owns an
 //!   on-chain [`ShardRouter`] contract and a shard-operator account.
@@ -119,9 +113,7 @@
 //!    included — so the aggregate report loses nothing to rounding.
 //! 4. **Determinism** — two runs with identical specs produce byte-identical
 //!    [`EngineReport::render_table`] output *and* equal chain digests,
-//!    quotas and parking included — even when one run staged its shards on
-//!    worker threads ([`ExecMode::Parallel`]) and the other used the
-//!    sequential pipeline.
+//!    quotas and parking included.
 //!
 //! # Example
 //!
@@ -155,14 +147,12 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod executor;
 mod report;
 mod router;
 pub mod specs;
 
 pub use engine::{
-    tenant_shard, EngineConfig, ExecMode, FeedEngine, FeedSpec, QuotaTier, ScrubMode, TenantBudget,
+    tenant_shard, EngineConfig, FeedEngine, FeedSpec, QuotaTier, ScrubMode, TenantBudget,
 };
-pub use executor::ParallelExecutor;
 pub use report::{EngineReport, EpochMetrics, TenantReport};
 pub use router::ShardRouter;

@@ -7,10 +7,9 @@
 //! crash points*: cheap probes that normally answer "keep going" and, when a
 //! [`FaultPlan`] is armed for that point, answer "die here" exactly once.
 //!
-//! The armed plan lives in process-wide state (a crash is a process-wide
-//! event), so tests that arm faults must serialize on
-//! [`injection_lock`] — otherwise a plan armed by one test trips in
-//! another's pipeline.
+//! The armed plan is thread-local: the whole pipeline runs on the thread
+//! that drives it, so a plan armed by one test can only trip in that test's
+//! own pipeline, however many crash tests the harness runs concurrently.
 //!
 //! A plan trips **once** and disarms itself: the recovery run that follows
 //! the simulated crash re-executes the same pipeline and must not die at the
@@ -24,7 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::cell::Cell;
 
 /// A named crash point in the stage→merge→commit pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -32,8 +31,8 @@ pub enum FaultPoint {
     /// After a round's off-chain staging (policy flush, SP sync, section
     /// encoding) completes, before anything reaches the chain.
     PostStage,
-    /// After parallel workers return, before the merge thread claims the
-    /// first commit lane.
+    /// After every scheduled shard has staged, before the first commit lane
+    /// is claimed.
     PreMerge,
     /// Between two shards' commits within one round — the first shard's
     /// blocks are mined, the rest never happen.
@@ -117,45 +116,37 @@ impl FaultPlan {
     }
 }
 
-fn armed() -> &'static Mutex<Option<FaultPlan>> {
-    static ARMED: OnceLock<Mutex<Option<FaultPlan>>> = OnceLock::new();
-    ARMED.get_or_init(|| Mutex::new(None))
+thread_local! {
+    static ARMED: Cell<Option<FaultPlan>> = const { Cell::new(None) };
 }
 
-/// Arms a crash plan, replacing any previous one.
+/// Arms a crash plan on the calling thread, replacing any previous one.
 pub fn arm(plan: FaultPlan) {
-    *armed().lock().unwrap_or_else(PoisonError::into_inner) = Some(plan);
+    ARMED.set(Some(plan));
 }
 
 /// Disarms, returning the plan that was pending (if any) — a tripped plan
 /// has already disarmed itself and returns `None` here.
 pub fn disarm() -> Option<FaultPlan> {
-    armed()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take()
+    ARMED.take()
 }
 
 /// Whether a plan is currently armed (and has not yet tripped).
 pub fn is_armed() -> bool {
-    armed()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .is_some()
+    ARMED.get().is_some()
 }
 
 /// The pipeline probe: `true` exactly when the armed plan names `point` and
 /// its countdown has expired — the caller must then abort as if the process
 /// died here. Tripping disarms the plan, so the recovery run sails through.
 pub fn should_trip(point: FaultPoint) -> bool {
-    let mut guard = armed().lock().unwrap_or_else(PoisonError::into_inner);
-    match guard.as_mut() {
+    match ARMED.get() {
         Some(plan) if plan.point == point => {
             if plan.after == 0 {
-                *guard = None;
+                ARMED.set(None);
                 true
             } else {
-                plan.after -= 1;
+                ARMED.set(Some(FaultPlan::nth(point, plan.after - 1)));
                 false
             }
         }
@@ -191,16 +182,6 @@ pub fn plan_from_env() -> Option<FaultPlan> {
     Some(FaultPlan { point, after })
 }
 
-/// Serializes tests that arm faults: the armed plan is process-wide, so two
-/// concurrently running crash tests would trip each other's plans. Hold the
-/// guard for the whole arm → run → assert sequence.
-pub fn injection_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,7 +196,6 @@ mod tests {
 
     #[test]
     fn trips_once_then_disarms() {
-        let _guard = injection_lock();
         arm(FaultPlan::at(FaultPoint::PostStage));
         assert!(!should_trip(FaultPoint::PreMerge), "other points pass");
         assert!(should_trip(FaultPoint::PostStage), "armed point trips");
@@ -228,7 +208,6 @@ mod tests {
 
     #[test]
     fn countdown_survives_n_hits() {
-        let _guard = injection_lock();
         arm(FaultPlan::nth(FaultPoint::MidWalAppend, 2));
         assert!(!should_trip(FaultPoint::MidWalAppend));
         assert!(!should_trip(FaultPoint::MidWalAppend));
@@ -237,8 +216,29 @@ mod tests {
     }
 
     #[test]
+    fn plans_are_isolated_per_thread() {
+        // Each thread arms a different point; the barrier forces both plans
+        // to be armed before either thread probes.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (mine, theirs) in [
+                (FaultPoint::PostStage, FaultPoint::MidShardCommit),
+                (FaultPoint::MidShardCommit, FaultPoint::PostStage),
+            ] {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    arm(FaultPlan::at(mine));
+                    barrier.wait();
+                    assert!(!should_trip(theirs), "the other thread's plan leaked in");
+                    assert!(should_trip(mine), "own plan was overwritten or stolen");
+                    assert!(!is_armed());
+                });
+            }
+        });
+    }
+
+    #[test]
     fn disarm_clears_pending_plan() {
-        let _guard = injection_lock();
         arm(FaultPlan::at(FaultPoint::PreMerge));
         assert_eq!(disarm(), Some(FaultPlan::at(FaultPoint::PreMerge)));
         assert!(!should_trip(FaultPoint::PreMerge));

@@ -304,7 +304,6 @@ mod tests {
 
     #[test]
     fn injected_mid_append_crash_leaves_recoverable_log() {
-        let _guard = grub_fault::injection_lock();
         let path = temp_path("fault-append");
         std::fs::remove_file(&path).ok();
         let mut wal = Wal::open(&path).unwrap();

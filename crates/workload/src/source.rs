@@ -18,8 +18,8 @@
 //! * **replayable** — [`OpSource::reset`] rewinds to the first operation,
 //!   and a replay yields the byte-identical sequence (asserted for every
 //!   generator in `tests/streaming.rs`);
-//! * **`Send`** — the multi-tenant engine stages feeds on worker threads,
-//!   and a feed's source travels with its staging half;
+//! * **`Send`** — a feed's source can move across threads together with
+//!   its staging half;
 //! * **cloneable** — [`OpSource::clone_box`] snapshots the source *at its
 //!   current position*, which is what lets schedulers fork speculative
 //!   replicas and lets [`Trace::from_source`] stay a pure adapter.

@@ -15,12 +15,6 @@
 //! batching) and that a trace-driven replay of the same streams mines the
 //! byte-identical chain.
 //!
-//! With `GRUB_PARALLEL=1` every run stages its shards on worker threads
-//! (the parallel executor with deterministic merge) instead of the
-//! sequential pipeline; all tables, Gas totals, and assertions are
-//! contractually identical either way — the full-batching run double-checks
-//! that by comparing its chain digest against a sequential rerun.
-//!
 //! The chain-realism knobs ride along: `GRUB_REORG=seed:period:depth` mines
 //! seeded forks (rolled back and canonically re-committed — the run then
 //! re-executes on a never-forking chain and asserts the digests agree),
@@ -35,8 +29,6 @@
 //! cargo run --release --example multifeed
 //! # CI smoke run (scaled-down traces):
 //! GRUB_SMOKE=1 cargo run --release --example multifeed
-//! # Parallel shard staging (same output, multi-threaded staging):
-//! GRUB_PARALLEL=1 cargo run --release --example multifeed
 //! # Chain realism: seeded reorgs plus a spiking gas price:
 //! GRUB_REORG=7:5:2 GRUB_FEE_SCHEDULE=spike:11 cargo run --release --example multifeed
 //! # Confirmation semantics: depth-3 acknowledgment, inclusion latency, reorgs:
@@ -56,7 +48,6 @@ fn build_specs(total_ops: usize) -> Vec<FeedSpec> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = std::env::var("GRUB_SMOKE").is_ok();
-    let parallel = std::env::var("GRUB_PARALLEL").is_ok();
     let scrub = ScrubMode::from_env();
     let total_ops = if smoke { 256 } else { 2048 };
     let shards = 2;
@@ -66,11 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = move |base: EngineConfig| {
         let mut base = base.with_scrub(scrub);
         base.chain = realism;
-        if parallel {
-            base.parallel()
-        } else {
-            base
-        }
+        base
     };
 
     // Crash-testing harness: with GRUB_FAULT_POINT=<point>[:<n>] set, the
@@ -96,9 +83,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!(
-        "8 tenants, zipfian activity skew, {total_ops} total ops, {shards} shards{}{}",
+        "8 tenants, zipfian activity skew, {total_ops} total ops, {shards} shards{}",
         if smoke { " (smoke)" } else { "" },
-        if parallel { " (parallel staging)" } else { "" },
     );
 
     let unbatched = FeedEngine::run_specs(
@@ -120,24 +106,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .run_with_chain()?;
     println!("\n== full batching (updates + delivers per shard) ==");
     print!("{}", full.render_table());
-
-    if parallel {
-        // The determinism contract, end to end: the parallel merge's chain
-        // is byte-for-byte the sequential pipeline's — including under the
-        // chain-realism knobs, which both runs must share.
-        let mut seq = EngineConfig::new(shards).with_scrub(scrub);
-        seq.chain = realism;
-        let (_, seq_chain) = FeedEngine::new(&seq, build_specs(total_ops))?.run_with_chain()?;
-        assert_eq!(
-            full_chain.chain_digest(),
-            seq_chain.chain_digest(),
-            "parallel staging must reproduce the sequential chain exactly"
-        );
-        println!(
-            "\nparallel == sequential chain digest: {}",
-            full_chain.chain_digest().to_hex()
-        );
-    }
 
     if realism.reorg.is_some() {
         // The reorg contract, end to end: re-execute the full-batching run

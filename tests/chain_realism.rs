@@ -4,8 +4,8 @@
 //!
 //! * **Reorg transparency** — an engine run on a reorg-capable chain (forks
 //!   mined, rolled back, canonically re-committed) converges to the exact
-//!   chain digest, height, and Gas report of the straight-line run, in both
-//!   scheduler modes and all three batching modes.
+//!   chain digest, height, and Gas report of the straight-line run, in all
+//!   three batching modes.
 //! * **Congestion exactness** — a bounded mempool delays and splits shard
 //!   batches across blocks by tenant priority without disturbing a single
 //!   unit of Gas attribution: the congested run renders a byte-identical
@@ -20,7 +20,7 @@ use grub::chain::ChainConfig;
 use grub::core::policy::PolicyKind;
 use grub::core::system::{GrubSystem, SystemConfig};
 use grub::engine::specs::{demo_policies, zipfian_ratio_specs, DEMO_RATIOS};
-use grub::engine::{EngineConfig, ExecMode, FeedEngine, FeedSpec, QuotaTier, TenantBudget};
+use grub::engine::{EngineConfig, FeedEngine, FeedSpec, QuotaTier, TenantBudget};
 use grub::gas::{FeeProcess, FeeRegime, BASE_PRICE_PERMILLE};
 use grub::workload::{Op, Trace, ValueSpec};
 
@@ -28,63 +28,60 @@ fn fleet() -> Vec<FeedSpec> {
     zipfian_ratio_specs(6, 240, DEMO_RATIOS, &demo_policies())
 }
 
-fn engine_config(mode: ExecMode, batching: bool, read_batching: bool) -> EngineConfig {
+fn engine_config(batching: bool, read_batching: bool) -> EngineConfig {
     let mut config = EngineConfig::new(2);
-    config.exec = mode;
     config.batching = batching;
     config.read_batching = read_batching;
     config
 }
 
-/// The acceptance bar for the reorg axis: in BOTH scheduler modes and ALL
-/// three batching modes, a run that suffers seeded forks (mined, rolled
-/// back, re-committed) is byte-identical — chain digest, height, and the
-/// rendered Gas report — to the run that never forked.
+/// The acceptance bar for the reorg axis: in ALL three batching modes, a
+/// run that suffers seeded forks (mined, rolled back, re-committed) is
+/// byte-identical — chain digest, height, and the rendered Gas report — to
+/// the run that never forked.
 #[test]
 fn reorg_replay_is_digest_identical_in_every_engine_mode() {
-    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-        for (batching, read_batching) in [(false, false), (true, false), (true, true)] {
-            let label = format!("{mode:?}/batching={batching}/read_batching={read_batching}");
-            let plain = engine_config(mode, batching, read_batching);
-            let (plain_report, plain_chain) = FeedEngine::new(&plain, fleet())
-                .unwrap()
-                .run_with_chain()
-                .unwrap_or_else(|e| panic!("{label}: straight-line run failed: {e}"));
+    for (batching, read_batching) in [(false, false), (true, false), (true, true)] {
+        let label = format!("batching={batching}/read_batching={read_batching}");
+        let plain = engine_config(batching, read_batching);
+        let (plain_report, plain_chain) = FeedEngine::new(&plain, fleet())
+            .unwrap()
+            .run_with_chain()
+            .unwrap_or_else(|e| panic!("{label}: straight-line run failed: {e}"));
 
-            let mut forked = engine_config(mode, batching, read_batching);
-            forked.chain = ChainConfig::default().reorg(7, 4, 2);
-            let (forked_report, forked_chain) = FeedEngine::new(&forked, fleet())
-                .unwrap()
-                .run_with_chain()
-                .unwrap_or_else(|e| panic!("{label}: reorg run failed: {e}"));
+        let mut forked = engine_config(batching, read_batching);
+        forked.chain = ChainConfig::default().reorg(7, 4, 2);
+        let (forked_report, forked_chain) = FeedEngine::new(&forked, fleet())
+            .unwrap()
+            .run_with_chain()
+            .unwrap_or_else(|e| panic!("{label}: reorg run failed: {e}"));
 
-            assert!(
-                !forked_chain.reorg_events().is_empty(),
-                "{label}: the reorg process never forked — the axis tested nothing"
-            );
-            assert!(
-                forked_chain
-                    .reorg_events()
-                    .iter()
-                    .all(|e| e.depth >= 1 && e.depth <= 2),
-                "{label}: fork depths must respect max_depth"
-            );
-            assert_eq!(
-                forked_chain.chain_digest(),
-                plain_chain.chain_digest(),
-                "{label}: reorg-and-replay must converge to the straight-line digest"
-            );
-            assert_eq!(
-                forked_chain.height(),
-                plain_chain.height(),
-                "{label}: canonical height must match the straight-line run"
-            );
-            assert_eq!(
-                forked_report.render_table(),
-                plain_report.render_table(),
-                "{label}: the Gas report must be untouched by reorgs"
-            );
-        }
+        assert!(
+            !forked_chain.reorg_events().is_empty(),
+            "{label}: the reorg process never forked — the axis tested nothing"
+        );
+        assert!(
+            forked_chain
+                .reorg_events()
+                .iter()
+                .all(|e| e.depth >= 1 && e.depth <= 2),
+            "{label}: fork depths must respect max_depth"
+        );
+        assert_eq!(
+            forked_chain.chain_digest(),
+            plain_chain.chain_digest(),
+            "{label}: reorg-and-replay must converge to the straight-line digest"
+        );
+        assert_eq!(
+            forked_chain.height(),
+            plain_chain.height(),
+            "{label}: canonical height must match the straight-line run"
+        );
+        assert_eq!(
+            forked_report.render_table(),
+            plain_report.render_table(),
+            "{label}: the Gas report must be untouched by reorgs"
+        );
     }
 }
 
@@ -118,7 +115,7 @@ fn congested_mempool_splits_blocks_with_exact_attribution() {
             })
             .collect()
     };
-    let mut plain = engine_config(ExecMode::Sequential, true, true);
+    let mut plain = engine_config(true, true);
     plain.shards = 1;
     let (plain_report, plain_chain) = FeedEngine::new(&plain, tiered_fleet())
         .unwrap()
@@ -129,7 +126,7 @@ fn congested_mempool_splits_blocks_with_exact_attribution() {
         "the fleet must actually spill for the cap to have anything to split"
     );
 
-    let mut congested = engine_config(ExecMode::Sequential, true, true);
+    let mut congested = engine_config(true, true);
     congested.shards = 1;
     congested.chain = ChainConfig::default().mempool(1);
     let (congested_report, congested_chain) = FeedEngine::new(&congested, tiered_fleet())
@@ -186,14 +183,14 @@ fn fee_schedule_reprices_runs_deterministically() {
         },
         seed: 3,
     };
-    let flat = engine_config(ExecMode::Sequential, true, true);
+    let flat = engine_config(true, true);
     let (flat_report, _) = FeedEngine::new(&flat, fleet())
         .unwrap()
         .run_with_chain()
         .unwrap();
 
     let priced_run = || {
-        let mut config = engine_config(ExecMode::Sequential, true, true);
+        let mut config = engine_config(true, true);
         config.chain = ChainConfig::default().fee(fee);
         FeedEngine::new(&config, fleet())
             .unwrap()

@@ -5,8 +5,8 @@
 //!
 //! * **No lost, no duplicated writes** — a depth-confirmed, latency-enabled,
 //!   reorged engine run converges to the canonical-branch digest with every
-//!   reorg-abandoned transaction resubmitted exactly once, across
-//!   Sequential/Parallel × all three batching modes.
+//!   reorg-abandoned transaction resubmitted exactly once, across all
+//!   three batching modes.
 //! * **Monotone confirmed height** — the confirmation frontier the engine
 //!   reports per round never regresses, and the run ends fully confirmed.
 //! * **Freshness** — a confirmed read never observes state older than the
@@ -19,7 +19,7 @@ use grub::chain::{ChainConfig, TxId};
 use grub::core::consistency::FreshnessModel;
 use grub::core::system::{GrubSystem, SystemConfig};
 use grub::engine::specs::{demo_policies, zipfian_ratio_specs, DEMO_RATIOS};
-use grub::engine::{EngineConfig, ExecMode, FeedEngine, FeedSpec};
+use grub::engine::{EngineConfig, FeedEngine, FeedSpec};
 use grub::workload::ratio::RatioWorkload;
 
 fn config() -> ChainConfig {
@@ -126,9 +126,8 @@ fn fleet() -> Vec<FeedSpec> {
     zipfian_ratio_specs(6, 240, DEMO_RATIOS, &demo_policies())
 }
 
-fn engine_config(mode: ExecMode, batching: bool, read_batching: bool) -> EngineConfig {
+fn engine_config(batching: bool, read_batching: bool) -> EngineConfig {
     let mut config = EngineConfig::new(2);
-    config.exec = mode;
     config.batching = batching;
     config.read_batching = read_batching;
     config
@@ -144,143 +143,138 @@ fn confirmed_chain() -> ChainConfig {
 /// No lost writes, no duplicated writes (Theorem E.1's atomicity half):
 /// a depth-confirmed, latency-enabled run that suffers seeded reorgs
 /// converges to the straight-line digest with every abandoned transaction
-/// resubmitted exactly once — in both scheduler modes and all three
-/// batching modes.
+/// resubmitted exactly once — in all three batching modes.
 #[test]
 fn reorged_depth_confirmed_runs_lose_and_duplicate_no_writes() {
-    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-        for (batching, read_batching) in [(false, false), (true, false), (true, true)] {
-            let label = format!("{mode:?}/batching={batching}/read_batching={read_batching}");
-            let plain = {
-                let mut config = engine_config(mode, batching, read_batching);
-                config.chain = confirmed_chain();
-                config
-            };
-            let (plain_report, plain_chain) = FeedEngine::new(&plain, fleet())
-                .unwrap()
-                .run_with_chain()
-                .unwrap_or_else(|e| panic!("{label}: straight-line run failed: {e}"));
+    for (batching, read_batching) in [(false, false), (true, false), (true, true)] {
+        let label = format!("batching={batching}/read_batching={read_batching}");
+        let plain = {
+            let mut config = engine_config(batching, read_batching);
+            config.chain = confirmed_chain();
+            config
+        };
+        let (plain_report, plain_chain) = FeedEngine::new(&plain, fleet())
+            .unwrap()
+            .run_with_chain()
+            .unwrap_or_else(|e| panic!("{label}: straight-line run failed: {e}"));
 
-            let forked = {
-                let mut config = engine_config(mode, batching, read_batching);
-                config.chain = confirmed_chain().reorg(7, 4, 2);
-                config
-            };
-            let (forked_report, forked_chain) = FeedEngine::new(&forked, fleet())
-                .unwrap()
-                .run_with_chain()
-                .unwrap_or_else(|e| panic!("{label}: reorg run failed: {e}"));
+        let forked = {
+            let mut config = engine_config(batching, read_batching);
+            config.chain = confirmed_chain().reorg(7, 4, 2);
+            config
+        };
+        let (forked_report, forked_chain) = FeedEngine::new(&forked, fleet())
+            .unwrap()
+            .run_with_chain()
+            .unwrap_or_else(|e| panic!("{label}: reorg run failed: {e}"));
 
-            let events = forked_chain.reorg_events();
-            assert!(
-                !events.is_empty(),
-                "{label}: the reorg process never forked — the net tested nothing"
-            );
-            assert!(
-                events.iter().any(|e| !e.abandoned.is_empty()),
-                "{label}: no fork ever abandoned a transaction — the net tested nothing"
-            );
-            for (i, ev) in events.iter().enumerate() {
-                assert_eq!(
-                    ev.resubmitted, ev.abandoned,
-                    "{label}: reorg {i} resubmitted a different set than it abandoned"
-                );
-            }
-
-            // No duplicated writes: every transaction id appears in exactly
-            // one canonical block's receipts.
-            let mut receipt_ids: Vec<TxId> = forked_chain
-                .blocks()
-                .iter()
-                .flat_map(|b| b.receipts.iter().map(|r| r.tx_id))
-                .collect();
-            let total = receipt_ids.len();
-            receipt_ids.sort();
-            receipt_ids.dedup();
+        let events = forked_chain.reorg_events();
+        assert!(
+            !events.is_empty(),
+            "{label}: the reorg process never forked — the net tested nothing"
+        );
+        assert!(
+            events.iter().any(|e| !e.abandoned.is_empty()),
+            "{label}: no fork ever abandoned a transaction — the net tested nothing"
+        );
+        for (i, ev) in events.iter().enumerate() {
             assert_eq!(
-                receipt_ids.len(),
-                total,
-                "{label}: a resubmitted transaction executed twice on the canonical branch"
-            );
-            // No lost writes: every abandoned transaction landed canonically.
-            for ev in events {
-                for id in &ev.abandoned {
-                    assert!(
-                        receipt_ids.binary_search(id).is_ok(),
-                        "{label}: abandoned {id:?} never re-executed on the canonical branch"
-                    );
-                }
-            }
-
-            assert_eq!(
-                forked_chain.chain_digest(),
-                plain_chain.chain_digest(),
-                "{label}: reorg + resubmission must converge to the straight-line digest"
-            );
-            assert_eq!(
-                forked_chain.height(),
-                plain_chain.height(),
-                "{label}: canonical height must match the straight-line run"
-            );
-            assert_eq!(
-                forked_report.render_table(),
-                plain_report.render_table(),
-                "{label}: the Gas report must be untouched by reorgs under confirmation"
-            );
-            assert_eq!(
-                forked_report.failed_delivers(),
-                0,
-                "{label}: an honest SP must never be rejected under the confirmation stack"
+                ev.resubmitted, ev.abandoned,
+                "{label}: reorg {i} resubmitted a different set than it abandoned"
             );
         }
+
+        // No duplicated writes: every transaction id appears in exactly
+        // one canonical block's receipts.
+        let mut receipt_ids: Vec<TxId> = forked_chain
+            .blocks()
+            .iter()
+            .flat_map(|b| b.receipts.iter().map(|r| r.tx_id))
+            .collect();
+        let total = receipt_ids.len();
+        receipt_ids.sort();
+        receipt_ids.dedup();
+        assert_eq!(
+            receipt_ids.len(),
+            total,
+            "{label}: a resubmitted transaction executed twice on the canonical branch"
+        );
+        // No lost writes: every abandoned transaction landed canonically.
+        for ev in events {
+            for id in &ev.abandoned {
+                assert!(
+                    receipt_ids.binary_search(id).is_ok(),
+                    "{label}: abandoned {id:?} never re-executed on the canonical branch"
+                );
+            }
+        }
+
+        assert_eq!(
+            forked_chain.chain_digest(),
+            plain_chain.chain_digest(),
+            "{label}: reorg + resubmission must converge to the straight-line digest"
+        );
+        assert_eq!(
+            forked_chain.height(),
+            plain_chain.height(),
+            "{label}: canonical height must match the straight-line run"
+        );
+        assert_eq!(
+            forked_report.render_table(),
+            plain_report.render_table(),
+            "{label}: the Gas report must be untouched by reorgs under confirmation"
+        );
+        assert_eq!(
+            forked_report.failed_delivers(),
+            0,
+            "{label}: an honest SP must never be rejected under the confirmation stack"
+        );
     }
 }
 
 /// The confirmation frontier the engine reports per round is monotone
 /// non-decreasing — even across reorgs, whose rollback is clamped at the
-/// frontier — and every run ends fully confirmed (zero lag), in both
-/// scheduler modes and all three batching modes.
+/// frontier — and every run ends fully confirmed (zero lag), in all three
+/// batching modes.
 #[test]
 fn confirmed_height_is_monotone_and_runs_end_fully_confirmed() {
-    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-        for (batching, read_batching) in [(false, false), (true, false), (true, true)] {
-            let label = format!("{mode:?}/batching={batching}/read_batching={read_batching}");
-            let mut config = engine_config(mode, batching, read_batching);
-            config.chain = confirmed_chain().reorg(7, 4, 2);
-            let (report, chain) = FeedEngine::new(&config, fleet())
-                .unwrap()
-                .run_with_chain()
-                .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
+    for (batching, read_batching) in [(false, false), (true, false), (true, true)] {
+        let label = format!("batching={batching}/read_batching={read_batching}");
+        let mut config = engine_config(batching, read_batching);
+        config.chain = confirmed_chain().reorg(7, 4, 2);
+        let (report, chain) = FeedEngine::new(&config, fleet())
+            .unwrap()
+            .run_with_chain()
+            .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
 
-            assert!(!report.metrics.is_empty(), "{label}: no rounds recorded");
-            for pair in report.metrics.windows(2) {
-                assert!(
-                    pair[1].confirmed_height >= pair[0].confirmed_height,
-                    "{label}: confirmed height regressed between rounds {} and {} \
-                     ({} -> {})",
-                    pair[0].round,
-                    pair[1].round,
-                    pair[0].confirmed_height,
-                    pair[1].confirmed_height
-                );
-            }
-            let last = report.metrics.last().unwrap();
-            assert_eq!(
-                last.confirmed_height,
-                chain.confirmed_height(),
-                "{label}: the final round's frontier must be the chain's frontier"
-            );
-            assert_eq!(
-                chain.confirmed_height(),
-                chain.height().saturating_sub(3),
-                "{label}: the frontier must trail the tip by exactly confirm_depth"
-            );
-            assert_eq!(
-                chain.confirmation_lag(),
-                0,
-                "{label}: every acknowledged write must be depth-confirmed at run end"
+        assert!(!report.metrics.is_empty(), "{label}: no rounds recorded");
+        for pair in report.metrics.windows(2) {
+            assert!(
+                pair[1].confirmed_height >= pair[0].confirmed_height,
+                "{label}: confirmed height regressed between rounds {} and {} \
+                 ({} -> {})",
+                pair[0].round,
+                pair[1].round,
+                pair[0].confirmed_height,
+                pair[1].confirmed_height
             );
         }
+        let last = report.metrics.last().unwrap();
+        assert_eq!(
+            last.confirmed_height,
+            chain.confirmed_height(),
+            "{label}: the final round's frontier must be the chain's frontier"
+        );
+        assert_eq!(
+            chain.confirmed_height(),
+            chain.height().saturating_sub(3),
+            "{label}: the frontier must trail the tip by exactly confirm_depth"
+        );
+        assert_eq!(
+            chain.confirmation_lag(),
+            0,
+            "{label}: every acknowledged write must be depth-confirmed at run end"
+        );
     }
 }
 

@@ -286,108 +286,6 @@ fn malformed_batch_deliver_payloads_rejected_without_panic() {
     }
 }
 
-/// The parallel executor's determinism contract on the 8-feed mixed-skew
-/// acceptance trace: staging shards on worker threads and merging in
-/// canonical shard order must produce a chain — every block, receipt,
-/// event, call record, and Gas total — *byte-for-byte identical* to the
-/// sequential pipeline's, in every batching mode.
-#[test]
-fn parallel_staging_chain_is_byte_identical_to_sequential() {
-    let build_specs = || zipfian_ratio_specs(8, 640, DEMO_RATIOS, &demo_policies());
-    let run = |config: &EngineConfig| {
-        FeedEngine::new(config, build_specs())
-            .expect("engine builds")
-            .run_with_chain()
-            .expect("engine runs")
-    };
-    for (label, seq_cfg, par_cfg) in [
-        (
-            "full batching",
-            EngineConfig::new(2),
-            EngineConfig::new(2).parallel(),
-        ),
-        (
-            "write-only batching",
-            EngineConfig::new(2).without_read_batching(),
-            EngineConfig::new(2).without_read_batching().parallel(),
-        ),
-        (
-            "unbatched",
-            EngineConfig::new(2).unbatched(),
-            EngineConfig::new(2).unbatched().parallel(),
-        ),
-    ] {
-        let (seq_report, seq_chain) = run(&seq_cfg);
-        let (par_report, par_chain) = run(&par_cfg);
-        assert_eq!(
-            seq_chain.chain_digest(),
-            par_chain.chain_digest(),
-            "{label}: parallel merge must reproduce the sequential chain exactly"
-        );
-        assert_eq!(
-            seq_report.render_table(),
-            par_report.render_table(),
-            "{label}: per-tenant accounting must match byte for byte"
-        );
-        assert_eq!(seq_chain.height(), par_chain.height());
-    }
-}
-
-/// Determinism under spill pressure: BL2 feeds with 8 KiB values overflow
-/// the shard batch payload bound every round, so each shard's write block
-/// carries multiple transactions. The parallel merge must reproduce the
-/// spill layout — transaction order, receipt pairing, byte-proportional
-/// attribution — exactly.
-#[test]
-fn parallel_merge_reproduces_spill_rounds_byte_identically() {
-    let build_specs = || -> Vec<FeedSpec> {
-        (0..8)
-            .map(|i| {
-                FeedSpec::new(
-                    format!("bulk-{i:02}"),
-                    SystemConfig::new(PolicyKind::Bl2).epoch_ops(4),
-                    RatioWorkload::new(format!("bulk-{i:02}-key"), 0.0)
-                        .value_len(8192)
-                        .generate(6),
-                )
-            })
-            .collect()
-    };
-    let run = |config: &EngineConfig| {
-        FeedEngine::new(config, build_specs())
-            .expect("engine builds")
-            .run_with_chain()
-            .expect("engine runs")
-    };
-    let (seq_report, seq_chain) = run(&EngineConfig::new(2));
-    let (par_report, par_chain) = run(&EngineConfig::new(2).parallel());
-    // The workload actually spills: some shard sent more write transactions
-    // than it had rounds to send them in.
-    assert!(
-        seq_report
-            .shard_update_txs
-            .iter()
-            .any(|&txs| txs > seq_report.rounds),
-        "8 KiB BL2 sections must overflow the batch payload bound \
-         (update txs {:?} over {} rounds)",
-        seq_report.shard_update_txs,
-        seq_report.rounds
-    );
-    assert_eq!(
-        seq_chain.chain_digest(),
-        par_chain.chain_digest(),
-        "spilled multi-tx rounds must merge byte-identically"
-    );
-    assert_eq!(seq_report.render_table(), par_report.render_table());
-    // Attribution still sums exactly after the parallel merge.
-    let attributed: u64 = par_report
-        .tenants
-        .iter()
-        .map(|t| t.batched_update_gas)
-        .sum();
-    assert_eq!(attributed, par_report.shard_update_gas.iter().sum::<u64>());
-}
-
 /// The starvation bound under adversarial high-tier pressure: three
 /// high-tier feeds refill 4× per round and drain first, while one low-tier
 /// feed's bucket (1 Gas on even rounds, bottomless burst so a full bucket
@@ -485,29 +383,24 @@ fn tiered_unbatched_run_still_equals_sum_of_singles() {
                 .feed_gas_total()
         })
         .collect();
-    for config in [
-        EngineConfig::new(2).unbatched(),
-        EngineConfig::new(2).unbatched().parallel(),
-    ] {
-        let report = FeedEngine::run_specs(&config, build_specs()).expect("tiered unbatched run");
-        for (tenant, single) in report.tenants.iter().zip(&singles) {
-            assert_eq!(
-                tenant.feed_gas_total(),
-                *single,
-                "{}: tiered deferral must not change the tenant's gas",
-                tenant.tenant
-            );
-        }
-        assert_eq!(report.feed_gas_total(), singles.iter().sum::<u64>());
-        assert_eq!(report.failed_delivers(), 0);
+    let report = FeedEngine::run_specs(&EngineConfig::new(2).unbatched(), build_specs())
+        .expect("tiered unbatched run");
+    for (tenant, single) in report.tenants.iter().zip(&singles) {
+        assert_eq!(
+            tenant.feed_gas_total(),
+            *single,
+            "{}: tiered deferral must not change the tenant's gas",
+            tenant.tenant
+        );
     }
+    assert_eq!(report.feed_gas_total(), singles.iter().sum::<u64>());
+    assert_eq!(report.failed_delivers(), 0);
 }
 
 /// The ingestion-layer acceptance contract: an engine run whose feeds pull
 /// from lazy generator sources mines the byte-identical chain
 /// (`chain_digest`) of a run whose feeds replay pre-materialized traces of
-/// the same generators — in the sequential pipeline AND under the parallel
-/// executor, in every batching mode.
+/// the same generators, batched and unbatched.
 #[test]
 fn source_driven_engine_runs_match_trace_driven_byte_for_byte() {
     use grub::workload::ratio::MultiKeyRatio;
@@ -560,13 +453,8 @@ fn source_driven_engine_runs_match_trace_driven_byte_for_byte() {
             .collect()
     };
     for (label, config) in [
-        ("sequential full batching", EngineConfig::new(2)),
-        ("parallel full batching", EngineConfig::new(2).parallel()),
-        ("sequential unbatched", EngineConfig::new(2).unbatched()),
-        (
-            "parallel unbatched",
-            EngineConfig::new(2).unbatched().parallel(),
-        ),
+        ("full batching", EngineConfig::new(2)),
+        ("unbatched", EngineConfig::new(2).unbatched()),
     ] {
         let (trace_report, trace_chain) = FeedEngine::new(&config, trace_specs())
             .expect("trace engine builds")

@@ -1,8 +1,7 @@
 //! Crash-point fault injection through the engine's stage → merge → commit
 //! pipeline, with the full recovery contract:
 //!
-//! * every named [`FaultPoint`] kills the 8-feed mixed-skew fleet mid-run,
-//!   in both scheduler modes;
+//! * every named [`FaultPoint`] kills the 8-feed mixed-skew fleet mid-run;
 //! * a fresh process re-executing from genesis — checkpointed against the
 //!   surviving chain ([`FeedEngine::expect_digest_at`]) — converges to a
 //!   chain digest and per-feed store state *byte-identical* to an
@@ -18,7 +17,7 @@ use grub::core::provider::StorageProvider;
 use grub::core::scrub::Scrubber;
 use grub::crypto::Hash32;
 use grub::engine::specs::{demo_policies, zipfian_ratio_specs, DEMO_RATIOS};
-use grub::engine::{EngineConfig, ExecMode, FeedEngine, FeedSpec};
+use grub::engine::{EngineConfig, FeedEngine, FeedSpec};
 use grub::fault::{FaultPlan, FaultPoint};
 use grub::store::Options;
 
@@ -46,9 +45,8 @@ fn fleet(root: &Path) -> Vec<FeedSpec> {
     specs
 }
 
-fn engine_config(mode: ExecMode) -> EngineConfig {
+fn engine_config() -> EngineConfig {
     let mut config = EngineConfig::new(2);
-    config.exec = mode;
     // A reorg-capable chain (seeded forks every 5th block, depth ≤ 2) so
     // the mid-reorg-rollback and mid-resubmission crash points actually
     // trip, with depth-2 confirmation and inclusion latency layered on so
@@ -85,103 +83,96 @@ fn store_digests(engine: &FeedEngine, tenants: &[String]) -> Vec<(String, Hash32
 
 #[test]
 fn every_crash_point_recovers_to_byte_identical_state() {
-    // Crash points are process-global; serialize against other fault tests.
-    let _guard = grub::fault::injection_lock();
     let tenants: Vec<String> = fleet(&temp_root("probe"))
         .iter()
         .map(|s| s.tenant.clone())
         .collect();
-    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-        // The uninterrupted reference run for this scheduler mode.
-        let clean_root = temp_root("clean");
-        let mut clean = FeedEngine::new(&engine_config(mode), fleet(&clean_root)).unwrap();
-        clean.run_rounds().unwrap();
-        let clean_digest = clean.chain().chain_digest();
-        let clean_stores = store_digests(&clean, &tenants);
+    // The uninterrupted reference run.
+    let clean_root = temp_root("clean");
+    let mut clean = FeedEngine::new(&engine_config(), fleet(&clean_root)).unwrap();
+    clean.run_rounds().unwrap();
+    let clean_digest = clean.chain().chain_digest();
+    let clean_stores = store_digests(&clean, &tenants);
 
-        for point in FaultPoint::ALL {
-            let crash_root = temp_root("crash");
-            let recover_root = temp_root("recover");
+    for point in FaultPoint::ALL {
+        let crash_root = temp_root("crash");
+        let recover_root = temp_root("recover");
 
-            // 1. The crash: arm the point after deployment (provisioning is
-            //    not under test) and the run must die mid-pipeline.
-            let mut crashed = FeedEngine::new(&engine_config(mode), fleet(&crash_root)).unwrap();
-            grub::fault::arm(FaultPlan::at(point));
-            let died = crashed.run_rounds();
-            assert!(
-                died.is_err(),
-                "{mode:?}/{point:?}: armed crash point did not kill the run"
-            );
-            assert!(
-                !grub::fault::is_armed(),
-                "{mode:?}/{point:?}: run died but the point never tripped"
-            );
-            let surviving_height = crashed.chain().height();
-            let surviving_digest = crashed.chain().chain_digest();
-            drop(crashed); // process death — persistent stores stay on disk
+        // 1. The crash: arm the point after deployment (provisioning is
+        //    not under test) and the run must die mid-pipeline.
+        let mut crashed = FeedEngine::new(&engine_config(), fleet(&crash_root)).unwrap();
+        grub::fault::arm(FaultPlan::at(point));
+        let died = crashed.run_rounds();
+        assert!(
+            died.is_err(),
+            "{point:?}: armed crash point did not kill the run"
+        );
+        assert!(
+            !grub::fault::is_armed(),
+            "{point:?}: run died but the point never tripped"
+        );
+        let surviving_height = crashed.chain().height();
+        let surviving_digest = crashed.chain().chain_digest();
+        drop(crashed); // process death — persistent stores stay on disk
 
-            // 2. Recovery: a fresh process re-executes from genesis. The
-            //    surviving chain is the oracle: when re-execution reaches its
-            //    height the digests must agree (the checkpoint panics
-            //    otherwise), and the completed run must be byte-identical to
-            //    the uninterrupted one.
-            let mut recovered =
-                FeedEngine::new(&engine_config(mode), fleet(&recover_root)).unwrap();
-            if surviving_height > recovered.chain().height() {
-                recovered.expect_digest_at(surviving_height, surviving_digest);
-            } else {
-                // The crash predated the first post-deployment block; the
-                // deployments themselves must already agree.
-                assert_eq!(
-                    recovered.chain().chain_digest(),
-                    surviving_digest,
-                    "{mode:?}/{point:?}: deployment diverged from the surviving chain"
-                );
-            }
-            recovered.run_rounds().unwrap();
+        // 2. Recovery: a fresh process re-executes from genesis. The
+        //    surviving chain is the oracle: when re-execution reaches its
+        //    height the digests must agree (the checkpoint panics
+        //    otherwise), and the completed run must be byte-identical to
+        //    the uninterrupted one.
+        let mut recovered = FeedEngine::new(&engine_config(), fleet(&recover_root)).unwrap();
+        if surviving_height > recovered.chain().height() {
+            recovered.expect_digest_at(surviving_height, surviving_digest);
+        } else {
+            // The crash predated the first post-deployment block; the
+            // deployments themselves must already agree.
             assert_eq!(
                 recovered.chain().chain_digest(),
-                clean_digest,
-                "{mode:?}/{point:?}: recovered chain is not byte-identical to the clean run"
+                surviving_digest,
+                "{point:?}: deployment diverged from the surviving chain"
             );
-            let recovered_stores = store_digests(&recovered, &tenants);
-            assert_eq!(
-                recovered_stores, clean_stores,
-                "{mode:?}/{point:?}: recovered SP stores diverge from the clean run"
-            );
-
-            // 3. The survivor stores: whatever the dying process left on
-            //    disk must reopen (WAL torn-tail + SSTable tmp hardening),
-            //    and one repairing scrub pass against the recovered DO
-            //    brings each store to the clean run's exact content.
-            for (tenant, clean_sd) in &clean_stores {
-                let driver = recovered.driver(tenant).expect("tenant exists");
-                let mut survivor = StorageProvider::open_at(
-                    driver.provider().address(),
-                    crash_root.join(tenant),
-                    small_store(),
-                )
-                .unwrap_or_else(|e| {
-                    panic!("{mode:?}/{point:?}/{tenant}: survivor store did not reopen: {e}")
-                });
-                Scrubber::repairing()
-                    .scrub(
-                        recovered.chain(),
-                        driver.manager(),
-                        driver.owner(),
-                        &mut survivor,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    survivor.state_digest().unwrap(),
-                    *clean_sd,
-                    "{mode:?}/{point:?}/{tenant}: scrub-repaired survivor diverges"
-                );
-            }
-            std::fs::remove_dir_all(&crash_root).ok();
-            std::fs::remove_dir_all(&recover_root).ok();
         }
-        drop(clean);
-        std::fs::remove_dir_all(&clean_root).ok();
+        recovered.run_rounds().unwrap();
+        assert_eq!(
+            recovered.chain().chain_digest(),
+            clean_digest,
+            "{point:?}: recovered chain is not byte-identical to the clean run"
+        );
+        let recovered_stores = store_digests(&recovered, &tenants);
+        assert_eq!(
+            recovered_stores, clean_stores,
+            "{point:?}: recovered SP stores diverge from the clean run"
+        );
+
+        // 3. The survivor stores: whatever the dying process left on
+        //    disk must reopen (WAL torn-tail + SSTable tmp hardening),
+        //    and one repairing scrub pass against the recovered DO
+        //    brings each store to the clean run's exact content.
+        for (tenant, clean_sd) in &clean_stores {
+            let driver = recovered.driver(tenant).expect("tenant exists");
+            let mut survivor = StorageProvider::open_at(
+                driver.provider().address(),
+                crash_root.join(tenant),
+                small_store(),
+            )
+            .unwrap_or_else(|e| panic!("{point:?}/{tenant}: survivor store did not reopen: {e}"));
+            Scrubber::repairing()
+                .scrub(
+                    recovered.chain(),
+                    driver.manager(),
+                    driver.owner(),
+                    &mut survivor,
+                )
+                .unwrap();
+            assert_eq!(
+                survivor.state_digest().unwrap(),
+                *clean_sd,
+                "{point:?}/{tenant}: scrub-repaired survivor diverges"
+            );
+        }
+        std::fs::remove_dir_all(&crash_root).ok();
+        std::fs::remove_dir_all(&recover_root).ok();
     }
+    drop(clean);
+    std::fs::remove_dir_all(&clean_root).ok();
 }

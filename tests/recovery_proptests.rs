@@ -230,25 +230,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Engine-level crash × recovery: for an arbitrary crash point,
-    /// scheduler mode, batching mode, and fleet size, a run killed at the
-    /// point and re-executed by a fresh engine — checkpointed against the
-    /// surviving chain — finishes with the same chain digest as an
-    /// uninterrupted run of the same specs.
+    /// batching mode, and fleet size, a run killed at the point and
+    /// re-executed by a fresh engine — checkpointed against the surviving
+    /// chain — finishes with the same chain digest as an uninterrupted run
+    /// of the same specs.
     #[test]
     fn crashed_engine_recovers_to_the_clean_chain_digest(
         point_idx in 0usize..6,
-        parallel in any::<bool>(),
         read_batching in any::<bool>(),
         total_ops in 96usize..192,
     ) {
-        use grub::engine::{EngineConfig, ExecMode, FeedEngine};
+        use grub::engine::{EngineConfig, FeedEngine};
         use grub::fault::{FaultPlan, FaultPoint};
 
-        let _guard = grub::fault::injection_lock();
         let point = FaultPoint::ALL[point_idx];
         let config = {
             let mut c = EngineConfig::new(2);
-            c.exec = if parallel { ExecMode::Parallel } else { ExecMode::Sequential };
             c.read_batching = read_batching;
             c
         };
@@ -294,8 +291,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Confirmation-grid convergence: for an arbitrary reorg seed,
-    /// confirmation depth, inclusion-latency process, scheduler mode, and
-    /// fleet size, the reorged run converges to the exact digest and height
+    /// confirmation depth, inclusion-latency process, and fleet size, the
+    /// reorged run converges to the exact digest and height
     /// of the never-forked run under the same confirmation axes — and every
     /// reorg resubmits exactly the set of transactions it abandoned.
     #[test]
@@ -305,17 +302,15 @@ proptest! {
         latency_on in any::<bool>(),
         latency_seed in 1u64..32,
         latency_delay in 1u64..3,
-        parallel in any::<bool>(),
         feeds in 3usize..7,
     ) {
         use grub::chain::ChainConfig;
         use grub::engine::specs::{demo_policies, zipfian_ratio_specs, DEMO_RATIOS};
-        use grub::engine::{EngineConfig, ExecMode, FeedEngine};
+        use grub::engine::{EngineConfig, FeedEngine};
 
         let fleet = || zipfian_ratio_specs(feeds, 144, DEMO_RATIOS, &demo_policies());
         let config = |chain: ChainConfig| {
             let mut c = EngineConfig::new(2);
-            c.exec = if parallel { ExecMode::Parallel } else { ExecMode::Sequential };
             c.batching = true;
             c.chain = chain;
             c
