@@ -3,11 +3,13 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
+use grub_chain::Address;
+use grub_core::owner::DataOwner;
 use grub_core::policy::PolicyKind;
 use grub_core::policy::{Memoryless, ReplicationPolicy};
 use grub_core::system::{GrubSystem, SystemConfig};
 use grub_crypto::sha256;
-use grub_merkle::{record_value_hash, MerkleKv, ProofKey, ReplState};
+use grub_merkle::{record_value_hash, MerkleKv, ProofKey, ReplState, TreeOp};
 use grub_store::{Db, Options};
 use grub_workload::ratio::RatioWorkload;
 
@@ -16,6 +18,12 @@ fn bench_crypto(c: &mut Criterion) {
     c.bench_function("sha256/1KiB", |b| {
         b.iter(|| sha256(std::hint::black_box(&data_1k)))
     });
+}
+
+/// The `i`-th of 16 keys an epoch-shaped bench touches in `round`: spread
+/// over the 65,536-key space, different every round.
+fn epoch_key(round: u32, i: u32) -> u32 {
+    round.wrapping_mul(7919).wrapping_add(i * 4099) % 65_536
 }
 
 fn bench_merkle(c: &mut Criterion) {
@@ -49,6 +57,51 @@ fn bench_merkle(c: &mut Criterion) {
             },
             BatchSize::LargeInput,
         )
+    });
+    // The epoch shape, as opposed to the cold single insert above: one
+    // deferred-hash batch of 16 in-place updates spread over a warm tree.
+    let mut tree = tree;
+    let mut round = 0u32;
+    c.bench_function("merkle/apply_batch-16upd@64k", |b| {
+        b.iter_batched(
+            || {
+                round = round.wrapping_add(1);
+                (0..16u32)
+                    .map(|i| {
+                        TreeOp::Insert(
+                            ProofKey::new(
+                                ReplState::NotReplicated,
+                                format!("k{:08}", epoch_key(round, i)).into_bytes(),
+                            ),
+                            record_value_hash(&round.to_le_bytes()),
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |ops| tree.apply_batch(ops),
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+/// Closing an epoch on a large, quiet feed: 16 writes against 65,536
+/// preloaded records. What it costs must follow the 16, not the 65,536.
+fn bench_owner(c: &mut Criterion) {
+    let records: Vec<(String, Vec<u8>)> = (0..65_536u32)
+        .map(|i| (format!("k{i:08}"), vec![0xabu8; 64]))
+        .collect();
+    let mut owner = DataOwner::new(Address::derive("DO"), Box::new(Memoryless::new(2)));
+    owner.preload(&records, ReplState::NotReplicated);
+    let mut round = 0u32;
+    c.bench_function("owner/flush_epoch-16w@64k-preloaded", |b| {
+        b.iter(|| {
+            round = round.wrapping_add(1);
+            for i in 0..16u32 {
+                let key = &records[epoch_key(round, i) as usize].0;
+                owner.observe_write(key, round.to_le_bytes().to_vec());
+            }
+            owner.flush_epoch()
+        })
     });
 }
 
@@ -108,6 +161,6 @@ fn bench_system(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_crypto, bench_merkle, bench_store, bench_policy, bench_system
+    targets = bench_crypto, bench_merkle, bench_owner, bench_store, bench_policy, bench_system
 }
 criterion_main!(benches);

@@ -16,7 +16,7 @@
 //!   documented in DESIGN.md §3: in both designs the digest the DO signs is
 //!   derived exclusively from its own verified view.)
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use grub_chain::{Address, Blockchain};
 use grub_merkle::{record_value_hash, MerkleKv, ProofKey, ReplState, TreeOp};
@@ -58,6 +58,13 @@ pub struct DataOwner {
     states: HashMap<String, ReplState>,
     /// Desired state per key, per the policy's latest observation.
     desired: HashMap<String, ReplState>,
+    /// Keys whose desired state may differ from their committed one: a key
+    /// is in the set iff `desired != committed`, or it was when last
+    /// observed and the next flush will check. Maintained wherever either
+    /// side changes, so closing an epoch costs the keys it touched, not the
+    /// keys the feed stores. A BTree set because the flush emits transitions
+    /// in key order — that order reaches the chain.
+    pending: BTreeSet<String>,
     /// Latest value per key (the DO produces every value).
     values: HashMap<String, Vec<u8>>,
     /// Writes staged for the current epoch, in order.
@@ -66,7 +73,7 @@ pub struct DataOwner {
     /// `replicate` flag; the next flush formalizes (NR→R in the tree) or
     /// evicts them. A BTree set so the flush walks them in key order —
     /// eviction order reaches the chain and must be deterministic.
-    hinted: std::collections::BTreeSet<String>,
+    hinted: BTreeSet<String>,
     /// Last block already folded into the read monitor.
     monitor_cursor: u64,
     /// Total Merkle nodes rehashed by mirror batches (observability).
@@ -82,9 +89,10 @@ impl DataOwner {
             mirror: MerkleKv::new(),
             states: HashMap::new(),
             desired: HashMap::new(),
+            pending: BTreeSet::new(),
             values: HashMap::new(),
             staged: Vec::new(),
-            hinted: std::collections::BTreeSet::new(),
+            hinted: BTreeSet::new(),
             monitor_cursor: 0,
             nodes_rehashed: 0,
         }
@@ -117,6 +125,8 @@ impl DataOwner {
             tree_ops.push(TreeOp::Insert(pkey, record_value_hash(value)));
             self.states.insert(key.clone(), state);
             self.desired.insert(key.clone(), state);
+            // Committed and desired now agree, whatever was observed before.
+            self.pending.remove(key);
             self.policy.seed_state(key, state);
             self.values.insert(key.clone(), value.clone());
             sync.push(SpSync::Write {
@@ -133,7 +143,7 @@ impl DataOwner {
     /// next epoch flush.
     pub fn observe_write(&mut self, key: &str, value: Vec<u8>) {
         let want = self.policy.on_write(key);
-        self.desired.insert(key.to_owned(), want);
+        self.set_desired(key, want);
         self.staged.push((key.to_owned(), value));
     }
 
@@ -141,8 +151,18 @@ impl DataOwner {
     /// policy and returns the resulting desired state.
     pub fn observe_read(&mut self, key: &str) -> ReplState {
         let want = self.policy.on_read(key);
-        self.desired.insert(key.to_owned(), want);
+        self.set_desired(key, want);
         want
+    }
+
+    /// Records the policy's latest decision for `key` and queues the key for
+    /// the next flush if it now differs from the committed state. Only the
+    /// first sight of a key (and its first queueing) allocates.
+    fn set_desired(&mut self, key: &str, want: ReplState) {
+        upsert(&mut self.desired, key, want);
+        if want != self.state_of(key) && !self.pending.contains(key) {
+            self.pending.insert(key.to_owned());
+        }
     }
 
     /// The policy's current desired state for `key`.
@@ -215,59 +235,69 @@ impl DataOwner {
     /// order) is deterministic so the SP's tree converges to the same root.
     pub fn flush_epoch(&mut self) -> EpochFlush {
         let staged = std::mem::take(&mut self.staged);
-        let mut sync = Vec::new();
+        let writes = staged.len();
+        let hinted = std::mem::take(&mut self.hinted);
+        let mut sync = Vec::with_capacity(writes);
         // Mirror mutations are collected across steps 1–2 and applied as one
         // batch just before the digest read: the root is only needed at the
         // end, so shared root-to-leaf paths are hashed once per epoch.
-        let mut tree_ops: Vec<TreeOp> = Vec::with_capacity(staged.len());
+        let mut tree_ops: Vec<TreeOp> = Vec::with_capacity(writes);
         // 1. Apply writes under each key's *current* state. Every occurrence
         //    is kept: the paper's update() loops over the batched keys[] /
         //    values[] arrays and pays one storage write per element
         //    (Listing 2), which is what makes BL2 expensive under
-        //    write-heavy workloads.
-        let mut occurrences: Vec<(String, Vec<u8>)> = Vec::with_capacity(staged.len());
+        //    write-heavy workloads. The occurrences live on as the `Write`
+        //    prefix of `sync`; the value itself is copied once, into
+        //    `values`.
+        let mut hinted_written: BTreeSet<&str> = BTreeSet::new();
         for (key, value) in staged {
-            let state = self.state_of(&key);
-            self.states.entry(key.clone()).or_insert(state);
+            let state = match self.states.get(&key) {
+                Some(state) => *state,
+                None => {
+                    self.states.insert(key.clone(), ReplState::NotReplicated);
+                    ReplState::NotReplicated
+                }
+            };
             let pkey = ProofKey::new(state, key.as_bytes().to_vec());
             tree_ops.push(TreeOp::Insert(pkey, record_value_hash(&value)));
-            self.values.insert(key.clone(), value.clone());
-            occurrences.push((key.clone(), value.clone()));
+            match self.values.get_mut(&key) {
+                Some(slot) => slot.clone_from(&value),
+                None => {
+                    self.values.insert(key.clone(), value.clone());
+                }
+            }
+            if let Some(hint) = hinted.get(&key) {
+                hinted_written.insert(hint);
+            }
             sync.push(SpSync::Write { key, value, state });
         }
-        // 2. Apply transitions (desired ≠ committed), in key order.
-        let written_this_epoch: std::collections::HashSet<&String> =
-            occurrences.iter().map(|(k, _)| k).collect();
+        // 2. Apply transitions (desired ≠ committed), in key order: the
+        //    pending set holds every key that can need one.
         let mut hint_formalized = 0usize;
         let mut to_r: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         let mut to_nr: Vec<Vec<u8>> = Vec::new();
-        let mut changed: Vec<String> = self
-            // grub-lint: allow(determinism) — sorted before use, below
-            .desired
-            .iter()
-            .filter(|(key, want)| self.state_of(key) != **want)
-            .map(|(key, _)| key.clone())
-            .collect();
-        changed.sort();
-        for key in changed {
+        for key in std::mem::take(&mut self.pending) {
             let from = self.state_of(&key);
-            let to = self.desired[&key];
-            let value = match self.values.get(&key) {
-                Some(v) => v.clone(),
+            let to = self.desired_state(&key);
+            if from == to {
+                // The decision flipped away and back before the flush.
+                continue;
+            }
+            let Some(value) = self.values.get(&key) else {
                 // A key the policy saw only through reads of a record that
-                // does not exist; nothing to relocate.
-                None => continue,
+                // does not exist; nothing to relocate yet, but the decision
+                // stands, so the next flush must look again.
+                self.pending.insert(key);
+                continue;
             };
-            let vhash = record_value_hash(&value);
             tree_ops.push(TreeOp::Invalidate(ProofKey::new(
                 from,
                 key.as_bytes().to_vec(),
             )));
             tree_ops.push(TreeOp::Insert(
                 ProofKey::new(to, key.as_bytes().to_vec()),
-                vhash,
+                record_value_hash(value),
             ));
-            self.states.insert(key.clone(), to);
             match to {
                 ReplState::Replicated => {
                     // A replica installed mid-epoch by `deliver(replicate)`
@@ -276,7 +306,7 @@ impl DataOwner {
                     // write a second time (deliver-time replication leaves
                     // the epoch update carrying only the digest-side
                     // transition).
-                    if self.hinted.contains(&key) && !written_this_epoch.contains(&key) {
+                    if hinted.contains(&key) && !hinted_written.contains(key.as_str()) {
                         hint_formalized += 1;
                     } else {
                         to_r.push((key.as_bytes().to_vec(), value.clone()));
@@ -284,28 +314,38 @@ impl DataOwner {
                 }
                 ReplState::NotReplicated => to_nr.push(key.as_bytes().to_vec()),
             }
-            sync.push(SpSync::Relocate {
-                key: key.clone(),
-                from,
-                to,
-            });
+            upsert(&mut self.states, &key, to);
+            sync.push(SpSync::Relocate { key, from, to });
         }
         // 3. Updates to records that stay replicated — one array element per
-        //    write occurrence, as in Listing 2.
-        let r_updates: Vec<(Vec<u8>, Vec<u8>)> = occurrences
+        //    write occurrence, as in Listing 2. A key transitions at most
+        //    once per flush, so "replicated when written and replicated now"
+        //    is exactly "replicated and not in `to_r`".
+        let r_updates: Vec<(Vec<u8>, Vec<u8>)> = sync[..writes]
             .iter()
-            .filter(|(key, _)| self.state_of(key) == ReplState::Replicated)
-            .filter(|(key, _)| !to_r.iter().any(|(k, _)| k.as_slice() == key.as_bytes()))
-            .map(|(key, value)| (key.as_bytes().to_vec(), value.clone()))
+            .filter_map(|op| match op {
+                SpSync::Write {
+                    key,
+                    value,
+                    state: ReplState::Replicated,
+                } if self.state_of(key) == ReplState::Replicated => {
+                    Some((key.as_bytes().to_vec(), value.clone()))
+                }
+                _ => None,
+            })
             .collect();
 
         // Reconcile mid-epoch deliver-installed replicas: keys that settled
         // back to NR must have the hinted replica evicted (no tree change —
         // the tree never left NR); keys now formally R were covered by the
-        // transition loop above.
-        for key in std::mem::take(&mut self.hinted) {
-            if self.state_of(&key) == ReplState::NotReplicated
-                && !to_nr.iter().any(|k| k.as_slice() == key.as_bytes())
+        // transition loop above. The loop pushed its evictions in key
+        // order, so whether it already evicted a key is a binary search.
+        let transitioned = to_nr.len();
+        for key in &hinted {
+            if self.state_of(key) == ReplState::NotReplicated
+                && to_nr[..transitioned]
+                    .binary_search_by(|evicted| evicted.as_slice().cmp(key.as_bytes()))
+                    .is_err()
             {
                 to_nr.push(key.as_bytes().to_vec());
             }
@@ -323,6 +363,16 @@ impl DataOwner {
             sp_sync: sync,
             replications,
             evictions,
+        }
+    }
+}
+
+/// `map[key] = state`, allocating a key only on first sight.
+fn upsert(map: &mut HashMap<String, ReplState>, key: &str, state: ReplState) {
+    match map.get_mut(key) {
+        Some(slot) => *slot = state,
+        None => {
+            map.insert(key.to_owned(), state);
         }
     }
 }
@@ -419,6 +469,52 @@ mod tests {
         o.observe_write("a", b"2".to_vec());
         o.flush_epoch();
         assert_ne!(o.root(), r1);
+    }
+
+    #[test]
+    fn read_of_a_valueless_key_stays_pending_until_it_is_written() {
+        let mut o = owner_with_k(1);
+        o.observe_read("ghost");
+        for _ in 0..3 {
+            // Nothing to relocate, nothing emitted — but the decision stands.
+            assert!(!o.flush_epoch().dirty);
+            assert!(o.pending.contains("ghost"));
+        }
+        // Memoryless resets on a write, so the key settles NR and leaves.
+        o.observe_write("ghost", b"1".to_vec());
+        let flush = o.flush_epoch();
+        assert_eq!((flush.replications, flush.evictions), (0, 0));
+        assert!(o.pending.is_empty());
+    }
+
+    #[test]
+    fn decision_flipping_back_before_the_flush_emits_no_transition() {
+        let mut o = owner_with_k(1);
+        o.observe_write("a", b"1".to_vec());
+        o.flush_epoch();
+        o.observe_read("a"); // wants R
+        o.observe_write("a", b"2".to_vec()); // back to NR
+        let flush = o.flush_epoch();
+        assert!(flush.to_r.is_empty() && flush.to_nr.is_empty());
+        assert_eq!(flush.sp_sync.len(), 1, "the write only, no Relocate");
+        assert!(o.pending.is_empty());
+    }
+
+    #[test]
+    fn preload_clears_a_pending_key() {
+        let mut o = owner_with_k(1);
+        o.observe_read("x");
+        assert!(o.pending.contains("x"));
+        // A (streamed or repeated) preload overwrites both sides of the
+        // comparison; the key must not linger in the set.
+        let records = vec![("x".to_owned(), b"1".to_vec())];
+        o.preload(&records, ReplState::Replicated);
+        assert!(o.pending.is_empty());
+        assert_eq!(o.desired_state("x"), ReplState::Replicated);
+        assert!(!o.flush_epoch().dirty);
+        // The next observation that disagrees queues it again.
+        o.observe_write("x", b"2".to_vec());
+        assert_eq!(o.flush_epoch().evictions, 1);
     }
 
     #[test]

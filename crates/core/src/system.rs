@@ -357,10 +357,9 @@ impl EpochStage {
     }
 
     /// Pulls operations from `source` until the epoch is full or the
-    /// stream ends — the one ingestion loop every scheduler mode shares, so
-    /// sequential and parallel staging cannot drift apart. The source
-    /// advances exactly as far as the epoch consumed: a scheduler that
-    /// parks this feed next round simply doesn't pull, and the stream
+    /// stream ends — the one ingestion loop every scheduler shares. The
+    /// source advances exactly as far as the epoch consumed: a scheduler
+    /// that parks this feed next round simply doesn't pull, and the stream
     /// position is the only cursor.
     pub fn ingest(&mut self, source: &mut dyn OpSource) {
         while !self.epoch_is_full() {
@@ -438,7 +437,7 @@ impl std::fmt::Debug for EpochStage {
 ///   returns the `update()` chunks; the caller either submits them as this
 ///   feed's own transactions ([`EpochDriver::submit_update`]) or coalesces
 ///   them into a shard `batchUpdate`. The off-chain half lives on
-///   [`EpochStage`] and may run on a worker thread.
+///   [`EpochStage`] and never borrows the chain.
 /// * **Staged reads (read path)** — [`EpochDriver::stage_reads`] runs the
 ///   consumer read block and collects the watchdog's `deliver()` payloads
 ///   *unsubmitted* for shard-level `batchDeliver` coalescing; the epoch is

@@ -103,21 +103,40 @@ impl Node {
         })
     }
 
-    /// Joins two subtrees, locally rebuilding (scapegoat style) when one
-    /// side dominates. Deterministic — and a pure function of key order and
-    /// leaf counts, never hashes — so the SP tree, the DO mirror, and the
-    /// deferred-hash batch path all make identical shape decisions and
-    /// their roots agree.
-    fn balanced_join(left: Box<Node>, right: Box<Node>, defer: bool) -> Node {
-        let total = left.count() + right.count();
-        let lopsided = total > 8 && (left.count() * 4 > total * 3 || right.count() * 4 > total * 3);
-        if !lopsided {
-            return Node::join(left, right, defer);
+    /// A leaf holding nothing — no heap behind its empty key — parked in a
+    /// slot for the instant its real node is taken out by value (a graft
+    /// wraps the old leaf, a rebuild flattens the old subtree). Never
+    /// observable: the slot is overwritten before control leaves the caller.
+    fn vacant() -> Node {
+        Node::Leaf(LeafData {
+            pkey: ProofKey::new(crate::ReplState::NotReplicated, Vec::new()),
+            vhash: Hash32::default(),
+            valid: false,
+            hash: Hash32::default(),
+            dirty: false,
+        })
+    }
+}
+
+impl InnerData {
+    /// The scapegoat test: one side holds more than 3/4 of a subtree of
+    /// more than 8 leaves. A pure function of leaf counts, never hashes, so
+    /// the SP tree, the DO mirror, and the deferred-hash batch path all
+    /// make identical shape decisions and their roots agree.
+    fn lopsided(&self) -> bool {
+        let (left, right) = (self.left.count(), self.right.count());
+        let total = left + right;
+        total > 8 && (left * 4 > total * 3 || right * 4 > total * 3)
+    }
+
+    /// Brings `hash` up to date with the children after a mutation below:
+    /// recomputed now, or left stale (dirty) for the batch rehash pass.
+    fn touch(&mut self, defer: bool) {
+        if defer {
+            self.dirty = true;
+        } else {
+            self.hash = inner_hash(&self.left.hash(), &self.right.hash());
         }
-        let mut leaves = Vec::with_capacity(total);
-        flatten(*left, &mut leaves);
-        flatten(*right, &mut leaves);
-        *rebuild_leaves(leaves, defer)
     }
 }
 
@@ -131,7 +150,7 @@ fn flatten(node: Node, out: &mut Vec<LeafData>) {
     }
 }
 
-fn rebuild_leaves(mut leaves: Vec<LeafData>, defer: bool) -> Box<Node> {
+fn rebuild_leaves(leaves: Vec<LeafData>, defer: bool) -> Box<Node> {
     fn build(leaves: &mut [Option<LeafData>], defer: bool) -> Box<Node> {
         match leaves.len() {
             0 => unreachable!("rebuild_leaves requires at least one leaf"),
@@ -144,7 +163,7 @@ fn rebuild_leaves(mut leaves: Vec<LeafData>, defer: bool) -> Box<Node> {
         }
     }
     assert!(!leaves.is_empty());
-    let mut slots: Vec<Option<LeafData>> = leaves.drain(..).map(Some).collect();
+    let mut slots: Vec<Option<LeafData>> = leaves.into_iter().map(Some).collect();
     build(&mut slots, defer)
 }
 
@@ -237,25 +256,21 @@ impl MerkleKv {
     }
 
     fn insert_with(&mut self, pkey: ProofKey, vhash: Hash32, defer: bool) {
-        match self.root.take() {
+        match &mut self.root {
             None => {
                 self.root = Some(Box::new(Node::new_leaf(pkey, vhash, defer)));
                 self.live += 1;
             }
-            Some(node) => {
-                let (node, outcome) = insert_rec(node, pkey, vhash, defer);
-                self.root = Some(node);
-                match outcome {
-                    InsertOutcome::Grafted => {
-                        self.live += 1;
-                    }
-                    InsertOutcome::Revived => {
-                        self.live += 1;
-                        self.tombstones -= 1;
-                    }
-                    InsertOutcome::Updated => {}
+            Some(root) => match insert_rec(root, pkey, vhash, defer) {
+                InsertOutcome::Grafted => {
+                    self.live += 1;
                 }
-            }
+                InsertOutcome::Revived => {
+                    self.live += 1;
+                    self.tombstones -= 1;
+                }
+                InsertOutcome::Updated => {}
+            },
         }
         self.maybe_rebalance(defer);
     }
@@ -267,11 +282,10 @@ impl MerkleKv {
     }
 
     fn invalidate_with(&mut self, pkey: &ProofKey, defer: bool) -> bool {
-        let Some(node) = self.root.take() else {
+        let Some(root) = self.root.as_deref_mut() else {
             return false;
         };
-        let (node, removed) = invalidate_rec(node, pkey, defer);
-        self.root = Some(node);
+        let removed = invalidate_rec(root, pkey, defer);
         if removed {
             self.live -= 1;
             self.tombstones += 1;
@@ -323,7 +337,7 @@ impl MerkleKv {
     /// Deterministic compaction rule shared by SP and DO mirror: rebuild
     /// (dropping tombstones) once tombstones exceed half the live set.
     /// Shape balance itself is maintained incrementally by the scapegoat
-    /// joins in [`Node::balanced_join`].
+    /// rebuilds in `insert_rec` (see [`InnerData::lopsided`]).
     fn maybe_rebalance(&mut self, defer: bool) {
         if self.tombstones > (self.live / 2).max(64) {
             self.rebuild_with(defer);
@@ -439,80 +453,97 @@ enum InsertOutcome {
     Grafted,
 }
 
-#[allow(clippy::boxed_local)] // tree nodes live boxed; unboxing here just re-boxes
-fn insert_rec(
-    node: Box<Node>,
-    pkey: ProofKey,
-    vhash: Hash32,
-    defer: bool,
-) -> (Box<Node>, InsertOutcome) {
-    match *node {
-        Node::Leaf(mut l) => {
-            if l.pkey == pkey {
-                let outcome = if l.valid {
-                    InsertOutcome::Updated
-                } else {
-                    InsertOutcome::Revived
-                };
-                l.vhash = vhash;
-                l.valid = true;
-                if defer {
-                    l.dirty = true;
-                } else {
-                    l.hash = leaf_hash(&l.pkey, &l.vhash, true);
-                }
-                (Box::new(Node::Leaf(l)), outcome)
+/// Inserts below `slot`, in place: an update or revival rewrites the leaf
+/// and touches each ancestor's hash (or dirty flag) on the way back up,
+/// with no heap traffic; only a graft (two new boxes) or a scapegoat
+/// rebuild allocates.
+fn insert_rec(slot: &mut Box<Node>, pkey: ProofKey, vhash: Hash32, defer: bool) -> InsertOutcome {
+    match &mut **slot {
+        Node::Leaf(l) if l.pkey == pkey => {
+            let outcome = if l.valid {
+                InsertOutcome::Updated
             } else {
-                // Graft: split this leaf into an inner node holding both, in
-                // key order (the paper's h9 = H(h4 ‖ h8) step).
-                let new_leaf = Box::new(Node::new_leaf(pkey.clone(), vhash, defer));
-                let old_leaf = Box::new(Node::Leaf(l));
-                let joined = if *new_leaf.max() < *old_leaf.min() {
-                    Node::join(new_leaf, old_leaf, defer)
-                } else {
-                    Node::join(old_leaf, new_leaf, defer)
-                };
-                (Box::new(joined), InsertOutcome::Grafted)
+                InsertOutcome::Revived
+            };
+            l.vhash = vhash;
+            l.valid = true;
+            if defer {
+                l.dirty = true;
+            } else {
+                l.hash = leaf_hash(&l.pkey, &l.vhash, true);
             }
+            outcome
+        }
+        Node::Leaf(_) => {
+            // Graft: split this leaf into an inner node holding both, in
+            // key order (the paper's h9 = H(h4 ‖ h8) step).
+            let new_leaf = Box::new(Node::new_leaf(pkey, vhash, defer));
+            let old_leaf = Box::new(std::mem::replace(&mut **slot, Node::vacant()));
+            **slot = if *new_leaf.max() < *old_leaf.min() {
+                Node::join(new_leaf, old_leaf, defer)
+            } else {
+                Node::join(old_leaf, new_leaf, defer)
+            };
+            InsertOutcome::Grafted
         }
         Node::Inner(i) => {
-            let (left, right, outcome) = if pkey <= *i.left.max() {
-                let (l, o) = insert_rec(i.left, pkey, vhash, defer);
-                (l, i.right, o)
+            let went_left = pkey <= *i.left.max();
+            let child = if went_left { &mut i.left } else { &mut i.right };
+            let outcome = insert_rec(child, pkey, vhash, defer);
+            if matches!(outcome, InsertOutcome::Grafted) {
+                // The new key sorts at or below `left.max` when it went
+                // left and above it otherwise, so only the outer bound on
+                // the side it took can have moved.
+                i.count += 1;
+                if went_left {
+                    if i.min != *i.left.min() {
+                        i.min = i.left.min().clone();
+                    }
+                } else if i.max != *i.right.max() {
+                    i.max = i.right.max().clone();
+                }
+            }
+            if i.lopsided() {
+                // Scapegoat rebuild of this subtree: leaves keep their
+                // hashes (and dirty flags), every inner node is rejoined.
+                let mut leaves = Vec::with_capacity(i.count);
+                flatten(std::mem::replace(&mut **slot, Node::vacant()), &mut leaves);
+                *slot = rebuild_leaves(leaves, defer);
             } else {
-                let (r, o) = insert_rec(i.right, pkey, vhash, defer);
-                (i.left, r, o)
-            };
-            (Box::new(Node::balanced_join(left, right, defer)), outcome)
+                i.touch(defer);
+            }
+            outcome
         }
     }
 }
 
-#[allow(clippy::boxed_local)] // tree nodes live boxed; unboxing here just re-boxes
-fn invalidate_rec(node: Box<Node>, pkey: &ProofKey, defer: bool) -> (Box<Node>, bool) {
-    match *node {
-        Node::Leaf(mut l) => {
-            if l.pkey == *pkey && l.valid {
-                l.valid = false;
-                if defer {
-                    l.dirty = true;
-                } else {
-                    l.hash = leaf_hash(&l.pkey, &l.vhash, false);
-                }
-                (Box::new(Node::Leaf(l)), true)
-            } else {
-                (Box::new(Node::Leaf(l)), false)
+/// Tombstones `pkey` below `slot`, in place and without allocating. Shape
+/// and counts never change (a tombstone is still a physical leaf). The
+/// path's hashes are touched whether or not the key was found live: a
+/// batch's rehash count is a published metric and must not depend on it.
+fn invalidate_rec(slot: &mut Node, pkey: &ProofKey, defer: bool) -> bool {
+    match slot {
+        Node::Leaf(l) => {
+            if l.pkey != *pkey || !l.valid {
+                return false;
             }
+            l.valid = false;
+            if defer {
+                l.dirty = true;
+            } else {
+                l.hash = leaf_hash(&l.pkey, &l.vhash, false);
+            }
+            true
         }
         Node::Inner(i) => {
-            let (left, right, removed) = if *pkey <= *i.left.max() {
-                let (l, r) = invalidate_rec(i.left, pkey, defer);
-                (l, i.right, r)
+            let child = if *pkey <= *i.left.max() {
+                &mut i.left
             } else {
-                let (r, rm) = invalidate_rec(i.right, pkey, defer);
-                (i.left, r, rm)
+                &mut i.right
             };
-            (Box::new(Node::join(left, right, defer)), removed)
+            let removed = invalidate_rec(child, pkey, defer);
+            i.touch(defer);
+            removed
         }
     }
 }
@@ -538,9 +569,10 @@ fn build_balanced(records: &[(ProofKey, Hash32)], defer: bool) -> Option<Box<Nod
 
 /// The batch finalizer: recomputes every dirty hash bottom-up and returns
 /// the number of nodes rehashed. Clean subtrees are skipped whole — a dirty
-/// node's ancestors are always dirty (every deferred mutation rebuilds its
-/// root-to-leaf path with deferred joins), so the early return never strands
-/// a stale hash below a clean one.
+/// node's ancestors are always dirty (a deferred mutation marks every inner
+/// node on its root-to-leaf path on the way back up, and a rebuilt subtree
+/// is rejoined dirty throughout), so the early return never strands a stale
+/// hash below a clean one.
 fn rehash(node: &mut Node) -> usize {
     match node {
         Node::Leaf(l) => {
@@ -863,6 +895,25 @@ mod tests {
     }
 
     #[test]
+    fn batch_invalidate_miss_still_rehashes_the_path() {
+        // `merkle_nodes_rehashed` is a published count: a tombstone request
+        // for an absent (or already dead) key walks to the leaf that would
+        // hold it and re-derives that path's inner hashes, leaf untouched.
+        let mut t = MerkleKv::new();
+        t.insert_batch(
+            (0..64u32)
+                .map(|i| (nr(&format!("k{i:02}")), vh("v")))
+                .collect(),
+        );
+        let root_before = t.root();
+        let rehashed = t.apply_batch(vec![TreeOp::Invalidate(nr("k00x"))]);
+        assert!((2..=8).contains(&rehashed), "inner path only: {rehashed}");
+        assert_eq!(t.root(), root_before);
+        assert_eq!((t.len(), t.tombstone_count()), (64, 0));
+        check_invariants(&t, true);
+    }
+
+    #[test]
     fn batch_shares_path_hashing_across_ops() {
         let mut t = MerkleKv::new();
         t.insert_batch(
@@ -881,6 +932,134 @@ mod tests {
             rehashed < 32 * t.depth(),
             "shared paths must be rehashed once: {rehashed}"
         );
+    }
+
+    /// Every structural fact the mutation paths maintain incrementally,
+    /// recomputed from scratch: subtree summaries match the children, keys
+    /// are in order, no subtree the scapegoat rule would rebuild is left
+    /// standing, nothing is dirty at rest, and the live/tombstone tallies
+    /// match a leaf census. With `hashes`, additionally every stored hash
+    /// is the hash of what is stored below it (the expensive part: one
+    /// SHA-256 per node).
+    fn check_invariants(tree: &MerkleKv, hashes: bool) {
+        fn walk(node: &Node, hashes: bool, live: &mut usize, tombstones: &mut usize) {
+            match node {
+                Node::Leaf(l) => {
+                    assert!(!l.dirty, "dirty leaf at rest: {:?}", l.pkey);
+                    if hashes {
+                        assert_eq!(l.hash, leaf_hash(&l.pkey, &l.vhash, l.valid));
+                    }
+                    *(if l.valid { live } else { tombstones }) += 1;
+                }
+                Node::Inner(i) => {
+                    assert_eq!(i.count, i.left.count() + i.right.count());
+                    assert_eq!(i.min, *i.left.min());
+                    assert_eq!(i.max, *i.right.max());
+                    assert!(i.left.max() < i.right.min(), "leaves out of order");
+                    assert!(!i.lopsided(), "{} | {}", i.left.count(), i.right.count());
+                    assert!(!i.dirty, "dirty inner node at rest");
+                    if hashes {
+                        assert_eq!(i.hash, inner_hash(&i.left.hash(), &i.right.hash()));
+                    }
+                    walk(&i.left, hashes, live, tombstones);
+                    walk(&i.right, hashes, live, tombstones);
+                }
+            }
+        }
+        let (mut live, mut tombstones) = (0, 0);
+        if let Some(root) = tree.root.as_deref() {
+            walk(root, hashes, &mut live, &mut tombstones);
+        }
+        assert_eq!((live, tombstones), (tree.len(), tree.tombstone_count()));
+    }
+
+    #[test]
+    fn invariants_hold_after_every_op_eager_and_batched() {
+        // splitmix64: a fixed, dependency-free op stream.
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |bound: u64| {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_1eb1);
+            (z ^ (z >> 31)) % bound
+        };
+        let mut eager = MerkleKv::new();
+        let mut batched = MerkleKv::new();
+        let mut batch: Vec<TreeOp> = Vec::new();
+        let mut batch_len = 1;
+        let mut compactions = 0;
+        for step in 0..5000u32 {
+            let key = format!("k{:03}", next(120));
+            let value = vh(&step.to_string());
+            let ops = match next(8) {
+                // Insert or update in place (reviving a tombstone), either group.
+                0..=3 => vec![TreeOp::Insert(nr(&key), value)],
+                4 => vec![TreeOp::Insert(r(&key), value)],
+                // Tombstone; a miss still walks (and touches) the path.
+                5 => vec![TreeOp::Invalidate(nr(&key))],
+                // The DO's transition: tombstone under one state, graft or
+                // revive under the other.
+                6 => vec![TreeOp::Invalidate(nr(&key)), TreeOp::Insert(r(&key), value)],
+                _ => vec![TreeOp::Invalidate(r(&key)), TreeOp::Insert(nr(&key), value)],
+            };
+            for op in ops {
+                let tombstones_before = eager.tombstone_count();
+                match &op {
+                    TreeOp::Insert(k, v) => eager.insert(k.clone(), *v),
+                    TreeOp::Invalidate(k) => {
+                        eager.invalidate(k);
+                    }
+                }
+                // One op revives at most one tombstone; more gone at once
+                // is the compaction rebuild.
+                compactions += usize::from(eager.tombstone_count() + 1 < tombstones_before);
+                // Shape after every op; hashes at the batch boundaries
+                // below (1–40 ops apart), which keeps the debug-build test
+                // to a second.
+                check_invariants(&eager, false);
+                batch.push(op);
+            }
+            if batch.len() >= batch_len {
+                batched.apply_batch(std::mem::take(&mut batch));
+                check_invariants(&batched, true);
+                check_invariants(&eager, true);
+                assert_eq!(batched.root(), eager.root(), "step {step}");
+                assert_eq!(batched.depth(), eager.depth(), "step {step}");
+                batch_len = 1 + next(40) as usize;
+            }
+        }
+        assert!(compactions > 0, "the mix never tripped a compaction");
+        assert!(eager.len() > 100, "both state groups populated");
+    }
+
+    #[test]
+    fn far_right_graft_after_sorted_appends_rebuilds_the_root() {
+        // Sorted appends leave the root due for a rebuild exactly when the
+        // tree reaches 2^k + 1 leaves: after 2^k NR keys, the first R key —
+        // the far-right graft a first replication performs — rebuilds the
+        // whole tree in place of the root.
+        for k in 4..=10u32 {
+            let n = 1usize << k;
+            let records: Vec<_> = (0..n).map(|i| (nr(&format!("k{i:05}")), vh("v"))).collect();
+            let mut batched = MerkleKv::new();
+            batched.insert_batch(records.clone());
+            check_invariants(&batched, true);
+            let mut eager = MerkleKv::new();
+            for (key, value) in records {
+                eager.insert(key, value);
+            }
+            assert_eq!(batched.root(), eager.root());
+            // Every inner node of the rebuilt tree plus the new leaf; the
+            // old leaves keep their hashes.
+            let rehashed = batched.apply_batch(vec![TreeOp::Insert(r("k"), vh("v"))]);
+            assert_eq!(rehashed, n + 1, "2^{k} leaves: no root-level rebuild");
+            check_invariants(&batched, true);
+            eager.insert(r("k"), vh("v"));
+            check_invariants(&eager, true);
+            assert_eq!(batched.root(), eager.root());
+            assert_eq!(batched.depth(), k as usize + 2);
+        }
     }
 
     #[test]

@@ -1,0 +1,192 @@
+//! Golden digests: three small deterministic engine runs whose chain
+//! digest, total feed Gas and final Merkle roots are pinned as constants.
+//!
+//! Every other equivalence net in the workspace compares two paths through
+//! the *same* build (batch ≡ sequential, reorged ≡ straight-line, streamed
+//! ≡ materialised), so a change to a shared shape decision — which side a
+//! leaf is grafted on, when a scapegoat rebuild fires, the order
+//! transitions reach the `update()` payload — passes them all while
+//! silently changing every root that goes on chain. These constants pin the
+//! bytes across commits: a PR that moves one must say why.
+
+use grub::chain::ChainConfig;
+use grub::core::policy::PolicyKind;
+use grub::core::system::SystemConfig;
+use grub::engine::specs::{demo_policies, zipfian_ratio_specs, DEMO_RATIOS};
+use grub::engine::{EngineConfig, FeedEngine, FeedSpec};
+use grub::workload::ratio::MultiKeyRatio;
+use grub::workload::ycsb::{preload, YcsbKind, YcsbRunner};
+
+/// What one run pins.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    chain_digest: String,
+    feed_gas_total: u64,
+    /// Final DO mirror root per tenant, in spec order (each asserted equal
+    /// to the tenant's SP root before it is recorded).
+    roots: Vec<String>,
+    /// The largest per-round `merkle_nodes_rehashed` — a count, pinned so a
+    /// change in *how much* of the tree a rebuild touches shows even when
+    /// the resulting root does not move.
+    max_round_rehashed: u64,
+}
+
+fn run(config: &EngineConfig, specs: Vec<FeedSpec>) -> Golden {
+    let tenants: Vec<String> = specs.iter().map(|s| s.tenant.clone()).collect();
+    let mut engine = FeedEngine::new(config, specs).expect("engine builds");
+    engine.run_rounds().expect("engine runs");
+    let roots = tenants
+        .iter()
+        .map(|tenant| {
+            let driver = engine.driver(tenant).expect("tenant exists");
+            assert_eq!(
+                driver.owner().root(),
+                driver.provider().root(),
+                "{tenant}: DO mirror and SP tree diverged"
+            );
+            driver.owner().root().to_hex()
+        })
+        .collect();
+    // Every stream is exhausted, so this only collects the report.
+    let (report, chain) = engine.run_with_chain().expect("report");
+    assert_eq!(report.failed_delivers(), 0);
+    Golden {
+        chain_digest: chain.chain_digest().to_hex(),
+        feed_gas_total: report.feed_gas_total(),
+        roots,
+        max_round_rehashed: report
+            .metrics
+            .iter()
+            .map(|m| m.merkle_nodes_rehashed)
+            .max()
+            .unwrap_or(0),
+    }
+}
+
+fn golden(chain_digest: &str, feed_gas_total: u64, roots: &[&str], rehashed: u64) -> Golden {
+    Golden {
+        chain_digest: chain_digest.to_owned(),
+        feed_gas_total,
+        roots: roots.iter().map(|r| (*r).to_owned()).collect(),
+        max_round_rehashed: rehashed,
+    }
+}
+
+/// A sorted 4,096-key NR preload, then YCSB-A epochs under Memoryless K=2.
+/// Sorted appends rebuild the root whenever the tree reaches 2^k + 1
+/// leaves, so the preload stops one leaf short: the first NR→R transition
+/// grafts the tree's only R leaf at the far right as leaf 4,097, which tips
+/// the scapegoat test at the root and rebuilds the whole tree — in the DO
+/// mirror and in the SP — mid-batch. Later epochs mix in-place updates,
+/// tombstones, revivals and grafts on both sides of the tree.
+#[test]
+fn ycsb_preloaded_feed_with_root_level_rebuild() {
+    const RECORDS: u64 = 4096;
+    const RECORD_LEN: usize = 64;
+    const SEED: u64 = 11;
+    let dataset: Vec<(String, Vec<u8>)> = preload(RECORDS, RECORD_LEN, SEED)
+        .into_iter()
+        .map(|(key, value)| (key, value.materialize()))
+        .collect();
+    assert!(
+        dataset.windows(2).all(|w| w[0].0 < w[1].0),
+        "sorted preload"
+    );
+    let source = YcsbRunner::new(RECORDS, RECORD_LEN, SEED).into_source(vec![(YcsbKind::A, 1536)]);
+    let spec = FeedSpec::from_source(
+        "ycsb",
+        SystemConfig::new(PolicyKind::Memoryless { k: 2 })
+            .epoch_ops(32)
+            .preload(dataset),
+        Box::new(source),
+    );
+    let got = run(&EngineConfig::new(1), vec![spec]);
+    assert!(
+        got.max_round_rehashed > 2 * RECORDS,
+        "no round rebuilt the whole tree in both DO and SP: {got:?}"
+    );
+    assert_eq!(
+        got,
+        golden(
+            "0901c42d441ecb07e336b0c5104fc563e95760aaae405a89a830aa767c448407",
+            42_934_876,
+            &["f3df4e557fa5fcdfaa69b7c822e436778ff3216385d0c0fff558a47e8092b699"],
+            8226,
+        )
+    );
+}
+
+/// Two feeds, three keys each, different policies: the small-keyspace
+/// stream where chain execution and section encoding do the work.
+#[test]
+fn two_feed_three_key_stream() {
+    let source = |lane: u64| {
+        MultiKeyRatio::new(vec![
+            ("stream-hot".into(), 4.0),
+            ("stream-cold".into(), 0.125),
+            ("stream-warm".into(), 1.0),
+        ])
+        .seed(1_000_003 + lane)
+        .source(24)
+    };
+    let specs = vec![
+        FeedSpec::from_source(
+            "stream-a",
+            SystemConfig::new(PolicyKind::Memoryless { k: 2 }).epoch_ops(32),
+            Box::new(source(1)),
+        ),
+        FeedSpec::from_source(
+            "stream-b",
+            SystemConfig::new(PolicyKind::SelfTuning { window: 16 }).epoch_ops(32),
+            Box::new(source(2)),
+        ),
+    ];
+    let got = run(&EngineConfig::new(2), specs);
+    assert_eq!(
+        got,
+        golden(
+            "f1ce2d5c48741dc7bda49626756ae93a4cadc22916349f931c67fc9ea4abe5fe",
+            2_977_678,
+            &[
+                "122d2f127841bc00f0169283dad9319f4a4841b9e23e28955c3745374435e66d",
+                "569e4f1319144acffc4f46fe175170f57eb0eb400fff2b425a3c935ef0177e2d",
+            ],
+            28,
+        )
+    );
+}
+
+/// Eight zipfian-skewed one-key feeds on two shards with full batching,
+/// under reorgs and depth-3 confirmation, so abandoned blocks and
+/// resubmission reach the digest. The two read-leaning Memorizing feeds run
+/// at live tempo: their reads are observed after the epoch's flush, the
+/// deliver installs the replica ahead of the tree (a hinted replica), and
+/// the next flush formalizes or evicts it.
+#[test]
+fn eight_feed_fleet_under_reorgs() {
+    let mut config = EngineConfig::new(2);
+    config.chain = ChainConfig::default().reorg(7, 5, 2).confirm_depth(3);
+    let mut specs = zipfian_ratio_specs(8, 1600, DEMO_RATIOS, &demo_policies());
+    for spec in specs.iter_mut().skip(1).step_by(4) {
+        spec.config = spec.config.clone().live_reads();
+    }
+    let got = run(&config, specs);
+    assert_eq!(
+        got,
+        golden(
+            "44ca3d843737dfa25a993cf878e1545abd0ee2c8382913e1bc59060f78abc95e",
+            5_383_318,
+            &[
+                "4dc593d4fee357ccfe4b41166b43486aec07408897b7216183b0ccd89e60be98",
+                "9596594c3f7b1389d3e909d576be967378a77e856917111b4157ac426d61f9d6",
+                "6476bdb8e89a0318914534963d2392935bb2f7d59d5ecedfbc40066324278479",
+                "e72262c44ce24e8ae360fd43615e7856fcfff9c569eaace082ff06de147633aa",
+                "f4ae434ac0b1df550e825e2fe1dce1f51a23b142c27a752e9bd614c8e8a258ca",
+                "f8da318df318d9104d509155059b139b045f26df09b47ca804feccaf5f8b97da",
+                "dc55b233f0192238d97ecb1767dc4f55be65f4e0d362c579cf5d7153e2dc6894",
+                "24c08e5fd7001f60a45f257dcba5b823fba6843614a72a1c10c6ca0ab33d44c5",
+            ],
+            16,
+        )
+    );
+}

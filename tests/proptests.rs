@@ -308,3 +308,281 @@ fn memoryless_worst_case_replication_count() {
     }
     assert_eq!(replications, cycles, "one wasted replication per cycle");
 }
+
+// ---------------------------------------------------------------------
+// DataOwner::flush_epoch against a full-scan oracle.
+// ---------------------------------------------------------------------
+
+mod owner_differential {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
+
+    use grub::chain::Address;
+    use grub::core::owner::DataOwner;
+    use grub::core::policy::{Bl1, Bl2, Memoryless, ReplicationPolicy};
+    use grub::core::provider::{SpSync, StorageProvider};
+    use grub::merkle::ReplState;
+
+    const NR: ReplState = ReplState::NotReplicated;
+    const R: ReplState = ReplState::Replicated;
+
+    #[derive(Debug, Clone)]
+    pub enum DoOp {
+        Preload(String, bool, u8),
+        Write(String, u8),
+        Read(String),
+        Hint(String),
+        Flush,
+    }
+
+    fn alphabet() -> Vec<String> {
+        (0..12u8).map(|i| format!("key{i:02}")).collect()
+    }
+
+    fn do_op() -> impl Strategy<Value = DoOp> {
+        let key = prop::sample::select(alphabet());
+        // Reads and writes dominate; flushes come often enough that a
+        // script closes a dozen epochs; preloads and hints are the rare
+        // events they are in the system.
+        prop_oneof![
+            (key.clone(), any::<u8>()).prop_map(|(k, v)| DoOp::Write(k, v)),
+            (key.clone(), any::<u8>()).prop_map(|(k, v)| DoOp::Write(k, v)),
+            key.clone().prop_map(DoOp::Read),
+            key.clone().prop_map(DoOp::Read),
+            key.clone().prop_map(DoOp::Read),
+            key.clone().prop_map(DoOp::Hint),
+            (key, any::<bool>(), any::<u8>()).prop_map(|(k, s, v)| DoOp::Preload(k, s, v)),
+            Just(DoOp::Flush),
+            Just(DoOp::Flush),
+        ]
+    }
+
+    fn policy(which: u8) -> Box<dyn ReplicationPolicy> {
+        match which % 4 {
+            0 => Box::new(Memoryless::new(1)),
+            1 => Box::new(Memoryless::new(2)),
+            2 => Box::new(Bl1),
+            _ => Box::new(Bl2),
+        }
+    }
+
+    /// What `flush_epoch` must emit, derived the way it used to be: scan
+    /// every known key for `desired != committed`, in key order. Reads the
+    /// DO only through its public accessors, before the flush runs.
+    struct Expected {
+        sp_sync: Vec<SpSync>,
+        r_updates: Vec<(Vec<u8>, Vec<u8>)>,
+        to_r: Vec<(Vec<u8>, Vec<u8>)>,
+        to_nr: Vec<Vec<u8>>,
+        replications: usize,
+    }
+
+    fn oracle(
+        owner: &DataOwner,
+        staged: &[(String, Vec<u8>)],
+        hinted: &BTreeSet<String>,
+    ) -> Expected {
+        let mut values: BTreeMap<String, Vec<u8>> = owner
+            .live_records()
+            .into_iter()
+            .map(|(key, _, value)| (key, value))
+            .collect();
+        let mut sp_sync = Vec::new();
+        for (key, value) in staged {
+            values.insert(key.clone(), value.clone());
+            sp_sync.push(SpSync::Write {
+                key: key.clone(),
+                value: value.clone(),
+                state: owner.state_of(key),
+            });
+        }
+        let written = |key: &String| staged.iter().any(|(k, _)| k == key);
+        let (mut to_r, mut to_nr, mut formalized) = (Vec::new(), Vec::new(), 0);
+        let mut after: BTreeMap<String, ReplState> = BTreeMap::new();
+        for key in alphabet() {
+            let (from, to) = (owner.state_of(&key), owner.desired_state(&key));
+            after.insert(key.clone(), from);
+            let Some(value) = values.get(&key).filter(|_| from != to) else {
+                continue;
+            };
+            after.insert(key.clone(), to);
+            if to == NR {
+                to_nr.push(key.clone().into_bytes());
+            } else if hinted.contains(&key) && !written(&key) {
+                formalized += 1;
+            } else {
+                to_r.push((key.clone().into_bytes(), value.clone()));
+            }
+            sp_sync.push(SpSync::Relocate { key, from, to });
+        }
+        let r_updates = staged
+            .iter()
+            .filter(|(key, _)| after[key] == R)
+            .filter(|(key, _)| !to_r.iter().any(|(k, _)| k == key.as_bytes()))
+            .map(|(key, value)| (key.clone().into_bytes(), value.clone()))
+            .collect();
+        for key in hinted {
+            if after[key] == NR && !to_nr.iter().any(|k| k == key.as_bytes()) {
+                to_nr.push(key.clone().into_bytes());
+            }
+        }
+        Expected {
+            sp_sync,
+            r_updates,
+            replications: to_r.len() + formalized,
+            to_r,
+            to_nr,
+        }
+    }
+
+    /// Drives one DO through `script`, checking every flush against the
+    /// oracle and the mirror root against an SP fed the same sync ops.
+    pub fn run_script(which_policy: u8, script: &[DoOp]) {
+        let mut owner = DataOwner::new(Address::derive("DO"), policy(which_policy));
+        let mut sp = StorageProvider::new(Address::derive("SP")).expect("store");
+        let mut staged: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut hinted: BTreeSet<String> = BTreeSet::new();
+        // A script always ends by closing its last epoch.
+        for op in script.iter().chain(std::iter::once(&DoOp::Flush)) {
+            match op {
+                DoOp::Preload(key, replicated, v) => {
+                    let state = if *replicated { R } else { NR };
+                    let sync = owner.preload(&[(key.clone(), vec![*v; 3])], state);
+                    sp.apply_sync_batch(sync).expect("sp preload");
+                    assert_eq!(owner.state_of(key), state);
+                    assert_eq!(owner.desired_state(key), state);
+                }
+                DoOp::Write(key, v) => {
+                    owner.observe_write(key, vec![*v; 2]);
+                    staged.push((key.clone(), vec![*v; 2]));
+                }
+                DoOp::Read(key) => {
+                    let want = owner.observe_read(key);
+                    assert_eq!(owner.desired_state(key), want);
+                }
+                DoOp::Hint(key) => {
+                    owner.note_hinted_replica(key);
+                    hinted.insert(key.clone());
+                }
+                DoOp::Flush => {
+                    let want = oracle(&owner, &staged, &hinted);
+                    let got = owner.flush_epoch();
+                    assert_eq!(got.sp_sync, want.sp_sync, "sp_sync (order included)");
+                    assert_eq!(got.to_r, want.to_r, "to_r");
+                    assert_eq!(got.to_nr, want.to_nr, "to_nr");
+                    assert_eq!(got.r_updates, want.r_updates, "r_updates");
+                    assert_eq!(got.replications, want.replications);
+                    assert_eq!(got.evictions, want.to_nr.len());
+                    assert_eq!(
+                        got.dirty,
+                        !want.sp_sync.is_empty() || !want.to_nr.is_empty(),
+                        "dirty"
+                    );
+                    assert_eq!(got.digest, owner.root());
+                    sp.apply_sync_batch(got.sp_sync).expect("sp sync");
+                    assert_eq!(sp.root(), owner.root(), "SP root != DO mirror root");
+                    // Every transition the scan would find was taken, except
+                    // for keys that have no value to relocate.
+                    let valued: BTreeSet<String> =
+                        owner.live_records().into_iter().map(|r| r.0).collect();
+                    for key in alphabet() {
+                        assert!(
+                            owner.state_of(&key) == owner.desired_state(&key)
+                                || !valued.contains(&key),
+                            "{key} left untransitioned"
+                        );
+                    }
+                    staged.clear();
+                    hinted.clear();
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of everything that moves a key's committed
+        /// or desired state, under the four policies whose decisions a
+        /// 12-key script can flip often.
+        #[test]
+        fn flush_epoch_matches_the_full_scan_oracle(
+            which_policy in 0..4u8,
+            script in prop::collection::vec(do_op(), 1..160),
+        ) {
+            run_script(which_policy, &script);
+        }
+    }
+
+    /// The three interleavings the pending set could plausibly get wrong,
+    /// spelled out so they run on every policy whatever the generator draws.
+    #[test]
+    fn directed_scripts_match_the_oracle() {
+        use DoOp::*;
+        let k = |i: usize| alphabet()[i].clone();
+        let scripts: Vec<Vec<DoOp>> = vec![
+            // A read-only key with no value stays pending across epochs,
+            // then gets its value (and its transition) later.
+            vec![
+                Read(k(3)),
+                Read(k(3)),
+                Flush,
+                Flush,
+                Read(k(3)),
+                Flush,
+                Preload(k(3), false, 7),
+                Read(k(3)),
+                Read(k(3)),
+                Flush,
+            ],
+            // Desired flips away and back before the flush: no transition.
+            vec![
+                Write(k(1), 1),
+                Flush,
+                Read(k(1)),
+                Read(k(1)),
+                Write(k(1), 2),
+                Flush,
+                Read(k(1)),
+                Read(k(1)),
+                Flush,
+                Write(k(1), 3),
+                Read(k(1)),
+                Read(k(1)),
+                Flush,
+            ],
+            // A hinted key written in the same epoch pays for its value; a
+            // hinted key left alone does not; a hinted key that settles NR
+            // is evicted once.
+            vec![
+                Write(k(5), 1),
+                Write(k(6), 1),
+                Write(k(7), 1),
+                Flush,
+                Read(k(5)),
+                Read(k(5)),
+                Hint(k(5)),
+                Write(k(5), 2),
+                Read(k(5)),
+                Read(k(5)),
+                Read(k(6)),
+                Read(k(6)),
+                Hint(k(6)),
+                Read(k(7)),
+                Read(k(7)),
+                Hint(k(7)),
+                Write(k(7), 2),
+                Flush,
+                Write(k(6), 3),
+                Hint(k(6)),
+                Flush,
+            ],
+        ];
+        for which_policy in 0..4 {
+            for script in &scripts {
+                run_script(which_policy, script);
+            }
+        }
+    }
+}
