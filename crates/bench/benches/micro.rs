@@ -146,11 +146,11 @@ fn bench_policy(c: &mut Criterion) {
 }
 
 fn bench_system(c: &mut Criterion) {
-    let trace = RatioWorkload::new("k", 4.0).generate(32);
+    let workload = RatioWorkload::new("k", 4.0);
     c.bench_function("system/ratio4-160ops", |b| {
         b.iter(|| {
-            GrubSystem::run_trace(
-                std::hint::black_box(&trace),
+            GrubSystem::run(
+                &mut std::hint::black_box(&workload).source(32),
                 &SystemConfig::new(PolicyKind::Memoryless { k: 2 }),
             )
             .expect("run")

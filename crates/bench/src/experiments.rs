@@ -26,7 +26,7 @@ use grub_workload::Trace;
 const RATIOS: &[f64] = &[0.0, 0.125, 0.5, 1.0, 4.0, 16.0, 64.0, 256.0];
 
 fn run(trace: &Trace, config: &SystemConfig) -> RunReport {
-    GrubSystem::run_trace(trace, config).expect("experiment run")
+    GrubSystem::run(&mut trace.source(), config).expect("experiment run")
 }
 
 fn ratio_trace(ratio: f64, value_len: usize) -> Trace {
@@ -170,12 +170,13 @@ fn run_scoin(policy: PolicyKind) -> RunReport {
     let token = Address::derive("bench-scoin-token");
     system.deploy_contract(
         issuer,
-        Rc::new(SCoinIssuer::new(system.manager(), token)),
+        Rc::new(SCoinIssuer::new(system.driver().manager(), token)),
         Layer::Application,
     );
     system.deploy_contract(token, Rc::new(Erc20::new(issuer)), Layer::Application);
     let user = Address::derive("bench-scoin-user");
-    system.set_read_tx_builder(Box::new(move |keys| {
+    let driver = system.driver_mut();
+    driver.set_read_tx_builder(Box::new(move |keys| {
         keys.iter()
             .enumerate()
             .map(|(i, _)| {
@@ -190,7 +191,7 @@ fn run_scoin(policy: PolicyKind) -> RunReport {
             })
             .collect()
     }));
-    system.drive(&trace).expect("drive");
+    system.drive(&mut trace.source()).expect("drive");
     system.into_report()
 }
 
@@ -371,8 +372,8 @@ pub fn fig8a() -> String {
             d: 1.0,
         }),
     );
-    let optimal = GrubSystem::run_trace_with_policy(
-        &trace,
+    let optimal = GrubSystem::run_with_policy(
+        &mut trace.source(),
         &SystemConfig::new(PolicyKind::Bl1),
         Box::new(OfflineOptimal::from_trace(
             &trace,
@@ -780,8 +781,8 @@ pub fn competitive() -> String {
     for k in [2u64, 4, 8] {
         let trace = RatioWorkload::new("feed", k as f64).generate(64);
         let online = run(&trace, &SystemConfig::new(PolicyKind::Memoryless { k }));
-        let offline = GrubSystem::run_trace_with_policy(
-            &trace,
+        let offline = GrubSystem::run_with_policy(
+            &mut trace.source(),
             &SystemConfig::new(PolicyKind::Bl1),
             Box::new(OfflineOptimal::from_trace(&trace, k_eq1)),
         )
@@ -803,8 +804,8 @@ pub fn competitive() -> String {
             &trace,
             &SystemConfig::new(PolicyKind::Memorizing { k_prime, d }),
         );
-        let offline = GrubSystem::run_trace_with_policy(
-            &trace,
+        let offline = GrubSystem::run_with_policy(
+            &mut trace.source(),
             &SystemConfig::new(PolicyKind::Bl1),
             Box::new(OfflineOptimal::from_trace(&trace, k_eq1)),
         )
@@ -882,15 +883,14 @@ pub fn multifeed_batching() -> String {
     );
     let _ = writeln!(
         out,
-        "{:<10} {:>7} {:>15} {:>15} {:>15} {:>9} {:>9} {:>10}",
+        "{:<10} {:>7} {:>15} {:>15} {:>15} {:>9} {:>9}",
         "tenants",
         "shards",
         "unbatched gas",
         "upd-batch gas",
         "full-batch gas",
         "upd save",
-        "all save",
-        "ops/sec"
+        "all save"
     );
     for (tenants, shards, total_ops) in [(4usize, 1usize, 512usize), (8, 2, 1024), (16, 4, 2048)] {
         let unbatched = FeedEngine::run_specs(
@@ -903,14 +903,9 @@ pub fn multifeed_batching() -> String {
             build_specs(tenants, total_ops),
         )
         .expect("write-only engine run");
-        let start = std::time::Instant::now();
         let full =
             FeedEngine::run_specs(&EngineConfig::new(shards), build_specs(tenants, total_ops))
                 .expect("fully batched engine run");
-        // Throughput of the full-batching run — the trajectory baseline
-        // future scale PRs measure against (see the `stream` experiment for
-        // the long-trace version).
-        let ops_per_sec = full.total_ops() as f64 / start.elapsed().as_secs_f64().max(1e-9);
         let (u, w, f) = (
             unbatched.feed_gas_total(),
             write_only.feed_gas_total(),
@@ -919,7 +914,7 @@ pub fn multifeed_batching() -> String {
         let saved = |to: u64| 100.0 * u.saturating_sub(to) as f64 / u.max(1) as f64;
         let _ = writeln!(
             out,
-            "{tenants:<10} {shards:>7} {u:>15} {w:>15} {f:>15} {:>8.1}% {:>8.1}% {ops_per_sec:>10.0}",
+            "{tenants:<10} {shards:>7} {u:>15} {w:>15} {f:>15} {:>8.1}% {:>8.1}%",
             saved(w),
             saved(f)
         );
@@ -933,113 +928,7 @@ pub fn multifeed_batching() -> String {
         out,
         "\nunbatched = sum of independent single-feed runs on one chain; upd-batch\n\
          = one update tx per shard per block; full-batch additionally coalesces\n\
-         each shard's SP deliveries into one batchDeliver tx per round; ops/sec\n\
-         is the full-batch run's end-to-end throughput (wall clock)."
-    );
-    out
-}
-
-/// Streamed-scale ingestion (beyond the paper): drives a million-plus-op
-/// workload *per feed* through the multi-tenant engine without ever
-/// materializing a trace — every feed carries a lazy
-/// [`OpSource`](grub_workload::source::OpSource) (multi-key ratio mix),
-/// the chain runs with a bounded block-retention
-/// window, and the digest is folded incrementally — so resident memory is
-/// independent of trace length. Reports end-to-end ops/sec at two lengths
-/// to show the throughput (and the trace-side footprint) does not degrade
-/// with scale.
-///
-/// `GRUB_SMOKE=1` scales the lengths down for CI; `GRUB_STREAM_OPS=<n>`
-/// pins the headline per-feed length explicitly.
-pub fn stream_scale() -> String {
-    use grub_engine::{EngineConfig, FeedEngine, FeedSpec};
-    use grub_workload::ratio::MultiKeyRatio;
-    use grub_workload::source::OpSource;
-    use std::time::Instant;
-
-    let smoke = std::env::var("GRUB_SMOKE").is_ok();
-    let headline: usize = std::env::var("GRUB_STREAM_OPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 40_000 } else { 1_000_000 });
-    let lengths = [headline / 4, headline];
-    let epoch_ops = 32usize;
-
-    // One feed per ratio class, each streaming a multi-key mix: the
-    // write-heavy and read-heavy keys exercise both policy extremes while
-    // the stream stays O(keys) resident.
-    let mk_source = |scale: usize, seed: u64| -> Box<dyn OpSource> {
-        let mix = MultiKeyRatio::new(vec![
-            ("stream-hot".into(), 4.0),
-            ("stream-cold".into(), 0.125),
-            ("stream-warm".into(), 1.0),
-        ])
-        .seed(seed);
-        // ops per rotation of the three lanes: (1+4) + (8+1) + (1+1) = 16.
-        Box::new(mix.source(scale / 16))
-    };
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "## Streamed-scale ingestion — pull-based OpSource end to end\n"
-    );
-    let _ = writeln!(
-        out,
-        "{:>12} {:>10} {:>10} {:>12} {:>10} {:>16} {:>18}",
-        "ops/feed", "feeds", "epochs", "wall s", "ops/sec", "in-flight ops", "materialized est"
-    );
-    for &per_feed in &lengths {
-        let specs = vec![
-            FeedSpec::from_source(
-                "stream-a",
-                SystemConfig::new(PolicyKind::Memoryless { k: 2 }).epoch_ops(epoch_ops),
-                mk_source(per_feed, 1),
-            ),
-            FeedSpec::from_source(
-                "stream-b",
-                SystemConfig::new(PolicyKind::SelfTuning { window: 16 }).epoch_ops(epoch_ops),
-                mk_source(per_feed, 2),
-            ),
-        ];
-        let mut config = EngineConfig::new(2);
-        // The scale enabler: age out old block bodies (the monitors' poll
-        // cursors stay well inside the window) and lean on the running
-        // digest instead of whole-chain rehashing.
-        config.chain.retain_blocks = Some(256);
-        let engine = FeedEngine::new(&config, specs).expect("stream engine builds");
-        let start = Instant::now();
-        let report = engine.run().expect("stream engine runs");
-        let wall = start.elapsed();
-        let total_ops = report.total_ops();
-        let epochs: usize = report.tenants.iter().map(|t| t.run.epochs.len()).sum();
-        // Trace-side resident bound, by construction of the pull loop: the
-        // open epoch's staged ops plus the scheduler's one-op lookahead,
-        // per feed — constant in the trace length.
-        let in_flight = epoch_ops + 1;
-        let materialized_mib = (total_ops as f64 * std::mem::size_of::<grub_workload::Op>() as f64)
-            / (1024.0 * 1024.0);
-        let _ = writeln!(
-            out,
-            "{:>12} {:>10} {:>10} {:>12.2} {:>10.0} {:>16} {:>15.1}MiB",
-            total_ops / report.tenants.len(),
-            report.tenants.len(),
-            epochs,
-            wall.as_secs_f64(),
-            total_ops as f64 / wall.as_secs_f64().max(1e-9),
-            in_flight,
-            materialized_mib,
-        );
-        assert_eq!(report.failed_delivers(), 0);
-    }
-    let _ = writeln!(
-        out,
-        "\nin-flight ops = open epoch ({epoch_ops}) + 1-op scheduler lookahead, per feed —\n\
-         constant across lengths because feeds pull from lazy OpSources; the\n\
-         'materialized est' column is what a Vec<Op> trace of that length would\n\
-         hold resident *before* per-op key/value heap allocations. The chain\n\
-         retains a 256-block body window and folds its digest incrementally,\n\
-         so whole-run memory is bounded too."
+         each shard's SP deliveries into one batchDeliver tx per round."
     );
     out
 }

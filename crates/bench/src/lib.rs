@@ -84,10 +84,5 @@ pub fn registry() -> Vec<Experiment> {
             "Multi-tenant engine (extension): cross-feed epoch batching",
             e::multifeed_batching,
         ),
-        (
-            "stream",
-            "Streamed-scale ingestion (extension): 1M+-op lazy OpSource runs, ops/sec",
-            e::stream_scale,
-        ),
     ]
 }

@@ -1341,107 +1341,6 @@ fn fold_block_digest(acc: &grub_crypto::Hash32, block: &Block) -> grub_crypto::H
     h.finalize()
 }
 
-/// A commit-ordering gate for multi-lane schedulers: within one round,
-/// lanes (shards) must claim their block-commit slots in strictly
-/// increasing canonical order.
-///
-/// Staging is off-chain and may be scheduled in any order; the gate is
-/// what the merge stage threads its commits through so that blocks are
-/// always committed in canonical order. Claims out of order — the bug
-/// class where an eager lane would interleave its blocks into another
-/// lane's round and silently fork the chain layout — are rejected with a
-/// typed [`CommitOrderError`] instead of corrupting the run.
-///
-/// The gate is deliberately chain-agnostic state (it does not borrow the
-/// [`Blockchain`]): the merge loop claims the lane first, then performs
-/// that lane's submits and block seals.
-///
-/// ```
-/// use grub_chain::CommitGate;
-///
-/// let mut gate = CommitGate::new(4);
-/// gate.claim(1).unwrap(); // lanes may be sparse…
-/// gate.claim(3).unwrap(); // …but must increase
-/// assert!(gate.claim(2).is_err());
-/// gate.begin_round();
-/// gate.claim(0).unwrap(); // a new round starts over
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommitGate {
-    lanes: usize,
-    last: Option<usize>,
-}
-
-/// A lane claimed its commit slot out of canonical order (or out of range).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommitOrderError {
-    /// The lane that tried to commit.
-    pub lane: usize,
-    /// The lane that already holds or passed the slot this round, if any.
-    pub committed: Option<usize>,
-    /// Total number of lanes the gate was opened over.
-    pub lanes: usize,
-}
-
-impl std::fmt::Display for CommitOrderError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.committed {
-            Some(last) => write!(
-                f,
-                "lane {} claimed its commit slot out of canonical order \
-                 (lane {} already committed this round, {} lanes total)",
-                self.lane, last, self.lanes
-            ),
-            None => write!(
-                f,
-                "lane {} is out of range ({} lanes total)",
-                self.lane, self.lanes
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CommitOrderError {}
-
-impl CommitGate {
-    /// Opens a gate over `lanes` canonical lanes with no slot claimed.
-    pub fn new(lanes: usize) -> Self {
-        CommitGate { lanes, last: None }
-    }
-
-    /// Starts a new round: every lane may claim again, in order.
-    pub fn begin_round(&mut self) {
-        self.last = None;
-    }
-
-    /// Claims the commit slot for `lane`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a lane at or below the round's last claimed lane, and lanes
-    /// outside `0..lanes`.
-    pub fn claim(&mut self, lane: usize) -> Result<(), CommitOrderError> {
-        if lane >= self.lanes {
-            return Err(CommitOrderError {
-                lane,
-                committed: None,
-                lanes: self.lanes,
-            });
-        }
-        if let Some(last) = self.last {
-            if lane <= last {
-                return Err(CommitOrderError {
-                    lane,
-                    committed: Some(last),
-                    lanes: self.lanes,
-                });
-            }
-        }
-        self.last = Some(lane);
-        Ok(())
-    }
-}
-
 fn gas_since(meter: &GasMeter, before: GasSnapshot) -> u64 {
     let now = meter.snapshot();
     let total = |s: &GasSnapshot| {
@@ -2316,22 +2215,5 @@ mod tests {
             Layer::User,
         ));
         replay.produce_block();
-    }
-
-    #[test]
-    fn commit_gate_enforces_canonical_lane_order() {
-        let mut gate = CommitGate::new(3);
-        gate.claim(0).unwrap();
-        gate.claim(2).unwrap();
-        let err = gate.claim(1).unwrap_err();
-        assert_eq!(err.committed, Some(2));
-        assert!(err.to_string().contains("canonical order"));
-        // Same lane twice is likewise an ordering violation.
-        assert!(gate.claim(2).is_err());
-        // Out-of-range lanes are rejected outright.
-        assert!(gate.claim(3).is_err());
-        // A fresh round resets the order.
-        gate.begin_round();
-        gate.claim(1).unwrap();
     }
 }

@@ -62,8 +62,8 @@ pub mod storage;
 mod types;
 
 pub use chain::{
-    Block, BlockError, Blockchain, ChainConfig, CommitGate, CommitOrderError, Event, LatencyConfig,
-    MempoolConfig, Receipt, ReorgConfig, ReorgError, ReorgEvent, Transaction,
+    Block, BlockError, Blockchain, ChainConfig, Event, LatencyConfig, MempoolConfig, Receipt,
+    ReorgConfig, ReorgError, ReorgEvent, Transaction,
 };
 pub use contract::{CallContext, Contract, VmError};
 pub use types::{Address, TxId};

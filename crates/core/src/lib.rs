@@ -29,7 +29,7 @@
 //!   proof-carrying `deliver` transactions, and adversarial modes (forge /
 //!   omit / replay) for security testing;
 //! * [`system`] — the harness wiring DO + SP + chain + consumer contracts
-//!   and driving workload traces epoch by epoch, with per-epoch Gas
+//!   and driving operation streams epoch by epoch, with per-epoch Gas
 //!   reporting at feed and application layers. Its
 //!   [`system::EpochDriver`] building block borrows the chain instead of
 //!   owning it, so external schedulers (the multi-tenant `grub-engine`)
@@ -43,9 +43,9 @@
 //! use grub_workload::ratio::RatioWorkload;
 //!
 //! // A read-heavy feed: GRuB should converge to keeping a replica.
-//! let trace = RatioWorkload::new("price", 16.0).generate(20);
+//! let mut ops = RatioWorkload::new("price", 16.0).source(20);
 //! let config = SystemConfig::new(PolicyKind::Memoryless { k: 2 });
-//! let report = GrubSystem::run_trace(&trace, &config).expect("run succeeds");
+//! let report = GrubSystem::run(&mut ops, &config).expect("run succeeds");
 //! assert!(report.total_ops() > 0);
 //! assert!(report.feed_gas_total() > 0);
 //! ```

@@ -27,10 +27,7 @@ use grub_workload::{Op, OpSource, Trace};
 /// Implementations are deterministic state machines over the operation
 /// stream; [`ReplicationPolicy::on_write`] / [`ReplicationPolicy::on_read`]
 /// return the state the record *should* have after the operation.
-///
-/// The `Send` bound keeps a feed's whole off-chain staging half (policy
-/// included) movable across threads — see `grub_core::system::EpochStage`.
-pub trait ReplicationPolicy: Send {
+pub trait ReplicationPolicy {
     /// Observes a write of `key`, returning the desired state.
     fn on_write(&mut self, key: &str) -> ReplState;
 

@@ -235,7 +235,7 @@ mod tests {
         });
         trace.ops.push(Op::Read { key: "btc".into() });
         trace.ops.push(Op::Read { key: "eth".into() });
-        driver.drive(&mut chain, &trace).unwrap();
+        driver.drive(&mut chain, &mut trace.into_source()).unwrap();
         (chain, driver)
     }
 

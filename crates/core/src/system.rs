@@ -1,8 +1,9 @@
 //! The system harness: wires chain + DO + SP + consumer contracts and
-//! drives workloads epoch by epoch (paper Figure 4a, §5 methodology) —
-//! either from a materialized [`Trace`] or, at O(1) trace-side memory,
-//! pulled lazily from any [`OpSource`] (the ingestion layer's streaming
-//! contract; see `grub_workload::source`).
+//! drives workloads epoch by epoch (paper Figure 4a, §5 methodology),
+//! pulling operations from an [`OpSource`] (the ingestion layer's one
+//! contract; see `grub_workload::source`) so only the open epoch's staged
+//! operations are ever resident. A materialized `Trace` enters through
+//! `Trace::source()` / `Trace::into_source()`.
 //!
 //! Epoch mechanics follow the paper's experiments: trace operations are
 //! processed in order; reads are submitted as consumer transactions (batched
@@ -14,9 +15,9 @@
 //!
 //! The machinery comes in three layers:
 //!
-//! * [`EpochStage`] — the `Send`-safe off-chain half of one feed: the DO,
-//!   the SP, and the open epoch's buffered operations. Trace ingestion
-//!   ([`EpochStage::push_op`]) and epoch closing
+//! * [`EpochStage`] — the off-chain half of one feed: the DO, the SP, and
+//!   the open epoch's buffered operations. Ingestion
+//!   ([`EpochStage::ingest`]) and epoch closing
 //!   ([`EpochStage::stage_update`]) never borrow the chain;
 //! * [`EpochDriver`] — one feed's full deployment (an `EpochStage` plus
 //!   storage-manager and consumer contracts) *without* a chain of its own:
@@ -31,7 +32,8 @@
 //!   watchdog's `deliver()` payloads through shard-level batch
 //!   transactions;
 //! * [`GrubSystem`] — the classic single-feed harness: owns one chain and
-//!   one driver and exposes the one-call `run_trace` entry points.
+//!   one driver (reached through [`GrubSystem::driver`]) and exposes the
+//!   one-call [`GrubSystem::run`] entry points.
 
 use std::rc::Rc;
 
@@ -39,7 +41,7 @@ use grub_chain::codec::Encoder;
 use grub_chain::{Address, Blockchain, ChainConfig, Transaction};
 use grub_gas::Layer;
 use grub_merkle::ReplState;
-use grub_workload::{Op, OpSource, Trace};
+use grub_workload::{Op, OpSource};
 
 use crate::contract::{NullConsumer, OnChainTrace, StorageManager};
 use crate::metrics::{EpochReport, RunReport};
@@ -73,12 +75,6 @@ pub struct SystemConfig {
     /// live trace replay does (§4's oracle and BtcRelay experiments). When
     /// reads share a block, same-key requests coalesce into one `deliver`.
     pub coalesce_reads: bool,
-    /// A *streaming* preload: write operations pulled one at a time from an
-    /// [`OpSource`] and applied incrementally (DO mirror, SP sync, chunked
-    /// on-chain seeding), so the preload never materializes a second copy of
-    /// the dataset. Non-write operations in the stream are ignored. Used in
-    /// addition to (after) the materialized `preload` records.
-    pub preload_source: Option<Box<dyn OpSource>>,
     /// Where the SP's LSM store lives. `None` (the default) uses a fresh
     /// temp directory that is deleted when the provider drops; `Some(dir)`
     /// opens a *persistent* store at `dir` that survives drops and simulated
@@ -103,7 +99,6 @@ impl SystemConfig {
             on_chain_trace: OnChainTrace::None,
             preload_replicated: None,
             coalesce_reads: true,
-            preload_source: None,
             store_dir: None,
             store_options: None,
             chain: ChainConfig::default(),
@@ -136,15 +131,6 @@ impl SystemConfig {
         self
     }
 
-    /// Streams the preload from an [`OpSource`] instead of a materialized
-    /// record vector: each `Write` op is applied (and its on-chain seeding
-    /// chunk flushed) as it is pulled, so preload-side memory stays constant
-    /// in the dataset size.
-    pub fn preload_stream(mut self, source: Box<dyn OpSource>) -> Self {
-        self.preload_source = Some(source);
-        self
-    }
-
     /// Points the SP's store at a persistent directory (surviving drops and
     /// simulated crashes) instead of an ephemeral temp dir.
     pub fn store_at(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
@@ -167,9 +153,8 @@ impl SystemConfig {
 
 /// Builds the consumer transactions for an epoch's pending read keys —
 /// harnesses override this to route reads through application contracts
-/// (e.g. SCoinIssuer's `issue`/`redeem`, §4.1). `Send` so a driver carrying
-/// a custom builder can still cross threads with its engine.
-pub type ReadTxBuilder = Box<dyn Fn(&[String]) -> Vec<Transaction> + Send>;
+/// (e.g. SCoinIssuer's `issue`/`redeem`, §4.1).
+pub type ReadTxBuilder = Box<dyn Fn(&[String]) -> Vec<Transaction>>;
 
 /// On-chain identity of one feed deployment: how its contract and account
 /// addresses are derived, and who besides the DO may call `update()`.
@@ -280,17 +265,16 @@ impl StagedReads {
     }
 }
 
-/// The `Send`-safe off-chain half of one feed deployment: the data owner
-/// (policy state machine + hash mirror), the storage provider (store +
-/// Merkle tree), and the open epoch's staged operations.
+/// The off-chain half of one feed deployment: the data owner (policy state
+/// machine + hash mirror), the storage provider (store + Merkle tree), and
+/// the open epoch's staged operations.
 ///
-/// Everything a feed does *between* chain interactions lives here — trace
-/// ingestion ([`EpochStage::push_op`]: policy decisions, write staging) and
+/// Everything a feed does *between* chain interactions lives here —
+/// ingestion ([`EpochStage::ingest`]: policy decisions, write staging) and
 /// epoch closing ([`EpochStage::stage_update`]: mirror mutation, SP sync
 /// with Merkle-tree recomputation, `update()` section encoding). None of it
 /// borrows the [`Blockchain`], so where a scheduler places staging relative
-/// to other feeds' blocks cannot change the chain; the compile-time `Send`
-/// assertion is in this module's tests.
+/// to other feeds' blocks cannot change the chain.
 ///
 /// The chain-facing half — read transactions, block sealing, watchdog
 /// delivery, Gas booking — stays on [`EpochDriver`], which owns an
@@ -306,10 +290,9 @@ pub struct EpochStage {
 }
 
 impl EpochStage {
-    /// Stages a trace operation into the current epoch without chain
-    /// interaction; the caller closes the epoch when
-    /// [`EpochStage::epoch_is_full`] (or at end of trace).
-    pub fn push_op(&mut self, op: &Op) {
+    /// Stages one operation into the current epoch without chain
+    /// interaction.
+    fn push_op(&mut self, op: &Op) {
         match op {
             Op::Write { key, value } => {
                 self.owner.observe_write(key, value.materialize());
@@ -517,78 +500,36 @@ impl EpochDriver {
         } else {
             ReplState::NotReplicated
         };
-        if !config.preload.is_empty() {
-            let sync = owner.preload(&config.preload, preload_state);
-            provider.apply_sync_batch(sync)?;
-            // Seed the on-chain state: root digest, plus replicas when
-            // preloading replicated. Chunk to stay under Ctx's X < 1000.
-            let digest = owner.root();
-            match preload_state {
-                ReplState::NotReplicated => {
-                    let input = crate::contract::encode_update(&digest, &[], &[], &[]);
-                    submit_checked(chain, do_addr, manager, "update", input)?;
-                }
-                ReplState::Replicated => {
-                    let mut batch: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-                    let mut batch_bytes = 0usize;
-                    for (key, value) in &config.preload {
-                        batch.push((key.as_bytes().to_vec(), value.clone()));
-                        batch_bytes += key.len() + value.len() + 16;
-                        if batch_bytes > 20_000 {
-                            let input = crate::contract::encode_update(
-                                &digest,
-                                &[],
-                                &std::mem::take(&mut batch),
-                                &[],
-                            );
-                            submit_checked(chain, do_addr, manager, "update", input)?;
-                            batch_bytes = 0;
-                        }
-                    }
-                    if !batch.is_empty() {
-                        let input = crate::contract::encode_update(&digest, &[], &batch, &[]);
-                        submit_checked(chain, do_addr, manager, "update", input)?;
-                    }
-                }
-            }
-        }
-        if let Some(stream) = &config.preload_source {
-            // Streaming preload: pull one write at a time, apply it to the
-            // DO mirror and SP store immediately, and flush on-chain seeding
-            // chunks as they fill — no second materialized copy of the
-            // dataset ever exists. Intermediate chunks carry intermediate
-            // digests; the final (possibly empty) chunk pins the final root.
-            let mut stream = stream.clone_box();
+        let sync = owner.preload(&config.preload, preload_state);
+        provider.apply_sync_batch(sync)?;
+        // Seed the on-chain state: the root digest, plus replicas when
+        // preloading replicated. Chunk to stay under Ctx's X < 1000.
+        let digest = owner.root();
+        if replicated && !config.preload.is_empty() {
             let mut batch: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
             let mut batch_bytes = 0usize;
-            while let Some(op) = stream.next_op() {
-                let Op::Write { key, value } = op else {
-                    continue;
-                };
-                let value = value.materialize();
-                let sync = owner.preload(&[(key.clone(), value.clone())], preload_state);
-                provider.apply_sync_batch(sync)?;
-                if preload_state == ReplState::Replicated {
-                    batch_bytes += key.len() + value.len() + 16;
-                    batch.push((key.into_bytes(), value));
-                    if batch_bytes > 20_000 {
-                        let input = crate::contract::encode_update(
-                            &owner.root(),
-                            &[],
-                            &std::mem::take(&mut batch),
-                            &[],
-                        );
-                        submit_checked(chain, do_addr, manager, "update", input)?;
-                        batch_bytes = 0;
-                    }
+            for (key, value) in &config.preload {
+                batch.push((key.as_bytes().to_vec(), value.clone()));
+                batch_bytes += key.len() + value.len() + 16;
+                if batch_bytes > 20_000 {
+                    let input = crate::contract::encode_update(
+                        &digest,
+                        &[],
+                        &std::mem::take(&mut batch),
+                        &[],
+                    );
+                    submit_checked(chain, do_addr, manager, "update", input)?;
+                    batch_bytes = 0;
                 }
             }
-            let input = crate::contract::encode_update(&owner.root(), &[], &batch, &[]);
-            submit_checked(chain, do_addr, manager, "update", input)?;
-        }
-        if config.preload.is_empty() && config.preload_source.is_none() {
-            // Even an empty feed pins its (empty-tree) digest on chain.
-            let input = crate::contract::encode_update(&owner.root(), &[], &[], &[]);
+            if !batch.is_empty() {
+                let input = crate::contract::encode_update(&digest, &[], &batch, &[]);
+                submit_checked(chain, do_addr, manager, "update", input)?;
+            }
+        } else {
+            // Nothing to replicate: the digest alone — even an empty feed
+            // pins its (empty-tree) digest on chain.
+            let input = crate::contract::encode_update(&digest, &[], &[], &[]);
             submit_checked(chain, do_addr, manager, "update", input)?;
         }
         Ok(EpochDriver {
@@ -614,8 +555,8 @@ impl EpochDriver {
         })
     }
 
-    /// The feed's `Send`-safe off-chain staging half, which schedulers
-    /// drive without borrowing the chain. See [`EpochStage`].
+    /// The feed's off-chain staging half, which schedulers drive without
+    /// borrowing the chain. See [`EpochStage`].
     pub fn stage_mut(&mut self) -> &mut EpochStage {
         &mut self.stage
     }
@@ -625,24 +566,6 @@ impl EpochDriver {
     /// submit (the §4.1 experiment maps reads onto SCoinIssuer calls).
     pub fn set_read_tx_builder(&mut self, builder: ReadTxBuilder) {
         self.read_tx_builder = Some(builder);
-    }
-
-    /// Stages a trace operation into the current epoch without chain
-    /// interaction; the caller closes the epoch when
-    /// [`EpochDriver::epoch_is_full`] (or at end of trace). Delegates to
-    /// [`EpochStage::push_op`].
-    pub fn push_op(&mut self, op: &Op) {
-        self.stage.push_op(op);
-    }
-
-    /// Whether the current epoch has reached its operation budget.
-    pub fn epoch_is_full(&self) -> bool {
-        self.stage.epoch_is_full()
-    }
-
-    /// Operations staged in the still-open epoch.
-    pub fn pending_ops(&self) -> usize {
-        self.stage.pending_ops()
     }
 
     /// Cumulative hot-path counters for this feed. Delegates to
@@ -857,64 +780,22 @@ impl EpochDriver {
         self.run_read_phase(chain, &staged)
     }
 
-    /// Feeds a single trace operation, closing an epoch when due.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store failures and protocol-violating transaction
-    /// failures.
-    pub fn feed_op(&mut self, chain: &mut Blockchain, op: &Op) -> Result<()> {
-        self.push_op(op);
-        if self.epoch_is_full() {
-            self.close_epoch(chain)?;
-        }
-        Ok(())
-    }
-
-    /// Drives a full trace, closing the trailing partial epoch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store failures and protocol-violating transaction
-    /// failures.
-    pub fn drive(&mut self, chain: &mut Blockchain, trace: &Trace) -> Result<()> {
-        for op in &trace.ops {
-            self.feed_op(chain, op)?;
-        }
-        self.finish(chain)
-    }
-
     /// Drives an operation stream to exhaustion, closing epochs as they
-    /// fill and the trailing partial epoch at the end — the streaming
-    /// mirror of [`EpochDriver::drive`], at O(1) trace-side memory: only
-    /// the open epoch's staged operations are ever resident.
+    /// fill and the trailing partial epoch at the end. Only the open
+    /// epoch's staged operations are ever resident.
     ///
     /// # Errors
     ///
     /// Propagates store failures and protocol-violating transaction
     /// failures.
-    pub fn drive_source(
-        &mut self,
-        chain: &mut Blockchain,
-        source: &mut dyn OpSource,
-    ) -> Result<()> {
-        while let Some(op) = source.next_op() {
-            self.feed_op(chain, &op)?;
-        }
-        self.finish(chain)
-    }
-
-    /// Closes a trailing partial epoch, if any operations are staged.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store failures and protocol-violating transaction
-    /// failures.
-    pub fn finish(&mut self, chain: &mut Blockchain) -> Result<()> {
-        if self.stage.pending_ops() > 0 {
+    pub fn drive(&mut self, chain: &mut Blockchain, source: &mut dyn OpSource) -> Result<()> {
+        loop {
+            self.stage.ingest(source);
+            if self.stage.pending_ops() == 0 {
+                return Ok(());
+            }
             self.close_epoch(chain)?;
         }
-        Ok(())
     }
 
     fn build_read_txs(&self, reads: &[String]) -> Vec<Transaction> {
@@ -1143,89 +1024,44 @@ impl GrubSystem {
         self.chain.deploy(address, code, layer);
     }
 
-    /// Replaces the default `batchRead` driver: the builder receives each
-    /// epoch's pending read keys and returns the consumer transactions to
-    /// submit (the §4.1 experiment maps reads onto SCoinIssuer calls).
-    pub fn set_read_tx_builder(&mut self, builder: ReadTxBuilder) {
-        self.driver.set_read_tx_builder(builder);
-    }
-
-    /// One-call convenience: build the system and drive the whole trace.
+    /// One-call convenience: build the system and pull `source` to
+    /// exhaustion.
     ///
     /// # Errors
     ///
     /// Propagates store failures and protocol-violating transaction
     /// failures.
-    pub fn run_trace(trace: &Trace, config: &SystemConfig) -> Result<RunReport> {
+    pub fn run(source: &mut dyn OpSource, config: &SystemConfig) -> Result<RunReport> {
         let mut system = GrubSystem::new(config)?;
-        system.drive(trace)?;
+        system.drive(source)?;
         Ok(system.into_report())
     }
 
-    /// One-call convenience for a streamed workload: build the system and
-    /// pull the source to exhaustion, never materializing the trace.
+    /// Like [`GrubSystem::run`] with an explicit policy (offline optimal).
     ///
     /// # Errors
     ///
     /// Propagates store failures and protocol-violating transaction
     /// failures.
-    pub fn run_source(source: &mut dyn OpSource, config: &SystemConfig) -> Result<RunReport> {
-        let mut system = GrubSystem::new(config)?;
-        system.drive_source(source)?;
-        Ok(system.into_report())
-    }
-
-    /// Like [`GrubSystem::run_trace`] with an explicit policy (offline
-    /// optimal).
-    ///
-    /// # Errors
-    ///
-    /// Propagates store failures and protocol-violating transaction
-    /// failures.
-    pub fn run_trace_with_policy(
-        trace: &Trace,
+    pub fn run_with_policy(
+        source: &mut dyn OpSource,
         config: &SystemConfig,
         policy: Box<dyn ReplicationPolicy>,
     ) -> Result<RunReport> {
         let mut system = GrubSystem::with_policy(config, policy)?;
-        system.drive(trace)?;
+        system.drive(source)?;
         Ok(system.into_report())
     }
 
-    /// Drives a full trace, closing the trailing partial epoch.
+    /// Drives an operation stream to exhaustion, closing the trailing
+    /// partial epoch ([`EpochDriver::drive`] against the owned chain).
     ///
     /// # Errors
     ///
     /// Propagates store failures and protocol-violating transaction
     /// failures.
-    pub fn drive(&mut self, trace: &Trace) -> Result<()> {
-        self.driver.drive(&mut self.chain, trace)
-    }
-
-    /// Drives an operation stream to exhaustion (the streaming mirror of
-    /// [`GrubSystem::drive`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates store failures and protocol-violating transaction
-    /// failures.
-    pub fn drive_source(&mut self, source: &mut dyn OpSource) -> Result<()> {
-        self.driver.drive_source(&mut self.chain, source)
-    }
-
-    /// Feeds a single trace operation, closing an epoch when due.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store failures and protocol-violating transaction
-    /// failures.
-    pub fn feed_op(&mut self, op: &Op) -> Result<()> {
-        self.driver.feed_op(&mut self.chain, op)
-    }
-
-    /// Puts the SP into an adversarial mode (security experiments).
-    pub fn set_adversary(&mut self, mode: AdversaryMode) {
-        self.driver.set_adversary(mode);
+    pub fn drive(&mut self, source: &mut dyn OpSource) -> Result<()> {
+        self.driver.drive(&mut self.chain, source)
     }
 
     /// The §3.2 monitor: read keys reconstructed from the chain's
@@ -1240,35 +1076,14 @@ impl GrubSystem {
         &self.chain
     }
 
-    /// The storage-manager contract address.
-    pub fn manager(&self) -> Address {
-        self.driver.manager()
+    /// The feed's driver: contract addresses, DO, SP and epoch reports.
+    pub fn driver(&self) -> &EpochDriver {
+        &self.driver
     }
 
-    /// The consumer contract address used for batched reads.
-    pub fn consumer(&self) -> Address {
-        self.driver.consumer()
-    }
-
-    /// The data owner, for assertions.
-    pub fn owner(&self) -> &DataOwner {
-        self.driver.owner()
-    }
-
-    /// Mutable DO access (used by application harnesses that interleave
-    /// their own monitoring).
-    pub fn owner_mut(&mut self) -> &mut DataOwner {
-        self.driver.owner_mut()
-    }
-
-    /// The storage provider, for assertions.
-    pub fn provider(&self) -> &StorageProvider {
-        self.driver.provider()
-    }
-
-    /// Epoch reports accumulated so far.
-    pub fn reports(&self) -> &[EpochReport] {
-        self.driver.reports()
+    /// Mutable driver access (read-tx builder, adversary mode, DO hooks).
+    pub fn driver_mut(&mut self) -> &mut EpochDriver {
+        &mut self.driver
     }
 
     /// Finishes the run and returns the report.
@@ -1409,22 +1224,10 @@ mod tests {
     use super::*;
     use crate::policy::PolicyKind;
     use grub_workload::ratio::RatioWorkload;
-    use grub_workload::ValueSpec;
+    use grub_workload::{Trace, ValueSpec};
 
     fn config(policy: PolicyKind) -> SystemConfig {
         SystemConfig::new(policy)
-    }
-
-    #[test]
-    fn staging_half_is_send() {
-        // Pins the `Send` bounds on `ReplicationPolicy`, `OpSource` and
-        // `ReadTxBuilder`: a feed's staging half (and, with a custom
-        // read-tx builder, the whole driver) stays movable across threads.
-        fn assert_send<T: Send>() {}
-        assert_send::<EpochStage>();
-        assert_send::<EpochDriver>();
-        assert_send::<StagedUpdate>();
-        assert_send::<StagedReads>();
     }
 
     #[test]
@@ -1453,66 +1256,10 @@ mod tests {
     }
 
     #[test]
-    fn streamed_preload_matches_materialized_preload() {
-        // The BL2 preload path must produce byte-identical state whether the
-        // dataset arrives as a materialized Vec or is pulled through an
-        // OpSource one op at a time (constant-memory seeding).
-        let specs = grub_workload::ycsb::preload(48, 600, 7);
-        let records: Vec<(String, Vec<u8>)> = specs
-            .iter()
-            .map(|(key, value)| (key.clone(), value.materialize()))
-            .collect();
-        let mut trace = grub_workload::Trace::new();
-        for (key, value) in &specs {
-            trace.ops.push(grub_workload::Op::Write {
-                key: key.clone(),
-                value: value.clone(),
-            });
-        }
-        for policy in [PolicyKind::Bl2, PolicyKind::Memoryless { k: 2 }] {
-            let mut chain_vec = grub_chain::Blockchain::new();
-            let vec_driver = EpochDriver::deploy(
-                &mut chain_vec,
-                &config(policy.clone()).preload(records.clone()),
-                &DriverIdentity::default(),
-            )
-            .unwrap();
-            let mut chain_stream = grub_chain::Blockchain::new();
-            let stream_driver = EpochDriver::deploy(
-                &mut chain_stream,
-                &config(policy.clone()).preload_stream(Box::new(trace.clone().into_source())),
-                &DriverIdentity::default(),
-            )
-            .unwrap();
-            assert_eq!(
-                vec_driver.owner().root(),
-                stream_driver.owner().root(),
-                "{policy:?}: owner roots diverge"
-            );
-            assert_eq!(
-                vec_driver.provider().state_digest().unwrap(),
-                stream_driver.provider().state_digest().unwrap(),
-                "{policy:?}: SP stores diverge"
-            );
-            // Both paths must have pinned the same final digest on chain.
-            let root_of = |chain: &grub_chain::Blockchain, driver: &EpochDriver| {
-                chain
-                    .static_call(driver.owner().address(), driver.manager(), "root", &[])
-                    .unwrap()
-            };
-            assert_eq!(
-                root_of(&chain_vec, &vec_driver),
-                root_of(&chain_stream, &stream_driver),
-                "{policy:?}: on-chain roots diverge"
-            );
-        }
-    }
-
-    #[test]
     fn write_only_trace_runs_cheaply_on_bl1() {
         let trace = RatioWorkload::new("k", 0.0).generate(64);
-        let bl1 = GrubSystem::run_trace(&trace, &config(PolicyKind::Bl1)).unwrap();
-        let bl2 = GrubSystem::run_trace(&trace, &config(PolicyKind::Bl2)).unwrap();
+        let bl1 = GrubSystem::run(&mut trace.source(), &config(PolicyKind::Bl1)).unwrap();
+        let bl2 = GrubSystem::run(&mut trace.source(), &config(PolicyKind::Bl2)).unwrap();
         assert!(
             bl1.feed_gas_per_op() * 3.0 < bl2.feed_gas_per_op(),
             "BL1 {} vs BL2 {}",
@@ -1524,8 +1271,8 @@ mod tests {
     #[test]
     fn read_heavy_trace_favors_bl2() {
         let trace = RatioWorkload::new("k", 64.0).generate(8);
-        let bl1 = GrubSystem::run_trace(&trace, &config(PolicyKind::Bl1)).unwrap();
-        let bl2 = GrubSystem::run_trace(&trace, &config(PolicyKind::Bl2)).unwrap();
+        let bl1 = GrubSystem::run(&mut trace.source(), &config(PolicyKind::Bl1)).unwrap();
+        let bl2 = GrubSystem::run(&mut trace.source(), &config(PolicyKind::Bl2)).unwrap();
         assert!(
             bl2.feed_gas_per_op() * 2.0 < bl1.feed_gas_per_op(),
             "BL2 {} vs BL1 {}",
@@ -1540,10 +1287,10 @@ mod tests {
         let write_only = RatioWorkload::new("k", 0.0).generate(64);
         let read_heavy = RatioWorkload::new("k", 64.0).generate(8);
         for (trace, better) in [(write_only, PolicyKind::Bl1), (read_heavy, PolicyKind::Bl2)] {
-            let grub = GrubSystem::run_trace(&trace, &cfg).unwrap();
-            let best = GrubSystem::run_trace(&trace, &config(better.clone())).unwrap();
-            let worse = GrubSystem::run_trace(
-                &trace,
+            let grub = GrubSystem::run(&mut trace.source(), &cfg).unwrap();
+            let best = GrubSystem::run(&mut trace.source(), &config(better.clone())).unwrap();
+            let worse = GrubSystem::run(
+                &mut trace.source(),
                 &config(if better == PolicyKind::Bl1 {
                     PolicyKind::Bl2
                 } else {
@@ -1575,14 +1322,18 @@ mod tests {
         let trace = RatioWorkload::new("hot", 32.0).generate(6);
         let cfg = config(PolicyKind::Memoryless { k: 2 });
         let mut system = GrubSystem::new(&cfg).unwrap();
-        system.drive(&trace).unwrap();
-        assert_eq!(system.owner().state_of("hot"), ReplState::Replicated);
+        system.drive(&mut trace.source()).unwrap();
+        assert_eq!(
+            system.driver().owner().state_of("hot"),
+            ReplState::Replicated
+        );
         // The last epochs serve reads from the replica: no Request events.
         let height = system.chain().height();
-        let recent_requests =
-            system
-                .chain()
-                .events_since(height.saturating_sub(2), system.manager(), "Request");
+        let recent_requests = system.chain().events_since(
+            height.saturating_sub(2),
+            system.driver().manager(),
+            "Request",
+        );
         assert!(recent_requests.is_empty());
     }
 
@@ -1593,7 +1344,7 @@ mod tests {
         let trace = RatioWorkload::new("k", 4.0).generate(4);
         let cfg = config(PolicyKind::Memoryless { k: 2 });
         let mut system = GrubSystem::new(&cfg).unwrap();
-        system.drive(&trace).unwrap();
+        system.drive(&mut trace.source()).unwrap();
         let chain_reads = system.federated_read_keys();
         assert_eq!(chain_reads.len(), trace.read_count());
         assert!(chain_reads.iter().all(|k| k == "k"));
@@ -1603,34 +1354,28 @@ mod tests {
     fn adversarial_sp_is_rejected_and_leaves_metrics_flagged() {
         let cfg = config(PolicyKind::Bl1);
         let mut system = GrubSystem::new(&cfg).unwrap();
-        // Seed one record.
-        system
-            .feed_op(&Op::Write {
-                key: "k".into(),
-                value: ValueSpec::new(32, 1),
-            })
-            .unwrap();
-        // Finish the epoch so the record lands.
+        // Seed one record and finish the epoch so it lands.
         let mut warm = Trace::new();
+        warm.ops.push(Op::Write {
+            key: "k".into(),
+            value: ValueSpec::new(32, 1),
+        });
         warm.ops
             .extend(std::iter::repeat_n(Op::Read { key: "k".into() }, 31));
-        system.drive(&warm).unwrap();
-        assert_eq!(
-            system
-                .reports()
-                .iter()
-                .map(|e| e.failed_delivers)
-                .sum::<usize>(),
-            0
-        );
+        system.drive(&mut warm.into_source()).unwrap();
+        let failed_delivers = |system: &GrubSystem| -> usize {
+            let reports = system.driver().reports();
+            reports.iter().map(|e| e.failed_delivers).sum()
+        };
+        assert_eq!(failed_delivers(&system), 0);
         // Now turn the SP hostile and read again.
-        system.set_adversary(AdversaryMode::ForgeValue);
+        system.driver_mut().set_adversary(AdversaryMode::ForgeValue);
         let mut reads = Trace::new();
         reads
             .ops
             .extend(std::iter::repeat_n(Op::Read { key: "k".into() }, 32));
-        system.drive(&reads).unwrap();
-        let failed: usize = system.reports().iter().map(|e| e.failed_delivers).sum();
+        system.drive(&mut reads.into_source()).unwrap();
+        let failed = failed_delivers(&system);
         assert!(failed > 0, "forged deliver must be rejected");
     }
 
@@ -1647,31 +1392,10 @@ mod tests {
             start_key: grub_workload::ycsb::ycsb_key(10),
             len: 5,
         });
-        system.drive(&trace).unwrap();
+        system.drive(&mut trace.source()).unwrap();
         let report = system.into_report();
         assert_eq!(report.failed_delivers(), 0);
         assert!(report.feed_gas_total() > 0);
-    }
-
-    #[test]
-    fn source_driven_run_is_byte_identical_to_trace_driven() {
-        // The ingestion refactor's ground truth at the single-feed layer:
-        // pulling the ops from a stream must mine the same chain — block
-        // for block, receipt for receipt — as replaying the materialized
-        // vector, partial trailing epoch included.
-        let workload = RatioWorkload::new("k", 2.0).seed(3);
-        let cfg = config(PolicyKind::Memoryless { k: 2 });
-        let mut from_trace = GrubSystem::new(&cfg).unwrap();
-        from_trace.drive(&workload.generate(11)).unwrap();
-        let mut from_source = GrubSystem::new(&cfg).unwrap();
-        from_source.drive_source(&mut workload.source(11)).unwrap();
-        assert_eq!(
-            from_trace.chain().chain_digest(),
-            from_source.chain().chain_digest()
-        );
-        let (a, b) = (from_trace.into_report(), from_source.into_report());
-        assert_eq!(a.feed_gas_total(), b.feed_gas_total());
-        assert_eq!(a.epochs.len(), b.epochs.len());
     }
 
     #[test]
@@ -1684,9 +1408,9 @@ mod tests {
         let mut a = EpochDriver::deploy(&mut chain, &cfg, &DriverIdentity::tenant("a")).unwrap();
         let mut b = EpochDriver::deploy(&mut chain, &cfg, &DriverIdentity::tenant("b")).unwrap();
         chain.meter_reset();
-        a.drive(&mut chain, &trace).unwrap();
-        b.drive(&mut chain, &trace).unwrap();
-        let single = GrubSystem::run_trace(&trace, &cfg).unwrap();
+        a.drive(&mut chain, &mut trace.source()).unwrap();
+        b.drive(&mut chain, &mut trace.source()).unwrap();
+        let single = GrubSystem::run(&mut trace.source(), &cfg).unwrap();
         for driver in [a, b] {
             let report = driver.into_report();
             assert_eq!(report.feed_gas_total(), single.feed_gas_total());

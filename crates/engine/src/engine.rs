@@ -1,7 +1,7 @@
 //! The multi-tenant engine: deployment, scheduling, sharded batching.
 
 use grub_chain::codec::encode_sections;
-use grub_chain::{Address, Blockchain, ChainConfig, CommitGate, Transaction, TxId};
+use grub_chain::{Address, Blockchain, ChainConfig, Transaction, TxId};
 use grub_core::scrub::Scrubber;
 use grub_core::system::{DriverIdentity, EpochDriver, StagedReads, StagedUpdate, SystemConfig};
 use grub_core::{GrubError, Result};
@@ -39,18 +39,59 @@ pub enum ScrubMode {
     Repair,
 }
 
+/// A `GRUB_*` environment knob set to a value outside its accepted set.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct KnobError {
+    /// The environment variable.
+    pub name: &'static str,
+    /// The rejected value, as found in the environment.
+    pub raw: String,
+    /// The accepted values.
+    pub want: &'static str,
+}
+
+impl std::fmt::Display for KnobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}={:?}: expected {}", self.name, self.raw, self.want)
+    }
+}
+
+impl std::error::Error for KnobError {}
+
+impl std::str::FromStr for ScrubMode {
+    type Err = KnobError;
+
+    /// Parses a `GRUB_SCRUB` value: empty, `0` or `off` →
+    /// [`ScrubMode::Off`]; `1` or `detect` → [`ScrubMode::Detect`];
+    /// `repair` → [`ScrubMode::Repair`]. Anything else is an error, so a
+    /// typo cannot silently select a different mode.
+    fn from_str(raw: &str) -> std::result::Result<Self, KnobError> {
+        match raw {
+            "" | "0" | "off" => Ok(ScrubMode::Off),
+            "1" | "detect" => Ok(ScrubMode::Detect),
+            "repair" => Ok(ScrubMode::Repair),
+            _ => Err(KnobError {
+                name: "GRUB_SCRUB",
+                raw: raw.to_owned(),
+                want: "unset, \"\", 0, off, 1, detect or repair",
+            }),
+        }
+    }
+}
+
 impl ScrubMode {
-    /// Parses the `GRUB_SCRUB` environment knob: unset, empty, `0`, or
-    /// `off` → [`ScrubMode::Off`]; `repair` → [`ScrubMode::Repair`];
-    /// anything else → [`ScrubMode::Detect`].
-    pub fn from_env() -> Self {
-        match std::env::var("GRUB_SCRUB") {
-            Err(_) => ScrubMode::Off,
-            Ok(v) => match v.as_str() {
-                "" | "0" | "off" => ScrubMode::Off,
-                "repair" => ScrubMode::Repair,
-                _ => ScrubMode::Detect,
-            },
+    /// Reads the `GRUB_SCRUB` environment knob: unset →
+    /// [`ScrubMode::Off`], otherwise parsed by the [`FromStr`] impl.
+    ///
+    /// # Errors
+    ///
+    /// A [`KnobError`] for any value outside the accepted set.
+    ///
+    /// [`FromStr`]: std::str::FromStr
+    pub fn from_env() -> std::result::Result<Self, KnobError> {
+        match std::env::var_os("GRUB_SCRUB") {
+            None => Ok(ScrubMode::Off),
+            Some(raw) => raw.to_string_lossy().parse(),
         }
     }
 }
@@ -262,9 +303,8 @@ pub struct FeedSpec {
     /// inside it is ignored — the engine's chain is shared.)
     pub config: SystemConfig,
     /// The tenant's workload, pulled one epoch per scheduler round. A
-    /// materialized [`Trace`] rides along as a
-    /// [`TraceSource`](grub_workload::TraceSource); generator sources
-    /// stream at O(1) trace-side memory.
+    /// materialized [`Trace`] rides along as `trace.into_source()`;
+    /// generator sources stream at O(1) trace-side memory.
     pub source: Box<dyn OpSource>,
     /// Optional per-tenant Gas quota ([`TenantBudget`]); `None` schedules
     /// the feed every round unconditionally.
@@ -272,13 +312,7 @@ pub struct FeedSpec {
 }
 
 impl FeedSpec {
-    /// Builds a feed spec from a materialized trace (back-compat: the trace
-    /// is replayed as a stream).
-    pub fn new(tenant: impl Into<String>, config: SystemConfig, trace: Trace) -> Self {
-        Self::from_source(tenant, config, Box::new(trace.into_source()))
-    }
-
-    /// Builds a feed spec from a streaming operation source.
+    /// Builds a feed spec from an operation source.
     pub fn from_source(
         tenant: impl Into<String>,
         config: SystemConfig,
@@ -305,15 +339,6 @@ impl FeedSpec {
         let mut fork = self.source.clone_box();
         Trace::from_source(&mut fork)
     }
-}
-
-/// Claims a shard's commit slot on the round's [`CommitGate`], mapping an
-/// ordering violation into an engine error (it would mean the scheduler is
-/// about to interleave shard blocks out of canonical order — a determinism
-/// bug, not a recoverable condition).
-fn claim_lane(gate: &mut CommitGate, lane: usize) -> Result<()> {
-    gate.claim(lane)
-        .map_err(|e| GrubError::Chain(e.to_string()))
 }
 
 /// Deterministic tenant→shard assignment: FNV-1a over the tenant name.
@@ -767,12 +792,11 @@ impl FeedEngine {
     }
 
     /// The batched round: every scheduled shard's epochs are ingested and
-    /// staged off-chain, then the shards commit in canonical shard order
-    /// (enforced by a [`CommitGate`]) — per shard, the write block (all
-    /// staged update chunks coalesced through the router, spilling past the
-    /// Ctx payload bound) followed by the read phase. Staging never touches
-    /// the chain, so where it sits relative to other shards' blocks cannot
-    /// move a digest.
+    /// staged off-chain, then the shards commit in ascending shard order —
+    /// per shard, the write block (all staged update chunks coalesced
+    /// through the router, spilling past the Ctx payload bound) followed by
+    /// the read phase. Staging never touches the chain, so where it sits
+    /// relative to other shards' blocks cannot move a digest.
     fn run_round_batched(&mut self, runnable: &[usize]) -> Result<()> {
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for &idx in runnable {
@@ -801,14 +825,12 @@ impl FeedEngine {
             return Ok(()); // every live feed is parked; quota refills next round
         }
         fault_check(FaultPoint::PreMerge)?;
-        let mut gate = CommitGate::new(self.shards.len());
         for (pos, (shard, mut round_feeds)) in staged.into_iter().enumerate() {
             if pos > 0 {
                 // Between two shard commits of the same round: the previous
                 // shard's blocks are mined, this shard's are not.
                 fault_check(FaultPoint::MidShardCommit)?;
             }
-            claim_lane(&mut gate, shard)?;
             let mut sections: Vec<(usize, Vec<u8>)> = Vec::new();
             for rf in &mut round_feeds {
                 for chunk in std::mem::take(&mut rf.update.chunks) {
@@ -1132,11 +1154,27 @@ mod tests {
     use grub_workload::ratio::RatioWorkload;
 
     fn spec(tenant: &str, ratio: f64, cycles: usize) -> FeedSpec {
-        FeedSpec::new(
+        FeedSpec::from_source(
             tenant,
             SystemConfig::new(PolicyKind::Memoryless { k: 2 }),
-            RatioWorkload::new(format!("{tenant}-key"), ratio).generate(cycles),
+            Box::new(RatioWorkload::new(format!("{tenant}-key"), ratio).source(cycles)),
         )
+    }
+
+    #[test]
+    fn scrub_knob_accepts_three_classes_and_rejects_typos() {
+        for raw in ["", "0", "off"] {
+            assert_eq!(raw.parse(), Ok(ScrubMode::Off), "{raw:?}");
+        }
+        for raw in ["1", "detect"] {
+            assert_eq!(raw.parse(), Ok(ScrubMode::Detect), "{raw:?}");
+        }
+        assert_eq!("repair".parse(), Ok(ScrubMode::Repair));
+        let err = "repiar".parse::<ScrubMode>().unwrap_err();
+        assert_eq!((err.name, err.raw.as_str()), ("GRUB_SCRUB", "repiar"));
+        let shown = err.to_string();
+        assert!(shown.contains("GRUB_SCRUB") && shown.contains("repiar"));
+        assert!(shown.contains("detect") && shown.contains("repair"));
     }
 
     #[test]
@@ -1158,7 +1196,11 @@ mod tests {
         cfg.epoch_ops = 0;
         let trace = RatioWorkload::new("k", 1.0).generate(4);
         let ops = trace.ops.len();
-        let specs = vec![FeedSpec::new("zero", cfg, trace)];
+        let specs = vec![FeedSpec::from_source(
+            "zero",
+            cfg,
+            Box::new(trace.into_source()),
+        )];
         let report = FeedEngine::run_specs(&EngineConfig::new(1), specs).unwrap();
         assert_eq!(report.tenants[0].total_ops(), ops);
     }
@@ -1242,16 +1284,16 @@ mod tests {
         // first epoch always runs (no cost history), parking starts after.
         let cfg = || SystemConfig::new(PolicyKind::Memoryless { k: 2 }).epoch_ops(4);
         let specs = vec![
-            FeedSpec::new(
+            FeedSpec::from_source(
                 "budgeted",
                 cfg(),
-                RatioWorkload::new("budgeted-key", 1.0).generate(12),
+                Box::new(RatioWorkload::new("budgeted-key", 1.0).source(12)),
             )
             .with_budget(TenantBudget::per_round(2_000)),
-            FeedSpec::new(
+            FeedSpec::from_source(
                 "free",
                 cfg(),
-                RatioWorkload::new("free-key", 1.0).generate(12),
+                Box::new(RatioWorkload::new("free-key", 1.0).source(12)),
             ),
         ];
         let total_ops: usize = specs.iter().map(|s| s.materialized().ops.len()).sum();
@@ -1331,12 +1373,14 @@ mod tests {
         let mk_specs = || -> Vec<FeedSpec> {
             (0..14)
                 .map(|i| {
-                    FeedSpec::new(
+                    FeedSpec::from_source(
                         format!("bulk-{i:02}"),
                         SystemConfig::new(PolicyKind::Bl2).epoch_ops(4),
-                        RatioWorkload::new(format!("bulk-{i:02}-key"), 0.0)
-                            .value_len(4096)
-                            .generate(8),
+                        Box::new(
+                            RatioWorkload::new(format!("bulk-{i:02}-key"), 0.0)
+                                .value_len(4096)
+                                .source(8),
+                        ),
                     )
                 })
                 .collect()

@@ -19,7 +19,7 @@
 //!        shard 0: [feed a ingest→flush→encode] [feed b …]
 //!        shard 1: [feed c ingest→flush→encode] [feed d …]
 //!                     │ staged update sections, shard-ordered
-//!   MERGE (canonical shard order, CommitGate-enforced)
+//!   MERGE (ascending shard order)
 //!        shard 0 write block → shard 0 read phase →
 //!                      shard 1 write block → shard 1 read phase → …
 //!                     │
@@ -46,9 +46,9 @@
 //!   standalone (the sum-of-singles reference the savings are measured
 //!   against).
 //! * **Determinism contract** — a run is a deterministic function of its
-//!   specs: staging never touches the chain, and the merge claims shard
-//!   commit slots through a [`CommitGate`](grub_chain::CommitGate) in
-//!   canonical shard order — so reruns mine byte-for-byte identical chains
+//!   specs: staging never touches the chain, and the merge commits the
+//!   shards in ascending shard order — so reruns mine byte-for-byte
+//!   identical chains
 //!   (equal [`Blockchain::chain_digest`](grub_chain::Blockchain::chain_digest)),
 //!   quotas and parking included. No wall clock or map iteration order
 //!   ever reaches the schedule.
@@ -124,15 +124,15 @@
 //! use grub_workload::ratio::RatioWorkload;
 //!
 //! let specs = vec![
-//!     FeedSpec::new(
+//!     FeedSpec::from_source(
 //!         "prices",
 //!         SystemConfig::new(PolicyKind::Memoryless { k: 2 }),
-//!         RatioWorkload::new("ETH-USD", 8.0).generate(8),
+//!         Box::new(RatioWorkload::new("ETH-USD", 8.0).source(8)),
 //!     ),
-//!     FeedSpec::new(
+//!     FeedSpec::from_source(
 //!         "telemetry",
 //!         SystemConfig::new(PolicyKind::Memoryless { k: 2 }),
-//!         RatioWorkload::new("sensor", 0.5).generate(8),
+//!         Box::new(RatioWorkload::new("sensor", 0.5).source(8)),
 //!     ),
 //! ];
 //! let report = FeedEngine::new(&EngineConfig::new(2), specs)
@@ -152,7 +152,7 @@ mod router;
 pub mod specs;
 
 pub use engine::{
-    tenant_shard, EngineConfig, FeedEngine, FeedSpec, QuotaTier, ScrubMode, TenantBudget,
+    tenant_shard, EngineConfig, FeedEngine, FeedSpec, KnobError, QuotaTier, ScrubMode, TenantBudget,
 };
 pub use report::{EngineReport, EpochMetrics, TenantReport};
 pub use router::ShardRouter;

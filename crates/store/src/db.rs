@@ -24,7 +24,7 @@ pub struct Options {
     pub bits_per_key: usize,
     /// Whether to fsync the WAL on every write.
     pub sync_writes: bool,
-    /// Block-cache capacity in data blocks (`GRUB_BLOCK_CACHE`; 0 disables).
+    /// Block-cache capacity in data blocks (0 disables).
     pub block_cache_capacity: usize,
 }
 
@@ -36,10 +36,7 @@ impl Default for Options {
             block_bytes: 4096,
             bits_per_key: 10,
             sync_writes: false,
-            block_cache_capacity: std::env::var("GRUB_BLOCK_CACHE")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1024),
+            block_cache_capacity: 1024,
         }
     }
 }

@@ -18,23 +18,22 @@
 //! * **replayable** — [`OpSource::reset`] rewinds to the first operation,
 //!   and a replay yields the byte-identical sequence (asserted for every
 //!   generator in `tests/streaming.rs`);
-//! * **`Send`** — a feed's source can move across threads together with
-//!   its staging half;
 //! * **cloneable** — [`OpSource::clone_box`] snapshots the source *at its
 //!   current position*, which is what lets schedulers fork speculative
 //!   replicas and lets [`Trace::from_source`] stay a pure adapter.
 //!
-//! [`Trace`] remains the materialized view for back-compat and for
-//! algorithms that genuinely need the whole sequence up front (the
-//! offline-optimal reference): [`Trace::from_source`] drains a source into
-//! a vector, [`Trace::into_source`] replays a vector as a stream.
+//! [`Trace`] remains the materialized view for algorithms that genuinely
+//! need the whole sequence up front (the offline-optimal reference) and for
+//! hand-built test inputs; it enters the system as a source like everything
+//! else: [`Trace::from_source`] drains a source into a vector,
+//! [`Trace::into_source`] / [`Trace::source`] replay a vector as a stream.
 
 use crate::{Op, Trace};
 
 /// A pull-based, seeded, deterministic stream of feed operations.
 ///
 /// See the [module docs](self) for the determinism/replay contract.
-pub trait OpSource: Send + std::fmt::Debug {
+pub trait OpSource: std::fmt::Debug {
     /// Produces the next operation, or `None` once the stream is exhausted.
     /// After returning `None`, every further call returns `None` until
     /// [`OpSource::reset`].
@@ -82,8 +81,8 @@ impl OpSource for Box<dyn OpSource> {
     }
 }
 
-/// A materialized [`Trace`] replayed as a stream — the back-compat bridge
-/// from the vector world into the ingestion layer.
+/// A materialized [`Trace`] replayed as a stream — how a vector of
+/// operations enters the ingestion layer.
 #[derive(Clone, Debug)]
 pub struct TraceSource {
     trace: Trace,
@@ -200,6 +199,12 @@ impl Trace {
     pub fn into_source(self) -> TraceSource {
         TraceSource::new(self)
     }
+
+    /// Replays a copy of this trace as a stream, for callers that keep
+    /// using the trace afterwards.
+    pub fn source(&self) -> TraceSource {
+        self.clone().into_source()
+    }
 }
 
 #[cfg(test)]
@@ -221,11 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn op_source_is_object_safe_and_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<Box<dyn OpSource>>();
-        assert_send::<TraceSource>();
-        assert_send::<PeekableSource>();
+    fn op_source_is_object_safe() {
+        let mut boxed: Box<dyn OpSource> = Box::new(sample_trace().into_source());
+        assert!(boxed.next_op().is_some());
     }
 
     #[test]

@@ -11,6 +11,12 @@ use grub::core::provider::AdversaryMode;
 use grub::core::system::{GrubSystem, SystemConfig};
 use grub::workload::{Op, Trace, ValueSpec};
 
+/// Delivers the contract rejected so far, over every booked epoch.
+fn failed_delivers(system: &GrubSystem) -> usize {
+    let reports = system.driver().reports();
+    reports.iter().map(|e| e.failed_delivers).sum()
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (mode, label) in [
         (AdversaryMode::ForgeValue, "forge record values"),
@@ -34,12 +40,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 key: "price".into(),
             });
         }
-        system.drive(&warmup)?;
-        let honest_failures: usize = system.reports().iter().map(|e| e.failed_delivers).sum();
+        system.drive(&mut warmup.source())?;
+        let honest_failures = failed_delivers(&system);
 
         // Turn the SP hostile; update the record so ReplayStale has
         // something stale to serve; then read again.
-        system.set_adversary(mode);
+        system.driver_mut().set_adversary(mode);
         let mut attack = Trace::new();
         attack.ops.push(Op::Write {
             key: "price".into(),
@@ -50,8 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 key: "price".into(),
             });
         }
-        system.drive(&attack)?;
-        let total_failures: usize = system.reports().iter().map(|e| e.failed_delivers).sum();
+        system.drive(&mut attack.source())?;
+        let total_failures = failed_delivers(&system);
 
         println!(
             "{label:<42} honest deliveries rejected: {honest_failures}, \

@@ -12,8 +12,7 @@
 //! `batchDeliver` too) — and the per-tenant tables plus the aggregate
 //! savings are printed. The run asserts the savings ladder (read batching
 //! strictly undercuts write-only batching, which strictly undercuts no
-//! batching) and that a trace-driven replay of the same streams mines the
-//! byte-identical chain.
+//! batching).
 //!
 //! The chain-realism knobs ride along: `GRUB_REORG=seed:period:depth` mines
 //! seeded forks (rolled back and canonically re-committed — the run then
@@ -48,7 +47,7 @@ fn build_specs(total_ops: usize) -> Vec<FeedSpec> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = std::env::var("GRUB_SMOKE").is_ok();
-    let scrub = ScrubMode::from_env();
+    let scrub = ScrubMode::from_env()?;
     let total_ops = if smoke { 256 } else { 2048 };
     let shards = 2;
     // Chain realism from the environment: GRUB_REORG / GRUB_FEE_SCHEDULE /
@@ -129,28 +128,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             full_chain.chain_digest().to_hex()
         );
     }
-
-    // The ingestion-layer contract, end to end: feeds pull their ops from
-    // lazy sources; materializing those same streams into traces up front
-    // and replaying them must mine the byte-identical chain.
-    let trace_specs: Vec<FeedSpec> = build_specs(total_ops)
-        .into_iter()
-        .map(|spec| {
-            let trace = spec.materialized();
-            FeedSpec::new(spec.tenant, spec.config, trace)
-        })
-        .collect();
-    let (_, trace_chain) =
-        FeedEngine::new(&config(EngineConfig::new(shards)), trace_specs)?.run_with_chain()?;
-    assert_eq!(
-        full_chain.chain_digest(),
-        trace_chain.chain_digest(),
-        "source-driven run must mine the same chain as the trace-driven run"
-    );
-    println!(
-        "source-driven == trace-driven chain digest: {}",
-        trace_chain.chain_digest().to_hex()
-    );
 
     // Hot-path observability: the store fast-path and batched-Merkle
     // counters, summed over the full-batching run's rounds.

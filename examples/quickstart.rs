@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             d: 4.0,
         },
     ] {
-        let report = GrubSystem::run_trace(&trace, &SystemConfig::new(policy))?;
+        let report = GrubSystem::run(&mut trace.source(), &SystemConfig::new(policy))?;
         println!(
             "{:<34}{:>16}{:>16.1}",
             report.policy,

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let config = SystemConfig::new(PolicyKind::Memoryless { k: 2 }).preload(dataset);
-    let report = GrubSystem::run_trace(&trace, &config)?;
+    let report = GrubSystem::run(&mut trace.source(), &config)?;
 
     println!("phase boundaries every 16 epochs (P1=A, P2=B, P3=A, P4=B)\n");
     println!("{:<8}{:>16}", "epoch", "feed gas/op");

@@ -25,9 +25,9 @@
 //! use grub::workload::ratio::RatioWorkload;
 //!
 //! // A read-heavy price feed served with the 2-competitive memoryless policy.
-//! let trace = RatioWorkload::new("ETH-USD", 8.0).generate(32);
-//! let report = GrubSystem::run_trace(
-//!     &trace,
+//! let mut ops = RatioWorkload::new("ETH-USD", 8.0).source(32);
+//! let report = GrubSystem::run(
+//!     &mut ops,
 //!     &SystemConfig::new(PolicyKind::Memoryless { k: 2 }),
 //! ).expect("simulation runs");
 //! println!("feed gas/op: {:.0}", report.feed_gas_per_op());

@@ -22,6 +22,12 @@ fn epoch_trace(key: &str, value_seed: u64) -> Trace {
     trace
 }
 
+/// Delivers the contract rejected so far, over every booked epoch.
+fn failed_delivers(system: &GrubSystem) -> usize {
+    let reports = system.driver().reports();
+    reports.iter().map(|e| e.failed_delivers).sum()
+}
+
 /// Runs warm-up honestly, switches the SP to `mode`, replays an epoch of
 /// traffic, and returns `(honest_rejections, attack_rejections)`.
 fn run_attack(mode: AdversaryMode) -> (usize, usize) {
@@ -30,16 +36,16 @@ fn run_attack(mode: AdversaryMode) -> (usize, usize) {
     let config = SystemConfig::new(PolicyKind::Bl1);
     let mut system = GrubSystem::new(&config).expect("system builds");
     system
-        .drive(&epoch_trace("price", 7))
+        .drive(&mut epoch_trace("price", 7).into_source())
         .expect("honest warmup");
-    let honest: usize = system.reports().iter().map(|e| e.failed_delivers).sum();
+    let honest = failed_delivers(&system);
 
     // The fresh write gives ReplayStale a genuinely stale snapshot to serve.
-    system.set_adversary(mode);
+    system.driver_mut().set_adversary(mode);
     system
-        .drive(&epoch_trace("price", 8))
+        .drive(&mut epoch_trace("price", 8).into_source())
         .expect("attack epoch");
-    let total: usize = system.reports().iter().map(|e| e.failed_delivers).sum();
+    let total = failed_delivers(&system);
     (honest, total - honest)
 }
 
@@ -88,21 +94,21 @@ fn feed_recovers_once_the_sp_turns_honest_again() {
     let config = SystemConfig::new(PolicyKind::Bl1);
     let mut system = GrubSystem::new(&config).expect("system builds");
     system
-        .drive(&epoch_trace("price", 7))
+        .drive(&mut epoch_trace("price", 7).into_source())
         .expect("honest warmup");
 
-    system.set_adversary(AdversaryMode::ForgeValue);
+    system.driver_mut().set_adversary(AdversaryMode::ForgeValue);
     system
-        .drive(&epoch_trace("price", 8))
+        .drive(&mut epoch_trace("price", 8).into_source())
         .expect("attack epoch");
-    let after_attack: usize = system.reports().iter().map(|e| e.failed_delivers).sum();
+    let after_attack = failed_delivers(&system);
     assert!(after_attack > 0, "attack must be caught first");
 
-    system.set_adversary(AdversaryMode::Honest);
+    system.driver_mut().set_adversary(AdversaryMode::Honest);
     system
-        .drive(&epoch_trace("price", 9))
+        .drive(&mut epoch_trace("price", 9).into_source())
         .expect("recovery epoch");
-    let after_recovery: usize = system.reports().iter().map(|e| e.failed_delivers).sum();
+    let after_recovery = failed_delivers(&system);
     assert_eq!(
         after_recovery, after_attack,
         "no further rejections once the SP follows the protocol again"
@@ -122,19 +128,19 @@ fn attacks_fail_under_an_adaptive_policy_too() {
         let config = SystemConfig::new(PolicyKind::Memoryless { k: 64 });
         let mut system = GrubSystem::new(&config).expect("system builds");
         system
-            .drive(&epoch_trace("price", 7))
+            .drive(&mut epoch_trace("price", 7).into_source())
             .expect("honest warmup");
-        let honest: usize = system.reports().iter().map(|e| e.failed_delivers).sum();
+        let honest = failed_delivers(&system);
         assert_eq!(honest, 0, "{mode:?}: honest warm-up must verify");
 
-        system.set_adversary(mode);
+        system.driver_mut().set_adversary(mode);
         // K=64 exceeds the reads per epoch, so the record stays
         // un-replicated and the epoch still exercises request/deliver
         // under an adaptive policy.
         system
-            .drive(&epoch_trace("price", 8))
+            .drive(&mut epoch_trace("price", 8).into_source())
             .expect("attack epoch");
-        let total: usize = system.reports().iter().map(|e| e.failed_delivers).sum();
+        let total = failed_delivers(&system);
         assert!(
             total > 0,
             "{mode:?}: attack must be rejected mid-adaptation"

@@ -104,12 +104,14 @@ fn congested_mempool_splits_blocks_with_exact_attribution() {
             .map(|i| {
                 let mut config = SystemConfig::new(PolicyKind::Bl2);
                 config.epoch_ops = 4;
-                FeedSpec::new(
+                FeedSpec::from_source(
                     format!("bulk-{i:02}"),
                     config,
-                    grub::workload::ratio::RatioWorkload::new(format!("bulk-{i:02}-key"), 0.0)
-                        .value_len(4096)
-                        .generate(8),
+                    Box::new(
+                        grub::workload::ratio::RatioWorkload::new(format!("bulk-{i:02}-key"), 0.0)
+                            .value_len(4096)
+                            .source(8),
+                    ),
                 )
                 .with_budget(TenantBudget::per_round(100_000_000).tier(tiers[i % 3]))
             })
@@ -307,7 +309,7 @@ fn fee_aware_policy_defers_installs_into_cheap_windows() {
         let mut config = SystemConfig::new(policy);
         config.epoch_ops = 8;
         config.chain = ChainConfig::default().fee(fee);
-        GrubSystem::run_trace(&deferral_trace(8), &config).expect("run succeeds")
+        GrubSystem::run(&mut deferral_trace(8).into_source(), &config).expect("run succeeds")
     };
 
     let blind = run(PolicyKind::Memoryless { k: 2 });

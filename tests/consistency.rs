@@ -301,7 +301,7 @@ fn confirmed_reads_stay_fresh_under_the_full_stack() {
                 config = config.live_reads();
             }
             config.chain = stack;
-            let report = GrubSystem::run_trace(&trace, &config)
+            let report = GrubSystem::run(&mut trace.source(), &config)
                 .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
             assert_eq!(
                 report.total_ops(),
@@ -324,7 +324,7 @@ fn confirmed_reads_stay_fresh_under_the_full_stack() {
                 config.chain = chain;
                 let mut system =
                     GrubSystem::new(&config).unwrap_or_else(|e| panic!("{label}: {e}"));
-                system.drive(&trace).unwrap();
+                system.drive(&mut trace.source()).unwrap();
                 system
             };
             let forked = run(stack);

@@ -11,11 +11,11 @@ use grub::workload::ycsb::{self, YcsbKind};
 use grub::workload::{Op, Trace, ValueSpec};
 
 fn run(trace: &Trace, policy: PolicyKind) -> grub::core::metrics::RunReport {
-    GrubSystem::run_trace(trace, &SystemConfig::new(policy)).expect("run")
+    GrubSystem::run(&mut trace.source(), &SystemConfig::new(policy)).expect("run")
 }
 
 fn run_live(trace: &Trace, policy: PolicyKind) -> grub::core::metrics::RunReport {
-    GrubSystem::run_trace(trace, &SystemConfig::new(policy).live_reads()).expect("run")
+    GrubSystem::run(&mut trace.source(), &SystemConfig::new(policy).live_reads()).expect("run")
 }
 
 /// The headline claim: on the oracle-style trace GRuB beats both static
@@ -66,9 +66,9 @@ fn grub_adapts_to_phase_change() {
     trace.extend(RatioWorkload::new("k", 32.0).generate(16));
     let config = SystemConfig::new(PolicyKind::Memoryless { k: 2 });
     let mut system = GrubSystem::new(&config).expect("system");
-    system.drive(&trace).expect("drive");
+    system.drive(&mut trace.source()).expect("drive");
     assert_eq!(
-        system.owner().state_of("k"),
+        system.driver().owner().state_of("k"),
         ReplState::Replicated,
         "after the read-heavy phase the record must be replicated"
     );
@@ -86,6 +86,12 @@ fn grub_adapts_to_phase_change() {
 
 /// Every adversarial SP behaviour is rejected by on-chain verification and
 /// the honest path stays clean.
+/// Delivers the contract rejected so far, over every booked epoch.
+fn failed_delivers(system: &GrubSystem) -> usize {
+    let reports = system.driver().reports();
+    reports.iter().map(|e| e.failed_delivers).sum()
+}
+
 #[test]
 fn adversarial_sp_modes_are_all_rejected() {
     for mode in [
@@ -104,17 +110,13 @@ fn adversarial_sp_modes_are_all_rejected() {
         for _ in 0..31 {
             warmup.ops.push(Op::Read { key: "k".into() });
         }
-        system.drive(&warmup).expect("honest warmup");
+        system.drive(&mut warmup.source()).expect("honest warmup");
         assert_eq!(
-            system
-                .reports()
-                .iter()
-                .map(|e| e.failed_delivers)
-                .sum::<usize>(),
+            failed_delivers(&system),
             0,
             "{mode:?}: honest phase must not fail"
         );
-        system.set_adversary(mode);
+        system.driver_mut().set_adversary(mode);
         let mut attack = Trace::new();
         attack.ops.push(Op::Write {
             key: "k".into(),
@@ -123,8 +125,10 @@ fn adversarial_sp_modes_are_all_rejected() {
         for _ in 0..31 {
             attack.ops.push(Op::Read { key: "k".into() });
         }
-        system.drive(&attack).expect("attack phase runs");
-        let failed: usize = system.reports().iter().map(|e| e.failed_delivers).sum();
+        system
+            .drive(&mut attack.source())
+            .expect("attack phase runs");
+        let failed = failed_delivers(&system);
         assert!(failed > 0, "{mode:?} must be rejected by the contract");
     }
 }
@@ -136,7 +140,7 @@ fn monitor_federation_is_lossless() {
     let trace = OracleTrace::new().writes(50).generate();
     let config = SystemConfig::new(PolicyKind::Memoryless { k: 2 });
     let mut system = GrubSystem::new(&config).expect("system");
-    system.drive(&trace).expect("drive");
+    system.drive(&mut trace.source()).expect("drive");
     let observed = system.federated_read_keys();
     assert_eq!(observed.len(), trace.read_count());
 }
@@ -165,7 +169,7 @@ fn ycsb_mix_with_scans_runs_clean() {
         PolicyKind::Memoryless { k: 2 },
     ] {
         let config = SystemConfig::new(policy.clone()).preload(preload.clone());
-        let report = GrubSystem::run_trace(&trace, &config).expect("run");
+        let report = GrubSystem::run(&mut trace.source(), &config).expect("run");
         assert_eq!(report.failed_delivers(), 0, "{policy:?}");
         if matches!(policy, PolicyKind::Memoryless { .. }) {
             grub_total = report.feed_gas_total();
@@ -188,8 +192,9 @@ fn sp_and_do_roots_stay_in_lockstep() {
     trace.extend(RatioWorkload::new("a", 0.0).generate(16));
     let config = SystemConfig::new(PolicyKind::Memoryless { k: 2 });
     let mut system = GrubSystem::new(&config).expect("system");
-    system.drive(&trace).expect("drive");
-    assert_eq!(system.owner().root(), system.provider().root());
+    system.drive(&mut trace.source()).expect("drive");
+    let driver = system.driver();
+    assert_eq!(driver.owner().root(), driver.provider().root());
 }
 
 /// Reads of keys that were never written deliver verified absence instead
@@ -208,7 +213,7 @@ fn reading_absent_keys_is_safe() {
             key: "ghost".into(),
         });
     }
-    system.drive(&trace).expect("drive");
+    system.drive(&mut trace.source()).expect("drive");
     let report = system.into_report();
     assert_eq!(report.failed_delivers(), 0);
 }
@@ -247,10 +252,10 @@ fn cold_and_warm_block_cache_mine_identical_chains() {
             ..Options::default()
         });
         let mut system = GrubSystem::new(&config).expect("system");
-        system.drive(&trace).expect("drive");
+        system.drive(&mut trace.source()).expect("drive");
         (
             system.chain().chain_digest(),
-            system.provider().read_stats(),
+            system.driver().provider().read_stats(),
         )
     };
     let (cold_digest, cold_stats) = run_with(0);

@@ -39,23 +39,23 @@ fn mixed_specs() -> Vec<FeedSpec> {
         .map(|(k, v)| (k, v.materialize()))
         .collect();
     vec![
-        FeedSpec::new(
+        FeedSpec::from_source(
             "writer",
             SystemConfig::new(PolicyKind::Memoryless { k: 2 }),
-            RatioWorkload::new("sensor", 0.125).generate(8),
+            Box::new(RatioWorkload::new("sensor", 0.125).source(8)),
         ),
-        FeedSpec::new(
+        FeedSpec::from_source(
             "reader",
             SystemConfig::new(PolicyKind::Bl2).preload(preload),
-            RatioWorkload::new(ycsb::ycsb_key(3), 16.0).generate(4),
+            Box::new(RatioWorkload::new(ycsb::ycsb_key(3), 16.0).source(4)),
         ),
-        FeedSpec::new(
+        FeedSpec::from_source(
             "mixed",
             SystemConfig::new(PolicyKind::Memorizing {
                 k_prime: 2.3,
                 d: 2.0,
             }),
-            RatioWorkload::new("price", 2.0).generate(16),
+            Box::new(RatioWorkload::new("price", 2.0).source(16)),
         ),
     ]
 }
@@ -68,7 +68,7 @@ fn unbatched_engine_equals_sum_of_singles() {
     let singles: Vec<u64> = specs
         .iter()
         .map(|s| {
-            GrubSystem::run_trace(&s.materialized(), &s.config)
+            GrubSystem::run(&mut s.source.clone(), &s.config)
                 .expect("single-feed run")
                 .feed_gas_total()
         })
@@ -128,10 +128,10 @@ fn batched_reads_strictly_undercut_write_only_batching() {
     let build_specs = || -> Vec<FeedSpec> {
         (0..4)
             .map(|i| {
-                FeedSpec::new(
+                FeedSpec::from_source(
                     format!("reader-{i}"),
                     SystemConfig::new(PolicyKind::Bl1),
-                    RatioWorkload::new(format!("reader-{i}-key"), 8.0).generate(6),
+                    Box::new(RatioWorkload::new(format!("reader-{i}-key"), 8.0).source(6)),
                 )
             })
             .collect()
@@ -174,10 +174,10 @@ fn batched_reads_strictly_undercut_write_only_batching() {
 #[test]
 fn lone_section_rounds_cost_no_more_than_unbatched() {
     let build_specs = || -> Vec<FeedSpec> {
-        vec![FeedSpec::new(
+        vec![FeedSpec::from_source(
             "solo",
             SystemConfig::new(PolicyKind::Bl1),
-            RatioWorkload::new("solo-key", 8.0).generate(6),
+            Box::new(RatioWorkload::new("solo-key", 8.0).source(6)),
         )]
     };
     let unbatched = FeedEngine::run_specs(&EngineConfig::new(1).unbatched(), build_specs())
@@ -233,7 +233,7 @@ fn quota_deferral_is_deterministic_and_preserves_results() {
     let singles: Vec<u64> = build_specs()
         .iter()
         .map(|s| {
-            GrubSystem::run_trace(&s.materialized(), &s.config)
+            GrubSystem::run(&mut s.source.clone(), &s.config)
                 .expect("single-feed run")
                 .feed_gas_total()
         })
@@ -296,19 +296,19 @@ fn high_tier_pressure_cannot_starve_low_tier() {
     let build_specs = || -> Vec<FeedSpec> {
         let mut specs: Vec<FeedSpec> = (0..3)
             .map(|i| {
-                FeedSpec::new(
+                FeedSpec::from_source(
                     format!("vip-{i}"),
                     SystemConfig::new(PolicyKind::Memoryless { k: 2 }).epoch_ops(4),
-                    RatioWorkload::new(format!("vip-{i}-key"), 1.0).generate(24),
+                    Box::new(RatioWorkload::new(format!("vip-{i}-key"), 1.0).source(24)),
                 )
                 .with_budget(TenantBudget::per_round(1_000_000).tier(QuotaTier::High))
             })
             .collect();
         specs.push(
-            FeedSpec::new(
+            FeedSpec::from_source(
                 "steerage",
                 SystemConfig::new(PolicyKind::Memoryless { k: 2 }).epoch_ops(4),
-                RatioWorkload::new("steerage-key", 1.0).generate(24),
+                Box::new(RatioWorkload::new("steerage-key", 1.0).source(24)),
             )
             .with_budget(
                 TenantBudget::per_round(1)
@@ -378,7 +378,7 @@ fn tiered_unbatched_run_still_equals_sum_of_singles() {
     let singles: Vec<u64> = build_specs()
         .iter()
         .map(|s| {
-            GrubSystem::run_trace(&s.materialized(), &s.config)
+            GrubSystem::run(&mut s.source.clone(), &s.config)
                 .expect("single-feed run")
                 .feed_gas_total()
         })
@@ -444,11 +444,8 @@ fn source_driven_engine_runs_match_trace_driven_byte_for_byte() {
         generators()
             .into_iter()
             .map(|(tenant, config, mut source)| {
-                FeedSpec::new(
-                    tenant,
-                    config,
-                    grub::workload::Trace::from_source(&mut source),
-                )
+                let trace = grub::workload::Trace::from_source(&mut source);
+                FeedSpec::from_source(tenant, config, Box::new(trace.into_source()))
             })
             .collect()
     };

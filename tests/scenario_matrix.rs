@@ -69,7 +69,7 @@ impl Scenario {
     }
 
     fn run(&self, policy: PolicyKind) -> grub::core::metrics::RunReport {
-        GrubSystem::run_trace(&self.trace, &self.config(policy.clone()))
+        GrubSystem::run(&mut self.trace.source(), &self.config(policy.clone()))
             .unwrap_or_else(|e| panic!("{} under {policy:?} failed: {e}", self.name))
     }
 
@@ -78,8 +78,8 @@ impl Scenario {
         let policy = OfflineOptimal::from_trace(&self.trace, schedule.two_competitive_k());
         // BL1 placebo: preload lands not-replicated, exactly as for the
         // adaptive policies this reference is compared against.
-        GrubSystem::run_trace_with_policy(
-            &self.trace,
+        GrubSystem::run_with_policy(
+            &mut self.trace.source(),
             &self.config(PolicyKind::Bl1),
             Box::new(policy),
         )
@@ -319,8 +319,8 @@ fn windowed_offline_optimal_matches_unbounded_on_every_scenario() {
         let unbounded = scenario.run_offline_optimal();
         for window in [scenario.trace.ops.len().max(1), 1 << 20] {
             let policy = OfflineOptimal::from_trace_windowed(&scenario.trace, k, window);
-            let windowed = GrubSystem::run_trace_with_policy(
-                &scenario.trace,
+            let windowed = GrubSystem::run_with_policy(
+                &mut scenario.trace.source(),
                 &scenario.config(PolicyKind::Bl1),
                 Box::new(policy),
             )
@@ -420,9 +420,10 @@ fn chain_realism_axes_run_every_policy() {
             for (policy_name, policy) in &policies() {
                 let mut config = scenario.config(policy.clone());
                 config.chain = chain;
-                let report = GrubSystem::run_trace(&scenario.trace, &config).unwrap_or_else(|e| {
-                    panic!("{axis}/{}/{policy_name} failed: {e}", scenario.name)
-                });
+                let report =
+                    GrubSystem::run(&mut scenario.trace.source(), &config).unwrap_or_else(|e| {
+                        panic!("{axis}/{}/{policy_name} failed: {e}", scenario.name)
+                    });
                 assert_eq!(
                     report.total_ops(),
                     scenario.trace.ops.len(),
@@ -479,10 +480,12 @@ fn confirmation_axes_run_every_policy() {
                 config.chain = chain;
                 let mut system = GrubSystem::new(&config)
                     .unwrap_or_else(|e| panic!("{axis}/{}/{policy_name}: {e}", scenario.name));
-                system.drive(&scenario.trace).unwrap_or_else(|e| {
-                    panic!("{axis}/{}/{policy_name} failed: {e}", scenario.name)
-                });
-                let epochs = system.reports();
+                system
+                    .drive(&mut scenario.trace.source())
+                    .unwrap_or_else(|e| {
+                        panic!("{axis}/{}/{policy_name} failed: {e}", scenario.name)
+                    });
+                let epochs = system.driver().reports();
                 assert_eq!(
                     epochs.iter().map(|e| e.ops).sum::<usize>(),
                     scenario.trace.ops.len(),
@@ -524,7 +527,7 @@ fn memoryless_bound_survives_the_confirmation_stack() {
         let run = |policy: PolicyKind| {
             let mut config = scenario.config(policy);
             config.chain = stress;
-            GrubSystem::run_trace(&scenario.trace, &config).unwrap_or_else(|e| {
+            GrubSystem::run(&mut scenario.trace.source(), &config).unwrap_or_else(|e| {
                 panic!("{} under the confirmation stack failed: {e}", scenario.name)
             })
         };
@@ -534,7 +537,7 @@ fn memoryless_bound_survives_the_confirmation_stack() {
             let policy = OfflineOptimal::from_trace(&scenario.trace, schedule.two_competitive_k());
             let mut config = scenario.config(PolicyKind::Bl1);
             config.chain = stress;
-            GrubSystem::run_trace_with_policy(&scenario.trace, &config, Box::new(policy))
+            GrubSystem::run_with_policy(&mut scenario.trace.source(), &config, Box::new(policy))
                 .unwrap_or_else(|e| {
                     panic!(
                         "{} optimal under the confirmation stack failed: {e}",
@@ -570,7 +573,7 @@ fn reorgs_are_digest_transparent_for_every_policy() {
             config.chain = chain;
             let mut system =
                 GrubSystem::new(&config).unwrap_or_else(|e| panic!("ycsb-a/{policy_name}: {e}"));
-            system.drive(&scenario.trace).unwrap();
+            system.drive(&mut scenario.trace.source()).unwrap();
             system
         };
         let plain = run(ChainConfig::default());
@@ -607,7 +610,7 @@ fn memoryless_bound_survives_chain_stress() {
         let run = |policy: PolicyKind| {
             let mut config = scenario.config(policy);
             config.chain = stress;
-            GrubSystem::run_trace(&scenario.trace, &config)
+            GrubSystem::run(&mut scenario.trace.source(), &config)
                 .unwrap_or_else(|e| panic!("{} under stress failed: {e}", scenario.name))
         };
         let memoryless = run(PolicyKind::Memoryless { k: 2 });
@@ -616,7 +619,7 @@ fn memoryless_bound_survives_chain_stress() {
             let policy = OfflineOptimal::from_trace(&scenario.trace, schedule.two_competitive_k());
             let mut config = scenario.config(PolicyKind::Bl1);
             config.chain = stress;
-            GrubSystem::run_trace_with_policy(&scenario.trace, &config, Box::new(policy))
+            GrubSystem::run_with_policy(&mut scenario.trace.source(), &config, Box::new(policy))
                 .unwrap_or_else(|e| panic!("{} optimal under stress failed: {e}", scenario.name))
         };
         // Bound inflation: memoryless may be priced at the 1100‰ plateau
@@ -660,9 +663,9 @@ fn replication_state_converges_with_the_workload() {
         for (policy_name, policy) in &adaptive {
             let mut system = GrubSystem::new(&scenario.config(policy.clone()))
                 .unwrap_or_else(|e| panic!("{}/{policy_name}: {e}", scenario.name));
-            system.drive(&scenario.trace).unwrap();
+            system.drive(&mut scenario.trace.source()).unwrap();
             assert_eq!(
-                system.owner().state_of("feed"),
+                system.driver().owner().state_of("feed"),
                 expected,
                 "{}/{policy_name}: replica state must converge with the workload",
                 scenario.name,
@@ -671,7 +674,7 @@ fn replication_state_converges_with_the_workload() {
                 // Converged read-heavy feeds serve from the replica: the
                 // final blocks carry no Request events.
                 let height = system.chain().height();
-                let manager = system.manager();
+                let manager = system.driver().manager();
                 let recent =
                     system
                         .chain()

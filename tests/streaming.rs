@@ -111,14 +111,14 @@ fn peekable_wrapper_is_transparent_for_every_generator() {
     }
 }
 
-/// Layer 2: a source-driven single-feed run mines the byte-identical chain
-/// a trace-driven run mines — across policies and including a trailing
-/// partial epoch.
+/// Layer 2: a generator-driven single-feed run mines the byte-identical
+/// chain a replay of its materialized trace mines — across policies — and
+/// the trailing partial epoch is closed, not dropped.
 #[test]
 fn system_runs_from_sources_match_trace_runs_byte_for_byte() {
     let mix = MultiKeyRatio::new(vec![("a".into(), 8.0), ("b".into(), 0.5)]).seed(17);
-    // 11 cycles of (1+8) + (2+1) = 12 ops → 132 ops: not a multiple of the
-    // 32-op epoch, so the trailing partial epoch is exercised too.
+    // 11 cycles of (1+8) + (2+1) = 12 ops → 132 ops: four full 32-op epochs
+    // plus a trailing partial epoch of 4.
     for policy in [
         PolicyKind::Bl1,
         PolicyKind::Bl2,
@@ -127,16 +127,19 @@ fn system_runs_from_sources_match_trace_runs_byte_for_byte() {
     ] {
         let cfg = SystemConfig::new(policy.clone());
         let mut trace_run = GrubSystem::new(&cfg).expect("build");
-        trace_run.drive(&mix.generate(11)).expect("trace run");
+        trace_run
+            .drive(&mut mix.generate(11).into_source())
+            .expect("trace run");
         let mut source_run = GrubSystem::new(&cfg).expect("build");
-        source_run
-            .drive_source(&mut mix.source(11))
-            .expect("source run");
+        source_run.drive(&mut mix.source(11)).expect("source run");
         assert_eq!(
             trace_run.chain().chain_digest(),
             source_run.chain().chain_digest(),
             "{policy:?}: source-driven chain diverged from trace-driven"
         );
+        let reports = source_run.driver().reports();
+        assert_eq!(reports.len(), 5, "{policy:?}");
+        assert_eq!(reports.last().map(|e| e.ops), Some(4), "{policy:?}");
     }
 }
 
