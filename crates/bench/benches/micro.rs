@@ -1,14 +1,19 @@
 //! Criterion micro-benchmarks for the substrates: hashing, the Merkle ADS,
-//! the LSM store, the decision policies, and an end-to-end epoch.
+//! the LSM store, the chain's block sealing, the decision policies, and an
+//! end-to-end epoch.
+
+use std::rc::Rc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use grub_chain::Address;
+use grub_chain::contract::{CallContext, Contract, VmError};
+use grub_chain::{Address, Blockchain, ChainConfig, Transaction};
 use grub_core::owner::DataOwner;
 use grub_core::policy::PolicyKind;
 use grub_core::policy::{Memoryless, ReplicationPolicy};
 use grub_core::system::{GrubSystem, SystemConfig};
 use grub_crypto::sha256;
+use grub_gas::Layer;
 use grub_merkle::{record_value_hash, MerkleKv, ProofKey, ReplState, TreeOp};
 use grub_store::{Db, Options};
 use grub_workload::ratio::RatioWorkload;
@@ -105,6 +110,73 @@ fn bench_owner(c: &mut Criterion) {
     });
 }
 
+/// Stores its input under the input's first byte.
+struct Slots;
+
+impl Contract for Slots {
+    fn call(&self, ctx: &mut CallContext<'_>, _: &str, input: &[u8]) -> Result<Vec<u8>, VmError> {
+        ctx.sstore(&input[..1], input)?;
+        Ok(Vec::new())
+    }
+}
+
+/// A chain holding the fleet's on-chain shape: 64 deployed contracts with
+/// four 32-byte slots each, block bodies pruned as the benchmark prunes them.
+fn chain_64c(config: ChainConfig) -> (Blockchain, Vec<Address>) {
+    let mut chain = Blockchain::with_config(ChainConfig {
+        retain_blocks: Some(256),
+        ..config
+    });
+    let contracts: Vec<Address> = (0..64)
+        .map(|i| Address::derive(&format!("slots-{i}")))
+        .collect();
+    for &contract in &contracts {
+        chain.deploy(contract, Rc::new(Slots), Layer::Feed);
+        for slot in 0..4u8 {
+            chain.submit(slot_write(contract, slot));
+        }
+    }
+    chain.produce_block();
+    (chain, contracts)
+}
+
+fn slot_write(contract: Address, slot: u8) -> Transaction {
+    Transaction::new(
+        Address::derive("bench"),
+        contract,
+        "set",
+        vec![slot; 32],
+        Layer::Feed,
+    )
+}
+
+/// What reorg mode charges per sealed block. An empty block (the filler
+/// `await_confirmations` mines) must cost about what it costs with reorgs
+/// off, and a whole fork cycle must follow the few slots it rewrites — not
+/// the 64 contracts' state.
+fn bench_chain(c: &mut Criterion) {
+    // A fork period no run reaches: the undo window is kept, no fork fires.
+    let (mut quiet, _) = chain_64c(ChainConfig::default().reorg(7, u64::MAX, 2));
+    c.bench_function("chain/seal-empty-block@reorg-64c", |b| {
+        b.iter(|| quiet.produce_block().number)
+    });
+    let (mut plain, _) = chain_64c(ChainConfig::default());
+    c.bench_function("chain/seal-empty-block@no-reorg", |b| {
+        b.iter(|| plain.produce_block().number)
+    });
+    // Period 1: every block forks — an abandoned fork block, a rollback of
+    // up to two canonical blocks, their re-commit, and the canonical seal.
+    let (mut forking, contracts) = chain_64c(ChainConfig::default().reorg(7, 1, 2));
+    let mut round = 0usize;
+    c.bench_function("chain/reorg-cycle-depth2@64c", |b| {
+        b.iter(|| {
+            round += 1;
+            forking.submit(slot_write(contracts[round % 64], (round % 4) as u8));
+            forking.produce_block().number
+        })
+    });
+}
+
 fn bench_store(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("grub-bench-db-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -161,6 +233,6 @@ fn bench_system(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_crypto, bench_merkle, bench_owner, bench_store, bench_policy, bench_system
+    targets = bench_crypto, bench_merkle, bench_owner, bench_chain, bench_store, bench_policy, bench_system
 }
 criterion_main!(benches);

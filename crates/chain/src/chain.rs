@@ -3,22 +3,22 @@
 //! bounded-capacity mempool contention).
 
 use std::cmp::Reverse;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use grub_fault::FaultPoint;
 use grub_gas::{seeded_mix, FeeProcess, GasMeter, GasSnapshot, Layer};
 
 use crate::contract::{CallContext, CallRecord, Contract, Deployed, ExecState, VmError};
-use crate::storage::ContractStorage;
+use crate::storage::{self, ContractStorage, JournalEntry};
 use crate::types::{Address, TxId};
 
 /// Parameters of the seeded fork process (see [`ChainConfig::reorg`]).
 ///
 /// Every `period` blocks the chain mines a short-lived fork block (with a
 /// seeded timestamp skew), rolls back `1 + mix(seed, height) % max_depth`
-/// canonical blocks — clamped to what snapshots and retained bodies allow —
-/// and re-commits the canonical branch from the recorded per-block
+/// canonical blocks — clamped to what the undo window and retained bodies
+/// allow — and re-commits the canonical branch from the recorded per-block
 /// transaction lists. The re-committed branch is byte-identical to a
 /// straight-line run, so [`Blockchain::chain_digest`] is reorg-transparent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -284,9 +284,9 @@ pub enum ReorgError {
         /// Block bodies still retained.
         retained: usize,
     },
-    /// No state snapshot exists at the rollback target — deeper than
+    /// The rollback target is below the undo window — deeper than
     /// [`ReorgConfig::max_depth`] keeps, or the chain is not in reorg mode
-    /// (snapshots are only recorded when [`ChainConfig::reorg`] is set).
+    /// (undo records are only kept when [`ChainConfig::reorg`] is set).
     PastSnapshotHorizon {
         /// Blocks the caller asked to roll back.
         requested: usize,
@@ -486,12 +486,10 @@ pub struct Blockchain {
     checkpoint: Option<(u64, grub_crypto::Hash32)>,
     next_tx_id: u64,
     now_ms: u64,
-    /// Rollback snapshots, ascending by height, only kept in reorg mode
-    /// (bounded to `max_depth + 1` entries).
-    snapshots: Vec<StateSnapshot>,
-    /// Transaction lists of recently sealed canonical blocks (same window
-    /// as `snapshots`), the replay source for re-committing after rollback.
-    recent_txs: Vec<(u64, Vec<(TxId, Transaction)>)>,
+    /// The undo window: one record per recently sealed canonical block,
+    /// ascending by consecutive height, only kept in reorg mode (at most
+    /// `max_depth` records). Its length is how deep a rollback can go.
+    undo: VecDeque<BlockUndo>,
     /// Every fork the seeded reorg process has executed.
     reorg_events: Vec<ReorgEvent>,
     /// Under [`ChainConfig::latency`]: the height at which each delayed
@@ -512,17 +510,24 @@ pub struct Blockchain {
     confirmed_ready: Vec<(u64, Vec<TxId>)>,
 }
 
-/// Everything needed to rewind the chain to the state just after a given
-/// canonical block sealed. The contract registry is deliberately absent:
-/// deployments happen outside blocks and are never rolled back (contract
-/// code is stateless; all mutable state lives in `storages`).
-#[derive(Clone)]
-struct StateSnapshot {
-    mined: u64,
+/// Everything needed to undo one executed block, so it costs what the block
+/// wrote rather than what the chain holds. The contract registry is
+/// deliberately absent: deployments happen outside blocks and are never
+/// rolled back (contract code is stateless; all mutable state lives in
+/// `storages`).
+struct BlockUndo {
+    /// Height of the block this record undoes.
+    height: u64,
+    /// Clock, running digest and Gas meter as they were before the block.
     now_ms: u64,
     digest_acc: grub_crypto::Hash32,
-    storages: HashMap<Address, ContractStorage>,
     meter: GasMeter,
+    /// Pre-images of every slot the block's successful transactions wrote,
+    /// in execution order (a reverted transaction undid its own).
+    writes: Vec<JournalEntry>,
+    /// The block's transaction list, the replay source for re-committing it
+    /// (left empty for a fork block, whose transactions `run_reorg` holds).
+    txs: Vec<(TxId, Transaction)>,
 }
 
 impl Default for Blockchain {
@@ -539,7 +544,7 @@ impl Blockchain {
 
     /// Creates a chain with explicit timing parameters.
     pub fn with_config(config: ChainConfig) -> Self {
-        let mut chain = Blockchain {
+        Blockchain {
             config,
             registry: HashMap::new(),
             storages: HashMap::new(),
@@ -551,27 +556,11 @@ impl Blockchain {
             checkpoint: None,
             next_tx_id: 0,
             now_ms: 0,
-            snapshots: Vec::new(),
-            recent_txs: Vec::new(),
+            undo: VecDeque::new(),
             reorg_events: Vec::new(),
             tx_eligible: HashMap::new(),
             pending_confirm: Vec::new(),
             confirmed_ready: Vec::new(),
-        };
-        if chain.config.reorg.is_some() {
-            chain.snapshots.push(chain.current_snapshot());
-        }
-        chain
-    }
-
-    /// The chain state as a rollback snapshot.
-    fn current_snapshot(&self) -> StateSnapshot {
-        StateSnapshot {
-            mined: self.mined,
-            now_ms: self.now_ms,
-            digest_acc: self.digest_acc,
-            storages: self.storages.clone(),
-            meter: self.meter.clone(),
         }
     }
 
@@ -705,12 +694,44 @@ impl Blockchain {
         }
     }
 
+    /// An undo record for the next block, capturing what executing it will
+    /// overwrite; its `writes` fill in as the block executes.
+    fn begin_undo(&self) -> BlockUndo {
+        BlockUndo {
+            height: self.mined + 1,
+            now_ms: self.now_ms,
+            digest_acc: self.digest_acc,
+            meter: self.meter.clone(),
+            writes: Vec::new(),
+            txs: Vec::new(),
+        }
+    }
+
+    /// Undoes the newest executed block — storages, height, clock, running
+    /// digest and Gas meter return to what they were before it — and hands
+    /// back its transaction list.
+    fn undo_block(&mut self, undo: BlockUndo) -> Vec<(TxId, Transaction)> {
+        debug_assert_eq!(undo.height, self.mined, "blocks undo newest-first");
+        storage::revert(&mut self.storages, undo.writes);
+        self.mined = undo.height - 1;
+        self.now_ms = undo.now_ms;
+        self.digest_acc = undo.digest_acc;
+        self.meter = undo.meter;
+        undo.txs
+    }
+
     /// Advances time (plus `jitter_ms`, used for fork-branch timestamp skew)
-    /// and executes `pending`, returning the block. State mutations (height,
-    /// clock, storages, meter) happen here; what makes a block *canonical* —
-    /// digest fold, checkpoint check, retention, snapshots — is the caller's
-    /// job.
-    fn execute_block(&mut self, pending: Vec<(TxId, Transaction)>, jitter_ms: u64) -> Block {
+    /// and executes `pending`, returning the block; the successful
+    /// transactions' write pre-images go to `writes` when the caller keeps
+    /// an undo record. State mutations (height, clock, storages, meter)
+    /// happen here; what makes a block *canonical* — digest fold, checkpoint
+    /// check, retention, the undo window — is the caller's job.
+    fn execute_block(
+        &mut self,
+        pending: &[(TxId, Transaction)],
+        jitter_ms: u64,
+        mut writes: Option<&mut Vec<JournalEntry>>,
+    ) -> Block {
         self.now_ms += self.config.block_period_ms + jitter_ms;
         self.mined += 1;
         let number = self.mined;
@@ -721,7 +742,14 @@ impl Blockchain {
         let mut events = Vec::new();
         let mut call_records = Vec::new();
         for (tx_id, tx) in pending {
-            let receipt = self.execute(tx_id, tx, number, &mut events, &mut call_records);
+            let receipt = self.execute(
+                *tx_id,
+                tx,
+                number,
+                &mut events,
+                &mut call_records,
+                writes.as_deref_mut(),
+            );
             receipts.push(receipt);
         }
         Block {
@@ -734,12 +762,12 @@ impl Blockchain {
     }
 
     /// Seals the next canonical block: select pending, execute, fold the
-    /// digest, check the recovery checkpoint, retain, snapshot, and advance
-    /// the confirmation ledger.
+    /// digest, check the recovery checkpoint, retain, push the undo record,
+    /// and advance the confirmation ledger.
     fn seal_canonical_block(&mut self) {
         let pending = self.take_block_pending();
-        let replay = self.config.reorg.map(|_| pending.clone());
-        let block = self.execute_block(pending, 0);
+        let mut undo = self.config.reorg.map(|_| self.begin_undo());
+        let block = self.execute_block(&pending, 0, undo.as_mut().map(|u| &mut u.writes));
         let sealed_ids: Vec<TxId> = if self.config.confirm_depth > 0 {
             block.receipts.iter().map(|r| r.tx_id).collect()
         } else {
@@ -765,15 +793,12 @@ impl Blockchain {
                 self.blocks.drain(..self.blocks.len() - retain);
             }
         }
-        if let (Some(reorg), Some(txs)) = (self.config.reorg, replay) {
-            self.recent_txs.push((self.mined, txs));
-            self.snapshots.push(self.current_snapshot());
-            let window = reorg.max_depth.max(1) + 1;
-            if self.snapshots.len() > window {
-                self.snapshots.drain(..self.snapshots.len() - window);
+        if let (Some(reorg), Some(mut undo)) = (self.config.reorg, undo) {
+            undo.txs = pending;
+            if self.undo.len() >= reorg.max_depth.max(1) {
+                self.undo.pop_front();
             }
-            let oldest = self.snapshots.first().map(|s| s.mined).unwrap_or(0);
-            self.recent_txs.retain(|(h, _)| *h > oldest);
+            self.undo.push_back(undo);
         }
         if self.config.confirm_depth > 0 {
             // Only blocks that mined something enter the ledger: empty
@@ -783,26 +808,20 @@ impl Blockchain {
                 self.pending_confirm.push((self.mined, sealed_ids));
             }
             let frontier = self.confirmed_height();
-            while self
+            let confirmed = self
                 .pending_confirm
-                .first()
-                .is_some_and(|(h, _)| *h <= frontier)
-            {
-                let entry = self.pending_confirm.remove(0);
-                self.confirmed_ready.push(entry);
-            }
+                .partition_point(|(h, _)| *h <= frontier);
+            self.confirmed_ready
+                .extend(self.pending_confirm.drain(..confirmed));
         }
     }
 
-    /// Deepest rollback currently possible: bounded by the snapshot window,
+    /// Deepest rollback currently possible: bounded by the undo window,
     /// the retained block bodies, and — under
     /// [`ChainConfig::confirm_depth`] — the confirmation frontier
     /// (acknowledged blocks can never be undone).
     fn rollback_capacity(&self) -> usize {
-        let Some(oldest) = self.snapshots.first().map(|s| s.mined) else {
-            return 0;
-        };
-        let cap = ((self.mined - oldest) as usize).min(self.blocks.len());
+        let cap = self.undo.len().min(self.blocks.len());
         if self.config.confirm_depth > 0 {
             cap.min((self.mined - self.confirmed_height()) as usize)
         } else {
@@ -815,15 +834,19 @@ impl Blockchain {
     /// the block at `height - depth` sealed, and returns the rolled-back
     /// blocks' transaction lists (oldest first) so the caller can re-commit
     /// them. The mempool is left untouched. Requires reorg mode
-    /// ([`ChainConfig::reorg`]), which is what records the needed snapshots.
+    /// ([`ChainConfig::reorg`]), which is what keeps the undo window: the
+    /// rollback pops its `depth` newest records and re-applies their write
+    /// pre-images, so it costs the writes it undoes.
     ///
     /// # Errors
     ///
     /// [`ReorgError::PastRetainedWindow`] when `depth` exceeds the block
     /// bodies still retained under [`ChainConfig::retain_blocks`];
-    /// [`ReorgError::PastSnapshotHorizon`] when no snapshot exists at the
-    /// target height (deeper than the fork process keeps, or reorg mode is
-    /// off).
+    /// [`ReorgError::PastConfirmationFrontier`] when the target height is
+    /// below [`Blockchain::confirmed_height`];
+    /// [`ReorgError::PastSnapshotHorizon`] when the target height is below
+    /// the undo window (deeper than the fork process keeps, or reorg mode
+    /// is off).
     pub fn rollback(&mut self, depth: usize) -> Result<Vec<Vec<(TxId, Transaction)>>, ReorgError> {
         if depth == 0 {
             return Ok(Vec::new());
@@ -835,57 +858,33 @@ impl Blockchain {
             });
         }
         let target = self.mined - depth as u64;
-        self.rollback_to(target, depth)
-    }
-
-    /// Restores the snapshot at `target` height, dropping the canonical
-    /// bodies above it; `requested` only labels the error.
-    fn rollback_to(
-        &mut self,
-        target: u64,
-        requested: usize,
-    ) -> Result<Vec<Vec<(TxId, Transaction)>>, ReorgError> {
-        if self.config.confirm_depth > 0 {
-            // The frontier is judged against the canonical tip — the latest
-            // snapshot's height, not `self.mined`, which the fork branch's
-            // abandoned block has already bumped when this runs mid-reorg.
-            let canonical_tip = self.snapshots.last().map(|s| s.mined).unwrap_or(self.mined);
-            let frontier = canonical_tip.saturating_sub(self.config.confirm_depth);
-            if target < frontier {
-                return Err(ReorgError::PastConfirmationFrontier {
-                    requested,
-                    frontier,
-                });
-            }
+        let frontier = self.confirmed_height();
+        if self.config.confirm_depth > 0 && target < frontier {
+            return Err(ReorgError::PastConfirmationFrontier {
+                requested: depth,
+                frontier,
+            });
         }
-        let snap_idx = self
-            .snapshots
-            .iter()
-            .position(|s| s.mined == target)
-            .ok_or(ReorgError::PastSnapshotHorizon {
-                requested,
+        if depth > self.undo.len() {
+            return Err(ReorgError::PastSnapshotHorizon {
+                requested: depth,
                 available: self.rollback_capacity(),
-            })?;
-        let replay: Vec<Vec<(TxId, Transaction)>> = self
-            .recent_txs
-            .iter()
-            .filter(|(h, _)| *h > target)
-            .map(|(_, txs)| txs.clone())
+            });
+        }
+        let mut replay: Vec<Vec<(TxId, Transaction)>> = self
+            .undo
+            .split_off(self.undo.len() - depth)
+            .into_iter()
+            .rev()
+            .map(|undo| self.undo_block(undo))
             .collect();
-        let snap = self.snapshots[snap_idx].clone();
-        self.snapshots.truncate(snap_idx + 1);
-        self.recent_txs.retain(|(h, _)| *h <= target);
+        replay.reverse();
         // Unconfirmed ledger entries above the target are abandoned with
         // their blocks; they re-enter as the canonical branch re-commits.
         // Confirmed entries are never above the target — the frontier guard
         // above is what makes the `confirmed_ready` ledger settled.
         self.pending_confirm.retain(|(h, _)| *h <= target);
-        self.blocks.retain(|b| b.number <= target);
-        self.storages = snap.storages;
-        self.meter = snap.meter;
-        self.digest_acc = snap.digest_acc;
-        self.mined = snap.mined;
-        self.now_ms = snap.now_ms;
+        self.blocks.truncate(self.blocks.len() - depth);
         Ok(replay)
     }
 
@@ -894,21 +893,21 @@ impl Blockchain {
     /// canonically with the original pending transactions. Net effect on the
     /// canonical chain: byte-identical to never having forked.
     fn run_reorg(&mut self, cfg: ReorgConfig) -> Result<(), BlockError> {
-        let tip = self.mined;
-        let next = tip + 1;
+        let next = self.mined + 1;
         let want = 1 + (seeded_mix(cfg.seed, next) % cfg.max_depth.max(1) as u64) as usize;
         let depth = want.min(self.rollback_capacity());
-        let target = tip - depth as u64;
         let pending = std::mem::take(&mut self.mempool);
         // The fork branch: a divergent miner greedily seals `next` with a
         // skewed timestamp. Never folded into the canonical digest.
         let jitter =
             1 + seeded_mix(cfg.seed ^ 0x666f_726b, next) % self.config.block_period_ms.max(1);
-        let fork = self.execute_block(pending.clone(), jitter);
+        let mut fork_undo = self.begin_undo();
+        let fork = self.execute_block(&pending, jitter, Some(&mut fork_undo.writes));
         let fork_digest = fold_block_digest(&self.digest_acc, &fork);
-        // The canonical branch wins: undo the fork block and `depth`
-        // canonical ancestors in one restore.
-        let replay = self.rollback_to(target, depth)?;
+        // The canonical branch wins: undo the fork block, then `depth`
+        // canonical ancestors.
+        self.undo_block(fork_undo);
+        let replay = self.rollback(depth)?;
         let abandoned: Vec<TxId> = replay
             .iter()
             .flat_map(|txs| txs.iter().map(|(id, _)| *id))
@@ -922,8 +921,8 @@ impl Blockchain {
         });
         if grub_fault::should_trip(FaultPoint::MidReorgRollback) {
             // The process dies between rollback and re-commit: the chain is
-            // consistent at `target`, the pending transactions are lost with
-            // the process.
+            // consistent at the fork's target height, the pending
+            // transactions are lost with the process.
             self.mempool.clear();
             return Err(BlockError::Injected(FaultPoint::MidReorgRollback.name()));
         }
@@ -975,10 +974,11 @@ impl Blockchain {
     fn execute(
         &mut self,
         tx_id: TxId,
-        tx: Transaction,
+        tx: &Transaction,
         block_number: u64,
         events_out: &mut Vec<Event>,
         calls_out: &mut Vec<CallRecord>,
+        writes_out: Option<&mut Vec<JournalEntry>>,
     ) -> Receipt {
         let before = self.meter.snapshot();
         self.meter.charge_tx(tx.envelope_layer, tx.input.len());
@@ -1025,6 +1025,9 @@ impl Blockchain {
             Ok(output) => {
                 events_out.append(&mut state.pending_events);
                 calls_out.append(&mut state.call_records);
+                if let Some(writes) = writes_out {
+                    writes.append(&mut state.journal);
+                }
                 Receipt {
                     tx_id,
                     block_number,
@@ -1036,17 +1039,7 @@ impl Blockchain {
             }
             Err(err) => {
                 // Roll back every storage write this transaction made.
-                for entry in state.journal.drain(..).rev() {
-                    let storage = state.storages.entry(entry.contract).or_default();
-                    match entry.prior {
-                        Some(v) => {
-                            storage.set(entry.key, v);
-                        }
-                        None => {
-                            storage.remove(&entry.key);
-                        }
-                    }
-                }
+                storage::revert(&mut state.storages, std::mem::take(&mut state.journal));
                 state.pending_events.clear();
                 Receipt {
                     tx_id,
@@ -1235,16 +1228,13 @@ impl Blockchain {
     /// Zeroes the Gas meter — harnesses call this after provisioning so the
     /// reported numbers cover steady-state operation only.
     ///
-    /// In reorg mode this also re-baselines the rollback snapshots: a fork
-    /// must never roll the chain back across a meter reset, or the restored
-    /// meter would resurrect pre-reset totals and corrupt the digest.
+    /// In reorg mode this also empties the undo window, re-baselining it
+    /// at the current height: a fork must never roll the chain back across
+    /// a meter reset, or the restored meter would resurrect pre-reset totals
+    /// and corrupt the digest.
     pub fn meter_reset(&mut self) {
         self.meter.reset();
-        if self.config.reorg.is_some() {
-            self.snapshots.clear();
-            self.recent_txs.clear();
-            self.snapshots.push(self.current_snapshot());
-        }
+        self.undo.clear();
     }
 
     /// Snapshot of Gas totals, for epoch-by-epoch reporting.
@@ -1765,14 +1755,16 @@ mod tests {
             submit_set(&mut chain, widget, user, v);
             chain.produce_block();
         }
+        assert!(chain.undo.is_empty(), "no undo record outside reorg mode");
         assert_eq!(
             chain.rollback(1),
             Err(ReorgError::PastSnapshotHorizon {
                 requested: 1,
                 available: 0,
             }),
-            "snapshots are only recorded in reorg mode"
+            "undo records are only kept in reorg mode"
         );
+        assert_eq!(chain.height(), 3, "a refused rollback changes nothing");
     }
 
     #[test]
@@ -1794,7 +1786,7 @@ mod tests {
                     available: 2
                 }
             ),
-            "snapshot window is max_depth deep: {err:?}"
+            "the undo window is max_depth deep: {err:?}"
         );
     }
 
@@ -1808,14 +1800,33 @@ mod tests {
             submit_set(&mut chain, widget, user, v);
             chain.produce_block();
         }
+        assert_eq!(chain.rollback_capacity(), 3);
         chain.meter_reset();
-        assert!(
-            matches!(
-                chain.rollback(1),
-                Err(ReorgError::PastSnapshotHorizon { .. })
-            ),
+        assert_eq!(
+            chain.rollback(1),
+            Err(ReorgError::PastSnapshotHorizon {
+                requested: 1,
+                available: 0,
+            }),
             "a fork must never cross a meter reset"
         );
+        // The window refills from the reset height: blocks mined after it
+        // roll back to post-reset totals, never to resurrected ones.
+        let reset_digest = chain.chain_digest();
+        for v in 3..5 {
+            submit_set(&mut chain, widget, user, v);
+            chain.produce_block();
+        }
+        assert_eq!(
+            chain.rollback(3),
+            Err(ReorgError::PastSnapshotHorizon {
+                requested: 3,
+                available: 2,
+            })
+        );
+        chain.rollback(2).expect("back to the reset height");
+        assert_eq!(chain.meter().total(), 0);
+        assert_eq!(chain.chain_digest(), reset_digest);
     }
 
     #[test]
@@ -2215,5 +2226,525 @@ mod tests {
             Layer::User,
         ));
         replay.produce_block();
+    }
+}
+
+/// The per-block undo journal checked against the design it replaced: a
+/// clone of the whole chain state per sealed block, kept here as the oracle.
+#[cfg(test)]
+mod undo_tests {
+    use std::collections::BTreeMap;
+
+    use grub_fault::{FaultPlan, FaultPoint};
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// The oracle: everything a rollback must restore, cloned wholesale.
+    struct StateSnapshot {
+        mined: u64,
+        now_ms: u64,
+        digest_acc: grub_crypto::Hash32,
+        chain_digest: grub_crypto::Hash32,
+        storages: HashMap<Address, ContractStorage>,
+        meter: GasMeter,
+    }
+
+    fn current_snapshot(chain: &Blockchain) -> StateSnapshot {
+        StateSnapshot {
+            mined: chain.mined,
+            now_ms: chain.now_ms,
+            digest_acc: chain.digest_acc,
+            chain_digest: chain.chain_digest(),
+            storages: chain.storages.clone(),
+            meter: chain.meter.clone(),
+        }
+    }
+
+    /// Asserts `chain` is exactly where `want` was taken. Storages compare
+    /// modulo empty maps: undoing a contract's first write leaves its
+    /// `or_default()` map behind (so does a reverted transaction), which no
+    /// contract can observe — but a map the oracle has must never go missing.
+    fn assert_state_eq(chain: &Blockchain, want: &StateSnapshot) {
+        assert_eq!(chain.height(), want.mined, "height");
+        assert_eq!(chain.now_ms(), want.now_ms, "clock");
+        assert_eq!(chain.digest_acc, want.digest_acc, "running digest");
+        assert_eq!(
+            format!("{:?}", chain.meter),
+            format!("{:?}", want.meter),
+            "meter totals, per-kind totals and price"
+        );
+        assert_eq!(chain.chain_digest(), want.chain_digest, "chain digest");
+        let occupied = |storages: &HashMap<Address, ContractStorage>| {
+            storages
+                .iter()
+                .filter(|(_, storage)| !storage.is_empty())
+                .map(|(addr, storage)| (*addr, BTreeMap::from_iter(storage.slots().clone())))
+                .collect::<BTreeMap<_, _>>()
+        };
+        assert_eq!(occupied(&chain.storages), occupied(&want.storages), "slots");
+        for addr in want.storages.keys() {
+            assert!(chain.storages.contains_key(addr), "lost the map of {addr}");
+        }
+    }
+
+    /// Pads `0..PADS` are deployed; `pad(PADS)` is the address nothing lives at.
+    const PADS: u8 = 3;
+
+    fn pad(i: u8) -> Address {
+        Address::derive(&format!("pad{i}"))
+    }
+
+    /// A contract whose every function takes `[key, value, peer]` and writes
+    /// slot `key`, here and/or in the peer pad.
+    struct Pad;
+
+    impl Contract for Pad {
+        fn call(
+            &self,
+            ctx: &mut CallContext<'_>,
+            func: &str,
+            input: &[u8],
+        ) -> Result<Vec<u8>, VmError> {
+            let (key, peer) = (&input[..1], pad(input[2]));
+            let value = vec![input[1]; 1 + usize::from(input[1] % 40)];
+            match func {
+                "put" => {
+                    ctx.sstore(key, &value)?;
+                    ctx.emit("Put", input.to_vec());
+                }
+                "del" => ctx.sdelete(key)?,
+                "put_fail" => {
+                    ctx.sstore(key, &value)?;
+                    return Err(VmError::Revert("deliberate".into()));
+                }
+                // A nested frame's writes join the transaction's journal.
+                "relay" => {
+                    ctx.sstore(key, &value)?;
+                    ctx.call(peer, "put", input)?;
+                }
+                // The simulator keeps the writes of a callee whose error the
+                // caller swallows, so the journal must keep them too.
+                "relay_caught" => {
+                    let _ = ctx.call(peer, "put_fail", input);
+                    ctx.sdelete(key)?;
+                }
+                // The callee's error bubbles: both frames' writes revert.
+                "relay_fail" => {
+                    ctx.sstore(key, &value)?;
+                    ctx.call(peer, "put_fail", input)?;
+                }
+                _ => return Err(VmError::UnknownFunction(func.to_owned())),
+            }
+            Ok(Vec::new())
+        }
+    }
+
+    /// How many journal entries a successful `func` leaves (0 if it reverts).
+    fn writes_of(func: &str, to: u8, peer: u8) -> usize {
+        match func {
+            _ if to >= PADS => 0,
+            "put" | "del" => 1,
+            "relay" if peer < PADS => 2,
+            "relay_caught" if peer < PADS => 2,
+            "relay_caught" => 1,
+            _ => 0,
+        }
+    }
+
+    /// A reorg-mode chain whose seeded fork process never fires, so only
+    /// explicit rollbacks run.
+    fn quiet_chain(max_depth: usize, fee: bool) -> Blockchain {
+        let mut config = ChainConfig::default().reorg(1, u64::MAX, max_depth);
+        if fee {
+            config = config.fee(FeeProcess::mean_reverting(3));
+        }
+        deploy_pads(Blockchain::with_config(config))
+    }
+
+    fn deploy_pads(mut chain: Blockchain) -> Blockchain {
+        for i in 0..PADS {
+            chain.deploy(pad(i), Rc::new(Pad), Layer::Application);
+        }
+        chain
+    }
+
+    fn submit(chain: &mut Blockchain, func: &str, to: u8, key: u8, value: u8, peer: u8) {
+        chain.submit(Transaction::new(
+            Address::derive("user"),
+            pad(to),
+            func,
+            vec![key, value, peer],
+            Layer::User,
+        ));
+    }
+
+    fn put(chain: &mut Blockchain, to: u8, key: u8, value: u8) {
+        submit(chain, "put", to, key, value, 0);
+    }
+
+    /// Mines a block and returns the oracle's clone of the state after it.
+    fn seal(chain: &mut Blockchain) -> StateSnapshot {
+        chain.produce_block();
+        current_snapshot(chain)
+    }
+
+    fn window_writes(chain: &Blockchain) -> Vec<usize> {
+        chain.undo.iter().map(|u| u.writes.len()).collect()
+    }
+
+    #[test]
+    fn rollback_skips_the_writes_of_a_reverted_transaction() {
+        let mut chain = quiet_chain(4, false);
+        put(&mut chain, 0, 1, 10);
+        let at_1 = seal(&mut chain);
+        put(&mut chain, 0, 2, 20);
+        submit(&mut chain, "put_fail", 0, 1, 99, 0);
+        submit(&mut chain, "relay_fail", 1, 1, 98, 0);
+        put(&mut chain, 0, 3, 30);
+        let block = chain.produce_block();
+        assert_eq!(
+            block.receipts.iter().map(|r| r.success).collect::<Vec<_>>(),
+            [true, false, false, true]
+        );
+        let record = chain.undo.back().expect("reorg mode keeps a record");
+        let keys: Vec<&[u8]> = record.writes.iter().map(|w| w.key.as_slice()).collect();
+        assert_eq!(
+            keys,
+            [[2u8].as_slice(), [3u8].as_slice()],
+            "a reverted transaction undid its own writes; they are not the block's"
+        );
+        chain.rollback(1).expect("inside the window");
+        assert_state_eq(&chain, &at_1);
+        assert_eq!(
+            chain.storage(pad(0)).unwrap().peek(&[1]),
+            Some(&vec![10; 11])
+        );
+    }
+
+    #[test]
+    fn oldest_pre_image_wins_within_a_block_and_across_blocks() {
+        let mut chain = quiet_chain(4, false);
+        put(&mut chain, 0, 1, 1);
+        let at_1 = seal(&mut chain);
+        put(&mut chain, 0, 1, 2);
+        put(&mut chain, 0, 1, 3);
+        let at_2 = seal(&mut chain);
+        put(&mut chain, 0, 1, 4);
+        let at_3 = seal(&mut chain);
+        assert_eq!(window_writes(&chain), [1, 2, 1]);
+        // One block: the slot returns to the second of block 2's two writes.
+        let replay = chain.rollback(1).expect("inside the window");
+        assert_state_eq(&chain, &at_2);
+        assert_eq!(chain.storage(pad(0)).unwrap().peek(&[1]), Some(&vec![3; 4]));
+        chain.mempool = replay.into_iter().next().expect("one block");
+        chain.produce_block();
+        assert_state_eq(&chain, &at_3);
+        // Two blocks at once: three writes to one slot, the oldest pre-image
+        // is the one left standing.
+        chain.rollback(2).expect("inside the window");
+        assert_state_eq(&chain, &at_1);
+        assert_eq!(chain.storage(pad(0)).unwrap().peek(&[1]), Some(&vec![1; 2]));
+    }
+
+    #[test]
+    fn rollback_recreates_a_deleted_slot() {
+        let mut chain = quiet_chain(4, false);
+        put(&mut chain, 0, 1, 7);
+        let at_1 = seal(&mut chain);
+        submit(&mut chain, "del", 0, 1, 0, 0);
+        // Deleting a slot that never existed journals a `None` pre-image.
+        submit(&mut chain, "del", 0, 2, 0, 0);
+        chain.produce_block();
+        assert!(chain.storage(pad(0)).unwrap().is_empty());
+        chain.rollback(1).expect("inside the window");
+        assert_state_eq(&chain, &at_1);
+        assert_eq!(chain.storage(pad(0)).unwrap().peek(&[1]), Some(&vec![7; 8]));
+        assert_eq!(chain.storage(pad(0)).unwrap().peek(&[2]), None);
+    }
+
+    #[test]
+    fn undone_first_write_leaves_an_empty_map_as_a_revert_does() {
+        let mut chain = quiet_chain(2, false);
+        let genesis = current_snapshot(&chain);
+        assert!(genesis.storages.is_empty());
+        put(&mut chain, 0, 1, 1);
+        chain.produce_block();
+        chain.rollback(1).expect("inside the window");
+        assert_state_eq(&chain, &genesis);
+        assert!(
+            chain.storage(pad(0)).is_some_and(ContractStorage::is_empty),
+            "the map `sstore` created stays, empty"
+        );
+        // The same residue a reverted transaction has always left.
+        submit(&mut chain, "put_fail", 1, 1, 1, 0);
+        assert!(!chain.produce_block().receipts[0].success);
+        assert!(chain.storage(pad(1)).is_some_and(ContractStorage::is_empty));
+        assert!(chain.storage(pad(2)).is_none());
+    }
+
+    #[test]
+    fn rollback_reaches_the_whole_window_and_not_one_block_past_it() {
+        let mut chain = quiet_chain(3, false);
+        let mut oracle = vec![current_snapshot(&chain)];
+        for v in 0..8 {
+            put(&mut chain, v % PADS, v, v);
+            oracle.push(seal(&mut chain));
+        }
+        assert_eq!(
+            chain.rollback(4),
+            Err(ReorgError::PastSnapshotHorizon {
+                requested: 4,
+                available: 3,
+            })
+        );
+        assert_state_eq(&chain, &oracle[8]);
+        assert_eq!(chain.rollback(3).expect("exactly the window").len(), 3);
+        assert_state_eq(&chain, &oracle[5]);
+        assert_eq!(
+            chain.rollback(1),
+            Err(ReorgError::PastSnapshotHorizon {
+                requested: 1,
+                available: 0,
+            }),
+            "the window does not refill by rolling back"
+        );
+    }
+
+    #[test]
+    fn undo_window_holds_max_depth_blocks_and_exactly_their_writes() {
+        let mut chain = quiet_chain(2, false);
+        let mut block_writes = Vec::new();
+        for round in 0..12u8 {
+            // Rounds 0, 3, 6, … mine an empty block.
+            for i in 0..round % 3 {
+                submit(&mut chain, "relay", i % PADS, round, i, (i + 1) % PADS);
+                submit(&mut chain, "put_fail", 0, round, i, 0);
+            }
+            chain.produce_block();
+            block_writes.push(2 * usize::from(round % 3));
+            let kept = block_writes.len().min(2);
+            assert_eq!(chain.undo.len(), kept, "never more than max_depth records");
+            assert_eq!(
+                window_writes(&chain),
+                block_writes[block_writes.len() - kept..],
+                "one entry per write of the blocks in the window, none for older blocks"
+            );
+            let newest = chain.undo.back().expect("just sealed");
+            assert_eq!(newest.height, chain.height());
+            if round % 3 == 0 {
+                assert_eq!(
+                    (newest.writes.capacity(), newest.txs.capacity()),
+                    (0, 0),
+                    "an empty block's record owns no heap memory"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mid_reorg_rollback_crash_leaves_state_at_the_target() {
+        let mut chain = deploy_pads(Blockchain::with_config(
+            ChainConfig::default().reorg(7, 4, 2),
+        ));
+        let mut oracle = vec![current_snapshot(&chain)];
+        for v in 0..3 {
+            submit(&mut chain, "relay", v, v, v + 1, (v + 1) % PADS);
+            oracle.push(seal(&mut chain));
+        }
+        // Height 4 forks. The fork block executes these, then the process dies
+        // between the rollback and the re-commit.
+        put(&mut chain, 0, 0, 50);
+        submit(&mut chain, "del", 1, 0, 0, 0);
+        grub_fault::arm(FaultPlan::at(FaultPoint::MidReorgRollback));
+        let err = chain.try_produce_block().map(|b| b.number).unwrap_err();
+        assert!(!grub_fault::is_armed(), "the crash point tripped");
+        assert_eq!(err, BlockError::Injected("mid-reorg-rollback"));
+        let event = chain.reorg_events().last().expect("the fork fired");
+        assert_eq!(event.height, 4);
+        assert!(event.resubmitted.is_empty());
+        let target = 3 - event.depth;
+        assert_state_eq(&chain, &oracle[target]);
+        assert_eq!(chain.blocks().len(), target);
+        assert_eq!(chain.rollback_capacity(), 2 - event.depth);
+        assert_eq!(chain.mempool_len(), 0, "pending died with the process");
+    }
+
+    #[test]
+    fn seeded_forks_leave_the_state_of_a_straight_line_run() {
+        let mut forked = deploy_pads(Blockchain::with_config(
+            ChainConfig::default().reorg(7, 3, 2),
+        ));
+        let mut straight = deploy_pads(Blockchain::new());
+        let funcs = ["put", "relay", "del", "put_fail", "relay_caught"];
+        for round in 0..40u8 {
+            for chain in [&mut forked, &mut straight] {
+                for i in 0..round % 4 {
+                    let func = funcs[usize::from(round + i) % funcs.len()];
+                    submit(
+                        chain,
+                        func,
+                        i % PADS,
+                        round % 5,
+                        round,
+                        (i + 1) % (PADS + 1),
+                    );
+                }
+                chain.produce_block();
+            }
+            assert_state_eq(&forked, &current_snapshot(&straight));
+        }
+        assert!(forked.reorg_events().len() >= 10, "forks fired");
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Tx {
+            func: &'static str,
+            to: u8,
+            key: u8,
+            value: u8,
+            peer: u8,
+        },
+        Block,
+        Rollback {
+            depth: usize,
+            recommit: bool,
+        },
+        MeterReset,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let func = prop::sample::select(vec![
+            "put",
+            "put",
+            "del",
+            "put_fail",
+            "relay",
+            "relay_caught",
+            "relay_fail",
+        ]);
+        // `to` and `peer` reach one past the deployed pads: unknown contracts.
+        let tx = || {
+            (func.clone(), 0..=PADS, 0..4u8, any::<u8>(), 0..=PADS).prop_map(
+                |(func, to, key, value, peer)| Step::Tx {
+                    func,
+                    to,
+                    key,
+                    value,
+                    peer,
+                },
+            )
+        };
+        prop_oneof![
+            tx(),
+            tx(),
+            tx(),
+            tx(),
+            Just(Step::Block),
+            Just(Step::Block),
+            Just(Step::Block),
+            (0..6usize, any::<bool>())
+                .prop_map(|(depth, recommit)| Step::Rollback { depth, recommit }),
+            (0..40u8).prop_map(|n| if n == 0 {
+                Step::MeterReset
+            } else {
+                Step::Block
+            }),
+        ]
+    }
+
+    /// Drives one chain through `script` beside the clone-per-block oracle.
+    fn run_script(max_depth: usize, fee: bool, script: &[Step]) {
+        let mut chain = quiet_chain(max_depth, fee);
+        // Indexed by height: the oracle's clone and the block's journaled writes.
+        let mut oracle = vec![current_snapshot(&chain)];
+        let mut block_writes = vec![0usize];
+        let mut queued_writes = 0;
+        for step in script {
+            match *step {
+                Step::Tx {
+                    func,
+                    to,
+                    key,
+                    value,
+                    peer,
+                } => {
+                    submit(&mut chain, func, to, key, value, peer);
+                    queued_writes += writes_of(func, to, peer);
+                }
+                Step::Block => {
+                    oracle.push(seal(&mut chain));
+                    block_writes.push(std::mem::take(&mut queued_writes));
+                }
+                Step::MeterReset => {
+                    chain.meter_reset();
+                    assert_eq!(chain.rollback_capacity(), 0, "no fork crosses a reset");
+                    let tip = oracle.len() - 1;
+                    oracle[tip] = current_snapshot(&chain);
+                }
+                Step::Rollback { depth, .. } if depth > chain.rollback_capacity() => {
+                    let height = chain.blocks().len();
+                    let want = if depth > height {
+                        ReorgError::PastRetainedWindow {
+                            requested: depth,
+                            retained: height,
+                        }
+                    } else {
+                        ReorgError::PastSnapshotHorizon {
+                            requested: depth,
+                            available: chain.rollback_capacity(),
+                        }
+                    };
+                    assert_eq!(chain.rollback(depth), Err(want));
+                    assert_state_eq(&chain, &oracle[height]);
+                }
+                Step::Rollback { depth, recommit } => {
+                    let tip = chain.blocks().len();
+                    let target = tip - depth;
+                    let replay = chain.rollback(depth).expect("inside the window");
+                    assert_eq!(replay.len(), depth);
+                    assert_state_eq(&chain, &oracle[target]);
+                    if recommit {
+                        let queued = std::mem::take(&mut chain.mempool);
+                        for txs in replay {
+                            chain.mempool = txs;
+                            chain.produce_block();
+                            assert_state_eq(&chain, &oracle[chain.blocks().len()]);
+                        }
+                        assert_eq!(chain.chain_digest(), oracle[tip].chain_digest);
+                        chain.mempool = queued;
+                    } else {
+                        // The rolled-back branch loses: new blocks take its heights.
+                        oracle.truncate(target + 1);
+                        block_writes.truncate(target + 1);
+                    }
+                }
+            }
+            assert!(chain.undo.len() <= max_depth);
+            let tip = chain.blocks().len();
+            assert_eq!(
+                window_writes(&chain),
+                block_writes[tip + 1 - chain.undo.len()..=tip],
+                "the window holds the newest blocks' writes and nothing else"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random transactions (plain, deleting, reverting, nested, nested with
+        /// a swallowed failure, aimed at nothing) × random block boundaries ×
+        /// rollbacks of every depth up to past the window, re-committed or
+        /// abandoned × meter resets, with and without a per-block gas price.
+        #[test]
+        fn rollback_matches_the_clone_per_block_oracle(
+            max_depth in 1..5usize,
+            fee in any::<bool>(),
+            script in prop::collection::vec(step(), 1..120),
+        ) {
+            run_script(max_depth, fee, &script);
+        }
     }
 }

@@ -4,7 +4,9 @@
 //! Costs are charged per 32-byte word exactly as in the paper's Table 2:
 //! inserting a fresh slot costs `20000·X`, overwriting costs `5000·X`,
 //! reading costs `200·X` (minimum one word). A per-transaction journal allows
-//! reverting all writes if execution fails, matching EVM semantics.
+//! reverting all writes if execution fails, matching EVM semantics; a
+//! reorg-capable chain keeps the successful transactions' entries per block
+//! and undoes whole blocks the same way.
 
 use std::collections::HashMap;
 
@@ -47,6 +49,12 @@ impl ContractStorage {
     pub(crate) fn remove(&mut self, key: &[u8]) -> Option<Vec<u8>> {
         self.slots.remove(key)
     }
+
+    /// Every slot, for comparing whole storages against an oracle.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> &HashMap<Vec<u8>, Vec<u8>> {
+        &self.slots
+    }
 }
 
 /// A recorded pre-image of one storage slot, to undo on revert.
@@ -58,6 +66,26 @@ pub struct JournalEntry {
     pub key: Vec<u8>,
     /// Value before the write (`None` = the slot did not exist).
     pub prior: Option<Vec<u8>>,
+}
+
+/// Undoes `journal` newest-first, so that of several writes to one slot the
+/// oldest pre-image is the one left standing. A slot whose first write is
+/// undone leaves its contract's (empty) map behind.
+pub(crate) fn revert(
+    storages: &mut HashMap<crate::types::Address, ContractStorage>,
+    journal: Vec<JournalEntry>,
+) {
+    for entry in journal.into_iter().rev() {
+        let storage = storages.entry(entry.contract).or_default();
+        match entry.prior {
+            Some(v) => {
+                storage.set(entry.key, v);
+            }
+            None => {
+                storage.remove(&entry.key);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
