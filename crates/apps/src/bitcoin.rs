@@ -8,7 +8,8 @@
 //! hash, transaction Merkle root, time, bits, nonce; double-SHA256 block
 //! hash) over synthetic transaction sets, **without proof-of-work grinding**
 //! — difficulty is irrelevant to the Gas evaluation, and the feed's DO is
-//! trusted to relay real headers (DESIGN.md §3).
+//! trusted to relay real headers (ARCHITECTURE.md, "Where the simulator
+//! departs from the paper").
 
 use grub_crypto::{sha256, Hash32, Sha256};
 

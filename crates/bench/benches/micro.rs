@@ -42,14 +42,15 @@ fn bench_merkle(c: &mut Criterion) {
         .collect();
     let tree = MerkleKv::from_sorted(records);
     let target = ProofKey::new(ReplState::NotReplicated, b"k00032000".to_vec());
+    // The point form the SP serves: the one-key range [target, target].
     c.bench_function("merkle/prove-64k", |b| {
-        b.iter(|| tree.prove(std::hint::black_box(&target)).expect("present"))
+        b.iter(|| tree.prove_range(std::hint::black_box(&target), &target))
     });
-    let proof = tree.prove(&target).expect("present");
+    let proof = tree.prove_range(&target, &target);
     let root = tree.root();
     let vhash = record_value_hash(&32000u32.to_le_bytes());
     c.bench_function("merkle/verify-64k", |b| {
-        b.iter(|| proof.verify(std::hint::black_box(&root), &target, &vhash))
+        b.iter(|| proof.verify(std::hint::black_box(&root), &target, &target))
     });
     c.bench_function("merkle/insert-64k", |b| {
         b.iter_batched(
@@ -214,6 +215,26 @@ fn bench_policy(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         )
+    });
+    // The same mix at the benchmark's key count: every key already known
+    // (the steady state), keys prebuilt, 1k ops striding the whole map.
+    let keys: Vec<String> = (0..65_536u32).map(|i| format!("user{i:08}")).collect();
+    let mut warm = Memoryless::new(2);
+    for key in &keys {
+        warm.on_write(key);
+    }
+    let mut at = 0usize;
+    c.bench_function("policy/memoryless-1k-ops@64k-keys", |b| {
+        b.iter(|| {
+            for i in 0..1000u32 {
+                at = (at + 7919) % keys.len();
+                if i % 3 == 0 {
+                    warm.on_write(&keys[at]);
+                } else {
+                    warm.on_read(&keys[at]);
+                }
+            }
+        })
     });
 }
 

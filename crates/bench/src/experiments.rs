@@ -3,7 +3,8 @@
 //! Scale notes: time-bounded CI runs use moderately scaled-down op counts
 //! relative to the paper (recorded inline per experiment); shapes —
 //! crossovers, winners, convergence — are the reproduction target, per the
-//! calibration bands in `DESIGN.md`.
+//! calibration bands in ARCHITECTURE.md ("Where the simulator departs from
+//! the paper").
 
 use std::fmt::Write as _;
 use std::rc::Rc;

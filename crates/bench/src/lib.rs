@@ -4,8 +4,9 @@
 //! Every function in [`experiments`] reproduces one published artifact —
 //! same workload shape, same parameter sweep, same comparison set — and
 //! renders the rows/series the paper reports. Absolute Gas differs from the
-//! paper's Ropsten measurements where unstated batching parameters differ;
-//! `EXPERIMENTS.md` records paper-vs-measured for each artifact.
+//! paper's Ropsten measurements where unstated batching parameters differ
+//! (the calibration bands in ARCHITECTURE.md, "Where the simulator departs
+//! from the paper").
 //!
 //! Run everything with `cargo bench --bench experiments`, or a single one
 //! with `cargo run --release -p grub-bench --bin experiment -- fig3`.

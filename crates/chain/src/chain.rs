@@ -6,7 +6,7 @@ use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use grub_fault::FaultPoint;
+use grub_fault::{knob, FaultPoint, KnobError};
 use grub_gas::{seeded_mix, FeeProcess, GasMeter, GasSnapshot, Layer};
 
 use crate::contract::{CallContext, CallRecord, Contract, Deployed, ExecState, VmError};
@@ -171,84 +171,68 @@ impl ChainConfig {
     ///
     /// Unset, empty, or `0` leaves the corresponding axis off.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on malformed knob values — a typo must not silently run a
-    /// different scenario.
-    pub fn with_env_realism(mut self) -> Self {
-        if let Ok(raw) = std::env::var("GRUB_REORG") {
-            let raw = raw.trim();
-            if !raw.is_empty() && raw != "0" {
-                self = if raw == "1" {
-                    self.reorg(7, 5, 2)
-                } else {
-                    let parts: Vec<u64> = raw
-                        .split(':')
-                        .map(|p| {
-                            p.parse().unwrap_or_else(|_| {
-                                // grub-lint: allow(panic) — documented "# Panics": a typo'd knob must fail loudly, not run a different scenario
-                                panic!("GRUB_REORG: bad field {p:?} in {raw:?}")
-                            })
-                        })
-                        .collect();
-                    assert!(
-                        parts.len() == 3,
-                        "GRUB_REORG: want seed:period:depth, got {raw:?}"
-                    );
-                    self.reorg(parts[0], parts[1], parts[2] as usize)
-                };
+    /// A [`KnobError`] naming the knob, its value and the accepted form — a
+    /// typo must not silently run a different scenario.
+    pub fn with_env_realism(mut self) -> Result<Self, KnobError> {
+        if let Some(raw) = knob("GRUB_REORG") {
+            let (seed, period, depth) = parse_reorg(&raw)?;
+            self = self.reorg(seed, period, depth);
+        }
+        if let Some(raw) = knob("GRUB_FEE_SCHEDULE") {
+            if let Some(fee) = parse_fee_schedule(&raw)? {
+                self = self.fee(fee);
             }
         }
-        if let Ok(raw) = std::env::var("GRUB_FEE_SCHEDULE") {
-            match FeeProcess::parse(&raw) {
-                Ok(Some(fee)) => self = self.fee(fee),
-                Ok(None) => {}
-                // grub-lint: allow(panic) — documented "# Panics": a typo'd knob must fail loudly, not run a different scenario
-                Err(err) => panic!("GRUB_FEE_SCHEDULE: {err}"),
-            }
+        if let Some(raw) = knob("GRUB_MEMPOOL") {
+            self = self.mempool(parse_count("GRUB_MEMPOOL", &raw)?);
         }
-        if let Ok(raw) = std::env::var("GRUB_MEMPOOL") {
-            let raw = raw.trim();
-            if !raw.is_empty() && raw != "0" {
-                let cap: usize = raw
-                    .parse()
-                    // grub-lint: allow(panic) — documented "# Panics": a typo'd knob must fail loudly, not run a different scenario
-                    .unwrap_or_else(|_| panic!("GRUB_MEMPOOL: bad capacity {raw:?}"));
-                self = self.mempool(cap);
-            }
+        if let Some(raw) = knob("GRUB_CONFIRM_DEPTH") {
+            self = self.confirm_depth(parse_count("GRUB_CONFIRM_DEPTH", &raw)?);
         }
-        if let Ok(raw) = std::env::var("GRUB_CONFIRM_DEPTH") {
-            let raw = raw.trim();
-            if !raw.is_empty() && raw != "0" {
-                let depth: u64 = raw
-                    .parse()
-                    // grub-lint: allow(panic) — documented "# Panics": a typo'd knob must fail loudly, not run a different scenario
-                    .unwrap_or_else(|_| panic!("GRUB_CONFIRM_DEPTH: bad depth {raw:?}"));
-                self = self.confirm_depth(depth);
-            }
+        if let Some(raw) = knob("GRUB_INCLUSION_LATENCY") {
+            let (max_delay, seed) = parse_latency(&raw)?;
+            self = self.latency(seed, max_delay);
         }
-        if let Ok(raw) = std::env::var("GRUB_INCLUSION_LATENCY") {
-            let raw = raw.trim();
-            if !raw.is_empty() && raw != "0" {
-                let (max_raw, seed) = match raw.split_once(':') {
-                    Some((m, s)) => (
-                        m,
-                        s.parse().unwrap_or_else(|_| {
-                            // grub-lint: allow(panic) — documented "# Panics": a typo'd knob must fail loudly, not run a different scenario
-                            panic!("GRUB_INCLUSION_LATENCY: bad seed {s:?} in {raw:?}")
-                        }),
-                    ),
-                    None => (raw, 0),
-                };
-                let max_delay: u64 = max_raw.parse().unwrap_or_else(|_| {
-                    // grub-lint: allow(panic) — documented "# Panics": a typo'd knob must fail loudly, not run a different scenario
-                    panic!("GRUB_INCLUSION_LATENCY: bad delay {max_raw:?} in {raw:?}")
-                });
-                self = self.latency(seed, max_delay);
-            }
-        }
-        self
+        Ok(self)
     }
+}
+
+/// `GRUB_REORG`: `seed:period:depth`, or `1` for the defaults `7:5:2`.
+fn parse_reorg(raw: &str) -> Result<(u64, u64, usize), KnobError> {
+    if raw == "1" {
+        return Ok((7, 5, 2));
+    }
+    let bad = || KnobError::new("GRUB_REORG", raw, "seed:period:depth, or 1 for 7:5:2");
+    let mut fields = raw.split(':').map(|p| p.parse::<u64>().map_err(|_| bad()));
+    match (fields.next(), fields.next(), fields.next(), fields.next()) {
+        (Some(seed), Some(period), Some(depth), None) => Ok((seed?, period?, depth? as usize)),
+        _ => Err(bad()),
+    }
+}
+
+/// `GRUB_FEE_SCHEDULE`: [`FeeProcess::parse`]'s grammar (`flat` is off).
+fn parse_fee_schedule(raw: &str) -> Result<Option<FeeProcess>, KnobError> {
+    let want = "step, spike or revert, optionally :<seed> (or flat)";
+    FeeProcess::parse(raw).map_err(|_| KnobError::new("GRUB_FEE_SCHEDULE", raw, want))
+}
+
+/// `GRUB_MEMPOOL` / `GRUB_CONFIRM_DEPTH`: one non-negative count.
+fn parse_count<T: std::str::FromStr>(name: &'static str, raw: &str) -> Result<T, KnobError> {
+    raw.parse()
+        .map_err(|_| KnobError::new(name, raw, "a non-negative whole number"))
+}
+
+/// `GRUB_INCLUSION_LATENCY`: `<max delay blocks>[:<seed>]`, as `(max, seed)`
+/// with the seed defaulting to 0.
+fn parse_latency(raw: &str) -> Result<(u64, u64), KnobError> {
+    let bad = || KnobError::new("GRUB_INCLUSION_LATENCY", raw, "<max delay blocks>[:<seed>]");
+    let (max_delay, seed) = raw.split_once(':').unwrap_or((raw, "0"));
+    Ok((
+        max_delay.parse().map_err(|_| bad())?,
+        seed.parse().map_err(|_| bad())?,
+    ))
 }
 
 /// One observed fork: recorded when the seeded reorg process fires, for
@@ -578,11 +562,6 @@ impl Blockchain {
     pub fn deploy(&mut self, address: Address, code: Rc<dyn Contract>, layer: Layer) {
         let prior = self.registry.insert(address, Deployed { code, layer });
         assert!(prior.is_none(), "contract already deployed at {address}");
-    }
-
-    /// Whether a contract exists at `address`.
-    pub fn is_deployed(&self, address: Address) -> bool {
-        self.registry.contains_key(&address)
     }
 
     /// Queues a transaction; it executes at the next block — or, under
@@ -1195,16 +1174,6 @@ impl Blockchain {
             .filter(|b| b.number > from_block)
             .flat_map(|b| b.events.iter())
             .filter(|e| e.contract == contract && e.name == name)
-            .collect()
-    }
-
-    /// All events in blocks `(from_block, ..]`, for trace federation.
-    pub fn all_events_since(&self, from_block: u64) -> Vec<&Event> {
-        self.assert_cursor_in_window(from_block);
-        self.blocks
-            .iter()
-            .filter(|b| b.number > from_block)
-            .flat_map(|b| b.events.iter())
             .collect()
     }
 
@@ -1904,19 +1873,24 @@ mod tests {
 
     #[test]
     fn env_realism_knobs_parse() {
-        // Env manipulation is process-wide: every combination runs serially
-        // inside this one test, the only one in the binary touching the knobs.
-        std::env::set_var("GRUB_REORG", "3:9:4");
-        std::env::set_var("GRUB_FEE_SCHEDULE", "step:2");
-        std::env::set_var("GRUB_MEMPOOL", "6");
-        std::env::set_var("GRUB_CONFIRM_DEPTH", "3");
-        std::env::set_var("GRUB_INCLUSION_LATENCY", "2:11");
-        let cfg = ChainConfig::default().with_env_realism();
-        std::env::remove_var("GRUB_REORG");
-        std::env::remove_var("GRUB_FEE_SCHEDULE");
-        std::env::remove_var("GRUB_MEMPOOL");
-        std::env::remove_var("GRUB_CONFIRM_DEPTH");
-        std::env::remove_var("GRUB_INCLUSION_LATENCY");
+        // The grammars are pure functions of the knob's text; the builders
+        // they feed are what `with_env_realism` applies.
+        assert_eq!(parse_reorg("3:9:4"), Ok((3, 9, 4)));
+        assert_eq!(parse_reorg("1"), Ok((7, 5, 2)), "the documented default");
+        assert_eq!(
+            parse_fee_schedule("step:2"),
+            Ok(Some(grub_gas::FeeProcess::step(2)))
+        );
+        assert_eq!(parse_fee_schedule("flat"), Ok(None));
+        assert_eq!(parse_count::<usize>("GRUB_MEMPOOL", "6"), Ok(6));
+        assert_eq!(parse_count::<u64>("GRUB_CONFIRM_DEPTH", "3"), Ok(3));
+        assert_eq!(parse_latency("2:11"), Ok((2, 11)));
+        assert_eq!(parse_latency("1"), Ok((1, 0)), "seed defaults to 0");
+        let (seed, period, depth) = parse_reorg("3:9:4").unwrap();
+        let (max_delay, latency_seed) = parse_latency("2:11").unwrap();
+        let cfg = ChainConfig::default()
+            .reorg(seed, period, depth)
+            .latency(latency_seed, max_delay);
         assert_eq!(
             cfg.reorg,
             Some(ReorgConfig {
@@ -1925,14 +1899,6 @@ mod tests {
                 max_depth: 4,
             })
         );
-        assert_eq!(cfg.fee, Some(grub_gas::FeeProcess::step(2)));
-        assert_eq!(
-            cfg.mempool,
-            Some(MempoolConfig {
-                max_txs_per_block: 6
-            })
-        );
-        assert_eq!(cfg.confirm_depth, 3);
         assert_eq!(
             cfg.latency,
             Some(LatencyConfig {
@@ -1940,19 +1906,28 @@ mod tests {
                 max_delay_blocks: 2,
             })
         );
-        // A bare max-delay defaults the seed to 0.
-        std::env::set_var("GRUB_INCLUSION_LATENCY", "1");
-        let bare = ChainConfig::default().with_env_realism();
-        std::env::remove_var("GRUB_INCLUSION_LATENCY");
-        assert_eq!(
-            bare.latency,
-            Some(LatencyConfig {
-                seed: 0,
-                max_delay_blocks: 1,
-            })
-        );
-        let off = ChainConfig::default().with_env_realism();
-        assert_eq!(off, ChainConfig::default());
+    }
+
+    #[test]
+    fn malformed_realism_knobs_are_typed_errors() {
+        let named = |err: KnobError| (err.name, err.raw);
+        for raw in ["1:2", "a:b:c", "1:2:3:4", "1:2:-3"] {
+            let err = parse_reorg(raw).unwrap_err();
+            assert!(err.to_string().contains("seed:period:depth"), "{err}");
+            assert_eq!(named(err), ("GRUB_REORG", raw.to_owned()));
+        }
+        for raw in ["bogus", "spike:x"] {
+            let err = parse_fee_schedule(raw).unwrap_err();
+            assert_eq!(named(err), ("GRUB_FEE_SCHEDULE", raw.to_owned()));
+        }
+        let err = parse_count::<usize>("GRUB_MEMPOOL", "abc").unwrap_err();
+        assert_eq!(named(err), ("GRUB_MEMPOOL", "abc".to_owned()));
+        let err = parse_count::<u64>("GRUB_CONFIRM_DEPTH", "-1").unwrap_err();
+        assert_eq!(named(err), ("GRUB_CONFIRM_DEPTH", "-1".to_owned()));
+        for raw in ["2:x", "x", "2:3:4"] {
+            let err = parse_latency(raw).unwrap_err();
+            assert_eq!(named(err), ("GRUB_INCLUSION_LATENCY", raw.to_owned()));
+        }
     }
 
     #[test]

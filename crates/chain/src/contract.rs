@@ -225,13 +225,6 @@ impl<'a> CallContext<'a> {
         sha256(data)
     }
 
-    /// Charges one `Chash` for combining two digests (Merkle proof step).
-    pub fn hash_pair(&mut self, left: &Hash32, right: &Hash32) -> Hash32 {
-        let cost = self.state.meter.schedule().hash_cost(2);
-        self.state.meter.charge(self.layer, CostKind::Hash, cost);
-        grub_crypto::sha256_pair(left, right)
-    }
-
     /// Emits an event into the block's log, charging the LOG schedule.
     pub fn emit(&mut self, name: &str, data: Vec<u8>) {
         let cost = self.state.meter.schedule().log_cost(1, data.len());

@@ -4,7 +4,8 @@
 //! schedule of its Table 2 (transactions, storage insert/update/read, hash).
 //! Gas is a deterministic function of the operations a contract performs, so
 //! replaying the same contract logic against the same schedule reproduces the
-//! paper's cost behaviour without a real network (see `DESIGN.md` §3).
+//! paper's cost behaviour without a real network (see ARCHITECTURE.md,
+//! "Where the simulator departs from the paper").
 //!
 //! The simulator provides:
 //!

@@ -86,11 +86,6 @@ impl NetworkSim {
         }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
     fn next_rand(&mut self) -> u64 {
         // xorshift64* — deterministic, no external dependency.
         let mut x = self.rng_state;

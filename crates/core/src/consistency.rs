@@ -39,12 +39,6 @@ impl FreshnessModel {
             + self.chain.finality_depth * self.chain.block_period_ms
     }
 
-    /// The concurrency window (Theorem 3.1): a `gGet` issued within this
-    /// window of a `gPut` may serialize on either side of it.
-    pub fn concurrency_window_ms(&self) -> u64 {
-        self.freshness_bound_ms()
-    }
-
     /// Whether a read at `read_ms` is guaranteed to observe a write at
     /// `write_ms`.
     pub fn read_observes_write(&self, write_ms: u64, read_ms: u64) -> bool {

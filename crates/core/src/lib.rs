@@ -18,12 +18,14 @@
 //!   algorithm (Alg. 1, 2-competitive with `K = Cupdate/Cread_off`), the
 //!   memorizing algorithm (Alg. 2, `(4D+2)/K'`-competitive), the adaptive-K
 //!   heuristics of Appendix C.3, the static baselines BL1/BL2 and the
-//!   offline-optimal reference;
+//!   offline-optimal reference — each stateful policy one map of one small
+//!   record per key;
 //! * [`contract`] — the on-chain storage-manager smart contract
 //!   (`update` / `gGet` / `request` / `deliver`, Listing 2);
 //! * [`owner`] — the data owner (DO): epoch batching of `gPuts`, the
 //!   workload monitor federating local writes with the chain's
-//!   contract-call history, and the decision actuator;
+//!   contract-call history, and the decision actuator — one record per key
+//!   (committed state, desired state, latest value);
 //! * [`provider`] — the storage provider (SP): a [`grub_store::Db`] plus the
 //!   Merkle ADS, the watchdog that answers `request` events with
 //!   proof-carrying `deliver` transactions, and adversarial modes (forge /
@@ -63,6 +65,7 @@ pub mod scrub;
 pub mod system;
 pub mod wire;
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -119,3 +122,22 @@ impl From<grub_chain::BlockError> for GrubError {
 
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, GrubError>;
+
+/// Runs `step` on `key`'s record, creating it on first sight — the only
+/// time the key is copied, so a steady-state observation allocates nothing.
+/// The DO and every stateful policy keep their per-key state this way.
+fn with_entry<V: Default, T>(
+    map: &mut HashMap<String, V>,
+    key: &str,
+    step: impl FnOnce(&mut V) -> T,
+) -> T {
+    match map.get_mut(key) {
+        Some(entry) => step(entry),
+        None => {
+            let mut entry = V::default();
+            let out = step(&mut entry);
+            map.insert(key.to_owned(), entry);
+            out
+        }
+    }
+}

@@ -13,8 +13,14 @@
 //!   the new root digest without trusting the SP. (The paper's DO keeps only
 //!   the root and re-derives updates from SP-supplied proofs; mirroring the
 //!   hash tree — not the data — is an equivalent-trust engineering choice
-//!   documented in DESIGN.md §3: in both designs the digest the DO signs is
-//!   derived exclusively from its own verified view.)
+//!   documented in ARCHITECTURE.md, "Where the simulator departs from the
+//!   paper": in both designs the digest the DO signs is derived exclusively
+//!   from its own verified view.)
+//!
+//! Per-key state is one record (`KeyEntry`: committed state, desired state,
+//! latest value), so an observation, a state query and each step of the flush
+//! cost one lookup. The ordered worklists beside it (`pending`, `hinted`)
+//! hold keys, not state: their iteration order reaches the chain.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -23,6 +29,7 @@ use grub_merkle::{record_value_hash, MerkleKv, ProofKey, ReplState, TreeOp};
 
 use crate::policy::ReplicationPolicy;
 use crate::provider::SpSync;
+use crate::with_entry;
 
 /// The content of one epoch's `update` transaction(s) plus the off-chain
 /// sync the SP must apply (the `gPuts` RPC). Structured so the harness can
@@ -49,15 +56,25 @@ pub struct EpochFlush {
     pub evictions: usize,
 }
 
+/// One key's record in the DO.
+#[derive(Debug, Default)]
+struct KeyEntry {
+    /// Committed on-chain replication state.
+    committed: ReplState,
+    /// Desired state, per the policy's latest observation.
+    desired: ReplState,
+    /// Latest value (the DO produces every value); `None` for a key seen
+    /// only through reads of a record that does not exist.
+    value: Option<Vec<u8>>,
+}
+
 /// The data owner.
 pub struct DataOwner {
     address: Address,
     policy: Box<dyn ReplicationPolicy>,
     mirror: MerkleKv,
-    /// Committed on-chain replication state per key.
-    states: HashMap<String, ReplState>,
-    /// Desired state per key, per the policy's latest observation.
-    desired: HashMap<String, ReplState>,
+    /// Everything the DO knows about each key it has seen.
+    entries: HashMap<String, KeyEntry>,
     /// Keys whose desired state may differ from their committed one: a key
     /// is in the set iff `desired != committed`, or it was when last
     /// observed and the next flush will check. Maintained wherever either
@@ -65,8 +82,6 @@ pub struct DataOwner {
     /// keys the feed stores. A BTree set because the flush emits transitions
     /// in key order — that order reaches the chain.
     pending: BTreeSet<String>,
-    /// Latest value per key (the DO produces every value).
-    values: HashMap<String, Vec<u8>>,
     /// Writes staged for the current epoch, in order.
     staged: Vec<(String, Vec<u8>)>,
     /// Keys whose replicas were installed mid-epoch by `deliver` with the
@@ -87,10 +102,8 @@ impl DataOwner {
             address,
             policy,
             mirror: MerkleKv::new(),
-            states: HashMap::new(),
-            desired: HashMap::new(),
+            entries: HashMap::new(),
             pending: BTreeSet::new(),
-            values: HashMap::new(),
             staged: Vec::new(),
             hinted: BTreeSet::new(),
             monitor_cursor: 0,
@@ -123,12 +136,13 @@ impl DataOwner {
         for (key, value) in records {
             let pkey = ProofKey::new(state, key.as_bytes().to_vec());
             tree_ops.push(TreeOp::Insert(pkey, record_value_hash(value)));
-            self.states.insert(key.clone(), state);
-            self.desired.insert(key.clone(), state);
+            with_entry(&mut self.entries, key, |entry| {
+                (entry.committed, entry.desired) = (state, state);
+                entry.value = Some(value.clone());
+            });
             // Committed and desired now agree, whatever was observed before.
             self.pending.remove(key);
             self.policy.seed_state(key, state);
-            self.values.insert(key.clone(), value.clone());
             sync.push(SpSync::Write {
                 key: key.clone(),
                 value: value.clone(),
@@ -159,15 +173,18 @@ impl DataOwner {
     /// the next flush if it now differs from the committed state. Only the
     /// first sight of a key (and its first queueing) allocates.
     fn set_desired(&mut self, key: &str, want: ReplState) {
-        upsert(&mut self.desired, key, want);
-        if want != self.state_of(key) && !self.pending.contains(key) {
+        let committed = with_entry(&mut self.entries, key, |entry| {
+            entry.desired = want;
+            entry.committed
+        });
+        if want != committed && !self.pending.contains(key) {
             self.pending.insert(key.to_owned());
         }
     }
 
     /// The policy's current desired state for `key`.
     pub fn desired_state(&self, key: &str) -> ReplState {
-        *self.desired.get(key).unwrap_or(&ReplState::NotReplicated)
+        self.entries.get(key).map(|e| e.desired).unwrap_or_default()
     }
 
     /// Notes that a `deliver` installed a replica for `key` ahead of the
@@ -201,7 +218,10 @@ impl DataOwner {
 
     /// The committed replication state of `key` (NR when unknown).
     pub fn state_of(&self, key: &str) -> ReplState {
-        *self.states.get(key).unwrap_or(&ReplState::NotReplicated)
+        self.entries
+            .get(key)
+            .map(|e| e.committed)
+            .unwrap_or_default()
     }
 
     /// Current root digest of the DO's mirror.
@@ -219,10 +239,10 @@ impl DataOwner {
     /// This is the ground truth the scrubber audits the SP against.
     pub fn live_records(&self) -> Vec<(String, ReplState, Vec<u8>)> {
         let mut out: Vec<(String, ReplState, Vec<u8>)> = self
-            // grub-lint: allow(determinism) — sorted by key two lines down
-            .values
+            // grub-lint: allow(determinism) — sorted by key below
+            .entries
             .iter()
-            .map(|(key, value)| (key.clone(), self.state_of(key), value.clone()))
+            .filter_map(|(key, e)| Some((key.clone(), e.committed, e.value.clone()?)))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -247,24 +267,19 @@ impl DataOwner {
         //    values[] arrays and pays one storage write per element
         //    (Listing 2), which is what makes BL2 expensive under
         //    write-heavy workloads. The occurrences live on as the `Write`
-        //    prefix of `sync`; the value itself is copied once, into
-        //    `values`.
+        //    prefix of `sync`; the value itself is copied once, into the
+        //    key's entry (which `observe_write` created).
         let mut hinted_written: BTreeSet<&str> = BTreeSet::new();
         for (key, value) in staged {
-            let state = match self.states.get(&key) {
-                Some(state) => *state,
-                None => {
-                    self.states.insert(key.clone(), ReplState::NotReplicated);
-                    ReplState::NotReplicated
-                }
+            let Some(entry) = self.entries.get_mut(&key) else {
+                continue;
             };
+            let state = entry.committed;
             let pkey = ProofKey::new(state, key.as_bytes().to_vec());
             tree_ops.push(TreeOp::Insert(pkey, record_value_hash(&value)));
-            match self.values.get_mut(&key) {
+            match &mut entry.value {
                 Some(slot) => slot.clone_from(&value),
-                None => {
-                    self.values.insert(key.clone(), value.clone());
-                }
+                None => entry.value = Some(value.clone()),
             }
             if let Some(hint) = hinted.get(&key) {
                 hinted_written.insert(hint);
@@ -277,13 +292,16 @@ impl DataOwner {
         let mut to_r: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         let mut to_nr: Vec<Vec<u8>> = Vec::new();
         for key in std::mem::take(&mut self.pending) {
-            let from = self.state_of(&key);
-            let to = self.desired_state(&key);
+            // `set_desired` queues a key only after creating its entry.
+            let Some(entry) = self.entries.get_mut(&key) else {
+                continue;
+            };
+            let (from, to) = (entry.committed, entry.desired);
             if from == to {
                 // The decision flipped away and back before the flush.
                 continue;
             }
-            let Some(value) = self.values.get(&key) else {
+            let Some(value) = &entry.value else {
                 // A key the policy saw only through reads of a record that
                 // does not exist; nothing to relocate yet, but the decision
                 // stands, so the next flush must look again.
@@ -314,7 +332,7 @@ impl DataOwner {
                 }
                 ReplState::NotReplicated => to_nr.push(key.as_bytes().to_vec()),
             }
-            upsert(&mut self.states, &key, to);
+            entry.committed = to;
             sync.push(SpSync::Relocate { key, from, to });
         }
         // 3. Updates to records that stay replicated — one array element per
@@ -367,22 +385,12 @@ impl DataOwner {
     }
 }
 
-/// `map[key] = state`, allocating a key only on first sight.
-fn upsert(map: &mut HashMap<String, ReplState>, key: &str, state: ReplState) {
-    match map.get_mut(key) {
-        Some(slot) => *slot = state,
-        None => {
-            map.insert(key.to_owned(), state);
-        }
-    }
-}
-
 impl std::fmt::Debug for DataOwner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DataOwner")
             .field("address", &self.address)
             .field("policy", &self.policy.name())
-            .field("keys", &self.states.len())
+            .field("keys", &self.entries.len())
             .finish_non_exhaustive()
     }
 }

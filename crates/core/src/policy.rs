@@ -16,11 +16,13 @@
 //! | [`AdaptiveK`] (K1/K2) | Appendix C.3 | heuristic |
 //! | [`OfflineOptimal`] | Appendix A | cost-optimal reference (needs the future) |
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use grub_gas::GasSchedule;
 use grub_merkle::ReplState;
 use grub_workload::{Op, OpSource, Trace};
+
+use crate::with_entry;
 
 /// A replication decision maker.
 ///
@@ -90,18 +92,18 @@ impl ReplicationPolicy for Bl2 {
 #[derive(Debug, Clone)]
 pub struct Memoryless {
     k: u64,
-    counters: HashMap<String, u64>,
-    states: HashMap<String, ReplState>,
+    /// Bumped by [`Memoryless::set_k`]: a counter stamped with an older era
+    /// reads as zero.
+    era: u64,
+    keys: HashMap<String, MemorylessKey>,
 }
 
-impl Memoryless {
-    pub(crate) fn carry_states(&mut self, states: HashMap<String, ReplState>) {
-        self.states = states;
-    }
-
-    pub(crate) fn take_states(&mut self) -> HashMap<String, ReplState> {
-        std::mem::take(&mut self.states)
-    }
+#[derive(Debug, Clone, Copy, Default)]
+struct MemorylessKey {
+    state: ReplState,
+    /// Consecutive reads since the last write, as of `era`.
+    counter: u64,
+    era: u64,
 }
 
 impl Memoryless {
@@ -109,8 +111,8 @@ impl Memoryless {
     pub fn new(k: u64) -> Self {
         Memoryless {
             k,
-            counters: HashMap::new(),
-            states: HashMap::new(),
+            era: 0,
+            keys: HashMap::new(),
         }
     }
 
@@ -123,38 +125,43 @@ impl Memoryless {
     pub fn k(&self) -> u64 {
         self.k
     }
+
+    /// Retunes the threshold in place: every decision stands, every counter
+    /// restarts (memoryless semantics).
+    pub(crate) fn set_k(&mut self, k: u64) {
+        self.k = k;
+        self.era += 1;
+    }
 }
 
 impl ReplicationPolicy for Memoryless {
     fn seed_state(&mut self, key: &str, state: ReplState) {
-        self.states.insert(key.to_owned(), state);
+        with_entry(&mut self.keys, key, |entry| entry.state = state);
     }
 
     fn on_write(&mut self, key: &str) -> ReplState {
-        self.counters.insert(key.to_owned(), 0);
-        self.states.insert(key.to_owned(), ReplState::NotReplicated);
+        with_entry(&mut self.keys, key, |entry| {
+            (entry.state, entry.counter) = (ReplState::NotReplicated, 0);
+        });
         ReplState::NotReplicated
     }
 
     fn on_read(&mut self, key: &str) -> ReplState {
-        let state = self
-            .states
-            .entry(key.to_owned())
-            .or_insert(ReplState::NotReplicated);
-        if *state == ReplState::Replicated {
-            return ReplState::Replicated;
-        }
-        let counter = self.counters.entry(key.to_owned()).or_insert(0);
-        if *counter < self.k {
-            *counter += 1;
-        }
-        if *counter >= self.k {
-            *state = ReplState::Replicated;
-            self.counters.remove(key);
-            ReplState::Replicated
-        } else {
-            ReplState::NotReplicated
-        }
+        with_entry(&mut self.keys, key, |entry| {
+            if entry.state == ReplState::Replicated {
+                return ReplState::Replicated;
+            }
+            if entry.era != self.era {
+                (entry.counter, entry.era) = (0, self.era);
+            }
+            if entry.counter < self.k {
+                entry.counter += 1;
+            }
+            if entry.counter >= self.k {
+                (entry.state, entry.counter) = (ReplState::Replicated, 0);
+            }
+            entry.state
+        })
     }
 
     fn name(&self) -> String {
@@ -174,9 +181,27 @@ impl ReplicationPolicy for Memoryless {
 pub struct Memorizing {
     k_prime: f64,
     d: f64,
-    reads: HashMap<String, f64>,
-    writes: HashMap<String, f64>,
-    states: HashMap<String, ReplState>,
+    keys: HashMap<String, MemorizingKey>,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct MemorizingKey {
+    state: ReplState,
+    reads: f64,
+    writes: f64,
+}
+
+impl MemorizingKey {
+    fn check(&mut self, k_prime: f64, d: f64) -> ReplState {
+        if self.writes * k_prime + d <= self.reads {
+            // Reset per the paper: wCount ← 0, rCount ← D.
+            (self.state, self.writes, self.reads) = (ReplState::Replicated, 0.0, d);
+        } else if self.writes * k_prime - d >= self.reads {
+            // Reset per the paper: rCount ← 0, wCount ← D/K'.
+            (self.state, self.reads, self.writes) = (ReplState::NotReplicated, 0.0, d / k_prime);
+        }
+        self.state
+    }
 }
 
 impl Memorizing {
@@ -191,52 +216,35 @@ impl Memorizing {
         Memorizing {
             k_prime,
             d,
-            reads: HashMap::new(),
-            writes: HashMap::new(),
-            states: HashMap::new(),
+            keys: HashMap::new(),
         }
-    }
-
-    fn check(&mut self, key: &str) -> ReplState {
-        let r = *self.reads.get(key).unwrap_or(&0.0);
-        let w = *self.writes.get(key).unwrap_or(&0.0);
-        let state = self
-            .states
-            .entry(key.to_owned())
-            .or_insert(ReplState::NotReplicated);
-        if w * self.k_prime + self.d <= r {
-            *state = ReplState::Replicated;
-            // Reset per the paper: wCount ← 0, rCount ← D.
-            self.writes.insert(key.to_owned(), 0.0);
-            self.reads.insert(key.to_owned(), self.d);
-        } else if w * self.k_prime - self.d >= r {
-            *state = ReplState::NotReplicated;
-            // Reset per the paper: rCount ← 0, wCount ← D/K'.
-            self.reads.insert(key.to_owned(), 0.0);
-            self.writes.insert(key.to_owned(), self.d / self.k_prime);
-        }
-        *state
     }
 }
 
 impl ReplicationPolicy for Memorizing {
     fn seed_state(&mut self, key: &str, state: ReplState) {
-        self.states.insert(key.to_owned(), state);
-        if state == ReplState::Replicated {
-            // Start at the replication boundary so the next writes can
-            // deprecate it (the paper's counter reset after a flip to R).
-            self.reads.insert(key.to_owned(), self.d);
-        }
+        with_entry(&mut self.keys, key, |entry| {
+            entry.state = state;
+            if state == ReplState::Replicated {
+                // Start at the replication boundary so the next writes can
+                // deprecate it (the paper's counter reset after a flip to R).
+                entry.reads = self.d;
+            }
+        });
     }
 
     fn on_write(&mut self, key: &str) -> ReplState {
-        *self.writes.entry(key.to_owned()).or_insert(0.0) += 1.0;
-        self.check(key)
+        with_entry(&mut self.keys, key, |entry| {
+            entry.writes += 1.0;
+            entry.check(self.k_prime, self.d)
+        })
     }
 
     fn on_read(&mut self, key: &str) -> ReplState {
-        *self.reads.entry(key.to_owned()).or_insert(0.0) += 1.0;
-        self.check(key)
+        with_entry(&mut self.keys, key, |entry| {
+            entry.reads += 1.0;
+            entry.check(self.k_prime, self.d)
+        })
     }
 
     fn name(&self) -> String {
@@ -262,9 +270,16 @@ pub struct AdaptiveK {
     dual: bool,
     window: usize,
     threshold: f64,
-    history: HashMap<String, Vec<u64>>,
-    since_write: HashMap<String, u64>,
-    states: HashMap<String, ReplState>,
+    keys: HashMap<String, AdaptiveKey>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct AdaptiveKey {
+    state: ReplState,
+    /// Reads since the last write (the open burst).
+    since_write: u64,
+    /// The last `window` closed bursts, oldest first.
+    history: VecDeque<u64>,
 }
 
 impl AdaptiveK {
@@ -285,36 +300,36 @@ impl AdaptiveK {
             dual,
             window: window.max(1),
             threshold,
-            history: HashMap::new(),
-            since_write: HashMap::new(),
-            states: HashMap::new(),
+            keys: HashMap::new(),
         }
     }
 }
 
 impl ReplicationPolicy for AdaptiveK {
     fn on_write(&mut self, key: &str) -> ReplState {
-        // Close out the burst that followed the previous write.
-        let burst = self.since_write.insert(key.to_owned(), 0).unwrap_or(0);
-        let bursts = self.history.entry(key.to_owned()).or_default();
-        bursts.push(burst);
-        if bursts.len() > self.window {
-            bursts.remove(0);
-        }
-        let predicted = bursts.iter().sum::<u64>() as f64 / bursts.len() as f64;
-        let repeat_says_replicate = predicted >= self.threshold;
-        let state = if repeat_says_replicate != self.dual {
-            ReplState::Replicated
-        } else {
-            ReplState::NotReplicated
-        };
-        self.states.insert(key.to_owned(), state);
-        state
+        with_entry(&mut self.keys, key, |entry| {
+            // Close out the burst that followed the previous write.
+            let burst = std::mem::take(&mut entry.since_write);
+            entry.history.push_back(burst);
+            if entry.history.len() > self.window {
+                entry.history.pop_front();
+            }
+            let predicted = entry.history.iter().sum::<u64>() as f64 / entry.history.len() as f64;
+            let repeat_says_replicate = predicted >= self.threshold;
+            entry.state = if repeat_says_replicate != self.dual {
+                ReplState::Replicated
+            } else {
+                ReplState::NotReplicated
+            };
+            entry.state
+        })
     }
 
     fn on_read(&mut self, key: &str) -> ReplState {
-        *self.since_write.entry(key.to_owned()).or_insert(0) += 1;
-        *self.states.get(key).unwrap_or(&ReplState::NotReplicated)
+        with_entry(&mut self.keys, key, |entry| {
+            entry.since_write += 1;
+            entry.state
+        })
     }
 
     fn name(&self) -> String {
@@ -331,12 +346,14 @@ impl ReplicationPolicy for AdaptiveK {
 /// before the next write of that key is at least the Equation-1 threshold.
 #[derive(Debug, Clone)]
 pub struct OfflineOptimal {
-    /// Per key: queue of decisions, one per write, in trace order. BTree
-    /// maps keep the offline precomputation order-deterministic (this is a
-    /// reference policy, never a hot path).
-    decisions: std::collections::BTreeMap<String, std::collections::VecDeque<ReplState>>,
-    states: HashMap<String, ReplState>,
+    keys: OfflineKeys,
 }
+
+/// Per key: the queue of decisions still to come, one per write in trace
+/// order, and the decision in force. A BTree map keeps the offline
+/// precomputation order-deterministic (this is a reference policy, never a
+/// hot path).
+type OfflineKeys = BTreeMap<String, (VecDeque<ReplState>, ReplState)>;
 
 impl OfflineOptimal {
     /// Precomputes decisions for `trace` with threshold `k` (use
@@ -367,14 +384,9 @@ impl OfflineOptimal {
         // reads-following count per (key, write occurrence), closed out when
         // the next write of the same key arrives, the lookahead window ends,
         // or the trace does.
-        let mut upcoming: std::collections::BTreeMap<
-            String,
-            std::collections::VecDeque<ReplState>,
-        > = std::collections::BTreeMap::new();
-        let mut open: std::collections::BTreeMap<String, (usize, u64)> =
-            std::collections::BTreeMap::new();
-        let mut horizon: std::collections::VecDeque<(usize, String)> =
-            std::collections::VecDeque::new();
+        let mut upcoming = OfflineKeys::new();
+        let mut open: BTreeMap<String, (usize, u64)> = BTreeMap::new();
+        let mut horizon: VecDeque<(usize, String)> = VecDeque::new();
         let mut i = 0usize;
         while let Some(op) = source.next_op() {
             while let Some((opened_at, _)) = horizon.front() {
@@ -415,40 +427,30 @@ impl OfflineOptimal {
         for (key, (_, reads)) in open {
             push_decision(&mut upcoming, &key, reads, k);
         }
-        OfflineOptimal {
-            decisions: upcoming,
-            states: HashMap::new(),
-        }
+        OfflineOptimal { keys: upcoming }
     }
 }
 
-fn push_decision(
-    map: &mut std::collections::BTreeMap<String, std::collections::VecDeque<ReplState>>,
-    key: &str,
-    reads: u64,
-    k: f64,
-) {
+fn push_decision(map: &mut OfflineKeys, key: &str, reads: u64, k: f64) {
     let state = if (reads as f64) >= k {
         ReplState::Replicated
     } else {
         ReplState::NotReplicated
     };
-    map.entry(key.to_owned()).or_default().push_back(state);
+    map.entry(key.to_owned()).or_default().0.push_back(state);
 }
 
 impl ReplicationPolicy for OfflineOptimal {
     fn on_write(&mut self, key: &str) -> ReplState {
-        let state = self
-            .decisions
-            .get_mut(key)
-            .and_then(|q| q.pop_front())
-            .unwrap_or(ReplState::NotReplicated);
-        self.states.insert(key.to_owned(), state);
-        state
+        let Some((upcoming, state)) = self.keys.get_mut(key) else {
+            return ReplState::NotReplicated;
+        };
+        *state = upcoming.pop_front().unwrap_or_default();
+        *state
     }
 
     fn on_read(&mut self, key: &str) -> ReplState {
-        *self.states.get(key).unwrap_or(&ReplState::NotReplicated)
+        self.keys.get(key).map(|e| e.1).unwrap_or_default()
     }
 
     fn name(&self) -> String {
@@ -476,7 +478,8 @@ pub struct SelfTuningK {
     inner: Memoryless,
     window: usize,
     retune_every: u64,
-    bursts: std::collections::VecDeque<u64>,
+    bursts: VecDeque<u64>,
+    /// Reads since each key's last write (its open burst).
     since_write: HashMap<String, u64>,
     writes_seen: u64,
     deliver_cost: f64,
@@ -495,10 +498,10 @@ impl SelfTuningK {
         let replica_cost = (schedule.storage_insert(1) + schedule.storage_update(1)) as f64;
         let onchain_read_cost = schedule.storage_read(1) as f64;
         SelfTuningK {
-            inner: Memoryless::new(schedule.two_competitive_k().round().max(1.0) as u64),
+            inner: Memoryless::two_competitive(schedule),
             window: window.max(4),
             retune_every: 8,
-            bursts: std::collections::VecDeque::new(),
+            bursts: VecDeque::new(),
             since_write: HashMap::new(),
             writes_seen: 0,
             deliver_cost,
@@ -538,11 +541,7 @@ impl SelfTuningK {
             })
             .unwrap_or(2);
         if best != self.inner.k() {
-            // Carry the per-key states into a fresh threshold: keep current
-            // decisions, reset only the counters (memoryless semantics).
-            let mut next = Memoryless::new(best);
-            next.carry_states(self.inner.take_states());
-            self.inner = next;
+            self.inner.set_k(best);
         }
     }
 }
@@ -553,7 +552,7 @@ impl ReplicationPolicy for SelfTuningK {
     }
 
     fn on_write(&mut self, key: &str) -> ReplState {
-        let burst = self.since_write.insert(key.to_owned(), 0).unwrap_or(0);
+        let burst = with_entry(&mut self.since_write, key, std::mem::take);
         self.bursts.push_back(burst);
         while self.bursts.len() > self.window {
             self.bursts.pop_front();
@@ -566,7 +565,7 @@ impl ReplicationPolicy for SelfTuningK {
     }
 
     fn on_read(&mut self, key: &str) -> ReplState {
-        *self.since_write.entry(key.to_owned()).or_insert(0) += 1;
+        with_entry(&mut self.since_write, key, |burst| *burst += 1);
         self.inner.on_read(key)
     }
 
@@ -607,21 +606,14 @@ impl FeeAware {
     }
 
     fn decide(&mut self, key: &str, want: ReplState) -> ReplState {
-        let have = self
-            .granted
-            .get(key)
-            .copied()
-            .unwrap_or(ReplState::NotReplicated);
-        let out = if want == ReplState::Replicated
-            && have == ReplState::NotReplicated
-            && self.price_permille > self.threshold_permille
-        {
-            ReplState::NotReplicated
-        } else {
-            want
-        };
-        self.granted.insert(key.to_owned(), out);
-        out
+        let deferring = self.price_permille > self.threshold_permille;
+        with_entry(&mut self.granted, key, |have| {
+            let install = want == ReplState::Replicated && *have == ReplState::NotReplicated;
+            if !(install && deferring) {
+                *have = want;
+            }
+            *have
+        })
     }
 }
 
@@ -645,7 +637,7 @@ impl ReplicationPolicy for FeeAware {
     }
 
     fn seed_state(&mut self, key: &str, state: ReplState) {
-        self.granted.insert(key.to_owned(), state);
+        with_entry(&mut self.granted, key, |have| *have = state);
         self.inner.seed_state(key, state);
     }
 

@@ -204,7 +204,12 @@ impl StorageProvider {
     /// Records the DO's current desired replication state for `key`; the
     /// next point delivery of that key carries the `replicate` flag.
     pub fn set_decision_hint(&mut self, key: &str, state: ReplState) {
-        self.decision_hints.insert(key.as_bytes().to_vec(), state);
+        match self.decision_hints.get_mut(key.as_bytes()) {
+            Some(hint) => *hint = state,
+            None => {
+                self.decision_hints.insert(key.as_bytes().to_vec(), state);
+            }
+        }
     }
 
     fn storage_key(state: ReplState, key: &str) -> Vec<u8> {
@@ -214,17 +219,8 @@ impl StorageProvider {
         out
     }
 
-    /// Applies the DO's `gPuts` synchronization, in order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store I/O failures.
-    pub fn apply_sync(&mut self, ops: &[SpSync]) -> Result<()> {
-        self.apply_sync_batch(ops.to_vec())
-    }
-
-    /// The owned hot-path variant of [`StorageProvider::apply_sync`]: store
-    /// writes take the round's values by move (no per-record clone), and the
+    /// Applies the DO's `gPuts` synchronization, in order: store writes
+    /// take the round's values by move (no per-record clone), and the
     /// whole round's tree mutations are applied as one deferred-hash
     /// [`MerkleKv::apply_batch`] — the root is byte-identical to the per-op
     /// insert/invalidate sequence, but shared root-to-leaf paths are hashed
@@ -575,7 +571,7 @@ mod tests {
     #[test]
     fn sync_updates_tree_and_store() {
         let mut sp = sp();
-        sp.apply_sync(&[write("a", b"1", ReplState::NotReplicated)])
+        sp.apply_sync_batch(vec![write("a", b"1", ReplState::NotReplicated)])
             .unwrap();
         assert_eq!(
             sp.value_of(ReplState::NotReplicated, "a"),
@@ -590,7 +586,7 @@ mod tests {
     #[test]
     fn relocate_moves_between_groups() {
         let mut sp = sp();
-        sp.apply_sync(&[
+        sp.apply_sync_batch(vec![
             write("a", b"1", ReplState::NotReplicated),
             SpSync::Relocate {
                 key: "a".into(),
@@ -612,20 +608,20 @@ mod tests {
         owner.observe_write("k1", b"v1".to_vec());
         owner.observe_write("k2", b"v2".to_vec());
         let flush = owner.flush_epoch();
-        sp.apply_sync(&flush.sp_sync).unwrap();
+        sp.apply_sync_batch(flush.sp_sync).unwrap();
         assert_eq!(sp.root(), owner.root());
         // Now drive a transition.
         owner.observe_read("k1");
         owner.observe_read("k1");
         let flush = owner.flush_epoch();
-        sp.apply_sync(&flush.sp_sync).unwrap();
+        sp.apply_sync_batch(flush.sp_sync).unwrap();
         assert_eq!(sp.root(), owner.root());
     }
 
     #[test]
     fn range_records_are_exact() {
         let mut sp = sp();
-        sp.apply_sync(&[
+        sp.apply_sync_batch(vec![
             write("a", b"1", ReplState::NotReplicated),
             write("b", b"2", ReplState::NotReplicated),
             write("c", b"3", ReplState::Replicated),

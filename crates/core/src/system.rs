@@ -292,10 +292,10 @@ pub struct EpochStage {
 impl EpochStage {
     /// Stages one operation into the current epoch without chain
     /// interaction.
-    fn push_op(&mut self, op: &Op) {
+    fn push_op(&mut self, op: Op) {
         match op {
             Op::Write { key, value } => {
-                self.owner.observe_write(key, value.materialize());
+                self.owner.observe_write(&key, value.materialize());
             }
             Op::Read { key } => {
                 // In batched mode the whole epoch's reads share a block, so
@@ -303,16 +303,16 @@ impl EpochStage {
                 // delivers; in live mode each read is observed at its own
                 // block (see EpochDriver::run_read_phase).
                 if self.coalesce_reads {
-                    self.owner.observe_read(key);
+                    self.owner.observe_read(&key);
                 }
-                self.pending_reads.push(key.clone());
+                self.pending_reads.push(key);
             }
             Op::Scan { start_key, len } => {
                 if self.coalesce_reads {
-                    self.owner.observe_read(start_key);
+                    self.owner.observe_read(&start_key);
                 }
-                self.pending_scans
-                    .push((start_key.clone(), scan_end_key(start_key, *len)));
+                let end_key = scan_end_key(&start_key, len);
+                self.pending_scans.push((start_key, end_key));
             }
         }
         self.ops_in_epoch += 1;
@@ -347,7 +347,7 @@ impl EpochStage {
     pub fn ingest(&mut self, source: &mut dyn OpSource) {
         while !self.epoch_is_full() {
             let Some(op) = source.next_op() else { break };
-            self.push_op(&op);
+            self.push_op(op);
         }
     }
 

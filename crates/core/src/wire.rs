@@ -6,10 +6,7 @@
 
 use grub_chain::codec::{Decoder, Encoder};
 use grub_chain::VmError;
-use grub_merkle::{MembershipProof, ProofKey, ProofNode, RangeProof, ReplState};
-
-/// Hard cap on decoded proof sizes, guarding against hostile payloads.
-const MAX_PROOF_NODES: u64 = 1 << 22;
+use grub_merkle::{ProofKey, ProofNode, RangeProof, ReplState};
 
 /// Encodes a [`ProofKey`].
 pub fn encode_proof_key(enc: &mut Encoder, pkey: &ProofKey) {
@@ -33,48 +30,6 @@ pub fn decode_proof_key(dec: &mut Decoder<'_>) -> Result<ProofKey, VmError> {
         },
         key,
     ))
-}
-
-/// Encodes a [`MembershipProof`].
-pub fn encode_membership_proof(enc: &mut Encoder, proof: &MembershipProof) {
-    enc.u64(proof.path.len() as u64);
-    for step in &proof.path {
-        enc.boolean(step.sibling_is_left);
-        enc.hash(&step.sibling);
-    }
-    encode_proof_key(enc, &proof.leaf_pkey);
-    enc.hash(&proof.leaf_vhash);
-    enc.boolean(proof.leaf_valid);
-}
-
-/// Decodes a [`MembershipProof`].
-///
-/// # Errors
-///
-/// [`VmError::Decode`] on truncated or absurdly sized payloads.
-pub fn decode_membership_proof(dec: &mut Decoder<'_>) -> Result<MembershipProof, VmError> {
-    let steps = dec.u64()?;
-    if steps > MAX_PROOF_NODES {
-        return Err(VmError::Decode("absurd proof length".into()));
-    }
-    let mut path = Vec::with_capacity(steps as usize);
-    for _ in 0..steps {
-        let sibling_is_left = dec.boolean()?;
-        let sibling = dec.hash()?;
-        path.push(grub_merkle::PathStep {
-            sibling,
-            sibling_is_left,
-        });
-    }
-    let leaf_pkey = decode_proof_key(dec)?;
-    let leaf_vhash = dec.hash()?;
-    let leaf_valid = dec.boolean()?;
-    Ok(MembershipProof {
-        path,
-        leaf_pkey,
-        leaf_vhash,
-        leaf_valid,
-    })
 }
 
 const NODE_OPAQUE: u64 = 0;
@@ -174,18 +129,22 @@ mod tests {
     }
 
     #[test]
-    fn membership_proof_round_trip() {
+    fn point_proof_round_trip() {
+        // The form every point `deliver` carries: the one-key range [c, c].
         let mut tree = MerkleKv::new();
         for k in ["a", "b", "c", "d", "e"] {
             tree.insert(nr(k), record_value_hash(k.as_bytes()));
         }
-        let proof = tree.prove(&nr("c")).unwrap();
+        let proof = tree.prove_range(&nr("c"), &nr("c"));
         let mut enc = Encoder::new();
-        encode_membership_proof(&mut enc, &proof);
+        encode_range_proof(&mut enc, &proof);
         let buf = enc.finish();
-        let got = decode_membership_proof(&mut Decoder::new(&buf)).unwrap();
+        let got = decode_range_proof(&mut Decoder::new(&buf)).unwrap();
         assert_eq!(got, proof);
-        assert!(got.verify(&tree.root(), &nr("c"), &record_value_hash(b"c")));
+        assert_eq!(
+            got.verify(&tree.root(), &nr("c"), &nr("c")),
+            Ok(vec![(nr("c"), record_value_hash(b"c"))])
+        );
     }
 
     #[test]
@@ -218,11 +177,11 @@ mod tests {
         let mut tree = MerkleKv::new();
         tree.insert(nr("a"), record_value_hash(b"a"));
         tree.insert(nr("b"), record_value_hash(b"b"));
-        let proof = tree.prove(&nr("a")).unwrap();
+        let proof = tree.prove_range(&nr("a"), &nr("a"));
         let mut enc = Encoder::new();
-        encode_membership_proof(&mut enc, &proof);
+        encode_range_proof(&mut enc, &proof);
         let buf = enc.finish();
-        assert!(decode_membership_proof(&mut Decoder::new(&buf[..buf.len() - 2])).is_err());
+        assert!(decode_range_proof(&mut Decoder::new(&buf[..buf.len() - 2])).is_err());
     }
 
     #[test]

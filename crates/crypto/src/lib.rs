@@ -7,8 +7,8 @@
 //! * [`sha256`] — a FIPS 180-4 SHA-256 implementation, validated against the
 //!   official test vectors (see the unit tests).
 //! * [`hmac_sha256`] — HMAC (RFC 2104) over SHA-256, used as the data owner's
-//!   digest authenticator in the simulator (see `DESIGN.md` §3 for the
-//!   substitution rationale).
+//!   digest authenticator in the simulator (see ARCHITECTURE.md, "Where the
+//!   simulator departs from the paper", for the substitution rationale).
 //! * [`Hash32`] — the 32-byte digest newtype shared by every crate.
 //! * [`hex`] — dependency-free hex encoding/decoding.
 //!
@@ -158,8 +158,9 @@ pub fn sha256_pair(left: &Hash32, right: &Hash32) -> Hash32 {
 /// HMAC-SHA256 per RFC 2104.
 ///
 /// Used as the data owner's authenticator on the signed root digest in the
-/// simulation (substituting for ECDSA; see `DESIGN.md` §3). Verified against
-/// RFC 4231 test vectors in the unit tests.
+/// simulation (substituting for ECDSA; see ARCHITECTURE.md, "Where the
+/// simulator departs from the paper"). Verified against RFC 4231 test
+/// vectors in the unit tests.
 ///
 /// # Examples
 ///

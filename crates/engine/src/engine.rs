@@ -5,7 +5,7 @@ use grub_chain::{Address, Blockchain, ChainConfig, Transaction, TxId};
 use grub_core::scrub::Scrubber;
 use grub_core::system::{DriverIdentity, EpochDriver, StagedReads, StagedUpdate, SystemConfig};
 use grub_core::{GrubError, Result};
-use grub_fault::FaultPoint;
+use grub_fault::{FaultPoint, KnobError};
 use grub_gas::{checked_add_gas, checked_sub_gas, Layer};
 use grub_store::StoreError;
 use grub_workload::{OpSource, PeekableSource, Trace};
@@ -39,25 +39,6 @@ pub enum ScrubMode {
     Repair,
 }
 
-/// A `GRUB_*` environment knob set to a value outside its accepted set.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KnobError {
-    /// The environment variable.
-    pub name: &'static str,
-    /// The rejected value, as found in the environment.
-    pub raw: String,
-    /// The accepted values.
-    pub want: &'static str,
-}
-
-impl std::fmt::Display for KnobError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}={:?}: expected {}", self.name, self.raw, self.want)
-    }
-}
-
-impl std::error::Error for KnobError {}
-
 impl std::str::FromStr for ScrubMode {
     type Err = KnobError;
 
@@ -70,11 +51,11 @@ impl std::str::FromStr for ScrubMode {
             "" | "0" | "off" => Ok(ScrubMode::Off),
             "1" | "detect" => Ok(ScrubMode::Detect),
             "repair" => Ok(ScrubMode::Repair),
-            _ => Err(KnobError {
-                name: "GRUB_SCRUB",
-                raw: raw.to_owned(),
-                want: "unset, \"\", 0, off, 1, detect or repair",
-            }),
+            _ => Err(KnobError::new(
+                "GRUB_SCRUB",
+                raw,
+                "unset, \"\", 0, off, 1, detect or repair",
+            )),
         }
     }
 }
@@ -89,10 +70,7 @@ impl ScrubMode {
     ///
     /// [`FromStr`]: std::str::FromStr
     pub fn from_env() -> std::result::Result<Self, KnobError> {
-        match std::env::var_os("GRUB_SCRUB") {
-            None => Ok(ScrubMode::Off),
-            Some(raw) => raw.to_string_lossy().parse(),
-        }
+        grub_fault::knob("GRUB_SCRUB").map_or(Ok(ScrubMode::Off), |raw| raw.parse())
     }
 }
 

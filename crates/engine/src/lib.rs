@@ -152,7 +152,8 @@ mod router;
 pub mod specs;
 
 pub use engine::{
-    tenant_shard, EngineConfig, FeedEngine, FeedSpec, KnobError, QuotaTier, ScrubMode, TenantBudget,
+    tenant_shard, EngineConfig, FeedEngine, FeedSpec, QuotaTier, ScrubMode, TenantBudget,
 };
+pub use grub_fault::KnobError;
 pub use report::{EngineReport, EpochMetrics, TenantReport};
 pub use router::ShardRouter;

@@ -19,6 +19,11 @@
 //! command line (see [`plan_from_env`]): `point` is one of the
 //! [`FaultPoint::name`] strings, `n` the number of hits to survive before
 //! tripping (default 0 — die on the first hit).
+//!
+//! As the leaf crate the chain, the engine and the store all depend on, this
+//! is also where the workspace's one knob reader lives: [`knob`] reads a
+//! `GRUB_*` variable (unset, empty and `0` are "off") and [`KnobError`] is
+//! what every knob's parser returns for a value outside its grammar.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -154,32 +159,69 @@ pub fn should_trip(point: FaultPoint) -> bool {
     }
 }
 
-/// Parses `GRUB_FAULT_POINT=point[:n]` into a plan (`None` when unset or
-/// malformed — an unknown point name must not silently run clean, so it
-/// panics instead).
-///
-/// # Panics
-///
-/// Panics on an unrecognized point name or count, so a typo in the knob
-/// fails loudly instead of running without the fault.
-pub fn plan_from_env() -> Option<FaultPlan> {
-    let raw = std::env::var("GRUB_FAULT_POINT").ok()?;
-    if raw.is_empty() {
-        return None;
+/// A `GRUB_*` environment knob set to a value outside its accepted set: a
+/// typo must fail the run, never silently select a different scenario.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct KnobError {
+    /// The environment variable.
+    pub name: &'static str,
+    /// The rejected value, as found in the environment.
+    pub raw: String,
+    /// The accepted values.
+    pub want: &'static str,
+}
+
+impl KnobError {
+    /// The error for knob `name` holding `raw` where `want` is accepted.
+    pub fn new(name: &'static str, raw: &str, want: &'static str) -> Self {
+        let raw = raw.to_owned();
+        KnobError { name, raw, want }
     }
+}
+
+impl std::fmt::Display for KnobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}={:?}: expected {}", self.name, self.raw, self.want)
+    }
+}
+
+impl std::error::Error for KnobError {}
+
+/// Reads the environment knob `name`, trimmed: `None` — the knob is off —
+/// when it is unset, empty or `0`. Every `GRUB_*` knob the library crates
+/// honour is read here (`grub-lint`'s registry-sync rule checks), and each
+/// has a pure parser from the returned text to its typed value.
+pub fn knob(name: &'static str) -> Option<String> {
+    let raw = std::env::var_os(name)?;
+    let raw = raw.to_string_lossy();
+    let raw = raw.trim();
+    (!raw.is_empty() && raw != "0").then(|| raw.to_owned())
+}
+
+/// Parses a `GRUB_FAULT_POINT` value, `<point>[:<n>]`: die at `point` (a
+/// [`FaultPoint::name`]) after surviving `n` earlier hits (default 0).
+fn parse_plan(raw: &str) -> Result<FaultPlan, KnobError> {
+    let bad = || KnobError::new("GRUB_FAULT_POINT", raw, "<crash point>[:<hits to survive>]");
     let (name, after) = match raw.split_once(':') {
-        Some((name, n)) => (
-            name,
-            n.parse::<u32>()
-                // grub-lint: allow(panic) — documented "# Panics": a typo'd knob must fail loudly, not run a different scenario
-                .unwrap_or_else(|_| panic!("GRUB_FAULT_POINT: bad hit count {n:?}")),
-        ),
-        None => (raw.as_str(), 0),
+        Some((name, n)) => (name, n.parse().map_err(|_| bad())?),
+        None => (raw, 0),
     };
-    let point = FaultPoint::parse(name)
-        // grub-lint: allow(panic) — documented "# Panics": a typo'd knob must fail loudly, not run a different scenario
-        .unwrap_or_else(|| panic!("GRUB_FAULT_POINT: unknown crash point {name:?}"));
-    Some(FaultPlan { point, after })
+    let point = FaultPoint::parse(name).ok_or_else(bad)?;
+    Ok(FaultPlan { point, after })
+}
+
+/// The plan `GRUB_FAULT_POINT=<point>[:<n>]` asks for, `None` when the knob
+/// is off.
+///
+/// # Errors
+///
+/// A [`KnobError`] for an unknown point name or a malformed count, so a
+/// typo fails the run instead of running without the fault.
+pub fn plan_from_env() -> Result<Option<FaultPlan>, KnobError> {
+    knob("GRUB_FAULT_POINT")
+        .as_deref()
+        .map(parse_plan)
+        .transpose()
 }
 
 #[cfg(test)]
@@ -192,6 +234,24 @@ mod tests {
             assert_eq!(FaultPoint::parse(point.name()), Some(point));
         }
         assert_eq!(FaultPoint::parse("nope"), None);
+    }
+
+    #[test]
+    fn fault_point_knob_parses_or_names_the_bad_value() {
+        assert_eq!(
+            parse_plan("pre-merge"),
+            Ok(FaultPlan::at(FaultPoint::PreMerge))
+        );
+        assert_eq!(
+            parse_plan("mid-wal-append:3"),
+            Ok(FaultPlan::nth(FaultPoint::MidWalAppend, 3))
+        );
+        for raw in ["nope", "pre-merge:x", "pre-merge:-1", ":2"] {
+            let err = parse_plan(raw).unwrap_err();
+            assert_eq!((err.name, err.raw.as_str()), ("GRUB_FAULT_POINT", raw));
+            let shown = err.to_string();
+            assert!(shown.contains("GRUB_FAULT_POINT") && shown.contains(raw));
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!
 //! Table 2 omits event logging; `request` events are metered with the Yellow
 //! Paper's LOG schedule (`375 + 375·topics + 8·bytes`), which is small
-//! relative to the dominant costs above (documented in `DESIGN.md` §3).
+//! relative to the dominant costs above (see ARCHITECTURE.md, "Where the
+//! simulator departs from the paper").
 //!
 //! # Examples
 //!

@@ -17,7 +17,7 @@
 //! | `determinism` | digest-feeding crates | `HashMap`/`HashSet` iteration, wall clocks, thread ids, unseeded randomness |
 //! | `gas-safety` | digest-feeding crates | bare `+`/`-`/`+=`/`-=` on raw gas amounts (use `checked_add_gas`/`checked_sub_gas`) |
 //! | `panic` | library crates | `unwrap()`/`expect()`/`panic!` outside test code (typed errors are the house style) |
-//! | `registry-sync` | whole tree | `GRUB_*` knob reads vs ARCHITECTURE.md's knob table, `FaultPoint` variants vs live hook sites — both directions |
+//! | `registry-sync` | whole tree | `GRUB_*` knob reads vs ARCHITECTURE.md's knob table, `FaultPoint` variants vs live hook sites — both directions; knob reads that bypass `grub_fault::knob`; doc comments naming a `*.md` that does not exist |
 //!
 //! Any finding is suppressible, one site at a time, with a justified
 //! comment on the same line or the line above:
@@ -152,6 +152,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     // `crates/*/src` minus the fault crate itself as hook-site candidates.
     let doc_text = fs::read_to_string(root.join(DOC_PATH)).ok();
     let doc = doc_text.as_deref().map(registry::parse_doc);
+    let root_docs = walk::root_markdown(root)?;
     let all: Vec<&SourceFile> = files.iter().collect();
     let fault_file = files
         .iter()
@@ -170,6 +171,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     registry::registry_sync(
         doc.as_ref(),
         DOC_PATH,
+        &root_docs,
         &all,
         fault_file,
         &hook_files,

@@ -6,6 +6,13 @@
 //!   ARCHITECTURE.md's knob table, and every row must correspond to a live
 //!   read. A knob that drifts out of the table is invisible to operators; a
 //!   row whose knob is gone documents a lie.
+//!   In the crates that share `grub_fault::knob` (`chain`, `core`, `engine`,
+//!   `fault`, `store`) a direct `env::var("GRUB_…")` is itself a violation:
+//!   the helper is what makes unset/empty/`0` mean "off" everywhere and
+//!   leaves each knob a pure, testable parser.
+//! * **Doc pointers**: a `*.md` file named in a doc comment must exist at
+//!   the workspace root — a pointer to a document nobody wrote is worse
+//!   than none.
 //! * **Fault points**: every [`FaultPoint`] variant declared in `grub-fault`
 //!   must have a live hook site (`FaultPoint::<Variant>` in another crate's
 //!   non-test library code), and its kebab-case knob name must appear in
@@ -19,7 +26,7 @@ use std::path::PathBuf;
 
 use crate::diag::{Diagnostic, Rule};
 use crate::file::SourceFile;
-use crate::lexer::TokKind;
+use crate::lexer::{Tok, TokKind};
 
 /// The documentation side of the registries: parsed out of ARCHITECTURE.md.
 #[derive(Debug, Default)]
@@ -84,21 +91,59 @@ pub struct KnobRead {
 /// `plan_from_env`'s parser) alike, while substrings in error messages
 /// (`"GRUB_FAULT_POINT: bad hit count"`) never match.
 pub fn knob_reads(file: &SourceFile) -> Vec<KnobRead> {
+    let toks = file.lexed.toks.iter();
+    toks.filter_map(|t| knob_literal(file, t)).collect()
+}
+
+/// `t` as a knob read, if it is a string literal holding exactly a knob name.
+fn knob_literal(file: &SourceFile, t: &Tok) -> Option<KnobRead> {
+    if t.kind != TokKind::Str {
+        return None;
+    }
+    let name = t
+        .text
+        .trim_start_matches(['b', 'r', '#'])
+        .trim_matches(['"', '#']);
+    is_knob_name(name).then(|| KnobRead {
+        knob: name.to_string(),
+        path: file.rel_path.clone(),
+        line: t.line,
+    })
+}
+
+/// Crates whose knob reads must go through `grub_fault::knob`.
+pub const KNOB_HELPER_CRATES: &[&str] = &["chain", "core", "engine", "fault", "store"];
+
+/// Knob reads that bypass the helper: `env::var("GRUB_X")` / `var_os`.
+pub fn direct_knob_reads(file: &SourceFile) -> Vec<KnobRead> {
+    let toks = &file.lexed.toks;
     let mut out = Vec::new();
-    for t in &file.lexed.toks {
-        if t.kind != TokKind::Str {
+    for (i, t) in toks.iter().enumerate() {
+        let is_env_read = i >= 2
+            && (t.is_ident("var") || t.is_ident("var_os"))
+            && toks[i - 1].is_punct("::")
+            && toks[i - 2].is_ident("env")
+            && toks.get(i + 1).is_some_and(|n| n.is_punct("("));
+        if is_env_read {
+            out.extend(toks.get(i + 2).and_then(|arg| knob_literal(file, arg)));
+        }
+    }
+    out
+}
+
+/// `*.md` file names mentioned in a file's doc comments, with their lines.
+pub fn doc_md_refs(file: &SourceFile) -> Vec<(String, u32)> {
+    let mut out = Vec::new();
+    for c in &file.lexed.comments {
+        if !(c.text.starts_with("///") || c.text.starts_with("//!")) {
             continue;
         }
-        let name = t
-            .text
-            .trim_start_matches(['b', 'r', '#'])
-            .trim_matches(['"', '#']);
-        if is_knob_name(name) {
-            out.push(KnobRead {
-                knob: name.to_string(),
-                path: file.rel_path.clone(),
-                line: t.line,
-            });
+        let is_name = |ch: char| ch.is_ascii_alphanumeric() || ch == '_' || ch == '-' || ch == '.';
+        for word in c.text.split(|ch: char| !is_name(ch)) {
+            let word = word.trim_end_matches('.');
+            if word.len() > 3 && word.ends_with(".md") {
+                out.push((word.to_string(), c.line));
+            }
         }
     }
     out
@@ -192,9 +237,11 @@ pub fn fault_refs(file: &SourceFile) -> Vec<String> {
 ///   examples, benches, vendor stubs).
 /// * `fault_file`/`hook_files` — the fault crate's source and the library
 ///   files eligible to carry hook sites.
+/// * `root_docs` — names of the `*.md` files at the workspace root.
 pub fn registry_sync(
     doc: Option<&DocRegistry>,
     doc_path: &str,
+    root_docs: &BTreeSet<String>,
     all_files: &[&SourceFile],
     fault_file: Option<&SourceFile>,
     hook_files: &[&SourceFile],
@@ -241,6 +288,28 @@ pub fn registry_sync(
                      the row (or wire the knob back up)"
                 ),
             });
+        }
+    }
+
+    // Knobs: reads that bypass the shared helper; doc pointers to nowhere.
+    for file in all_files {
+        if KNOB_HELPER_CRATES.contains(&file.crate_name.as_str()) {
+            for read in direct_knob_reads(file) {
+                let message = format!(
+                    "`{}` is read with a direct `env::var` — go through `grub_fault::knob` (unset, \
+                     empty and `0` mean off) and a pure parser returning `KnobError`",
+                    read.knob
+                );
+                file.push_checked(out, Rule::RegistrySync, read.line, message);
+            }
+        }
+        for (name, line) in doc_md_refs(file) {
+            if !root_docs.contains(&name) {
+                let message = format!(
+                    "doc comment points at `{name}`, which does not exist at the workspace root"
+                );
+                file.push_checked(out, Rule::RegistrySync, line, message);
+            }
         }
     }
 
@@ -312,6 +381,22 @@ mod tests {
         let reads = knob_reads(&f);
         let names: Vec<&str> = reads.iter().map(|r| r.knob.as_str()).collect();
         assert_eq!(names, ["GRUB_SMOKE", "GRUB_REORG"]);
+    }
+
+    #[test]
+    fn direct_env_reads_and_doc_pointers_found() {
+        let f = SourceFile::parse(
+            Path::new("crates/chain/src/x.rs"),
+            "chain",
+            "//! See `DESIGN.md` §3 and ARCHITECTURE.md.\n\
+             // a plain comment may say NOTES.md\n\
+             fn f() { let a = std::env::var(\"GRUB_REORG\"); let b = env::var_os(\"GRUB_SMOKE\"); \
+             let c = knob(\"GRUB_MEMPOOL\"); let d = std::env::var(name); }",
+        );
+        let direct: Vec<String> = direct_knob_reads(&f).into_iter().map(|r| r.knob).collect();
+        assert_eq!(direct, ["GRUB_REORG", "GRUB_SMOKE"]);
+        let names: Vec<String> = doc_md_refs(&f).into_iter().map(|r| r.0).collect();
+        assert_eq!(names, ["DESIGN.md", "ARCHITECTURE.md"]);
     }
 
     #[test]

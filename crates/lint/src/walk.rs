@@ -4,6 +4,7 @@
 //! is byte-stable across machines — the same discipline the rest of the
 //! workspace applies to everything that feeds a digest.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -45,6 +46,21 @@ pub fn subdirs(root: &Path, rel: &str) -> io::Result<Vec<String>> {
         }
     }
     names.sort();
+    Ok(names)
+}
+
+/// Names of the `*.md` files directly under `root` — the documents a doc
+/// comment may point at.
+pub fn root_markdown(root: &Path) -> io::Result<BTreeSet<String>> {
+    let mut names = BTreeSet::new();
+    for entry in fs::read_dir(root)? {
+        let entry = entry?;
+        if let Some(name) = entry.file_name().to_str() {
+            if name.ends_with(".md") && entry.file_type()?.is_file() {
+                names.insert(name.to_string());
+            }
+        }
+    }
     Ok(names)
 }
 

@@ -27,8 +27,10 @@
 //! tree.insert(key.clone(), record_value_hash(b"150"));
 //! let root = tree.root();
 //!
-//! let proof = tree.prove(&key).expect("key exists");
-//! assert!(proof.verify(&root, &key, &record_value_hash(b"150")));
+//! // A point read is the one-key range [key, key].
+//! let proof = tree.prove_range(&key, &key);
+//! let records = proof.verify(&root, &key, &key).expect("proof verifies");
+//! assert_eq!(records, vec![(key, record_value_hash(b"150"))]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,7 +39,7 @@
 mod proof;
 mod tree;
 
-pub use proof::{MembershipProof, PathStep, ProofNode, RangeProof, VerifyError};
+pub use proof::{ProofNode, RangeProof, VerifyError};
 pub use tree::{MerkleKv, TreeOp};
 
 use grub_crypto::{sha256, Hash32, Sha256};
@@ -51,9 +53,13 @@ use serde::{Deserialize, Serialize};
 ///
 /// `NotReplicated` orders before `Replicated`, giving the paper's layout of
 /// the NR group first (range queries on the read path only touch NR records).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub enum ReplState {
     /// The record lives only on the SP; reads need a `deliver` transaction.
+    /// The default: a record nobody has decided about is not replicated.
+    #[default]
     NotReplicated,
     /// The record has a replica in smart-contract storage.
     Replicated,
@@ -76,14 +82,6 @@ impl ReplState {
             _ => None,
         }
     }
-
-    /// The paper's shorthand: `R` / `NR`.
-    pub fn shorthand(self) -> &'static str {
-        match self {
-            ReplState::NotReplicated => "NR",
-            ReplState::Replicated => "R",
-        }
-    }
 }
 
 /// The authenticated key of a record: replication state, then data key.
@@ -104,11 +102,6 @@ impl ProofKey {
             state,
             key: key.into(),
         }
-    }
-
-    /// Serialized size in bytes (state byte + 4-byte length + key).
-    pub fn encoded_len(&self) -> usize {
-        1 + 4 + self.key.len()
     }
 }
 

@@ -2,10 +2,12 @@
 //!
 //! Verification is pure (no tree access): given only the trusted root digest
 //! — which the storage-manager contract keeps on chain — a verifier can
-//! check membership of a single record or the completeness of a range
-//! result. Proof sizes and hash counts are exposed so the Gas layer can
-//! charge `Ctx` for proof bytes moved on chain and `Chash` for every digest
-//! recomputed during verification, exactly as the paper's cost model does.
+//! check the completeness of a range result; membership of a single record
+//! is the one-key range `[k, k]`, which is how the SP answers point reads.
+//! Hash counts are exposed so the Gas layer can charge `Chash` for every
+//! digest recomputed during verification, as the paper's cost model does
+//! (`Ctx` is charged on the proof's actual encoded bytes, see
+//! `grub_core::wire`).
 
 use std::error::Error;
 use std::fmt;
@@ -14,62 +16,6 @@ use grub_crypto::Hash32;
 use serde::{Deserialize, Serialize};
 
 use crate::{inner_hash, leaf_hash, ProofKey};
-
-/// One step of a Merkle authentication path.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PathStep {
-    /// Digest of the sibling subtree.
-    pub sibling: Hash32,
-    /// Whether the sibling is the *left* child (target on the right).
-    pub sibling_is_left: bool,
-}
-
-/// Proof that a single record is committed under a root.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MembershipProof {
-    /// Authentication path from the leaf (first) to the root (last).
-    pub path: Vec<PathStep>,
-    /// The proven leaf's key.
-    pub leaf_pkey: ProofKey,
-    /// The proven leaf's value hash.
-    pub leaf_vhash: Hash32,
-    /// The proven leaf's validity flag.
-    pub leaf_valid: bool,
-}
-
-impl MembershipProof {
-    /// Verifies that `(pkey, vhash)` is a live record under `root`.
-    pub fn verify(&self, root: &Hash32, pkey: &ProofKey, vhash: &Hash32) -> bool {
-        if self.leaf_pkey != *pkey || self.leaf_vhash != *vhash || !self.leaf_valid {
-            return false;
-        }
-        self.computed_root() == *root
-    }
-
-    /// Recomputes the root implied by this proof's leaf and path.
-    pub fn computed_root(&self) -> Hash32 {
-        let mut acc = leaf_hash(&self.leaf_pkey, &self.leaf_vhash, self.leaf_valid);
-        for step in &self.path {
-            acc = if step.sibling_is_left {
-                inner_hash(&step.sibling, &acc)
-            } else {
-                inner_hash(&acc, &step.sibling)
-            };
-        }
-        acc
-    }
-
-    /// Number of hash evaluations a verifier performs (leaf + path).
-    pub fn hash_count(&self) -> usize {
-        1 + self.path.len()
-    }
-
-    /// Serialized size in bytes: per step 32+1, plus leaf key, value hash
-    /// and flag.
-    pub fn encoded_len(&self) -> usize {
-        self.path.len() * 33 + self.leaf_pkey.encoded_len() + 32 + 1
-    }
-}
 
 /// A node of a pruned-subtree range proof.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -123,14 +69,6 @@ impl ProofNode {
             ProofNode::Opaque(_) => 0,
             ProofNode::Leaf { .. } => 1,
             ProofNode::Inner { left, right } => 1 + left.count_hashes() + right.count_hashes(),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            ProofNode::Opaque(_) => 1 + 32,
-            ProofNode::Leaf { pkey, .. } => 1 + pkey.encoded_len() + 32 + 1,
-            ProofNode::Inner { left, right } => 1 + left.encoded_len() + right.encoded_len(),
         }
     }
 }
@@ -262,11 +200,6 @@ impl RangeProof {
     pub fn hash_count(&self) -> usize {
         self.tree.as_ref().map(|t| t.count_hashes()).unwrap_or(0)
     }
-
-    /// Serialized size in bytes, for transaction-payload Gas accounting.
-    pub fn encoded_len(&self) -> usize {
-        1 + self.tree.as_ref().map(|t| t.encoded_len()).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -296,32 +229,41 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn membership_proof_verifies() {
-        let t = figure_4b_tree();
-        let root = t.root();
-        let p = t.prove(&nr("y")).unwrap();
-        assert!(p.verify(&root, &nr("y"), &vh("200")));
-        assert_eq!(p.hash_count(), 3); // leaf + 2 levels
+    /// The one-key range `[k, k]` is the membership proof the SP serves for
+    /// point reads.
+    fn point(t: &MerkleKv, root: &Hash32, k: &ProofKey) -> Vec<(ProofKey, Hash32)> {
+        t.prove_range(k, k).verify(root, k, k).unwrap()
     }
 
     #[test]
-    fn membership_proof_rejects_wrong_value_or_key() {
+    fn point_proof_verifies() {
         let t = figure_4b_tree();
-        let root = t.root();
-        let p = t.prove(&nr("y")).unwrap();
-        assert!(!p.verify(&root, &nr("y"), &vh("999")));
-        assert!(!p.verify(&root, &nr("w"), &vh("200")));
+        assert_eq!(point(&t, &t.root(), &nr("y")), vec![(nr("y"), vh("200"))]);
+        // The leaf, its two boundary leaves, and the inner nodes above them.
+        assert_eq!(t.prove_range(&nr("y"), &nr("y")).hash_count(), 6);
     }
 
     #[test]
-    fn membership_proof_rejects_stale_root() {
+    fn point_proof_binds_value_and_key() {
+        let t = figure_4b_tree();
+        let root = t.root();
+        let p = t.prove_range(&nr("y"), &nr("y"));
+        assert_ne!(p.verify(&root, &nr("y"), &nr("y")).unwrap()[0].1, vh("999"));
+        // The same proof says nothing about a key hidden behind a digest.
+        assert_eq!(
+            p.verify(&root, &r("z"), &r("z")),
+            Err(VerifyError::IncompleteBoundary)
+        );
+    }
+
+    #[test]
+    fn point_proof_rejects_stale_root() {
         let mut t = figure_4b_tree();
-        let p = t.prove(&nr("y")).unwrap();
+        let p = t.prove_range(&nr("y"), &nr("y"));
         t.insert(nr("y"), vh("201"));
-        let new_root = t.root();
-        assert!(
-            !p.verify(&new_root, &nr("y"), &vh("200")),
+        assert_eq!(
+            p.verify(&t.root(), &nr("y"), &nr("y")),
+            Err(VerifyError::RootMismatch),
             "old proof must not verify against the new root"
         );
     }
@@ -330,17 +272,30 @@ mod tests {
     fn tampered_path_is_rejected() {
         let t = figure_4b_tree();
         let root = t.root();
-        let mut p = t.prove(&r("x")).unwrap();
-        p.path[0].sibling = vh("evil");
-        assert!(!p.verify(&root, &r("x"), &vh("300")));
+        let mut p = t.prove_range(&nr("w"), &nr("w"));
+        fn tamper(node: &mut ProofNode) -> bool {
+            match node {
+                ProofNode::Opaque(h) => {
+                    *h = vh("evil");
+                    true
+                }
+                ProofNode::Inner { left, right } => tamper(left) || tamper(right),
+                ProofNode::Leaf { .. } => false,
+            }
+        }
+        assert!(tamper(p.tree.as_mut().unwrap()), "a sibling is collapsed");
+        assert_eq!(
+            p.verify(&root, &nr("w"), &nr("w")),
+            Err(VerifyError::RootMismatch)
+        );
     }
 
     #[test]
     fn no_proof_for_missing_or_tombstoned_keys() {
         let mut t = figure_4b_tree();
-        assert!(t.prove(&nr("nope")).is_none());
+        assert_eq!(point(&t, &t.root(), &nr("nope")), Vec::new());
         t.invalidate(&nr("w"));
-        assert!(t.prove(&nr("w")).is_none());
+        assert_eq!(point(&t, &t.root(), &nr("w")), Vec::new());
     }
 
     #[test]
@@ -468,14 +423,15 @@ mod tests {
 
     #[test]
     fn proof_sizes_are_positive_and_scale() {
+        // (Encoded size is measured where it is paid for: on the wire
+        // encoding, `grub_core::wire::tests`.)
         let small = figure_4b_tree();
         let records: Vec<_> = (0..256)
             .map(|i| (nr(&format!("k{i:04}")), vh(&i.to_string())))
             .collect();
         let big = MerkleKv::from_sorted(records);
-        let ps = small.prove(&nr("w")).unwrap();
-        let pb = big.prove(&nr("k0100")).unwrap();
-        assert!(pb.encoded_len() > ps.encoded_len());
+        let ps = small.prove_range(&nr("w"), &nr("w"));
+        let pb = big.prove_range(&nr("k0100"), &nr("k0100"));
         assert!(pb.hash_count() > ps.hash_count());
     }
 }

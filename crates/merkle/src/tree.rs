@@ -2,7 +2,7 @@
 
 use grub_crypto::Hash32;
 
-use crate::proof::{MembershipProof, PathStep, ProofNode, RangeProof};
+use crate::proof::{ProofNode, RangeProof};
 use crate::{empty_root, inner_hash, leaf_hash, ProofKey};
 
 #[derive(Clone, Debug)]
@@ -366,44 +366,6 @@ impl MerkleKv {
             collect_live(root, &mut out);
         }
         out
-    }
-
-    /// Membership proof for a live key.
-    pub fn prove(&self, pkey: &ProofKey) -> Option<MembershipProof> {
-        let root = self.root.as_deref()?;
-        let mut path = Vec::new();
-        let mut node = root;
-        loop {
-            match node {
-                Node::Leaf(l) => {
-                    if l.pkey != *pkey || !l.valid {
-                        return None;
-                    }
-                    path.reverse();
-                    return Some(MembershipProof {
-                        path,
-                        leaf_pkey: l.pkey.clone(),
-                        leaf_vhash: l.vhash,
-                        leaf_valid: l.valid,
-                    });
-                }
-                Node::Inner(i) => {
-                    if *pkey <= *i.left.max() {
-                        path.push(PathStep {
-                            sibling: i.right.hash(),
-                            sibling_is_left: false,
-                        });
-                        node = &i.left;
-                    } else {
-                        path.push(PathStep {
-                            sibling: i.left.hash(),
-                            sibling_is_left: true,
-                        });
-                        node = &i.right;
-                    }
-                }
-            }
-        }
     }
 
     /// Range proof over `[lo, hi]` (by full [`ProofKey`] order): a pruned

@@ -7,7 +7,8 @@
 //! * [`oracle`] — a synthesizer for the `ethPriceOracle` 5-day call trace,
 //!   matching the published reads-after-write distribution (Table 1) and
 //!   burstiness (Figure 2); the real BigQuery trace is not redistributable,
-//!   so this is the documented substitution (DESIGN.md §3);
+//!   so this is the documented substitution (ARCHITECTURE.md, "Where the
+//!   simulator departs from the paper");
 //! * [`btcrelay`] — a synthesizer for the BtcRelay block-feed workload
 //!   (Table 6 distribution, 6-block reads per mint/burn, ~4 h read delay,
 //!   Appendix D);

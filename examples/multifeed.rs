@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let shards = 2;
     // Chain realism from the environment: GRUB_REORG / GRUB_FEE_SCHEDULE /
     // GRUB_MEMPOOL (all default off).
-    let realism = ChainConfig::default().with_env_realism();
+    let realism = ChainConfig::default().with_env_realism()?;
     let config = move |base: EngineConfig| {
         let mut base = base.with_scrub(scrub);
         base.chain = realism;
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Crash-testing harness: with GRUB_FAULT_POINT=<point>[:<n>] set, the
     // named pipeline crash point trips on its n-th crossing and the run
     // dies there — exactly what tests/fault_recovery.rs automates.
-    if let Some(plan) = grub::fault::plan_from_env() {
+    if let Some(plan) = grub::fault::plan_from_env()? {
         println!("fault injection armed from GRUB_FAULT_POINT: {plan:?}");
         grub::fault::arm(plan);
     }

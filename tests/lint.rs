@@ -108,6 +108,8 @@ fn registry_bad_workspace_is_flagged_both_directions() {
     }
     let expect = [
         "`GRUB_ROGUE` is read here but has no row", // code → doc
+        "`GRUB_ROGUE` is read with a direct `env::var`", // bypasses the helper
+        "points at `GHOST.md`, which does not exist", // doc pointer → file
         "documents `GRUB_GHOST` but nothing in the tree reads it", // doc → code
         "`FaultPoint::Orphan` has no live hook site", // variant → hook
         "crash point `orphan` (`FaultPoint::Orphan`) is not documented", // variant → doc

@@ -1,11 +1,16 @@
-//! Fixture chain crate: reads a documented knob, an undocumented knob,
-//! and hooks only `FaultPoint::PreCommit`.
+//! Fixture chain crate: reads a documented knob through the helper, an
+//! undocumented knob with a direct `env::var`, hooks only
+//! `FaultPoint::PreCommit`, and points at a GHOST.md nobody wrote.
 
 pub fn seed() -> u64 {
-    match std::env::var("GRUB_SEED") {
-        Ok(raw) => raw.parse().unwrap_or(0),
-        Err(_) => 0,
+    match knob("GRUB_SEED") {
+        Some(raw) => raw.parse().unwrap_or(0),
+        None => 0,
     }
+}
+
+fn knob(name: &'static str) -> Option<String> {
+    std::env::var(name).ok()
 }
 
 pub fn rogue() -> bool {

@@ -6,7 +6,9 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use grub::crypto::sha256;
-use grub::merkle::{record_value_hash, MerkleKv, ProofKey, ReplState, TreeOp as MerkleTreeOp};
+use grub::merkle::{
+    record_value_hash, MerkleKv, ProofKey, ReplState, TreeOp as MerkleTreeOp, VerifyError,
+};
 use grub::store::{Db, Options};
 use grub::workload::stats;
 use grub::workload::{Op, Trace, ValueSpec};
@@ -151,11 +153,13 @@ proptest! {
         prop_assert_eq!(seq.len(), batched.len());
     }
 
-    /// Membership proofs verify for every live record and never verify
-    /// against a mutated root.
+    /// Point proofs — the one-key range `[k, k]` the SP serves for point
+    /// reads — return exactly the live record for every live key, nothing
+    /// for a tombstoned one, and never verify against a mutated root.
     #[test]
-    fn membership_proofs_sound_and_complete(ops in prop::collection::vec(tree_op(), 1..80)) {
+    fn point_proofs_sound_and_complete(ops in prop::collection::vec(tree_op(), 1..80)) {
         let mut tree = MerkleKv::new();
+        let mut dead = Vec::new();
         for op in &ops {
             match op {
                 TreeOp::Insert(state, key, v) => {
@@ -163,15 +167,22 @@ proptest! {
                 }
                 TreeOp::Invalidate(state, key) => {
                     tree.invalidate(&pkey(*state, key));
+                    dead.push(pkey(*state, key));
                 }
             }
         }
         let root = tree.root();
+        let wrong_root = sha256(root.as_bytes());
         for (pk, vh) in tree.iter_live() {
-            let proof = tree.prove(&pk).expect("live key has a proof");
-            prop_assert!(proof.verify(&root, &pk, &vh));
-            let wrong_root = sha256(root.as_bytes());
-            prop_assert!(!proof.verify(&wrong_root, &pk, &vh));
+            let proof = tree.prove_range(&pk, &pk);
+            prop_assert_eq!(proof.verify(&root, &pk, &pk), Ok(vec![(pk.clone(), vh)]));
+            prop_assert_eq!(
+                proof.verify(&wrong_root, &pk, &pk),
+                Err(VerifyError::RootMismatch)
+            );
+        }
+        for pk in dead.iter().filter(|pk| tree.get(pk).is_none()) {
+            prop_assert_eq!(tree.prove_range(pk, pk).verify(&root, pk, pk), Ok(Vec::new()));
         }
     }
 
@@ -320,8 +331,11 @@ mod owner_differential {
 
     use grub::chain::Address;
     use grub::core::owner::DataOwner;
-    use grub::core::policy::{Bl1, Bl2, Memoryless, ReplicationPolicy};
+    use grub::core::policy::{
+        Bl1, Bl2, FeeAware, Memorizing, Memoryless, ReplicationPolicy, SelfTuningK,
+    };
     use grub::core::provider::{SpSync, StorageProvider};
+    use grub::gas::GasSchedule;
     use grub::merkle::ReplState;
 
     const NR: ReplState = ReplState::NotReplicated;
@@ -358,12 +372,19 @@ mod owner_differential {
         ]
     }
 
+    const POLICIES: u8 = 7;
+
     fn policy(which: u8) -> Box<dyn ReplicationPolicy> {
-        match which % 4 {
+        match which % POLICIES {
             0 => Box::new(Memoryless::new(1)),
             1 => Box::new(Memoryless::new(2)),
             2 => Box::new(Bl1),
-            _ => Box::new(Bl2),
+            3 => Box::new(Bl2),
+            4 => Box::new(Memorizing::new(2.0, 1.0)),
+            5 => Box::new(SelfTuningK::new(4, &GasSchedule::default())),
+            // No price is ever observed, so the wrapper grants everything:
+            // what is exercised is its own per-key record beside the DO's.
+            _ => Box::new(FeeAware::new(Box::new(Memoryless::new(2)), 1_500)),
         }
     }
 
@@ -504,11 +525,11 @@ mod owner_differential {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random interleavings of everything that moves a key's committed
-        /// or desired state, under the four policies whose decisions a
-        /// 12-key script can flip often.
+        /// or desired state, under the policies whose decisions a 12-key
+        /// script can flip often.
         #[test]
         fn flush_epoch_matches_the_full_scan_oracle(
-            which_policy in 0..4u8,
+            which_policy in 0..POLICIES,
             script in prop::collection::vec(do_op(), 1..160),
         ) {
             run_script(which_policy, &script);
@@ -579,10 +600,445 @@ mod owner_differential {
                 Flush,
             ],
         ];
-        for which_policy in 0..4 {
+        for which_policy in 0..POLICIES {
             for script in &scripts {
                 run_script(which_policy, script);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The one-record-per-key policies against their multi-map predecessors.
+// ---------------------------------------------------------------------
+
+mod policy_differential {
+    use std::collections::{HashMap, VecDeque};
+
+    use proptest::prelude::*;
+
+    use grub::core::policy::{AdaptiveK, Memorizing, Memoryless, ReplicationPolicy, SelfTuningK};
+    use grub::gas::GasSchedule;
+    use grub::merkle::ReplState;
+
+    const NR: ReplState = ReplState::NotReplicated;
+    const R: ReplState = ReplState::Replicated;
+
+    /// The policies as they were before each kept one record per key: every
+    /// fact in its own `String`-keyed map, decision rules word for word.
+    /// Test-only oracles — the live policies must decide exactly like them.
+    mod oracle {
+        use super::*;
+
+        pub struct OldMemoryless {
+            pub k: u64,
+            counters: HashMap<String, u64>,
+            pub states: HashMap<String, ReplState>,
+        }
+
+        impl OldMemoryless {
+            pub fn new(k: u64) -> Self {
+                OldMemoryless {
+                    k,
+                    counters: HashMap::new(),
+                    states: HashMap::new(),
+                }
+            }
+        }
+
+        impl ReplicationPolicy for OldMemoryless {
+            fn seed_state(&mut self, key: &str, state: ReplState) {
+                self.states.insert(key.to_owned(), state);
+            }
+
+            fn on_write(&mut self, key: &str) -> ReplState {
+                self.counters.insert(key.to_owned(), 0);
+                self.states.insert(key.to_owned(), NR);
+                NR
+            }
+
+            fn on_read(&mut self, key: &str) -> ReplState {
+                let state = self.states.entry(key.to_owned()).or_insert(NR);
+                if *state == R {
+                    return R;
+                }
+                let counter = self.counters.entry(key.to_owned()).or_insert(0);
+                if *counter < self.k {
+                    *counter += 1;
+                }
+                if *counter >= self.k {
+                    *state = R;
+                    self.counters.remove(key);
+                    R
+                } else {
+                    NR
+                }
+            }
+
+            fn name(&self) -> String {
+                format!("GRuB-memoryless (K={})", self.k)
+            }
+        }
+
+        pub struct OldMemorizing {
+            k_prime: f64,
+            d: f64,
+            reads: HashMap<String, f64>,
+            writes: HashMap<String, f64>,
+            states: HashMap<String, ReplState>,
+        }
+
+        impl OldMemorizing {
+            pub fn new(k_prime: f64, d: f64) -> Self {
+                OldMemorizing {
+                    k_prime,
+                    d,
+                    reads: HashMap::new(),
+                    writes: HashMap::new(),
+                    states: HashMap::new(),
+                }
+            }
+
+            fn check(&mut self, key: &str) -> ReplState {
+                let r = *self.reads.get(key).unwrap_or(&0.0);
+                let w = *self.writes.get(key).unwrap_or(&0.0);
+                let state = self.states.entry(key.to_owned()).or_insert(NR);
+                if w * self.k_prime + self.d <= r {
+                    *state = R;
+                    self.writes.insert(key.to_owned(), 0.0);
+                    self.reads.insert(key.to_owned(), self.d);
+                } else if w * self.k_prime - self.d >= r {
+                    *state = NR;
+                    self.reads.insert(key.to_owned(), 0.0);
+                    self.writes.insert(key.to_owned(), self.d / self.k_prime);
+                }
+                *state
+            }
+        }
+
+        impl ReplicationPolicy for OldMemorizing {
+            fn seed_state(&mut self, key: &str, state: ReplState) {
+                self.states.insert(key.to_owned(), state);
+                if state == R {
+                    self.reads.insert(key.to_owned(), self.d);
+                }
+            }
+
+            fn on_write(&mut self, key: &str) -> ReplState {
+                *self.writes.entry(key.to_owned()).or_insert(0.0) += 1.0;
+                self.check(key)
+            }
+
+            fn on_read(&mut self, key: &str) -> ReplState {
+                *self.reads.entry(key.to_owned()).or_insert(0.0) += 1.0;
+                self.check(key)
+            }
+
+            fn name(&self) -> String {
+                format!("GRuB-memorizing (K'={}, D={})", self.k_prime, self.d)
+            }
+        }
+
+        pub struct OldAdaptiveK {
+            dual: bool,
+            window: usize,
+            threshold: f64,
+            history: HashMap<String, Vec<u64>>,
+            since_write: HashMap<String, u64>,
+            states: HashMap<String, ReplState>,
+        }
+
+        impl OldAdaptiveK {
+            pub fn with_threshold(dual: bool, window: usize, threshold: f64) -> Self {
+                OldAdaptiveK {
+                    dual,
+                    window: window.max(1),
+                    threshold,
+                    history: HashMap::new(),
+                    since_write: HashMap::new(),
+                    states: HashMap::new(),
+                }
+            }
+        }
+
+        impl ReplicationPolicy for OldAdaptiveK {
+            fn on_write(&mut self, key: &str) -> ReplState {
+                let burst = self.since_write.insert(key.to_owned(), 0).unwrap_or(0);
+                let bursts = self.history.entry(key.to_owned()).or_default();
+                bursts.push(burst);
+                if bursts.len() > self.window {
+                    bursts.remove(0);
+                }
+                let predicted = bursts.iter().sum::<u64>() as f64 / bursts.len() as f64;
+                let repeat_says_replicate = predicted >= self.threshold;
+                let state = if repeat_says_replicate != self.dual {
+                    R
+                } else {
+                    NR
+                };
+                self.states.insert(key.to_owned(), state);
+                state
+            }
+
+            fn on_read(&mut self, key: &str) -> ReplState {
+                *self.since_write.entry(key.to_owned()).or_insert(0) += 1;
+                *self.states.get(key).unwrap_or(&NR)
+            }
+
+            fn name(&self) -> String {
+                format!(
+                    "GRuB-memorizing (Adaptive {}, w={})",
+                    if self.dual { "K2" } else { "K1" },
+                    self.window
+                )
+            }
+        }
+
+        pub struct OldSelfTuningK {
+            inner: OldMemoryless,
+            window: usize,
+            retune_every: u64,
+            bursts: VecDeque<u64>,
+            since_write: HashMap<String, u64>,
+            writes_seen: u64,
+            deliver_cost: f64,
+            replica_cost: f64,
+            onchain_read_cost: f64,
+            candidates: Vec<u64>,
+        }
+
+        impl OldSelfTuningK {
+            pub fn new(window: usize, schedule: &GasSchedule) -> Self {
+                OldSelfTuningK {
+                    inner: OldMemoryless::new(schedule.two_competitive_k().round().max(1.0) as u64),
+                    window: window.max(4),
+                    retune_every: 8,
+                    bursts: VecDeque::new(),
+                    since_write: HashMap::new(),
+                    writes_seen: 0,
+                    deliver_cost: schedule.tx_cost_words(12) as f64,
+                    replica_cost: (schedule.storage_insert(1) + schedule.storage_update(1)) as f64,
+                    onchain_read_cost: schedule.storage_read(1) as f64,
+                    candidates: vec![1, 2, 4, 8, 16, 32],
+                }
+            }
+
+            fn counterfactual_cost(&self, k: u64) -> f64 {
+                self.bursts
+                    .iter()
+                    .map(|&n| {
+                        let mut cost = n.min(k) as f64 * self.deliver_cost;
+                        if n >= k {
+                            cost += self.replica_cost + (n - k) as f64 * self.onchain_read_cost;
+                        }
+                        cost
+                    })
+                    .sum()
+            }
+
+            fn retune(&mut self) {
+                let best = self
+                    .candidates
+                    .iter()
+                    .copied()
+                    .min_by(|a, b| {
+                        self.counterfactual_cost(*a)
+                            .total_cmp(&self.counterfactual_cost(*b))
+                    })
+                    .unwrap_or(2);
+                if best != self.inner.k {
+                    // A fresh threshold: current decisions carried over,
+                    // every counter dropped.
+                    let mut next = OldMemoryless::new(best);
+                    next.states = std::mem::take(&mut self.inner.states);
+                    self.inner = next;
+                }
+            }
+        }
+
+        impl ReplicationPolicy for OldSelfTuningK {
+            fn seed_state(&mut self, key: &str, state: ReplState) {
+                self.inner.seed_state(key, state);
+            }
+
+            fn on_write(&mut self, key: &str) -> ReplState {
+                let burst = self.since_write.insert(key.to_owned(), 0).unwrap_or(0);
+                self.bursts.push_back(burst);
+                while self.bursts.len() > self.window {
+                    self.bursts.pop_front();
+                }
+                self.writes_seen += 1;
+                if self.writes_seen.is_multiple_of(self.retune_every) && !self.bursts.is_empty() {
+                    self.retune();
+                }
+                self.inner.on_write(key)
+            }
+
+            fn on_read(&mut self, key: &str) -> ReplState {
+                *self.since_write.entry(key.to_owned()).or_insert(0) += 1;
+                self.inner.on_read(key)
+            }
+
+            fn name(&self) -> String {
+                format!("GRuB-self-tuning (K={}, w={})", self.inner.k, self.window)
+            }
+        }
+    }
+
+    type Pair = (Box<dyn ReplicationPolicy>, Box<dyn ReplicationPolicy>);
+
+    /// The live policy and its oracle, built from the same parameters.
+    fn pair(which: u8, param: u8) -> Pair {
+        let schedule = GasSchedule::default();
+        let threshold = schedule.two_competitive_k();
+        match which % 4 {
+            0 => {
+                let k = 1 + u64::from(param % 4);
+                (
+                    Box::new(Memoryless::new(k)),
+                    Box::new(oracle::OldMemoryless::new(k)),
+                )
+            }
+            1 => {
+                let (k_prime, d) = (1.0 + f64::from(param % 3), f64::from(param % 4));
+                (
+                    Box::new(Memorizing::new(k_prime, d)),
+                    Box::new(oracle::OldMemorizing::new(k_prime, d)),
+                )
+            }
+            2 => {
+                let (dual, window) = (param % 2 == 1, 1 + usize::from(param % 5));
+                (
+                    Box::new(AdaptiveK::with_threshold(dual, window, threshold)),
+                    Box::new(oracle::OldAdaptiveK::with_threshold(
+                        dual, window, threshold,
+                    )),
+                )
+            }
+            _ => {
+                let window = 4 + usize::from(param % 13);
+                (
+                    Box::new(SelfTuningK::new(window, &schedule)),
+                    Box::new(oracle::OldSelfTuningK::new(window, &schedule)),
+                )
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum PolicyOp {
+        Seed(String, bool),
+        Read(String),
+        Write(String),
+    }
+
+    fn alphabet() -> Vec<String> {
+        (0..12u8).map(|i| format!("key{i:02}")).collect()
+    }
+
+    /// A stretch of traffic with its own read share (`reads` in 0..=9 out of
+    /// 10), so one script moves between write-heavy and read-heavy phases —
+    /// that is what makes the self-tuner change its mind.
+    fn phase() -> impl Strategy<Value = Vec<PolicyOp>> {
+        let key = prop::sample::select(alphabet());
+        (
+            0..10u8,
+            prop::collection::vec((key, 0..10u8, any::<bool>()), 8..96),
+        )
+            .prop_map(|(reads, draws)| {
+                draws
+                    .into_iter()
+                    .map(|(key, draw, flag)| match draw {
+                        // Seeds are the rare event they are in the system.
+                        0 if flag => PolicyOp::Seed(key, reads % 2 == 0),
+                        draw if draw < reads => PolicyOp::Read(key),
+                        _ => PolicyOp::Write(key),
+                    })
+                    .collect()
+            })
+    }
+
+    /// Feeds `script` to both policies; returns how many times the live
+    /// policy's name (which prints the live K) changed along the way.
+    fn run_script(which: u8, param: u8, script: &[PolicyOp]) -> usize {
+        let (mut live, mut old) = pair(which, param);
+        let mut renames = 0;
+        let mut name = live.name();
+        for (i, op) in script.iter().enumerate() {
+            match op {
+                PolicyOp::Seed(key, replicated) => {
+                    let state = if *replicated { R } else { NR };
+                    live.seed_state(key, state);
+                    old.seed_state(key, state);
+                }
+                PolicyOp::Read(key) => {
+                    assert_eq!(live.on_read(key), old.on_read(key), "op {i}: {op:?}");
+                }
+                PolicyOp::Write(key) => {
+                    assert_eq!(live.on_write(key), old.on_write(key), "op {i}: {op:?}");
+                }
+            }
+            assert_eq!(live.name(), old.name(), "after op {i}: {op:?}");
+            if live.name() != name {
+                name = live.name();
+                renames += 1;
+            }
+        }
+        renames
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Equal decision sequences and equal names on random multi-phase
+        /// scripts over a 12-key alphabet.
+        #[test]
+        fn policies_decide_like_their_multi_map_oracles(
+            which in 0..4u8,
+            param in any::<u8>(),
+            phases in prop::collection::vec(phase(), 1..8),
+        ) {
+            run_script(which, param, &phases.concat());
+        }
+    }
+
+    /// A script built to swing the self-tuner between K = 2 (1-read
+    /// bursts), 4 (2-read bursts) and 1 (long bursts, write-only), so the
+    /// in-place retune (keep every decision, restart every counter) is
+    /// compared with the build-a-fresh-`Memoryless` original across several
+    /// changes of K. A bystander key, read every fourth cycle and written
+    /// every twelfth, sits mid-count when retunes land.
+    #[test]
+    fn self_tuner_retunes_in_place_like_the_rebuilt_original() {
+        let keys = alphabet();
+        let (bystander, keys) = keys.split_last().expect("twelve keys");
+        let mut script = Vec::new();
+        for round in 0..2 {
+            let phases = [
+                (1usize, 50usize),
+                (2, 50),
+                (1, 50),
+                (24, 48),
+                (0, 32),
+                (2, 50),
+            ];
+            for (burst, cycles) in phases {
+                for cycle in 0..cycles {
+                    let key = &keys[(cycle + round) % keys.len()];
+                    script.push(PolicyOp::Write(key.clone()));
+                    script.extend(std::iter::repeat_n(PolicyOp::Read(key.clone()), burst));
+                    match cycle % 12 {
+                        11 => script.push(PolicyOp::Write(bystander.clone())),
+                        c if c % 4 == 0 => script.push(PolicyOp::Read(bystander.clone())),
+                        _ => {}
+                    }
+                }
+            }
+            script.push(PolicyOp::Seed(keys[round].clone(), true));
+        }
+        for window in [0u8, 4, 12] {
+            let renames = run_script(3, window, &script);
+            assert!(renames >= 6, "K changed only {renames} times");
         }
     }
 }

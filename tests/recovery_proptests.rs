@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use grub::crypto::sha256;
-use grub::merkle::{record_value_hash, MerkleKv, ProofKey, ReplState};
+use grub::merkle::{record_value_hash, MerkleKv, ProofKey, ReplState, VerifyError};
 use grub::store::{Db, Options};
 
 fn pkey(replicated: bool, key: &str) -> ProofKey {
@@ -53,17 +53,23 @@ proptest! {
         let root = tree.root();
         for (pk, value) in &model {
             let vh = record_value_hash(value);
-            let proof = tree.prove(pk).expect("live key has a proof");
-            prop_assert!(
-                proof.verify(&root, pk, &vh),
+            // The point form the SP serves: the one-key range [pk, pk].
+            let proof = tree.prove_range(pk, pk);
+            let proven = proof.verify(&root, pk, pk);
+            prop_assert_eq!(
+                &proven,
+                &Ok(vec![(pk.clone(), vh)]),
                 "latest value must verify after updates"
             );
-            // A superseded or forged value must not verify.
+            // A superseded or forged value is not what the proof commits to.
             let forged = record_value_hash(&seed_forgery(value));
-            prop_assert!(!proof.verify(&root, pk, &forged));
-            // Nor must the right value under the wrong root.
+            prop_assert_ne!(proven, Ok(vec![(pk.clone(), forged)]));
+            // Nor does the right value verify under the wrong root.
             let wrong_root = sha256(root.as_bytes());
-            prop_assert!(!proof.verify(&wrong_root, pk, &vh));
+            prop_assert_eq!(
+                proof.verify(&wrong_root, pk, pk),
+                Err(VerifyError::RootMismatch)
+            );
         }
     }
 
@@ -87,20 +93,25 @@ proptest! {
         let old_value = old_seed.to_le_bytes();
         tree.insert(pk.clone(), record_value_hash(&old_value));
         let old_root = tree.root();
-        let old_proof = tree.prove(&pk).expect("present");
-        prop_assert!(old_proof.verify(&old_root, &pk, &record_value_hash(&old_value)));
+        let old_proof = tree.prove_range(&pk, &pk);
+        let old_record = vec![(pk.clone(), record_value_hash(&old_value))];
+        prop_assert_eq!(old_proof.verify(&old_root, &pk, &pk), Ok(old_record));
 
         // Update the record (append-only value streams never repeat seeds).
         let new_value = new_seed.to_le_bytes();
         tree.insert(pk.clone(), record_value_hash(&new_value));
         let new_root = tree.root();
-        let new_proof = tree.prove(&pk).expect("still present");
-        prop_assert!(new_proof.verify(&new_root, &pk, &record_value_hash(&new_value)));
+        let new_record = vec![(pk.clone(), record_value_hash(&new_value))];
+        prop_assert_eq!(
+            tree.prove_range(&pk, &pk).verify(&new_root, &pk, &pk),
+            Ok(new_record)
+        );
         if old_seed != new_seed {
             prop_assert_ne!(old_root, new_root, "update must move the root");
-            prop_assert!(
-                !old_proof.verify(&new_root, &pk, &record_value_hash(&old_value)),
-                "replayed stale proof+value must fail against the new root"
+            prop_assert_eq!(
+                old_proof.verify(&new_root, &pk, &pk),
+                Err(VerifyError::RootMismatch),
+                "replayed stale proof must fail against the new root"
             );
         }
     }

@@ -1,0 +1,176 @@
+//! The steady-state op path does not allocate.
+//!
+//! A key's per-policy record and the DO's per-key entry are created the
+//! first time the key is seen; every later observation finds them with one
+//! lookup and copies nothing. This binary carries its own counting
+//! `#[global_allocator]` (the only `unsafe` in the tree, and the reason the
+//! test lives here rather than in a library crate) and asserts the counts.
+//! Counting is per thread, so the harness's own threads cannot disturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use grub::chain::Address;
+use grub::core::owner::DataOwner;
+use grub::core::policy::{Memoryless, PolicyKind};
+use grub::gas::GasSchedule;
+use grub::merkle::ReplState;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count_one() {
+    // `try_with`: an allocation during thread teardown must not panic.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` obligations pass through to `System`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // `layout`; the caller guarantees `new_size` is valid for it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations (including reallocations) `f` makes on this thread.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.get();
+    f();
+    ALLOCS.get() - before
+}
+
+const KEYS: usize = 4_096;
+const OPS: usize = 20_000;
+const WINDOW: usize = 4;
+
+fn keys() -> Vec<String> {
+    (0..KEYS).map(|i| format!("user{i:08}")).collect()
+}
+
+#[test]
+fn stateful_policies_decide_without_allocating() {
+    let schedule = GasSchedule::default();
+    let kinds = [
+        PolicyKind::Memoryless { k: 2 },
+        PolicyKind::Memorizing {
+            k_prime: 2.0,
+            d: 1.0,
+        },
+        PolicyKind::Adaptive {
+            dual: true,
+            window: WINDOW,
+        },
+        PolicyKind::SelfTuning { window: 16 },
+        PolicyKind::FeeAware {
+            threshold_permille: 1_500,
+            inner: Box::new(PolicyKind::Memoryless { k: 2 }),
+        },
+    ];
+    let keys = keys();
+    for kind in kinds {
+        let mut policy = kind.build(&schedule);
+        // Warm-up: every key seen, and every per-key structure at its steady
+        // size (`AdaptiveK` keeps `window` bursts and holds `window + 1`
+        // while trimming).
+        for round in 0..=WINDOW {
+            for key in &keys {
+                policy.on_write(key);
+                for _ in 0..round % 3 {
+                    policy.on_read(key);
+                }
+            }
+        }
+        let reads = allocs_during(|| {
+            for key in keys.iter().cycle().take(OPS) {
+                policy.on_read(key);
+            }
+        });
+        assert_eq!(reads, 0, "{kind:?}: allocations in {OPS} on_read calls");
+        let writes = allocs_during(|| {
+            for key in keys.iter().cycle().take(OPS) {
+                policy.on_write(key);
+            }
+        });
+        assert_eq!(writes, 0, "{kind:?}: allocations in {OPS} on_write calls");
+    }
+}
+
+#[test]
+fn data_owner_allocates_only_what_it_keeps() {
+    let keys = keys();
+    let mut owner = DataOwner::new(Address::derive("DO"), Box::new(Memoryless::new(2)));
+    // Settle every key as a replica: write, flush, read K times, flush.
+    for key in &keys {
+        owner.observe_write(key, vec![7; 32]);
+    }
+    owner.flush_epoch();
+    for key in &keys {
+        owner.observe_read(key);
+        owner.observe_read(key);
+    }
+    assert_eq!(owner.flush_epoch().replications, KEYS);
+
+    // Replica hits: the policy says R, the entry says R, nothing to queue.
+    let reads = allocs_during(|| {
+        for key in keys.iter().cycle().take(OPS) {
+            assert_eq!(owner.observe_read(key), ReplState::Replicated);
+        }
+    });
+    assert_eq!(reads, 0, "allocations in {OPS} settled observe_read calls");
+
+    // The first write of a replicated key flips its decision: the DO keeps
+    // the staged key and one `pending` entry (a key copy, plus a B-tree node
+    // every few keys). Values are built outside the measured region — the
+    // caller hands them over. `GROWTH` covers the staging vector doubling.
+    const GROWTH: u64 = 16;
+    let mut values: Vec<Vec<u8>> = (0..2 * KEYS).map(|_| vec![9; 32]).collect();
+    let first = allocs_during(|| {
+        for (key, value) in keys.iter().zip(values.drain(..KEYS)) {
+            owner.observe_write(key, value);
+        }
+    });
+    let n = KEYS as u64;
+    assert!(
+        (2 * n..=2 * n + n / 4 + GROWTH).contains(&first),
+        "first writes: {first} allocations for {n} keys"
+    );
+    // A second write in the same epoch changes no decision: the staged key
+    // is all there is to keep.
+    let second = allocs_during(|| {
+        for (key, value) in keys.iter().zip(values.drain(..)) {
+            owner.observe_write(key, value);
+        }
+    });
+    assert!(
+        (n..=n + GROWTH).contains(&second),
+        "repeat writes: {second} allocations for {n} keys"
+    );
+    assert_eq!(owner.flush_epoch().evictions, KEYS);
+}
