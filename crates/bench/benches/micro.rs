@@ -11,7 +11,7 @@ use grub_chain::{Address, Blockchain, ChainConfig, Transaction};
 use grub_core::owner::DataOwner;
 use grub_core::policy::PolicyKind;
 use grub_core::policy::{Memoryless, ReplicationPolicy};
-use grub_core::system::{GrubSystem, SystemConfig};
+use grub_core::system::{DriverIdentity, EpochDriver, GrubSystem, SystemConfig};
 use grub_crypto::sha256;
 use grub_gas::Layer;
 use grub_merkle::{record_value_hash, MerkleKv, ProofKey, ReplState, TreeOp};
@@ -40,7 +40,21 @@ fn bench_merkle(c: &mut Criterion) {
             )
         })
         .collect();
-    let tree = MerkleKv::from_sorted(records);
+    // How a dataset gets into a tree: one sorted batch into an empty tree,
+    // built balanced with every node hashed once.
+    c.bench_function("merkle/bulk-load-64k", |b| {
+        b.iter_batched(
+            || records.clone(),
+            |records| {
+                let mut tree = MerkleKv::new();
+                tree.insert_batch(records);
+                tree
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    let mut tree = MerkleKv::new();
+    tree.insert_batch(records);
     let target = ProofKey::new(ReplState::NotReplicated, b"k00032000".to_vec());
     // The point form the SP serves: the one-key range [target, target].
     c.bench_function("merkle/prove-64k", |b| {
@@ -66,7 +80,6 @@ fn bench_merkle(c: &mut Criterion) {
     });
     // The epoch shape, as opposed to the cold single insert above: one
     // deferred-hash batch of 16 in-place updates spread over a warm tree.
-    let mut tree = tree;
     let mut round = 0u32;
     c.bench_function("merkle/apply_batch-16upd@64k", |b| {
         b.iter_batched(
@@ -90,12 +103,17 @@ fn bench_merkle(c: &mut Criterion) {
     });
 }
 
+/// 65,536 key-ordered records of `len` bytes: the benchmark's dataset shape.
+fn dataset_64k(len: usize) -> Vec<(String, Vec<u8>)> {
+    (0..65_536u32)
+        .map(|i| (format!("k{i:08}"), vec![0xabu8; len]))
+        .collect()
+}
+
 /// Closing an epoch on a large, quiet feed: 16 writes against 65,536
 /// preloaded records. What it costs must follow the 16, not the 65,536.
 fn bench_owner(c: &mut Criterion) {
-    let records: Vec<(String, Vec<u8>)> = (0..65_536u32)
-        .map(|i| (format!("k{i:08}"), vec![0xabu8; 64]))
-        .collect();
+    let records = dataset_64k(64);
     let mut owner = DataOwner::new(Address::derive("DO"), Box::new(Memoryless::new(2)));
     owner.preload(&records, ReplState::NotReplicated);
     let mut round = 0u32;
@@ -196,6 +214,42 @@ fn bench_store(c: &mut Criterion) {
                 .expect("scan")
         })
     });
+    drop(db);
+    // Loading 65,536 x 256 B sorted records into a fresh store: laid down
+    // as L1 tables, against the WAL → memtable → flush → compaction they
+    // cost one `put` at a time.
+    let records = dataset_64k(256);
+    let fresh = || {
+        std::fs::remove_dir_all(&dir).ok();
+        Db::open(&dir, Options::default()).expect("open")
+    };
+    c.bench_function("store/ingest-sorted-64k", |b| {
+        b.iter_batched(
+            fresh,
+            |mut db| {
+                db.ingest_sorted(
+                    records
+                        .iter()
+                        .map(|(k, v)| (k.as_bytes().to_vec(), v.as_slice())),
+                )
+                .expect("ingest");
+                db
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    c.bench_function("store/put-64k", |b| {
+        b.iter_batched(
+            fresh,
+            |mut db| {
+                for (key, value) in &records {
+                    db.put(key.as_bytes().to_vec(), value.clone()).expect("put");
+                }
+                db
+            },
+            BatchSize::LargeInput,
+        )
+    });
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -239,6 +293,16 @@ fn bench_policy(c: &mut Criterion) {
 }
 
 fn bench_system(c: &mut Criterion) {
+    // Set-up of the benchmark's YCSB feeds: contracts, DO, SP and a sorted
+    // 65,536 x 256 B preload, end to end.
+    let preloaded = SystemConfig::new(PolicyKind::Memoryless { k: 2 }).preload(dataset_64k(256));
+    c.bench_function("deploy/preload-64k", |b| {
+        b.iter(|| {
+            let mut chain = Blockchain::with_config(ChainConfig::default());
+            EpochDriver::deploy(&mut chain, &preloaded, &DriverIdentity::tenant("bench"))
+                .expect("deploy")
+        })
+    });
     let workload = RatioWorkload::new("k", 4.0);
     c.bench_function("system/ratio4-160ops", |b| {
         b.iter(|| {

@@ -128,10 +128,12 @@ impl DataOwner {
         self.policy.observe_fee_price(price_permille);
     }
 
-    /// Preloads records (no policy involvement, no staging): used for the
-    /// initial dataset before metering starts.
-    pub fn preload(&mut self, records: &[(String, Vec<u8>)], state: ReplState) -> Vec<SpSync> {
-        let mut sync = Vec::with_capacity(records.len());
+    /// Loads the initial dataset (no policy decisions, no staging), before
+    /// metering starts. The mirror takes the records as one
+    /// [`MerkleKv::apply_batch`], so a sorted dataset on a fresh DO is bulk
+    /// loaded; each record costs one value copy (the DO's own) and the key
+    /// copies its three owners need (entry, leaf, policy).
+    pub fn bulk_load(&mut self, records: &[(String, Vec<u8>)], state: ReplState) {
         let mut tree_ops = Vec::with_capacity(records.len());
         for (key, value) in records {
             let pkey = ProofKey::new(state, key.as_bytes().to_vec());
@@ -143,14 +145,27 @@ impl DataOwner {
             // Committed and desired now agree, whatever was observed before.
             self.pending.remove(key);
             self.policy.seed_state(key, state);
-            sync.push(SpSync::Write {
+        }
+        self.nodes_rehashed += self.mirror.apply_batch(tree_ops) as u64;
+    }
+
+    /// [`DataOwner::bulk_load`], plus the `gPuts` sync list that carries the
+    /// same records to an SP by [`StorageProvider::apply_sync_batch`] — a
+    /// second copy of the dataset, built only for callers that ask for it.
+    /// (`EpochDriver::deploy` does not: it hands the SP the records it was
+    /// given. The frozen `benchmark trace` probe does.)
+    ///
+    /// [`StorageProvider::apply_sync_batch`]: crate::provider::StorageProvider::apply_sync_batch
+    pub fn preload(&mut self, records: &[(String, Vec<u8>)], state: ReplState) -> Vec<SpSync> {
+        self.bulk_load(records, state);
+        records
+            .iter()
+            .map(|(key, value)| SpSync::Write {
                 key: key.clone(),
                 value: value.clone(),
                 state,
-            });
-        }
-        self.nodes_rehashed += self.mirror.apply_batch(tree_ops) as u64;
-        sync
+            })
+            .collect()
     }
 
     /// Observes a local write: feeds the policy and stages the value for the

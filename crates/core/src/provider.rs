@@ -143,9 +143,9 @@ impl StorageProvider {
         let dir = dir.into();
         let db = Db::open(&dir, options)?;
         let mut tree = MerkleKv::new();
-        // Batch-built: same shape (and root) as the sequential insert loop,
-        // but every shared path is hashed once across the whole recovery
-        // scan instead of once per record.
+        // The scan is sorted and the tree empty, so this is the bulk load:
+        // the balanced tree over whatever the store holds, every node
+        // hashed once.
         let mut records = Vec::new();
         for (skey, value) in db.scan(None, None)? {
             let Some((state, key)) = parse_storage_key(&skey) else {
@@ -219,6 +219,45 @@ impl StorageProvider {
         out
     }
 
+    /// Loads the initial dataset under `state`: the store by
+    /// [`Db::ingest_sorted`], the tree by one [`MerkleKv::apply_batch`] over
+    /// value hashes the SP computes from its own copy. Equivalent to
+    /// [`StorageProvider::apply_sync_batch`] of one `Write` per record; a
+    /// sorted dataset on a fresh SP skips the WAL, the memtable and every
+    /// per-record tree descent.
+    ///
+    /// An SP reopened over a store that already holds records (a deploy
+    /// killed mid-preload left a prefix of the dataset) applies the batch
+    /// per record onto the recovered tree and then rebuilds it: the balanced
+    /// shape depends only on the live set, so the SP lands on the root a
+    /// fresh DO bulk-builds over the same sorted dataset, whatever survived.
+    ///
+    /// # Errors
+    ///
+    /// Propagates store I/O failures.
+    pub fn bulk_load(&mut self, records: &[(String, Vec<u8>)], state: ReplState) -> Result<()> {
+        let recovered = !self.tree.is_empty();
+        self.db.ingest_sorted(
+            records
+                .iter()
+                .map(|(key, value)| (Self::storage_key(state, key), value.as_slice())),
+        )?;
+        let tree_ops = records
+            .iter()
+            .map(|(key, value)| {
+                TreeOp::Insert(
+                    ProofKey::new(state, key.as_bytes().to_vec()),
+                    record_value_hash(value),
+                )
+            })
+            .collect();
+        self.nodes_rehashed += self.tree.apply_batch(tree_ops) as u64;
+        if recovered {
+            self.tree.rebuild();
+        }
+        Ok(())
+    }
+
     /// Applies the DO's `gPuts` synchronization, in order: store writes
     /// take the round's values by move (no per-record clone), and the
     /// whole round's tree mutations are applied as one deferred-hash
@@ -268,6 +307,12 @@ impl StorageProvider {
     /// key-span skips).
     pub fn read_stats(&self) -> grub_store::ReadStats {
         self.db.read_stats()
+    }
+
+    /// The store's `(L0 tables, L1 tables, flushes, compactions)` since
+    /// open ([`Db::stats`]).
+    pub fn store_stats(&self) -> (usize, usize, u64, u64) {
+        self.db.stats()
     }
 
     /// Scans the chain's event log for requests since the last poll and

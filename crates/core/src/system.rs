@@ -500,8 +500,10 @@ impl EpochDriver {
         } else {
             ReplState::NotReplicated
         };
-        let sync = owner.preload(&config.preload, preload_state);
-        provider.apply_sync_batch(sync)?;
+        // Both sides load from the borrowed dataset — no sync list in
+        // between — and each hashes its own copy.
+        owner.bulk_load(&config.preload, preload_state);
+        provider.bulk_load(&config.preload, preload_state)?;
         // Seed the on-chain state: the root digest, plus replicas when
         // preloading replicated. Chunk to stay under Ctx's X < 1000.
         let digest = owner.root();

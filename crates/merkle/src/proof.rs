@@ -221,12 +221,14 @@ mod tests {
 
     fn figure_4b_tree() -> MerkleKv {
         // ⟨w,NR,100⟩ ⟨y,NR,200⟩ ⟨x,R,300⟩ ⟨z,R,400⟩ — the paper's example.
-        MerkleKv::from_sorted(vec![
+        let mut tree = MerkleKv::new();
+        tree.insert_batch(vec![
             (nr("w"), vh("100")),
             (nr("y"), vh("200")),
             (r("x"), vh("300")),
             (r("z"), vh("400")),
-        ])
+        ]);
+        tree
     }
 
     /// The one-key range `[k, k]` is the membership proof the SP serves for
@@ -429,7 +431,8 @@ mod tests {
         let records: Vec<_> = (0..256)
             .map(|i| (nr(&format!("k{i:04}")), vh(&i.to_string())))
             .collect();
-        let big = MerkleKv::from_sorted(records);
+        let mut big = MerkleKv::new();
+        big.insert_batch(records);
         let ps = small.prove_range(&nr("w"), &nr("w"));
         let pb = big.prove_range(&nr("k0100"), &nr("k0100"));
         assert!(pb.hash_count() > ps.hash_count());

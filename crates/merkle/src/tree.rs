@@ -150,21 +150,21 @@ fn flatten(node: Node, out: &mut Vec<LeafData>) {
     }
 }
 
-fn rebuild_leaves(leaves: Vec<LeafData>, defer: bool) -> Box<Node> {
-    fn build(leaves: &mut [Option<LeafData>], defer: bool) -> Box<Node> {
-        match leaves.len() {
-            0 => unreachable!("rebuild_leaves requires at least one leaf"),
-            // grub-lint: allow(panic) — each slot starts Some and is taken exactly once across the recursion
-            1 => Box::new(Node::Leaf(leaves[0].take().expect("present"))),
-            n => {
-                let (l, r) = leaves.split_at_mut(n / 2);
-                Node::join(build(l, defer), build(r, defer), defer).into()
-            }
-        }
+/// The one shape rule: the balanced tree over `n` leaves taken in key
+/// order from `leaves`, split `n / 2 | n − n / 2` at every level. A
+/// scapegoat rebuild, the tombstone compaction, [`MerkleKv::rebuild`] and
+/// the bulk load of [`MerkleKv::apply_batch`] all build with it, so the
+/// same leaf set always comes out as the same tree. Leaves keep whatever
+/// hashes (and dirty flags) they arrive with; every inner node is joined
+/// fresh.
+fn build_balanced(n: usize, leaves: &mut impl Iterator<Item = Node>, defer: bool) -> Box<Node> {
+    if n <= 1 {
+        // grub-lint: allow(panic) — every caller passes the iterator's own length (≥ 1) as `n`
+        return Box::new(leaves.next().expect("n leaves"));
     }
-    assert!(!leaves.is_empty());
-    let mut slots: Vec<Option<LeafData>> = leaves.into_iter().map(Some).collect();
-    build(&mut slots, defer)
+    let left = build_balanced(n / 2, leaves, defer);
+    let right = build_balanced(n - n / 2, leaves, defer);
+    Box::new(Node::join(left, right, defer))
 }
 
 /// The authenticated KV index: a binary Merkle tree whose in-order leaves
@@ -187,24 +187,6 @@ impl MerkleKv {
     /// Creates an empty tree.
     pub fn new() -> Self {
         MerkleKv::default()
-    }
-
-    /// Builds a balanced tree from records sorted by `ProofKey`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not strictly sorted by key.
-    pub fn from_sorted(records: Vec<(ProofKey, Hash32)>) -> Self {
-        for pair in records.windows(2) {
-            assert!(pair[0].0 < pair[1].0, "records must be strictly sorted");
-        }
-        let live = records.len();
-        let root = build_balanced(&records, false);
-        MerkleKv {
-            root,
-            live,
-            tombstones: 0,
-        }
     }
 
     /// The root digest ([`empty_root`] when the tree holds nothing).
@@ -305,26 +287,42 @@ impl MerkleKv {
     /// once per op, while the resulting root is byte-identical to the
     /// sequential one.
     ///
+    /// **The bulk load is the one exception.** A batch of inserts in
+    /// strictly ascending key order applied to an *empty* tree is a sorted
+    /// dataset being loaded, not a round of updates: it is built directly as
+    /// the balanced tree [`MerkleKv::rebuild`] would leave (`2n − 1` hashes,
+    /// no scapegoat rebuilds), not as the right-leaning tree `n` one-by-one
+    /// appends grow. The rule reads only the tree and the batch, so every
+    /// party that applies the same batch to an empty tree — the DO's mirror,
+    /// the SP, a recovery scan — takes it alike and reaches the same root.
+    /// Up to three keys the two shapes coincide.
+    ///
     /// Returns the number of nodes rehashed — the per-round
     /// `merkle_nodes_rehashed` observability counter.
     pub fn apply_batch(&mut self, ops: Vec<TreeOp>) -> usize {
-        if ops.is_empty() {
-            return 0;
-        }
-        for op in ops {
-            match op {
-                TreeOp::Insert(pkey, vhash) => self.insert_with(pkey, vhash, true),
-                TreeOp::Invalidate(pkey) => {
-                    self.invalidate_with(&pkey, true);
+        if self.root.is_none() && is_sorted_load(&ops) {
+            self.live = ops.len();
+            let mut leaves = ops.into_iter().filter_map(|op| match op {
+                TreeOp::Insert(pkey, vhash) => Some(Node::new_leaf(pkey, vhash, true)),
+                TreeOp::Invalidate(_) => None,
+            });
+            self.root = Some(build_balanced(self.live, &mut leaves, true));
+        } else {
+            for op in ops {
+                match op {
+                    TreeOp::Insert(pkey, vhash) => self.insert_with(pkey, vhash, true),
+                    TreeOp::Invalidate(pkey) => {
+                        self.invalidate_with(&pkey, true);
+                    }
                 }
             }
         }
         self.root.as_deref_mut().map(rehash).unwrap_or(0)
     }
 
-    /// [`MerkleKv::apply_batch`] over inserts only — the bulk-load shape
-    /// (`open_at` recovery, preloads). Returns the number of nodes
-    /// rehashed.
+    /// [`MerkleKv::apply_batch`] over inserts only — how a dataset is
+    /// loaded (`open_at` recovery, preloads): sorted records into an empty
+    /// tree take the bulk-load rule. Returns the number of nodes rehashed.
     pub fn insert_batch(&mut self, records: Vec<(ProofKey, Hash32)>) -> usize {
         self.apply_batch(
             records
@@ -350,12 +348,17 @@ impl MerkleKv {
     }
 
     fn rebuild_with(&mut self, defer: bool) {
-        let mut records = Vec::with_capacity(self.live);
-        if let Some(root) = &self.root {
-            collect_live(root, &mut records);
+        let mut leaves = Vec::with_capacity(self.live + self.tombstones);
+        if let Some(root) = self.root.take() {
+            flatten(*root, &mut leaves);
         }
-        self.root = build_balanced(&records, defer);
-        self.live = records.len();
+        // Live leaves are re-made (and so re-hashed), as they always have
+        // been: a round's rehash count is a published metric.
+        let mut live = leaves
+            .into_iter()
+            .filter(|leaf| leaf.valid)
+            .map(|leaf| Node::new_leaf(leaf.pkey, leaf.vhash, defer));
+        self.root = (self.live > 0).then(|| build_balanced(self.live, &mut live, defer));
         self.tombstones = 0;
     }
 
@@ -407,6 +410,27 @@ pub enum TreeOp {
     Insert(ProofKey, Hash32),
     /// Tombstone the key (the paper's "mark invalid").
     Invalidate(ProofKey),
+}
+
+impl TreeOp {
+    /// The key this op inserts, if it is an insert.
+    fn inserted(&self) -> Option<&ProofKey> {
+        match self {
+            TreeOp::Insert(pkey, _) => Some(pkey),
+            TreeOp::Invalidate(_) => None,
+        }
+    }
+}
+
+/// Whether `ops` is a sorted dataset: inserts only, keys strictly
+/// ascending. Read only when the tree is empty, so steady-state rounds
+/// never pay for the scan.
+fn is_sorted_load(ops: &[TreeOp]) -> bool {
+    !ops.is_empty()
+        && ops.iter().all(|op| op.inserted().is_some())
+        && ops
+            .windows(2)
+            .all(|pair| pair[0].inserted() < pair[1].inserted())
 }
 
 enum InsertOutcome {
@@ -470,7 +494,8 @@ fn insert_rec(slot: &mut Box<Node>, pkey: ProofKey, vhash: Hash32, defer: bool) 
                 // hashes (and dirty flags), every inner node is rejoined.
                 let mut leaves = Vec::with_capacity(i.count);
                 flatten(std::mem::replace(&mut **slot, Node::vacant()), &mut leaves);
-                *slot = rebuild_leaves(leaves, defer);
+                *slot =
+                    build_balanced(leaves.len(), &mut leaves.into_iter().map(Node::Leaf), defer);
             } else {
                 i.touch(defer);
             }
@@ -506,25 +531,6 @@ fn invalidate_rec(slot: &mut Node, pkey: &ProofKey, defer: bool) -> bool {
             let removed = invalidate_rec(child, pkey, defer);
             i.touch(defer);
             removed
-        }
-    }
-}
-
-fn build_balanced(records: &[(ProofKey, Hash32)], defer: bool) -> Option<Box<Node>> {
-    match records.len() {
-        0 => None,
-        1 => Some(Box::new(Node::new_leaf(
-            records[0].0.clone(),
-            records[0].1,
-            defer,
-        ))),
-        n => {
-            let mid = n / 2;
-            // grub-lint: allow(panic) — n >= 2 so both halves are non-empty
-            let left = build_balanced(&records[..mid], defer).expect("non-empty");
-            // grub-lint: allow(panic) — n >= 2 so both halves are non-empty
-            let right = build_balanced(&records[mid..], defer).expect("non-empty");
-            Some(Box::new(Node::join(left, right, defer)))
         }
     }
 }
@@ -736,25 +742,6 @@ mod tests {
         t.insert(nr("x"), vh("310"));
         assert_eq!(t.get(&r("x")), None);
         assert_eq!(t.get(&nr("x")), Some(vh("310")));
-    }
-
-    #[test]
-    fn from_sorted_matches_incremental_content() {
-        let records: Vec<_> = (0..100)
-            .map(|i| (nr(&format!("k{i:03}")), vh(&format!("v{i}"))))
-            .collect();
-        let bulk = MerkleKv::from_sorted(records.clone());
-        let mut inc = MerkleKv::new();
-        for (k, v) in records.iter().rev() {
-            inc.insert(k.clone(), *v);
-        }
-        assert_eq!(bulk.iter_live(), inc.iter_live());
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly sorted")]
-    fn from_sorted_rejects_unsorted() {
-        MerkleKv::from_sorted(vec![(nr("b"), vh("1")), (nr("a"), vh("2"))]);
     }
 
     #[test]
@@ -995,23 +982,92 @@ mod tests {
         assert!(eager.len() > 100, "both state groups populated");
     }
 
+    fn sorted_records(n: usize) -> Vec<(ProofKey, Hash32)> {
+        (0..n)
+            .map(|i| (nr(&format!("k{i:05}")), vh(&i.to_string())))
+            .collect()
+    }
+
+    #[test]
+    fn bulk_load_builds_the_rebuild_shape_in_2n_minus_1_hashes() {
+        // History independence: a sorted batch into an empty tree lands on
+        // the same tree — hence the same root — as any other route to the
+        // same record set followed by `rebuild()`.
+        for n in [1usize, 2, 3, 4, 5, 8, 9, 100, 1000, 4096, 4097] {
+            let records = sorted_records(n);
+            let mut bulk = MerkleKv::new();
+            assert_eq!(bulk.insert_batch(records.clone()), 2 * n - 1, "n = {n}");
+            check_invariants(&bulk, true);
+            assert_eq!((bulk.len(), bulk.tombstone_count()), (n, 0));
+            let log2_ceil = n.next_power_of_two().trailing_zeros() as usize;
+            assert_eq!(bulk.depth(), log2_ceil + 1, "n = {n}");
+            // Every third key first, one by one, then the rest.
+            let mut grown = MerkleKv::new();
+            for phase in 0..3 {
+                for (key, value) in records.iter().skip(phase).step_by(3) {
+                    grown.insert(key.clone(), *value);
+                }
+            }
+            grown.rebuild();
+            assert_eq!(bulk.root(), grown.root(), "n = {n}");
+            assert_eq!(bulk.iter_live(), records);
+        }
+    }
+
+    #[test]
+    fn bulk_load_coincides_with_appends_up_to_three_keys() {
+        // Which is why a feed that starts with a handful of writes mines the
+        // same roots it always has.
+        for n in 1..=3 {
+            let mut bulk = MerkleKv::new();
+            bulk.insert_batch(sorted_records(n));
+            let mut grown = MerkleKv::new();
+            for (key, value) in sorted_records(n) {
+                grown.insert(key, value);
+            }
+            assert_eq!(bulk.root(), grown.root(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn far_right_graft_after_a_bulk_load_rehashes_one_path() {
+        // The first replication after a 2^16-record NR preload grafts the
+        // tree's only R leaf at the far right. On the balanced tree that is
+        // one root-to-leaf path, not the whole-tree rebuild it triggers on
+        // the append-built shape (next test).
+        let mut tree = MerkleKv::new();
+        tree.insert_batch(sorted_records(1 << 16));
+        let depth = tree.depth();
+        assert_eq!(depth, 17);
+        let mut eager = tree.clone();
+        let rehashed = tree.apply_batch(vec![TreeOp::Insert(r("k"), vh("v"))]);
+        assert!(rehashed <= depth + 1, "{rehashed} nodes for one graft");
+        check_invariants(&tree, false);
+        eager.insert(r("k"), vh("v"));
+        assert_eq!(tree.root(), eager.root());
+        assert_eq!(tree.depth(), depth + 1);
+    }
+
     #[test]
     fn far_right_graft_after_sorted_appends_rebuilds_the_root() {
-        // Sorted appends leave the root due for a rebuild exactly when the
-        // tree reaches 2^k + 1 leaves: after 2^k NR keys, the first R key —
-        // the far-right graft a first replication performs — rebuilds the
-        // whole tree in place of the root.
+        // The per-op path is untouched: keys appended one by one (a feed
+        // that follows the tip rather than loading a dataset) leave the root
+        // due for a rebuild exactly when the tree reaches 2^k + 1 leaves, so
+        // after 2^k NR keys the first R key rebuilds the whole tree in place
+        // of the root.
         for k in 4..=10u32 {
             let n = 1usize << k;
-            let records: Vec<_> = (0..n).map(|i| (nr(&format!("k{i:05}")), vh("v"))).collect();
-            let mut batched = MerkleKv::new();
-            batched.insert_batch(records.clone());
-            check_invariants(&batched, true);
             let mut eager = MerkleKv::new();
-            for (key, value) in records {
+            for (key, value) in sorted_records(n) {
                 eager.insert(key, value);
             }
-            assert_eq!(batched.root(), eager.root());
+            check_invariants(&eager, true);
+            assert_eq!(
+                eager.depth(),
+                2 * k as usize + 1,
+                "append-built, not balanced"
+            );
+            let mut batched = eager.clone();
             // Every inner node of the rebuilt tree plus the new leaf; the
             // old leaves keep their hashes.
             let rehashed = batched.apply_batch(vec![TreeOp::Insert(r("k"), vh("v"))]);
@@ -1021,6 +1077,49 @@ mod tests {
             check_invariants(&eager, true);
             assert_eq!(batched.root(), eager.root());
             assert_eq!(batched.depth(), k as usize + 2);
+        }
+    }
+
+    #[test]
+    fn batches_that_are_not_a_sorted_load_take_the_per_op_path() {
+        let load = || -> Vec<TreeOp> {
+            sorted_records(64)
+                .into_iter()
+                .map(|(key, value)| TreeOp::Insert(key, value))
+                .collect()
+        };
+        // Out of order.
+        let mut unsorted = load();
+        unsorted.swap(62, 63);
+        assert_batch_matches_sequential(unsorted);
+        // A repeated key.
+        let mut repeated = load();
+        repeated.push(TreeOp::Insert(nr("k00063"), vh("again")));
+        assert_batch_matches_sequential(repeated);
+        // A tombstone request, even one that misses.
+        let mut with_invalidate = load();
+        with_invalidate.push(TreeOp::Invalidate(nr("zz")));
+        assert_batch_matches_sequential(with_invalidate);
+        assert_batch_matches_sequential(vec![TreeOp::Invalidate(nr("zz"))]);
+        // A non-empty tree — one leaf, or one tombstone, is enough.
+        for first in [
+            vec![TreeOp::Insert(nr("a"), vh("a"))],
+            vec![
+                TreeOp::Insert(nr("a"), vh("a")),
+                TreeOp::Invalidate(nr("a")),
+            ],
+        ] {
+            let mut seq = MerkleKv::new();
+            let mut batch = MerkleKv::new();
+            seq.apply_batch(first.clone());
+            batch.apply_batch(first);
+            for (key, value) in sorted_records(64) {
+                seq.insert(key, value);
+            }
+            batch.apply_batch(load());
+            assert_eq!(batch.root(), seq.root());
+            assert_eq!(batch.depth(), seq.depth());
+            assert_ne!(batch.depth(), 7, "not the balanced 64-leaf tree");
         }
     }
 

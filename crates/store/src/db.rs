@@ -449,44 +449,11 @@ impl Db {
             .chain(self.l1.drain(..))
             .map(|t| (t.file_no, t.path))
             .collect();
-        // Write out live entries, splitting files at ~2 MiB.
-        const TARGET: usize = 2 << 20;
-        let mut writer: Option<(u64, SsTableWriter)> = None;
-        let mut written = 0usize;
-        let mut new_paths = Vec::new();
-        for (key, (seq, value)) in best {
-            let Some(v) = value else { continue }; // drop tombstones at bottom
-            if writer.is_none() {
-                let (no, path) = self.table_path(1);
-                writer = Some((
-                    no,
-                    SsTableWriter::create(&path, self.opts.block_bytes, self.opts.bits_per_key)?,
-                ));
-                written = 0;
-            }
-            // grub-lint: allow(panic) — the branch above just filled `writer` when it was None
-            let (_, w) = writer.as_mut().expect("just created");
-            w.add(&key, seq, Some(&v))?;
-            written += key.len() + v.len() + 17;
-            if written >= TARGET {
-                // grub-lint: allow(panic) — `written` only grows after `writer` is Some
-                let (no, w) = writer.take().expect("present");
-                new_paths.push((no, w.finish()?));
-            }
-        }
-        if let Some((no, w)) = writer {
-            new_paths.push((no, w.finish()?));
-        }
-        for (file_no, path) in new_paths {
-            let reader = SsTableReader::open(&path)?;
-            self.l1.push(Table {
-                path,
-                reader,
-                file_no,
-            });
-        }
-        self.l1
-            .sort_by(|a, b| a.reader.smallest().cmp(b.reader.smallest()));
+        // Newest version per key, tombstones dropped at the bottom level.
+        let live = best
+            .into_iter()
+            .filter_map(|(key, (seq, value))| Some((key, seq, value?)));
+        self.write_l1(live)?;
         for (file_no, path) in old {
             // File numbers are never reused, so a forgotten eviction could
             // never alias — but dead blocks would squat in the cache.
@@ -494,6 +461,83 @@ impl Db {
             std::fs::remove_file(&path).ok();
         }
         self.compaction_count += 1;
+        Ok(())
+    }
+
+    /// Loads a dataset: equivalent to [`Db::put`] of every record in order,
+    /// but a dataset in strictly ascending key order handed to a store that
+    /// has never been written is laid down directly as finished,
+    /// non-overlapping L1 tables — no WAL append, no memtable, no flush, no
+    /// compaction (the shape of RocksDB's external-file ingestion). Anything
+    /// else — a key out of order anywhere in the input, a store with history
+    /// — is the `put` loop.
+    ///
+    /// Crash safety needs no WAL. Each table goes through [`SsTableWriter`]
+    /// (`.tmp`, `sync_data`, rename), so a crash leaves a prefix of complete
+    /// tables plus at most one `.tmp` that [`Db::open`] sweeps; the SEQ
+    /// sidecar is written after the last table, and a never-written store
+    /// has none, so until then `open` recovers the sequence from the tables
+    /// themselves. The caller still holds the dataset and loads it again:
+    /// the store now has history, so the second pass is all `put`s and
+    /// converges on the same contents.
+    ///
+    /// # Errors
+    ///
+    /// Table, sidecar, WAL or flush I/O failures.
+    pub fn ingest_sorted<'a>(
+        &mut self,
+        records: impl Iterator<Item = (Vec<u8>, &'a [u8])> + Clone,
+    ) -> Result<()> {
+        let keys = records.clone().map(|(key, _)| key);
+        if self.seq == 0 && keys.is_sorted_by(|a, b| a < b) {
+            let numbered = records.zip(1u64..);
+            self.write_l1(numbered.map(|((key, value), seq)| (key, seq, value)))?;
+            if self.seq > 0 {
+                self.persist_sequence()?;
+            }
+            return Ok(());
+        }
+        for (key, value) in records {
+            self.put(key, value.to_vec())?;
+        }
+        Ok(())
+    }
+
+    /// Writes key-ascending live entries out as fresh L1 tables, cut at
+    /// ~2 MiB, and registers them. The caller guarantees they overlap no
+    /// table already in L1. The store's sequence never trails a registered
+    /// table's (a no-op for compaction, whose entries are already counted),
+    /// so an ingest that fails part-way leaves a handle with history: a
+    /// retry on it takes the `put` path, numbered above what was written.
+    fn write_l1<V: AsRef<[u8]>>(
+        &mut self,
+        entries: impl Iterator<Item = (Vec<u8>, u64, V)>,
+    ) -> Result<()> {
+        const TARGET: usize = 2 << 20;
+        let mut entries = entries.peekable();
+        while entries.peek().is_some() {
+            let (file_no, path) = self.table_path(1);
+            let mut w =
+                SsTableWriter::create(&path, self.opts.block_bytes, self.opts.bits_per_key)?;
+            let (mut written, mut max_seq) = (0usize, 0u64);
+            while written < TARGET {
+                let Some((key, seq, value)) = entries.next() else {
+                    break;
+                };
+                let value = value.as_ref();
+                w.add(&key, seq, Some(value))?;
+                written += key.len() + value.len() + 17;
+                max_seq = max_seq.max(seq);
+            }
+            let path = w.finish()?;
+            let reader = SsTableReader::open(&path)?;
+            self.l1.push(Table {
+                path,
+                reader,
+                file_no,
+            });
+            self.seq = self.seq.max(max_seq);
+        }
         Ok(())
     }
 
@@ -776,6 +820,184 @@ mod tests {
         assert_eq!(db.get(b"a").unwrap(), Some(b"1".to_vec()));
         assert_eq!(db.get(b"b").unwrap(), Some(b"2".to_vec()));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `n` key-ascending records of `len` bytes each.
+    fn dataset(n: u32, len: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        (0..n)
+            .map(|i| (format!("k{i:06}").into_bytes(), vec![i as u8; len]))
+            .collect()
+    }
+
+    fn borrowed(records: &[(Vec<u8>, Vec<u8>)]) -> impl Iterator<Item = (Vec<u8>, &[u8])> + Clone {
+        records.iter().map(|(k, v)| (k.clone(), v.as_slice()))
+    }
+
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn ingest_sorted_writes_l1_tables_and_nothing_else() {
+        let dir = temp_dir("ingest");
+        // 5 MiB: three tables at the 2 MiB cut.
+        let records = dataset(10_000, 512);
+        let mut db = Db::open(&dir, Options::default()).unwrap();
+        db.ingest_sorted(borrowed(&records)).unwrap();
+        assert_eq!(db.stats(), (0, 3, 0, 0), "pure L1, no flush, no compaction");
+        assert_eq!(db.sequence(), 10_000);
+        assert_eq!(std::fs::metadata(dir.join("wal.log")).unwrap().len(), 0);
+        assert_eq!(db.scan(None, None).unwrap(), records);
+        assert_eq!(db.get(b"k004242").unwrap(), Some(vec![4242u32 as u8; 512]));
+        assert_eq!(db.get(b"k004242x").unwrap(), None);
+        // Later writes shadow the ingested tables like any others.
+        db.put(b"k000007".to_vec(), b"new".to_vec()).unwrap();
+        db.delete(b"k000008").unwrap();
+        drop(db);
+        let db = Db::open(&dir, Options::default()).unwrap();
+        assert_eq!(db.sequence(), 10_002);
+        assert_eq!(db.get(b"k000007").unwrap(), Some(b"new".to_vec()));
+        assert_eq!(db.get(b"k000008").unwrap(), None);
+        assert_eq!(db.scan(None, None).unwrap().len(), 9_999);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ingest_sorted_matches_put_whatever_it_is_handed() {
+        let records = dataset(300, 40);
+        let mut swapped = records.clone();
+        swapped.swap(120, 121);
+        let mut repeated = records.clone();
+        repeated.insert(200, (b"k000100".to_vec(), b"again".to_vec()));
+        for (name, input) in [
+            ("sorted", &records),
+            ("swapped", &swapped),
+            ("repeated", &repeated),
+            ("empty", &Vec::new()),
+        ] {
+            let put_dir = temp_dir(&format!("ingest-put-{name}"));
+            let mut by_put = Db::open(&put_dir, small_opts()).unwrap();
+            for (key, value) in input {
+                by_put.put(key.clone(), value.clone()).unwrap();
+            }
+            let expect = by_put.scan(None, None).unwrap();
+            // Into a fresh store, and into one that already has history.
+            for history in [false, true] {
+                let dir = temp_dir(&format!("ingest-{name}-{history}"));
+                let mut db = Db::open(&dir, small_opts()).unwrap();
+                if history {
+                    db.put(b"k000150".to_vec(), b"old".to_vec()).unwrap();
+                    db.delete(b"k000150").unwrap();
+                }
+                db.ingest_sorted(borrowed(input)).unwrap();
+                assert_eq!(db.scan(None, None).unwrap(), expect, "{name}/{history}");
+                assert_eq!(
+                    db.sequence(),
+                    input.len() as u64 + 2 * u64::from(history),
+                    "{name}/{history}: one sequence number per record"
+                );
+                drop(db);
+                let db = Db::open(&dir, small_opts()).unwrap();
+                assert_eq!(db.scan(None, None).unwrap(), expect, "{name}/{history}");
+                std::fs::remove_dir_all(&dir).ok();
+            }
+            std::fs::remove_dir_all(&put_dir).ok();
+        }
+        // An empty ingest leaves a fresh store fresh: no sidecar, no table.
+        let dir = temp_dir("ingest-nothing");
+        let mut db = Db::open(&dir, small_opts()).unwrap();
+        db.ingest_sorted(std::iter::empty()).unwrap();
+        assert_eq!(file_names(&dir), ["wal.log"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ingest_sorted_crash_leaves_a_clean_prefix_of_tables() {
+        use grub_fault::{arm, FaultPlan, FaultPoint};
+        let records = dataset(10_000, 512); // three tables
+        let clean_dir = temp_dir("ingest-clean");
+        let mut clean = Db::open(&clean_dir, Options::default()).unwrap();
+        clean.ingest_sorted(borrowed(&records)).unwrap();
+        for survive in 0..3u32 {
+            let dir = temp_dir(&format!("ingest-crash-{survive}"));
+            {
+                let mut db = Db::open(&dir, Options::default()).unwrap();
+                arm(FaultPlan::nth(FaultPoint::MidSstableFlush, survive));
+                let err = db.ingest_sorted(borrowed(&records)).unwrap_err();
+                assert!(matches!(err, crate::StoreError::Injected(_)), "{err}");
+                // Simulated process death: drop without cleanup.
+            }
+            let mut db = Db::open(&dir, Options::default()).unwrap();
+            let names = file_names(&dir);
+            assert!(!names.iter().any(|n| n.ends_with(".tmp")), "{names:?}");
+            assert!(
+                !names.contains(&"SEQ".to_owned()),
+                "no sidecar before the last table"
+            );
+            assert_eq!(std::fs::metadata(dir.join("wal.log")).unwrap().len(), 0);
+            assert_eq!(
+                db.stats(),
+                (0, survive as usize, 0, 0),
+                "complete tables only"
+            );
+            // What survived is a prefix of the dataset, and the sequence
+            // covers every record of it.
+            let survived = db.scan(None, None).unwrap();
+            assert_eq!(survived[..], records[..survived.len()]);
+            assert_eq!(db.sequence(), survived.len() as u64);
+            assert_eq!(survived.is_empty(), survive == 0);
+            // The owner of the data loads it again. The store has history
+            // now (unless nothing survived), so this is the put path.
+            db.ingest_sorted(borrowed(&records)).unwrap();
+            assert!(db.sequence() >= records.len() as u64);
+            assert_eq!(
+                db.scan(None, None).unwrap(),
+                clean.scan(None, None).unwrap(),
+                "crash at table {survive}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        std::fs::remove_dir_all(&clean_dir).ok();
+    }
+
+    #[test]
+    fn ingest_sorted_retried_on_the_same_handle_takes_the_put_path() {
+        use grub_fault::{arm, FaultPlan, FaultPoint};
+        let records = dataset(10_000, 512); // three tables
+        for survive in 0..3u32 {
+            let dir = temp_dir(&format!("ingest-retry-{survive}"));
+            let mut db = Db::open(&dir, Options::default()).unwrap();
+            arm(FaultPlan::nth(FaultPoint::MidSstableFlush, survive));
+            db.ingest_sorted(borrowed(&records)).unwrap_err();
+            // An I/O error, not a death: the handle lives on, with the
+            // tables it registered counted in its sequence.
+            let (_, l1, _, _) = db.stats();
+            assert_eq!(l1, survive as usize);
+            let held = db.scan(None, None).unwrap();
+            assert_eq!(held[..], records[..held.len()]);
+            assert_eq!(db.sequence(), held.len() as u64);
+            // Retry with new values for every key: nothing ingested before
+            // the error may shadow them, now or after a compaction.
+            let fresh: Vec<(Vec<u8>, Vec<u8>)> = records
+                .iter()
+                .map(|(key, _)| (key.clone(), b"second".to_vec()))
+                .collect();
+            db.ingest_sorted(borrowed(&fresh)).unwrap();
+            assert_eq!(db.sequence(), (held.len() + fresh.len()) as u64);
+            assert_eq!(db.scan(None, None).unwrap(), fresh, "crash at {survive}");
+            db.flush().unwrap();
+            db.compact().unwrap();
+            assert_eq!(db.scan(None, None).unwrap(), fresh, "crash at {survive}");
+            drop(db);
+            let db = Db::open(&dir, Options::default()).unwrap();
+            assert_eq!(db.scan(None, None).unwrap(), fresh, "crash at {survive}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -9,17 +9,24 @@
 //! * the dying process's persistent SP stores reopen cleanly (WAL torn-tail
 //!   and SSTable tmp-file hardening) and the Merkle scrubber repairs them
 //!   to the clean run's exact state digest.
+//!
+//! Plus the bulk-loaded preload: what a deploy leaves in the store, and what
+//! a deploy killed on its k-th table leaves for the next one.
 
 use std::path::{Path, PathBuf};
 
-use grub::chain::ChainConfig;
-use grub::core::provider::StorageProvider;
+use grub::chain::{Blockchain, ChainConfig};
+use grub::core::policy::PolicyKind;
+use grub::core::provider::{SpSync, StorageProvider};
 use grub::core::scrub::Scrubber;
+use grub::core::system::{DriverIdentity, EpochDriver, SystemConfig};
 use grub::crypto::Hash32;
 use grub::engine::specs::{demo_policies, zipfian_ratio_specs, DEMO_RATIOS};
 use grub::engine::{EngineConfig, FeedEngine, FeedSpec};
 use grub::fault::{FaultPlan, FaultPoint};
+use grub::merkle::ReplState;
 use grub::store::Options;
+use grub::workload::{Op, Trace};
 
 /// Tiny memtable so SSTable flushes — and the mid-flush crash point —
 /// actually occur on a 320-op fleet.
@@ -175,4 +182,127 @@ fn every_crash_point_recovers_to_byte_identical_state() {
     }
     drop(clean);
     std::fs::remove_dir_all(&clean_root).ok();
+}
+
+/// `n` key-ordered records of `len` bytes — a sorted preload.
+fn sorted_dataset(n: u32, len: usize) -> Vec<(String, Vec<u8>)> {
+    (0..n)
+        .map(|i| (format!("user{i:012}"), vec![i as u8; len]))
+        .collect()
+}
+
+fn deploy(config: &SystemConfig) -> grub::core::Result<EpochDriver> {
+    deploy_on(&mut Blockchain::with_config(ChainConfig::default()), config)
+}
+
+fn deploy_on(chain: &mut Blockchain, config: &SystemConfig) -> grub::core::Result<EpochDriver> {
+    EpochDriver::deploy(chain, config, &DriverIdentity::tenant("bulk"))
+}
+
+#[test]
+fn sorted_preload_deploys_as_pure_l1_with_the_put_loaded_contents() {
+    let dataset = sorted_dataset(4096, 256);
+    let config = SystemConfig::new(PolicyKind::Memoryless { k: 2 }).preload(dataset.clone());
+    let driver = deploy(&config).unwrap();
+    let (l0, l1, flushes, compactions) = driver.provider().store_stats();
+    assert_eq!((l0, flushes, compactions), (0, 0, 0), "no WAL-path traffic");
+    assert_eq!(l1, 1, "1 MiB of records: one table");
+    assert_eq!(driver.owner().root(), driver.provider().root());
+
+    // The same records pushed through the per-record sync path.
+    let mut by_put = StorageProvider::new(driver.provider().address()).unwrap();
+    by_put
+        .apply_sync_batch(
+            dataset
+                .iter()
+                .map(|(key, value)| SpSync::Write {
+                    key: key.clone(),
+                    value: value.clone(),
+                    state: ReplState::NotReplicated,
+                })
+                .collect(),
+        )
+        .unwrap();
+    assert!(by_put.store_stats().2 > 0, "the put path flushes");
+    assert_eq!(
+        driver.provider().state_digest().unwrap(),
+        by_put.state_digest().unwrap()
+    );
+    // One rule, two callers: the tree does not care which path fed it.
+    assert_eq!(driver.provider().root(), by_put.root());
+}
+
+#[test]
+fn deploy_killed_mid_preload_reloads_to_the_uncrashed_store() {
+    // 5 MiB: three L1 tables at the 2 MiB cut.
+    let dataset = sorted_dataset(10_000, 512);
+    let config = |dir: &Path| {
+        SystemConfig::new(PolicyKind::Memoryless { k: 2 })
+            .preload(dataset.clone())
+            .store_at(dir)
+    };
+    let clean_dir = temp_root("bulk-clean");
+    let clean = deploy(&config(&clean_dir)).unwrap();
+    assert_eq!(clean.provider().store_stats(), (0, 3, 0, 0));
+    let clean_digest = clean.provider().state_digest().unwrap();
+
+    for survive in 0..3u32 {
+        let dir = temp_root("bulk-crash");
+        grub::fault::arm(FaultPlan::nth(FaultPoint::MidSstableFlush, survive));
+        let died = deploy(&config(&dir));
+        assert!(died.is_err(), "table {survive}: the deploy survived");
+        assert!(!grub::fault::is_armed(), "table {survive}: never tripped");
+        drop(died); // process death — the persistent store stays on disk
+
+        // What the dying deploy left: complete tables only, and a
+        // sequence that covers them.
+        let survivor = grub::store::Db::open(&dir, Options::default()).unwrap();
+        assert_eq!(survivor.stats(), (0, survive as usize, 0, 0));
+        assert_eq!(
+            survivor.sequence(),
+            survivor.scan(None, None).unwrap().len() as u64
+        );
+        drop(survivor);
+
+        // Deploying again over the survivor loads the dataset again —
+        // record by record wherever the store already has history.
+        let mut chain = Blockchain::with_config(ChainConfig::default());
+        let mut again = deploy_on(&mut chain, &config(&dir)).unwrap();
+        assert_eq!(
+            again.provider().state_digest().unwrap(),
+            clean_digest,
+            "table {survive}: reloaded store diverges from the uncrashed load"
+        );
+        assert_eq!(
+            again.provider().live_records().unwrap().len(),
+            dataset.len()
+        );
+        // The SP's tree grew record by record on top of the survivors; it
+        // must still be the tree the fresh DO bulk-built, or the digest on
+        // chain matches none of the SP's proofs.
+        assert_eq!(
+            again.owner().root(),
+            again.provider().root(),
+            "table {survive}: SP tree diverges from the DO mirror"
+        );
+        assert_eq!(again.provider().root(), clean.provider().root());
+        // And the feed serves: reads from both ends and the middle of the
+        // dataset — inside and past the surviving prefix — all verify.
+        let reads = Trace {
+            ops: [0, 1, 3_000, 5_000, 9_998, 9_999, 5_000]
+                .into_iter()
+                .map(|i| Op::Read {
+                    key: dataset[i].0.clone(),
+                })
+                .collect(),
+        };
+        again.drive(&mut chain, &mut reads.into_source()).unwrap();
+        assert_eq!(again.owner().root(), again.provider().root());
+        let report = again.into_report();
+        assert_eq!(report.failed_delivers(), 0, "table {survive}");
+        assert_eq!(report.total_ops(), 7, "table {survive}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    drop(clean);
+    std::fs::remove_dir_all(&clean_dir).ok();
 }

@@ -1,4 +1,4 @@
-//! Golden digests: three small deterministic engine runs whose chain
+//! Golden digests: four small deterministic engine runs whose chain
 //! digest, total feed Gas and final Merkle roots are pinned as constants.
 //!
 //! Every other equivalence net in the workspace compares two paths through
@@ -72,26 +72,22 @@ fn golden(chain_digest: &str, feed_gas_total: u64, roots: &[&str], rehashed: u64
     }
 }
 
-/// A sorted 4,096-key NR preload, then YCSB-A epochs under Memoryless K=2.
-/// Sorted appends rebuild the root whenever the tree reaches 2^k + 1
-/// leaves, so the preload stops one leaf short: the first NR→R transition
-/// grafts the tree's only R leaf at the far right as leaf 4,097, which tips
-/// the scapegoat test at the root and rebuilds the whole tree — in the DO
-/// mirror and in the SP — mid-batch. Later epochs mix in-place updates,
-/// tombstones, revivals and grafts on both sides of the tree.
-#[test]
-fn ycsb_preloaded_feed_with_root_level_rebuild() {
-    const RECORDS: u64 = 4096;
-    const RECORD_LEN: usize = 64;
-    const SEED: u64 = 11;
+const RECORDS: u64 = 4096;
+const RECORD_LEN: usize = 64;
+const SEED: u64 = 11;
+
+/// 4,096 YCSB records in key order — a sorted preload.
+fn ycsb_dataset() -> Vec<(String, Vec<u8>)> {
     let dataset: Vec<(String, Vec<u8>)> = preload(RECORDS, RECORD_LEN, SEED)
         .into_iter()
         .map(|(key, value)| (key, value.materialize()))
         .collect();
-    assert!(
-        dataset.windows(2).all(|w| w[0].0 < w[1].0),
-        "sorted preload"
-    );
+    assert!(dataset.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
+    dataset
+}
+
+/// YCSB-A epochs under Memoryless K=2 over `dataset`, preloaded NR.
+fn ycsb_run(dataset: Vec<(String, Vec<u8>)>) -> Golden {
     let source = YcsbRunner::new(RECORDS, RECORD_LEN, SEED).into_source(vec![(YcsbKind::A, 1536)]);
     let spec = FeedSpec::from_source(
         "ycsb",
@@ -100,7 +96,51 @@ fn ycsb_preloaded_feed_with_root_level_rebuild() {
             .preload(dataset),
         Box::new(source),
     );
-    let got = run(&EngineConfig::new(1), vec![spec]);
+    run(&EngineConfig::new(1), vec![spec])
+}
+
+/// A sorted preload is bulk-loaded: DO mirror and SP tree start as the
+/// balanced 4,096-leaf tree, so the first NR→R transition — the tree's only
+/// R leaf, grafted at the far right — rehashes one path, and no round comes
+/// near the whole tree. The preload root is the digest in the first
+/// `update()`, so these are the on-chain bytes of the bulk-load rule.
+#[test]
+fn ycsb_sorted_preload_is_bulk_loaded() {
+    let got = ycsb_run(ycsb_dataset());
+    assert!(
+        got.max_round_rehashed < RECORDS / 4,
+        "a round rebuilt a large part of the tree: {got:?}"
+    );
+    assert_eq!(
+        got,
+        golden(
+            "3393d9df06a00f878d0fb4b7a0ad05d689efa498123fb9d02cad797881e1fb88",
+            42_934_876,
+            &["f3df4e557fa5fcdfaa69b7c822e436778ff3216385d0c0fff558a47e8092b699"],
+            590,
+        )
+    );
+}
+
+/// The same dataset handed over with its last two records swapped. That is
+/// not a sorted load, so both trees grow one insert at a time, as a feed
+/// that follows the tip grows them. Appends rebuild the root whenever the
+/// tree reaches 2^k + 1 leaves and the preload stops one leaf short: the
+/// first NR→R transition grafts the tree's only R leaf at the far right as
+/// leaf 4,097, which tips the scapegoat test at the root and rebuilds the
+/// whole tree — in the DO mirror and in the SP — mid-batch. Later epochs mix
+/// in-place updates, tombstones, revivals and grafts on both sides of the
+/// tree. Swapping the last two records does not change the tree the appends
+/// grow (4,095 then 4,094 joins the same two leaves as 4,094 then 4,095), so
+/// these constants are the ones the sorted preload mined before it was bulk
+/// loaded: the per-op path has not moved by a byte. The rebuild leaves the
+/// balanced tree, which is why both scenarios end on the same root.
+#[test]
+fn ycsb_preloaded_feed_with_root_level_rebuild() {
+    let mut dataset = ycsb_dataset();
+    let n = dataset.len();
+    dataset.swap(n - 2, n - 1);
+    let got = ycsb_run(dataset);
     assert!(
         got.max_round_rehashed > 2 * RECORDS,
         "no round rebuilt the whole tree in both DO and SP: {got:?}"

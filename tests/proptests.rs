@@ -50,6 +50,48 @@ fn tree_op_tombstone_heavy() -> impl Strategy<Value = TreeOp> {
     ]
 }
 
+/// The one batch `apply_batch` does not apply op by op: inserts only, keys
+/// strictly ascending (and then only when the tree is empty).
+fn is_sorted_load(batch: &[MerkleTreeOp]) -> bool {
+    let key = |op: &MerkleTreeOp| match op {
+        MerkleTreeOp::Insert(pk, _) => Some(pk.clone()),
+        MerkleTreeOp::Invalidate(_) => None,
+    };
+    !batch.is_empty()
+        && batch.iter().all(|op| key(op).is_some())
+        && batch.windows(2).all(|w| key(&w[0]) < key(&w[1]))
+}
+
+/// Applies `batch` through the eager per-op calls.
+fn apply_sequentially(tree: &mut MerkleKv, batch: &[MerkleTreeOp]) {
+    for op in batch {
+        match op {
+            MerkleTreeOp::Insert(pk, vh) => tree.insert(pk.clone(), *vh),
+            MerkleTreeOp::Invalidate(pk) => {
+                tree.invalidate(pk);
+            }
+        }
+    }
+}
+
+/// A sorted load: distinct records in `ProofKey` order, as inserts.
+fn sorted_load(records: &[(bool, u8, u64)]) -> Vec<MerkleTreeOp> {
+    let mut recs: Vec<_> = records
+        .iter()
+        .map(|(s, k, v)| {
+            (
+                pkey(*s, &format!("key{k:03}")),
+                record_value_hash(&v.to_le_bytes()),
+            )
+        })
+        .collect();
+    recs.sort_by(|a, b| a.0.cmp(&b.0));
+    recs.dedup_by(|a, b| a.0 == b.0);
+    recs.into_iter()
+        .map(|(pk, vh)| MerkleTreeOp::Insert(pk, vh))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -92,7 +134,9 @@ proptest! {
     /// Batched tree updates are root-equivalent to the sequential path at
     /// every chunk boundary, for arbitrary chunkings of random
     /// write/delete/relocate mixes — including tombstone-heavy rounds — and
-    /// canonical rebuilds of both trees agree too.
+    /// canonical rebuilds of both trees agree too. (A first chunk that
+    /// happens to be a sorted load is the bulk load: the sequential path
+    /// plus a rebuild.)
     #[test]
     fn apply_batch_equals_sequential(
         ops in prop::collection::vec(tree_op_tombstone_heavy(), 1..160),
@@ -101,21 +145,20 @@ proptest! {
         let mut seq = MerkleKv::new();
         let mut batched = MerkleKv::new();
         for chunk_ops in ops.chunks(chunk) {
-            let mut batch: Vec<MerkleTreeOp> = Vec::with_capacity(chunk_ops.len());
-            for op in chunk_ops {
-                match op {
-                    TreeOp::Insert(state, key, v) => {
-                        let pk = pkey(*state, key);
-                        let vh = record_value_hash(&v.to_le_bytes());
-                        seq.insert(pk.clone(), vh);
-                        batch.push(MerkleTreeOp::Insert(pk, vh));
-                    }
-                    TreeOp::Invalidate(state, key) => {
-                        let pk = pkey(*state, key);
-                        seq.invalidate(&pk);
-                        batch.push(MerkleTreeOp::Invalidate(pk));
-                    }
-                }
+            let batch: Vec<MerkleTreeOp> = chunk_ops
+                .iter()
+                .map(|op| match op {
+                    TreeOp::Insert(state, key, v) => MerkleTreeOp::Insert(
+                        pkey(*state, key),
+                        record_value_hash(&v.to_le_bytes()),
+                    ),
+                    TreeOp::Invalidate(state, key) => MerkleTreeOp::Invalidate(pkey(*state, key)),
+                })
+                .collect();
+            let bulk = seq.len() + seq.tombstone_count() == 0 && is_sorted_load(&batch);
+            apply_sequentially(&mut seq, &batch);
+            if bulk {
+                seq.rebuild();
             }
             batched.apply_batch(batch);
             prop_assert_eq!(seq.root(), batched.root(), "chunk boundary roots diverged");
@@ -129,7 +172,8 @@ proptest! {
     }
 
     /// Building a tree with one `insert_batch` call equals one-by-one
-    /// inserts (duplicate keys included: last write wins in both paths).
+    /// inserts (duplicate keys included: last write wins in both paths) —
+    /// followed by a rebuild when the records happen to arrive sorted.
     #[test]
     fn insert_batch_equals_sequential_build(
         records in prop::collection::vec((any::<bool>(), 0u8..24, any::<u64>()), 1..120),
@@ -148,9 +192,76 @@ proptest! {
         for (pk, vh) in &recs {
             seq.insert(pk.clone(), *vh);
         }
+        if recs.windows(2).all(|w| w[0].0 < w[1].0) {
+            seq.rebuild();
+        }
         batched.insert_batch(recs);
         prop_assert_eq!(seq.root(), batched.root(), "batch build diverged");
         prop_assert_eq!(seq.len(), batched.len());
+    }
+
+    /// The bulk-load rule: a sorted load applied to an empty tree is built
+    /// as the balanced tree over its records — `2n − 1` hashes, the root
+    /// `rebuild()` gives the same set grown in any other order.
+    #[test]
+    fn sorted_load_into_an_empty_tree_is_the_rebuild_shape(
+        records in prop::collection::vec((any::<bool>(), 0u8..200, any::<u64>()), 1..160),
+    ) {
+        let load = sorted_load(&records);
+        let n = load.len();
+        let mut grown = MerkleKv::new();
+        let reversed: Vec<_> = load.iter().rev().cloned().collect();
+        apply_sequentially(&mut grown, &reversed);
+        grown.rebuild();
+        let mut bulk = MerkleKv::new();
+        prop_assert_eq!(bulk.apply_batch(load), 2 * n - 1);
+        prop_assert_eq!(bulk.root(), grown.root());
+        prop_assert_eq!(bulk.depth(), grown.depth());
+        prop_assert_eq!(bulk.depth(), n.next_power_of_two().trailing_zeros() as usize + 1);
+        prop_assert_eq!((bulk.len(), bulk.tombstone_count()), (n, 0));
+    }
+
+    /// ...and only that: spoil a sorted load in any one way — two keys out
+    /// of order, a repeated key, a tombstone request, a tree that already
+    /// holds a leaf or a tombstone — and the batch is byte-identical to the
+    /// sequential `insert`/`invalidate` loop, shape included.
+    #[test]
+    fn spoiled_sorted_loads_equal_the_sequential_loop(
+        records in prop::collection::vec((any::<bool>(), 0u8..200, any::<u64>()), 4..160),
+        spoiler in 0u8..5,
+        at in any::<usize>(),
+    ) {
+        let mut batch = sorted_load(&records);
+        let at = at % batch.len();
+        let mut seq = MerkleKv::new();
+        let mut batched = MerkleKv::new();
+        let stray = pkey(true, "stray");
+        match spoiler {
+            0 if batch.len() >= 2 => {
+                let at = at.min(batch.len() - 2);
+                batch.swap(at, at + 1);
+            }
+            1 => batch.insert(at, batch[at].clone()),
+            2 => batch.insert(at, MerkleTreeOp::Invalidate(stray)),
+            3 => {
+                seq.insert(stray.clone(), record_value_hash(b"stray"));
+                batched.insert(stray, record_value_hash(b"stray"));
+            }
+            _ => {
+                for tree in [&mut seq, &mut batched] {
+                    tree.insert(stray.clone(), record_value_hash(b"stray"));
+                    tree.invalidate(&stray);
+                }
+            }
+        }
+        apply_sequentially(&mut seq, &batch);
+        batched.apply_batch(batch);
+        prop_assert_eq!(batched.root(), seq.root());
+        prop_assert_eq!(batched.depth(), seq.depth());
+        prop_assert_eq!(
+            (batched.len(), batched.tombstone_count()),
+            (seq.len(), seq.tombstone_count())
+        );
     }
 
     /// Point proofs — the one-key range `[k, k]` the SP serves for point

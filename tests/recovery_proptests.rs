@@ -7,7 +7,9 @@
 //! * `grub-store` — WAL/SSTable recovery: an arbitrary stream of puts,
 //!   deletes, and flushes, cut off at an arbitrary point (some data only in
 //!   the WAL, some in SSTables), must reappear intact when the database is
-//!   reopened from disk.
+//!   reopened from disk; `Db::ingest_sorted` equals the `put` loop on any
+//!   input and any store, and a crash on its k-th table leaves a clean
+//!   prefix that a second load completes.
 
 use std::collections::BTreeMap;
 
@@ -206,6 +208,123 @@ proptest! {
             prop_assert_eq!(scanned, expect);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A bulk load killed on its k-th table leaves exactly the complete
+    /// tables before it — no `.tmp`, no WAL bytes, no sidecar, a sequence
+    /// that covers what survived — and loading the dataset again (the `put`
+    /// path now, unless nothing survived) ends on the uncrashed contents.
+    #[test]
+    fn crashed_ingest_leaves_a_prefix_a_second_load_completes(
+        records in 4_500u32..9_000,
+        value_len in 480usize..900,
+        survive in 0u32..2,
+    ) {
+        use grub::fault::{arm, FaultPlan, FaultPoint};
+        // ≥ 2.1 MiB, so at least two tables at the 2 MiB cut.
+        let dataset: Vec<(Vec<u8>, Vec<u8>)> = (0..records)
+            .map(|i| (format!("user{i:012}").into_bytes(), vec![i as u8; value_len]))
+            .collect();
+        let borrowed = || dataset.iter().map(|(k, v)| (k.clone(), v.as_slice()));
+        let dir = std::env::temp_dir().join(format!(
+            "grub-ingest-crash-{}-{}",
+            std::process::id(),
+            rand::random::<u64>()
+        ));
+        {
+            let mut db = Db::open(&dir, Options::default()).expect("open");
+            arm(FaultPlan::nth(FaultPoint::MidSstableFlush, survive));
+            prop_assert!(db.ingest_sorted(borrowed()).is_err(), "crash point did not trip");
+        }
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        let mut db = Db::open(&dir, Options::default()).expect("reopen");
+        prop_assert!(!names.iter().any(|n| n == "SEQ"), "{:?}", names);
+        prop_assert!(
+            !std::fs::read_dir(&dir).expect("dir").any(|e| {
+                e.expect("entry").file_name().to_string_lossy().ends_with(".tmp")
+            }),
+            "open must sweep the partial table"
+        );
+        prop_assert_eq!(std::fs::metadata(dir.join("wal.log")).expect("wal").len(), 0);
+        prop_assert_eq!(db.stats(), (0, survive as usize, 0, 0));
+        let survived = db.scan(None, None).expect("scan");
+        prop_assert_eq!(&survived[..], &dataset[..survived.len()]);
+        prop_assert_eq!(db.sequence(), survived.len() as u64);
+        db.ingest_sorted(borrowed()).expect("second load");
+        prop_assert!(db.sequence() >= u64::from(records));
+        prop_assert_eq!(db.scan(None, None).expect("scan"), dataset);
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `ingest_sorted` is the `put` loop, whatever it is handed — sorted,
+    /// shuffled, with repeats — and whatever the store already holds; never
+    /// a panic, and the same again after a reopen.
+    #[test]
+    fn ingest_sorted_equals_the_put_loop(
+        history in prop::collection::vec((0u8..3, 0u8..40, any::<u16>()), 0..20),
+        records in prop::collection::vec((0u8..40, any::<u16>()), 0..80),
+        sorted in any::<bool>(),
+    ) {
+        let opts = Options {
+            memtable_bytes: 256,
+            l0_compaction_trigger: 2,
+            ..Options::default()
+        };
+        let mut records: Vec<(Vec<u8>, Vec<u8>)> = records
+            .iter()
+            .map(|(k, v)| (format!("k{k:02}").into_bytes(), v.to_le_bytes().to_vec()))
+            .collect();
+        if sorted {
+            records.sort();
+            records.dedup_by(|a, b| a.0 == b.0);
+        }
+        let dir = |tag: &str| std::env::temp_dir().join(format!(
+            "grub-ingest-{tag}-{}-{}", std::process::id(), rand::random::<u64>()
+        ));
+        let (ingest_dir, put_dir) = (dir("bulk"), dir("put"));
+        let mut ingested = Db::open(&ingest_dir, opts).expect("open");
+        let mut by_put = Db::open(&put_dir, opts).expect("open");
+        for db in [&mut ingested, &mut by_put] {
+            for (kind, key_id, v) in &history {
+                let key = format!("k{key_id:02}").into_bytes();
+                match kind {
+                    0 => db.put(key, v.to_le_bytes().to_vec()).expect("put"),
+                    1 => db.delete(&key).expect("delete"),
+                    _ => db.flush().expect("flush"),
+                }
+            }
+        }
+        ingested
+            .ingest_sorted(records.iter().map(|(k, v)| (k.clone(), v.as_slice())))
+            .expect("ingest");
+        for (key, value) in &records {
+            by_put.put(key.clone(), value.clone()).expect("put");
+        }
+        let expect = by_put.scan(None, None).expect("scan");
+        prop_assert_eq!(ingested.scan(None, None).expect("scan"), expect.clone());
+        prop_assert_eq!(ingested.sequence(), by_put.sequence());
+        if sorted && history.iter().all(|(kind, _, _)| *kind == 2) {
+            prop_assert_eq!(ingested.stats().2, 0, "a fresh store, sorted input: no flush");
+        }
+        drop(ingested);
+        let reopened = Db::open(&ingest_dir, opts).expect("reopen");
+        prop_assert_eq!(reopened.scan(None, None).expect("scan"), expect);
+        prop_assert_eq!(reopened.sequence(), by_put.sequence());
+        for dir in [ingest_dir, put_dir] {
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
 
