@@ -101,6 +101,53 @@ fn bench_merkle(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // The arena's shape paths under the DO's own traffic: 16 NR→R
+    // relocations a round (tombstone, then graft into the growing R group),
+    // so rounds push leaves and inner nodes, set off scapegoat rebuilds into
+    // reused slots, and grow the vectors past the bulk load's exact fit.
+    let mut churn = tree.clone();
+    let mut round = 0u32;
+    c.bench_function("merkle/relocate-churn@64k", |b| {
+        b.iter_batched(
+            || {
+                round = round.wrapping_add(1);
+                (0..16u32)
+                    .flat_map(|i| {
+                        let key = format!("k{:08}", epoch_key(round, i)).into_bytes();
+                        [
+                            TreeOp::Invalidate(ProofKey::new(
+                                ReplState::NotReplicated,
+                                key.clone(),
+                            )),
+                            TreeOp::Insert(
+                                ProofKey::new(ReplState::Replicated, key),
+                                record_value_hash(&round.to_le_bytes()),
+                            ),
+                        ]
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |ops| churn.apply_batch(ops),
+            BatchSize::SmallInput,
+        )
+    });
+    // The tombstone compaction: one invalidation past the trigger
+    // (tombstones > live / 2) rebuilds the arena in place — 43,690 live
+    // leaves re-sorted and rehashed, every inner node rejoined.
+    let mut doomed = tree.clone();
+    let mut victims: Vec<ProofKey> = (0..21_846u32)
+        .map(|i| ProofKey::new(ReplState::NotReplicated, format!("k{:08}", i * 3)))
+        .collect();
+    let last = victims.pop().expect("21,846 victims");
+    doomed.apply_batch(victims.into_iter().map(TreeOp::Invalidate).collect());
+    assert_eq!(doomed.tombstone_count(), 21_845, "one short of the trigger");
+    c.bench_function("merkle/compact-64k", |b| {
+        b.iter_batched_ref(
+            || doomed.clone(),
+            |tree| tree.apply_batch(vec![TreeOp::Invalidate(last.clone())]),
+            BatchSize::LargeInput,
+        )
+    });
 }
 
 /// 65,536 key-ordered records of `len` bytes: the benchmark's dataset shape.

@@ -80,6 +80,15 @@ pub enum GrubError {
     Chain(String),
     /// A proof failed verification where it must not.
     Verify(String),
+    /// An SP sync moves a record the SP's store does not hold. Carrying on
+    /// with an invented value would take the SP root silently away from
+    /// the DO's and surface only later, as failed deliver verifications.
+    MissingRecord {
+        /// Data key.
+        key: String,
+        /// The state the record was to be moved out of.
+        state: ReplState,
+    },
 }
 
 impl fmt::Display for GrubError {
@@ -88,6 +97,9 @@ impl fmt::Display for GrubError {
             GrubError::Store(e) => write!(f, "store error: {e}"),
             GrubError::Chain(what) => write!(f, "chain error: {what}"),
             GrubError::Verify(what) => write!(f, "verification failed: {what}"),
+            GrubError::MissingRecord { key, state } => {
+                write!(f, "SP store holds no record {key:?} under {state:?}")
+            }
         }
     }
 }

@@ -20,7 +20,7 @@ use grub_merkle::{record_value_hash, MerkleKv, ProofKey, ProofNode, ReplState, T
 use grub_store::{Db, Options};
 
 use crate::contract::{decode_request, decode_request_range, encode_deliver};
-use crate::Result;
+use crate::{GrubError, Result};
 
 /// One off-chain synchronization step pushed from the DO (part of `gPuts`).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -183,17 +183,18 @@ impl StorageProvider {
 
     /// Switches the adversary mode (takes a stale snapshot when entering
     /// [`AdversaryMode::ReplayStale`]).
-    pub fn set_mode(&mut self, mode: AdversaryMode) {
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failed store scan for the snapshot; the mode is then
+    /// left as it was.
+    pub fn set_mode(&mut self, mode: AdversaryMode) -> Result<()> {
         if mode == AdversaryMode::ReplayStale && self.stale.is_none() {
-            let values = self
-                .db
-                .scan(None, None)
-                .unwrap_or_default()
-                .into_iter()
-                .collect();
+            let values = self.db.scan(None, None)?.into_iter().collect();
             self.stale = Some((self.tree.clone(), values));
         }
         self.mode = mode;
+        Ok(())
     }
 
     /// The SP's current root digest (must match the DO's mirror).
@@ -267,7 +268,11 @@ impl StorageProvider {
     ///
     /// # Errors
     ///
-    /// Propagates store I/O failures.
+    /// Propagates store I/O failures, and returns
+    /// [`GrubError::MissingRecord`] for a `Relocate` of a record the store
+    /// does not hold under its `from` state. The round stops at that op with
+    /// the store writes before it applied and none of its tree mutations:
+    /// the SP is out of step with the DO and must be recovered, not driven on.
     pub fn apply_sync_batch(&mut self, ops: Vec<SpSync>) -> Result<()> {
         let mut tree_ops = Vec::with_capacity(ops.len());
         for op in ops {
@@ -282,7 +287,9 @@ impl StorageProvider {
                 }
                 SpSync::Relocate { key, from, to } => {
                     let old = Self::storage_key(from, &key);
-                    let value = self.db.get(&old)?.unwrap_or_default();
+                    let Some(value) = self.db.get(&old)? else {
+                        return Err(GrubError::MissingRecord { key, state: from });
+                    };
                     self.db.delete(&old)?;
                     let vhash = record_value_hash(&value);
                     self.db.put(Self::storage_key(to, &key), value)?;
@@ -642,6 +649,56 @@ mod tests {
         .unwrap();
         assert_eq!(sp.value_of(ReplState::NotReplicated, "a"), None);
         assert_eq!(sp.value_of(ReplState::Replicated, "a"), Some(b"1".to_vec()));
+    }
+
+    #[test]
+    fn relocating_a_record_the_store_lacks_is_a_typed_error() {
+        let mut sp = sp();
+        sp.apply_sync_batch(vec![write("a", b"1", ReplState::NotReplicated)])
+            .unwrap();
+        let root = sp.root();
+        // "a" is filed under NR; a relocation out of R names nothing.
+        let err = sp
+            .apply_sync_batch(vec![SpSync::Relocate {
+                key: "a".into(),
+                from: ReplState::Replicated,
+                to: ReplState::NotReplicated,
+            }])
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                GrubError::MissingRecord { key, state: ReplState::Replicated } if key == "a"
+            ),
+            "{err}"
+        );
+        assert_eq!(sp.root(), root, "no tree mutation applied");
+        assert_eq!(
+            sp.value_of(ReplState::NotReplicated, "a"),
+            Some(b"1".to_vec()),
+            "no empty value invented under the target state either"
+        );
+    }
+
+    #[test]
+    fn a_failed_snapshot_scan_leaves_the_mode_unchanged() {
+        let mut sp = sp();
+        sp.apply_sync_batch(vec![write("a", b"1", ReplState::NotReplicated)])
+            .unwrap();
+        sp.db.flush().unwrap();
+        // Damage the one table so the snapshot's full scan cannot read it.
+        for entry in std::fs::read_dir(&sp.dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|ext| ext == "sst") {
+                std::fs::write(&path, b"not a table").unwrap();
+            }
+        }
+        assert!(sp.set_mode(AdversaryMode::ReplayStale).is_err());
+        assert_eq!(sp.mode, AdversaryMode::Honest);
+        assert!(sp.stale.is_none());
+        // A mode that takes no snapshot still switches.
+        sp.set_mode(AdversaryMode::ForgeValue).unwrap();
+        assert_eq!(sp.mode, AdversaryMode::ForgeValue);
     }
 
     #[test]

@@ -874,8 +874,13 @@ impl EpochDriver {
     }
 
     /// Puts the SP into an adversarial mode (security experiments).
-    pub fn set_adversary(&mut self, mode: AdversaryMode) {
-        self.stage.provider.set_mode(mode);
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failed store scan when [`AdversaryMode::ReplayStale`]
+    /// takes its snapshot.
+    pub fn set_adversary(&mut self, mode: AdversaryMode) -> Result<()> {
+        self.stage.provider.set_mode(mode)
     }
 
     /// The storage-manager contract address.
@@ -1371,7 +1376,10 @@ mod tests {
         };
         assert_eq!(failed_delivers(&system), 0);
         // Now turn the SP hostile and read again.
-        system.driver_mut().set_adversary(AdversaryMode::ForgeValue);
+        system
+            .driver_mut()
+            .set_adversary(AdversaryMode::ForgeValue)
+            .unwrap();
         let mut reads = Trace::new();
         reads
             .ops

@@ -92,10 +92,24 @@ impl SourceFile {
 /// attributes are skipped, then the item extends to its matching closing
 /// brace (brace matching on tokens is immune to braces in strings or
 /// comments, which the lexer already removed), or to the first `;` for
-/// brace-less items like `#[cfg(test)] use …;`.
+/// brace-less items like `#[cfg(test)] use …;`. A file that opens with an
+/// inner `#![cfg(test)]` (a test-only module kept in its own file, declared
+/// `#[cfg(test)] mod name;` by its parent) is test code throughout.
 fn test_line_ranges(toks: &[Tok]) -> Vec<(u32, u32)> {
     let mut ranges = Vec::new();
     let mut i = 0usize;
+    // The file's leading inner attributes: `#` `!` `[` body `]`.
+    while i + 2 < toks.len() && toks[i].is_punct("#") && toks[i + 1].is_punct("!") {
+        let body_start = i + 3;
+        let j = attr_end(toks, body_start);
+        let body = &toks[body_start..j.saturating_sub(1)];
+        if body.first().is_some_and(|t| t.is_ident("cfg"))
+            && body.iter().any(|t| t.is_ident("test"))
+        {
+            return vec![(1, u32::MAX)];
+        }
+        i = j;
+    }
     while i < toks.len() {
         if !toks[i].is_punct("#") {
             i += 1;
@@ -113,17 +127,8 @@ fn test_line_ranges(toks: &[Tok]) -> Vec<(u32, u32)> {
             continue;
         }
         // Collect the attribute body up to the matching `]`.
-        let mut depth = 1i32;
-        j += 1;
-        let body_start = j;
-        while j < toks.len() && depth > 0 {
-            if toks[j].is_punct("[") {
-                depth += 1;
-            } else if toks[j].is_punct("]") {
-                depth -= 1;
-            }
-            j += 1;
-        }
+        let body_start = j + 1;
+        j = attr_end(toks, body_start);
         let body = &toks[body_start..j.saturating_sub(1)];
         let is_test_attr = match body.first() {
             Some(t) if t.is_ident("test") => body.len() == 1,
@@ -139,16 +144,7 @@ fn test_line_ranges(toks: &[Tok]) -> Vec<(u32, u32)> {
         while k < toks.len() && toks[k].is_punct("#") {
             k += 1;
             if k < toks.len() && toks[k].is_punct("[") {
-                let mut d = 1i32;
-                k += 1;
-                while k < toks.len() && d > 0 {
-                    if toks[k].is_punct("[") {
-                        d += 1;
-                    } else if toks[k].is_punct("]") {
-                        d -= 1;
-                    }
-                    k += 1;
-                }
+                k = attr_end(toks, k + 1);
             }
         }
         // The item runs to its matching `}` (or a `;` seen before any `{`).
@@ -175,6 +171,22 @@ fn test_line_ranges(toks: &[Tok]) -> Vec<(u32, u32)> {
         i = k;
     }
     ranges
+}
+
+/// The index just past the `]` that closes an attribute whose body starts
+/// at `start` (the token after its `[`).
+fn attr_end(toks: &[Tok], start: usize) -> usize {
+    let mut depth = 1i32;
+    let mut j = start;
+    while j < toks.len() && depth > 0 {
+        if toks[j].is_punct("[") {
+            depth += 1;
+        } else if toks[j].is_punct("]") {
+            depth -= 1;
+        }
+        j += 1;
+    }
+    j
 }
 
 /// Parses `grub-lint: allow(...)` directives out of the comment channel.
@@ -279,6 +291,16 @@ mod tests {
         assert!(f.in_test_code(2));
         assert!(f.in_test_code(5));
         assert!(f.in_test_code(6));
+    }
+
+    #[test]
+    fn a_file_opening_with_inner_cfg_test_is_test_code_throughout() {
+        let f = parse("//! Oracle.\n#![allow(dead_code)]\n#![cfg(test)]\nfn o() { None::<u8>.expect(\"x\"); }\n");
+        assert!(f.in_test_code(4));
+        // Only a leading inner attribute counts: one inside an inline
+        // module, or any other inner attribute, does not.
+        let f = parse("#![allow(dead_code)]\nfn lib() {}\nmod m {\n    #![cfg(test)]\n}\n");
+        assert!(!f.in_test_code(2));
     }
 
     #[test]

@@ -1,170 +1,83 @@
 //! The SP-side Merkle tree over state-prefixed, key-sorted records.
+//!
+//! The tree is an arena: leaves in one `Vec`, inner nodes in another, each
+//! child named by a tagged `u32` index ([`Link`]). A key is stored once, at
+//! its leaf; an inner node names the two leaves on either side of its split
+//! instead of holding copies of their keys, and range proofs prune by
+//! in-order position (leaf counts), not by key. There is no free list — every
+//! shape change keeps `inners.len() == leaves.len() − 1`: a graft pushes one
+//! leaf and one inner node, a scapegoat rebuild rejoins its subtree into
+//! that subtree's own inner slots, and the tombstone compaction rebuilds
+//! both vectors in place.
+
+use std::ops::{Range, RangeInclusive};
 
 use grub_crypto::Hash32;
 
 use crate::proof::{ProofNode, RangeProof};
 use crate::{empty_root, inner_hash, leaf_hash, ProofKey};
 
+#[cfg(test)]
+mod oracle;
+
 #[derive(Clone, Debug)]
-pub(crate) struct LeafData {
-    pub pkey: ProofKey,
-    pub vhash: Hash32,
-    pub valid: bool,
-    pub hash: Hash32,
+struct Leaf {
+    pkey: ProofKey,
+    vhash: Hash32,
+    hash: Hash32,
+    valid: bool,
     /// `hash` is stale; recomputed by the batch rehash pass. Never true
     /// outside [`MerkleKv::apply_batch`].
-    pub dirty: bool,
+    dirty: bool,
 }
 
-#[derive(Clone, Debug)]
-pub(crate) struct InnerData {
-    pub hash: Hash32,
+#[derive(Clone, Copy, Debug)]
+struct Inner {
+    hash: Hash32,
+    left: Link,
+    right: Link,
+    /// Physical leaf count of the subtree (tombstones included).
+    count: u32,
+    /// The left subtree's last leaf: keys at or below its key route left.
+    left_max: u32,
+    /// The right subtree's first leaf.
+    right_min: u32,
     /// `hash` is stale; recomputed by the batch rehash pass. Never true
     /// outside [`MerkleKv::apply_batch`].
-    pub dirty: bool,
-    pub min: ProofKey,
-    pub max: ProofKey,
-    pub count: usize,
-    pub left: Box<Node>,
-    pub right: Box<Node>,
+    dirty: bool,
 }
 
-#[derive(Clone, Debug)]
-pub(crate) enum Node {
-    Leaf(LeafData),
-    Inner(InnerData),
+/// A child link: an index into `leaves` (top bit set) or into `inners`.
+/// Thirty-one bits of index cap a tree at 2^31 leaves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Link(u32);
+
+/// A decoded [`Link`].
+enum Node {
+    Leaf(usize),
+    Inner(usize),
 }
 
-impl Node {
-    /// A fresh live leaf. With `defer` the hash is left stale (and the leaf
-    /// marked dirty) for the batch rehash pass, so shared root-to-leaf
-    /// paths pay for hashing once per round rather than once per op.
-    fn new_leaf(pkey: ProofKey, vhash: Hash32, defer: bool) -> Node {
-        let hash = if defer {
-            Hash32::default()
+impl Link {
+    const LEAF: u32 = 1 << 31;
+
+    fn leaf(index: usize) -> Link {
+        debug_assert!(index < Self::LEAF as usize, "arena index overflow");
+        Link(index as u32 | Self::LEAF)
+    }
+
+    fn inner(index: usize) -> Link {
+        debug_assert!(index < Self::LEAF as usize, "arena index overflow");
+        Link(index as u32)
+    }
+
+    fn node(self) -> Node {
+        if self.0 & Self::LEAF == 0 {
+            Node::Inner(self.0 as usize)
         } else {
-            leaf_hash(&pkey, &vhash, true)
-        };
-        Node::Leaf(LeafData {
-            pkey,
-            vhash,
-            valid: true,
-            hash,
-            dirty: defer,
-        })
-    }
-
-    fn hash(&self) -> Hash32 {
-        match self {
-            Node::Leaf(l) => l.hash,
-            Node::Inner(i) => i.hash,
+            Node::Leaf((self.0 & !Self::LEAF) as usize)
         }
     }
-
-    fn min(&self) -> &ProofKey {
-        match self {
-            Node::Leaf(l) => &l.pkey,
-            Node::Inner(i) => &i.min,
-        }
-    }
-
-    fn max(&self) -> &ProofKey {
-        match self {
-            Node::Leaf(l) => &l.pkey,
-            Node::Inner(i) => &i.max,
-        }
-    }
-
-    /// Physical leaf count (tombstones included).
-    fn count(&self) -> usize {
-        match self {
-            Node::Leaf(_) => 1,
-            Node::Inner(i) => i.count,
-        }
-    }
-
-    /// Joins two subtrees into an inner node. With `defer` the parent hash
-    /// is left stale (dirty) for the batch rehash pass; min/max/count — the
-    /// only inputs shape decisions read — are always maintained eagerly.
-    fn join(left: Box<Node>, right: Box<Node>, defer: bool) -> Node {
-        let hash = if defer {
-            Hash32::default()
-        } else {
-            inner_hash(&left.hash(), &right.hash())
-        };
-        Node::Inner(InnerData {
-            hash,
-            dirty: defer,
-            min: left.min().clone(),
-            max: right.max().clone(),
-            count: left.count() + right.count(),
-            left,
-            right,
-        })
-    }
-
-    /// A leaf holding nothing — no heap behind its empty key — parked in a
-    /// slot for the instant its real node is taken out by value (a graft
-    /// wraps the old leaf, a rebuild flattens the old subtree). Never
-    /// observable: the slot is overwritten before control leaves the caller.
-    fn vacant() -> Node {
-        Node::Leaf(LeafData {
-            pkey: ProofKey::new(crate::ReplState::NotReplicated, Vec::new()),
-            vhash: Hash32::default(),
-            valid: false,
-            hash: Hash32::default(),
-            dirty: false,
-        })
-    }
-}
-
-impl InnerData {
-    /// The scapegoat test: one side holds more than 3/4 of a subtree of
-    /// more than 8 leaves. A pure function of leaf counts, never hashes, so
-    /// the SP tree, the DO mirror, and the deferred-hash batch path all
-    /// make identical shape decisions and their roots agree.
-    fn lopsided(&self) -> bool {
-        let (left, right) = (self.left.count(), self.right.count());
-        let total = left + right;
-        total > 8 && (left * 4 > total * 3 || right * 4 > total * 3)
-    }
-
-    /// Brings `hash` up to date with the children after a mutation below:
-    /// recomputed now, or left stale (dirty) for the batch rehash pass.
-    fn touch(&mut self, defer: bool) {
-        if defer {
-            self.dirty = true;
-        } else {
-            self.hash = inner_hash(&self.left.hash(), &self.right.hash());
-        }
-    }
-}
-
-fn flatten(node: Node, out: &mut Vec<LeafData>) {
-    match node {
-        Node::Leaf(l) => out.push(l),
-        Node::Inner(i) => {
-            flatten(*i.left, out);
-            flatten(*i.right, out);
-        }
-    }
-}
-
-/// The one shape rule: the balanced tree over `n` leaves taken in key
-/// order from `leaves`, split `n / 2 | n − n / 2` at every level. A
-/// scapegoat rebuild, the tombstone compaction, [`MerkleKv::rebuild`] and
-/// the bulk load of [`MerkleKv::apply_batch`] all build with it, so the
-/// same leaf set always comes out as the same tree. Leaves keep whatever
-/// hashes (and dirty flags) they arrive with; every inner node is joined
-/// fresh.
-fn build_balanced(n: usize, leaves: &mut impl Iterator<Item = Node>, defer: bool) -> Box<Node> {
-    if n <= 1 {
-        // grub-lint: allow(panic) — every caller passes the iterator's own length (≥ 1) as `n`
-        return Box::new(leaves.next().expect("n leaves"));
-    }
-    let left = build_balanced(n / 2, leaves, defer);
-    let right = build_balanced(n - n / 2, leaves, defer);
-    Box::new(Node::join(left, right, defer))
 }
 
 /// The authenticated KV index: a binary Merkle tree whose in-order leaves
@@ -178,7 +91,9 @@ fn build_balanced(n: usize, leaves: &mut impl Iterator<Item = Node>, defer: bool
 /// the DO's mirror apply the same rule, keeping their roots in lock-step.
 #[derive(Clone, Debug, Default)]
 pub struct MerkleKv {
-    root: Option<Box<Node>>,
+    leaves: Vec<Leaf>,
+    inners: Vec<Inner>,
+    root: Option<Link>,
     live: usize,
     tombstones: usize,
 }
@@ -192,8 +107,7 @@ impl MerkleKv {
     /// The root digest ([`empty_root`] when the tree holds nothing).
     pub fn root(&self) -> Hash32 {
         self.root
-            .as_ref()
-            .map(|n| n.hash())
+            .map(|root| self.hash_of(root))
             .unwrap_or_else(empty_root)
     }
 
@@ -212,21 +126,29 @@ impl MerkleKv {
         self.tombstones
     }
 
+    /// Heap bytes the tree owns: both arena vectors at their capacity plus
+    /// every leaf's key buffer — one entry of the memory ledger
+    /// (ARCHITECTURE.md).
+    pub fn heap_bytes(&self) -> usize {
+        self.leaves.capacity() * std::mem::size_of::<Leaf>()
+            + self.inners.capacity() * std::mem::size_of::<Inner>()
+            + self
+                .leaves
+                .iter()
+                .map(|leaf| leaf.pkey.key.capacity())
+                .sum::<usize>()
+    }
+
     /// Looks up a key, returning its value hash if present and live.
     pub fn get(&self, pkey: &ProofKey) -> Option<Hash32> {
-        let mut node = self.root.as_deref()?;
+        let mut at = self.root?;
         loop {
-            match node {
+            match at.node() {
                 Node::Leaf(l) => {
-                    return (l.pkey == *pkey && l.valid).then_some(l.vhash);
+                    let leaf = &self.leaves[l];
+                    return (leaf.pkey == *pkey && leaf.valid).then_some(leaf.vhash);
                 }
-                Node::Inner(i) => {
-                    node = if *pkey <= *i.left.max() {
-                        &i.left
-                    } else {
-                        &i.right
-                    };
-                }
+                Node::Inner(i) => at = self.route(i, pkey).0,
             }
         }
     }
@@ -238,21 +160,25 @@ impl MerkleKv {
     }
 
     fn insert_with(&mut self, pkey: ProofKey, vhash: Hash32, defer: bool) {
-        match &mut self.root {
+        match self.root {
             None => {
-                self.root = Some(Box::new(Node::new_leaf(pkey, vhash, defer)));
+                self.root = Some(self.push_leaf(pkey, vhash, defer));
                 self.live += 1;
             }
-            Some(root) => match insert_rec(root, pkey, vhash, defer) {
-                InsertOutcome::Grafted => {
-                    self.live += 1;
+            Some(root) => {
+                let (root, outcome) = self.insert_at(root, pkey, vhash, defer);
+                self.root = Some(root);
+                match outcome {
+                    InsertOutcome::Grafted { .. } => {
+                        self.live += 1;
+                    }
+                    InsertOutcome::Revived => {
+                        self.live += 1;
+                        self.tombstones -= 1;
+                    }
+                    InsertOutcome::Updated => {}
                 }
-                InsertOutcome::Revived => {
-                    self.live += 1;
-                    self.tombstones -= 1;
-                }
-                InsertOutcome::Updated => {}
-            },
+            }
         }
         self.maybe_rebalance(defer);
     }
@@ -264,10 +190,10 @@ impl MerkleKv {
     }
 
     fn invalidate_with(&mut self, pkey: &ProofKey, defer: bool) -> bool {
-        let Some(root) = self.root.as_deref_mut() else {
+        let Some(root) = self.root else {
             return false;
         };
-        let removed = invalidate_rec(root, pkey, defer);
+        let removed = self.invalidate_at(root, pkey, defer);
         if removed {
             self.live -= 1;
             self.tombstones += 1;
@@ -295,18 +221,24 @@ impl MerkleKv {
     /// appends grow. The rule reads only the tree and the batch, so every
     /// party that applies the same batch to an empty tree — the DO's mirror,
     /// the SP, a recovery scan — takes it alike and reaches the same root.
-    /// Up to three keys the two shapes coincide.
+    /// Up to three keys the two shapes coincide. Both arena vectors are
+    /// sized exactly and each op's key moves into its leaf, so the load
+    /// allocates nothing beyond the two vectors.
     ///
     /// Returns the number of nodes rehashed — the per-round
     /// `merkle_nodes_rehashed` observability counter.
     pub fn apply_batch(&mut self, ops: Vec<TreeOp>) -> usize {
         if self.root.is_none() && is_sorted_load(&ops) {
-            self.live = ops.len();
-            let mut leaves = ops.into_iter().filter_map(|op| match op {
-                TreeOp::Insert(pkey, vhash) => Some(Node::new_leaf(pkey, vhash, true)),
-                TreeOp::Invalidate(_) => None,
-            });
-            self.root = Some(build_balanced(self.live, &mut leaves, true));
+            let n = ops.len();
+            self.leaves = Vec::with_capacity(n);
+            self.inners = Vec::with_capacity(n - 1);
+            for op in ops {
+                if let TreeOp::Insert(pkey, vhash) = op {
+                    self.push_leaf(pkey, vhash, true);
+                }
+            }
+            self.live = n;
+            self.root = Some(self.build_balanced(&|j| j, 0..n, &mut Vec::new(), true));
         } else {
             for op in ops {
                 match op {
@@ -317,7 +249,7 @@ impl MerkleKv {
                 }
             }
         }
-        self.root.as_deref_mut().map(rehash).unwrap_or(0)
+        self.root.map(|root| self.rehash(root)).unwrap_or(0)
     }
 
     /// [`MerkleKv::apply_batch`] over inserts only — how a dataset is
@@ -335,7 +267,7 @@ impl MerkleKv {
     /// Deterministic compaction rule shared by SP and DO mirror: rebuild
     /// (dropping tombstones) once tombstones exceed half the live set.
     /// Shape balance itself is maintained incrementally by the scapegoat
-    /// rebuilds in `insert_rec` (see [`InnerData::lopsided`]).
+    /// rebuilds in `insert_at` (see `MerkleKv::lopsided`).
     fn maybe_rebalance(&mut self, defer: bool) {
         if self.tombstones > (self.live / 2).max(64) {
             self.rebuild_with(defer);
@@ -347,26 +279,32 @@ impl MerkleKv {
         self.rebuild_with(false);
     }
 
+    /// Rebuilds the arena in place: tombstones are dropped, the survivors
+    /// sorted by key (the in-order sequence of every tree over them), and
+    /// the inner nodes rejoined over them from scratch — never two copies
+    /// of the tree at once.
     fn rebuild_with(&mut self, defer: bool) {
-        let mut leaves = Vec::with_capacity(self.live + self.tombstones);
-        if let Some(root) = self.root.take() {
-            flatten(*root, &mut leaves);
+        self.leaves.retain(|leaf| leaf.valid);
+        self.leaves.sort_unstable_by(|a, b| a.pkey.cmp(&b.pkey));
+        if defer {
+            // Live leaves are rehashed, as they always have been: a round's
+            // rehash count is a published metric. (An eager rebuild runs at
+            // rest, where every live leaf's hash is already its own.)
+            for leaf in &mut self.leaves {
+                leaf.dirty = true;
+            }
         }
-        // Live leaves are re-made (and so re-hashed), as they always have
-        // been: a round's rehash count is a published metric.
-        let mut live = leaves
-            .into_iter()
-            .filter(|leaf| leaf.valid)
-            .map(|leaf| Node::new_leaf(leaf.pkey, leaf.vhash, defer));
-        self.root = (self.live > 0).then(|| build_balanced(self.live, &mut live, defer));
+        self.inners.clear();
+        let n = self.leaves.len();
+        self.root = (n > 0).then(|| self.build_balanced(&|j| j, 0..n, &mut Vec::new(), defer));
         self.tombstones = 0;
     }
 
     /// In-order live records, for tests and SP-side iteration.
     pub fn iter_live(&self) -> Vec<(ProofKey, Hash32)> {
         let mut out = Vec::with_capacity(self.live);
-        if let Some(root) = &self.root {
-            collect_live(root, &mut out);
+        if let Some(root) = self.root {
+            self.collect_live(root, &mut out);
         }
         out
     }
@@ -375,30 +313,434 @@ impl MerkleKv {
     /// tree revealing every leaf in range plus one boundary leaf on each
     /// side, with everything else collapsed to opaque digests.
     pub fn prove_range(&self, lo: &ProofKey, hi: &ProofKey) -> RangeProof {
-        let Some(root) = self.root.as_deref() else {
+        let Some(root) = self.root else {
             return RangeProof::empty();
         };
         // Extend the range to the immediate neighbours so the verifier can
         // check completeness (the paper's boundary records, Appendix B.2.2).
-        let pred = find_predecessor(root, lo);
-        let succ = find_successor(root, hi);
-        let lo_ext = pred.unwrap_or_else(|| root.min().clone());
-        let hi_ext = succ.unwrap_or_else(|| root.max().clone());
+        // Both ends are leaves of this tree, so what to reveal is a run of
+        // in-order positions, and pruning compares positions, not keys.
+        let first = self.predecessor(root, 0, lo).unwrap_or(0);
+        let last = self
+            .successor(root, 0, hi)
+            .unwrap_or_else(|| self.count_of(root) - 1);
         RangeProof {
-            tree: Some(prune(root, &lo_ext, &hi_ext)),
+            tree: Some(self.prune(root, 0, first..=last)),
         }
     }
 
     /// Maximum leaf depth (proof length); exposed for gas modelling and the
     /// rebalance tests.
     pub fn depth(&self) -> usize {
-        fn d(node: &Node) -> usize {
-            match node {
-                Node::Leaf(_) => 1,
-                Node::Inner(i) => 1 + d(&i.left).max(d(&i.right)),
+        self.root.map(|root| self.depth_of(root)).unwrap_or(0)
+    }
+
+    fn depth_of(&self, at: Link) -> usize {
+        match at.node() {
+            Node::Leaf(_) => 1,
+            Node::Inner(i) => {
+                let Inner { left, right, .. } = self.inners[i];
+                1 + self.depth_of(left).max(self.depth_of(right))
             }
         }
-        self.root.as_deref().map(d).unwrap_or(0)
+    }
+
+    fn hash_of(&self, at: Link) -> Hash32 {
+        match at.node() {
+            Node::Leaf(l) => self.leaves[l].hash,
+            Node::Inner(i) => self.inners[i].hash,
+        }
+    }
+
+    /// Physical leaf count below `at` (tombstones included).
+    fn count_of(&self, at: Link) -> usize {
+        match at.node() {
+            Node::Leaf(_) => 1,
+            Node::Inner(i) => self.inners[i].count as usize,
+        }
+    }
+
+    /// The leaf holding the smallest key below `at`: the leftmost path.
+    fn first_leaf(&self, mut at: Link) -> usize {
+        loop {
+            match at.node() {
+                Node::Leaf(l) => return l,
+                Node::Inner(i) => at = self.inners[i].left,
+            }
+        }
+    }
+
+    /// The leaf holding the largest key below `at`: the rightmost path.
+    fn last_leaf(&self, mut at: Link) -> usize {
+        loop {
+            match at.node() {
+                Node::Leaf(l) => return l,
+                Node::Inner(i) => at = self.inners[i].right,
+            }
+        }
+    }
+
+    /// The child of inner node `i` whose key range holds `pkey` — the left
+    /// one iff `pkey` sorts at or below the left subtree's last key — and
+    /// whether it is the left one.
+    fn route(&self, i: usize, pkey: &ProofKey) -> (Link, bool) {
+        let Inner {
+            left,
+            right,
+            left_max,
+            ..
+        } = self.inners[i];
+        if *pkey <= self.leaves[left_max as usize].pkey {
+            (left, true)
+        } else {
+            (right, false)
+        }
+    }
+
+    /// A fresh live leaf. With `defer` the hash is left stale (and the leaf
+    /// marked dirty) for the batch rehash pass, so shared root-to-leaf
+    /// paths pay for hashing once per round rather than once per op.
+    fn push_leaf(&mut self, pkey: ProofKey, vhash: Hash32, defer: bool) -> Link {
+        let hash = if defer {
+            Hash32::default()
+        } else {
+            leaf_hash(&pkey, &vhash, true)
+        };
+        self.leaves.push(Leaf {
+            pkey,
+            vhash,
+            hash,
+            valid: true,
+            dirty: defer,
+        });
+        Link::leaf(self.leaves.len() - 1)
+    }
+
+    /// Joins two subtrees under an inner node written to `slot`, or pushed
+    /// when there is none. With `defer` the hash is left stale (dirty) for
+    /// the batch rehash pass; count and split — the only inputs shape
+    /// decisions read — are always maintained eagerly.
+    fn join(&mut self, left: Link, right: Link, slot: Option<u32>, defer: bool) -> Link {
+        let inner = Inner {
+            hash: if defer {
+                Hash32::default()
+            } else {
+                inner_hash(&self.hash_of(left), &self.hash_of(right))
+            },
+            left,
+            right,
+            count: (self.count_of(left) + self.count_of(right)) as u32,
+            left_max: self.last_leaf(left) as u32,
+            right_min: self.first_leaf(right) as u32,
+            dirty: defer,
+        };
+        match slot {
+            Some(slot) => {
+                self.inners[slot as usize] = inner;
+                Link::inner(slot as usize)
+            }
+            None => {
+                self.inners.push(inner);
+                Link::inner(self.inners.len() - 1)
+            }
+        }
+    }
+
+    /// The one shape rule: the balanced tree over the leaves `leaf(j)` for
+    /// `j` in `range`, taken in key order, split `n / 2 | n − n / 2` at every
+    /// level. A scapegoat rebuild, the tombstone compaction,
+    /// [`MerkleKv::rebuild`] and the bulk load of [`MerkleKv::apply_batch`]
+    /// all build with it, so the same leaf set always comes out as the same
+    /// tree. Leaves keep whatever hashes (and dirty flags) they arrive with;
+    /// every inner node is joined fresh, into a slot popped from `free`
+    /// while it lasts and pushed after. `range` is never empty.
+    fn build_balanced(
+        &mut self,
+        leaf: &impl Fn(usize) -> usize,
+        range: Range<usize>,
+        free: &mut Vec<u32>,
+        defer: bool,
+    ) -> Link {
+        let n = range.len();
+        if n <= 1 {
+            return Link::leaf(leaf(range.start));
+        }
+        let mid = range.start + n / 2;
+        let left = self.build_balanced(leaf, range.start..mid, free, defer);
+        let right = self.build_balanced(leaf, mid..range.end, free, defer);
+        self.join(left, right, free.pop(), defer)
+    }
+
+    /// The scapegoat test on inner node `i`: one side holds more than 3/4 of
+    /// a subtree of more than 8 leaves. A pure function of leaf counts,
+    /// never hashes, so the SP tree, the DO mirror, and the deferred-hash
+    /// batch path all make identical shape decisions and their roots agree.
+    fn lopsided(&self, i: usize) -> bool {
+        let Inner { left, right, .. } = self.inners[i];
+        let (left, right) = (self.count_of(left), self.count_of(right));
+        let total = left + right;
+        total > 8 && (left * 4 > total * 3 || right * 4 > total * 3)
+    }
+
+    /// Brings inner node `i`'s hash up to date with its children after a
+    /// mutation below: recomputed now, or left stale (dirty) for the batch
+    /// rehash pass.
+    fn touch(&mut self, i: usize, defer: bool) {
+        if defer {
+            self.inners[i].dirty = true;
+        } else {
+            let Inner { left, right, .. } = self.inners[i];
+            self.inners[i].hash = inner_hash(&self.hash_of(left), &self.hash_of(right));
+        }
+    }
+
+    /// Inserts below `at`, returning the subtree's (possibly new) link: an
+    /// update or revival rewrites the leaf and touches each ancestor's hash
+    /// (or dirty flag) on the way back up, with no heap traffic; a graft
+    /// pushes one leaf and one inner node; a scapegoat rebuild reuses the
+    /// rebuilt subtree's inner slots.
+    fn insert_at(
+        &mut self,
+        at: Link,
+        pkey: ProofKey,
+        vhash: Hash32,
+        defer: bool,
+    ) -> (Link, InsertOutcome) {
+        match at.node() {
+            Node::Leaf(l) => {
+                let leaf = &mut self.leaves[l];
+                if leaf.pkey == pkey {
+                    let outcome = if leaf.valid {
+                        InsertOutcome::Updated
+                    } else {
+                        InsertOutcome::Revived
+                    };
+                    leaf.vhash = vhash;
+                    leaf.valid = true;
+                    if defer {
+                        leaf.dirty = true;
+                    } else {
+                        leaf.hash = leaf_hash(&leaf.pkey, &leaf.vhash, true);
+                    }
+                    return (at, outcome);
+                }
+                // Graft: split this leaf into an inner node holding both, in
+                // key order (the paper's h9 = H(h4 ‖ h8) step).
+                let first = pkey < leaf.pkey;
+                let grafted = self.leaves.len();
+                let new = self.push_leaf(pkey, vhash, defer);
+                let joined = if first {
+                    self.join(new, at, None, defer)
+                } else {
+                    self.join(at, new, None, defer)
+                };
+                (joined, InsertOutcome::Grafted { leaf: grafted })
+            }
+            Node::Inner(i) => {
+                let (child, went_left) = self.route(i, &pkey);
+                let (child, outcome) = self.insert_at(child, pkey, vhash, defer);
+                if let InsertOutcome::Grafted { leaf } = outcome {
+                    // A graft (or a rebuild it set off) below replaced the
+                    // child. A key that went left sorts below `left_max`, so
+                    // only a key that went right can move the split: it is
+                    // the right side's new first leaf if it sorts below the
+                    // old one.
+                    let new_min = !went_left
+                        && self.leaves[leaf].pkey
+                            < self.leaves[self.inners[i].right_min as usize].pkey;
+                    let inner = &mut self.inners[i];
+                    inner.count += 1;
+                    if went_left {
+                        inner.left = child;
+                    } else {
+                        inner.right = child;
+                    }
+                    if new_min {
+                        inner.right_min = leaf as u32;
+                    }
+                }
+                if self.lopsided(i) {
+                    return (self.rebuild_subtree(at, defer), outcome);
+                }
+                self.touch(i, defer);
+                (at, outcome)
+            }
+        }
+    }
+
+    /// Scapegoat rebuild of the subtree at `at`: its `m` leaves keep their
+    /// hashes (and dirty flags) and are rejoined by [`build_balanced`] into
+    /// its own `m − 1` inner slots, so the arena neither grows nor leaks.
+    ///
+    /// [`build_balanced`]: MerkleKv::build_balanced
+    fn rebuild_subtree(&mut self, at: Link, defer: bool) -> Link {
+        let m = self.count_of(at);
+        let mut leaves = Vec::with_capacity(m);
+        let mut slots = Vec::with_capacity(m - 1);
+        self.gather(at, &mut leaves, &mut slots);
+        self.build_balanced(&|j| leaves[j] as usize, 0..m, &mut slots, defer)
+    }
+
+    /// The leaves below `at` in key order, and every inner slot below it.
+    fn gather(&self, at: Link, leaves: &mut Vec<u32>, slots: &mut Vec<u32>) {
+        match at.node() {
+            Node::Leaf(l) => leaves.push(l as u32),
+            Node::Inner(i) => {
+                slots.push(i as u32);
+                let Inner { left, right, .. } = self.inners[i];
+                self.gather(left, leaves, slots);
+                self.gather(right, leaves, slots);
+            }
+        }
+    }
+
+    /// Tombstones `pkey` below `at`, in place and without allocating. Shape
+    /// and counts never change (a tombstone is still a physical leaf). The
+    /// path's hashes are touched whether or not the key was found live: a
+    /// batch's rehash count is a published metric and must not depend on it.
+    fn invalidate_at(&mut self, at: Link, pkey: &ProofKey, defer: bool) -> bool {
+        match at.node() {
+            Node::Leaf(l) => {
+                let leaf = &mut self.leaves[l];
+                if leaf.pkey != *pkey || !leaf.valid {
+                    return false;
+                }
+                leaf.valid = false;
+                if defer {
+                    leaf.dirty = true;
+                } else {
+                    leaf.hash = leaf_hash(&leaf.pkey, &leaf.vhash, false);
+                }
+                true
+            }
+            Node::Inner(i) => {
+                let removed = self.invalidate_at(self.route(i, pkey).0, pkey, defer);
+                self.touch(i, defer);
+                removed
+            }
+        }
+    }
+
+    /// The batch finalizer: recomputes every dirty hash bottom-up and returns
+    /// the number of nodes rehashed. Clean subtrees are skipped whole — a
+    /// dirty node's ancestors are always dirty (a deferred mutation marks
+    /// every inner node on its root-to-leaf path on the way back up, and a
+    /// rebuilt subtree is rejoined dirty throughout), so the early return
+    /// never strands a stale hash below a clean one.
+    fn rehash(&mut self, at: Link) -> usize {
+        match at.node() {
+            Node::Leaf(l) => {
+                let leaf = &mut self.leaves[l];
+                if !leaf.dirty {
+                    return 0;
+                }
+                leaf.hash = leaf_hash(&leaf.pkey, &leaf.vhash, leaf.valid);
+                leaf.dirty = false;
+                1
+            }
+            Node::Inner(i) => {
+                let Inner {
+                    left, right, dirty, ..
+                } = self.inners[i];
+                if !dirty {
+                    return 0;
+                }
+                let below = self.rehash(left) + self.rehash(right);
+                let hash = inner_hash(&self.hash_of(left), &self.hash_of(right));
+                let inner = &mut self.inners[i];
+                inner.hash = hash;
+                inner.dirty = false;
+                below + 1
+            }
+        }
+    }
+
+    fn collect_live(&self, at: Link, out: &mut Vec<(ProofKey, Hash32)>) {
+        match at.node() {
+            Node::Leaf(l) => {
+                let leaf = &self.leaves[l];
+                if leaf.valid {
+                    out.push((leaf.pkey.clone(), leaf.vhash));
+                }
+            }
+            Node::Inner(i) => {
+                let Inner { left, right, .. } = self.inners[i];
+                self.collect_live(left, out);
+                self.collect_live(right, out);
+            }
+        }
+    }
+
+    /// The in-order position (any validity) of the largest key strictly
+    /// below `bound` in the subtree at `at`, whose first leaf sits at
+    /// position `offset`, if there is one.
+    fn predecessor(&self, at: Link, offset: usize, bound: &ProofKey) -> Option<usize> {
+        match at.node() {
+            Node::Leaf(l) => (self.leaves[l].pkey < *bound).then_some(offset),
+            Node::Inner(i) => {
+                let Inner {
+                    left,
+                    right,
+                    right_min,
+                    ..
+                } = self.inners[i];
+                if self.leaves[right_min as usize].pkey < *bound {
+                    self.predecessor(right, offset + self.count_of(left), bound)
+                } else {
+                    self.predecessor(left, offset, bound)
+                }
+            }
+        }
+    }
+
+    /// The in-order position (any validity) of the smallest key strictly
+    /// above `bound` in the subtree at `at`, whose first leaf sits at
+    /// position `offset`, if there is one.
+    fn successor(&self, at: Link, offset: usize, bound: &ProofKey) -> Option<usize> {
+        match at.node() {
+            Node::Leaf(l) => (self.leaves[l].pkey > *bound).then_some(offset),
+            Node::Inner(i) => {
+                let Inner {
+                    left,
+                    right,
+                    left_max,
+                    ..
+                } = self.inners[i];
+                if self.leaves[left_max as usize].pkey > *bound {
+                    self.successor(left, offset, bound)
+                } else {
+                    self.successor(right, offset + self.count_of(left), bound)
+                }
+            }
+        }
+    }
+
+    /// The pruned proof tree below `at`, whose first leaf sits at in-order
+    /// position `offset`: leaves at positions in `reveal` are revealed, and
+    /// every subtree wholly outside it collapses to its digest.
+    fn prune(&self, at: Link, offset: usize, reveal: RangeInclusive<usize>) -> ProofNode {
+        let last = offset + self.count_of(at) - 1;
+        if last < *reveal.start() || offset > *reveal.end() {
+            return ProofNode::Opaque(self.hash_of(at));
+        }
+        match at.node() {
+            Node::Leaf(l) => {
+                let leaf = &self.leaves[l];
+                ProofNode::Leaf {
+                    pkey: leaf.pkey.clone(),
+                    vhash: leaf.vhash,
+                    valid: leaf.valid,
+                }
+            }
+            Node::Inner(i) => {
+                let Inner { left, right, .. } = self.inners[i];
+                let mid = offset + self.count_of(left);
+                ProofNode::Inner {
+                    left: Box::new(self.prune(left, offset, reveal.clone())),
+                    right: Box::new(self.prune(right, mid, reveal)),
+                }
+            }
+        }
     }
 }
 
@@ -436,199 +778,10 @@ fn is_sorted_load(ops: &[TreeOp]) -> bool {
 enum InsertOutcome {
     Updated,
     Revived,
-    Grafted,
-}
-
-/// Inserts below `slot`, in place: an update or revival rewrites the leaf
-/// and touches each ancestor's hash (or dirty flag) on the way back up,
-/// with no heap traffic; only a graft (two new boxes) or a scapegoat
-/// rebuild allocates.
-fn insert_rec(slot: &mut Box<Node>, pkey: ProofKey, vhash: Hash32, defer: bool) -> InsertOutcome {
-    match &mut **slot {
-        Node::Leaf(l) if l.pkey == pkey => {
-            let outcome = if l.valid {
-                InsertOutcome::Updated
-            } else {
-                InsertOutcome::Revived
-            };
-            l.vhash = vhash;
-            l.valid = true;
-            if defer {
-                l.dirty = true;
-            } else {
-                l.hash = leaf_hash(&l.pkey, &l.vhash, true);
-            }
-            outcome
-        }
-        Node::Leaf(_) => {
-            // Graft: split this leaf into an inner node holding both, in
-            // key order (the paper's h9 = H(h4 ‖ h8) step).
-            let new_leaf = Box::new(Node::new_leaf(pkey, vhash, defer));
-            let old_leaf = Box::new(std::mem::replace(&mut **slot, Node::vacant()));
-            **slot = if *new_leaf.max() < *old_leaf.min() {
-                Node::join(new_leaf, old_leaf, defer)
-            } else {
-                Node::join(old_leaf, new_leaf, defer)
-            };
-            InsertOutcome::Grafted
-        }
-        Node::Inner(i) => {
-            let went_left = pkey <= *i.left.max();
-            let child = if went_left { &mut i.left } else { &mut i.right };
-            let outcome = insert_rec(child, pkey, vhash, defer);
-            if matches!(outcome, InsertOutcome::Grafted) {
-                // The new key sorts at or below `left.max` when it went
-                // left and above it otherwise, so only the outer bound on
-                // the side it took can have moved.
-                i.count += 1;
-                if went_left {
-                    if i.min != *i.left.min() {
-                        i.min = i.left.min().clone();
-                    }
-                } else if i.max != *i.right.max() {
-                    i.max = i.right.max().clone();
-                }
-            }
-            if i.lopsided() {
-                // Scapegoat rebuild of this subtree: leaves keep their
-                // hashes (and dirty flags), every inner node is rejoined.
-                let mut leaves = Vec::with_capacity(i.count);
-                flatten(std::mem::replace(&mut **slot, Node::vacant()), &mut leaves);
-                *slot =
-                    build_balanced(leaves.len(), &mut leaves.into_iter().map(Node::Leaf), defer);
-            } else {
-                i.touch(defer);
-            }
-            outcome
-        }
-    }
-}
-
-/// Tombstones `pkey` below `slot`, in place and without allocating. Shape
-/// and counts never change (a tombstone is still a physical leaf). The
-/// path's hashes are touched whether or not the key was found live: a
-/// batch's rehash count is a published metric and must not depend on it.
-fn invalidate_rec(slot: &mut Node, pkey: &ProofKey, defer: bool) -> bool {
-    match slot {
-        Node::Leaf(l) => {
-            if l.pkey != *pkey || !l.valid {
-                return false;
-            }
-            l.valid = false;
-            if defer {
-                l.dirty = true;
-            } else {
-                l.hash = leaf_hash(&l.pkey, &l.vhash, false);
-            }
-            true
-        }
-        Node::Inner(i) => {
-            let child = if *pkey <= *i.left.max() {
-                &mut i.left
-            } else {
-                &mut i.right
-            };
-            let removed = invalidate_rec(child, pkey, defer);
-            i.touch(defer);
-            removed
-        }
-    }
-}
-
-/// The batch finalizer: recomputes every dirty hash bottom-up and returns
-/// the number of nodes rehashed. Clean subtrees are skipped whole — a dirty
-/// node's ancestors are always dirty (a deferred mutation marks every inner
-/// node on its root-to-leaf path on the way back up, and a rebuilt subtree
-/// is rejoined dirty throughout), so the early return never strands a stale
-/// hash below a clean one.
-fn rehash(node: &mut Node) -> usize {
-    match node {
-        Node::Leaf(l) => {
-            if !l.dirty {
-                return 0;
-            }
-            l.hash = leaf_hash(&l.pkey, &l.vhash, l.valid);
-            l.dirty = false;
-            1
-        }
-        Node::Inner(i) => {
-            if !i.dirty {
-                return 0;
-            }
-            let below = rehash(&mut i.left) + rehash(&mut i.right);
-            i.hash = inner_hash(&i.left.hash(), &i.right.hash());
-            i.dirty = false;
-            below + 1
-        }
-    }
-}
-
-fn collect_live(node: &Node, out: &mut Vec<(ProofKey, Hash32)>) {
-    match node {
-        Node::Leaf(l) => {
-            if l.valid {
-                out.push((l.pkey.clone(), l.vhash));
-            }
-        }
-        Node::Inner(i) => {
-            collect_live(&i.left, out);
-            collect_live(&i.right, out);
-        }
-    }
-}
-
-/// Largest leaf key strictly below `bound` (any validity), if one exists.
-fn find_predecessor(node: &Node, bound: &ProofKey) -> Option<ProofKey> {
-    match node {
-        Node::Leaf(l) => (l.pkey < *bound).then(|| l.pkey.clone()),
-        Node::Inner(i) => {
-            if *i.right.min() < *bound {
-                find_predecessor(&i.right, bound).or_else(|| find_predecessor(&i.left, bound))
-            } else {
-                find_predecessor(&i.left, bound)
-            }
-        }
-    }
-}
-
-/// Smallest leaf key strictly above `bound` (any validity), if one exists.
-fn find_successor(node: &Node, bound: &ProofKey) -> Option<ProofKey> {
-    match node {
-        Node::Leaf(l) => (l.pkey > *bound).then(|| l.pkey.clone()),
-        Node::Inner(i) => {
-            if *i.left.max() > *bound {
-                find_successor(&i.left, bound).or_else(|| find_successor(&i.right, bound))
-            } else {
-                find_successor(&i.right, bound)
-            }
-        }
-    }
-}
-
-fn prune(node: &Node, lo: &ProofKey, hi: &ProofKey) -> ProofNode {
-    match node {
-        Node::Leaf(l) => {
-            if l.pkey < *lo || l.pkey > *hi {
-                ProofNode::Opaque(l.hash)
-            } else {
-                ProofNode::Leaf {
-                    pkey: l.pkey.clone(),
-                    vhash: l.vhash,
-                    valid: l.valid,
-                }
-            }
-        }
-        Node::Inner(i) => {
-            if i.max < *lo || i.min > *hi {
-                ProofNode::Opaque(i.hash)
-            } else {
-                ProofNode::Inner {
-                    left: Box::new(prune(&i.left, lo, hi)),
-                    right: Box::new(prune(&i.right, lo, hi)),
-                }
-            }
-        }
-    }
+    /// A new leaf, at this index, was grafted in.
+    Grafted {
+        leaf: usize,
+    },
 }
 
 #[cfg(test)]
@@ -884,42 +1037,90 @@ mod tests {
     }
 
     /// Every structural fact the mutation paths maintain incrementally,
-    /// recomputed from scratch: subtree summaries match the children, keys
-    /// are in order, no subtree the scapegoat rule would rebuild is left
-    /// standing, nothing is dirty at rest, and the live/tombstone tallies
-    /// match a leaf census. With `hashes`, additionally every stored hash
-    /// is the hash of what is stored below it (the expensive part: one
-    /// SHA-256 per node).
-    fn check_invariants(tree: &MerkleKv, hashes: bool) {
-        fn walk(node: &Node, hashes: bool, live: &mut usize, tombstones: &mut usize) {
-            match node {
+    /// recomputed from scratch: subtree counts and splits match the
+    /// children, keys are in order, no subtree the scapegoat rule would
+    /// rebuild is left standing, nothing is dirty at rest, the live/tombstone
+    /// tallies match a leaf census, and every arena slot is reached exactly
+    /// once (no free list, no leak: `inners.len() == leaves.len() − 1`).
+    /// With `hashes`, additionally every stored hash is the hash of what is
+    /// stored below it (the expensive part: one SHA-256 per node).
+    pub(super) fn check_invariants(tree: &MerkleKv, hashes: bool) {
+        struct Census {
+            leaves: Vec<bool>,
+            inners: Vec<bool>,
+            live: usize,
+            tombstones: usize,
+        }
+        fn walk(tree: &MerkleKv, at: Link, hashes: bool, seen: &mut Census) {
+            match at.node() {
                 Node::Leaf(l) => {
-                    assert!(!l.dirty, "dirty leaf at rest: {:?}", l.pkey);
+                    assert!(
+                        !std::mem::replace(&mut seen.leaves[l], true),
+                        "leaf {l} twice"
+                    );
+                    let leaf = &tree.leaves[l];
+                    assert!(!leaf.dirty, "dirty leaf at rest: {:?}", leaf.pkey);
                     if hashes {
-                        assert_eq!(l.hash, leaf_hash(&l.pkey, &l.vhash, l.valid));
+                        assert_eq!(leaf.hash, leaf_hash(&leaf.pkey, &leaf.vhash, leaf.valid));
                     }
-                    *(if l.valid { live } else { tombstones }) += 1;
+                    *(if leaf.valid {
+                        &mut seen.live
+                    } else {
+                        &mut seen.tombstones
+                    }) += 1;
                 }
                 Node::Inner(i) => {
-                    assert_eq!(i.count, i.left.count() + i.right.count());
-                    assert_eq!(i.min, *i.left.min());
-                    assert_eq!(i.max, *i.right.max());
-                    assert!(i.left.max() < i.right.min(), "leaves out of order");
-                    assert!(!i.lopsided(), "{} | {}", i.left.count(), i.right.count());
-                    assert!(!i.dirty, "dirty inner node at rest");
+                    assert!(
+                        !std::mem::replace(&mut seen.inners[i], true),
+                        "inner {i} twice"
+                    );
+                    let inner = tree.inners[i];
+                    let (left, right) = (inner.left, inner.right);
+                    assert_eq!(
+                        inner.count as usize,
+                        tree.count_of(left) + tree.count_of(right)
+                    );
+                    assert_eq!(inner.left_max as usize, tree.last_leaf(left));
+                    assert_eq!(inner.right_min as usize, tree.first_leaf(right));
+                    assert!(
+                        tree.leaves[inner.left_max as usize].pkey
+                            < tree.leaves[inner.right_min as usize].pkey,
+                        "leaves out of order"
+                    );
+                    assert!(
+                        !tree.lopsided(i),
+                        "{} | {}",
+                        tree.count_of(left),
+                        tree.count_of(right)
+                    );
+                    assert!(!inner.dirty, "dirty inner node at rest");
                     if hashes {
-                        assert_eq!(i.hash, inner_hash(&i.left.hash(), &i.right.hash()));
+                        assert_eq!(
+                            inner.hash,
+                            inner_hash(&tree.hash_of(left), &tree.hash_of(right))
+                        );
                     }
-                    walk(&i.left, hashes, live, tombstones);
-                    walk(&i.right, hashes, live, tombstones);
+                    walk(tree, left, hashes, seen);
+                    walk(tree, right, hashes, seen);
                 }
             }
         }
-        let (mut live, mut tombstones) = (0, 0);
-        if let Some(root) = tree.root.as_deref() {
-            walk(root, hashes, &mut live, &mut tombstones);
+        let mut seen = Census {
+            leaves: vec![false; tree.leaves.len()],
+            inners: vec![false; tree.inners.len()],
+            live: 0,
+            tombstones: 0,
+        };
+        if let Some(root) = tree.root {
+            walk(tree, root, hashes, &mut seen);
         }
-        assert_eq!((live, tombstones), (tree.len(), tree.tombstone_count()));
+        assert_eq!(
+            (seen.live, seen.tombstones),
+            (tree.len(), tree.tombstone_count())
+        );
+        assert!(seen.leaves.iter().all(|&s| s), "unreachable leaf slot");
+        assert!(seen.inners.iter().all(|&s| s), "unreachable inner slot");
+        assert_eq!(tree.inners.len(), tree.leaves.len().saturating_sub(1));
     }
 
     #[test]
@@ -1046,6 +1247,39 @@ mod tests {
         eager.insert(r("k"), vh("v"));
         assert_eq!(tree.root(), eager.root());
         assert_eq!(tree.depth(), depth + 1);
+    }
+
+    #[test]
+    fn the_arena_grows_by_a_leaf_and_an_inner_node_per_graft_and_no_more() {
+        // A bulk load sizes both vectors exactly.
+        let n = 1000;
+        let mut tree = MerkleKv::new();
+        tree.insert_batch(sorted_records(n));
+        let sizes = |t: &MerkleKv| (t.leaves.len(), t.inners.len());
+        assert_eq!(sizes(&tree), (n, n - 1));
+        assert_eq!((tree.leaves.capacity(), tree.inners.capacity()), (n, n - 1));
+        // Grafts down the right edge: one leaf and one inner node each,
+        // while the scapegoat rebuilds they set off reuse their own slots.
+        let before = tree.depth();
+        for i in 0..200 {
+            tree.insert(r(&format!("g{i:03}")), vh("g"));
+            assert_eq!(sizes(&tree), (n + i + 1, n + i));
+        }
+        assert!(tree.depth() <= before + 8, "rebuilds kept it shallow");
+        check_invariants(&tree, true);
+        // The compaction rebuilds in place: tombstones leave, nothing is
+        // allocated beside the vectors the tree already holds.
+        let capacity = (tree.leaves.capacity(), tree.inners.capacity());
+        for (key, _) in sorted_records(n) {
+            assert!(tree.invalidate(&key));
+            if tree.tombstone_count() == 0 {
+                break;
+            }
+        }
+        assert_eq!(sizes(&tree), (tree.len(), tree.len() - 1));
+        assert!(tree.len() < n, "compacted");
+        assert_eq!((tree.leaves.capacity(), tree.inners.capacity()), capacity);
+        check_invariants(&tree, true);
     }
 
     #[test]

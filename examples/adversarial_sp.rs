@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Turn the SP hostile; update the record so ReplayStale has
         // something stale to serve; then read again.
-        system.driver_mut().set_adversary(mode);
+        system.driver_mut().set_adversary(mode)?;
         let mut attack = Trace::new();
         attack.ops.push(Op::Write {
             key: "price".into(),

@@ -41,7 +41,10 @@ fn run_attack(mode: AdversaryMode) -> (usize, usize) {
     let honest = failed_delivers(&system);
 
     // The fresh write gives ReplayStale a genuinely stale snapshot to serve.
-    system.driver_mut().set_adversary(mode);
+    system
+        .driver_mut()
+        .set_adversary(mode)
+        .expect("adversary mode set");
     system
         .drive(&mut epoch_trace("price", 8).into_source())
         .expect("attack epoch");
@@ -97,14 +100,20 @@ fn feed_recovers_once_the_sp_turns_honest_again() {
         .drive(&mut epoch_trace("price", 7).into_source())
         .expect("honest warmup");
 
-    system.driver_mut().set_adversary(AdversaryMode::ForgeValue);
+    system
+        .driver_mut()
+        .set_adversary(AdversaryMode::ForgeValue)
+        .expect("adversary mode set");
     system
         .drive(&mut epoch_trace("price", 8).into_source())
         .expect("attack epoch");
     let after_attack = failed_delivers(&system);
     assert!(after_attack > 0, "attack must be caught first");
 
-    system.driver_mut().set_adversary(AdversaryMode::Honest);
+    system
+        .driver_mut()
+        .set_adversary(AdversaryMode::Honest)
+        .expect("adversary mode set");
     system
         .drive(&mut epoch_trace("price", 9).into_source())
         .expect("recovery epoch");
@@ -133,7 +142,10 @@ fn attacks_fail_under_an_adaptive_policy_too() {
         let honest = failed_delivers(&system);
         assert_eq!(honest, 0, "{mode:?}: honest warm-up must verify");
 
-        system.driver_mut().set_adversary(mode);
+        system
+            .driver_mut()
+            .set_adversary(mode)
+            .expect("adversary mode set");
         // K=64 exceeds the reads per epoch, so the record stays
         // un-replicated and the epoch still exercises request/deliver
         // under an adaptive policy.

@@ -116,7 +116,10 @@ fn adversarial_sp_modes_are_all_rejected() {
             0,
             "{mode:?}: honest phase must not fail"
         );
-        system.driver_mut().set_adversary(mode);
+        system
+            .driver_mut()
+            .set_adversary(mode)
+            .expect("adversary mode set");
         let mut attack = Trace::new();
         attack.ops.push(Op::Write {
             key: "k".into(),

@@ -1,11 +1,14 @@
-//! The steady-state op path does not allocate.
+//! The steady-state op path does not allocate, and the Merkle arena costs
+//! what it says it costs.
 //!
 //! A key's per-policy record and the DO's per-key entry are created the
 //! first time the key is seen; every later observation finds them with one
-//! lookup and copies nothing. This binary carries its own counting
-//! `#[global_allocator]` (the only `unsafe` in the tree, and the reason the
-//! test lives here rather than in a library crate) and asserts the counts.
-//! Counting is per thread, so the harness's own threads cannot disturb it.
+//! lookup and copies nothing. A loaded `MerkleKv` is two vectors plus the
+//! keys it was handed, and `MerkleKv::heap_bytes` reports exactly that.
+//! This binary carries its own counting `#[global_allocator]` (the only
+//! `unsafe` in the tree, and the reason the test lives here rather than in a
+//! library crate) and asserts the counts and live bytes. Counting is per
+//! thread, so the harness's own threads cannot disturb it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,42 +17,51 @@ use grub::chain::Address;
 use grub::core::owner::DataOwner;
 use grub::core::policy::{Memoryless, PolicyKind};
 use grub::gas::GasSchedule;
-use grub::merkle::ReplState;
+use grub::merkle::{record_value_hash, MerkleKv, ProofKey, ReplState, TreeOp};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested minus bytes released on this thread (signed: a
+    /// thread may free what another allocated).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count_one() {
+fn count_one(grown: i64) {
     // `try_with`: an allocation during thread teardown must not panic.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    count_bytes(grown);
+}
+
+fn count_bytes(delta: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + delta));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size() as i64);
         // SAFETY: the caller's `layout` obligations pass through to `System`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size() as i64);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
         // `layout`; the caller guarantees `new_size` is valid for it.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as i64));
         // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
         // `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -64,6 +76,11 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.get();
     f();
     ALLOCS.get() - before
+}
+
+/// Bytes allocated and still live on this thread.
+fn live_bytes() -> i64 {
+    LIVE.get()
 }
 
 const KEYS: usize = 4_096;
@@ -173,4 +190,67 @@ fn data_owner_allocates_only_what_it_keeps() {
         "repeat writes: {second} allocations for {n} keys"
     );
     assert_eq!(owner.flush_epoch().evictions, KEYS);
+}
+
+/// The YCSB benchmark's tree: 2^16 sorted NR keys of 16 bytes.
+const TREE: u32 = 1 << 16;
+
+fn sorted_load() -> Vec<TreeOp> {
+    (0..TREE)
+        .map(|i| {
+            TreeOp::Insert(
+                ProofKey::new(ReplState::NotReplicated, format!("user{i:012}")),
+                record_value_hash(&i.to_le_bytes()),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn a_sorted_load_allocates_the_arena_and_nothing_else() {
+    let start = live_bytes();
+    let ops = sorted_load();
+    let mut tree = MerkleKv::new();
+    // Each op's key moves into its leaf: what is allocated is the leaf and
+    // inner-node vectors, each once, at exact capacity.
+    let load = allocs_during(|| {
+        tree.apply_batch(ops);
+    });
+    assert!(load <= 8, "{load} allocations for a 2^16 sorted load");
+    // What the tree holds is what it says it holds: the two vectors plus
+    // the keys (the op vector is gone).
+    let held = (live_bytes() - start) as f64;
+    let reported = tree.heap_bytes() as f64;
+    assert!(
+        (reported - held).abs() <= 0.05 * held,
+        "heap_bytes {reported} vs {held} live bytes"
+    );
+    // The arena's price for 2^16 leaves: 104 B a leaf, 56 B an inner
+    // node, 16 B a key — 11.0 MiB.
+    assert!(
+        held < 12.0 * (1 << 20) as f64,
+        "{held} bytes for 2^16 leaves"
+    );
+}
+
+#[test]
+fn grafts_allocate_only_amortised_vector_growth() {
+    let mut tree = MerkleKv::new();
+    tree.apply_batch(sorted_load());
+    // 1,000 fresh keys, one between every 65th pair of loaded ones: each a
+    // graft (a leaf and an inner node pushed) and nothing else. Keys are
+    // the caller's, built outside the measured region.
+    let grafts: Vec<ProofKey> = (0..1_000u32)
+        .map(|i| ProofKey::new(ReplState::NotReplicated, format!("user{:012}x", i * 65)))
+        .collect();
+    let value = record_value_hash(b"graft");
+    let allocs = allocs_during(|| {
+        for key in grafts {
+            tree.insert(key, value);
+        }
+    });
+    // The bulk load left both vectors full: the first graft grows each
+    // once, and the doubled capacity absorbs the other 999.
+    assert!(allocs <= 4, "{allocs} allocations for 1,000 grafts");
+    assert_eq!(tree.len(), TREE as usize + 1_000);
 }
