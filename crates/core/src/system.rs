@@ -13,24 +13,18 @@
 //! transactions in the following block. Gas is read off the chain's meter
 //! per epoch and attributed to feed and application layers.
 //!
-//! The machinery comes in three layers:
+//! Two types carry it:
 //!
-//! * [`EpochStage`] — the off-chain half of one feed: the DO, the SP, and
-//!   the open epoch's buffered operations. Ingestion
-//!   ([`EpochStage::ingest`]) and epoch closing
-//!   ([`EpochStage::stage_update`]) never borrow the chain;
-//! * [`EpochDriver`] — one feed's full deployment (an `EpochStage` plus
-//!   storage-manager and consumer contracts) *without* a chain of its own:
-//!   every chain-facing method borrows a [`Blockchain`], so any number of
-//!   drivers can share one chain. The epoch decomposes into the staged
-//!   lifecycles documented on [`EpochDriver`] —
-//!   [`EpochDriver::stage_update`] / [`EpochDriver::submit_update`] /
-//!   [`EpochDriver::run_read_phase`] for the write path, and
-//!   [`EpochDriver::stage_reads`] / [`EpochDriver::finish_staged_epoch`]
-//!   for the read path — so external schedulers (the multi-tenant
-//!   `grub-engine`) can reroute both the staged `update()` payloads and the
-//!   watchdog's `deliver()` payloads through shard-level batch
-//!   transactions;
+//! * [`EpochDriver`] — one feed's full deployment (the DO, the SP, the open
+//!   epoch's buffered operations, the storage-manager and consumer
+//!   contracts) *without* a chain of its own: every chain-facing method
+//!   borrows a [`Blockchain`], so any number of drivers can share one chain,
+//!   and a method without a `chain` parameter cannot touch it. An epoch
+//!   closes through one sequence of public calls (the "Epoch lifecycle" on
+//!   [`EpochDriver`]): [`EpochDriver::close_epoch`] makes all of them with
+//!   the feed's own transactions, and external schedulers (the multi-tenant
+//!   `grub-engine`) make them one by one so the staged `update()` and
+//!   `deliver()` payloads can ride shard-level batch transactions;
 //! * [`GrubSystem`] — the classic single-feed harness: owns one chain and
 //!   one driver (reached through [`GrubSystem::driver`]) and exposes the
 //!   one-call [`GrubSystem::run`] entry points.
@@ -38,8 +32,8 @@
 use std::rc::Rc;
 
 use grub_chain::codec::Encoder;
-use grub_chain::{Address, Blockchain, ChainConfig, Transaction};
-use grub_gas::Layer;
+use grub_chain::{Address, Blockchain, ChainConfig, Receipt, Transaction};
+use grub_gas::{GasSnapshot, Layer};
 use grub_merkle::ReplState;
 use grub_workload::{Op, OpSource};
 
@@ -212,14 +206,7 @@ pub struct StagedUpdate {
     pub evictions: usize,
 }
 
-impl StagedUpdate {
-    /// Total payload bytes across all chunks.
-    pub fn payload_bytes(&self) -> usize {
-        self.chunks.iter().map(Vec::len).sum()
-    }
-}
-
-/// Cumulative hot-path counters for one feed's off-chain halves: the SP
+/// Cumulative hot-path counters for one feed's off-chain work: the SP
 /// store's read fast path plus the Merkle work both tree holders performed.
 /// Observability only — none of these numbers may reach a digest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -235,16 +222,10 @@ pub struct StagePerf {
 }
 
 /// One epoch's staged read phase, produced by [`EpochDriver::stage_reads`]
-/// and consumed by [`EpochDriver::finish_staged_epoch`].
-///
-/// `stage_reads` runs everything up to — but not including — the SP's
-/// `deliver` transactions: the consumer read block is sealed and the
-/// watchdog's deliver payloads are collected instead of mined, so an
-/// external scheduler (the multi-tenant `grub-engine`) can coalesce many
-/// feeds' deliveries into one shard-level `batchDeliver` transaction. The
-/// Gas the feed burned on its own read block is snapshot-differenced here,
-/// keeping per-feed attribution exact; the batched deliver transaction's
-/// Gas is attributed by the scheduler.
+/// and consumed by [`EpochDriver::finish_staged_epoch`]: the watchdog's
+/// deliver payloads, unmined so a scheduler can coalesce many feeds'
+/// delivers into one shard `batchDeliver`, plus the feed's own
+/// snapshot-differenced Gas.
 #[derive(Clone, Debug, Default)]
 pub struct StagedReads {
     /// Encoded `deliver()` inputs for this feed's storage manager, one per
@@ -252,34 +233,64 @@ pub struct StagedReads {
     /// Empty when every read hit an on-chain replica or the epoch had no
     /// reads.
     pub delivers: Vec<Vec<u8>>,
-    /// Feed-layer Gas metered across the feed's own staged read work.
+    /// Feed-layer Gas of the feed's own read work (and of its own deliver
+    /// transactions, when the driver mined them).
     feed_gas: u64,
-    /// Application-layer Gas metered across the feed's own staged read work.
+    /// Application-layer Gas of the same work.
     app_gas: u64,
+    /// The driver's own deliver transactions the contract rejected; 0 when
+    /// a scheduler mines them (a rejected shard batch aborts the run).
+    failed_delivers: usize,
 }
 
 impl StagedReads {
-    /// Total deliver payload bytes staged for batching.
-    pub fn payload_bytes(&self) -> usize {
-        self.delivers.iter().map(Vec::len).sum()
+    /// The feed's own read work since `before`, metered off the chain.
+    fn metered(
+        chain: &Blockchain,
+        before: GasSnapshot,
+        delivers: Vec<Vec<u8>>,
+        failed_delivers: usize,
+    ) -> Self {
+        let (feed, app) = chain.gas_snapshot().since(before);
+        StagedReads {
+            delivers,
+            feed_gas: feed.amount(),
+            app_gas: app.amount(),
+            failed_delivers,
+        }
     }
 }
 
-/// The off-chain half of one feed deployment: the data owner (policy state
-/// machine + hash mirror), the storage provider (store + Merkle tree), and
-/// the open epoch's staged operations.
+/// One feed's deployment — DO (policy state + hash mirror), SP (store +
+/// Merkle tree), the open epoch's staged operations, contract addresses —
+/// driving epochs against a *borrowed* chain, so many drivers can share
+/// one. A method without a `chain` parameter cannot touch the chain.
+/// Per-epoch Gas is snapshot-differenced around the feed's own work, exact
+/// as long as a scheduler finishes one driver's epoch work before the next.
 ///
-/// Everything a feed does *between* chain interactions lives here —
-/// ingestion ([`EpochStage::ingest`]: policy decisions, write staging) and
-/// epoch closing ([`EpochStage::stage_update`]: mirror mutation, SP sync
-/// with Merkle-tree recomputation, `update()` section encoding). None of it
-/// borrows the [`Blockchain`], so where a scheduler places staging relative
-/// to other feeds' blocks cannot change the chain.
+/// # Epoch lifecycle
 ///
-/// The chain-facing half — read transactions, block sealing, watchdog
-/// delivery, Gas booking — stays on [`EpochDriver`], which owns an
-/// `EpochStage` and hands it out via [`EpochDriver::stage_mut`].
-pub struct EpochStage {
+/// One sequence, the paper's Figure 4a (the DO's `update`, the consumers'
+/// reads, the SP's proof-carrying `deliver`s in the following block):
+///
+/// 1. [`EpochDriver::ingest`] stages operations until the epoch is full;
+/// 2. [`EpochDriver::stage_update`] flushes the DO, syncs the SP and
+///    encodes the `update()` chunks, off-chain;
+/// 3. the chunks are submitted — [`EpochDriver::submit_update`], or a
+///    scheduler's shard `batchUpdate`;
+/// 4. [`EpochDriver::stage_reads`] mines the read block, reaches the
+///    acknowledgment boundary (depth-N confirmation, then the DO reads the
+///    fee tape) and returns the watchdog's `deliver()` payloads;
+/// 5. the delivers are mined — as the feed's own transactions, or in a
+///    shard `batchDeliver`;
+/// 6. [`EpochDriver::finish_staged_epoch`] books the [`EpochReport`].
+///
+/// [`EpochDriver::close_epoch`] is steps 2–6 with the feed's own
+/// transactions; [`EpochDriver::run_read_phase`] is steps 4–6. Live tempo
+/// ([`SystemConfig::live_reads`]) is the one special case: reads and
+/// delivers alternate block by block, and the acknowledgment boundary
+/// follows the last deliver.
+pub struct EpochDriver {
     owner: DataOwner,
     provider: StorageProvider,
     epoch_ops: usize,
@@ -287,148 +298,6 @@ pub struct EpochStage {
     pending_reads: Vec<String>,
     pending_scans: Vec<(String, String)>,
     ops_in_epoch: usize,
-}
-
-impl EpochStage {
-    /// Stages one operation into the current epoch without chain
-    /// interaction.
-    fn push_op(&mut self, op: Op) {
-        match op {
-            Op::Write { key, value } => {
-                self.owner.observe_write(&key, value.materialize());
-            }
-            Op::Read { key } => {
-                // In batched mode the whole epoch's reads share a block, so
-                // the monitor legitimately sees them all before the SP
-                // delivers; in live mode each read is observed at its own
-                // block (see EpochDriver::run_read_phase).
-                if self.coalesce_reads {
-                    self.owner.observe_read(&key);
-                }
-                self.pending_reads.push(key);
-            }
-            Op::Scan { start_key, len } => {
-                if self.coalesce_reads {
-                    self.owner.observe_read(&start_key);
-                }
-                let end_key = scan_end_key(&start_key, len);
-                self.pending_scans.push((start_key, end_key));
-            }
-        }
-        self.ops_in_epoch += 1;
-    }
-
-    /// Whether the current epoch has reached its operation budget.
-    pub fn epoch_is_full(&self) -> bool {
-        self.ops_in_epoch >= self.epoch_ops
-    }
-
-    /// Operations staged in the still-open epoch.
-    pub fn pending_ops(&self) -> usize {
-        self.ops_in_epoch
-    }
-
-    /// Cumulative hot-path counters for this feed (see [`StagePerf`]).
-    pub fn perf(&self) -> StagePerf {
-        let reads = self.provider.read_stats();
-        StagePerf {
-            cache_hits: reads.cache_hits,
-            cache_misses: reads.cache_misses,
-            bloom_skips: reads.bloom_skips,
-            merkle_nodes_rehashed: self.provider.nodes_rehashed() + self.owner.nodes_rehashed(),
-        }
-    }
-
-    /// Pulls operations from `source` until the epoch is full or the
-    /// stream ends — the one ingestion loop every scheduler shares. The
-    /// source advances exactly as far as the epoch consumed: a scheduler
-    /// that parks this feed next round simply doesn't pull, and the stream
-    /// position is the only cursor.
-    pub fn ingest(&mut self, source: &mut dyn OpSource) {
-        while !self.epoch_is_full() {
-            let Some(op) = source.next_op() else { break };
-            self.push_op(op);
-        }
-    }
-
-    /// Closes the epoch's write path off-chain: flushes the DO, syncs the
-    /// SP, and returns the encoded `update()` payload chunks for the caller
-    /// to submit (directly, or batched through a shard router).
-    ///
-    /// # Errors
-    ///
-    /// Propagates store failures.
-    pub fn stage_update(&mut self) -> Result<StagedUpdate> {
-        let ops = std::mem::replace(&mut self.ops_in_epoch, 0);
-        // The DO's epoch update (gPuts write path). Oversized epochs are
-        // split across payload chunks: Ctx(X) is defined for X < 1000 words
-        // and every chunk carries the same final digest.
-        let mut flush = self.owner.flush_epoch();
-        // The encoded chunks only need digest/r_updates/to_r/to_nr, so the
-        // sync ops move to the SP without a clone.
-        self.provider
-            .apply_sync_batch(std::mem::take(&mut flush.sp_sync))?;
-        let chunks = if flush.dirty {
-            encode_update_chunked(&flush)
-        } else {
-            Vec::new()
-        };
-        Ok(StagedUpdate {
-            chunks,
-            ops,
-            replications: flush.replications,
-            evictions: flush.evictions,
-        })
-    }
-
-    /// Pushes the DO's current decision for `key` to the SP and records a
-    /// hinted replica when a deliver-time installation is expected.
-    fn push_hint(&mut self, key: &str) {
-        let want = self.owner.desired_state(key);
-        self.provider.set_decision_hint(key, want);
-        if want == ReplState::Replicated && self.owner.state_of(key) == ReplState::NotReplicated {
-            self.owner.note_hinted_replica(key);
-        }
-    }
-}
-
-impl std::fmt::Debug for EpochStage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpochStage")
-            .field("policy", &self.owner.policy_name())
-            .field("pending_ops", &self.ops_in_epoch)
-            .finish_non_exhaustive()
-    }
-}
-
-/// One feed's deployment, driving epochs against a *borrowed* chain.
-///
-/// All per-feed state lives here; the chain (and its Gas meter) is shared,
-/// which is what lets the multi-tenant engine run many drivers against one
-/// blockchain. Per-epoch Gas is attributed by snapshot-differencing around
-/// this feed's own read phase, so attribution stays exact as long as a
-/// scheduler completes one driver's epoch work before starting the next.
-///
-/// # Epoch lifecycles
-///
-/// The classic single-feed lifecycle is one call,
-/// [`EpochDriver::close_epoch`]. External schedulers decompose it into two
-/// staged lifecycles so payloads can be rerouted through shard batches:
-///
-/// * **Staged update (write path)** — [`EpochDriver::stage_update`] closes
-///   the epoch off-chain (policy flush, SP sync, section encoding) and
-///   returns the `update()` chunks; the caller either submits them as this
-///   feed's own transactions ([`EpochDriver::submit_update`]) or coalesces
-///   them into a shard `batchUpdate`. The off-chain half lives on
-///   [`EpochStage`] and never borrows the chain.
-/// * **Staged reads (read path)** — [`EpochDriver::stage_reads`] runs the
-///   consumer read block and collects the watchdog's `deliver()` payloads
-///   *unsubmitted* for shard-level `batchDeliver` coalescing; the epoch is
-///   then booked with [`EpochDriver::finish_staged_epoch`] once the batch
-///   has been mined. Only valid in coalesced-read mode — live-tempo feeds
-///   interleave reads and deliveries block by block and cannot defer.
-pub struct EpochDriver {
-    stage: EpochStage,
     manager: Address,
     consumer: Address,
     reads_per_tx: usize,
@@ -535,19 +404,16 @@ impl EpochDriver {
             submit_checked(chain, do_addr, manager, "update", input)?;
         }
         Ok(EpochDriver {
-            stage: EpochStage {
-                owner,
-                provider,
-                // Clamped even though the builder clamps too: the field is
-                // pub, and a zero here would make external epoch-granular
-                // schedulers spin on empty epochs without ever consuming the
-                // trace.
-                epoch_ops: config.epoch_ops.max(1),
-                coalesce_reads: config.coalesce_reads,
-                pending_reads: Vec::new(),
-                pending_scans: Vec::new(),
-                ops_in_epoch: 0,
-            },
+            owner,
+            provider,
+            // Clamped even though the builder clamps too: the field is pub,
+            // and a zero here would make external epoch-granular schedulers
+            // spin on empty epochs without ever consuming the trace.
+            epoch_ops: config.epoch_ops.max(1),
+            coalesce_reads: config.coalesce_reads,
+            pending_reads: Vec::new(),
+            pending_scans: Vec::new(),
+            ops_in_epoch: 0,
             manager,
             consumer,
             reads_per_tx: config.reads_per_tx.max(1),
@@ -557,10 +423,12 @@ impl EpochDriver {
         })
     }
 
-    /// The feed's off-chain staging half, which schedulers drive without
-    /// borrowing the chain. See [`EpochStage`].
-    pub fn stage_mut(&mut self) -> &mut EpochStage {
-        &mut self.stage
+    /// Returns the driver itself. Exists only because the frozen benchmark
+    /// harness (`benchmark/src/pipeline.rs`) calls `stage_mut().ingest`;
+    /// delete it once the harness calls [`EpochDriver::ingest`] directly
+    /// (benchmark v2 in ROADMAP.md).
+    pub fn stage_mut(&mut self) -> &mut Self {
+        self
     }
 
     /// Replaces the default `batchRead` driver: the builder receives each
@@ -570,135 +438,106 @@ impl EpochDriver {
         self.read_tx_builder = Some(builder);
     }
 
-    /// Cumulative hot-path counters for this feed. Delegates to
-    /// [`EpochStage::perf`].
+    /// Cumulative hot-path counters for this feed (see [`StagePerf`]).
     pub fn perf(&self) -> StagePerf {
-        self.stage.perf()
+        let reads = self.provider.read_stats();
+        StagePerf {
+            cache_hits: reads.cache_hits,
+            cache_misses: reads.cache_misses,
+            bloom_skips: reads.bloom_skips,
+            merkle_nodes_rehashed: self.provider.nodes_rehashed() + self.owner.nodes_rehashed(),
+        }
+    }
+
+    /// Pulls operations from `source` until the epoch is full or the
+    /// stream ends — the one ingestion loop every scheduler shares. The
+    /// source advances exactly as far as the epoch consumed: a scheduler
+    /// that parks this feed next round simply doesn't pull, and the stream
+    /// position is the only cursor.
+    pub fn ingest(&mut self, source: &mut dyn OpSource) {
+        while self.ops_in_epoch < self.epoch_ops {
+            let Some(op) = source.next_op() else { break };
+            self.push_op(op);
+        }
     }
 
     /// Closes the epoch's write path off-chain: flushes the DO, syncs the
     /// SP, and returns the encoded `update()` payload chunks for the caller
-    /// to submit (directly, or batched through a shard router). Delegates to
-    /// [`EpochStage::stage_update`].
+    /// to submit (directly, or batched through a shard router).
     ///
     /// # Errors
     ///
     /// Propagates store failures.
     pub fn stage_update(&mut self) -> Result<StagedUpdate> {
-        self.stage.stage_update()
+        let ops = std::mem::replace(&mut self.ops_in_epoch, 0);
+        // The DO's epoch update (gPuts write path). Oversized epochs are
+        // split across payload chunks: Ctx(X) is defined for X < 1000 words
+        // and every chunk carries the same final digest.
+        let mut flush = self.owner.flush_epoch();
+        // The encoded chunks only need digest/r_updates/to_r/to_nr, so the
+        // sync ops move to the SP without a clone.
+        self.provider
+            .apply_sync_batch(std::mem::take(&mut flush.sp_sync))?;
+        let chunks = if flush.dirty {
+            encode_update_chunked(&flush)
+        } else {
+            Vec::new()
+        };
+        Ok(StagedUpdate {
+            chunks,
+            ops,
+            replications: flush.replications,
+            evictions: flush.evictions,
+        })
     }
 
     /// Submits the staged update chunks as this feed's own transactions
     /// (one per chunk, unbatched). They are mined by the next block seal —
     /// in coalesced-read mode that is the epoch's shared block.
     pub fn submit_update(&self, chain: &mut Blockchain, staged: &StagedUpdate) {
+        let from = self.owner.address();
         for input in &staged.chunks {
-            let tx = Transaction::new(
-                self.stage.owner.address(),
-                self.manager,
-                "update",
-                input.clone(),
-                Layer::Feed,
-            );
+            let tx = Transaction::new(from, self.manager, "update", input.clone(), Layer::Feed);
             chain.submit(tx);
         }
     }
 
-    /// Runs the epoch's read path — consumer transactions, SP watchdog
-    /// deliveries — and books the epoch's Gas (everything mined between the
-    /// start and end of this call, which includes any update transactions
-    /// still in the mempool).
+    /// Steps 4–6 of the epoch lifecycle with this feed's own deliver
+    /// transactions (block by block at live tempo). The booked Gas includes
+    /// any update transactions still in the mempool.
     ///
     /// # Errors
     ///
     /// Propagates store failures and protocol-violating transaction
     /// failures.
     pub fn run_read_phase(&mut self, chain: &mut Blockchain, staged: &StagedUpdate) -> Result<()> {
-        let before = chain.gas_snapshot();
-        let reads = std::mem::take(&mut self.stage.pending_reads);
-        let scans = std::mem::take(&mut self.stage.pending_scans);
-        let mut failed_delivers = 0usize;
-        if self.stage.coalesce_reads {
-            // Consumer read transactions batched into shared blocks (§5.1
-            // methodology), then the SP watchdog answers outstanding
-            // requests.
-            for key in &reads {
-                self.stage.push_hint(key);
-            }
-            for tx in self.build_read_txs(&reads) {
-                chain.submit(tx);
-            }
-            for (start, end) in scans {
-                self.submit_scan(chain, &start, &end);
-            }
-            self.seal_block(chain)?;
-            failed_delivers += self.run_watchdog(chain)?;
+        let reads = if self.coalesce_reads {
+            let before = chain.gas_snapshot();
+            let staged_reads = self.stage_reads(chain)?;
+            let failed = self.mine_delivers(chain, staged_reads.delivers)?;
+            StagedReads::metered(chain, before, Vec::new(), failed)
         } else {
-            self.seal_block(chain)?; // the update lands in its own block
-            for key in reads {
-                // Live tempo: the monitor observes this read when its block
-                // lands, and the SP learns the (possibly flipped) decision
-                // before delivering.
-                self.stage.owner.observe_read(&key);
-                self.stage.push_hint(&key);
-                for tx in self.build_read_txs(std::slice::from_ref(&key)) {
-                    chain.submit(tx);
-                }
-                self.seal_block(chain)?;
-                failed_delivers += self.run_watchdog(chain)?;
-            }
-            for (start, end) in scans {
-                self.stage.owner.observe_read(&start);
-                self.submit_scan(chain, &start, &end);
-                self.seal_block(chain)?;
-                failed_delivers += self.run_watchdog(chain)?;
-            }
-        }
-        // Depth-N acknowledgment: the epoch does not close until every block
-        // it mined is `confirm_depth` blocks deep, so the policy state the
-        // DO observes below is confirmed, not tip, state (a no-op at depth
-        // 0, where the tip is the confirmation frontier).
-        chain.await_confirmations().map_err(GrubError::from)?;
-        // The epoch boundary is where the DO reads the fee tape: the
-        // confirmation frontier's price steers the next epoch's fee-aware
-        // decisions (at depth 0 this is the last mined block's price).
-        self.stage
-            .owner
-            .observe_fee_price(chain.fee_price_permille(chain.confirmed_height()));
-        // Account the epoch.
-        let (feed, app) = chain.gas_snapshot().since(before);
-        self.completed_ops += staged.ops;
-        self.reports.push(EpochReport {
-            epoch: self.reports.len(),
-            ops: staged.ops,
-            feed_gas: feed.amount(),
-            app_gas: app.amount(),
-            replications: staged.replications,
-            evictions: staged.evictions,
-            failed_delivers,
-        });
+            self.run_live_reads(chain)?
+        };
+        self.finish_staged_epoch(staged, &reads);
         Ok(())
     }
 
     /// Runs the epoch's read phase up to the deliver step: pushes decision
-    /// hints, submits the consumer read transactions, seals their block, and
-    /// returns the watchdog's `deliver()` payloads *unsubmitted* so an
-    /// external scheduler can batch them across feeds (the read-path mirror
-    /// of [`EpochDriver::stage_update`]). The feed's own Gas (consumer block
-    /// plus `gGet` execution) is snapshot-differenced into the result; the
-    /// caller books the epoch with [`EpochDriver::finish_staged_epoch`] once
-    /// the batched delivers have been mined.
-    ///
-    /// Only valid in coalesced-read mode (see
-    /// [`SystemConfig::coalesce_reads`]); live-tempo feeds interleave reads
-    /// and deliveries block by block and cannot defer their delivers.
+    /// hints, mines the consumer read block, reaches the acknowledgment
+    /// boundary, and returns the watchdog's `deliver()` payloads
+    /// *unsubmitted* with the feed's own snapshot-differenced Gas. The
+    /// caller mines the delivers, then books the epoch with
+    /// [`EpochDriver::finish_staged_epoch`]. Only valid in coalesced-read
+    /// mode ([`SystemConfig::coalesce_reads`]): a live-tempo feed cannot
+    /// defer its delivers.
     ///
     /// # Errors
     ///
     /// Returns an error in live-read mode; propagates store failures and
     /// protocol-violating transaction failures.
     pub fn stage_reads(&mut self, chain: &mut Blockchain) -> Result<StagedReads> {
-        if !self.stage.coalesce_reads {
+        if !self.coalesce_reads {
             return Err(GrubError::Chain(
                 "staged reads require coalesced-read mode (live-tempo feeds \
                  cannot defer delivers)"
@@ -706,10 +545,11 @@ impl EpochDriver {
             ));
         }
         let before = chain.gas_snapshot();
-        let reads = std::mem::take(&mut self.stage.pending_reads);
-        let scans = std::mem::take(&mut self.stage.pending_scans);
+        let reads = std::mem::take(&mut self.pending_reads);
+        let scans = std::mem::take(&mut self.pending_scans);
+        // Consumer read transactions share one block (§5.1 methodology).
         for key in &reads {
-            self.stage.push_hint(key);
+            self.push_hint(key);
         }
         for tx in self.build_read_txs(&reads) {
             chain.submit(tx);
@@ -718,35 +558,16 @@ impl EpochDriver {
             self.submit_scan(chain, &start, &end);
         }
         self.seal_block(chain)?;
-        // Same depth-N acknowledgment as the unstaged path: the staged
-        // epoch's own blocks must confirm before the DO observes the fee
-        // tape and the watchdog's delivers are handed to the scheduler.
-        chain.await_confirmations().map_err(GrubError::from)?;
-        self.stage
-            .owner
-            .observe_fee_price(chain.fee_price_permille(chain.confirmed_height()));
-        let delivers = self
-            .stage
-            .provider
-            .watchdog(chain, self.manager)?
-            .into_iter()
-            .map(|tx| tx.input)
-            .collect();
-        let (feed, app) = chain.gas_snapshot().since(before);
-        Ok(StagedReads {
-            delivers,
-            feed_gas: feed.amount(),
-            app_gas: app.amount(),
-        })
+        self.acknowledge(chain)?;
+        let delivers = self.watchdog_delivers(chain)?;
+        Ok(StagedReads::metered(chain, before, delivers, 0))
     }
 
-    /// Books the epoch whose write path was staged by
-    /// [`EpochDriver::stage_update`] and whose read path was staged by
-    /// [`EpochDriver::stage_reads`]. The report carries the feed's own
-    /// snapshot-differenced Gas; the shard-level `batchUpdate`/`batchDeliver`
-    /// transactions that carried this epoch's payloads are attributed
-    /// separately by the scheduler (they are shared, so their Gas cannot be
-    /// booked per-epoch without a split policy).
+    /// Books the epoch staged by [`EpochDriver::stage_update`] and
+    /// [`EpochDriver::stage_reads`] — the one place an [`EpochReport`] is
+    /// built. It carries the feed's own Gas; shared shard
+    /// `batchUpdate`/`batchDeliver` transactions are attributed by the
+    /// scheduler.
     pub fn finish_staged_epoch(&mut self, update: &StagedUpdate, reads: &StagedReads) {
         self.completed_ops += update.ops;
         self.reports.push(EpochReport {
@@ -756,21 +577,19 @@ impl EpochDriver {
             app_gas: reads.app_gas,
             replications: update.replications,
             evictions: update.evictions,
-            // Staged delivers are mined by the scheduler's batch
-            // transaction; a rejected batch aborts the run there, so a
-            // booked staged epoch had no failed delivers.
-            failed_delivers: 0,
+            failed_delivers: reads.failed_delivers,
         });
     }
 
     /// Whether this feed batches an epoch's reads into shared blocks
     /// (coalesced mode) — the mode required by [`EpochDriver::stage_reads`].
     pub fn coalesces_reads(&self) -> bool {
-        self.stage.coalesce_reads
+        self.coalesce_reads
     }
 
-    /// Closes the current epoch end to end: stage, submit own update
-    /// transactions, run the read phase.
+    /// Closes the current epoch end to end with this feed's own
+    /// transactions: [`EpochDriver::stage_update`],
+    /// [`EpochDriver::submit_update`], then [`EpochDriver::run_read_phase`].
     ///
     /// # Errors
     ///
@@ -784,7 +603,9 @@ impl EpochDriver {
 
     /// Drives an operation stream to exhaustion, closing epochs as they
     /// fill and the trailing partial epoch at the end. Only the open
-    /// epoch's staged operations are ever resident.
+    /// epoch's staged operations are ever resident. The stream's end is an
+    /// acknowledgment boundary, as the engine's round boundary is: the run
+    /// returns with its last deliver block confirmed.
     ///
     /// # Errors
     ///
@@ -792,12 +613,118 @@ impl EpochDriver {
     /// failures.
     pub fn drive(&mut self, chain: &mut Blockchain, source: &mut dyn OpSource) -> Result<()> {
         loop {
-            self.stage.ingest(source);
-            if self.stage.pending_ops() == 0 {
-                return Ok(());
+            self.ingest(source);
+            if self.ops_in_epoch == 0 {
+                break;
             }
             self.close_epoch(chain)?;
         }
+        chain.await_confirmations().map_err(GrubError::from)
+    }
+
+    /// Stages one operation into the current epoch without chain
+    /// interaction.
+    fn push_op(&mut self, op: Op) {
+        match op {
+            Op::Write { key, value } => {
+                self.owner.observe_write(&key, value.materialize());
+            }
+            Op::Read { key } => {
+                // In batched mode the whole epoch's reads share a block, so
+                // the monitor legitimately sees them all before the SP
+                // delivers; in live mode each read is observed at its own
+                // block (see EpochDriver::run_live_reads).
+                if self.coalesce_reads {
+                    self.owner.observe_read(&key);
+                }
+                self.pending_reads.push(key);
+            }
+            Op::Scan { start_key, len } => {
+                if self.coalesce_reads {
+                    self.owner.observe_read(&start_key);
+                }
+                let end_key = scan_end_key(&start_key, len);
+                self.pending_scans.push((start_key, end_key));
+            }
+        }
+        self.ops_in_epoch += 1;
+    }
+
+    /// Pushes the DO's current decision for `key` to the SP and records a
+    /// hinted replica when a deliver-time installation is expected.
+    fn push_hint(&mut self, key: &str) {
+        let want = self.owner.desired_state(key);
+        self.provider.set_decision_hint(key, want);
+        if want == ReplState::Replicated && self.owner.state_of(key) == ReplState::NotReplicated {
+            self.owner.note_hinted_replica(key);
+        }
+    }
+
+    /// The live-tempo read phase: the update lands in its own block, then
+    /// every read and scan gets its own block followed by its delivers.
+    fn run_live_reads(&mut self, chain: &mut Blockchain) -> Result<StagedReads> {
+        let before = chain.gas_snapshot();
+        let reads = std::mem::take(&mut self.pending_reads);
+        let scans = std::mem::take(&mut self.pending_scans);
+        let mut failed = 0;
+        self.seal_block(chain)?;
+        for key in reads {
+            // The monitor observes this read when its block lands, and the
+            // SP learns the (possibly flipped) decision before delivering.
+            self.owner.observe_read(&key);
+            self.push_hint(&key);
+            for tx in self.build_read_txs(std::slice::from_ref(&key)) {
+                chain.submit(tx);
+            }
+            self.seal_block(chain)?;
+            let delivers = self.watchdog_delivers(chain)?;
+            failed += self.mine_delivers(chain, delivers)?;
+        }
+        for (start, end) in scans {
+            self.owner.observe_read(&start);
+            self.submit_scan(chain, &start, &end);
+            self.seal_block(chain)?;
+            let delivers = self.watchdog_delivers(chain)?;
+            failed += self.mine_delivers(chain, delivers)?;
+        }
+        self.acknowledge(chain)?;
+        Ok(StagedReads::metered(chain, before, Vec::new(), failed))
+    }
+
+    /// The epoch's acknowledgment boundary. Depth-N acknowledgment first:
+    /// every block the epoch mined must be `confirm_depth` blocks deep, so
+    /// what the DO observes is confirmed, not tip, state (a no-op at depth
+    /// 0, where the tip is the confirmation frontier). Then the DO reads
+    /// the fee tape: the confirmation frontier's price steers the next
+    /// fee-aware decisions.
+    fn acknowledge(&mut self, chain: &mut Blockchain) -> Result<()> {
+        chain.await_confirmations().map_err(GrubError::from)?;
+        self.owner
+            .observe_fee_price(chain.fee_price_permille(chain.confirmed_height()));
+        Ok(())
+    }
+
+    /// The SP watchdog's answers to the feed's outstanding requests, as
+    /// `deliver()` inputs.
+    fn watchdog_delivers(&mut self, chain: &Blockchain) -> Result<Vec<Vec<u8>>> {
+        let txs = self.provider.watchdog(chain, self.manager)?;
+        Ok(txs.into_iter().map(|tx| tx.input).collect())
+    }
+
+    /// Submits `delivers` as this feed's own `deliver()` transactions and
+    /// mines them, returning how many the contract rejected.
+    fn mine_delivers(&self, chain: &mut Blockchain, delivers: Vec<Vec<u8>>) -> Result<usize> {
+        let from = self.provider.address();
+        for input in delivers {
+            let tx = Transaction::new(from, self.manager, "deliver", input, Layer::Feed);
+            chain.submit(tx);
+        }
+        let mut rejected = 0;
+        mine_until_drained(chain, |receipt| {
+            rejected += usize::from(!receipt.success);
+            Ok(())
+        })?;
+        Ok(rejected)
     }
 
     fn build_read_txs(&self, reads: &[String]) -> Vec<Transaction> {
@@ -841,36 +768,15 @@ impl EpochDriver {
     /// Mines pending transactions — across as many blocks as mempool
     /// congestion requires — erroring on any protocol failure.
     fn seal_block(&self, chain: &mut Blockchain) -> Result<()> {
-        while chain.mempool_len() > 0 {
-            let block = chain.try_produce_block().map_err(GrubError::from)?;
-            for receipt in &block.receipts {
-                if !receipt.success {
-                    return Err(GrubError::Chain(format!(
-                        "epoch transaction failed: {}",
-                        receipt.error.as_deref().unwrap_or("unknown")
-                    )));
-                }
+        mine_until_drained(chain, |receipt| {
+            if receipt.success {
+                return Ok(());
             }
-        }
-        Ok(())
-    }
-
-    /// Runs the SP watchdog and mines its deliveries (across as many blocks
-    /// as congestion requires), returning how many the contract rejected.
-    fn run_watchdog(&mut self, chain: &mut Blockchain) -> Result<usize> {
-        let delivers = self.stage.provider.watchdog(chain, self.manager)?;
-        if delivers.is_empty() {
-            return Ok(0);
-        }
-        for tx in delivers {
-            chain.submit(tx);
-        }
-        let mut rejected = 0;
-        while chain.mempool_len() > 0 {
-            let block = chain.try_produce_block().map_err(GrubError::from)?;
-            rejected += block.receipts.iter().filter(|r| !r.success).count();
-        }
-        Ok(rejected)
+            Err(GrubError::Chain(format!(
+                "epoch transaction failed: {}",
+                receipt.error.as_deref().unwrap_or("unknown")
+            )))
+        })
     }
 
     /// Puts the SP into an adversarial mode (security experiments).
@@ -880,7 +786,7 @@ impl EpochDriver {
     /// Propagates a failed store scan when [`AdversaryMode::ReplayStale`]
     /// takes its snapshot.
     pub fn set_adversary(&mut self, mode: AdversaryMode) -> Result<()> {
-        self.stage.provider.set_mode(mode)
+        self.provider.set_mode(mode)
     }
 
     /// The storage-manager contract address.
@@ -888,43 +794,38 @@ impl EpochDriver {
         self.manager
     }
 
-    /// The consumer contract address used for batched reads.
-    pub fn consumer(&self) -> Address {
-        self.consumer
-    }
-
     /// The data owner's account address (the authorized `update()` sender —
     /// external batchers use it to submit a lone update directly when
     /// routing through a one-section batch would only add framing cost).
     pub fn data_owner(&self) -> Address {
-        self.stage.owner.address()
+        self.owner.address()
     }
 
     /// The storage provider's account address (the `deliver()` sender).
     pub fn provider_address(&self) -> Address {
-        self.stage.provider.address()
+        self.provider.address()
     }
 
     /// The data owner, for assertions.
     pub fn owner(&self) -> &DataOwner {
-        &self.stage.owner
+        &self.owner
     }
 
     /// Mutable DO access (used by application harnesses that interleave
     /// their own monitoring).
     pub fn owner_mut(&mut self) -> &mut DataOwner {
-        &mut self.stage.owner
+        &mut self.owner
     }
 
     /// The storage provider, for assertions.
     pub fn provider(&self) -> &StorageProvider {
-        &self.stage.provider
+        &self.provider
     }
 
     /// Mutable SP access — the scrubber's repair path and the fault tests'
     /// tamper hooks.
     pub fn provider_mut(&mut self) -> &mut StorageProvider {
-        &mut self.stage.provider
+        &mut self.provider
     }
 
     /// Runs one scrub pass of this feed's SP against its DO and on-chain
@@ -938,12 +839,7 @@ impl EpochDriver {
         chain: &Blockchain,
         scrubber: crate::scrub::Scrubber,
     ) -> Result<crate::scrub::ScrubReport> {
-        scrubber.scrub(
-            chain,
-            self.manager,
-            &self.stage.owner,
-            &mut self.stage.provider,
-        )
+        scrubber.scrub(chain, self.manager, &self.owner, &mut self.provider)
     }
 
     /// Epoch reports accumulated so far.
@@ -961,7 +857,7 @@ impl EpochDriver {
     /// Finishes the driver and returns its run report.
     pub fn into_report(self) -> RunReport {
         RunReport {
-            policy: self.stage.owner.policy_name(),
+            policy: self.owner.policy_name(),
             epochs: self.reports,
         }
     }
@@ -970,7 +866,7 @@ impl EpochDriver {
 impl std::fmt::Debug for EpochDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EpochDriver")
-            .field("policy", &self.stage.owner.policy_name())
+            .field("policy", &self.owner.policy_name())
             .field("manager", &self.manager)
             .field("epochs", &self.reports.len())
             .finish_non_exhaustive()
@@ -1119,12 +1015,12 @@ fn submit_checked(
     let mut outcome = None;
     // Under mempool congestion the transaction may miss the first block;
     // drain until its receipt lands.
-    while chain.mempool_len() > 0 {
-        let block = chain.try_produce_block().map_err(GrubError::from)?;
-        if let Some(r) = block.receipts.iter().find(|r| r.tx_id == id) {
+    mine_until_drained(chain, |r| {
+        if r.tx_id == id {
             outcome = Some((r.success, r.error.clone()));
         }
-    }
+        Ok(())
+    })?;
     match outcome {
         Some((true, _)) => Ok(()),
         Some((false, error)) => Err(GrubError::Chain(format!(
@@ -1133,6 +1029,20 @@ fn submit_checked(
         ))),
         None => Err(GrubError::Chain("no receipt".into())),
     }
+}
+
+/// Mines blocks until the mempool drains — one block uncongested, as many
+/// as a bounded mempool or inclusion latency requires — handing every
+/// receipt to `on_receipt`. The first error it returns stops mining.
+fn mine_until_drained(
+    chain: &mut Blockchain,
+    mut on_receipt: impl FnMut(&Receipt) -> Result<()>,
+) -> Result<()> {
+    while chain.mempool_len() > 0 {
+        let block = chain.try_produce_block().map_err(GrubError::from)?;
+        block.receipts.iter().try_for_each(&mut on_receipt)?;
+    }
+    Ok(())
 }
 
 /// Byte budget for one `update()` transaction payload, kept under the `Ctx`

@@ -372,7 +372,7 @@ impl FeedSlot {
     /// driver. A parked feed is simply not pulled, so its stream position
     /// never moves.
     fn ingest_epoch(&mut self) {
-        self.driver.stage_mut().ingest(&mut self.source);
+        self.driver.ingest(&mut self.source);
     }
 
     /// The feed's cumulative share of shard batch transactions.
@@ -413,9 +413,14 @@ impl FeedSlot {
         true
     }
 
-    /// Charges an epoch's actual metered feed-layer cost against the quota
-    /// (debt allowed) and records it as the next round's estimate.
-    fn charge_quota(&mut self, cost: u64) {
+    /// Charges the epoch the driver just booked against the quota (debt
+    /// allowed) and records it as the next round's estimate. Its actual
+    /// metered feed-layer cost is the booked report's own Gas plus the
+    /// batch shares accrued since `batched_before`.
+    fn charge_epoch(&mut self, batched_before: u64) {
+        let own = self.driver.reports().last().map_or(0, |e| e.feed_gas);
+        let share = checked_sub_gas(self.batched_gas(), batched_before);
+        let cost = checked_add_gas(own, share);
         self.last_epoch_cost = Some(cost);
         if self.budget.is_some() {
             self.balance -= i128::from(cost);
@@ -762,9 +767,9 @@ impl FeedEngine {
         for &idx in runnable {
             self.feeds[idx].ingest_epoch();
             let feed = &mut self.feeds[idx];
+            let batched_before = feed.batched_gas();
             feed.driver.close_epoch(&mut self.chain)?;
-            let cost = feed.driver.reports().last().map_or(0, |e| e.feed_gas);
-            feed.charge_quota(cost);
+            feed.charge_epoch(batched_before);
         }
         Ok(())
     }
@@ -843,18 +848,14 @@ impl FeedEngine {
                 booked.push((rf, reads));
             } else {
                 feed.driver.run_read_phase(&mut self.chain, &rf.update)?;
-                let own = feed.driver.reports().last().map_or(0, |e| e.feed_gas);
-                let share = checked_sub_gas(feed.batched_gas(), rf.batched_before);
-                feed.charge_quota(checked_add_gas(own, share));
+                feed.charge_epoch(rf.batched_before);
             }
         }
         self.submit_shard_batch(shard_idx, BatchKind::Deliver, sections)?;
         for (rf, reads) in booked {
             let feed = &mut self.feeds[rf.idx];
             feed.driver.finish_staged_epoch(&rf.update, &reads);
-            let own = feed.driver.reports().last().map_or(0, |e| e.feed_gas);
-            let share = checked_sub_gas(feed.batched_gas(), rf.batched_before);
-            feed.charge_quota(checked_add_gas(own, share));
+            feed.charge_epoch(rf.batched_before);
         }
         Ok(())
     }

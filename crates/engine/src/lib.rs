@@ -15,7 +15,7 @@
 //! ```text
 //!               FeedEngine (deterministic shard scheduler, one executor)
 //!
-//!   STAGE (off-chain, EpochStage halves — never borrows the chain)
+//!   STAGE (off-chain, EpochDriver::ingest + stage_update — no chain borrow)
 //!        shard 0: [feed a ingest→flush→encode] [feed b …]
 //!        shard 1: [feed c ingest→flush→encode] [feed d …]
 //!                     │ staged update sections, shard-ordered

@@ -13,14 +13,20 @@
 //!   last depth-confirmed write: epoch boundaries await the frontier before
 //!   the DO observes anything, so an honest SP's delivers are never
 //!   rejected even under the full reorg + latency + congestion stack.
+//! * **One epoch lifecycle** — `close_epoch` mines byte for byte what the
+//!   staged calls a scheduler makes mine, so the DO acknowledges and reads
+//!   the fee tape at the same point in every mode.
 
 use grub::chain::network::NetworkSim;
-use grub::chain::{ChainConfig, TxId};
+use grub::chain::{Blockchain, ChainConfig, Transaction, TxId};
 use grub::core::consistency::FreshnessModel;
-use grub::core::system::{GrubSystem, SystemConfig};
+use grub::core::policy::PolicyKind;
+use grub::core::system::{DriverIdentity, EpochDriver, GrubSystem, SystemConfig};
 use grub::engine::specs::{demo_policies, zipfian_ratio_specs, DEMO_RATIOS};
 use grub::engine::{EngineConfig, FeedEngine, FeedSpec};
-use grub::workload::ratio::RatioWorkload;
+use grub::gas::{FeeProcess, Layer};
+use grub::workload::ratio::{MultiKeyRatio, RatioWorkload};
+use grub::workload::PeekableSource;
 
 fn config() -> ChainConfig {
     ChainConfig {
@@ -345,6 +351,110 @@ fn confirmed_reads_stay_fresh_under_the_full_stack() {
             );
         }
     }
+}
+
+/// One epoch lifecycle: `GrubSystem::drive`, which closes every epoch with
+/// `close_epoch`, mines exactly the chain that a driver taken by hand
+/// through the staged calls mines — the sequence the benchmark harness
+/// makes: `stage_mut().ingest`, `stage_update`, `submit_update`,
+/// `stage_reads`, the feed's own `deliver` transactions mined,
+/// `finish_staged_epoch`, and one `await_confirmations` when the stream
+/// ends. Compared on the chain digest and the chain meter's feed + app Gas,
+/// not on the epoch reports: hand-mined deliver Gas is by design not
+/// booked. Run under a flat fee, a spiking fee schedule, and the spike plus
+/// depth-3 confirmation and inclusion latency, for a fee-blind and a
+/// fee-aware policy — where the DO reads the fee tape relative to the
+/// deliver block is what a second lifecycle would get wrong.
+#[test]
+fn close_epoch_is_the_staged_lifecycle() {
+    let chains = [
+        ("flat", ChainConfig::default()),
+        ("spike", ChainConfig::default().fee(FeeProcess::spike(11))),
+        (
+            "depth3+latency+spike",
+            ChainConfig::default()
+                .confirm_depth(3)
+                .latency(5, 2)
+                .fee(FeeProcess::spike(11)),
+        ),
+    ];
+    let memoryless = PolicyKind::Memoryless { k: 2 };
+    let policies = [
+        memoryless.clone(),
+        PolicyKind::FeeAware {
+            threshold_permille: 1500,
+            inner: Box::new(memoryless),
+        },
+    ];
+    let trace = MultiKeyRatio::new(vec![
+        ("w".into(), 0.25),
+        ("b".into(), 1.0),
+        ("r".into(), 6.0),
+    ])
+    .seed(3)
+    .generate(24);
+    let mut diverged = Vec::new();
+    for (chain_name, chain_config) in chains {
+        for policy in &policies {
+            let label = format!("{chain_name}/{policy:?}");
+            let mut config = SystemConfig::new(policy.clone()).epoch_ops(8);
+            config.chain = chain_config;
+
+            let mut system = GrubSystem::new(&config).unwrap();
+            system
+                .drive(&mut trace.source())
+                .unwrap_or_else(|e| panic!("{label}: drive failed: {e}"));
+
+            let mut chain = Blockchain::with_config(chain_config);
+            let mut driver =
+                EpochDriver::deploy(&mut chain, &config, &DriverIdentity::default()).unwrap();
+            chain.meter_reset();
+            let mut source = PeekableSource::new(Box::new(trace.clone().into_source()));
+            while !source.is_exhausted() {
+                driver.stage_mut().ingest(&mut source);
+                let update = driver.stage_update().unwrap();
+                driver.submit_update(&mut chain, &update);
+                let reads = driver.stage_reads(&mut chain).unwrap();
+                for input in &reads.delivers {
+                    chain.submit(Transaction::new(
+                        driver.provider_address(),
+                        driver.manager(),
+                        "deliver",
+                        input.clone(),
+                        Layer::Feed,
+                    ));
+                }
+                while chain.mempool_len() > 0 {
+                    let block = chain.try_produce_block().unwrap();
+                    assert!(
+                        block.receipts.iter().all(|r| r.success),
+                        "{label}: an honest SP's deliver was rejected"
+                    );
+                }
+                driver.finish_staged_epoch(&update, &reads);
+            }
+            chain.await_confirmations().unwrap();
+
+            let meter = |chain: &Blockchain| {
+                let gas = chain.gas_snapshot();
+                (gas.feed, gas.app)
+            };
+            if system.chain().chain_digest() != chain.chain_digest()
+                || meter(system.chain()) != meter(&chain)
+            {
+                diverged.push(format!(
+                    "{label}: close_epoch mined {:?} Gas, the staged calls {:?}",
+                    meter(system.chain()),
+                    meter(&chain)
+                ));
+            }
+        }
+    }
+    assert!(
+        diverged.is_empty(),
+        "close_epoch and the staged calls mined different chains:\n{}",
+        diverged.join("\n")
+    );
 }
 
 /// The freshness bound is monotone in each parameter, matching the formula
