@@ -12,9 +12,10 @@ use grub_core::owner::DataOwner;
 use grub_core::policy::PolicyKind;
 use grub_core::policy::{Memoryless, ReplicationPolicy};
 use grub_core::system::{DriverIdentity, EpochDriver, GrubSystem, SystemConfig};
+use grub_core::wire::range_proof_len;
 use grub_crypto::sha256;
 use grub_gas::Layer;
-use grub_merkle::{record_value_hash, MerkleKv, ProofKey, ReplState, TreeOp};
+use grub_merkle::{record_value_hash, MerkleKv, ProofKey, RangeProof, ReplState, TreeOp};
 use grub_store::{Db, Options};
 use grub_workload::ratio::RatioWorkload;
 
@@ -66,6 +67,41 @@ fn bench_merkle(c: &mut Criterion) {
     c.bench_function("merkle/verify-64k", |b| {
         b.iter(|| proof.verify(std::hint::black_box(&root), &target, &target))
     });
+    // A feed's round of delivers: 14 keys (the `ycsb_b_64k` mean per
+    // round) spread over the tree, their point proofs merged into one
+    // shared proof and verified in one pass, against 14 separate proofs.
+    let round: Vec<ProofKey> = (0..14u32)
+        .map(|i| {
+            ProofKey::new(
+                ReplState::NotReplicated,
+                format!("k{:08}", epoch_key(1, i)).into_bytes(),
+            )
+        })
+        .collect();
+    let points: Vec<RangeProof> = round.iter().map(|k| tree.prove_range(k, k)).collect();
+    let union = |points: Vec<RangeProof>| {
+        let mut points = points.into_iter();
+        let mut shared = points.next().expect("14 proofs");
+        for point in points {
+            shared.union_with(point).expect("one tree");
+        }
+        shared
+    };
+    c.bench_function("merkle/union-14@64k", |b| {
+        b.iter_batched(|| points.clone(), union, BatchSize::SmallInput)
+    });
+    let shared = union(points.clone());
+    let queries: Vec<(&ProofKey, &ProofKey)> = round.iter().map(|k| (k, k)).collect();
+    c.bench_function("merkle/verify-shared-14@64k", |b| {
+        b.iter(|| shared.verify_queries(std::hint::black_box(&root), &queries))
+    });
+    println!(
+        "merkle/shared-14@64k: {} B, {} hashes (14 point proofs: {} B, {} hashes)",
+        range_proof_len(&shared),
+        shared.hash_count(),
+        points.iter().map(range_proof_len).sum::<usize>(),
+        points.iter().map(RangeProof::hash_count).sum::<usize>(),
+    );
     c.bench_function("merkle/insert-64k", |b| {
         b.iter_batched(
             || tree.clone(),

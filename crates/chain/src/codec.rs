@@ -126,6 +126,28 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("slice len 8")))
     }
 
+    /// Reads a `u64` element count for items of at least `min_item_bytes`
+    /// encoded bytes each, refusing a count the remaining bytes could not
+    /// hold — so a forged count fails here, before anything is allocated
+    /// or iterated for it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::Decode`] if fewer than 8 bytes remain, or if
+    /// `count × min_item_bytes` exceeds the bytes left after the count.
+    pub fn count(&mut self, min_item_bytes: usize) -> Result<usize, VmError> {
+        let declared = self.u64()?;
+        let fits = usize::try_from(declared)
+            .ok()
+            .filter(|n| n.saturating_mul(min_item_bytes.max(1)) <= self.remaining());
+        fits.ok_or_else(|| {
+            VmError::Decode(format!(
+                "count {declared} of {min_item_bytes}-byte items exceeds the {} bytes left",
+                self.remaining()
+            ))
+        })
+    }
+
     /// Reads a `bool`.
     pub fn boolean(&mut self) -> Result<bool, VmError> {
         Ok(self.take(1)?[0] != 0)
@@ -211,18 +233,10 @@ const SECTION_MIN_BYTES: usize = 24;
 /// possibly fit in the remaining bytes.
 pub fn decode_sections(input: &[u8]) -> Result<Vec<(Address, Vec<u8>)>, VmError> {
     let mut dec = Decoder::new(input);
-    let declared = dec.u64()?;
-    if declared > MAX_BATCH_SECTIONS as u64 {
+    let n = dec.count(SECTION_MIN_BYTES)?;
+    if n > MAX_BATCH_SECTIONS {
         return Err(VmError::Decode(format!(
-            "section count {declared} exceeds the {MAX_BATCH_SECTIONS}-section bound"
-        )));
-    }
-    let n = declared as usize;
-    if n.saturating_mul(SECTION_MIN_BYTES) > dec.remaining() {
-        return Err(VmError::Decode(format!(
-            "payload truncated: {n} sections need at least {} bytes, have {}",
-            n * SECTION_MIN_BYTES,
-            dec.remaining()
+            "section count {n} exceeds the {MAX_BATCH_SECTIONS}-section bound"
         )));
     }
     let mut out = Vec::with_capacity(n);
@@ -330,6 +344,26 @@ mod tests {
                 matches!(decode_sections(&buf[..cut]), Err(VmError::Decode(_))),
                 "prefix of {cut} bytes must be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_left() {
+        let mut enc = Encoder::new();
+        enc.u64(2).bytes(b"ab").bytes(b"cd");
+        let buf = enc.finish();
+        assert_eq!(Decoder::new(&buf).count(4), Ok(2));
+        assert!(matches!(
+            Decoder::new(&buf).count(8),
+            Err(VmError::Decode(_))
+        ));
+        for forged in [u64::MAX, 1 << 40] {
+            let mut enc = Encoder::new();
+            enc.u64(forged);
+            assert!(matches!(
+                Decoder::new(&enc.finish()).count(1),
+                Err(VmError::Decode(_))
+            ));
         }
     }
 

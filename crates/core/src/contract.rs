@@ -10,10 +10,21 @@
 //!   `Request` event for the SP's watchdog;
 //! * `gScan(startKey, endKey, callback)` — range variant: emits a
 //!   `RequestRange` event;
-//! * `deliver(startKey, endKey, records, proof, callbacks)` — called by the
-//!   SP: verifies the range proof against the stored root digest (charging
-//!   `Chash` per recomputed node) and invokes the buffered callbacks with
-//!   the authenticated records.
+//! * `deliver(query₁ · proof · callbacks₁ · (queryᵢ · callbacksᵢ)*)` —
+//!   called by the SP: verifies one range proof against the stored root
+//!   digest for every query (charging `Chash` once per recomputed node),
+//!   checks each query's delivered records against it, then installs each
+//!   query's replica and invokes its callbacks with the authenticated
+//!   records, in payload order.
+//!
+//! A query is `(startKey, endKey, replicate, records)`. The one-query
+//! payload is the paper's `deliver(startKey, endKey, records, proof,
+//! callbacks)`, byte for byte ([`encode_deliver`]). Further queries follow
+//! it in strictly increasing `(startKey, endKey)` order and share its proof:
+//! [`coalesce_delivers`] merges one SP's per-request payloads that way, so a
+//! round's delivers for one feed send the tree levels their keys share once.
+//! Every count in a payload is bounded by the bytes that remain, so a forged
+//! count is a [`VmError::Decode`], never an allocation.
 //!
 //! The callback dispatch mirrors the paper's Listing 2, including its
 //! stateless-callback design: the contract does not persist pending request
@@ -33,10 +44,17 @@ use grub_crypto::Hash32;
 use grub_gas::{words_for_bytes, CostKind};
 use grub_merkle::{record_value_hash, ProofKey, RangeProof, ReplState};
 
+use crate::system::UPDATE_CHUNK_BYTES;
 use crate::wire;
 
 /// Storage slot for the root digest.
 const SLOT_ROOT: &[u8] = b"root";
+
+/// Least encoded bytes of one `(key, value)` pair: two length prefixes.
+const RECORD_MIN_BYTES: usize = 8;
+
+/// Least encoded bytes of one callback: an address and a length prefix.
+const CALLBACK_MIN_BYTES: usize = 24;
 
 /// Eviction marker left in a replica slot instead of deleting it. Keeping
 /// the slot warm means a later re-replication pays `Cupdate` rather than
@@ -121,7 +139,7 @@ impl StorageManager {
         let digest = dec.hash()?;
         ctx.sstore(SLOT_ROOT, digest.as_bytes())?;
         // Updates to records that are already replicated.
-        let n_updates = dec.u64()? as usize;
+        let n_updates = dec.count(RECORD_MIN_BYTES)?;
         for _ in 0..n_updates {
             let key = dec.bytes()?.to_vec();
             let value = dec.bytes()?.to_vec();
@@ -131,17 +149,23 @@ impl StorageManager {
             }
         }
         // NR→R transitions: insert fresh replicas.
-        let n_to_r = dec.u64()? as usize;
+        let n_to_r = dec.count(RECORD_MIN_BYTES)?;
         for _ in 0..n_to_r {
             let key = dec.bytes()?.to_vec();
             let value = dec.bytes()?.to_vec();
             ctx.sstore(&Self::replica_slot(&key), &value)?;
         }
         // R→NR transitions: evict replicas, leaving the slot warm for reuse.
-        let n_to_nr = dec.u64()? as usize;
+        let n_to_nr = dec.count(4)?;
         for _ in 0..n_to_nr {
             let key = dec.bytes()?.to_vec();
             ctx.sstore(&Self::replica_slot(&key), EVICTED_MARKER)?;
+        }
+        if !dec.is_empty() {
+            return Err(VmError::Decode(format!(
+                "{} trailing bytes after the update",
+                dec.remaining()
+            )));
         }
         Ok(Vec::new())
     }
@@ -199,90 +223,91 @@ impl StorageManager {
 
     /// `deliver()` — the SP's proof-carrying response (read path, §3.3).
     fn deliver(&self, ctx: &mut CallContext<'_>, input: &[u8]) -> Result<Vec<u8>, VmError> {
-        let mut dec = Decoder::new(input);
-        let start = dec.bytes()?.to_vec();
-        let end = dec.bytes()?.to_vec();
-        let replicate = dec.boolean()?;
-        let n_records = dec.u64()? as usize;
-        let mut records = Vec::with_capacity(n_records);
-        for _ in 0..n_records {
-            let key = dec.bytes()?.to_vec();
-            let value = dec.bytes()?.to_vec();
-            records.push((key, value));
-        }
-        let proof = wire::decode_range_proof(&mut dec)?;
-        let n_cbs = dec.u64()? as usize;
-        let mut callbacks = Vec::with_capacity(n_cbs);
-        for _ in 0..n_cbs {
-            let addr = dec.address()?;
-            let func = dec.string()?;
-            callbacks.push((addr, func));
-        }
+        let DeliverPayload { queries, proof } = DeliverPayload::decode(input)?;
 
         // Load the trusted digest.
         let root_bytes = ctx
             .sload(SLOT_ROOT)?
             .ok_or_else(|| VmError::Revert("no root digest on chain".into()))?;
-        let mut root_arr = [0u8; 32];
-        root_arr.copy_from_slice(&root_bytes[..32]);
-        let root = Hash32::new(root_arr);
+        let root = Decoder::new(&root_bytes).hash()?;
 
-        // Charge Chash for every node the verifier recomputes (leaf and
-        // inner preimages are ~3 words), then verify.
+        // Charge Chash once for every node the verifier recomputes (leaf and
+        // inner preimages are ~3 words), then verify every query against
+        // the one proof.
         let per_node = ctx.meter_schedule().hash_cost(3);
         ctx.charge(CostKind::Hash, per_node * proof.hash_count() as u64);
-        let lo = ProofKey::new(ReplState::NotReplicated, start.clone());
-        let hi = ProofKey::new(ReplState::NotReplicated, end.clone());
+        let bounds: Vec<(ProofKey, ProofKey)> = queries
+            .iter()
+            .map(|q| {
+                (
+                    ProofKey::new(ReplState::NotReplicated, q.start.clone()),
+                    ProofKey::new(ReplState::NotReplicated, q.end.clone()),
+                )
+            })
+            .collect();
+        let bounds: Vec<(&ProofKey, &ProofKey)> = bounds.iter().map(|(lo, hi)| (lo, hi)).collect();
         let verified = proof
-            .verify(&root, &lo, &hi)
+            .verify_queries(&root, &bounds)
             .map_err(|e| VmError::Revert(format!("proof rejected: {e}")))?;
 
-        // The delivered plaintext records must match the verified hashes,
+        // Each query's plaintext records must match its verified hashes,
         // one-to-one and in order.
-        if verified.len() != records.len() {
-            return Err(VmError::Revert(format!(
-                "record count mismatch: proof has {}, delivery has {}",
-                verified.len(),
-                records.len()
-            )));
-        }
-        for ((pkey, vhash), (key, value)) in verified.iter().zip(&records) {
-            if pkey.key != *key {
-                return Err(VmError::Revert("delivered key not in proof".into()));
+        for (query, verified) in queries.iter().zip(&verified) {
+            if verified.len() != query.records.len() {
+                return Err(VmError::Revert(format!(
+                    "record count mismatch: proof has {}, delivery has {}",
+                    verified.len(),
+                    query.records.len()
+                )));
             }
-            // Hashing the delivered value on-chain costs Chash.
-            let cost = ctx
-                .meter_schedule()
-                .hash_cost(words_for_bytes(value.len()).max(1));
-            ctx.charge(CostKind::Hash, cost);
-            if record_value_hash(value) != *vhash {
-                return Err(VmError::Revert(
-                    "delivered value does not match proof".into(),
-                ));
+            for ((pkey, vhash), (key, value)) in verified.iter().zip(&query.records) {
+                if pkey.key != *key {
+                    return Err(VmError::Revert("delivered key not in proof".into()));
+                }
+                // Hashing the delivered value on-chain costs Chash.
+                let cost = ctx
+                    .meter_schedule()
+                    .hash_cost(words_for_bytes(value.len()).max(1));
+                ctx.charge(CostKind::Hash, cost);
+                if record_value_hash(value) != *vhash {
+                    return Err(VmError::Revert(
+                        "delivered value does not match proof".into(),
+                    ));
+                }
             }
         }
 
-        // The paper's Listing 2 `replicate` flag: the control plane decided
-        // this record should live on chain, so the delivery installs the
-        // replica to serve the rest of the read burst. The value is already
-        // authenticated; the DO formalizes or evicts the replica in its next
-        // epoch update.
-        if replicate {
-            if let [(key, value)] = records.as_slice() {
-                ctx.sstore(&Self::replica_slot(key), value)?;
+        for DeliverQuery {
+            start,
+            replicate,
+            records,
+            callbacks,
+            ..
+        } in &queries
+        {
+            // The paper's Listing 2 `replicate` flag: the control plane
+            // decided this record should live on chain, so the delivery
+            // installs the replica to serve the rest of the read burst. The
+            // value is already authenticated; the DO formalizes or evicts
+            // the replica in its next epoch update.
+            if *replicate {
+                if let [(key, value)] = records.as_slice() {
+                    ctx.sstore(&Self::replica_slot(key), value)?;
+                }
+            }
+            // Dispatch callbacks with the authenticated record set.
+            for (addr, func) in callbacks {
+                let mut enc = Encoder::new();
+                enc.bytes(start).u64(records.len() as u64);
+                for (key, value) in records {
+                    enc.bytes(key).bytes(value);
+                }
+                ctx.call(*addr, func, &enc.finish())?;
             }
         }
-        // Dispatch callbacks with the authenticated record set.
-        for (addr, func) in &callbacks {
-            let mut enc = Encoder::new();
-            enc.bytes(&start).u64(records.len() as u64);
-            for (key, value) in &records {
-                enc.bytes(key).bytes(value);
-            }
-            ctx.call(*addr, func, &enc.finish())?;
-        }
+        let delivered: usize = queries.iter().map(|q| q.records.len()).sum();
         let mut out = Encoder::new();
-        out.u64(records.len() as u64);
+        out.u64(delivered as u64);
         Ok(out.finish())
     }
 
@@ -353,7 +378,8 @@ pub fn encode_gscan(start: &[u8], end: &[u8], cb_addr: Address, cb_func: &str) -
     enc.finish()
 }
 
-/// Encodes the input of a `deliver()` transaction.
+/// Encodes the input of a one-query `deliver()` transaction — the form the
+/// SP's watchdog builds per request.
 pub fn encode_deliver(
     start: &[u8],
     end: &[u8],
@@ -363,17 +389,249 @@ pub fn encode_deliver(
     callbacks: &[(Address, String)],
 ) -> Vec<u8> {
     let mut enc = Encoder::new();
+    encode_query(&mut enc, start, end, replicate, records);
+    wire::encode_range_proof(&mut enc, proof);
+    encode_callbacks(&mut enc, callbacks);
+    enc.finish()
+}
+
+fn encode_query(
+    enc: &mut Encoder,
+    start: &[u8],
+    end: &[u8],
+    replicate: bool,
+    records: &[(Vec<u8>, Vec<u8>)],
+) {
     enc.bytes(start).bytes(end).boolean(replicate);
     enc.u64(records.len() as u64);
     for (k, v) in records {
         enc.bytes(k).bytes(v);
     }
-    wire::encode_range_proof(&mut enc, proof);
+}
+
+fn encode_callbacks(enc: &mut Encoder, callbacks: &[(Address, String)]) {
     enc.u64(callbacks.len() as u64);
     for (addr, func) in callbacks {
         enc.address(addr).string(func);
     }
-    enc.finish()
+}
+
+/// One query of a `deliver()` payload.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DeliverQuery {
+    /// Range start key (inclusive).
+    pub start: Vec<u8>,
+    /// Range end key (inclusive).
+    pub end: Vec<u8>,
+    /// Whether the delivery installs its one record as a replica.
+    pub replicate: bool,
+    /// The delivered `(key, value)` records, in key order.
+    pub records: Vec<(Vec<u8>, Vec<u8>)>,
+    /// The callbacks invoked with the records.
+    pub callbacks: Vec<(Address, String)>,
+}
+
+impl DeliverQuery {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, VmError> {
+        let start = dec.bytes()?.to_vec();
+        let end = dec.bytes()?.to_vec();
+        let replicate = dec.boolean()?;
+        let n_records = dec.count(RECORD_MIN_BYTES)?;
+        let mut records = Vec::with_capacity(n_records);
+        for _ in 0..n_records {
+            records.push((dec.bytes()?.to_vec(), dec.bytes()?.to_vec()));
+        }
+        Ok(DeliverQuery {
+            start,
+            end,
+            replicate,
+            records,
+            callbacks: Vec::new(),
+        })
+    }
+
+    fn decode_callbacks(&mut self, dec: &mut Decoder<'_>) -> Result<(), VmError> {
+        let n_cbs = dec.count(CALLBACK_MIN_BYTES)?;
+        self.callbacks.reserve_exact(n_cbs);
+        for _ in 0..n_cbs {
+            self.callbacks.push((dec.address()?, dec.string()?));
+        }
+        Ok(())
+    }
+
+    /// The query's encoding: (head, callbacks), the two parts a payload
+    /// places on either side of the proof (first query) or back to back.
+    fn encoded(&self) -> (Vec<u8>, Vec<u8>) {
+        let mut head = Encoder::new();
+        encode_query(
+            &mut head,
+            &self.start,
+            &self.end,
+            self.replicate,
+            &self.records,
+        );
+        let mut callbacks = Encoder::new();
+        encode_callbacks(&mut callbacks, &self.callbacks);
+        (head.finish(), callbacks.finish())
+    }
+
+    fn range(&self) -> (&[u8], &[u8]) {
+        (&self.start, &self.end)
+    }
+}
+
+/// A decoded `deliver()` payload: `query₁ · proof · callbacks₁ ·
+/// (queryᵢ · callbacksᵢ)*`, every query verified against the one proof.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DeliverPayload {
+    /// The queries in payload order — strictly increasing `(start, end)`
+    /// after the first. Never empty.
+    pub queries: Vec<DeliverQuery>,
+    /// The proof every query is verified against.
+    pub proof: RangeProof,
+}
+
+impl DeliverPayload {
+    /// Parses a `deliver()` input.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Decode`] if the payload is truncated or malformed, a count
+    /// exceeds what the remaining bytes could hold, or the queries after the
+    /// first are not in strictly increasing `(start, end)` order.
+    pub fn decode(input: &[u8]) -> Result<Self, VmError> {
+        let mut dec = Decoder::new(input);
+        let mut first = DeliverQuery::decode(&mut dec)?;
+        let proof = wire::decode_range_proof(&mut dec)?;
+        first.decode_callbacks(&mut dec)?;
+        let mut queries = vec![first];
+        while !dec.is_empty() {
+            let mut query = DeliverQuery::decode(&mut dec)?;
+            query.decode_callbacks(&mut dec)?;
+            if queries
+                .last()
+                .is_some_and(|prev| prev.range() >= query.range())
+            {
+                return Err(VmError::Decode(
+                    "deliver queries are not in strictly increasing (start, end) order".into(),
+                ));
+            }
+            queries.push(query);
+        }
+        Ok(DeliverPayload { queries, proof })
+    }
+
+    /// Encodes the payload; a one-query payload is exactly
+    /// [`encode_deliver`]'s bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        Self::assemble(self.queries.iter().map(DeliverQuery::encoded), &self.proof)
+    }
+
+    /// Lays out encoded `(head, callbacks)` parts around `proof`.
+    fn assemble(
+        parts: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
+        proof: &RangeProof,
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (i, (head, callbacks)) in parts.into_iter().enumerate() {
+            out.extend_from_slice(&head);
+            if i == 0 {
+                let mut enc = Encoder::new();
+                wire::encode_range_proof(&mut enc, proof);
+                out.extend_from_slice(&enc.finish());
+            }
+            out.extend_from_slice(&callbacks);
+        }
+        out
+    }
+}
+
+/// A shared-proof payload under construction in [`coalesce_delivers`].
+struct Group {
+    /// Encoded `(head, callbacks)` of each member query, in key order.
+    parts: Vec<(Vec<u8>, Vec<u8>)>,
+    /// The last member's `(start, end)`.
+    last: (Vec<u8>, Vec<u8>),
+    /// The union of the members' proofs.
+    proof: RangeProof,
+    /// Encoded bytes of the members' parts.
+    parts_len: usize,
+}
+
+/// Merges one feed's per-request `deliver()` payloads — built by one SP
+/// against one tree, as one watchdog call returns them — into shared-proof
+/// payloads. The queries, sorted by `(start, end)`, are cut into groups
+/// whose payload stays within [`UPDATE_CHUNK_BYTES`], and each group
+/// carries the union ([`RangeProof::union_with`]) of its members' proofs.
+///
+/// A query joins the open group only if the group plus the query's whole
+/// per-request payload fits (the union adds less than that), its
+/// `(start, end)` differs from the last member's (a payload's queries are
+/// strictly increasing) and its proof unites with the group's (they were
+/// built against one tree). A group of one query is that query's
+/// per-request payload, byte for byte; one payload in is returned
+/// unchanged, and a payload that does not decode is passed through as it
+/// is, after the groups, for the contract to reject. Pure: it reads
+/// nothing but its input.
+pub fn coalesce_delivers(payloads: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    if payloads.len() < 2 {
+        return payloads;
+    }
+    let mut pending = Vec::new();
+    let mut undecodable = Vec::new();
+    let entry = |query: DeliverQuery, proof| {
+        let parts = query.encoded();
+        ((query.start, query.end), parts, proof)
+    };
+    for payload in payloads {
+        let Ok(DeliverPayload { mut queries, proof }) = DeliverPayload::decode(&payload) else {
+            undecodable.push(payload);
+            continue;
+        };
+        // Every query keeps its payload's proof; the last one takes it.
+        let last = queries.pop();
+        for query in queries {
+            pending.push(entry(query, proof.clone()));
+        }
+        pending.extend(last.map(|query| entry(query, proof)));
+    }
+    // Equal ranges never share a group, so their relative order is free.
+    pending.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+
+    let mut groups: Vec<Group> = Vec::new();
+    for (range, parts, proof) in pending {
+        let parts_len = parts.0.len() + parts.1.len();
+        let alone = parts_len + wire::range_proof_len(&proof);
+        let proof = match groups.last_mut() {
+            Some(group)
+                if group.last != range
+                    && group.parts_len + wire::range_proof_len(&group.proof) + alone
+                        <= UPDATE_CHUNK_BYTES =>
+            {
+                match group.proof.union_with(proof) {
+                    Ok(()) => {
+                        group.parts.push(parts);
+                        group.last = range;
+                        group.parts_len += parts_len;
+                        continue;
+                    }
+                    Err(proof) => proof,
+                }
+            }
+            _ => proof,
+        };
+        groups.push(Group {
+            parts: vec![parts],
+            last: range,
+            proof,
+            parts_len,
+        });
+    }
+    groups
+        .into_iter()
+        .map(|group| DeliverPayload::assemble(group.parts, &group.proof))
+        .chain(undecodable)
+        .collect()
 }
 
 /// A parsed `Request` event.
@@ -824,5 +1082,243 @@ mod tests {
             traced_cost >= plain_cost + 20_000,
             "plain {plain_cost} vs traced {traced_cost}"
         );
+    }
+
+    /// Keys `k0`..`k9` under NR, value `v<i>`.
+    fn ten_keys() -> Fixture {
+        let mut fx = setup(OnChainTrace::None);
+        for i in 0..10 {
+            do_update(
+                &mut fx,
+                format!("k{i}").as_bytes(),
+                format!("v{i}").as_bytes(),
+                false,
+            );
+        }
+        fx
+    }
+
+    /// The watchdog's per-request payload for the point read of `k<i>`.
+    fn point_payload(fx: &Fixture, i: usize) -> Vec<u8> {
+        let key = format!("k{i}").into_bytes();
+        let proof = fx.tree.prove_range(&nr_key(&key), &nr_key(&key));
+        let records = [(key.clone(), format!("v{i}").into_bytes())];
+        encode_deliver(
+            &key,
+            &key,
+            false,
+            &records,
+            &proof,
+            &[(fx.du, "onData".to_owned())],
+        )
+    }
+
+    /// Mines each input as an SP `deliver` in one block.
+    fn deliver_all(fx: &mut Fixture, inputs: Vec<Vec<u8>>) -> grub_chain::Block {
+        for input in inputs {
+            fx.chain.submit(Transaction::new(
+                fx.sp_addr,
+                fx.mgr,
+                "deliver",
+                input,
+                Layer::Feed,
+            ));
+        }
+        fx.chain.produce_block().clone()
+    }
+
+    /// The consumer callbacks a block ran, as their inputs.
+    fn callbacks_run(block: &grub_chain::Block) -> Vec<Vec<u8>> {
+        block
+            .call_records
+            .iter()
+            .filter(|c| c.func == "onData")
+            .map(|c| c.input.clone())
+            .collect()
+    }
+
+    #[test]
+    fn one_query_payload_is_the_per_request_encoding() {
+        let fx = ten_keys();
+        let payload = point_payload(&fx, 3);
+        let decoded = DeliverPayload::decode(&payload).unwrap();
+        assert_eq!(decoded.queries.len(), 1);
+        assert_eq!(decoded.encode(), payload);
+        assert_eq!(coalesce_delivers(vec![payload.clone()]), vec![payload]);
+        assert!(coalesce_delivers(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn coalesced_deliver_serves_every_query_for_less() {
+        let mut fx = ten_keys();
+        let singles: Vec<Vec<u8>> = [1, 4, 7, 8].map(|i| point_payload(&fx, i)).to_vec();
+        let coalesced = coalesce_delivers(singles.clone());
+        assert_eq!(coalesced.len(), 1, "four small queries share one payload");
+        let shared = DeliverPayload::decode(&coalesced[0]).unwrap();
+        assert_eq!(shared.queries.len(), 4);
+        assert!(coalesced[0].len() < singles.iter().map(Vec::len).sum::<usize>());
+
+        let hash_gas = |fx: &Fixture| fx.chain.meter().kind_total(Layer::Feed, CostKind::Hash);
+        let before = hash_gas(&fx);
+        let one_by_one = deliver_all(&mut fx, singles);
+        assert!(one_by_one.receipts.iter().all(|r| r.success));
+        let separate = hash_gas(&fx).amount() - before.amount();
+        let before = hash_gas(&fx);
+        let block = deliver_all(&mut fx, coalesced);
+        assert!(block.receipts[0].success, "{:?}", block.receipts[0].error);
+        assert!(hash_gas(&fx).amount() - before.amount() < separate);
+        // Same callbacks with the same records, in key order.
+        assert_eq!(callbacks_run(&block), callbacks_run(&one_by_one));
+        assert_eq!(Decoder::new(&block.receipts[0].output).u64(), Ok(4));
+    }
+
+    #[test]
+    fn coalescing_splits_at_the_calldata_bound_and_at_repeats() {
+        let mut fx = setup(OnChainTrace::None);
+        let value = vec![7u8; 3000];
+        for i in 0..16 {
+            do_update(&mut fx, format!("k{i:02}").as_bytes(), &value, false);
+        }
+        let payload = |fx: &Fixture, i: usize| {
+            let key = format!("k{i:02}").into_bytes();
+            let proof = fx.tree.prove_range(&nr_key(&key), &nr_key(&key));
+            encode_deliver(
+                &key,
+                &key,
+                false,
+                &[(key.clone(), value.clone())],
+                &proof,
+                &[],
+            )
+        };
+        let mut singles: Vec<Vec<u8>> = (0..16).map(|i| payload(&fx, i)).collect();
+        // A repeated query cannot share a payload with itself.
+        singles.push(payload(&fx, 5));
+        let coalesced = coalesce_delivers(singles);
+        assert!(coalesced.len() >= 3, "48 KB of values need ≥ 3 payloads");
+        let mut ranges = Vec::new();
+        for payload in &coalesced {
+            assert!(payload.len() <= UPDATE_CHUNK_BYTES);
+            let decoded = DeliverPayload::decode(payload).unwrap();
+            ranges.extend(decoded.queries.into_iter().map(|q| q.start));
+        }
+        ranges.sort();
+        let mut want: Vec<Vec<u8>> = (0..16).map(|i| format!("k{i:02}").into_bytes()).collect();
+        want.push(b"k05".to_vec());
+        want.sort();
+        assert_eq!(ranges, want, "every query lands in exactly one payload");
+        let block = deliver_all(&mut fx, coalesced);
+        assert!(block.receipts.iter().all(|r| r.success));
+    }
+
+    #[test]
+    fn undecodable_payloads_pass_through_after_the_groups() {
+        let fx = ten_keys();
+        let garbage = b"not a deliver".to_vec();
+        let out = coalesce_delivers(vec![
+            garbage.clone(),
+            point_payload(&fx, 2),
+            point_payload(&fx, 6),
+        ]);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[1], garbage);
+    }
+
+    /// A payload whose first query claims `count` records it does not carry.
+    fn forged_record_count(count: u64) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.bytes(b"k1").bytes(b"k1").boolean(false).u64(count);
+        enc.finish()
+    }
+
+    /// A well-formed head and proof followed by `count` callbacks it does
+    /// not carry.
+    fn forged_callback_count(fx: &Fixture, count: u64) -> Vec<u8> {
+        let proof = fx.tree.prove_range(&nr_key(b"k1"), &nr_key(b"k1"));
+        let mut enc = Encoder::new();
+        encode_query(
+            &mut enc,
+            b"k1",
+            b"k1",
+            false,
+            &[(b"k1".to_vec(), b"v1".to_vec())],
+        );
+        wire::encode_range_proof(&mut enc, &proof);
+        enc.u64(count);
+        enc.finish()
+    }
+
+    #[test]
+    fn forged_counts_revert_with_a_decode_error() {
+        let mut fx = ten_keys();
+        let mut inputs = Vec::new();
+        for count in [u64::MAX, 1 << 40] {
+            inputs.push(forged_record_count(count));
+            inputs.push(forged_callback_count(&fx, count));
+        }
+        let n = inputs.len();
+        let block = deliver_all(&mut fx, inputs);
+        assert_eq!(block.receipts.len(), n);
+        for receipt in &block.receipts {
+            assert!(!receipt.success);
+            let err = receipt.error.as_deref().unwrap_or_default();
+            assert!(err.starts_with("payload decode failed"), "{err}");
+        }
+        // The DO's update bounds its counts the same way.
+        for count in [u64::MAX, 1 << 40] {
+            let mut enc = Encoder::new();
+            enc.hash(&fx.tree.root()).u64(count);
+            fx.chain.submit(Transaction::new(
+                fx.do_addr,
+                fx.mgr,
+                "update",
+                enc.finish(),
+                Layer::Feed,
+            ));
+            let block = fx.chain.produce_block();
+            let err = block.receipts[0].error.as_deref().unwrap_or_default();
+            assert!(err.starts_with("payload decode failed"), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_proper_prefix_reverts_with_a_typed_error() {
+        let mut fx = ten_keys();
+        let single = point_payload(&fx, 3);
+        let coalesced = coalesce_delivers([1, 4, 7].map(|i| point_payload(&fx, i)).to_vec());
+        assert_eq!(coalesced.len(), 1);
+        for payload in [single, coalesced[0].clone()] {
+            let prefixes: Vec<Vec<u8>> = (0..payload.len())
+                .map(|cut| payload[..cut].to_vec())
+                .collect();
+            let block = deliver_all(&mut fx, prefixes);
+            assert_eq!(block.receipts.len(), payload.len());
+            for (cut, receipt) in block.receipts.iter().enumerate() {
+                let err = receipt.error.as_deref().unwrap_or_default();
+                assert!(
+                    !receipt.success
+                        && (err.starts_with("payload decode failed")
+                            || err.starts_with("execution reverted")),
+                    "prefix of {cut} bytes: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn update_rejects_trailing_bytes() {
+        let mut fx = setup(OnChainTrace::None);
+        let mut input = encode_update(&Hash32::ZERO, &[], &[], &[]);
+        input.push(0);
+        fx.chain.submit(Transaction::new(
+            fx.do_addr,
+            fx.mgr,
+            "update",
+            input,
+            Layer::Feed,
+        ));
+        let block = fx.chain.produce_block();
+        let err = block.receipts[0].error.as_deref().unwrap_or_default();
+        assert!(err.contains("trailing"), "{err}");
     }
 }

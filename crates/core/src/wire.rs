@@ -91,6 +91,19 @@ pub fn encode_range_proof(enc: &mut Encoder, proof: &RangeProof) {
     }
 }
 
+/// Bytes [`encode_range_proof`] writes for `proof`, counted without
+/// encoding it.
+pub fn range_proof_len(proof: &RangeProof) -> usize {
+    fn node_len(node: &ProofNode) -> usize {
+        match node {
+            ProofNode::Opaque(_) => 8 + 32,
+            ProofNode::Leaf { pkey, .. } => 8 + 1 + 4 + pkey.key.len() + 32 + 1,
+            ProofNode::Inner { left, right } => 8 + node_len(left) + node_len(right),
+        }
+    }
+    1 + proof.tree.as_ref().map_or(0, node_len)
+}
+
 /// Decodes a [`RangeProof`].
 ///
 /// # Errors
@@ -170,6 +183,28 @@ mod tests {
         encode_range_proof(&mut enc, &proof);
         let buf = enc.finish();
         assert_eq!(decode_range_proof(&mut Decoder::new(&buf)).unwrap(), proof);
+    }
+
+    #[test]
+    fn proof_len_counts_the_encoded_bytes() {
+        let mut tree = MerkleKv::new();
+        for k in ["a", "bb", "ccc", "d", "eeeee", "f"] {
+            tree.insert(nr(k), record_value_hash(k.as_bytes()));
+        }
+        let mut shared = tree.prove_range(&nr("bb"), &nr("bb"));
+        shared
+            .union_with(tree.prove_range(&nr("eeeee"), &nr("eeeee")))
+            .unwrap();
+        for proof in [
+            RangeProof::empty(),
+            tree.prove_range(&nr("ccc"), &nr("ccc")),
+            tree.prove_range(&nr("a"), &nr("f")),
+            shared,
+        ] {
+            let mut enc = Encoder::new();
+            encode_range_proof(&mut enc, &proof);
+            assert_eq!(range_proof_len(&proof), enc.len());
+        }
     }
 
     #[test]

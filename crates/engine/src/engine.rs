@@ -2,6 +2,7 @@
 
 use grub_chain::codec::encode_sections;
 use grub_chain::{Address, Blockchain, ChainConfig, Transaction, TxId};
+use grub_core::contract::coalesce_delivers;
 use grub_core::scrub::Scrubber;
 use grub_core::system::{DriverIdentity, EpochDriver, StagedReads, StagedUpdate, SystemConfig};
 use grub_core::{GrubError, Result};
@@ -829,12 +830,14 @@ impl FeedEngine {
     }
 
     /// Runs one shard's read phase: each feed seals its own consumer read
-    /// block (keeping snapshot-differenced Gas attribution exact), then the
-    /// shard's deliver payloads are coalesced into one `batchDeliver`
+    /// block (keeping snapshot-differenced Gas attribution exact) and its
+    /// per-request deliver payloads are merged into shared-proof payloads
+    /// ([`coalesce_delivers`]: one section per feed, unless the calldata
+    /// bound splits it), then the shard's sections ride one `batchDeliver`
     /// transaction; finally the epochs are booked and quotas charged.
     /// Live-tempo feeds — and every feed when read batching is off — fall
-    /// back to the classic per-feed read phase with their own deliver
-    /// transactions.
+    /// back to the classic per-feed read phase with their own per-request
+    /// deliver transactions.
     fn run_shard_read_phase(&mut self, shard_idx: usize, staged: Vec<RoundFeed>) -> Result<()> {
         let mut sections: Vec<(usize, Vec<u8>)> = Vec::new();
         let mut booked: Vec<(RoundFeed, StagedReads)> = Vec::new();
@@ -842,7 +845,7 @@ impl FeedEngine {
             let feed = &mut self.feeds[rf.idx];
             if self.read_batching && feed.driver.coalesces_reads() {
                 let mut reads = feed.driver.stage_reads(&mut self.chain)?;
-                for payload in std::mem::take(&mut reads.delivers) {
+                for payload in coalesce_delivers(std::mem::take(&mut reads.delivers)) {
                     sections.push((rf.idx, payload));
                 }
                 booked.push((rf, reads));
@@ -1081,6 +1084,16 @@ impl FeedEngine {
             .iter()
             .find(|f| f.tenant == tenant)
             .map(|f| &f.driver)
+    }
+
+    /// Mutable access to one tenant's driver, between rounds — security
+    /// tests turn a feed's storage provider hostile with
+    /// [`EpochDriver::set_adversary`].
+    pub fn driver_mut(&mut self, tenant: &str) -> Option<&mut EpochDriver> {
+        self.feeds
+            .iter_mut()
+            .find(|f| f.tenant == tenant)
+            .map(|f| &mut f.driver)
     }
 
     fn into_report(self) -> EngineReport {

@@ -68,11 +68,14 @@
 //!   feed stages its watchdog's deliver payloads
 //!   ([`EpochDriver::stage_reads`](grub_core::system::EpochDriver::stage_reads))
 //!   and the engine coalesces a shard's round into one `batchDeliver`
-//!   transaction. Proof verification, replica installation, and callback
-//!   dispatch run unchanged inside the internal calls. Disable with
-//!   [`EngineConfig::without_read_batching`] to isolate the write-only
-//!   savings; live-tempo feeds fall back to their own deliver transactions
-//!   automatically.
+//!   transaction. Within a feed, the round's per-key payloads are first
+//!   merged into one payload whose queries share one Merkle proof
+//!   ([`coalesce_delivers`](grub_core::contract::coalesce_delivers)), so
+//!   the tree levels the keys share are sent and hashed once; replica
+//!   installation and callback dispatch run per query inside the internal
+//!   call. Disable with [`EngineConfig::without_read_batching`] to isolate
+//!   the write-only savings; live-tempo feeds fall back to their own
+//!   per-request deliver transactions automatically.
 //! * **Per-tenant Gas quotas** — an optional [`TenantBudget`] per feed
 //!   turns the scheduler into a token bucket with deferral. Knobs:
 //!   `gas_per_round` (feed-layer Gas granted per scheduler round, ≥ 1),
@@ -100,11 +103,13 @@
 //!    exactly the transactions N single-feed `GrubSystem` runs would: total
 //!    feed-layer Gas equals the sum of the N standalone runs (checked in
 //!    `tests/engine.rs`), quota deferral included.
-//! 2. **Batching only removes envelopes** — the batched paths change *who
-//!    carries* the update and deliver payloads, never their content:
-//!    replica storage writes, digests, proofs, and callbacks are
-//!    byte-identical, so batched total Gas is strictly lower whenever any
-//!    shard coalesces ≥ 2 updates (or deliveries) into one block.
+//! 2. **Batching only removes envelopes and shared proof levels** — the
+//!    batched paths change *who carries* the update and deliver payloads:
+//!    replica storage writes, digests, delivered records and callbacks are
+//!    byte-identical, and a feed's same-round deliveries share one proof
+//!    whose nodes are each a node of some per-key proof, so batched total
+//!    Gas is strictly lower whenever any shard coalesces ≥ 2 updates (or
+//!    deliveries) into one block.
 //! 3. **Exact attribution** — per-tenant reports are measured by Gas-meter
 //!    snapshots around each feed's own epoch work; a shard's batched update
 //!    and deliver Gas is split over its sections proportionally to payload

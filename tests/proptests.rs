@@ -1,10 +1,12 @@
 //! Property-based tests over the core data structures and protocol
 //! invariants.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
+use grub::chain::Address;
+use grub::core::contract::{coalesce_delivers, encode_deliver, DeliverPayload};
 use grub::crypto::sha256;
 use grub::merkle::{
     record_value_hash, MerkleKv, ProofKey, ReplState, TreeOp as MerkleTreeOp, VerifyError,
@@ -331,6 +333,78 @@ proptest! {
             .map(|(k, v)| (k.clone(), *v))
             .collect();
         prop_assert_eq!(got, expect);
+    }
+
+    /// A round of point reads against a random tree, delivered per request
+    /// and coalesced: the shared-proof payloads carry the same queries and
+    /// verify to exactly the concatenation of the per-request results.
+    #[test]
+    fn coalesced_delivers_verify_to_the_per_request_results(
+        ops in prop::collection::vec(tree_op(), 1..80),
+        reads in prop::collection::vec(0u8..24, 1..16),
+    ) {
+        let mut tree = MerkleKv::new();
+        let mut live: BTreeMap<ProofKey, u64> = BTreeMap::new();
+        for op in &ops {
+            match op {
+                TreeOp::Insert(state, key, v) => {
+                    tree.insert(pkey(*state, key), record_value_hash(&v.to_le_bytes()));
+                    live.insert(pkey(*state, key), *v);
+                }
+                TreeOp::Invalidate(state, key) => {
+                    tree.invalidate(&pkey(*state, key));
+                    live.remove(&pkey(*state, key));
+                }
+            }
+        }
+        let root = tree.root();
+        // The watchdog's per-request payloads: one per distinct key, in key
+        // order, each with the SP's records and its own point proof.
+        let consumer = Address::derive("consumer");
+        let keys: BTreeSet<String> = reads.iter().map(|i| format!("key{i:02}")).collect();
+        let singles: Vec<Vec<u8>> = keys
+            .iter()
+            .map(|key| {
+                let pk = pkey(false, key);
+                let records: Vec<(Vec<u8>, Vec<u8>)> = live
+                    .get(&pk)
+                    .map(|v| (key.clone().into_bytes(), v.to_le_bytes().to_vec()))
+                    .into_iter()
+                    .collect();
+                let proof = tree.prove_range(&pk, &pk);
+                let callbacks = [(consumer, "onData".to_owned())];
+                encode_deliver(key.as_bytes(), key.as_bytes(), false, &records, &proof, &callbacks)
+            })
+            .collect();
+        let coalesced = coalesce_delivers(singles.clone());
+        prop_assert_eq!(coalesced.len(), 1, "a small round fits one payload");
+        prop_assert!(keys.len() == 1 || coalesced[0].len() < singles.iter().map(Vec::len).sum());
+
+        let verify = |payloads: &[Vec<u8>]| {
+            let mut queries = Vec::new();
+            let mut results = Vec::new();
+            for payload in payloads {
+                let decoded = DeliverPayload::decode(payload).expect("decodes");
+                let bounds: Vec<(ProofKey, ProofKey)> = decoded
+                    .queries
+                    .iter()
+                    .map(|q| {
+                        (
+                            ProofKey::new(ReplState::NotReplicated, q.start.clone()),
+                            ProofKey::new(ReplState::NotReplicated, q.end.clone()),
+                        )
+                    })
+                    .collect();
+                let bounds: Vec<(&ProofKey, &ProofKey)> = bounds.iter().map(|(lo, hi)| (lo, hi)).collect();
+                results.extend(decoded.proof.verify_queries(&root, &bounds).expect("verifies"));
+                queries.extend(decoded.queries);
+            }
+            (queries, results)
+        };
+        let (per_request_queries, per_request) = verify(&singles);
+        let (shared_queries, shared) = verify(&coalesced);
+        prop_assert_eq!(shared_queries, per_request_queries);
+        prop_assert_eq!(shared, per_request);
     }
 
     /// The LSM store agrees with an ordered-map model across puts, deletes,
