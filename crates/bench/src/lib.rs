@@ -13,8 +13,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod experiments;
+
+use grub_fault::KnobError;
 
 /// One experiment entry: `(name, paper artifact, function)`.
 pub type Experiment = (&'static str, &'static str, fn() -> String);
@@ -86,4 +87,57 @@ pub fn registry() -> Vec<Experiment> {
             e::multifeed_batching,
         ),
     ]
+}
+
+/// Parses a `GRUB_EXPERIMENTS` value — comma-separated registry names — into
+/// the experiments it selects, in registry order. `None` (the knob is off)
+/// selects every experiment.
+///
+/// # Errors
+///
+/// A [`KnobError`] listing the registry's names when a name is not in it,
+/// so a typo fails the run instead of running nothing.
+pub fn select(raw: Option<&str>) -> Result<Vec<Experiment>, KnobError> {
+    let all = registry();
+    let Some(raw) = raw else {
+        return Ok(all);
+    };
+    let wanted: Vec<&str> = raw.split(',').map(str::trim).collect();
+    if let Some(unknown) = wanted.iter().find(|w| !all.iter().any(|(n, _, _)| n == *w)) {
+        let names: Vec<&str> = all.iter().map(|(name, _, _)| *name).collect();
+        let want = format!("a comma-separated subset of {}", names.join(", "));
+        return Err(KnobError::new("GRUB_EXPERIMENTS", unknown, want));
+    }
+    Ok(all
+        .into_iter()
+        .filter(|(name, _, _)| wanted.contains(name))
+        .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(selected: &[Experiment]) -> Vec<&'static str> {
+        selected.iter().map(|(name, _, _)| *name).collect()
+    }
+
+    #[test]
+    fn experiments_knob_selects_a_subset_in_registry_order() {
+        let selected = select(Some("fig7, table1")).unwrap();
+        assert_eq!(names(&selected), ["table1", "fig7"]);
+    }
+
+    #[test]
+    fn experiments_knob_names_an_unknown_experiment() {
+        let err = select(Some("fig3,fig33")).unwrap_err();
+        assert_eq!((err.name, err.raw.as_str()), ("GRUB_EXPERIMENTS", "fig33"));
+        assert!(err.want.contains("fig3") && err.want.contains("multifeed"));
+    }
+
+    #[test]
+    fn experiments_knob_off_runs_everything() {
+        // `grub_fault::knob` hands the parser `None` for unset, empty and `0`.
+        assert_eq!(names(&select(None).unwrap()), names(&registry()));
+    }
 }

@@ -50,21 +50,11 @@ pub fn zipfian_ratio_specs(
     Multiplex::new(tenants, total_ops)
         .zipfian(0.99)
         .sources(|tenant, ops| {
-            let ratio = ratios[tenant % ratios.len()];
-            // Ops per write/read cycle of the ratio shape (see
-            // RatioWorkload::cycle_shape): 0 → write-only.
-            let per_cycle = if ratio == 0.0 {
-                1
-            } else if ratio >= 1.0 {
-                1 + ratio.round() as usize
-            } else {
-                (1.0 / ratio).round() as usize + 1
-            };
-            Box::new(
-                RatioWorkload::new(format!("feed-{tenant}"), ratio)
-                    .seed(tenant as u64 + 1)
-                    .source((ops / per_cycle).max(1)),
-            ) as Box<dyn OpSource>
+            let workload =
+                RatioWorkload::new(format!("feed-{tenant}"), ratios[tenant % ratios.len()])
+                    .seed(tenant as u64 + 1);
+            let (writes, reads) = workload.cycle_shape();
+            Box::new(workload.source((ops / (writes + reads)).max(1))) as Box<dyn OpSource>
         })
         .into_iter()
         .enumerate()

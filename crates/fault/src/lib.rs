@@ -168,13 +168,13 @@ pub struct KnobError {
     /// The rejected value, as found in the environment.
     pub raw: String,
     /// The accepted values.
-    pub want: &'static str,
+    pub want: String,
 }
 
 impl KnobError {
     /// The error for knob `name` holding `raw` where `want` is accepted.
-    pub fn new(name: &'static str, raw: &str, want: &'static str) -> Self {
-        let raw = raw.to_owned();
+    pub fn new(name: &'static str, raw: &str, want: impl Into<String>) -> Self {
+        let (raw, want) = (raw.to_owned(), want.into());
         KnobError { name, raw, want }
     }
 }

@@ -46,7 +46,7 @@ fn build_specs(total_ops: usize) -> Vec<FeedSpec> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::var("GRUB_SMOKE").is_ok();
+    let smoke = grub::fault::knob("GRUB_SMOKE").is_some();
     let scrub = ScrubMode::from_env()?;
     let total_ops = if smoke { 256 } else { 2048 };
     let shards = 2;

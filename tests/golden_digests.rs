@@ -1,5 +1,7 @@
 //! Golden digests: four small deterministic engine runs whose chain
-//! digest, total feed Gas and final Merkle roots are pinned as constants.
+//! digest, total feed Gas and final Merkle roots are pinned as constants,
+//! and one smoke fleet whose batching ladder — Gas, rounds, sections and
+//! transactions, five ways — is pinned the same way.
 //!
 //! Every other equivalence net in the workspace compares two paths through
 //! the *same* build (batch ≡ sequential, reorged ≡ straight-line, streamed
@@ -19,6 +21,7 @@ use grub::core::policy::PolicyKind;
 use grub::core::system::SystemConfig;
 use grub::engine::specs::{demo_policies, zipfian_ratio_specs, DEMO_RATIOS};
 use grub::engine::{EngineConfig, FeedEngine, FeedSpec};
+use grub::gas::FeeProcess;
 use grub::workload::ratio::MultiKeyRatio;
 use grub::workload::ycsb::{preload, YcsbKind, YcsbRunner};
 
@@ -234,5 +237,82 @@ fn eight_feed_fleet_under_reorgs() {
             ],
             16,
         )
+    );
+}
+
+/// What the batching ladder pins: the smoke fleet's ops and rounds, its
+/// feed Gas five ways, and the full-batch run's sections and transactions.
+#[derive(Debug, PartialEq, Eq)]
+struct Ladder {
+    total_ops: usize,
+    rounds: usize,
+    unbatched_gas: u64,
+    write_only_gas: u64,
+    full_batch_gas: u64,
+    fee_spike_gas: u64,
+    confirm_depth_gas: u64,
+    update_sections: usize,
+    deliver_sections: usize,
+    update_txs: usize,
+    deliver_txs: usize,
+}
+
+/// The multifeed example's 8-feed mixed-skew fleet at smoke scale on two
+/// shards, run unbatched, with update batching only, fully batched, fully
+/// batched under the seeded spiking gas price, and fully batched under
+/// depth-3 confirmation with inclusion latency. Block heights, and so every
+/// priced charge, are pure functions of the specs and the seeds.
+#[test]
+fn multifeed_batching_ladder() {
+    let run = |config: EngineConfig| {
+        let specs = zipfian_ratio_specs(8, 512, DEMO_RATIOS, &demo_policies());
+        FeedEngine::run_specs(&config, specs).expect("fleet runs")
+    };
+    let with_chain = |chain: ChainConfig| {
+        let mut config = EngineConfig::new(2);
+        config.chain = chain;
+        run(config)
+    };
+    let unbatched = run(EngineConfig::new(2).unbatched());
+    let write_only = run(EngineConfig::new(2).without_read_batching());
+    let full = run(EngineConfig::new(2));
+    let fee_spike = with_chain(ChainConfig::default().fee(FeeProcess::spike(11)));
+    let confirm = with_chain(ChainConfig::default().confirm_depth(3).latency(5, 1));
+    let got = Ladder {
+        total_ops: full.total_ops(),
+        rounds: full.rounds,
+        unbatched_gas: unbatched.feed_gas_total(),
+        write_only_gas: write_only.feed_gas_total(),
+        full_batch_gas: full.feed_gas_total(),
+        fee_spike_gas: fee_spike.feed_gas_total(),
+        confirm_depth_gas: confirm.feed_gas_total(),
+        update_sections: full.metrics.iter().map(|m| m.update_sections).sum(),
+        deliver_sections: full.metrics.iter().map(|m| m.deliver_sections).sum(),
+        update_txs: full.shard_update_txs.iter().sum(),
+        deliver_txs: full.shard_deliver_txs.iter().sum(),
+    };
+    assert_eq!(
+        got.confirm_depth_gas, got.full_batch_gas,
+        "confirmation depth and inclusion latency must never move a unit of Gas"
+    );
+    assert!(
+        got.full_batch_gas < got.write_only_gas && got.write_only_gas < got.unbatched_gas,
+        "the gas-savings ladder must be strictly monotone: {got:?}"
+    );
+    assert_eq!(
+        got,
+        Ladder {
+            total_ops: 501,
+            rounds: 6,
+            unbatched_gas: 1_576_220,
+            write_only_gas: 1_404_628,
+            full_batch_gas: 1_287_332,
+            fee_spike_gas: 2_093_059,
+            confirm_depth_gas: 1_287_332,
+            update_sections: 18,
+            deliver_sections: 14,
+            update_txs: 9,
+            deliver_txs: 8,
+        }
     );
 }
