@@ -153,3 +153,42 @@ fn with_entry<V: Default, T>(
         }
     }
 }
+
+/// [`with_entry`] for [`ReplicationPolicy::seed_state`]: seeding an unseen
+/// key with NR stores nothing, because NR is the state the key's record
+/// starts in when an operation first creates it.
+///
+/// [`ReplicationPolicy::seed_state`]: policy::ReplicationPolicy::seed_state
+fn seed_entry<V: Default>(
+    map: &mut HashMap<String, V>,
+    key: &str,
+    state: ReplState,
+    seed: impl FnOnce(&mut V),
+) {
+    if state == ReplState::NotReplicated && !map.contains_key(key) {
+        return;
+    }
+    with_entry(map, key, seed);
+}
+
+/// Heap bytes a `String`-keyed map owns: its table at capacity (one
+/// `(key, value)` slot and one control byte per bucket, as `std`'s
+/// SwissTable lays them out), every key's buffer, and what `value_heap`
+/// says each value owns. An entry of the memory ledger (ARCHITECTURE.md).
+fn map_heap_bytes<V>(map: &HashMap<String, V>, value_heap: impl Fn(&V) -> usize) -> usize {
+    let capacity = map.capacity();
+    // The table keeps at most 7/8 of its buckets full (all but one below 8).
+    let buckets = match capacity {
+        0 => 0,
+        1..=7 => (capacity + 1).next_power_of_two(),
+        _ => (capacity * 8 / 7).next_power_of_two(),
+    };
+    let table = if buckets == 0 {
+        0
+    } else {
+        buckets * std::mem::size_of::<(String, V)>() + buckets + 16
+    };
+    // grub-lint: allow(determinism) — a sum of sizes, the same in any order
+    let owned: usize = map.iter().map(|(k, v)| k.capacity() + value_heap(v)).sum();
+    table + owned
+}

@@ -27,6 +27,7 @@ use std::collections::{BTreeSet, HashMap};
 use grub_chain::{Address, Blockchain};
 use grub_merkle::{record_value_hash, MerkleKv, ProofKey, ReplState, TreeOp};
 
+use crate::contract::encode_update;
 use crate::policy::ReplicationPolicy;
 use crate::provider::SpSync;
 use crate::with_entry;
@@ -129,35 +130,48 @@ impl DataOwner {
     }
 
     /// Loads the initial dataset (no policy decisions, no staging), before
-    /// metering starts. The mirror takes the records as one
-    /// [`MerkleKv::apply_batch`], so a sorted dataset on a fresh DO is bulk
-    /// loaded; each record costs one value copy (the DO's own) and the key
-    /// copies its three owners need (entry, leaf, policy).
-    pub fn bulk_load(&mut self, records: &[(String, Vec<u8>)], state: ReplState) {
-        let mut tree_ops = Vec::with_capacity(records.len());
-        for (key, value) in records {
-            let pkey = ProofKey::new(state, key.as_bytes().to_vec());
-            tree_ops.push(TreeOp::Insert(pkey, record_value_hash(value)));
-            with_entry(&mut self.entries, key, |entry| {
-                (entry.committed, entry.desired) = (state, state);
-                entry.value = Some(value.clone());
-            });
-            // Committed and desired now agree, whatever was observed before.
-            self.pending.remove(key);
-            self.policy.seed_state(key, state);
-        }
+    /// metering starts, and returns the `update()` inputs that seed the
+    /// chain with it: the root digest alone, or — for a replicated preload —
+    /// the records too, in chunks under `Ctx`'s 1000-word bound.
+    ///
+    /// The DO takes the records: each key and value moves into its entry,
+    /// so the dataset is not copied. The mirror hashes them first, as one
+    /// [`MerkleKv::apply_batch`] (a sorted dataset on a fresh DO is bulk
+    /// loaded), and its leaves take the one key copy each record costs. An
+    /// NR preload costs the policy nothing
+    /// ([`ReplicationPolicy::seed_state`]).
+    pub fn bulk_load(&mut self, records: Vec<(String, Vec<u8>)>, state: ReplState) -> Vec<Vec<u8>> {
+        let tree_ops = records
+            .iter()
+            .map(|(key, value)| {
+                let pkey = ProofKey::new(state, key.as_bytes().to_vec());
+                TreeOp::Insert(pkey, record_value_hash(value))
+            })
+            .collect();
         self.nodes_rehashed += self.mirror.apply_batch(tree_ops) as u64;
+        let seed = seed_chunks(&self.mirror.root(), &records, state);
+        self.entries.reserve(records.len());
+        for (key, value) in records {
+            // Committed and desired now agree, whatever was observed before.
+            self.pending.remove(&key);
+            self.policy.seed_state(&key, state);
+            let entry = self.entries.entry(key).or_default();
+            (entry.committed, entry.desired) = (state, state);
+            entry.value = Some(value);
+        }
+        seed
     }
 
-    /// [`DataOwner::bulk_load`], plus the `gPuts` sync list that carries the
-    /// same records to an SP by [`StorageProvider::apply_sync_batch`] — a
-    /// second copy of the dataset, built only for callers that ask for it.
-    /// (`EpochDriver::deploy` does not: it hands the SP the records it was
-    /// given. The frozen `benchmark trace` probe does.)
+    /// [`DataOwner::bulk_load`] of a copy of `records`, plus the `gPuts`
+    /// sync list that carries the same records to an SP by
+    /// [`StorageProvider::apply_sync_batch`] — two more copies of the
+    /// dataset, for callers that keep theirs. (`EpochDriver::deploy` hands
+    /// the SP the records and the DO takes them; the frozen
+    /// `benchmark trace` probe calls this.)
     ///
     /// [`StorageProvider::apply_sync_batch`]: crate::provider::StorageProvider::apply_sync_batch
     pub fn preload(&mut self, records: &[(String, Vec<u8>)], state: ReplState) -> Vec<SpSync> {
-        self.bulk_load(records, state);
+        self.bulk_load(records.to_vec(), state);
         records
             .iter()
             .map(|(key, value)| SpSync::Write {
@@ -166,6 +180,38 @@ impl DataOwner {
                 state,
             })
             .collect()
+    }
+
+    /// Heap bytes the DO owns: the entry table with every key and value,
+    /// the worklists (`pending` and `hinted` counted as key slots plus key
+    /// buffers; their B-tree node headers are not) and the staged writes,
+    /// and the hash mirror. The policy reports its own
+    /// ([`ReplicationPolicy::heap_bytes`]). One entry of the memory ledger
+    /// (ARCHITECTURE.md).
+    pub fn heap_bytes(&self) -> usize {
+        let set_bytes = |set: &BTreeSet<String>| {
+            set.iter()
+                .map(|key| std::mem::size_of::<String>() + key.capacity())
+                .sum::<usize>()
+        };
+        let staged = self.staged.capacity() * std::mem::size_of::<(String, Vec<u8>)>()
+            + self
+                .staged
+                .iter()
+                .map(|(key, value)| key.capacity() + value.capacity())
+                .sum::<usize>();
+        crate::map_heap_bytes(&self.entries, |entry| {
+            entry.value.as_ref().map_or(0, Vec::capacity)
+        }) + set_bytes(&self.pending)
+            + set_bytes(&self.hinted)
+            + staged
+            + self.mirror.heap_bytes()
+    }
+
+    /// Heap bytes the policy's state owns
+    /// ([`ReplicationPolicy::heap_bytes`]).
+    pub fn policy_heap_bytes(&self) -> usize {
+        self.policy.heap_bytes()
     }
 
     /// Observes a local write: feeds the policy and stages the value for the
@@ -398,6 +444,35 @@ impl DataOwner {
             evictions,
         }
     }
+}
+
+/// The `update()` inputs that seed the chain with a freshly loaded dataset
+/// under `digest`: the digest alone — even an empty feed pins its
+/// (empty-tree) digest on chain — or, for a replicated preload, the records
+/// too, in chunks of just over 20,000 bytes to stay under `Ctx`'s X < 1000.
+fn seed_chunks(
+    digest: &grub_crypto::Hash32,
+    records: &[(String, Vec<u8>)],
+    state: ReplState,
+) -> Vec<Vec<u8>> {
+    if state == ReplState::NotReplicated || records.is_empty() {
+        return vec![encode_update(digest, &[], &[], &[])];
+    }
+    let mut chunks = Vec::new();
+    let mut batch: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+    let mut batch_bytes = 0usize;
+    for (key, value) in records {
+        batch.push((key.as_bytes().to_vec(), value.clone()));
+        batch_bytes += key.len() + value.len() + 16;
+        if batch_bytes > 20_000 {
+            chunks.push(encode_update(digest, &[], &std::mem::take(&mut batch), &[]));
+            batch_bytes = 0;
+        }
+    }
+    if !batch.is_empty() {
+        chunks.push(encode_update(digest, &[], &batch, &[]));
+    }
+    chunks
 }
 
 impl std::fmt::Debug for DataOwner {

@@ -22,7 +22,7 @@ use grub_gas::GasSchedule;
 use grub_merkle::ReplState;
 use grub_workload::{Op, OpSource, Trace};
 
-use crate::with_entry;
+use crate::{map_heap_bytes, seed_entry, with_entry};
 
 /// A replication decision maker.
 ///
@@ -42,7 +42,18 @@ pub trait ReplicationPolicy {
     /// Seeds the policy's view of a preloaded record's initial state
     /// (warm-start deployments preload records already replicated; the
     /// policy must not treat the first read as a fresh NR record).
+    /// Seeding an unseen key with NR — the state every key starts in — is a
+    /// no-op: the policy stores nothing for it until an operation arrives,
+    /// so a not-replicated preload costs the policy no memory.
     fn seed_state(&mut self, _key: &str, _state: ReplState) {}
+
+    /// Heap bytes the policy's state owns (its per-key records and any
+    /// window it keeps) — one entry of the memory ledger (ARCHITECTURE.md).
+    /// Policies that do not report it (the stateless baselines, the offline
+    /// reference) return 0.
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 
     /// Observes the chain's current gas-price multiplier (permille of the
     /// flat schedule, [`grub_gas::BASE_PRICE_PERMILLE`] = flat). The driver
@@ -136,7 +147,11 @@ impl Memoryless {
 
 impl ReplicationPolicy for Memoryless {
     fn seed_state(&mut self, key: &str, state: ReplState) {
-        with_entry(&mut self.keys, key, |entry| entry.state = state);
+        seed_entry(&mut self.keys, key, state, |entry| entry.state = state);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        map_heap_bytes(&self.keys, |_| 0)
     }
 
     fn on_write(&mut self, key: &str) -> ReplState {
@@ -223,7 +238,7 @@ impl Memorizing {
 
 impl ReplicationPolicy for Memorizing {
     fn seed_state(&mut self, key: &str, state: ReplState) {
-        with_entry(&mut self.keys, key, |entry| {
+        seed_entry(&mut self.keys, key, state, |entry| {
             entry.state = state;
             if state == ReplState::Replicated {
                 // Start at the replication boundary so the next writes can
@@ -231,6 +246,10 @@ impl ReplicationPolicy for Memorizing {
                 entry.reads = self.d;
             }
         });
+    }
+
+    fn heap_bytes(&self) -> usize {
+        map_heap_bytes(&self.keys, |_| 0)
     }
 
     fn on_write(&mut self, key: &str) -> ReplState {
@@ -329,6 +348,12 @@ impl ReplicationPolicy for AdaptiveK {
         with_entry(&mut self.keys, key, |entry| {
             entry.since_write += 1;
             entry.state
+        })
+    }
+
+    fn heap_bytes(&self) -> usize {
+        map_heap_bytes(&self.keys, |entry| {
+            entry.history.capacity() * std::mem::size_of::<u64>()
         })
     }
 
@@ -551,6 +576,12 @@ impl ReplicationPolicy for SelfTuningK {
         self.inner.seed_state(key, state);
     }
 
+    fn heap_bytes(&self) -> usize {
+        self.inner.heap_bytes()
+            + map_heap_bytes(&self.since_write, |_| 0)
+            + self.bursts.capacity() * std::mem::size_of::<u64>()
+    }
+
     fn on_write(&mut self, key: &str) -> ReplState {
         let burst = with_entry(&mut self.since_write, key, std::mem::take);
         self.bursts.push_back(burst);
@@ -637,8 +668,12 @@ impl ReplicationPolicy for FeeAware {
     }
 
     fn seed_state(&mut self, key: &str, state: ReplState) {
-        with_entry(&mut self.granted, key, |have| *have = state);
+        seed_entry(&mut self.granted, key, state, |have| *have = state);
         self.inner.seed_state(key, state);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        map_heap_bytes(&self.granted, |_| 0) + self.inner.heap_bytes()
     }
 
     fn observe_fee_price(&mut self, price_permille: u64) {
@@ -765,6 +800,21 @@ mod tests {
         p.on_read("a");
         assert_eq!(p.on_read("a"), R);
         assert_eq!(p.on_read("b"), NR, "b has its own counter");
+    }
+
+    #[test]
+    fn an_nr_seed_stores_nothing_for_an_unseen_key_but_resets_a_seen_one() {
+        let mut p = Memoryless::new(2);
+        p.seed_state("fresh", NR);
+        assert_eq!(p.heap_bytes(), 0, "NR is where a fresh key starts");
+        p.on_read("k");
+        assert_eq!(p.on_read("k"), R);
+        // A seen key keeps its record, and the seed overrides its state.
+        p.seed_state("k", NR);
+        assert_eq!(p.on_read("k"), NR, "counter restarted below K");
+        // An R seed is stored, unseen key or not.
+        p.seed_state("warm", R);
+        assert_eq!(p.on_read("warm"), R);
     }
 
     #[test]

@@ -310,7 +310,8 @@ impl EpochDriver {
     /// Deploys one feed (contracts, DO, SP) onto `chain` and preloads its
     /// dataset. The Gas meter is *not* reset — the caller decides when
     /// provisioning ends (a multi-feed engine resets once after all feeds
-    /// deploy).
+    /// deploy). The caller keeps `config`, so the DO loads a clone of its
+    /// preload; [`EpochDriver::deploy_owned`] avoids that copy.
     ///
     /// # Errors
     ///
@@ -320,19 +321,33 @@ impl EpochDriver {
         config: &SystemConfig,
         identity: &DriverIdentity,
     ) -> Result<Self> {
+        Self::deploy_owned(chain, config.clone(), identity)
+    }
+
+    /// [`EpochDriver::deploy`] taking the config, and with it the preload,
+    /// by value: the DO keeps the records it is handed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates store failures and failed preload transactions.
+    pub fn deploy_owned(
+        chain: &mut Blockchain,
+        config: SystemConfig,
+        identity: &DriverIdentity,
+    ) -> Result<Self> {
         let policy = config.policy.build(&grub_gas::GasSchedule::default());
         Self::deploy_with_policy(chain, config, policy, identity)
     }
 
-    /// Like [`EpochDriver::deploy`] with an explicit policy object (offline
-    /// optimal).
+    /// Like [`EpochDriver::deploy_owned`] with an explicit policy object
+    /// (offline optimal).
     ///
     /// # Errors
     ///
     /// Propagates store failures and failed preload transactions.
     pub fn deploy_with_policy(
         chain: &mut Blockchain,
-        config: &SystemConfig,
+        config: SystemConfig,
         policy: Box<dyn ReplicationPolicy>,
         identity: &DriverIdentity,
     ) -> Result<Self> {
@@ -361,46 +376,20 @@ impl EpochDriver {
 
         // Preload: BL2-style policies want the dataset replicated up front;
         // warm-started adaptive deployments may too.
-        let replicated = config
+        let preload_state = if config
             .preload_replicated
-            .unwrap_or(matches!(config.policy, PolicyKind::Bl2));
-        let preload_state = if replicated {
+            .unwrap_or(matches!(config.policy, PolicyKind::Bl2))
+        {
             ReplState::Replicated
         } else {
             ReplState::NotReplicated
         };
-        // Both sides load from the borrowed dataset — no sync list in
-        // between — and each hashes its own copy.
-        owner.bulk_load(&config.preload, preload_state);
+        // One copy of the dataset: the SP reads it into its store and tree,
+        // then the DO takes it — no sync list in between — and returns the
+        // `update()` inputs that seed the chain (the root digest, plus the
+        // replicas when preloading replicated).
         provider.bulk_load(&config.preload, preload_state)?;
-        // Seed the on-chain state: the root digest, plus replicas when
-        // preloading replicated. Chunk to stay under Ctx's X < 1000.
-        let digest = owner.root();
-        if replicated && !config.preload.is_empty() {
-            let mut batch: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-            let mut batch_bytes = 0usize;
-            for (key, value) in &config.preload {
-                batch.push((key.as_bytes().to_vec(), value.clone()));
-                batch_bytes += key.len() + value.len() + 16;
-                if batch_bytes > 20_000 {
-                    let input = crate::contract::encode_update(
-                        &digest,
-                        &[],
-                        &std::mem::take(&mut batch),
-                        &[],
-                    );
-                    submit_checked(chain, do_addr, manager, "update", input)?;
-                    batch_bytes = 0;
-                }
-            }
-            if !batch.is_empty() {
-                let input = crate::contract::encode_update(&digest, &[], &batch, &[]);
-                submit_checked(chain, do_addr, manager, "update", input)?;
-            }
-        } else {
-            // Nothing to replicate: the digest alone — even an empty feed
-            // pins its (empty-tree) digest on chain.
-            let input = crate::contract::encode_update(&digest, &[], &[], &[]);
+        for input in owner.bulk_load(config.preload, preload_state) {
             submit_checked(chain, do_addr, manager, "update", input)?;
         }
         Ok(EpochDriver {
@@ -904,7 +893,7 @@ impl GrubSystem {
         let mut chain = Blockchain::with_config(config.chain);
         let driver = EpochDriver::deploy_with_policy(
             &mut chain,
-            config,
+            config.clone(),
             policy,
             &DriverIdentity::default(),
         )?;

@@ -521,7 +521,9 @@ impl FeedEngine {
             if config.batching {
                 identity = identity.with_update_delegate(shards[shard].router);
             }
-            let driver = EpochDriver::deploy(&mut chain, &spec.config, &identity)?;
+            // The engine owns its specs, so each feed's preload moves into
+            // its DO instead of being copied.
+            let driver = EpochDriver::deploy_owned(&mut chain, spec.config, &identity)?;
             feeds.push(FeedSlot {
                 tenant: spec.tenant,
                 shard,
@@ -916,11 +918,13 @@ impl FeedEngine {
                 .map(|(feed_idx, _)| tier_priority(self.feeds[*feed_idx].tier()))
                 .max()
                 .unwrap_or(0);
-            let id = if let [(feed_idx, _)] = parts[..] {
-                // Lone section: the feed's own transaction is strictly
-                // cheaper than a one-section batch.
-                // grub-lint: allow(panic) — the match arm proved `parts` has exactly one element
-                let (manager, payload) = batch.pop().expect("one section");
+            // Lone section: the feed's own transaction is strictly cheaper
+            // than a one-section batch. (`batch` and `parts` grow together.)
+            let lone = match parts[..] {
+                [(feed_idx, _)] => batch.pop().map(|section| (feed_idx, section)),
+                _ => None,
+            };
+            let id = if let Some((feed_idx, (manager, payload))) = lone {
                 let driver = &self.feeds[feed_idx].driver;
                 let (from, func) = match kind {
                     BatchKind::Update => (driver.data_owner(), "update"),

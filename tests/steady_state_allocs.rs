@@ -1,10 +1,12 @@
-//! The steady-state op path does not allocate, and the Merkle arena costs
-//! what it says it costs.
+//! The steady-state op path does not allocate, and the Merkle arena, the
+//! data owner and the policies cost what they say they cost.
 //!
 //! A key's per-policy record and the DO's per-key entry are created the
 //! first time the key is seen; every later observation finds them with one
 //! lookup and copies nothing. A loaded `MerkleKv` is two vectors plus the
-//! keys it was handed, and `MerkleKv::heap_bytes` reports exactly that.
+//! keys it was handed, and `MerkleKv::heap_bytes` reports exactly that. A
+//! preload moves into the DO record by record, and `DataOwner::heap_bytes`
+//! and `ReplicationPolicy::heap_bytes` report what is held.
 //! This binary carries its own counting `#[global_allocator]` (the only
 //! `unsafe` in the tree, and the reason the test lives here rather than in a
 //! library crate) and asserts the counts and live bytes. Counting is per
@@ -231,6 +233,76 @@ fn a_sorted_load_allocates_the_arena_and_nothing_else() {
         held < 12.0 * (1 << 20) as f64,
         "{held} bytes for 2^16 leaves"
     );
+}
+
+#[test]
+fn a_not_replicated_load_moves_the_dataset_into_the_data_owner() {
+    let start = live_bytes();
+    // The YCSB benchmark's dataset: 2^16 owned records of 256 B.
+    let records: Vec<(String, Vec<u8>)> = (0..TREE)
+        .map(|i| (format!("user{i:012}"), vec![i as u8; 256]))
+        .collect();
+    let n = u64::from(TREE);
+    let mut owner = DataOwner::new(Address::derive("DO"), Box::new(Memoryless::new(2)));
+    // Each key and value moves into its entry. What the load allocates is
+    // one leaf key per record, the op vector, the arena's two vectors, the
+    // digest-only seed chunk and the entry table, sized once.
+    let load = allocs_during(|| {
+        let seed = owner.bulk_load(records, ReplState::NotReplicated);
+        assert_eq!(seed.len(), 1, "an NR load seeds the digest alone");
+    });
+    assert!(load <= n + 8, "{load} allocations to load {n} records");
+    // Seeding a key NR is a no-op: the policy holds nothing.
+    assert_eq!(owner.policy_heap_bytes(), 0);
+    // What the DO holds is what it says it holds: the records (the caller's
+    // vector is gone), the entry table and the mirror.
+    let held = (live_bytes() - start) as f64;
+    let reported = owner.heap_bytes() as f64;
+    assert!(
+        (reported - held).abs() <= 0.05 * held,
+        "heap_bytes {reported} vs {held} live bytes"
+    );
+}
+
+#[test]
+fn policy_heap_bytes_matches_the_live_bytes() {
+    let schedule = GasSchedule::default();
+    let keys = keys();
+    for kind in [
+        PolicyKind::Memoryless { k: 2 },
+        PolicyKind::Memorizing {
+            k_prime: 2.0,
+            d: 1.0,
+        },
+        PolicyKind::Adaptive {
+            dual: true,
+            window: WINDOW,
+        },
+        PolicyKind::SelfTuning { window: 16 },
+        PolicyKind::FeeAware {
+            threshold_permille: 1_500,
+            inner: Box::new(PolicyKind::Memoryless { k: 2 }),
+        },
+    ] {
+        let start = live_bytes();
+        let mut policy = kind.build(&schedule);
+        // An NR seed stores nothing; the first operations create the state.
+        for key in &keys {
+            policy.seed_state(key, ReplState::NotReplicated);
+        }
+        assert_eq!(policy.heap_bytes(), 0, "{kind:?} after NR seeds");
+        for key in &keys {
+            policy.on_write(key);
+            policy.on_read(key);
+            policy.on_write(key);
+        }
+        let held = (live_bytes() - start) as f64;
+        let reported = policy.heap_bytes() as f64;
+        assert!(
+            (reported - held).abs() <= 0.05 * held,
+            "{kind:?}: heap_bytes {reported} vs {held} live bytes"
+        );
+    }
 }
 
 #[test]
