@@ -104,11 +104,6 @@ impl SpvProof {
     pub fn verify(&self, txid: &Hash32, header: &BlockHeader) -> bool {
         self.root_for(txid) == header.merkle_root
     }
-
-    /// Serialized length in bytes (for Gas payload accounting).
-    pub fn encoded_len(&self) -> usize {
-        8 + self.siblings.len() * 33
-    }
 }
 
 /// Builds the Bitcoin-style transaction Merkle tree (odd nodes pair with

@@ -6,9 +6,6 @@
 //!
 //! * [`sha256`] — a FIPS 180-4 SHA-256 implementation, validated against the
 //!   official test vectors (see the unit tests).
-//! * [`hmac_sha256`] — HMAC (RFC 2104) over SHA-256, used as the data owner's
-//!   digest authenticator in the simulator (see ARCHITECTURE.md, "Where the
-//!   simulator departs from the paper", for the substitution rationale).
 //! * [`Hash32`] — the 32-byte digest newtype shared by every crate.
 //! * [`hex`] — dependency-free hex encoding/decoding.
 //!
@@ -155,44 +152,6 @@ pub fn sha256_pair(left: &Hash32, right: &Hash32) -> Hash32 {
     h.finalize()
 }
 
-/// HMAC-SHA256 per RFC 2104.
-///
-/// Used as the data owner's authenticator on the signed root digest in the
-/// simulation (substituting for ECDSA; see ARCHITECTURE.md, "Where the
-/// simulator departs from the paper"). Verified against RFC 4231 test
-/// vectors in the unit tests.
-///
-/// # Examples
-///
-/// ```
-/// let tag = grub_crypto::hmac_sha256(b"key", b"message");
-/// assert_eq!(tag, grub_crypto::hmac_sha256(b"key", b"message"));
-/// assert_ne!(tag, grub_crypto::hmac_sha256(b"other", b"message"));
-/// ```
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Hash32 {
-    const BLOCK: usize = 64;
-    let mut key_block = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        key_block[..32].copy_from_slice(sha256(key).as_bytes());
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(inner_digest.as_bytes());
-    outer.finalize()
-}
-
 /// Derives a deterministic 20-byte style account address (zero-padded into 32
 /// bytes) from a label, mimicking how test accounts are minted on devnets.
 pub fn derive_address(label: &str) -> Hash32 {
@@ -248,53 +207,6 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finalize(), sha256(&data));
-    }
-
-    // RFC 4231 test case 1.
-    #[test]
-    fn hmac_rfc4231_case1() {
-        let key = [0x0bu8; 20];
-        let tag = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            tag.to_hex(),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-    }
-
-    // RFC 4231 test case 2 ("Jefe").
-    #[test]
-    fn hmac_rfc4231_case2() {
-        let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            tag.to_hex(),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-    }
-
-    // RFC 4231 test case 3: 20x 0xaa key, 50x 0xdd data.
-    #[test]
-    fn hmac_rfc4231_case3() {
-        let key = [0xaau8; 20];
-        let data = [0xddu8; 50];
-        let tag = hmac_sha256(&key, &data);
-        assert_eq!(
-            tag.to_hex(),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-        );
-    }
-
-    // RFC 4231 test case 6: key longer than the block size.
-    #[test]
-    fn hmac_rfc4231_long_key() {
-        let key = [0xaau8; 131];
-        let tag = hmac_sha256(
-            &key,
-            b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
-        assert_eq!(
-            tag.to_hex(),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
     }
 
     #[test]

@@ -586,12 +586,6 @@ impl GasMeter {
             .fold(0, |acc, &layer| checked_add_gas(acc, layer))
     }
 
-    /// Total Gas across the feed and application layers — the quantity the
-    /// paper reports.
-    pub fn reported_total(&self) -> u64 {
-        checked_add_gas(self.by_layer[0], self.by_layer[1])
-    }
-
     /// Gas charged to one layer.
     pub fn layer_total(&self, layer: Layer) -> Gas {
         Gas(self.by_layer[layer_index(layer)])

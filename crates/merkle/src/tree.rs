@@ -9,6 +9,11 @@
 //! leaf and one inner node, a scapegoat rebuild rejoins its subtree into
 //! that subtree's own inner slots, and the tombstone compaction rebuilds
 //! both vectors in place.
+//!
+//! Hashing has one path. Every mutation marks the leaf it writes and the
+//! inner nodes above it dirty, and a round of mutations — one
+//! [`MerkleKv::insert`], or a whole [`MerkleKv::apply_batch`] — ends in one
+//! bottom-up rehash of the dirty nodes.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -17,17 +22,14 @@ use grub_crypto::Hash32;
 use crate::proof::{ProofNode, RangeProof};
 use crate::{empty_root, inner_hash, leaf_hash, ProofKey};
 
-#[cfg(test)]
-mod oracle;
-
 #[derive(Clone, Debug)]
 struct Leaf {
     pkey: ProofKey,
     vhash: Hash32,
     hash: Hash32,
     valid: bool,
-    /// `hash` is stale; recomputed by the batch rehash pass. Never true
-    /// outside [`MerkleKv::apply_batch`].
+    /// `hash` is stale; recomputed by the rehash pass that ends every
+    /// round, so never true at rest.
     dirty: bool,
 }
 
@@ -42,8 +44,8 @@ struct Inner {
     left_max: u32,
     /// The right subtree's first leaf.
     right_min: u32,
-    /// `hash` is stale; recomputed by the batch rehash pass. Never true
-    /// outside [`MerkleKv::apply_batch`].
+    /// `hash` is stale; recomputed by the rehash pass that ends every
+    /// round, so never true at rest.
     dirty: bool,
 }
 
@@ -154,19 +156,20 @@ impl MerkleKv {
     }
 
     /// Inserts a key or updates it in place (reviving a tombstone if one
-    /// exists for the same key).
+    /// exists for the same key): a round of one op.
     pub fn insert(&mut self, pkey: ProofKey, vhash: Hash32) {
-        self.insert_with(pkey, vhash, false);
+        self.insert_op(pkey, vhash);
+        self.rehash_root();
     }
 
-    fn insert_with(&mut self, pkey: ProofKey, vhash: Hash32, defer: bool) {
+    fn insert_op(&mut self, pkey: ProofKey, vhash: Hash32) {
         match self.root {
             None => {
-                self.root = Some(self.push_leaf(pkey, vhash, defer));
+                self.root = Some(self.push_leaf(pkey, vhash));
                 self.live += 1;
             }
             Some(root) => {
-                let (root, outcome) = self.insert_at(root, pkey, vhash, defer);
+                let (root, outcome) = self.insert_at(root, pkey, vhash);
                 self.root = Some(root);
                 match outcome {
                     InsertOutcome::Grafted { .. } => {
@@ -180,38 +183,39 @@ impl MerkleKv {
                 }
             }
         }
-        self.maybe_rebalance(defer);
+        self.maybe_rebalance();
     }
 
-    /// Tombstones a key (the paper's "mark invalid"); returns whether it was
-    /// live.
+    /// Tombstones a key (the paper's "mark invalid"): a round of one op.
+    /// Returns whether the key was live.
     pub fn invalidate(&mut self, pkey: &ProofKey) -> bool {
-        self.invalidate_with(pkey, false)
+        let removed = self.invalidate_op(pkey);
+        self.rehash_root();
+        removed
     }
 
-    fn invalidate_with(&mut self, pkey: &ProofKey, defer: bool) -> bool {
+    fn invalidate_op(&mut self, pkey: &ProofKey) -> bool {
         let Some(root) = self.root else {
             return false;
         };
-        let removed = self.invalidate_at(root, pkey, defer);
+        let removed = self.invalidate_at(root, pkey);
         if removed {
             self.live -= 1;
             self.tombstones += 1;
         }
-        self.maybe_rebalance(defer);
+        self.maybe_rebalance();
         removed
     }
 
-    /// Applies a whole sync round of mutations in one pass, with hashing
-    /// deferred: every structural decision (graft order, scapegoat joins,
-    /// the tombstone-compaction trigger) is made exactly as the equivalent
-    /// sequence of [`MerkleKv::insert`]/[`MerkleKv::invalidate`] calls
-    /// would make it — shape depends only on keys and counts, never hashes
-    /// — but dirty nodes are rehashed once, bottom-up, at the end of the
-    /// round. Root-to-leaf paths shared by several ops (and subtrees churned
-    /// by a mid-round compaction) therefore pay for hashing once instead of
-    /// once per op, while the resulting root is byte-identical to the
-    /// sequential one.
+    /// Applies a whole sync round of mutations in one pass: every structural
+    /// decision (graft order, scapegoat joins, the tombstone-compaction
+    /// trigger) is made exactly as the equivalent sequence of
+    /// [`MerkleKv::insert`]/[`MerkleKv::invalidate`] calls would make it —
+    /// shape depends only on keys and counts, never hashes — but dirty nodes
+    /// are rehashed once, bottom-up, at the end of the round. Root-to-leaf
+    /// paths shared by several ops (and subtrees churned by a mid-round
+    /// compaction) therefore pay for hashing once instead of once per op,
+    /// while the resulting root is byte-identical to the sequential one.
     ///
     /// **The bulk load is the one exception.** A batch of inserts in
     /// strictly ascending key order applied to an *empty* tree is a sorted
@@ -234,22 +238,22 @@ impl MerkleKv {
             self.inners = Vec::with_capacity(n - 1);
             for op in ops {
                 if let TreeOp::Insert(pkey, vhash) = op {
-                    self.push_leaf(pkey, vhash, true);
+                    self.push_leaf(pkey, vhash);
                 }
             }
             self.live = n;
-            self.root = Some(self.build_balanced(&|j| j, 0..n, &mut Vec::new(), true));
+            self.root = Some(self.build_balanced(&|j| j, 0..n, &mut Vec::new()));
         } else {
             for op in ops {
                 match op {
-                    TreeOp::Insert(pkey, vhash) => self.insert_with(pkey, vhash, true),
+                    TreeOp::Insert(pkey, vhash) => self.insert_op(pkey, vhash),
                     TreeOp::Invalidate(pkey) => {
-                        self.invalidate_with(&pkey, true);
+                        self.invalidate_op(&pkey);
                     }
                 }
             }
         }
-        self.root.map(|root| self.rehash(root)).unwrap_or(0)
+        self.rehash_root()
     }
 
     /// [`MerkleKv::apply_batch`] over inserts only — how a dataset is
@@ -268,35 +272,33 @@ impl MerkleKv {
     /// (dropping tombstones) once tombstones exceed half the live set.
     /// Shape balance itself is maintained incrementally by the scapegoat
     /// rebuilds in `insert_at` (see `MerkleKv::lopsided`).
-    fn maybe_rebalance(&mut self, defer: bool) {
+    fn maybe_rebalance(&mut self) {
         if self.tombstones > (self.live / 2).max(64) {
-            self.rebuild_with(defer);
+            self.compact();
         }
     }
 
-    /// Rebuilds a balanced tree from the live records, dropping tombstones.
+    /// Rebuilds a balanced tree from the live records, dropping tombstones:
+    /// a round of one compaction.
     pub fn rebuild(&mut self) {
-        self.rebuild_with(false);
+        self.compact();
+        self.rehash_root();
     }
 
     /// Rebuilds the arena in place: tombstones are dropped, the survivors
     /// sorted by key (the in-order sequence of every tree over them), and
     /// the inner nodes rejoined over them from scratch — never two copies
-    /// of the tree at once.
-    fn rebuild_with(&mut self, defer: bool) {
+    /// of the tree at once. Live leaves are marked dirty too: a round's
+    /// rehash count is a published metric, and it has always counted them.
+    fn compact(&mut self) {
         self.leaves.retain(|leaf| leaf.valid);
         self.leaves.sort_unstable_by(|a, b| a.pkey.cmp(&b.pkey));
-        if defer {
-            // Live leaves are rehashed, as they always have been: a round's
-            // rehash count is a published metric. (An eager rebuild runs at
-            // rest, where every live leaf's hash is already its own.)
-            for leaf in &mut self.leaves {
-                leaf.dirty = true;
-            }
+        for leaf in &mut self.leaves {
+            leaf.dirty = true;
         }
         self.inners.clear();
         let n = self.leaves.len();
-        self.root = (n > 0).then(|| self.build_balanced(&|j| j, 0..n, &mut Vec::new(), defer));
+        self.root = (n > 0).then(|| self.build_balanced(&|j| j, 0..n, &mut Vec::new()));
         self.tombstones = 0;
     }
 
@@ -397,42 +399,33 @@ impl MerkleKv {
         }
     }
 
-    /// A fresh live leaf. With `defer` the hash is left stale (and the leaf
-    /// marked dirty) for the batch rehash pass, so shared root-to-leaf
-    /// paths pay for hashing once per round rather than once per op.
-    fn push_leaf(&mut self, pkey: ProofKey, vhash: Hash32, defer: bool) -> Link {
-        let hash = if defer {
-            Hash32::default()
-        } else {
-            leaf_hash(&pkey, &vhash, true)
-        };
+    /// A fresh live leaf, dirty: its hash is left for the rehash pass, so
+    /// shared root-to-leaf paths pay for hashing once per round rather than
+    /// once per op.
+    fn push_leaf(&mut self, pkey: ProofKey, vhash: Hash32) -> Link {
         self.leaves.push(Leaf {
             pkey,
             vhash,
-            hash,
+            hash: Hash32::default(),
             valid: true,
-            dirty: defer,
+            dirty: true,
         });
         Link::leaf(self.leaves.len() - 1)
     }
 
-    /// Joins two subtrees under an inner node written to `slot`, or pushed
-    /// when there is none. With `defer` the hash is left stale (dirty) for
-    /// the batch rehash pass; count and split — the only inputs shape
-    /// decisions read — are always maintained eagerly.
-    fn join(&mut self, left: Link, right: Link, slot: Option<u32>, defer: bool) -> Link {
+    /// Joins two subtrees under a dirty inner node written to `slot`, or
+    /// pushed when there is none. Its hash is left for the rehash pass;
+    /// count and split — the only inputs shape decisions read — are set
+    /// now.
+    fn join(&mut self, left: Link, right: Link, slot: Option<u32>) -> Link {
         let inner = Inner {
-            hash: if defer {
-                Hash32::default()
-            } else {
-                inner_hash(&self.hash_of(left), &self.hash_of(right))
-            },
+            hash: Hash32::default(),
             left,
             right,
             count: (self.count_of(left) + self.count_of(right)) as u32,
             left_max: self.last_leaf(left) as u32,
             right_min: self.first_leaf(right) as u32,
-            dirty: defer,
+            dirty: true,
         };
         match slot {
             Some(slot) => {
@@ -459,22 +452,21 @@ impl MerkleKv {
         leaf: &impl Fn(usize) -> usize,
         range: Range<usize>,
         free: &mut Vec<u32>,
-        defer: bool,
     ) -> Link {
         let n = range.len();
         if n <= 1 {
             return Link::leaf(leaf(range.start));
         }
         let mid = range.start + n / 2;
-        let left = self.build_balanced(leaf, range.start..mid, free, defer);
-        let right = self.build_balanced(leaf, mid..range.end, free, defer);
-        self.join(left, right, free.pop(), defer)
+        let left = self.build_balanced(leaf, range.start..mid, free);
+        let right = self.build_balanced(leaf, mid..range.end, free);
+        self.join(left, right, free.pop())
     }
 
     /// The scapegoat test on inner node `i`: one side holds more than 3/4 of
     /// a subtree of more than 8 leaves. A pure function of leaf counts,
-    /// never hashes, so the SP tree, the DO mirror, and the deferred-hash
-    /// batch path all make identical shape decisions and their roots agree.
+    /// never hashes, so the SP tree, the DO mirror, and rounds of any size
+    /// all make identical shape decisions and their roots agree.
     fn lopsided(&self, i: usize) -> bool {
         let Inner { left, right, .. } = self.inners[i];
         let (left, right) = (self.count_of(left), self.count_of(right));
@@ -482,30 +474,12 @@ impl MerkleKv {
         total > 8 && (left * 4 > total * 3 || right * 4 > total * 3)
     }
 
-    /// Brings inner node `i`'s hash up to date with its children after a
-    /// mutation below: recomputed now, or left stale (dirty) for the batch
-    /// rehash pass.
-    fn touch(&mut self, i: usize, defer: bool) {
-        if defer {
-            self.inners[i].dirty = true;
-        } else {
-            let Inner { left, right, .. } = self.inners[i];
-            self.inners[i].hash = inner_hash(&self.hash_of(left), &self.hash_of(right));
-        }
-    }
-
     /// Inserts below `at`, returning the subtree's (possibly new) link: an
-    /// update or revival rewrites the leaf and touches each ancestor's hash
-    /// (or dirty flag) on the way back up, with no heap traffic; a graft
-    /// pushes one leaf and one inner node; a scapegoat rebuild reuses the
-    /// rebuilt subtree's inner slots.
-    fn insert_at(
-        &mut self,
-        at: Link,
-        pkey: ProofKey,
-        vhash: Hash32,
-        defer: bool,
-    ) -> (Link, InsertOutcome) {
+    /// update or revival rewrites the leaf and marks it and each ancestor
+    /// dirty on the way back up, with no heap traffic; a graft pushes one
+    /// leaf and one inner node; a scapegoat rebuild reuses the rebuilt
+    /// subtree's inner slots.
+    fn insert_at(&mut self, at: Link, pkey: ProofKey, vhash: Hash32) -> (Link, InsertOutcome) {
         match at.node() {
             Node::Leaf(l) => {
                 let leaf = &mut self.leaves[l];
@@ -517,28 +491,24 @@ impl MerkleKv {
                     };
                     leaf.vhash = vhash;
                     leaf.valid = true;
-                    if defer {
-                        leaf.dirty = true;
-                    } else {
-                        leaf.hash = leaf_hash(&leaf.pkey, &leaf.vhash, true);
-                    }
+                    leaf.dirty = true;
                     return (at, outcome);
                 }
                 // Graft: split this leaf into an inner node holding both, in
                 // key order (the paper's h9 = H(h4 ‖ h8) step).
                 let first = pkey < leaf.pkey;
                 let grafted = self.leaves.len();
-                let new = self.push_leaf(pkey, vhash, defer);
+                let new = self.push_leaf(pkey, vhash);
                 let joined = if first {
-                    self.join(new, at, None, defer)
+                    self.join(new, at, None)
                 } else {
-                    self.join(at, new, None, defer)
+                    self.join(at, new, None)
                 };
                 (joined, InsertOutcome::Grafted { leaf: grafted })
             }
             Node::Inner(i) => {
                 let (child, went_left) = self.route(i, &pkey);
-                let (child, outcome) = self.insert_at(child, pkey, vhash, defer);
+                let (child, outcome) = self.insert_at(child, pkey, vhash);
                 if let InsertOutcome::Grafted { leaf } = outcome {
                     // A graft (or a rebuild it set off) below replaced the
                     // child. A key that went left sorts below `left_max`, so
@@ -560,9 +530,9 @@ impl MerkleKv {
                     }
                 }
                 if self.lopsided(i) {
-                    return (self.rebuild_subtree(at, defer), outcome);
+                    return (self.rebuild_subtree(at), outcome);
                 }
-                self.touch(i, defer);
+                self.inners[i].dirty = true;
                 (at, outcome)
             }
         }
@@ -573,12 +543,12 @@ impl MerkleKv {
     /// its own `m − 1` inner slots, so the arena neither grows nor leaks.
     ///
     /// [`build_balanced`]: MerkleKv::build_balanced
-    fn rebuild_subtree(&mut self, at: Link, defer: bool) -> Link {
+    fn rebuild_subtree(&mut self, at: Link) -> Link {
         let m = self.count_of(at);
         let mut leaves = Vec::with_capacity(m);
         let mut slots = Vec::with_capacity(m - 1);
         self.gather(at, &mut leaves, &mut slots);
-        self.build_balanced(&|j| leaves[j] as usize, 0..m, &mut slots, defer)
+        self.build_balanced(&|j| leaves[j] as usize, 0..m, &mut slots)
     }
 
     /// The leaves below `at` in key order, and every inner slot below it.
@@ -596,9 +566,10 @@ impl MerkleKv {
 
     /// Tombstones `pkey` below `at`, in place and without allocating. Shape
     /// and counts never change (a tombstone is still a physical leaf). The
-    /// path's hashes are touched whether or not the key was found live: a
-    /// batch's rehash count is a published metric and must not depend on it.
-    fn invalidate_at(&mut self, at: Link, pkey: &ProofKey, defer: bool) -> bool {
+    /// path's inner nodes are marked dirty whether or not the key was found
+    /// live: a batch's rehash count is a published metric and must not
+    /// depend on it.
+    fn invalidate_at(&mut self, at: Link, pkey: &ProofKey) -> bool {
         match at.node() {
             Node::Leaf(l) => {
                 let leaf = &mut self.leaves[l];
@@ -606,27 +577,29 @@ impl MerkleKv {
                     return false;
                 }
                 leaf.valid = false;
-                if defer {
-                    leaf.dirty = true;
-                } else {
-                    leaf.hash = leaf_hash(&leaf.pkey, &leaf.vhash, false);
-                }
+                leaf.dirty = true;
                 true
             }
             Node::Inner(i) => {
-                let removed = self.invalidate_at(self.route(i, pkey).0, pkey, defer);
-                self.touch(i, defer);
+                let removed = self.invalidate_at(self.route(i, pkey).0, pkey);
+                self.inners[i].dirty = true;
                 removed
             }
         }
     }
 
-    /// The batch finalizer: recomputes every dirty hash bottom-up and returns
-    /// the number of nodes rehashed. Clean subtrees are skipped whole — a
-    /// dirty node's ancestors are always dirty (a deferred mutation marks
-    /// every inner node on its root-to-leaf path on the way back up, and a
-    /// rebuilt subtree is rejoined dirty throughout), so the early return
-    /// never strands a stale hash below a clean one.
+    /// The round finalizer: recomputes every dirty hash and returns the
+    /// number of nodes rehashed.
+    fn rehash_root(&mut self) -> usize {
+        self.root.map(|root| self.rehash(root)).unwrap_or(0)
+    }
+
+    /// Recomputes every dirty hash below `at` bottom-up and returns how many
+    /// there were. Clean subtrees are skipped whole — a dirty node's
+    /// ancestors are always dirty (a mutation marks every inner node on its
+    /// root-to-leaf path on the way back up, and a rebuilt subtree is
+    /// rejoined dirty throughout), so the early return never strands a stale
+    /// hash below a clean one.
     fn rehash(&mut self, at: Link) -> usize {
         match at.node() {
             Node::Leaf(l) => {
@@ -744,7 +717,7 @@ impl MerkleKv {
     }
 }
 
-/// One mutation in a deferred-hash [`MerkleKv::apply_batch`] round: the
+/// One mutation in a [`MerkleKv::apply_batch`] round: the
 /// batch analog of [`MerkleKv::insert`] / [`MerkleKv::invalidate`].
 #[derive(Clone, Debug)]
 pub enum TreeOp {
@@ -783,6 +756,9 @@ enum InsertOutcome {
         leaf: usize,
     },
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -949,7 +925,7 @@ mod tests {
     #[test]
     fn batch_matches_sequential_through_compaction() {
         // Enough tombstones to trip the deterministic rebuild mid-batch:
-        // the deferred path must compact at the exact same op boundary.
+        // the batched path must compact at the exact same op boundary.
         let mut ops: Vec<TreeOp> = (0..200u32)
             .map(|i| TreeOp::Insert(nr(&format!("k{i:03}")), vh(&i.to_string())))
             .collect();

@@ -68,11 +68,6 @@ impl Bloom {
             k,
         })
     }
-
-    /// Size of the encoded filter in bytes.
-    pub fn encoded_len(&self) -> usize {
-        1 + self.bits.len()
-    }
 }
 
 fn set_key(bits: &mut [u8], key: &[u8], k: u8) {

@@ -60,16 +60,6 @@ pub struct ReadStats {
     pub block_reads: u64,
 }
 
-/// A consistent read point.
-///
-/// Snapshot reads observe the database as of [`Db::snapshot`]. They remain
-/// valid until the next compaction (which drops superseded versions) — a
-/// documented simplification relative to LevelDB's snapshot pinning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Snapshot {
-    seq: u64,
-}
-
 #[derive(Debug)]
 struct Table {
     path: PathBuf,
@@ -233,32 +223,18 @@ impl Db {
     ///
     /// I/O or corruption while consulting SSTables.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.get_at(key, Snapshot { seq: u64::MAX })
-    }
-
-    /// Creates a read snapshot at the current sequence number.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot { seq: self.seq }
-    }
-
-    /// Reads `key` as of `snapshot`.
-    ///
-    /// # Errors
-    ///
-    /// I/O or corruption while consulting SSTables.
-    pub fn get_at(&self, key: &[u8], snapshot: Snapshot) -> Result<Option<Vec<u8>>> {
-        if let Some(opinion) = self.mem.get(key, snapshot.seq) {
+        if let Some(opinion) = self.mem.get(key) {
             return Ok(opinion.cloned());
         }
         for table in self.l0.iter().rev() {
-            if let Some(opinion) = self.table_get(table, key, snapshot.seq)? {
+            if let Some(opinion) = self.table_get(table, key)? {
                 return Ok(opinion);
             }
         }
         // L1 is non-overlapping: at most one candidate table.
         let idx = self.l1.partition_point(|t| t.reader.largest() < key);
         if let Some(table) = self.l1.get(idx) {
-            if let Some(opinion) = self.table_get(table, key, snapshot.seq)? {
+            if let Some(opinion) = self.table_get(table, key)? {
                 return Ok(opinion);
             }
         }
@@ -268,12 +244,7 @@ impl Db {
     /// Point lookup in one table, with the span and bloom checks hoisted
     /// above any block I/O: a miss on a table whose span or bloom excludes
     /// the key costs zero block reads.
-    fn table_get(
-        &self,
-        table: &Table,
-        key: &[u8],
-        seq_limit: u64,
-    ) -> Result<Option<Option<Vec<u8>>>> {
+    fn table_get(&self, table: &Table, key: &[u8]) -> Result<Option<Option<Vec<u8>>>> {
         let r = &table.reader;
         if key < r.smallest() || key > r.largest() {
             self.reads.borrow_mut().span_skips += 1;
@@ -288,10 +259,7 @@ impl Db {
             return Ok(None);
         };
         let block = self.cached_block(table, idx)?;
-        Ok(block
-            .iter()
-            .find(|e| e.key == key && e.seq <= seq_limit)
-            .map(|e| e.value.clone()))
+        Ok(block.iter().find(|e| e.key == key).map(|e| e.value.clone()))
     }
 
     /// Fetches data block `idx` of `table` through the block cache.
@@ -320,27 +288,14 @@ impl Db {
         start: Option<&[u8]>,
         end: Option<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.scan_at(start, end, Snapshot { seq: u64::MAX })
-    }
-
-    /// Ordered scan as of a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// I/O or corruption while consulting SSTables.
-    pub fn scan_at(
-        &self,
-        start: Option<&[u8]>,
-        end: Option<&[u8]>,
-        snapshot: Snapshot,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let in_range = |key: &[u8]| {
             start.map(|s| key >= s).unwrap_or(true) && end.map(|e| key < e).unwrap_or(true)
         };
-        // Winner per key = version with the highest seq ≤ snapshot.
+        // Winner per key = the entry with the highest seq: L0 tables overlap
+        // each other and L1.
         let mut best: BTreeMap<Vec<u8>, (u64, Option<Vec<u8>>)> = BTreeMap::new();
         let mut offer = |key: &[u8], seq: u64, value: Option<Vec<u8>>| {
-            if seq > snapshot.seq || !in_range(key) {
+            if !in_range(key) {
                 return;
             }
             match best.get(key) {
@@ -378,9 +333,9 @@ impl Db {
         }
         let sb = start.map(Bound::Included).unwrap_or(Bound::Unbounded);
         let eb = end.map(Bound::Excluded).unwrap_or(Bound::Unbounded);
-        for (key, value) in self.mem.range_visible(sb, eb, snapshot.seq) {
-            // Memtable versions are newest overall: they win outright.
-            best.insert(key, (u64::MAX, value));
+        for (key, value) in self.mem.range(sb, eb) {
+            // Memtable writes are newest overall: they win outright.
+            best.insert(key.clone(), (u64::MAX, value.cloned()));
         }
         Ok(best
             .into_iter()
@@ -745,30 +700,81 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reads_see_frozen_state() {
-        let dir = temp_dir("snap");
-        let mut db = Db::open(&dir, Options::default()).unwrap();
-        db.put(b"x".to_vec(), b"old".to_vec()).unwrap();
-        let snap = db.snapshot();
-        db.put(b"x".to_vec(), b"new".to_vec()).unwrap();
-        db.put(b"y".to_vec(), b"fresh".to_vec()).unwrap();
-        assert_eq!(db.get_at(b"x", snap).unwrap(), Some(b"old".to_vec()));
-        assert_eq!(db.get_at(b"y", snap).unwrap(), None);
-        assert_eq!(db.get(b"x").unwrap(), Some(b"new".to_vec()));
-        let scanned = db.scan_at(None, None, snap).unwrap();
-        assert_eq!(scanned, vec![(b"x".to_vec(), b"old".to_vec())]);
+    fn a_flush_writes_one_entry_per_key() {
+        let dir = temp_dir("one-per-key");
+        let mut opts = small_opts();
+        opts.l0_compaction_trigger = 1_000; // every flush stays its own L0 table
+        let mut db = Db::open(&dir, opts).unwrap();
+        let key = |i: u32| format!("k{}", i % 10).into_bytes();
+        for i in 0..1_000u32 {
+            db.put(key(i), format!("v{i:04}").into_bytes()).unwrap();
+        }
+        // The flush trigger counts every write, replaced or not: 31 bytes a
+        // write against 1,024 flushes after every 34th.
+        assert_eq!(db.stats(), (29, 0, 29, 0));
+        for table in &db.l0 {
+            let entries = table.reader.iter_all().unwrap();
+            let mut keys: Vec<_> = entries.iter().map(|e| &e.key).collect();
+            keys.dedup();
+            assert_eq!(table.reader.entry_count(), keys.len() as u64);
+            assert_eq!(keys.len(), 10, "34 writes over 10 keys, one entry each");
+        }
+        let newest = |db: &Db| {
+            (990..1_000u32)
+                .all(|i| db.get(&key(i)).unwrap() == Some(format!("v{i:04}").into_bytes()))
+        };
+        assert!(newest(&db));
+        drop(db);
+        let db = Db::open(&dir, opts).unwrap();
+        assert!(newest(&db), "after a reopen");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn snapshot_spans_flush() {
-        let dir = temp_dir("snapflush");
-        let mut db = Db::open(&dir, small_opts()).unwrap();
-        db.put(b"k".to_vec(), b"before".to_vec()).unwrap();
-        let snap = db.snapshot();
-        db.put(b"k".to_vec(), b"after".to_vec()).unwrap();
+    fn reads_take_the_newest_of_overlapping_tables() {
+        let dir = temp_dir("overlap");
+        let mut opts = small_opts();
+        opts.l0_compaction_trigger = 100;
+        let mut db = Db::open(&dir, opts).unwrap();
+        let reads = |db: &Db| {
+            let scanned = db.scan(Some(b"a"), Some(b"z")).unwrap();
+            (db.get(b"x").unwrap(), db.get(b"y").unwrap(), scanned)
+        };
+        let pair = |k: &[u8], v: &[u8]| (k.to_vec(), v.to_vec());
+        // Each step leaves its writes in a table of its own (or the
+        // memtable): L1, then two overlapping L0 tables, then memory.
+        db.put(b"x".to_vec(), b"1".to_vec()).unwrap();
+        db.put(b"y".to_vec(), b"1".to_vec()).unwrap();
         db.flush().unwrap();
-        assert_eq!(db.get_at(b"k", snap).unwrap(), Some(b"before".to_vec()));
+        db.compact().unwrap();
+        db.put(b"x".to_vec(), b"2".to_vec()).unwrap();
+        db.flush().unwrap();
+        db.delete(b"x").unwrap();
+        db.put(b"y".to_vec(), b"3".to_vec()).unwrap();
+        db.flush().unwrap();
+        assert_eq!(db.stats(), (2, 1, 3, 1));
+        assert_eq!(
+            reads(&db),
+            (None, Some(b"3".to_vec()), vec![pair(b"y", b"3")])
+        );
+        db.put(b"x".to_vec(), b"4".to_vec()).unwrap();
+        db.delete(b"y").unwrap();
+        assert_eq!(
+            reads(&db),
+            (Some(b"4".to_vec()), None, vec![pair(b"x", b"4")])
+        );
+        drop(db);
+        let mut db = Db::open(&dir, opts).unwrap();
+        assert_eq!(
+            reads(&db),
+            (Some(b"4".to_vec()), None, vec![pair(b"x", b"4")])
+        );
+        db.flush().unwrap();
+        db.compact().unwrap();
+        assert_eq!(
+            reads(&db),
+            (Some(b"4".to_vec()), None, vec![pair(b"x", b"4")])
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,12 +8,13 @@
 //!
 //! * a write-ahead log ([`wal`]) with CRC-32-framed records and
 //!   truncate-on-corruption recovery;
-//! * an in-memory [`memtable`] holding multi-versioned entries;
-//! * immutable sorted-table files ([`sstable`]) with 4 KiB data blocks, a
-//!   block index and a bloom filter;
+//! * an in-memory [`memtable`] holding each key's latest write;
+//! * immutable sorted-table files ([`sstable`]), one entry per key, with
+//!   4 KiB data blocks, a block index and a bloom filter;
 //! * size-triggered flushes and leveled compaction (L0 overlapping files,
 //!   L1 merged and non-overlapping) in [`Db`];
-//! * snapshot reads by sequence number and ordered range scans.
+//! * latest-value point reads and ordered range scans — the paper's SP
+//!   serves nothing older, so the store keeps one version per key.
 //!
 //! # Examples
 //!
@@ -43,7 +44,7 @@ pub mod memtable;
 pub mod sstable;
 pub mod wal;
 
-pub use db::{Db, Options, ReadStats, Snapshot};
+pub use db::{Db, Options, ReadStats};
 
 use std::error::Error;
 use std::fmt;

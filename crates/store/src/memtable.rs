@@ -1,13 +1,13 @@
-//! The in-memory write buffer: a multi-versioned ordered map.
+//! The in-memory write buffer: an ordered map holding each key's latest write.
 //!
 //! Every write carries a monotonically increasing sequence number; deletes
-//! are tombstones. Versions are kept so snapshot reads observe the state as
-//! of their sequence number, like LevelDB's `SequenceNumber`-tagged skiplist.
+//! are tombstones. A write replaces the key's previous one — the store serves
+//! only the latest value of each record — so a flush writes one entry per key.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-/// One version of a key: sequence number plus value (None = tombstone).
+/// A key's latest write: sequence number plus value (None = tombstone).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Version {
     /// Write sequence number.
@@ -19,10 +19,8 @@ pub struct Version {
 /// The mutable in-memory table.
 #[derive(Debug, Default, Clone)]
 pub struct Memtable {
-    // Versions per key, newest first.
-    map: BTreeMap<Vec<u8>, Vec<Version>>,
+    map: BTreeMap<Vec<u8>, Version>,
     approx_bytes: usize,
-    entries: usize,
 }
 
 impl Memtable {
@@ -31,38 +29,24 @@ impl Memtable {
         Memtable::default()
     }
 
-    /// Records a put or delete at `seq`.
+    /// Records a put or delete at `seq`, replacing the key's previous write.
     pub fn insert(&mut self, key: Vec<u8>, seq: u64, value: Option<Vec<u8>>) {
         self.approx_bytes += key.len() + value.as_ref().map(|v| v.len()).unwrap_or(0) + 24;
-        self.entries += 1;
-        let versions = self.map.entry(key).or_default();
-        // Writes arrive in increasing seq order; append (O(1)) and read
-        // newest-to-oldest by reverse iteration — front-inserting here made
-        // every write to a hot key shift its whole version history.
-        versions.push(Version { seq, value });
+        self.map.insert(key, Version { seq, value });
     }
 
-    /// Latest visible version of `key` at or below `seq_limit`.
+    /// The latest write of `key`.
     ///
     /// Returns `None` when the memtable has no opinion; `Some(None)` when the
-    /// visible version is a tombstone.
-    pub fn get(&self, key: &[u8], seq_limit: u64) -> Option<Option<&Vec<u8>>> {
-        let versions = self.map.get(key)?;
-        versions
-            .iter()
-            .rev()
-            .find(|v| v.seq <= seq_limit)
-            .map(|v| v.value.as_ref())
+    /// latest write is a tombstone.
+    pub fn get(&self, key: &[u8]) -> Option<Option<&Vec<u8>>> {
+        self.map.get(key).map(|v| v.value.as_ref())
     }
 
-    /// Approximate heap footprint, used for flush triggering.
+    /// Bytes written since the last flush — every write counts, replaced or
+    /// not — used for flush triggering.
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes
-    }
-
-    /// Number of recorded writes (all versions).
-    pub fn entry_count(&self) -> usize {
-        self.entries
     }
 
     /// Whether the table holds no entries.
@@ -70,41 +54,21 @@ impl Memtable {
         self.map.is_empty()
     }
 
-    /// All versions of all keys in key order (newest version first per key),
-    /// as consumed by the SSTable writer.
+    /// Every key's latest write in key order, as consumed by the SSTable
+    /// writer.
     pub fn iter_all(&self) -> impl Iterator<Item = (&Vec<u8>, &Version)> {
-        self.map
-            .iter()
-            .flat_map(|(k, versions)| versions.iter().rev().map(move |v| (k, v)))
+        self.map.iter()
     }
 
-    /// Keys in `[start, end)` visible at `seq_limit`, skipping tombstones.
-    pub fn range_visible(
+    /// Keys in `[start, end)` with their latest write (`None` = tombstone).
+    pub fn range(
         &self,
         start: Bound<&[u8]>,
         end: Bound<&[u8]>,
-        seq_limit: u64,
-    ) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
-        let start = bound_owned(start);
-        let end = bound_owned(end);
+    ) -> impl Iterator<Item = (&Vec<u8>, Option<&Vec<u8>>)> {
         self.map
-            .range((start, end))
-            .filter_map(|(k, versions)| {
-                versions
-                    .iter()
-                    .rev()
-                    .find(|v| v.seq <= seq_limit)
-                    .map(|v| (k.clone(), v.value.clone()))
-            })
-            .collect()
-    }
-}
-
-fn bound_owned(b: Bound<&[u8]>) -> Bound<Vec<u8>> {
-    match b {
-        Bound::Included(x) => Bound::Included(x.to_vec()),
-        Bound::Excluded(x) => Bound::Excluded(x.to_vec()),
-        Bound::Unbounded => Bound::Unbounded,
+            .range::<[u8], _>((start, end))
+            .map(|(k, v)| (k, v.value.as_ref()))
     }
 }
 
@@ -117,24 +81,16 @@ mod tests {
         let mut m = Memtable::new();
         m.insert(b"k".to_vec(), 1, Some(b"v1".to_vec()));
         m.insert(b"k".to_vec(), 2, Some(b"v2".to_vec()));
-        assert_eq!(m.get(b"k", u64::MAX), Some(Some(&b"v2".to_vec())));
-    }
-
-    #[test]
-    fn snapshot_sees_old_version() {
-        let mut m = Memtable::new();
-        m.insert(b"k".to_vec(), 1, Some(b"v1".to_vec()));
-        m.insert(b"k".to_vec(), 5, Some(b"v2".to_vec()));
-        assert_eq!(m.get(b"k", 4), Some(Some(&b"v1".to_vec())));
-        assert_eq!(m.get(b"k", 0), None, "before first write: no opinion");
+        assert_eq!(m.get(b"k"), Some(Some(&b"v2".to_vec())));
+        assert_eq!(m.iter_all().count(), 1, "one entry per key");
     }
 
     #[test]
     fn tombstone_is_distinguished_from_absence() {
         let mut m = Memtable::new();
         m.insert(b"k".to_vec(), 3, None);
-        assert_eq!(m.get(b"k", 10), Some(None), "tombstone");
-        assert_eq!(m.get(b"other", 10), None, "no opinion");
+        assert_eq!(m.get(b"k"), Some(None), "tombstone");
+        assert_eq!(m.get(b"other"), None, "no opinion");
     }
 
     #[test]
@@ -144,12 +100,16 @@ mod tests {
         m.insert(b"b".to_vec(), 2, Some(b"2".to_vec()));
         m.insert(b"b".to_vec(), 3, None); // delete b at seq 3
         m.insert(b"c".to_vec(), 4, Some(b"3".to_vec()));
-        let all = m.range_visible(Bound::Unbounded, Bound::Unbounded, u64::MAX);
+        let all: Vec<_> = m.range(Bound::Unbounded, Bound::Unbounded).collect();
+        assert_eq!(all.len(), 3, "the tombstone is reported, not skipped");
+        assert_eq!(all[1], (&b"b".to_vec(), None), "the newer delete wins");
         let live: Vec<_> = all.into_iter().filter(|(_, v)| v.is_some()).collect();
         assert_eq!(live.len(), 2);
-        // At seq 2, b is still alive.
-        let at2 = m.range_visible(Bound::Unbounded, Bound::Unbounded, 2);
-        assert!(at2.iter().any(|(k, v)| k == b"b" && v.is_some()));
+        let tail: Vec<_> = m
+            .range(Bound::Excluded(b"a"), Bound::Unbounded)
+            .map(|(k, _)| k.clone())
+            .collect();
+        assert_eq!(tail, [b"b".to_vec(), b"c".to_vec()]);
     }
 
     #[test]
@@ -158,6 +118,10 @@ mod tests {
         assert_eq!(m.approx_bytes(), 0);
         m.insert(b"key".to_vec(), 1, Some(vec![0u8; 100]));
         assert!(m.approx_bytes() >= 103);
-        assert_eq!(m.entry_count(), 1);
+        // A replacing write still counts: the flush trigger measures bytes
+        // written, not bytes held.
+        let one = m.approx_bytes();
+        m.insert(b"key".to_vec(), 2, Some(vec![0u8; 100]));
+        assert_eq!(m.approx_bytes(), 2 * one);
     }
 }

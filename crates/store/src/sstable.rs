@@ -6,11 +6,12 @@
 //! [data block]*  [index block]  [bloom block]  [footer]
 //! ```
 //!
-//! Data blocks hold `(key, seq, value?)` entries sorted by key ascending and
-//! sequence descending, cut at ~4 KiB on user-key boundaries (so one key's
-//! versions never straddle blocks). The index maps each block's last key to
-//! its file extent; the bloom filter short-circuits point lookups; the footer
-//! pins everything with a magic number. Blocks are CRC-checked.
+//! Data blocks hold `(key, seq, value?)` entries, one per key, in strictly
+//! ascending key order, cut once a block reaches ~4 KiB. The index maps each
+//! block's last key to its file extent; the bloom filter short-circuits point
+//! lookups; the footer pins everything with a magic number. Blocks are
+//! CRC-checked. The sequence number is kept so compaction can pick the newest
+//! of overlapping tables and `Db::open` can recover the store's sequence.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -44,8 +45,8 @@ struct IndexEntry {
     len: u32,
 }
 
-/// Streaming SSTable writer. Entries must arrive sorted by
-/// `(key asc, seq desc)`.
+/// Streaming SSTable writer. Entries must arrive one per key, in strictly
+/// ascending key order.
 ///
 /// Bytes go to a `.tmp` sibling of the target path; [`SsTableWriter::finish`]
 /// syncs and renames it into place, so a crash at any point during the write
@@ -58,15 +59,11 @@ pub struct SsTableWriter {
     path: PathBuf,
     tmp_path: PathBuf,
     block: Vec<u8>,
-    block_entries: usize,
     offset: u64,
     index: Vec<IndexEntry>,
     keys: Vec<Vec<u8>>,
-    last: Option<(Vec<u8>, u64)>,
-    current_block_last_key: Option<Vec<u8>>,
     block_target: usize,
     bits_per_key: usize,
-    entry_count: u64,
 }
 
 impl SsTableWriter {
@@ -94,15 +91,11 @@ impl SsTableWriter {
             path,
             tmp_path,
             block: Vec::new(),
-            block_entries: 0,
             offset: 0,
             index: Vec::new(),
             keys: Vec::new(),
-            last: None,
-            current_block_last_key: None,
             block_target,
             bits_per_key,
-            entry_count: 0,
         })
     }
 
@@ -110,24 +103,17 @@ impl SsTableWriter {
     ///
     /// # Panics
     ///
-    /// Panics if entries arrive out of `(key asc, seq desc)` order — that is
-    /// a caller bug that would corrupt lookups.
+    /// Panics unless `key` sorts strictly above the previous key — a
+    /// repeated or out-of-order key is a caller bug that would corrupt
+    /// lookups.
     pub fn add(&mut self, key: &[u8], seq: u64, value: Option<&[u8]>) -> Result<()> {
-        if let Some((last_key, last_seq)) = &self.last {
-            let ordered = match key.cmp(last_key) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => seq < *last_seq,
-                std::cmp::Ordering::Less => false,
-            };
-            assert!(ordered, "entries must be sorted by (key asc, seq desc)");
+        if let Some(last) = self.keys.last() {
+            assert!(
+                key > last.as_slice(),
+                "keys must be sorted strictly ascending"
+            );
         }
-        // Cut the block at user-key boundaries only.
-        let key_changed = self
-            .current_block_last_key
-            .as_deref()
-            .map(|k| k != key)
-            .unwrap_or(true);
-        if self.block.len() >= self.block_target && key_changed {
+        if self.block.len() >= self.block_target {
             self.finish_block()?;
         }
         self.block
@@ -140,13 +126,7 @@ impl SsTableWriter {
         if let Some(v) = value {
             self.block.extend_from_slice(v);
         }
-        self.block_entries += 1;
-        self.entry_count += 1;
-        if self.keys.last().map(|k| k.as_slice()) != Some(key) {
-            self.keys.push(key.to_vec());
-        }
-        self.last = Some((key.to_vec(), seq));
-        self.current_block_last_key = Some(key.to_vec());
+        self.keys.push(key.to_vec());
         Ok(())
     }
 
@@ -161,17 +141,13 @@ impl SsTableWriter {
         framed.extend_from_slice(&self.block);
         self.file.write_all(&framed)?;
         self.index.push(IndexEntry {
-            last_key: self
-                .current_block_last_key
-                .clone()
-                // grub-lint: allow(panic) — flush is only reached with entries in the block, and add() records the key
-                .expect("non-empty block has a last key"),
+            // A non-empty block ends with the last key add() recorded.
+            last_key: self.keys.last().cloned().unwrap_or_default(),
             offset: self.offset,
             len: framed.len() as u32,
         });
         self.offset += framed.len() as u64;
         self.block.clear();
-        self.block_entries = 0;
         Ok(())
     }
 
@@ -213,7 +189,7 @@ impl SsTableWriter {
         footer.extend_from_slice(&(index.len() as u32).to_le_bytes());
         footer.extend_from_slice(&bloom_off.to_le_bytes());
         footer.extend_from_slice(&(bloom.len() as u32).to_le_bytes());
-        footer.extend_from_slice(&self.entry_count.to_le_bytes());
+        footer.extend_from_slice(&(self.keys.len() as u64).to_le_bytes());
         footer.extend_from_slice(&MAGIC.to_le_bytes());
         self.file.write_all(&footer)?;
         self.file.sync_data()?;
@@ -295,7 +271,7 @@ impl SsTableReader {
         Ok(reader)
     }
 
-    /// Number of entries (all versions).
+    /// Number of entries (one per key).
     pub fn entry_count(&self) -> u64 {
         self.entry_count
     }
@@ -328,30 +304,6 @@ impl SsTableReader {
         parse_block(body)
     }
 
-    /// Latest version of `key` at or below `seq_limit`.
-    ///
-    /// Returns `None` when this table has no opinion, `Some(None)` for a
-    /// visible tombstone.
-    ///
-    /// # Errors
-    ///
-    /// I/O or corruption while reading the containing block.
-    pub fn get(&self, key: &[u8], seq_limit: u64) -> Result<Option<Option<Vec<u8>>>> {
-        if self.index.is_empty() || !self.bloom.may_contain(key) {
-            return Ok(None);
-        }
-        // First block whose last_key >= key.
-        let idx = self.index.partition_point(|e| e.last_key.as_slice() < key);
-        let Some(entry) = self.index.get(idx) else {
-            return Ok(None);
-        };
-        let block = self.read_block(entry)?;
-        Ok(block
-            .into_iter()
-            .find(|e| e.key == key && e.seq <= seq_limit)
-            .map(|e| e.value))
-    }
-
     /// Number of data blocks in the table.
     pub(crate) fn block_count(&self) -> usize {
         self.index.len()
@@ -378,7 +330,7 @@ impl SsTableReader {
         }
     }
 
-    /// All entries, in `(key asc, seq desc)` order.
+    /// All entries, in key order.
     ///
     /// # Errors
     ///
@@ -497,29 +449,16 @@ mod tests {
         assert_eq!(r.entry_count(), 500);
         assert_eq!(r.smallest(), b"key000000");
         assert_eq!(r.largest(), b"key000499");
+        let all = r.iter_all().unwrap();
         assert_eq!(
-            r.get(b"key000123", u64::MAX).unwrap(),
-            Some(Some(b"val123".to_vec()))
+            all[123],
+            TableEntry {
+                key: b"key000123".to_vec(),
+                seq: 124,
+                value: Some(b"val123".to_vec()),
+            }
         );
-        assert_eq!(r.get(b"nope", u64::MAX).unwrap(), None);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn multi_version_and_seq_limits() {
-        let path = temp_path("versions");
-        let mut w = SsTableWriter::create(&path, 4096, 10).unwrap();
-        // key "a": seqs 9 (newest, tombstone) then 4 then 1.
-        w.add(b"a", 9, None).unwrap();
-        w.add(b"a", 4, Some(b"v4")).unwrap();
-        w.add(b"a", 1, Some(b"v1")).unwrap();
-        w.add(b"b", 2, Some(b"bee")).unwrap();
-        w.finish().unwrap();
-        let r = SsTableReader::open(&path).unwrap();
-        assert_eq!(r.get(b"a", u64::MAX).unwrap(), Some(None), "tombstone wins");
-        assert_eq!(r.get(b"a", 8).unwrap(), Some(Some(b"v4".to_vec())));
-        assert_eq!(r.get(b"a", 3).unwrap(), Some(Some(b"v1".to_vec())));
-        assert_eq!(r.get(b"a", 0).unwrap(), None);
+        assert!(!all.iter().any(|e| e.key == b"nope"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -536,12 +475,42 @@ mod tests {
     }
 
     #[test]
+    fn tombstones_and_sequence_numbers_round_trip() {
+        let path = temp_path("tombstone");
+        let mut w = SsTableWriter::create(&path, 4096, 10).unwrap();
+        w.add(b"a", 9, None).unwrap();
+        w.add(b"b", 2, Some(b"bee")).unwrap();
+        w.finish().unwrap();
+        let r = SsTableReader::open(&path).unwrap();
+        let entry = |key: &[u8], seq, value: Option<&[u8]>| TableEntry {
+            key: key.to_vec(),
+            seq,
+            value: value.map(<[u8]>::to_vec),
+        };
+        assert_eq!(
+            r.iter_all().unwrap(),
+            [entry(b"a", 9, None), entry(b"b", 2, Some(b"bee"))]
+        );
+        assert!(r.may_contain(b"a") && r.may_contain(b"b"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     #[should_panic(expected = "sorted")]
     fn out_of_order_add_panics() {
         let path = temp_path("order");
         let mut w = SsTableWriter::create(&path, 4096, 10).unwrap();
         w.add(b"b", 1, Some(b"x")).unwrap();
         let _ = w.add(b"a", 2, Some(b"y"));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn a_repeated_key_panics() {
+        let path = temp_path("repeat");
+        let mut w = SsTableWriter::create(&path, 4096, 10).unwrap();
+        w.add(b"a", 2, Some(b"new")).unwrap();
+        let _ = w.add(b"a", 1, Some(b"old"));
     }
 
     #[test]
@@ -566,12 +535,11 @@ mod tests {
         data[16] ^= 0xFF;
         std::fs::write(&path, &data).unwrap();
         match SsTableReader::open(&path) {
-            // Either open (which reads block 0 for smallest key) or a get
+            // Either open (which reads block 0 for smallest key) or a read
             // must surface the corruption.
             Err(StoreError::Corrupt(_)) => {}
             Ok(r) => {
-                let err = r.get(b"key000001", u64::MAX);
-                assert!(matches!(err, Err(StoreError::Corrupt(_))));
+                assert!(matches!(r.iter_all(), Err(StoreError::Corrupt(_))));
             }
             Err(other) => panic!("unexpected error {other:?}"),
         }
@@ -579,31 +547,24 @@ mod tests {
     }
 
     #[test]
-    fn blocks_split_at_key_boundaries() {
+    fn tiny_blocks_are_cut_at_the_size_target() {
         let path = temp_path("blocks");
-        let mut w = SsTableWriter::create(&path, 64, 10).unwrap(); // tiny blocks
+        let mut w = SsTableWriter::create(&path, 64, 10).unwrap();
         for i in 0..50u32 {
-            let key = format!("k{i:04}");
-            // Two versions per key; both must land in the same block.
-            w.add(key.as_bytes(), (100 + i) as u64, Some(b"new"))
+            w.add(format!("k{i:04}").as_bytes(), i as u64 + 1, Some(b"v"))
                 .unwrap();
-            w.add(key.as_bytes(), i as u64 + 1, Some(b"old")).unwrap();
         }
         w.finish().unwrap();
         let r = SsTableReader::open(&path).unwrap();
-        for i in 0..50u32 {
-            let key = format!("k{i:04}");
-            assert_eq!(
-                r.get(key.as_bytes(), u64::MAX).unwrap(),
-                Some(Some(b"new".to_vec())),
-                "key {key}"
-            );
-            assert_eq!(
-                r.get(key.as_bytes(), 99).unwrap(),
-                Some(Some(b"old".to_vec())),
-                "key {key} old version"
-            );
-        }
+        // 23-byte entries: a block takes three before it reaches 64 bytes.
+        assert_eq!(r.block_count(), 17);
+        let keys: Vec<_> = r.iter_all().unwrap().into_iter().map(|e| e.key).collect();
+        let want: Vec<_> = (0..50u32)
+            .map(|i| format!("k{i:04}").into_bytes())
+            .collect();
+        assert_eq!(keys, want);
+        assert_eq!(r.find_block_idx(b"k0049"), Some(16));
+        assert_eq!(r.find_block_idx(b"k0050"), None);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -102,21 +102,6 @@ pub enum YcsbKind {
     F,
 }
 
-impl YcsbKind {
-    /// Parses the single-letter codename.
-    pub fn from_letter(c: char) -> Option<Self> {
-        match c.to_ascii_uppercase() {
-            'A' => Some(YcsbKind::A),
-            'B' => Some(YcsbKind::B),
-            'C' => Some(YcsbKind::C),
-            'D' => Some(YcsbKind::D),
-            'E' => Some(YcsbKind::E),
-            'F' => Some(YcsbKind::F),
-            _ => None,
-        }
-    }
-}
-
 /// YCSB key for record index `i`.
 pub fn ycsb_key(i: u64) -> String {
     format!("user{i:012}")

@@ -15,7 +15,7 @@
 //! | [`apps`] | `grub-apps` | SCoin stablecoin + Bitcoin-pegged token case studies |
 //! | [`gas`] | `grub-gas` | the paper's Table 2 Gas schedule and metering |
 //! | [`fault`] | `grub-fault` | named crash-point injection for recovery tests |
-//! | [`crypto`] | `grub-crypto` | SHA-256 / HMAC / Lamport, from scratch |
+//! | [`crypto`] | `grub-crypto` | SHA-256 and hex, from scratch |
 //!
 //! # Quickstart
 //!

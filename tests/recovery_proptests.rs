@@ -5,9 +5,10 @@
 //!   against the current root, updates change what the proof commits to,
 //!   and proofs never verify against the wrong root, key, or value;
 //! * `grub-store` — WAL/SSTable recovery: an arbitrary stream of puts,
-//!   deletes, and flushes, cut off at an arbitrary point (some data only in
-//!   the WAL, some in SSTables), must reappear intact when the database is
-//!   reopened from disk; `Db::ingest_sorted` equals the `put` loop on any
+//!   deletes, flushes and compactions, cut off at an arbitrary point (some
+//!   data only in the WAL, some in SSTables), reads back like the model on
+//!   the live handle and reappears intact when the database is reopened
+//!   from disk; `Db::ingest_sorted` equals the `put` loop on any
 //!   input and any store, and a crash on its k-th table leaves a clean
 //!   prefix that a second load completes.
 
@@ -118,12 +119,15 @@ proptest! {
         }
     }
 
-    /// WAL/SSTable recovery: whatever mix of flushed and unflushed state the
-    /// process dies with, reopening the directory reproduces the model
-    /// exactly — point reads, full scans, and the write sequence number.
+    /// WAL/SSTable recovery: whatever mix of flushed, compacted and
+    /// unflushed state the process dies with, the live handle and the
+    /// directory reopened after it reproduce the model exactly — point
+    /// reads, scans, and the write sequence number.
     #[test]
     fn store_recovers_from_wal_and_sstables(
-        ops in prop::collection::vec((0u8..4, 0u8..20, any::<u16>()), 1..120),
+        ops in prop::collection::vec((0u8..5, 0u8..20, any::<u16>()), 1..120),
+        lo in 0u8..20,
+        width in 0u8..21,
     ) {
         let dir = std::env::temp_dir().join(format!(
             "grub-recovery-{}-{}",
@@ -149,9 +153,30 @@ proptest! {
                     db.delete(&key).expect("delete");
                     model.remove(&key);
                 }
-                _ => db.flush().expect("flush"),
+                3 => db.flush().expect("flush"),
+                _ => db.compact().expect("compact"),
             }
         }
+        // The live handle: every key id, deleted or never written included.
+        for key_id in 0u8..20 {
+            let key = format!("k{key_id:02}").into_bytes();
+            prop_assert_eq!(
+                db.get(&key).expect("get"),
+                model.get(&key).cloned(),
+                "live read of {:?}",
+                String::from_utf8_lossy(&key)
+            );
+        }
+        let (start, end) = (
+            format!("k{lo:02}").into_bytes(),
+            format!("k{:02}", lo + width).into_bytes(),
+        );
+        let bounded = db.scan(Some(&start), Some(&end)).expect("scan");
+        let expect: Vec<_> = model
+            .range(start..end)
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        prop_assert_eq!(bounded, expect, "live bounded scan must match the model");
         let sequence = db.sequence();
         drop(db); // "crash": unflushed tail lives only in the WAL
 
