@@ -8,8 +8,9 @@
 //! (the calibration bands in ARCHITECTURE.md, "Where the simulator departs
 //! from the paper").
 //!
-//! Run everything with `cargo bench --bench experiments`, or a single one
-//! with `cargo run --release -p grub-bench --bin experiment -- fig3`.
+//! Run everything with `cargo bench --bench experiments`, or a subset with
+//! `GRUB_EXPERIMENTS=fig3,fig7 cargo bench --bench experiments` (an
+//! unknown name exits 1 listing the registry, see [`select`]).
 
 #![forbid(unsafe_code)]
 

@@ -21,7 +21,7 @@
 //! (uniform or Zipfian activity skew) for multi-feed engine runs.
 //!
 //! Ingestion is pull-based: every generator streams its operations through
-//! the [`source::OpSource`] trait (seeded, deterministic, replayable — see
+//! the [`source::OpSource`] trait (seeded, deterministic, cloneable — see
 //! the [`source`] module docs for the contract), and the materialized
 //! [`Trace`] is a thin [`Trace::from_source`] / [`Trace::into_source`]
 //! adapter kept for offline algorithms and hand-built inputs. [`tempo`] reshapes a stream's read-arrival timing (bursty

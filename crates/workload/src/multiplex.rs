@@ -7,51 +7,30 @@
 //! budget over tenants — deterministically, by largest-remainder
 //! apportionment over the skew weights, so the same parameters always
 //! produce the same split — and then handing each tenant's budget to a
-//! caller-supplied generator: [`Multiplex::generate`] materializes one
-//! trace per tenant, [`Multiplex::sources`] builds one streaming
-//! [`OpSource`] per tenant, and [`Multiplex::interleaved`] lazily merges
-//! the per-tenant sources into a single arrival stream by skew-weighted
-//! sampling ([`InterleaveSource`]).
+//! caller-supplied generator: [`Multiplex::sources`] builds one streaming
+//! [`OpSource`] per tenant.
 //!
 //! # Examples
 //!
 //! ```
 //! use grub_workload::multiplex::Multiplex;
-//! use grub_workload::ratio::RatioWorkload;
 //!
 //! // 4 tenants sharing 1000 ops, zipfian activity: tenant 0 is hottest.
-//! let feeds = Multiplex::new(4, 1000).zipfian(0.99).generate(|tenant, ops| {
-//!     RatioWorkload::new(format!("key-{tenant}"), 4.0).generate(ops / 5)
-//! });
-//! assert_eq!(feeds.len(), 4);
-//! assert!(feeds[0].1.ops.len() > feeds[3].1.ops.len());
+//! let budgets = Multiplex::new(4, 1000).zipfian(0.99).ops_per_tenant();
+//! assert_eq!(budgets.iter().sum::<usize>(), 1000);
+//! assert!(budgets[0] > budgets[3]);
 //! ```
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::source::OpSource;
-use crate::{Op, Trace};
-
-/// How the global op budget is distributed over tenants.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TenantSkew {
-    /// Every tenant gets the same share.
-    Uniform,
-    /// Tenant `i` gets a share ∝ `1 / (i + 1)^theta` — the YCSB-style
-    /// Zipfian activity profile over tenants (not keys).
-    Zipfian {
-        /// The skew exponent θ (YCSB uses 0.99).
-        theta: f64,
-    },
-}
 
 /// A deterministic multi-tenant workload splitter.
 #[derive(Clone, Debug)]
 pub struct Multiplex {
     tenants: usize,
     total_ops: usize,
-    skew: TenantSkew,
+    /// Tenant `i`'s share is ∝ `1 / (i + 1)^theta`; θ = 0 is the uniform
+    /// split.
+    theta: f64,
 }
 
 impl Multiplex {
@@ -65,18 +44,19 @@ impl Multiplex {
         Multiplex {
             tenants,
             total_ops,
-            skew: TenantSkew::Uniform,
+            theta: 0.0,
         }
     }
 
-    /// Switches to Zipfian tenant skew with exponent `theta`.
+    /// Switches to Zipfian tenant skew with exponent `theta` (YCSB uses
+    /// 0.99) — the activity profile over tenants, not keys.
     ///
     /// # Panics
     ///
     /// Panics if `theta` is negative or not finite.
     pub fn zipfian(mut self, theta: f64) -> Self {
         assert!(theta.is_finite() && theta >= 0.0, "theta must be ≥ 0");
-        self.skew = TenantSkew::Zipfian { theta };
+        self.theta = theta;
         self
     }
 
@@ -85,22 +65,14 @@ impl Multiplex {
         format!("tenant-{i:02}")
     }
 
-    /// The tenants' skew weights: tenant `i`'s share of the total is
-    /// `weight(i) / Σ weight` (before integer apportionment).
-    pub fn weights(&self) -> Vec<f64> {
-        match self.skew {
-            TenantSkew::Uniform => vec![1.0; self.tenants],
-            TenantSkew::Zipfian { theta } => (0..self.tenants)
-                .map(|i| 1.0 / ((i + 1) as f64).powf(theta))
-                .collect(),
-        }
-    }
-
     /// The per-tenant op budget: sums **exactly** to `total_ops`, allocated
-    /// by largest-remainder apportionment over the skew weights (ties
-    /// broken toward lower-indexed, i.e. hotter, tenants).
+    /// by largest-remainder apportionment over the skew weights (tenant
+    /// `i` weighs `1 / (i + 1)^theta`; ties broken toward lower-indexed,
+    /// i.e. hotter, tenants).
     pub fn ops_per_tenant(&self) -> Vec<usize> {
-        let weights = self.weights();
+        let weights: Vec<f64> = (0..self.tenants)
+            .map(|i| 1.0 / ((i + 1) as f64).powf(self.theta))
+            .collect();
         let total_weight: f64 = weights.iter().sum();
         let quotas: Vec<f64> = weights
             .iter()
@@ -143,23 +115,10 @@ impl Multiplex {
         out
     }
 
-    /// Materializes one `(name, trace)` pair per tenant. The generator
-    /// receives the tenant index and its op budget; it may return a trace
-    /// of a different length (e.g. whole read/write cycles only) — the
-    /// budget is a target, not a straitjacket.
-    pub fn generate<F>(&self, mut generator: F) -> Vec<(String, Trace)>
-    where
-        F: FnMut(usize, usize) -> Trace,
-    {
-        self.ops_per_tenant()
-            .into_iter()
-            .enumerate()
-            .map(|(i, ops)| (Self::tenant_name(i), generator(i, ops)))
-            .collect()
-    }
-
-    /// The streaming counterpart of [`Multiplex::generate`]: one boxed
-    /// [`OpSource`] per tenant, budgets apportioned identically.
+    /// One `(name, source)` pair per tenant. The generator receives the
+    /// tenant index and its op budget; it may stream a different number of
+    /// ops (e.g. whole read/write cycles only) — the budget is a target,
+    /// not a straitjacket.
     pub fn sources<F>(&self, mut generator: F) -> Vec<(String, Box<dyn OpSource>)>
     where
         F: FnMut(usize, usize) -> Box<dyn OpSource>,
@@ -169,142 +128,6 @@ impl Multiplex {
             .enumerate()
             .map(|(i, ops)| (Self::tenant_name(i), generator(i, ops)))
             .collect()
-    }
-
-    /// Lazily merges the per-tenant sources into one arrival stream: each
-    /// pull samples the emitting tenant proportionally to the skew weights
-    /// (seeded, deterministic), so hot tenants' operations arrive more
-    /// often — the multi-tenant arrival process the round-robin vector API
-    /// could not express. Exhausted tenants drop out of the draw until
-    /// every source runs dry.
-    pub fn interleaved<F>(&self, seed: u64, generator: F) -> InterleaveSource
-    where
-        F: FnMut(usize, usize) -> Box<dyn OpSource>,
-    {
-        InterleaveSource::new(self.sources(generator), self.weights(), seed)
-    }
-}
-
-/// A lazy skew-weighted merge of per-tenant [`OpSource`]s
-/// (built by [`Multiplex::interleaved`]).
-///
-/// Each pull draws the emitting tenant from a cumulative-weight table
-/// (CDF) built **once** per alive-set — not by re-summing the harmonic
-/// weights on every draw — then binary-searches it. A lane is retired the
-/// moment its lookahead empties, so every RNG draw lands on a live lane
-/// and the table is rebuilt only when the alive set shrinks. Resident
-/// state is the lanes plus the CDF: O(tenants), independent of stream
-/// length.
-#[derive(Clone, Debug)]
-pub struct InterleaveSource {
-    lanes: Vec<(String, crate::PeekableSource)>,
-    weights: Vec<f64>,
-    seed: u64,
-    rng: StdRng,
-    /// `(cumulative weight, lane index)` over the alive lanes only.
-    cdf: Vec<(f64, usize)>,
-    total_weight: f64,
-}
-
-impl InterleaveSource {
-    /// Merges `lanes` with per-lane draw `weights` under a seeded RNG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane and weight counts differ or any weight is not a
-    /// finite positive number — a zero-weight lane could never be drawn,
-    /// so its operations would be silently lost while
-    /// [`OpSource::remaining_hint`] still counted them.
-    pub fn new(lanes: Vec<(String, Box<dyn OpSource>)>, weights: Vec<f64>, seed: u64) -> Self {
-        assert_eq!(lanes.len(), weights.len(), "one weight per lane");
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w > 0.0),
-            "weights must be finite and > 0"
-        );
-        let mut source = InterleaveSource {
-            lanes: lanes
-                .into_iter()
-                .map(|(name, src)| (name, crate::PeekableSource::new(src)))
-                .collect(),
-            weights,
-            seed,
-            rng: StdRng::seed_from_u64(seed),
-            cdf: Vec::new(),
-            total_weight: 0.0,
-        };
-        source.rebuild_cdf();
-        source
-    }
-
-    /// Rebuilds the cumulative table over the lanes with operations left —
-    /// called at construction, on reset, and whenever a lane runs dry.
-    fn rebuild_cdf(&mut self) {
-        self.cdf.clear();
-        self.total_weight = 0.0;
-        for (i, &w) in self.weights.iter().enumerate() {
-            if !self.lanes[i].1.is_exhausted() {
-                self.total_weight += w;
-                self.cdf.push((self.total_weight, i));
-            }
-        }
-    }
-
-    /// Like [`OpSource::next_op`], additionally reporting which tenant lane
-    /// emitted the operation.
-    pub fn next_tenant_op(&mut self) -> Option<(usize, Op)> {
-        if self.cdf.is_empty() {
-            return None;
-        }
-        let needle: f64 = self.rng.gen::<f64>() * self.total_weight;
-        let at = self
-            .cdf
-            .partition_point(|&(cum, _)| cum <= needle)
-            .min(self.cdf.len() - 1);
-        let lane = self.cdf[at].1;
-        // grub-lint: allow(panic) — rebuild_cdf drops exhausted lanes, so any lane sampled from the CDF is live
-        let op = self.lanes[lane].1.next_op().expect("CDF holds live lanes");
-        if self.lanes[lane].1.is_exhausted() {
-            self.rebuild_cdf();
-        }
-        Some((lane, op))
-    }
-
-    /// The tenant name for a lane index returned by
-    /// [`InterleaveSource::next_tenant_op`].
-    pub fn tenant_name(&self, lane: usize) -> &str {
-        &self.lanes[lane].0
-    }
-}
-
-impl OpSource for InterleaveSource {
-    fn next_op(&mut self) -> Option<Op> {
-        self.next_tenant_op().map(|(_, op)| op)
-    }
-
-    fn remaining_hint(&self) -> (usize, Option<usize>) {
-        let mut lo = 0usize;
-        let mut hi = Some(0usize);
-        for (_, lane) in &self.lanes {
-            let (l, h) = lane.remaining_hint();
-            lo += l;
-            hi = match (hi, h) {
-                (Some(a), Some(b)) => Some(a + b),
-                _ => None,
-            };
-        }
-        (lo, hi)
-    }
-
-    fn reset(&mut self) {
-        for (_, lane) in &mut self.lanes {
-            lane.reset();
-        }
-        self.rng = StdRng::seed_from_u64(self.seed);
-        self.rebuild_cdf();
-    }
-
-    fn clone_box(&self) -> Box<dyn OpSource> {
-        Box::new(self.clone())
     }
 }
 
@@ -352,13 +175,17 @@ mod tests {
 
     #[test]
     fn generate_names_tenants_and_passes_budgets() {
-        let feeds = Multiplex::new(3, 30).generate(|tenant, ops| {
-            RatioWorkload::new(format!("k{tenant}"), 1.0).generate(ops / 2)
+        let feeds = Multiplex::new(3, 30).sources(|tenant, ops| {
+            Box::new(RatioWorkload::new(format!("k{tenant}"), 1.0).source(ops / 2))
         });
         assert_eq!(feeds.len(), 3);
         assert_eq!(feeds[0].0, "tenant-00");
         assert_eq!(feeds[2].0, "tenant-02");
-        assert!(feeds.iter().all(|(_, t)| t.ops.len() == 10));
+        for (i, (_, mut source)) in feeds.into_iter().enumerate() {
+            let trace = crate::Trace::from_source(&mut source);
+            assert_eq!(trace.ops.len(), 10);
+            assert!(trace.ops.iter().all(|op| op.key() == format!("k{i}")));
+        }
     }
 
     #[test]
@@ -389,93 +216,5 @@ mod tests {
                 assert_eq!(uniform.iter().sum::<usize>(), total);
             }
         }
-    }
-
-    #[test]
-    fn interleave_merges_all_budgets_and_replays() {
-        let m = Multiplex::new(4, 400).zipfian(0.99);
-        let budgets = m.ops_per_tenant();
-        let mk = |tenant: usize, ops: usize| -> Box<dyn crate::OpSource> {
-            Box::new(
-                RatioWorkload::new(format!("key-{tenant}"), 1.0)
-                    .seed(tenant as u64)
-                    .source(ops / 2),
-            )
-        };
-        let mut merged = m.interleaved(42, mk);
-        let stream = crate::Trace::from_source(&mut merged);
-        // Every tenant's full budget arrives, nothing more.
-        let expected: usize = budgets.iter().map(|b| (b / 2) * 2).sum();
-        assert_eq!(stream.ops.len(), expected);
-        // Replay after reset is byte-identical.
-        merged.reset();
-        assert_eq!(crate::Trace::from_source(&mut merged), stream);
-        // Hot tenants lead: the first chunk of arrivals skews to tenant 0.
-        let hot_early = stream.ops[..40]
-            .iter()
-            .filter(|o| o.key() == "key-0")
-            .count();
-        assert!(
-            hot_early > 10,
-            "tenant 0 must dominate early arrivals, got {hot_early}/40"
-        );
-    }
-
-    #[test]
-    fn interleave_cdf_matches_per_draw_weight_recomputation() {
-        // The optimization contract: precomputing the cumulative weights
-        // once per alive-set must emit the *identical* tenant sequence a
-        // naive implementation gets by re-deriving the harmonic weights on
-        // every draw.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let tenants = 6;
-        let theta = 0.99f64;
-        let m = Multiplex::new(tenants, 600).zipfian(theta);
-        let budgets = m.ops_per_tenant();
-        let mk = |tenant: usize, ops: usize| -> Box<dyn crate::OpSource> {
-            Box::new(
-                RatioWorkload::new(format!("key-{tenant}"), 0.0)
-                    .seed(tenant as u64)
-                    .source(ops),
-            )
-        };
-        let mut fast = m.interleaved(7, mk);
-        let mut fast_lanes = Vec::new();
-        while let Some((lane, _)) = fast.next_tenant_op() {
-            fast_lanes.push(lane);
-        }
-
-        // Naive reference: recompute weights and their running sum on every
-        // draw over the currently-alive tenants.
-        let mut remaining: Vec<usize> = budgets.clone();
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut naive_lanes = Vec::new();
-        loop {
-            let weights: Vec<(usize, f64)> = (0..tenants)
-                .filter(|&i| remaining[i] > 0)
-                .map(|i| (i, 1.0 / ((i + 1) as f64).powf(theta)))
-                .collect();
-            let total: f64 = weights.iter().map(|&(_, w)| w).sum();
-            if total <= 0.0 {
-                break;
-            }
-            let needle = rng.gen::<f64>() * total;
-            let mut cum = 0.0;
-            let mut chosen = weights.last().expect("non-empty").0;
-            for &(i, w) in &weights {
-                cum += w;
-                if needle < cum {
-                    chosen = i;
-                    break;
-                }
-            }
-            remaining[chosen] -= 1;
-            naive_lanes.push(chosen);
-        }
-        assert_eq!(
-            fast_lanes, naive_lanes,
-            "precomputed CDF must not change the drawn tenant sequence"
-        );
     }
 }

@@ -185,22 +185,6 @@ impl OpSource for OracleSource {
         self.next_op()
     }
 
-    fn remaining_hint(&self) -> (usize, Option<usize>) {
-        // Writes remaining are exact; read counts are sampled, so no upper
-        // bound.
-        let pokes_left = self.params.writes - (self.poke as usize).min(self.params.writes);
-        let writes_left = pokes_left * self.params.assets
-            + (self.params.assets - self.asset_pos.min(self.params.assets));
-        (writes_left + self.reads_left, None)
-    }
-
-    fn reset(&mut self) {
-        self.rng = StdRng::seed_from_u64(self.params.seed);
-        self.poke = 0;
-        self.asset_pos = self.params.assets;
-        self.reads_left = 0;
-    }
-
     fn clone_box(&self) -> Box<dyn OpSource> {
         Box::new(self.clone())
     }
@@ -222,14 +206,11 @@ mod tests {
     fn source_matches_generate_and_replays() {
         let builder = OracleTrace::new().writes(200).assets(3).seed(77);
         let mut source = builder.source();
+        let mut replay = source.clone_box();
         let streamed = Trace::from_source(&mut source);
         assert_eq!(streamed, builder.generate());
-        source.reset();
-        assert_eq!(Trace::from_source(&mut source), streamed, "replay");
-        // The hint's lower bound counts the deterministic writes.
-        let fresh = builder.source();
-        assert!(fresh.remaining_hint().0 >= 200 * 3);
-        assert_eq!(fresh.remaining_hint().1, None, "reads are sampled");
+        assert_eq!(streamed.write_count(), 200 * 3);
+        assert_eq!(Trace::from_source(&mut replay), streamed, "replay");
     }
 
     #[test]

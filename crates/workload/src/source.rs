@@ -15,12 +15,11 @@
 //! * **deterministic** — the emitted sequence is a pure function of the
 //!   generator's construction parameters (seed included). No wall clock, no
 //!   global state;
-//! * **replayable** — [`OpSource::reset`] rewinds to the first operation,
-//!   and a replay yields the byte-identical sequence (asserted for every
-//!   generator in `tests/streaming.rs`);
 //! * **cloneable** — [`OpSource::clone_box`] snapshots the source *at its
-//!   current position*, which is what lets schedulers fork speculative
-//!   replicas and lets [`Trace::from_source`] stay a pure adapter.
+//!   current position*, and the fork and the original then advance
+//!   independently. A clone taken before draining replays the stream
+//!   byte for byte (asserted for every generator in `tests/streaming.rs`);
+//!   it is how a consumer materializes a copy without consuming the feed.
 //!
 //! [`Trace`] remains the materialized view for algorithms that genuinely
 //! need the whole sequence up front (the offline-optimal reference) and for
@@ -32,25 +31,11 @@ use crate::{Op, Trace};
 
 /// A pull-based, seeded, deterministic stream of feed operations.
 ///
-/// See the [module docs](self) for the determinism/replay contract.
+/// See the [module docs](self) for the determinism/clone contract.
 pub trait OpSource: std::fmt::Debug {
     /// Produces the next operation, or `None` once the stream is exhausted.
-    /// After returning `None`, every further call returns `None` until
-    /// [`OpSource::reset`].
+    /// After returning `None`, every further call returns `None`.
     fn next_op(&mut self) -> Option<Op>;
-
-    /// `(lower, upper)` bounds on the number of operations remaining, in
-    /// [`Iterator::size_hint`] convention: the lower bound is always safe,
-    /// `Some(upper)` is exact-or-over. Generators that sample their read
-    /// counts (oracle, BtcRelay) cannot give an exact upper bound; purely
-    /// arithmetic generators (ratio) return `(n, Some(n))`.
-    fn remaining_hint(&self) -> (usize, Option<usize>);
-
-    /// Rewinds the stream to its first operation. A replay after `reset`
-    /// emits the byte-identical sequence the source emitted from
-    /// construction — the replay contract every implementation is tested
-    /// against.
-    fn reset(&mut self);
 
     /// Clones the source — including its current position — behind a fresh
     /// box. (Object-safe stand-in for `Clone`.)
@@ -68,55 +53,30 @@ impl OpSource for Box<dyn OpSource> {
         (**self).next_op()
     }
 
-    fn remaining_hint(&self) -> (usize, Option<usize>) {
-        (**self).remaining_hint()
-    }
-
-    fn reset(&mut self) {
-        (**self).reset()
-    }
-
     fn clone_box(&self) -> Box<dyn OpSource> {
         (**self).clone_box()
     }
 }
 
 /// A materialized [`Trace`] replayed as a stream — how a vector of
-/// operations enters the ingestion layer.
+/// operations enters the ingestion layer. Each op is handed out by move.
 #[derive(Clone, Debug)]
 pub struct TraceSource {
-    trace: Trace,
-    cursor: usize,
+    ops: std::vec::IntoIter<Op>,
 }
 
 impl TraceSource {
     /// Wraps a trace; the stream starts at its first operation.
     pub fn new(trace: Trace) -> Self {
-        TraceSource { trace, cursor: 0 }
-    }
-
-    /// The operations not yet emitted.
-    pub fn remaining_ops(&self) -> usize {
-        self.trace.ops.len() - self.cursor
+        TraceSource {
+            ops: trace.ops.into_iter(),
+        }
     }
 }
 
 impl OpSource for TraceSource {
     fn next_op(&mut self) -> Option<Op> {
-        let op = self.trace.ops.get(self.cursor).cloned();
-        if op.is_some() {
-            self.cursor += 1;
-        }
-        op
-    }
-
-    fn remaining_hint(&self) -> (usize, Option<usize>) {
-        let n = self.remaining_ops();
-        (n, Some(n))
-    }
-
-    fn reset(&mut self) {
-        self.cursor = 0;
+        self.ops.next()
     }
 
     fn clone_box(&self) -> Box<dyn OpSource> {
@@ -164,17 +124,6 @@ impl OpSource for PeekableSource {
         Some(out)
     }
 
-    fn remaining_hint(&self) -> (usize, Option<usize>) {
-        let (lo, hi) = self.inner.remaining_hint();
-        let buffered = usize::from(self.lookahead.is_some());
-        (lo + buffered, hi.map(|h| h + buffered))
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.lookahead = self.inner.next_op();
-    }
-
     fn clone_box(&self) -> Box<dyn OpSource> {
         Box::new(self.clone())
     }
@@ -188,11 +137,7 @@ impl Trace {
     /// a view over it — which is what makes streamed and materialized runs
     /// byte-identical by construction.
     pub fn from_source(source: &mut dyn OpSource) -> Trace {
-        let mut ops = Vec::with_capacity(source.remaining_hint().0);
-        while let Some(op) = source.next_op() {
-            ops.push(op);
-        }
-        Trace { ops }
+        std::iter::from_fn(|| source.next_op()).collect()
     }
 
     /// Replays this trace as a stream (the other adapter direction).
@@ -235,20 +180,9 @@ mod tests {
     fn trace_round_trips_through_source() {
         let trace = sample_trace();
         let mut source = trace.clone().into_source();
-        assert_eq!(source.remaining_hint(), (3, Some(3)));
         let back = Trace::from_source(&mut source);
         assert_eq!(back, trace);
-        assert_eq!(source.remaining_hint(), (0, Some(0)));
         assert_eq!(source.next_op(), None, "exhausted stays exhausted");
-    }
-
-    #[test]
-    fn reset_replays_identically() {
-        let mut source = sample_trace().into_source();
-        let first = Trace::from_source(&mut source);
-        source.reset();
-        let second = Trace::from_source(&mut source);
-        assert_eq!(first, second);
     }
 
     #[test]
@@ -256,23 +190,22 @@ mod tests {
         let mut source = sample_trace().into_source();
         source.next_op();
         let mut fork = source.clone_box();
-        assert_eq!(fork.remaining_hint(), (2, Some(2)));
-        assert_eq!(Trace::from_source(&mut fork).ops.len(), 2);
+        let forked = Trace::from_source(&mut fork);
+        assert_eq!(forked.ops, sample_trace().ops[1..]);
         // The original is unaffected by the fork's progress.
-        assert_eq!(source.remaining_hint(), (2, Some(2)));
+        assert_eq!(Trace::from_source(&mut source), forked);
     }
 
     #[test]
     fn peekable_exhaustion_is_non_consuming() {
         let mut peek = PeekableSource::new(Box::new(sample_trace().into_source()));
         assert!(!peek.is_exhausted());
-        assert!(peek.peek().is_some());
-        assert_eq!(peek.remaining_hint(), (3, Some(3)));
+        assert_eq!(peek.peek(), sample_trace().ops.first());
+        let mut replay = peek.clone();
         let drained = Trace::from_source(&mut peek);
         assert_eq!(drained, sample_trace());
         assert!(peek.is_exhausted());
-        peek.reset();
-        assert!(!peek.is_exhausted());
-        assert_eq!(Trace::from_source(&mut peek), sample_trace());
+        assert!(!replay.is_exhausted());
+        assert_eq!(Trace::from_source(&mut replay), sample_trace());
     }
 }

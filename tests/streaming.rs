@@ -3,20 +3,20 @@
 //!
 //! Three layers of guarantees:
 //!
-//! 1. **Generator equivalence** — every generator's [`OpSource`] drained
-//!    into a [`Trace`] is byte-identical to its legacy `generate()` output
-//!    for the same parameters, and a [`OpSource::reset`] replay emits the
-//!    identical sequence again (the replay contract).
+//! 1. **Generator equivalence** — every [`OpSource`] (each generator, the
+//!    tempo reshaper and a replayed [`Trace`]) drained into a [`Trace`] is
+//!    byte-identical to its materialized reference, stays exhausted once
+//!    drained, and a clone taken before draining replays the identical
+//!    sequence (the clone contract).
 //! 2. **System equivalence** — a single-feed [`GrubSystem`] run driven by a
 //!    source mines the byte-identical chain (`chain_digest`) a trace-driven
 //!    run mines.
-//! 3. **Combinator laws** — the tempo reshaper and the multiplex interleave
-//!    preserve op content and replay deterministically.
+//! 3. **Combinator laws** — the tempo reshaper preserves op content while
+//!    moving arrival timing.
 
 use grub::core::policy::PolicyKind;
 use grub::core::system::{GrubSystem, SystemConfig};
 use grub::workload::btcrelay::BtcRelayTrace;
-use grub::workload::multiplex::Multiplex;
 use grub::workload::oracle::OracleTrace;
 use grub::workload::ratio::{MultiKeyRatio, RatioWorkload};
 use grub::workload::source::{OpSource, PeekableSource};
@@ -24,7 +24,33 @@ use grub::workload::tempo::{ReadTempo, TempoSource};
 use grub::workload::ycsb::{YcsbKind, YcsbRunner};
 use grub::workload::Trace;
 
-/// Every generator family, as `(name, source, legacy generate() trace)`.
+/// Test-side reference for [`TempoSource`]: reorders each `window`-op
+/// chunk of `plain` — bursty puts a chunk's reads after its writes,
+/// uniform lets read `j` of `R` follow write `w` of `W` once `j < w·R/W`.
+fn reshape(plain: &Trace, tempo: ReadTempo, window: usize) -> Trace {
+    let mut out = Vec::new();
+    for chunk in plain.ops.chunks(window) {
+        let (writes, reads): (Vec<_>, Vec<_>) = chunk.iter().cloned().partition(|o| o.is_write());
+        match tempo {
+            ReadTempo::Bursty => out.extend(writes.into_iter().chain(reads)),
+            ReadTempo::Uniform => {
+                let (w_total, r_total) = (writes.len(), reads.len());
+                let mut reads = reads.into_iter();
+                for (w, write) in writes.into_iter().enumerate() {
+                    out.push(write);
+                    let due = (w + 1) * r_total / w_total;
+                    out.extend(reads.by_ref().take(due - (w * r_total / w_total)));
+                }
+                out.extend(reads);
+            }
+        }
+    }
+    Trace { ops: out }
+}
+
+/// Every [`OpSource`] implementation, as `(name, source, materialized
+/// reference trace)`: each generator against its `generate()`, the tempo
+/// reshaper against [`reshape`], and a [`Trace`] replayed as a stream.
 fn all_generators() -> Vec<(&'static str, Box<dyn OpSource>, Trace)> {
     let ratio = RatioWorkload::new("r", 4.0).seed(5);
     let mix = MultiKeyRatio::new(vec![
@@ -57,23 +83,50 @@ fn all_generators() -> Vec<(&'static str, Box<dyn OpSource>, Trace)> {
             Box::new(YcsbRunner::new(128, 32, 13).into_source(ycsb_phases)),
             ycsb_trace,
         ),
+        (
+            "tempo-bursty",
+            Box::new(TempoSource::new(
+                Box::new(mix.source(10)),
+                ReadTempo::Bursty,
+                16,
+            )),
+            reshape(&mix.generate(10), ReadTempo::Bursty, 16),
+        ),
+        (
+            "tempo-uniform",
+            Box::new(TempoSource::new(
+                Box::new(mix.source(10)),
+                ReadTempo::Uniform,
+                16,
+            )),
+            reshape(&mix.generate(10), ReadTempo::Uniform, 16),
+        ),
+        (
+            "trace",
+            Box::new(oracle.generate().into_source()),
+            oracle.generate(),
+        ),
     ]
 }
 
-/// Layer 1: streamed == materialized for every generator, and a reset
-/// replay is byte-identical.
+/// Layer 1: streamed == materialized for every source, an exhausted
+/// source stays exhausted, and a clone taken before draining replays the
+/// stream byte for byte.
 #[test]
 fn every_generator_source_is_byte_identical_to_generate() {
     for (name, mut source, legacy) in all_generators() {
+        let mut replay = source.clone_box();
         let streamed = Trace::from_source(&mut source);
         assert_eq!(streamed, legacy, "{name}: streamed != generate()");
         assert!(
             !streamed.ops.is_empty(),
             "{name}: equivalence on an empty trace proves nothing"
         );
-        source.reset();
-        let replayed = Trace::from_source(&mut source);
-        assert_eq!(replayed, legacy, "{name}: reset replay diverged");
+        for _ in 0..3 {
+            assert_eq!(source.next_op(), None, "{name}: resumed after None");
+        }
+        let replayed = Trace::from_source(&mut replay);
+        assert_eq!(replayed, legacy, "{name}: clone replay diverged");
     }
 }
 
@@ -143,51 +196,7 @@ fn system_runs_from_sources_match_trace_runs_byte_for_byte() {
     }
 }
 
-/// Layer 3: the multiplex interleave emits exactly the union of its lanes'
-/// budgets, replays identically, and its arrival mix honors the zipfian
-/// weights (hot lane leads).
-#[test]
-fn interleaved_multiplex_stream_is_deterministic_and_complete() {
-    let m = Multiplex::new(5, 1_000).zipfian(0.99);
-    let mk = |tenant: usize, ops: usize| -> Box<dyn OpSource> {
-        Box::new(
-            RatioWorkload::new(format!("t{tenant}"), 1.0)
-                .seed(tenant as u64 + 1)
-                .source(ops / 2),
-        )
-    };
-    let mut merged = m.interleaved(99, mk);
-    let first = Trace::from_source(&mut merged);
-    merged.reset();
-    let second = Trace::from_source(&mut merged);
-    assert_eq!(first, second, "interleave replay diverged");
-    // Each lane's ops all arrive: per-tenant counts match the budgets.
-    for (tenant, budget) in m.ops_per_tenant().iter().enumerate() {
-        let arrived = first
-            .ops
-            .iter()
-            .filter(|o| o.key() == format!("t{tenant}"))
-            .count();
-        assert_eq!(arrived, (budget / 2) * 2, "tenant {tenant}");
-    }
-    // And the hot lane leads the early arrivals: with θ = 0.99 over five
-    // tenants its draw share is ≈ 43%, far above any single tail lane.
-    let early = first.ops.len() / 10;
-    let count_early = |t: &str| first.ops[..early].iter().filter(|o| o.key() == t).count();
-    let hot_early = count_early("t0");
-    assert!(
-        3 * hot_early > early,
-        "hot tenant carried {hot_early}/{early} early arrivals"
-    );
-    for tail in 1..5 {
-        assert!(
-            hot_early > count_early(&format!("t{tail}")),
-            "hot tenant must out-arrive tenant {tail}"
-        );
-    }
-}
-
-/// Layer 3b: tempo combinators preserve content (same writes in the same
+/// Layer 3: tempo combinators preserve content (same writes in the same
 /// order, same read multiset) while provably moving arrival timing.
 #[test]
 fn tempo_variants_preserve_content_but_change_timing() {
