@@ -943,13 +943,6 @@ impl Blockchain {
         }
     }
 
-    /// The gas-price multiplier charged by the most recently mined block
-    /// (the price off-chain deciders can observe without predicting the
-    /// future).
-    pub fn current_fee_permille(&self) -> u64 {
-        self.meter.price_permille()
-    }
-
     fn execute(
         &mut self,
         tx_id: TxId,
@@ -1090,11 +1083,6 @@ impl Blockchain {
     /// Simulated current time in milliseconds.
     pub fn now_ms(&self) -> u64 {
         self.now_ms
-    }
-
-    /// Height up to which blocks are final (`height - F`, saturating).
-    pub fn finalized_height(&self) -> u64 {
-        self.height().saturating_sub(self.config.finality_depth)
     }
 
     /// The confirmation frontier: height up to which mined blocks are
@@ -1544,20 +1532,6 @@ mod tests {
     }
 
     #[test]
-    fn finality_lags_by_depth() {
-        let mut chain = Blockchain::with_config(ChainConfig {
-            block_period_ms: 1000,
-            finality_depth: 3,
-            propagation_ms: 100,
-            ..ChainConfig::default()
-        });
-        for _ in 0..5 {
-            chain.produce_block();
-        }
-        assert_eq!(chain.finalized_height(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "already deployed")]
     fn double_deploy_panics() {
         let (mut chain, widget, _) = setup();
@@ -1864,7 +1838,7 @@ mod tests {
                 priced <= base * price / 1000 && priced + 8 > base * price / 1000,
                 "receipt gas ≈ flat cost × price: {priced} vs {base} × {price}‰"
             );
-            assert_eq!(chain.current_fee_permille(), price);
+            assert_eq!(chain.meter().price_permille(), price);
             saw_cheap |= price < 1000;
             saw_dear |= price > 1000;
         }

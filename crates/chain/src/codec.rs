@@ -193,6 +193,11 @@ impl<'a> Decoder<'a> {
     }
 }
 
+/// Framing bytes [`encode_sections`] adds per section: a 20-byte target
+/// address plus a 4-byte payload length prefix. Batch planners size
+/// sections with it, and [`decode_sections`] bounds a declared count by it.
+pub const SECTION_OVERHEAD_BYTES: usize = 24;
+
 /// Encodes a batch of per-target call sections — the multi-feed `update`
 /// framing used by shard routers: each section names the contract that
 /// should receive `payload` as an internal call. Framing overhead is one
@@ -220,10 +225,6 @@ pub fn encode_sections(sections: &[(Address, Vec<u8>)]) -> Vec<u8> {
 /// check fires.
 pub const MAX_BATCH_SECTIONS: usize = 4096;
 
-/// Framing bytes every section carries at minimum: a 20-byte target address
-/// plus a 4-byte payload length prefix.
-const SECTION_MIN_BYTES: usize = 24;
-
 /// Decodes a batch encoded by [`encode_sections`].
 ///
 /// # Errors
@@ -233,7 +234,7 @@ const SECTION_MIN_BYTES: usize = 24;
 /// possibly fit in the remaining bytes.
 pub fn decode_sections(input: &[u8]) -> Result<Vec<(Address, Vec<u8>)>, VmError> {
     let mut dec = Decoder::new(input);
-    let n = dec.count(SECTION_MIN_BYTES)?;
+    let n = dec.count(SECTION_OVERHEAD_BYTES)?;
     if n > MAX_BATCH_SECTIONS {
         return Err(VmError::Decode(format!(
             "section count {n} exceeds the {MAX_BATCH_SECTIONS}-section bound"
@@ -282,6 +283,17 @@ mod tests {
         assert_eq!(dec.address().unwrap(), addr);
         assert_eq!(dec.string().unwrap(), "héllo");
         assert!(dec.is_empty());
+    }
+
+    #[test]
+    fn section_overhead_matches_the_encoder_framing() {
+        let to = Address::derive("codec");
+        let first = (to, vec![7u8; 5]);
+        let one = encode_sections(std::slice::from_ref(&first));
+        for len in [0, 1, 300] {
+            let two = encode_sections(&[first.clone(), (to, vec![9u8; len])]);
+            assert_eq!(two.len() - one.len(), len + SECTION_OVERHEAD_BYTES);
+        }
     }
 
     #[test]

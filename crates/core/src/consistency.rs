@@ -44,13 +44,6 @@ impl FreshnessModel {
     pub fn read_observes_write(&self, write_ms: u64, read_ms: u64) -> bool {
         read_ms >= write_ms + self.freshness_bound_ms()
     }
-
-    /// The paper's Ethereum instantiation: `B ≈ 13 s`, `F = 250` — the
-    /// freshness bound is dominated by finality (~54 minutes), with the
-    /// epoch `E` adding its batching interval.
-    pub fn ethereum_default(epoch_ms: u64) -> Self {
-        Self::new(epoch_ms, ChainConfig::default())
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +78,7 @@ mod tests {
 
     #[test]
     fn ethereum_default_is_dominated_by_finality() {
-        let m = FreshnessModel::ethereum_default(60_000);
+        let m = FreshnessModel::new(60_000, ChainConfig::default());
         let finality = 250 * 13_000;
         assert!(m.freshness_bound_ms() > finality);
         assert!(m.freshness_bound_ms() < finality + 2 * 60_000);

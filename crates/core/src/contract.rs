@@ -44,8 +44,13 @@ use grub_crypto::Hash32;
 use grub_gas::{words_for_bytes, CostKind};
 use grub_merkle::{record_value_hash, ProofKey, RangeProof, ReplState};
 
-use crate::system::UPDATE_CHUNK_BYTES;
 use crate::wire;
+
+/// Byte budget for one feed transaction's payload, kept under the `Ctx`
+/// 1000-word bound with headroom for framing. It bounds every payload the
+/// feed side builds: an epoch's `update()` chunks, a coalesced `deliver()`
+/// group ([`coalesce_delivers`]) and a shard router's batch of sections.
+pub const MAX_TX_PAYLOAD_BYTES: usize = 24_000;
 
 /// Storage slot for the root digest.
 const SLOT_ROOT: &[u8] = b"root";
@@ -561,7 +566,7 @@ struct Group {
 /// Merges one feed's per-request `deliver()` payloads — built by one SP
 /// against one tree, as one watchdog call returns them — into shared-proof
 /// payloads. The queries, sorted by `(start, end)`, are cut into groups
-/// whose payload stays within [`UPDATE_CHUNK_BYTES`], and each group
+/// whose payload stays within [`MAX_TX_PAYLOAD_BYTES`], and each group
 /// carries the union ([`RangeProof::union_with`]) of its members' proofs.
 ///
 /// A query joins the open group only if the group plus the query's whole
@@ -606,7 +611,7 @@ pub fn coalesce_delivers(payloads: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
             Some(group)
                 if group.last != range
                     && group.parts_len + wire::range_proof_len(&group.proof) + alone
-                        <= UPDATE_CHUNK_BYTES =>
+                        <= MAX_TX_PAYLOAD_BYTES =>
             {
                 match group.proof.union_with(proof) {
                     Ok(()) => {
@@ -1198,7 +1203,7 @@ mod tests {
         assert!(coalesced.len() >= 3, "48 KB of values need ≥ 3 payloads");
         let mut ranges = Vec::new();
         for payload in &coalesced {
-            assert!(payload.len() <= UPDATE_CHUNK_BYTES);
+            assert!(payload.len() <= MAX_TX_PAYLOAD_BYTES);
             let decoded = DeliverPayload::decode(payload).unwrap();
             ranges.extend(decoded.queries.into_iter().map(|q| q.start));
         }

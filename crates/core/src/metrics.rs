@@ -1,6 +1,5 @@
 //! Per-epoch Gas reporting, in the shape the paper's figures use.
 
-use grub_gas::checked_add_gas;
 use serde::{Deserialize, Serialize};
 
 /// Gas accounting for one epoch of trace operations.
@@ -29,15 +28,6 @@ impl EpochReport {
             0.0
         } else {
             self.feed_gas as f64 / self.ops as f64
-        }
-    }
-
-    /// Feed + application Gas per operation.
-    pub fn total_gas_per_op(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            checked_add_gas(self.feed_gas, self.app_gas) as f64 / self.ops as f64
         }
     }
 }
@@ -74,16 +64,6 @@ impl RunReport {
             0.0
         } else {
             self.feed_gas_total() as f64 / ops as f64
-        }
-    }
-
-    /// Average total (feed + application) Gas per operation.
-    pub fn total_gas_per_op(&self) -> f64 {
-        let ops = self.total_ops();
-        if ops == 0 {
-            0.0
-        } else {
-            checked_add_gas(self.feed_gas_total(), self.app_gas_total()) as f64 / ops as f64
         }
     }
 
@@ -126,7 +106,6 @@ mod tests {
     fn per_op_math() {
         let e = epoch(4, 1000, 200);
         assert_eq!(e.feed_gas_per_op(), 250.0);
-        assert_eq!(e.total_gas_per_op(), 300.0);
         assert_eq!(epoch(0, 10, 0).feed_gas_per_op(), 0.0);
     }
 

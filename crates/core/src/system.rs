@@ -37,7 +37,7 @@ use grub_gas::{GasSnapshot, Layer};
 use grub_merkle::ReplState;
 use grub_workload::{Op, OpSource};
 
-use crate::contract::{NullConsumer, OnChainTrace, StorageManager};
+use crate::contract::{NullConsumer, OnChainTrace, StorageManager, MAX_TX_PAYLOAD_BYTES};
 use crate::metrics::{EpochReport, RunReport};
 use crate::owner::DataOwner;
 use crate::policy::{PolicyKind, ReplicationPolicy};
@@ -1022,8 +1022,15 @@ fn submit_checked(
 
 /// Mines blocks until the mempool drains — one block uncongested, as many
 /// as a bounded mempool or inclusion latency requires — handing every
-/// receipt to `on_receipt`. The first error it returns stops mining.
-fn mine_until_drained(
+/// receipt to `on_receipt`. Every block the epoch lifecycle and the
+/// engine's shard batches seal is mined through here.
+///
+/// # Errors
+///
+/// Stops mining at the first error `on_receipt` returns, and propagates a
+/// failed block production (a failed reorg, or an injected crash inside
+/// one).
+pub fn mine_until_drained(
     chain: &mut Blockchain,
     mut on_receipt: impl FnMut(&Receipt) -> Result<()>,
 ) -> Result<()> {
@@ -1034,17 +1041,10 @@ fn mine_until_drained(
     Ok(())
 }
 
-/// Byte budget for one `update()` transaction payload, kept under the `Ctx`
-/// 1000-word bound with headroom for framing. Shared by the single-feed
-/// epoch chunking and the multi-tenant engine's shard batches so both stay
-/// within the same calldata envelope.
-pub const UPDATE_CHUNK_BYTES: usize = 24_000;
-
-/// Splits an epoch flush into one or more `update()` payloads, each under
-/// the `Ctx` 1000-word bound. Every chunk carries the epoch's final digest;
+/// Splits an epoch flush into one or more `update()` payloads, each within
+/// [`MAX_TX_PAYLOAD_BYTES`]. Every chunk carries the epoch's final digest;
 /// the contract overwrites the root slot idempotently.
 fn encode_update_chunked(flush: &crate::owner::EpochFlush) -> Vec<Vec<u8>> {
-    const CHUNK_BYTES: usize = UPDATE_CHUNK_BYTES;
     #[derive(Clone, Copy)]
     enum Item<'a> {
         RUpdate(&'a (Vec<u8>, Vec<u8>)),
@@ -1078,7 +1078,7 @@ fn encode_update_chunked(flush: &crate::owner::EpochFlush) -> Vec<Vec<u8>> {
             Item::RUpdate((k, v)) | Item::ToR((k, v)) => k.len() + v.len() + 16,
             Item::ToNr(k) => k.len() + 8,
         };
-        if bytes + size > CHUNK_BYTES && bytes > 0 {
+        if bytes + size > MAX_TX_PAYLOAD_BYTES && bytes > 0 {
             out.push(flush_chunk(&mut r_updates, &mut to_r, &mut to_nr));
             bytes = 0;
         }

@@ -141,17 +141,6 @@ pub fn sha256(data: &[u8]) -> Hash32 {
     h.finalize()
 }
 
-/// Computes SHA-256 over the concatenation of two byte strings.
-///
-/// This is the Merkle-tree inner-node combiner used by `grub-merkle`:
-/// `parent = H(left || right)`.
-pub fn sha256_pair(left: &Hash32, right: &Hash32) -> Hash32 {
-    let mut h = Sha256::new();
-    h.update(left.as_bytes());
-    h.update(right.as_bytes());
-    h.finalize()
-}
-
 /// Derives a deterministic 20-byte style account address (zero-padded into 32
 /// bytes) from a label, mimicking how test accounts are minted on devnets.
 pub fn derive_address(label: &str) -> Hash32 {
@@ -231,12 +220,5 @@ mod tests {
     fn derive_address_is_deterministic_and_distinct() {
         assert_eq!(derive_address("alice"), derive_address("alice"));
         assert_ne!(derive_address("alice"), derive_address("bob"));
-    }
-
-    #[test]
-    fn sha256_pair_is_order_sensitive() {
-        let a = sha256(b"a");
-        let b = sha256(b"b");
-        assert_ne!(sha256_pair(&a, &b), sha256_pair(&b, &a));
     }
 }

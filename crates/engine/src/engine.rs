@@ -1,28 +1,21 @@
 //! The multi-tenant engine: deployment, scheduling, sharded batching.
 
-use grub_chain::codec::encode_sections;
+use grub_chain::codec::{encode_sections, SECTION_OVERHEAD_BYTES};
 use grub_chain::{Address, Blockchain, ChainConfig, Transaction, TxId};
-use grub_core::contract::coalesce_delivers;
+use grub_core::contract::{coalesce_delivers, MAX_TX_PAYLOAD_BYTES};
 use grub_core::scrub::Scrubber;
-use grub_core::system::{DriverIdentity, EpochDriver, StagedReads, StagedUpdate, SystemConfig};
+use grub_core::system::{
+    mine_until_drained, DriverIdentity, EpochDriver, StagedReads, StagedUpdate, SystemConfig,
+};
 use grub_core::{GrubError, Result};
 use grub_fault::{FaultPoint, KnobError};
 use grub_gas::{checked_add_gas, checked_sub_gas, Layer};
 use grub_store::StoreError;
 use grub_workload::{OpSource, PeekableSource, Trace};
+use serde::{Deserialize, Serialize};
 
 use crate::report::{EngineReport, EpochMetrics, TenantReport};
 use crate::router::ShardRouter;
-
-/// A shard batch transaction stays under the same `Ctx` payload bound the
-/// single-feed epoch chunking uses ([`grub_core::system::UPDATE_CHUNK_BYTES`]);
-/// sections that would overflow it spill into a follow-up transaction in
-/// the same block.
-const BATCH_CHUNK_BYTES: usize = grub_core::system::UPDATE_CHUNK_BYTES;
-
-/// Calldata the section framing adds per batched payload: a 20-byte target
-/// address plus a 4-byte length prefix (see `encode_sections`).
-const SECTION_OVERHEAD_BYTES: usize = 24;
 
 /// When (and whether) the engine cross-checks each feed's SP store against
 /// the DO's authoritative records and the on-chain root at scheduler-round
@@ -86,24 +79,34 @@ fn fault_check(point: FaultPoint) -> Result<()> {
     Ok(())
 }
 
+/// How much of a round the engine batches across feeds — the three rungs
+/// of the savings ladder. Every rung runs the same round loop; the rung
+/// only decides how feeds group and how a group commits.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Batching {
+    /// Each feed is its own group and commits with its own transactions:
+    /// N independent single-feed runs on one chain, the baseline the
+    /// batching savings are measured against.
+    Off,
+    /// A shard's feeds form one group whose `update()` payloads ride one
+    /// `batchUpdate` transaction; delivers stay per feed.
+    Updates,
+    /// As `Updates`, and the group's SP deliveries ride one `batchDeliver`
+    /// transaction too. Live-tempo feeds keep their own deliver
+    /// transactions. Batch shares are attributed as feed-layer Gas, so a
+    /// run whose deliver-time consumer callbacks burn application-layer Gas
+    /// is refused with a typed error rather than misattributed.
+    #[default]
+    Full,
+}
+
 /// Engine-wide configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Number of shards feeds are hashed across (≥ 1).
     pub shards: usize,
-    /// Whether same-block updates of a shard's feeds are coalesced into one
-    /// `batchUpdate` transaction (the engine's reason to exist); disabling
-    /// it reproduces N independent single-feed runs on one chain, which is
-    /// the baseline the batching savings are measured against.
-    pub batching: bool,
-    /// Whether a shard's same-round SP deliveries are likewise coalesced
-    /// into one `batchDeliver` transaction. Only effective with `batching`
-    /// on (the shard router carries both); feeds configured for live-tempo
-    /// reads fall back to their own deliver transactions either way. Batch
-    /// shares are attributed as feed-layer Gas, so a run whose deliver-time
-    /// consumer callbacks burn application-layer Gas is refused with a
-    /// typed error rather than misattributed.
-    pub read_batching: bool,
+    /// The batching rung ([`Batching`]); [`Batching::Full`] by default.
+    pub batching: Batching,
     /// Background Merkle scrubbing at round boundaries ([`ScrubMode`]).
     pub scrub: ScrubMode,
     /// Chain timing parameters shared by all feeds.
@@ -116,8 +119,7 @@ impl EngineConfig {
     pub fn new(shards: usize) -> Self {
         EngineConfig {
             shards: shards.max(1),
-            batching: true,
-            read_batching: true,
+            batching: Batching::Full,
             scrub: ScrubMode::default(),
             chain: ChainConfig::default(),
         }
@@ -129,18 +131,18 @@ impl EngineConfig {
         self
     }
 
-    /// Disables cross-feed batching entirely (the sum-of-singles baseline).
+    /// Disables cross-feed batching entirely ([`Batching::Off`], the
+    /// sum-of-singles baseline).
     pub fn unbatched(mut self) -> Self {
-        self.batching = false;
-        self.read_batching = false;
+        self.batching = Batching::Off;
         self
     }
 
-    /// Keeps update batching but leaves every feed's delivers unbatched —
-    /// the write-only batching mode earlier engine versions shipped, used
-    /// to isolate what read batching saves on top.
+    /// Keeps update batching but leaves every feed's delivers unbatched
+    /// ([`Batching::Updates`]) — used to isolate what read batching saves
+    /// on top.
     pub fn without_read_batching(mut self) -> Self {
-        self.read_batching = false;
+        self.batching = Batching::Updates;
         self
     }
 }
@@ -462,8 +464,7 @@ pub struct FeedEngine {
     chain: Blockchain,
     shards: Vec<Shard>,
     feeds: Vec<FeedSlot>,
-    batching: bool,
-    read_batching: bool,
+    batching: Batching,
     scrub: ScrubMode,
     rounds: usize,
     metrics: Vec<EpochMetrics>,
@@ -518,7 +519,7 @@ impl FeedEngine {
             }
             let shard = tenant_shard(&spec.tenant, shards.len());
             let mut identity = DriverIdentity::tenant(format!("tenant/{}", spec.tenant));
-            if config.batching {
+            if config.batching != Batching::Off {
                 identity = identity.with_update_delegate(shards[shard].router);
             }
             // The engine owns its specs, so each feed's preload moves into
@@ -545,7 +546,6 @@ impl FeedEngine {
             shards,
             feeds,
             batching: config.batching,
-            read_batching: config.batching && config.read_batching,
             scrub: config.scrub,
             rounds: 0,
             metrics: Vec::new(),
@@ -736,13 +736,16 @@ impl FeedEngine {
         Ok((findings, repaired))
     }
 
-    /// One scheduler round.
+    /// One scheduler round, the same loop in every [`Batching`] rung.
     ///
     /// Every feed with trace remaining and quota to spend runs one epoch,
-    /// higher quota tiers first. With batching off each feed runs
-    /// standalone, one after another (the sum-of-singles reference);
-    /// with batching on the round is the shard loop of
-    /// [`FeedEngine::run_round_batched`].
+    /// higher quota tiers first. The runnable feeds form commit groups: one
+    /// per feed with batching off, one per shard (ascending) otherwise.
+    /// Every group is ingested and staged off-chain first, then the groups
+    /// commit in order — per group, its updates (the feed's own pending
+    /// transactions, or one shard batch mined as the write block) followed
+    /// by the read phase. Staging never touches the chain, so where it sits
+    /// relative to other groups' blocks cannot move a digest.
     fn run_round(&mut self) -> Result<()> {
         let round = self.rounds;
         let mut runnable: Vec<usize> = Vec::new();
@@ -751,50 +754,33 @@ impl FeedEngine {
                 runnable.push(idx);
             }
         }
+        if runnable.is_empty() {
+            return Ok(()); // every live feed is parked; quota refills next round
+        }
         // Priority drain order: higher tiers run (and batch) first within
         // the round. The sort is stable, so same-tier feeds keep their
         // declaration order and the schedule stays deterministic.
         runnable.sort_by_key(|&idx| std::cmp::Reverse(self.feeds[idx].tier()));
-        if self.batching {
-            self.run_round_batched(&runnable)
+        let groups: Vec<(usize, Vec<usize>)> = if self.batching == Batching::Off {
+            runnable
+                .into_iter()
+                .map(|idx| (self.feeds[idx].shard, vec![idx]))
+                .collect()
         } else {
-            self.run_round_unbatched(&runnable)
-        }
-    }
-
-    /// Sum-of-singles reference: each feed runs its epoch exactly as a
-    /// standalone GrubSystem would (update txs share the epoch's read
-    /// block), one feed after another — the baseline every batching-savings
-    /// assertion compares against.
-    fn run_round_unbatched(&mut self, runnable: &[usize]) -> Result<()> {
-        for &idx in runnable {
-            self.feeds[idx].ingest_epoch();
-            let feed = &mut self.feeds[idx];
-            let batched_before = feed.batched_gas();
-            feed.driver.close_epoch(&mut self.chain)?;
-            feed.charge_epoch(batched_before);
-        }
-        Ok(())
-    }
-
-    /// The batched round: every scheduled shard's epochs are ingested and
-    /// staged off-chain, then the shards commit in ascending shard order —
-    /// per shard, the write block (all staged update chunks coalesced
-    /// through the router, spilling past the Ctx payload bound) followed by
-    /// the read phase. Staging never touches the chain, so where it sits
-    /// relative to other shards' blocks cannot move a digest.
-    fn run_round_batched(&mut self, runnable: &[usize]) -> Result<()> {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for &idx in runnable {
-            by_shard[self.feeds[idx].shard].push(idx);
-        }
-        let mut staged: Vec<(usize, Vec<RoundFeed>)> = Vec::new();
-        for (shard, feed_idxs) in by_shard.iter().enumerate() {
-            if feed_idxs.is_empty() {
-                continue;
+            let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+            for idx in runnable {
+                by_shard[self.feeds[idx].shard].push(idx);
             }
-            let mut round_feeds = Vec::with_capacity(feed_idxs.len());
-            for &idx in feed_idxs {
+            by_shard
+                .into_iter()
+                .enumerate()
+                .filter(|(_, idxs)| !idxs.is_empty())
+                .collect()
+        };
+        let mut staged: Vec<(usize, Vec<RoundFeed>)> = Vec::with_capacity(groups.len());
+        for (shard, idxs) in groups {
+            let mut round_feeds = Vec::with_capacity(idxs.len());
+            for idx in idxs {
                 let feed = &mut self.feeds[idx];
                 feed.ingest_epoch();
                 let update = feed.driver.stage_update()?;
@@ -807,45 +793,53 @@ impl FeedEngine {
             fault_check(FaultPoint::PostStage)?;
             staged.push((shard, round_feeds));
         }
-        if staged.is_empty() {
-            return Ok(()); // every live feed is parked; quota refills next round
-        }
         fault_check(FaultPoint::PreMerge)?;
         for (pos, (shard, mut round_feeds)) in staged.into_iter().enumerate() {
             if pos > 0 {
-                // Between two shard commits of the same round: the previous
-                // shard's blocks are mined, this shard's are not.
+                // Between two group commits of the same round: the previous
+                // group's blocks are mined, this group's are not.
                 fault_check(FaultPoint::MidShardCommit)?;
             }
-            let mut sections: Vec<(usize, Vec<u8>)> = Vec::new();
-            for rf in &mut round_feeds {
-                for chunk in std::mem::take(&mut rf.update.chunks) {
-                    sections.push((rf.idx, chunk));
+            if self.batching == Batching::Off {
+                // The feed's own update transactions stay pending and ride
+                // its read block, as in a standalone `close_epoch`.
+                for rf in &round_feeds {
+                    self.feeds[rf.idx]
+                        .driver
+                        .submit_update(&mut self.chain, &rf.update);
                 }
+            } else {
+                let mut sections: Vec<(usize, Vec<u8>)> = Vec::new();
+                for rf in &mut round_feeds {
+                    for chunk in std::mem::take(&mut rf.update.chunks) {
+                        sections.push((rf.idx, chunk));
+                    }
+                }
+                self.submit_shard_batch(shard, BatchKind::Update, sections)?;
+                // The shard's write block is mined; its read phase has not
+                // begun.
+                fault_check(FaultPoint::PostWriteBlock)?;
             }
-            self.submit_shard_batch(shard, BatchKind::Update, sections)?;
-            // The shard's write block is mined; its read phase has not begun.
-            fault_check(FaultPoint::PostWriteBlock)?;
             self.run_shard_read_phase(shard, round_feeds)?;
         }
         Ok(())
     }
 
-    /// Runs one shard's read phase: each feed seals its own consumer read
-    /// block (keeping snapshot-differenced Gas attribution exact) and its
-    /// per-request deliver payloads are merged into shared-proof payloads
-    /// ([`coalesce_delivers`]: one section per feed, unless the calldata
-    /// bound splits it), then the shard's sections ride one `batchDeliver`
-    /// transaction; finally the epochs are booked and quotas charged.
-    /// Live-tempo feeds — and every feed when read batching is off — fall
-    /// back to the classic per-feed read phase with their own per-request
-    /// deliver transactions.
+    /// Runs one commit group's read phase: each feed seals its own consumer
+    /// read block (keeping snapshot-differenced Gas attribution exact).
+    /// Under [`Batching::Full`] its per-request deliver payloads are merged
+    /// into shared-proof payloads ([`coalesce_delivers`]: one section per
+    /// feed, unless the calldata bound splits it), then the group's
+    /// sections ride one `batchDeliver` transaction; finally the epochs are
+    /// booked and quotas charged. Live-tempo feeds — and every feed in the
+    /// lower rungs — run the per-feed read phase with their own per-request
+    /// deliver transactions, and the empty batch is a no-op.
     fn run_shard_read_phase(&mut self, shard_idx: usize, staged: Vec<RoundFeed>) -> Result<()> {
         let mut sections: Vec<(usize, Vec<u8>)> = Vec::new();
         let mut booked: Vec<(RoundFeed, StagedReads)> = Vec::new();
         for rf in staged {
             let feed = &mut self.feeds[rf.idx];
-            if self.read_batching && feed.driver.coalesces_reads() {
+            if self.batching == Batching::Full && feed.driver.coalesces_reads() {
                 let mut reads = feed.driver.stage_reads(&mut self.chain)?;
                 for payload in coalesce_delivers(std::mem::take(&mut reads.delivers)) {
                     sections.push((rf.idx, payload));
@@ -899,7 +893,7 @@ impl FeedEngine {
         let mut bytes = 0usize;
         for (feed_idx, payload) in sections {
             let section_bytes = payload.len() + SECTION_OVERHEAD_BYTES;
-            if bytes + section_bytes > BATCH_CHUNK_BYTES && !batch.is_empty() {
+            if bytes + section_bytes > MAX_TX_PAYLOAD_BYTES && !batch.is_empty() {
                 planned.push((std::mem::take(&mut batch), std::mem::take(&mut parts)));
                 bytes = 0;
             }
@@ -939,46 +933,28 @@ impl FeedEngine {
             };
             submitted.push((id, parts));
         }
-        // Seal blocks until every planned transaction has a receipt — one
-        // block in the uncongested case, several when a bounded mempool
-        // splits or delays the batch. Receipts are matched back by
-        // transaction id: under congestion a block's execution order is
-        // priority order, not submission order.
+        // Mine until the mempool drains — one block in the uncongested case,
+        // several when a bounded mempool splits or delays the batch.
+        // Receipts are matched back by transaction id: under congestion a
+        // block's execution order is priority order, not submission order.
         let before = self.chain.gas_snapshot();
-        let want: std::collections::HashSet<u64> = submitted.iter().map(|(id, _)| id.0).collect();
-        let mut collected: Vec<(TxId, bool, Option<String>, u64)> = Vec::new();
-        let mut have = 0usize;
-        while have < want.len() {
-            if self.chain.mempool_len() == 0 {
-                return Err(GrubError::Chain(format!(
-                    "shard {shard_idx} {} drained the mempool with {} of {} receipts missing",
-                    kind.func(),
-                    want.len() - have,
-                    want.len()
-                )));
-            }
-            let block = self.chain.try_produce_block().map_err(GrubError::from)?;
-            for r in &block.receipts {
-                if want.contains(&r.tx_id.0) {
-                    have += 1;
-                }
-                collected.push((r.tx_id, r.success, r.error.clone(), r.gas_used));
-            }
-        }
+        let mut mined = 0usize;
+        let mut by_id: std::collections::HashMap<u64, (bool, Option<String>, u64)> =
+            std::collections::HashMap::with_capacity(submitted.len());
+        mine_until_drained(&mut self.chain, |r| {
+            mined += 1;
+            by_id.insert(r.tx_id.0, (r.success, r.error.clone(), r.gas_used));
+            Ok(())
+        })?;
         // Guard the receipt↔transaction pairing: a stray mempool entry
         // would silently misattribute Gas shares, so refuse it.
-        if collected.len() != submitted.len() {
+        if mined != submitted.len() {
             return Err(GrubError::Chain(format!(
-                "shard {shard_idx} {} blocks mined {} receipts for {} transactions",
+                "shard {shard_idx} {} blocks mined {mined} receipts for {} transactions",
                 kind.func(),
-                collected.len(),
                 submitted.len()
             )));
         }
-        let mut by_id: std::collections::HashMap<u64, (bool, Option<String>, u64)> = collected
-            .into_iter()
-            .map(|(id, success, error, gas)| (id.0, (success, error, gas)))
-            .collect();
         // The shares booked below are documented — and consumed by every
         // report — as *feed-layer* Gas, but a receipt's `gas_used` spans all
         // meter layers. A consumer whose deliver-time callback did metered
@@ -1102,7 +1078,6 @@ impl FeedEngine {
 
     fn into_report(self) -> EngineReport {
         let batching = self.batching;
-        let read_batching = self.read_batching;
         let rounds = self.rounds;
         let tenants: Vec<TenantReport> = self
             .feeds
@@ -1125,7 +1100,6 @@ impl FeedEngine {
             shard_deliver_txs: self.shards.iter().map(|s| s.deliver_txs).collect(),
             rounds,
             batching,
-            read_batching,
             metrics: self.metrics,
         }
     }
@@ -1137,7 +1111,6 @@ impl std::fmt::Debug for FeedEngine {
             .field("feeds", &self.feeds.len())
             .field("shards", &self.shards.len())
             .field("batching", &self.batching)
-            .field("read_batching", &self.read_batching)
             .field("rounds", &self.rounds)
             .finish_non_exhaustive()
     }

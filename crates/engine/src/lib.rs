@@ -16,12 +16,12 @@
 //!               FeedEngine (deterministic shard scheduler, one executor)
 //!
 //!   STAGE (off-chain, EpochDriver::ingest + stage_update — no chain borrow)
-//!        shard 0: [feed a ingest→flush→encode] [feed b …]
-//!        shard 1: [feed c ingest→flush→encode] [feed d …]
-//!                     │ staged update sections, shard-ordered
-//!   MERGE (ascending shard order)
-//!        shard 0 write block → shard 0 read phase →
-//!                      shard 1 write block → shard 1 read phase → …
+//!        group 0: [feed a ingest→flush→encode] [feed b …]
+//!        group 1: [feed c ingest→flush→encode] [feed d …]
+//!                     │ staged update sections, group-ordered
+//!   MERGE (group order; a group is a shard, or one feed when unbatched)
+//!        group 0 updates → group 0 read phase →
+//!                      group 1 updates → group 1 read phase → …
 //!                     │
 //!   COMMIT (on-chain)      ┌── shard 0 ──┐       ┌── shard 1 ───┐
 //!                          │ ShardRouter │       │ ShardRouter  │
@@ -40,15 +40,18 @@
 //! * **Scheduling** — the engine runs feeds in *rounds*: round `r` lets
 //!   every feed with trace left (and quota to spend, see below) ingest one
 //!   epoch's worth of operations and close that epoch, higher quota tiers
-//!   first. A batched round stages every scheduled shard's epochs
-//!   off-chain, then commits each shard's write block and read phase in
-//!   canonical shard order; with batching off, each feed closes its epoch
-//!   standalone (the sum-of-singles reference the savings are measured
-//!   against).
+//!   first. Every [`Batching`] rung runs the same round loop: the runnable
+//!   feeds form commit groups — one per shard, or one per feed with
+//!   batching [`Off`](Batching::Off) — every group stages off-chain, then
+//!   the groups commit in order, each its updates and then its read phase.
+//!   A shard group's updates are one batch mined as the write block; an
+//!   unbatched feed's own update transactions ride its read block, so with
+//!   batching off a round is the sum-of-singles reference the savings are
+//!   measured against.
 //! * **Determinism contract** — a run is a deterministic function of its
 //!   specs: staging never touches the chain, and the merge commits the
-//!   shards in ascending shard order — so reruns mine byte-for-byte
-//!   identical chains
+//!   groups in a fixed order (ascending shards, or the drain order of
+//!   single-feed groups) — so reruns mine byte-for-byte identical chains
 //!   (equal [`Blockchain::chain_digest`](grub_chain::Blockchain::chain_digest)),
 //!   quotas and parking included. No wall clock or map iteration order
 //!   ever reaches the schedule.
@@ -73,8 +76,9 @@
 //!   ([`coalesce_delivers`](grub_core::contract::coalesce_delivers)), so
 //!   the tree levels the keys share are sent and hashed once; replica
 //!   installation and callback dispatch run per query inside the internal
-//!   call. Disable with [`EngineConfig::without_read_batching`] to isolate
-//!   the write-only savings; live-tempo feeds fall back to their own
+//!   call. [`Batching::Updates`]
+//!   ([`EngineConfig::without_read_batching`]) turns it off to isolate the
+//!   write-only savings; live-tempo feeds fall back to their own
 //!   per-request deliver transactions automatically.
 //! * **Per-tenant Gas quotas** — an optional [`TenantBudget`] per feed
 //!   turns the scheduler into a token bucket with deferral. Knobs:
@@ -99,8 +103,10 @@
 //!
 //! # Invariants
 //!
-//! 1. **Unbatched equivalence** — with batching disabled the engine submits
-//!    exactly the transactions N single-feed `GrubSystem` runs would: total
+//! 1. **Unbatched equivalence** — with batching [`Off`](Batching::Off) each
+//!    feed commits as its own group, with the calls `close_epoch` makes, so
+//!    the engine submits exactly the transactions N single-feed
+//!    `GrubSystem` runs would: total
 //!    feed-layer Gas equals the sum of the N standalone runs (checked in
 //!    `tests/engine.rs`), quota deferral included.
 //! 2. **Batching only removes envelopes and shared proof levels** — the
@@ -157,7 +163,7 @@ mod router;
 pub mod specs;
 
 pub use engine::{
-    tenant_shard, EngineConfig, FeedEngine, FeedSpec, QuotaTier, ScrubMode, TenantBudget,
+    tenant_shard, Batching, EngineConfig, FeedEngine, FeedSpec, QuotaTier, ScrubMode, TenantBudget,
 };
 pub use grub_fault::KnobError;
 pub use report::{EngineReport, EpochMetrics, TenantReport};

@@ -6,6 +6,8 @@ use grub_core::metrics::RunReport;
 use grub_gas::checked_add_gas;
 use serde::{Deserialize, Serialize};
 
+use crate::Batching;
+
 /// One tenant's share of a multi-tenant run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TenantReport {
@@ -17,10 +19,10 @@ pub struct TenantReport {
     /// when batching is off — its update transactions).
     pub run: RunReport,
     /// The tenant's byte-proportional share of its shard's batched update
-    /// transactions (zero when batching is off).
+    /// transactions (zero with [`Batching::Off`]).
     pub batched_update_gas: u64,
     /// The tenant's byte-proportional share of its shard's batched deliver
-    /// transactions (zero when read batching is off).
+    /// transactions (zero below [`Batching::Full`]).
     pub batched_deliver_gas: u64,
     /// Scheduler rounds in which the tenant's quota parked its next epoch
     /// (zero without a [`TenantBudget`](crate::TenantBudget)).
@@ -62,8 +64,8 @@ impl TenantReport {
 /// One entry per scheduler round, in order. Every field except
 /// `wall_clock_micros` is a deterministic function of the engine's specs;
 /// wall-clock is measured and therefore excluded from
-/// [`EngineReport::render_table`] (the determinism artifact) — it feeds the
-/// bench harness's throughput baseline instead.
+/// [`EngineReport::render_table`] (the determinism artifact) — it feeds
+/// `benchmark run`'s `round_us_p50` instead.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct EpochMetrics {
     /// Scheduler round index (0-based).
@@ -146,10 +148,8 @@ pub struct EngineReport {
     pub shard_deliver_txs: Vec<usize>,
     /// Scheduler rounds until every trace completed.
     pub rounds: usize,
-    /// Whether cross-feed update batching was on.
-    pub batching: bool,
-    /// Whether shard-level read (deliver) batching was on.
-    pub read_batching: bool,
+    /// The batching rung the run used.
+    pub batching: Batching,
     /// Per-round metrics trajectory, one entry per scheduler round.
     pub metrics: Vec<EpochMetrics>,
 }
@@ -223,10 +223,10 @@ impl EngineReport {
                 t.parked_rounds,
             );
         }
-        let mode = match (self.batching, self.read_batching) {
-            (true, true) => "batched (upd+dlv)",
-            (true, false) => "batched (upd)",
-            _ => "unbatched",
+        let mode = match self.batching {
+            Batching::Full => "batched (upd+dlv)",
+            Batching::Updates => "batched (upd)",
+            Batching::Off => "unbatched",
         };
         let _ = writeln!(
             out,
@@ -292,8 +292,7 @@ mod tests {
             shard_deliver_gas: vec![10],
             shard_deliver_txs: vec![1],
             rounds: 1,
-            batching: true,
-            read_batching: true,
+            batching: Batching::Full,
             metrics: vec![EpochMetrics {
                 round: 0,
                 staged_ops: 4,

@@ -31,15 +31,21 @@
 use std::cell::Cell;
 
 /// A named crash point in the stage→merge→commit pipeline.
+///
+/// The engine's round stages and commits feeds in *groups* — one per shard
+/// when batching, one per feed when not — and crosses the first four points
+/// in every batching rung: `PostStage` per group, `PreMerge` once,
+/// `MidShardCommit` between groups and `PostWriteBlock` after each shard
+/// write block (an unbatched group has none).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
-    /// After a round's off-chain staging (policy flush, SP sync, section
+    /// After one group's off-chain staging (policy flush, SP sync, section
     /// encoding) completes, before anything reaches the chain.
     PostStage,
-    /// After every scheduled shard has staged, before the first commit lane
-    /// is claimed.
+    /// After every group of the round has staged, before the first group
+    /// commits.
     PreMerge,
-    /// Between two shards' commits within one round — the first shard's
+    /// Between two groups' commits within one round — the first group's
     /// blocks are mined, the rest never happen.
     MidShardCommit,
     /// After a shard's batched `update` block is mined, before its read

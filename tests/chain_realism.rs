@@ -20,7 +20,7 @@ use grub::chain::ChainConfig;
 use grub::core::policy::PolicyKind;
 use grub::core::system::{GrubSystem, SystemConfig};
 use grub::engine::specs::{demo_policies, zipfian_ratio_specs, DEMO_RATIOS};
-use grub::engine::{EngineConfig, FeedEngine, FeedSpec, QuotaTier, TenantBudget};
+use grub::engine::{Batching, EngineConfig, FeedEngine, FeedSpec, QuotaTier, TenantBudget};
 use grub::gas::{FeeProcess, FeeRegime, BASE_PRICE_PERMILLE};
 use grub::workload::{Op, Trace, ValueSpec};
 
@@ -28,10 +28,9 @@ fn fleet() -> Vec<FeedSpec> {
     zipfian_ratio_specs(6, 240, DEMO_RATIOS, &demo_policies())
 }
 
-fn engine_config(batching: bool, read_batching: bool) -> EngineConfig {
+fn engine_config(batching: Batching) -> EngineConfig {
     let mut config = EngineConfig::new(2);
     config.batching = batching;
-    config.read_batching = read_batching;
     config
 }
 
@@ -41,15 +40,15 @@ fn engine_config(batching: bool, read_batching: bool) -> EngineConfig {
 /// the run that never forked.
 #[test]
 fn reorg_replay_is_digest_identical_in_every_engine_mode() {
-    for (batching, read_batching) in [(false, false), (true, false), (true, true)] {
-        let label = format!("batching={batching}/read_batching={read_batching}");
-        let plain = engine_config(batching, read_batching);
+    for batching in [Batching::Off, Batching::Updates, Batching::Full] {
+        let label = format!("batching={batching:?}");
+        let plain = engine_config(batching);
         let (plain_report, plain_chain) = FeedEngine::new(&plain, fleet())
             .unwrap()
             .run_with_chain()
             .unwrap_or_else(|e| panic!("{label}: straight-line run failed: {e}"));
 
-        let mut forked = engine_config(batching, read_batching);
+        let mut forked = engine_config(batching);
         forked.chain = ChainConfig::default().reorg(7, 4, 2);
         let (forked_report, forked_chain) = FeedEngine::new(&forked, fleet())
             .unwrap()
@@ -117,7 +116,7 @@ fn congested_mempool_splits_blocks_with_exact_attribution() {
             })
             .collect()
     };
-    let mut plain = engine_config(true, true);
+    let mut plain = engine_config(Batching::Full);
     plain.shards = 1;
     let (plain_report, plain_chain) = FeedEngine::new(&plain, tiered_fleet())
         .unwrap()
@@ -128,7 +127,7 @@ fn congested_mempool_splits_blocks_with_exact_attribution() {
         "the fleet must actually spill for the cap to have anything to split"
     );
 
-    let mut congested = engine_config(true, true);
+    let mut congested = engine_config(Batching::Full);
     congested.shards = 1;
     congested.chain = ChainConfig::default().mempool(1);
     let (congested_report, congested_chain) = FeedEngine::new(&congested, tiered_fleet())
@@ -185,14 +184,14 @@ fn fee_schedule_reprices_runs_deterministically() {
         },
         seed: 3,
     };
-    let flat = engine_config(true, true);
+    let flat = engine_config(Batching::Full);
     let (flat_report, _) = FeedEngine::new(&flat, fleet())
         .unwrap()
         .run_with_chain()
         .unwrap();
 
     let priced_run = || {
-        let mut config = engine_config(true, true);
+        let mut config = engine_config(Batching::Full);
         config.chain = ChainConfig::default().fee(fee);
         FeedEngine::new(&config, fleet())
             .unwrap()

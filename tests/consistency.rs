@@ -23,7 +23,7 @@ use grub::core::consistency::FreshnessModel;
 use grub::core::policy::PolicyKind;
 use grub::core::system::{DriverIdentity, EpochDriver, GrubSystem, SystemConfig};
 use grub::engine::specs::{demo_policies, zipfian_ratio_specs, DEMO_RATIOS};
-use grub::engine::{EngineConfig, FeedEngine, FeedSpec};
+use grub::engine::{Batching, EngineConfig, FeedEngine, FeedSpec};
 use grub::gas::{FeeProcess, Layer};
 use grub::workload::ratio::{MultiKeyRatio, RatioWorkload};
 use grub::workload::PeekableSource;
@@ -132,10 +132,9 @@ fn fleet() -> Vec<FeedSpec> {
     zipfian_ratio_specs(6, 240, DEMO_RATIOS, &demo_policies())
 }
 
-fn engine_config(batching: bool, read_batching: bool) -> EngineConfig {
+fn engine_config(batching: Batching) -> EngineConfig {
     let mut config = EngineConfig::new(2);
     config.batching = batching;
-    config.read_batching = read_batching;
     config
 }
 
@@ -152,10 +151,10 @@ fn confirmed_chain() -> ChainConfig {
 /// resubmitted exactly once — in all three batching modes.
 #[test]
 fn reorged_depth_confirmed_runs_lose_and_duplicate_no_writes() {
-    for (batching, read_batching) in [(false, false), (true, false), (true, true)] {
-        let label = format!("batching={batching}/read_batching={read_batching}");
+    for batching in [Batching::Off, Batching::Updates, Batching::Full] {
+        let label = format!("batching={batching:?}");
         let plain = {
-            let mut config = engine_config(batching, read_batching);
+            let mut config = engine_config(batching);
             config.chain = confirmed_chain();
             config
         };
@@ -165,7 +164,7 @@ fn reorged_depth_confirmed_runs_lose_and_duplicate_no_writes() {
             .unwrap_or_else(|e| panic!("{label}: straight-line run failed: {e}"));
 
         let forked = {
-            let mut config = engine_config(batching, read_batching);
+            let mut config = engine_config(batching);
             config.chain = confirmed_chain().reorg(7, 4, 2);
             config
         };
@@ -244,9 +243,9 @@ fn reorged_depth_confirmed_runs_lose_and_duplicate_no_writes() {
 /// batching modes.
 #[test]
 fn confirmed_height_is_monotone_and_runs_end_fully_confirmed() {
-    for (batching, read_batching) in [(false, false), (true, false), (true, true)] {
-        let label = format!("batching={batching}/read_batching={read_batching}");
-        let mut config = engine_config(batching, read_batching);
+    for batching in [Batching::Off, Batching::Updates, Batching::Full] {
+        let label = format!("batching={batching:?}");
+        let mut config = engine_config(batching);
         config.chain = confirmed_chain().reorg(7, 4, 2);
         let (report, chain) = FeedEngine::new(&config, fleet())
             .unwrap()

@@ -385,23 +385,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Engine-level crash × recovery: for an arbitrary crash point,
-    /// batching mode, and fleet size, a run killed at the point and
+    /// batching rung, and fleet size, a run killed at the point and
     /// re-executed by a fresh engine — checkpointed against the surviving
     /// chain — finishes with the same chain digest as an uninterrupted run
-    /// of the same specs.
+    /// of the same specs. Every rung runs the same round loop, so the
+    /// engine's points trip in each; only `Batching::Off` has no write
+    /// block, and there the draw falls back to the point between groups.
     #[test]
     fn crashed_engine_recovers_to_the_clean_chain_digest(
         point_idx in 0usize..6,
-        read_batching in any::<bool>(),
+        batching in prop::sample::select(vec![
+            grub::engine::Batching::Off,
+            grub::engine::Batching::Updates,
+            grub::engine::Batching::Full,
+        ]),
         total_ops in 96usize..192,
     ) {
-        use grub::engine::{EngineConfig, FeedEngine};
+        use grub::engine::{Batching, EngineConfig, FeedEngine};
         use grub::fault::{FaultPlan, FaultPoint};
 
-        let point = FaultPoint::ALL[point_idx];
+        let point = match FaultPoint::ALL[point_idx] {
+            FaultPoint::PostWriteBlock if batching == Batching::Off => FaultPoint::MidShardCommit,
+            point => point,
+        };
         let config = {
             let mut c = EngineConfig::new(2);
-            c.read_batching = read_batching;
+            c.batching = batching;
             c
         };
         let root = |tag: &str| std::env::temp_dir().join(format!(
@@ -417,7 +426,7 @@ proptest! {
         let mut crashed = FeedEngine::new(&config, crash_fleet(&crash_root, total_ops)).unwrap();
         grub::fault::arm(FaultPlan::at(point));
         let died = crashed.run_rounds();
-        prop_assert!(died.is_err(), "{point:?}: armed crash point did not kill the run");
+        prop_assert!(died.is_err(), "{point:?}/{batching:?}: armed crash point did not kill the run");
         prop_assert!(!grub::fault::is_armed(), "{point:?}: run died but the point never tripped");
         let surviving_height = crashed.chain().height();
         let surviving_digest = crashed.chain().chain_digest();
@@ -466,7 +475,6 @@ proptest! {
         let fleet = || zipfian_ratio_specs(feeds, 144, DEMO_RATIOS, &demo_policies());
         let config = |chain: ChainConfig| {
             let mut c = EngineConfig::new(2);
-            c.batching = true;
             c.chain = chain;
             c
         };
