@@ -13,7 +13,7 @@ use grub_core::policy::PolicyKind;
 use grub_core::policy::{Memoryless, ReplicationPolicy};
 use grub_core::system::{DriverIdentity, EpochDriver, GrubSystem, SystemConfig};
 use grub_core::wire::range_proof_len;
-use grub_crypto::sha256;
+use grub_crypto::{compress_soft, sha256};
 use grub_gas::Layer;
 use grub_merkle::{record_value_hash, MerkleKv, ProofKey, RangeProof, ReplState, TreeOp};
 use grub_store::{Db, Options};
@@ -23,6 +23,19 @@ fn bench_crypto(c: &mut Criterion) {
     let data_1k = vec![0xabu8; 1024];
     c.bench_function("sha256/1KiB", |b| {
         b.iter(|| sha256(std::hint::black_box(&data_1k)))
+    });
+    // One Merkle inner hash: a domain byte and two 32-byte children, two
+    // compressions through whichever kernel the CPU picks.
+    let inner = [0x5au8; 65];
+    c.bench_function("sha256/65B", |b| {
+        b.iter(|| sha256(std::hint::black_box(&inner)))
+    });
+    // One block through the portable kernel, the fallback a CPU without
+    // the SHA extensions runs for every block.
+    let block = [0xabu8; 64];
+    let mut state = [0u32; 8];
+    c.bench_function("sha256/compress-soft", |b| {
+        b.iter(|| compress_soft(&mut state, std::hint::black_box(&block)))
     });
 }
 

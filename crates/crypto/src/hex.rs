@@ -1,39 +1,4 @@
-//! Dependency-free hex encoding and decoding.
-
-use std::error::Error;
-use std::fmt;
-
-/// Error returned when parsing hex input fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParseHexError {
-    /// A character outside `[0-9a-fA-F]` was found at the given offset.
-    BadCharacter {
-        /// Byte offset of the offending character.
-        offset: usize,
-    },
-    /// Input length was odd or did not match the expected digest length.
-    BadLength {
-        /// Expected number of hex characters.
-        expected: usize,
-        /// Actual number of hex characters supplied.
-        actual: usize,
-    },
-}
-
-impl fmt::Display for ParseHexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParseHexError::BadCharacter { offset } => {
-                write!(f, "invalid hex character at offset {offset}")
-            }
-            ParseHexError::BadLength { expected, actual } => {
-                write!(f, "invalid hex length: expected {expected}, got {actual}")
-            }
-        }
-    }
-}
-
-impl Error for ParseHexError {}
+//! Dependency-free hex encoding.
 
 /// Encodes bytes as lowercase hex.
 ///
@@ -52,73 +17,12 @@ pub fn encode(bytes: &[u8]) -> String {
     out
 }
 
-/// Decodes a hex string (upper or lower case) into bytes.
-///
-/// # Errors
-///
-/// Returns [`ParseHexError::BadLength`] for odd-length input and
-/// [`ParseHexError::BadCharacter`] for non-hex characters.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(grub_crypto::hex::decode("DEad").unwrap(), vec![0xde, 0xad]);
-/// assert!(grub_crypto::hex::decode("zz").is_err());
-/// ```
-pub fn decode(s: &str) -> Result<Vec<u8>, ParseHexError> {
-    let bytes = s.as_bytes();
-    if !bytes.len().is_multiple_of(2) {
-        return Err(ParseHexError::BadLength {
-            expected: bytes.len() + 1,
-            actual: bytes.len(),
-        });
-    }
-    let nibble = |c: u8, offset: usize| -> Result<u8, ParseHexError> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            b'A'..=b'F' => Ok(c - b'A' + 10),
-            _ => Err(ParseHexError::BadCharacter { offset }),
-        }
-    };
-    let mut out = Vec::with_capacity(bytes.len() / 2);
-    for i in (0..bytes.len()).step_by(2) {
-        out.push((nibble(bytes[i], i)? << 4) | nibble(bytes[i + 1], i + 1)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trip() {
-        let data: Vec<u8> = (0..=255).collect();
-        assert_eq!(decode(&encode(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn rejects_odd_length() {
-        assert!(matches!(
-            decode("abc"),
-            Err(ParseHexError::BadLength { .. })
-        ));
-    }
-
-    #[test]
-    fn rejects_bad_character() {
-        assert_eq!(decode("0g"), Err(ParseHexError::BadCharacter { offset: 1 }));
-    }
-
-    #[test]
     fn empty_is_ok() {
-        assert_eq!(decode("").unwrap(), Vec::<u8>::new());
         assert_eq!(encode(&[]), "");
-    }
-
-    #[test]
-    fn mixed_case() {
-        assert_eq!(decode("AbCd").unwrap(), vec![0xab, 0xcd]);
     }
 }

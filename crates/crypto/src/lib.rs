@@ -5,9 +5,13 @@
 //! data owner on the root digest. This crate provides:
 //!
 //! * [`sha256`] — a FIPS 180-4 SHA-256 implementation, validated against the
-//!   official test vectors (see the unit tests).
+//!   official test vectors (see the unit tests). Each 64-byte block runs on
+//!   the x86 SHA extensions when the CPU has them and on the portable
+//!   [`compress_soft`] otherwise; the digest is the same either way.
+//! * [`compressions`] — a per-thread count of SHA-256 compressions, the
+//!   workspace's hashing work counter.
 //! * [`Hash32`] — the 32-byte digest newtype shared by every crate.
-//! * [`hex`] — dependency-free hex encoding/decoding.
+//! * [`hex`] — dependency-free hex encoding.
 //!
 //! # Examples
 //!
@@ -20,8 +24,18 @@
 //!     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 //! );
 //! ```
+//!
+//! # `unsafe`
+//!
+//! The crate denies `unsafe` code and allows it at exactly one site: the
+//! call into the SHA-NI kernel in `sha2.rs`, made only after run-time
+//! detection has confirmed the CPU features the kernel is compiled for. The
+//! kernel itself is a safe `#[target_feature]` function that builds its
+//! vectors from words and reads them back lane by lane — no pointer loads
+//! or stores — so calling it on a CPU that has those features is all its
+//! `SAFETY` comment has to establish.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hex;
@@ -31,7 +45,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-pub use sha2::Sha256;
+pub use sha2::{compress_soft, compressions, Sha256};
 
 /// A 32-byte digest, the unit of authentication throughout the workspace.
 ///
@@ -45,8 +59,7 @@ pub use sha2::Sha256;
 ///
 /// let zero = Hash32::ZERO;
 /// assert_eq!(zero.as_bytes(), &[0u8; 32]);
-/// let parsed: Hash32 = Hash32::from_hex(&zero.to_hex()).unwrap();
-/// assert_eq!(parsed, zero);
+/// assert_eq!(zero.to_hex(), "0".repeat(64));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct Hash32([u8; 32]);
@@ -65,38 +78,9 @@ impl Hash32 {
         &self.0
     }
 
-    /// Consumes the digest, returning the raw bytes.
-    pub fn into_bytes(self) -> [u8; 32] {
-        self.0
-    }
-
-    /// Returns `true` if this is the all-zero sentinel digest.
-    pub fn is_zero(&self) -> bool {
-        self.0 == [0u8; 32]
-    }
-
     /// Lowercase hex rendering of the digest (64 characters).
     pub fn to_hex(&self) -> String {
         hex::encode(&self.0)
-    }
-
-    /// Parses a 64-character hex string into a digest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`hex::ParseHexError`] when the input is not exactly 64 hex
-    /// characters.
-    pub fn from_hex(s: &str) -> Result<Self, hex::ParseHexError> {
-        let bytes = hex::decode(s)?;
-        if bytes.len() != 32 {
-            return Err(hex::ParseHexError::BadLength {
-                expected: 64,
-                actual: s.len(),
-            });
-        }
-        let mut out = [0u8; 32];
-        out.copy_from_slice(&bytes);
-        Ok(Hash32(out))
     }
 }
 
@@ -199,21 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn hash32_hex_round_trip() {
-        let d = sha256(b"round trip");
-        let parsed = Hash32::from_hex(&d.to_hex()).unwrap();
-        assert_eq!(parsed, d);
-    }
-
-    #[test]
-    fn hash32_from_hex_rejects_bad_length() {
-        assert!(Hash32::from_hex("abcd").is_err());
-    }
-
-    #[test]
     fn hash32_zero_sentinel() {
-        assert!(Hash32::ZERO.is_zero());
-        assert!(!sha256(b"x").is_zero());
+        assert_eq!(Hash32::ZERO.as_bytes(), &[0u8; 32]);
+        assert_eq!(Hash32::ZERO, Hash32::default());
+        assert_ne!(sha256(b"x"), Hash32::ZERO);
     }
 
     #[test]

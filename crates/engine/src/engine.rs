@@ -622,6 +622,7 @@ impl FeedEngine {
     fn run_metered_round(&mut self) -> Result<()> {
         // grub-lint: allow(determinism) — wall-clock timing feeds EpochMetrics reporting only, never the digest
         let started = std::time::Instant::now();
+        let compressions_before = grub_crypto::compressions();
         let gas_before = self.chain.gas_snapshot();
         let ops_before = self.completed_ops();
         let parked_before: usize = self.feeds.iter().map(|f| f.parked_rounds).sum();
@@ -693,6 +694,7 @@ impl FeedEngine {
             bloom_skips: perf_after.bloom_skips - perf_before.bloom_skips,
             merkle_nodes_rehashed: perf_after.merkle_nodes_rehashed
                 - perf_before.merkle_nodes_rehashed,
+            sha256_compressions: grub_crypto::compressions() - compressions_before,
         });
         Ok(())
     }

@@ -122,6 +122,12 @@ pub struct EpochMetrics {
     /// Merkle nodes rehashed by batched tree updates this round (SP trees
     /// plus DO mirrors).
     pub merkle_nodes_rehashed: u64,
+    /// SHA-256 compressions run this round (Merkle hashing, proofs, the
+    /// on-chain verifier, block digests), from
+    /// [`grub_crypto::compressions`]. Deterministic, but like
+    /// `wall_clock_micros` kept out of the determinism table: it is a
+    /// work counter, not an on-chain quantity.
+    pub sha256_compressions: u64,
 }
 
 /// The aggregate result of one engine run.

@@ -7,9 +7,10 @@
 //! keys it was handed, and `MerkleKv::heap_bytes` reports exactly that. A
 //! preload moves into the DO record by record, and `DataOwner::heap_bytes`
 //! and `ReplicationPolicy::heap_bytes` report what is held.
-//! This binary carries its own counting `#[global_allocator]` (the only
-//! `unsafe` in the tree, and the reason the test lives here rather than in a
-//! library crate) and asserts the counts and live bytes. Counting is per
+//! This binary carries its own counting `#[global_allocator]` (`unsafe`,
+//! and the reason the test lives here rather than in a library crate: under
+//! `crates/` the one `unsafe` site is `grub-crypto`'s call into its detected
+//! SHA-NI kernel) and asserts the counts and live bytes. Counting is per
 //! thread, so the harness's own threads cannot disturb it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
