@@ -16,6 +16,7 @@ use grub_core::wire::range_proof_len;
 use grub_crypto::{compress_soft, sha256};
 use grub_gas::Layer;
 use grub_merkle::{record_value_hash, MerkleKv, ProofKey, RangeProof, ReplState, TreeOp};
+use grub_store::crc::crc32;
 use grub_store::{Db, Options};
 use grub_workload::ratio::RatioWorkload;
 
@@ -311,6 +312,23 @@ fn bench_store(c: &mut Criterion) {
         })
     });
     drop(db);
+    // `store/get-10k` hits the block cache on every iteration after the
+    // first; the same store with the cache off times the miss: the block
+    // read, its CRC and the in-place lookup.
+    let uncached = Options {
+        block_cache_capacity: 0,
+        ..Options::default()
+    };
+    let db = Db::open(&dir, uncached).expect("reopen");
+    c.bench_function("store/get-10k-miss", |b| {
+        b.iter(|| db.get(std::hint::black_box(b"key00005000")).expect("get"))
+    });
+    drop(db);
+    // The checksum over one default-sized data block.
+    let block = vec![0xabu8; 4096];
+    c.bench_function("store/crc32-4KiB", |b| {
+        b.iter(|| crc32(std::hint::black_box(&block)))
+    });
     // Loading 65,536 x 256 B sorted records into a fresh store: laid down
     // as L1 tables, against the WAL → memtable → flush → compaction they
     // cost one `put` at a time.

@@ -1,4 +1,8 @@
-//! A bounded, deterministic LRU cache over decoded SSTable data blocks.
+//! A bounded, deterministic LRU cache over verified SSTable data blocks.
+//!
+//! A cached block is the raw frame whose length and CRC were checked when
+//! it was read; readers decode it in place ([`crate::sstable::Block`]), so a
+//! hit costs no checksum and no decode of the entries it skips.
 //!
 //! Entries are keyed by `(file number, block index)`. File numbers are
 //! monotonically assigned and never reused, so a stale hit is impossible:
@@ -14,10 +18,10 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::sstable::TableEntry;
+use crate::sstable::Block;
 
-/// A shared, immutable decoded data block.
-pub(crate) type CachedBlock = Arc<Vec<TableEntry>>;
+/// A shared, immutable verified data block.
+pub(crate) type CachedBlock = Arc<Block>;
 
 /// The cache. Interior-mutable (`Cell`/`RefCell`) so the read path can stay
 /// `&self`; `Arc` blocks keep the owning [`crate::Db`] `Send`.
@@ -108,11 +112,7 @@ mod tests {
     use super::*;
 
     fn block(tag: u8) -> CachedBlock {
-        Arc::new(vec![TableEntry {
-            key: vec![tag],
-            seq: 1,
-            value: Some(vec![tag]),
-        }])
+        Arc::new(Block::with_entries(&[(&[tag], 1, Some(&[tag]))]))
     }
 
     #[test]
@@ -154,6 +154,7 @@ mod tests {
         c.insert(1, 0, block(0));
         c.insert(1, 0, block(9));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get(1, 0).unwrap()[0].key, vec![9]);
+        let block = c.get(1, 0).unwrap();
+        assert_eq!(block.get(&[9]).unwrap(), Some(Some(vec![9])));
     }
 }

@@ -4,11 +4,12 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::cache::{BlockCache, CachedBlock};
 use crate::memtable::Memtable;
 use crate::sstable::{SsTableReader, SsTableWriter, TableEntry};
-use crate::wal::{Wal, WalRecord};
+use crate::wal::Wal;
 use crate::Result;
 
 /// Tuning knobs, mirroring LevelDB's `Options`.
@@ -141,8 +142,10 @@ impl Db {
             if !have_sidecar {
                 // Pre-sidecar directory: recover the sequence the old way,
                 // from the max over surviving records.
-                for e in reader.iter_all()? {
-                    max_seq = max_seq.max(e.seq);
+                for block in reader.blocks() {
+                    for entry in block?.entries() {
+                        max_seq = max_seq.max(entry?.1);
+                    }
                 }
             }
             let table = Table {
@@ -201,12 +204,7 @@ impl Db {
 
     fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) -> Result<()> {
         self.seq += 1;
-        let rec = WalRecord {
-            seq: self.seq,
-            key: key.clone(),
-            value: value.clone(),
-        };
-        self.wal.append(&rec)?;
+        self.wal.append(self.seq, &key, value.as_deref())?;
         if self.opts.sync_writes {
             self.wal.sync()?;
         }
@@ -258,8 +256,7 @@ impl Db {
         let Some(idx) = r.find_block_idx(key) else {
             return Ok(None);
         };
-        let block = self.cached_block(table, idx)?;
-        Ok(block.iter().find(|e| e.key == key).map(|e| e.value.clone()))
+        self.cached_block(table, idx)?.get(key)
     }
 
     /// Fetches data block `idx` of `table` through the block cache.
@@ -268,7 +265,7 @@ impl Db {
             self.reads.borrow_mut().cache_hits += 1;
             return Ok(block);
         }
-        let block = std::sync::Arc::new(table.reader.block_at(idx)?);
+        let block = Arc::new(table.reader.block_at(idx)?);
         {
             let mut reads = self.reads.borrow_mut();
             reads.cache_misses += 1;
@@ -294,14 +291,14 @@ impl Db {
         // Winner per key = the entry with the highest seq: L0 tables overlap
         // each other and L1.
         let mut best: BTreeMap<Vec<u8>, (u64, Option<Vec<u8>>)> = BTreeMap::new();
-        let mut offer = |key: &[u8], seq: u64, value: Option<Vec<u8>>| {
+        let mut offer = |key: &[u8], seq: u64, value: Option<&[u8]>| {
             if !in_range(key) {
                 return;
             }
             match best.get(key) {
                 Some((s, _)) if *s >= seq => {}
                 _ => {
-                    best.insert(key.to_vec(), (seq, value));
+                    best.insert(key.to_vec(), (seq, value.map(<[u8]>::to_vec)));
                 }
             }
         };
@@ -323,11 +320,12 @@ impl Db {
             };
             'blocks: for idx in first..r.block_count() {
                 let block = self.cached_block(table, idx)?;
-                for TableEntry { key, seq, value } in block.iter() {
-                    if end.map(|e| key.as_slice() >= e).unwrap_or(false) {
+                for entry in block.entries() {
+                    let (key, seq, value) = entry?;
+                    if end.map(|e| key >= e).unwrap_or(false) {
                         break 'blocks;
                     }
-                    offer(key, *seq, value.clone());
+                    offer(key, seq, value);
                 }
             }
         }
@@ -1174,6 +1172,95 @@ mod tests {
         assert!(db.scan(None, None).unwrap().is_empty());
         db.flush().unwrap(); // no-op
         db.compact().unwrap(); // no-op
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn tiny_key(i: u32) -> Vec<u8> {
+        format!("k{i:04}").into_bytes()
+    }
+
+    /// Options for one L0 table of fifty `k{i:04}` → `v` entries, three to
+    /// a 64-byte block (keys `3b..3b+2` in block `b`), read without a cache.
+    fn tiny_opts() -> Options {
+        Options {
+            block_bytes: 64,
+            block_cache_capacity: 0,
+            ..Options::default()
+        }
+    }
+
+    /// Writes the [`tiny_opts`] table under `dir` and returns its path.
+    fn tiny_db(dir: &Path) -> PathBuf {
+        let mut db = Db::open(dir, tiny_opts()).unwrap();
+        for i in 0..50 {
+            db.put(tiny_key(i), b"v".to_vec()).unwrap();
+        }
+        db.flush().unwrap();
+        assert_eq!(db.stats(), (1, 0, 1, 0));
+        dir.join("000001-l0.sst")
+    }
+
+    fn is_corrupt<T>(result: &Result<T>) -> bool {
+        matches!(result, Err(crate::StoreError::Corrupt(_)))
+    }
+
+    #[test]
+    fn hostile_blocks_surface_as_corrupt_through_get_and_scan() {
+        use crate::sstable::tests::{damage_block, Damage};
+        for damage in Damage::ALL {
+            let dir = temp_dir(&format!("hostile-{damage:?}"));
+            let table = tiny_db(&dir);
+            // Block 1 holds k0003..k0005; every shape damages the entry
+            // after k0003 or k0005 itself.
+            damage_block(&table, 1, damage);
+            let db = Db::open(&dir, tiny_opts()).unwrap();
+            assert!(is_corrupt(&db.get(&tiny_key(5))), "{damage:?}");
+            assert!(is_corrupt(&db.scan(None, None)), "{damage:?}");
+            assert!(is_corrupt(&db.scan(Some(&tiny_key(4)), None)), "{damage:?}");
+            // Blocks on either side still read.
+            assert_eq!(db.get(&tiny_key(2)).unwrap(), Some(b"v".to_vec()));
+            assert_eq!(db.get(&tiny_key(6)).unwrap(), Some(b"v".to_vec()));
+            assert_eq!(db.scan(Some(&tiny_key(6)), None).unwrap().len(), 44);
+            drop(db);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn every_byte_flip_in_a_block_reads_corrupt_or_right() {
+        use std::os::unix::fs::FileExt;
+        let dir = temp_dir("flip-sweep");
+        let table = tiny_db(&dir);
+        // Opened before the damage, with no cache: every read below goes
+        // to the file as it is at that moment.
+        let db = Db::open(&dir, tiny_opts()).unwrap();
+        let clean = std::fs::read(&table).unwrap();
+        let frame_len = 8 + u32::from_le_bytes(clean[0..4].try_into().unwrap()) as usize;
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&table)
+            .unwrap();
+        for i in 0..frame_len {
+            file.write_all_at(&[clean[i] ^ 0xFF], i as u64).unwrap();
+            let mut corrupt = 0;
+            for k in 0..50 {
+                let got = db.get(&tiny_key(k));
+                if is_corrupt(&got) {
+                    corrupt += 1;
+                } else {
+                    assert_eq!(got.unwrap(), Some(b"v".to_vec()), "byte {i}, key {k}");
+                }
+            }
+            assert_eq!(corrupt, 3, "byte {i}: exactly block 0's keys fail");
+            assert!(is_corrupt(&db.scan(None, None)), "byte {i}");
+            assert!(
+                is_corrupt(&SsTableReader::open(&table)),
+                "byte {i}: the open must fail"
+            );
+            file.write_all_at(&clean[i..=i], i as u64).unwrap();
+        }
+        assert_eq!(db.scan(None, None).unwrap().len(), 50);
+        drop(db);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,10 +9,21 @@
 //! Data blocks hold `(key, seq, value?)` entries, one per key, in strictly
 //! ascending key order, cut once a block reaches ~4 KiB. The index maps each
 //! block's last key to its file extent; the bloom filter short-circuits point
-//! lookups; the footer pins everything with a magic number. Blocks are
-//! CRC-checked. The sequence number is kept so compaction can pick the newest
-//! of overlapping tables and `Db::open` can recover the store's sequence.
+//! lookups; the footer pins everything with a magic number. The sequence
+//! number is kept so compaction can pick the newest of overlapping tables
+//! and `Db::open` can recover the store's sequence.
+//!
+//! A data block is framed as `len:u32 · crc32:u32 · body`, and each body
+//! entry as `klen:u32 · seq:u64 · has_value:u8 · vlen:u32 · key · value`.
+//! A block read from disk has its frame length and CRC checked once and is
+//! then kept as those raw bytes (`Block`, what the block cache holds);
+//! every reader decodes it in place through one iterator,
+//! `Block::entries`, which borrows keys and values from the frame and
+//! turns an entry that overruns the block into a typed
+//! [`StoreError::Corrupt`]. A point lookup walks it to the first key at or
+//! above the one asked for and copies out only the hit's value.
 
+use std::cmp::Ordering;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::os::unix::fs::FileExt;
@@ -116,16 +127,7 @@ impl SsTableWriter {
         if self.block.len() >= self.block_target {
             self.finish_block()?;
         }
-        self.block
-            .extend_from_slice(&(key.len() as u32).to_le_bytes());
-        self.block.extend_from_slice(&seq.to_le_bytes());
-        self.block.push(value.is_some() as u8);
-        let vlen = value.map(|v| v.len()).unwrap_or(0);
-        self.block.extend_from_slice(&(vlen as u32).to_le_bytes());
-        self.block.extend_from_slice(key);
-        if let Some(v) = value {
-            self.block.extend_from_slice(v);
-        }
+        encode_entry(&mut self.block, key, seq, value);
         self.keys.push(key.to_vec());
         Ok(())
     }
@@ -134,11 +136,7 @@ impl SsTableWriter {
         if self.block.is_empty() {
             return Ok(());
         }
-        let crc = crc32(&self.block);
-        let mut framed = Vec::with_capacity(self.block.len() + 8);
-        framed.extend_from_slice(&(self.block.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc.to_le_bytes());
-        framed.extend_from_slice(&self.block);
+        let framed = frame(&self.block);
         self.file.write_all(&framed)?;
         self.index.push(IndexEntry {
             // A non-empty block ends with the last key add() recorded.
@@ -259,9 +257,19 @@ impl SsTableReader {
             smallest: Vec::new(),
             largest: Vec::new(),
         };
-        if let Some(first) = reader.index.first().cloned() {
-            let entries = reader.read_block(&first)?;
-            reader.smallest = entries.first().map(|e| e.key.clone()).unwrap_or_default();
+        if let Some(first) = reader.index.first() {
+            // Block 0 is decoded in full, so a malformed first block fails
+            // the open rather than a later read.
+            let block = reader.read_block(first)?;
+            let mut entries = block.entries();
+            let smallest = match entries.next() {
+                Some(entry) => entry?.0.to_vec(),
+                None => Vec::new(),
+            };
+            for entry in entries {
+                entry?;
+            }
+            reader.smallest = smallest;
             reader.largest = reader
                 .index
                 .last()
@@ -286,22 +294,10 @@ impl SsTableReader {
         &self.largest
     }
 
-    fn read_block(&self, entry: &IndexEntry) -> Result<Vec<TableEntry>> {
+    fn read_block(&self, entry: &IndexEntry) -> Result<Block> {
         let mut framed = vec![0u8; entry.len as usize];
         self.file.read_exact_at(&mut framed, entry.offset)?;
-        if framed.len() < 8 {
-            return Err(StoreError::Corrupt("short block frame".into()));
-        }
-        let blen = le_u32(&framed[0..4]) as usize;
-        let crc = le_u32(&framed[4..8]);
-        let body = &framed[8..];
-        if body.len() != blen {
-            return Err(StoreError::Corrupt("block length mismatch".into()));
-        }
-        if crc32(body) != crc {
-            return Err(StoreError::Corrupt("block crc mismatch".into()));
-        }
-        parse_block(body)
+        Block::from_frame(framed)
     }
 
     /// Number of data blocks in the table.
@@ -323,11 +319,17 @@ impl SsTableReader {
     }
 
     /// Reads (and CRC-checks) data block `idx`.
-    pub(crate) fn block_at(&self, idx: usize) -> Result<Vec<TableEntry>> {
+    pub(crate) fn block_at(&self, idx: usize) -> Result<Block> {
         match self.index.get(idx) {
             Some(entry) => self.read_block(entry),
-            None => Ok(Vec::new()),
+            None => Err(StoreError::Corrupt(format!("no data block {idx}"))),
         }
+    }
+
+    /// Every data block in key order, each read and CRC-checked as the
+    /// iterator reaches it.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = Result<Block>> + '_ {
+        self.index.iter().map(|entry| self.read_block(entry))
     }
 
     /// All entries, in key order.
@@ -337,10 +339,142 @@ impl SsTableReader {
     /// I/O or corruption while reading blocks.
     pub fn iter_all(&self) -> Result<Vec<TableEntry>> {
         let mut out = Vec::with_capacity(self.entry_count as usize);
-        for e in &self.index {
-            out.extend(self.read_block(e)?);
+        for block in self.blocks() {
+            for entry in block?.entries() {
+                let (key, seq, value) = entry?;
+                out.push(TableEntry {
+                    key: key.to_vec(),
+                    seq,
+                    value: value.map(<[u8]>::to_vec),
+                });
+            }
         }
         Ok(out)
+    }
+}
+
+/// Bytes of a block frame's header: the body length, then its CRC-32.
+const FRAME_HEADER: usize = 8;
+
+/// Bytes of an entry header: key length (`u32`), sequence (`u64`), value
+/// flag (`u8`) and value length (`u32`), all little-endian.
+const ENTRY_HEADER: usize = 17;
+
+/// Appends one `(key, seq, value?)` entry to a block body.
+fn encode_entry(body: &mut Vec<u8>, key: &[u8], seq: u64, value: Option<&[u8]>) {
+    body.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    body.extend_from_slice(&seq.to_le_bytes());
+    body.push(value.is_some() as u8);
+    let vlen = value.map(|v| v.len()).unwrap_or(0);
+    body.extend_from_slice(&(vlen as u32).to_le_bytes());
+    body.extend_from_slice(key);
+    if let Some(v) = value {
+        body.extend_from_slice(v);
+    }
+}
+
+/// Frames a block body: length, CRC-32, body.
+fn frame(body: &[u8]) -> Vec<u8> {
+    let mut framed = Vec::with_capacity(FRAME_HEADER + body.len());
+    framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    framed.extend_from_slice(&crc32(body).to_le_bytes());
+    framed.extend_from_slice(body);
+    framed
+}
+
+/// One decoded entry, borrowed from its block: key, sequence, and the value
+/// (`None` for a tombstone).
+pub(crate) type EntryRef<'a> = (&'a [u8], u64, Option<&'a [u8]>);
+
+/// A data block whose frame length and CRC have been checked: the framed
+/// bytes as read from disk, decoded in place on every use. Nothing is
+/// copied out but what a caller asks for, so a point lookup allocates only
+/// the value it returns.
+#[derive(Debug)]
+pub(crate) struct Block {
+    framed: Vec<u8>,
+}
+
+impl Block {
+    /// Verifies a framed block: its length field must match the body and
+    /// its CRC must match the body's.
+    fn from_frame(framed: Vec<u8>) -> Result<Block> {
+        if framed.len() < FRAME_HEADER {
+            return Err(StoreError::Corrupt("short block frame".into()));
+        }
+        let blen = le_u32(&framed[0..4]) as usize;
+        let crc = le_u32(&framed[4..8]);
+        let body = &framed[FRAME_HEADER..];
+        if body.len() != blen {
+            return Err(StoreError::Corrupt("block length mismatch".into()));
+        }
+        if crc32(body) != crc {
+            return Err(StoreError::Corrupt("block crc mismatch".into()));
+        }
+        Ok(Block { framed })
+    }
+
+    /// The block's entries in key order. An entry whose header or body runs
+    /// past the block yields [`StoreError::Corrupt`] and ends the walk.
+    pub(crate) fn entries(&self) -> Entries<'_> {
+        Entries {
+            rest: self.framed.get(FRAME_HEADER..).unwrap_or_default(),
+        }
+    }
+
+    /// The block's opinion on `key`: `None` if it holds no entry for it,
+    /// `Some(None)` for a tombstone, `Some(Some(value))` for a value. The
+    /// walk stops at the first key above `key` (entries are strictly
+    /// ascending), and only the hit's value is copied.
+    pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Option<Vec<u8>>>> {
+        for entry in self.entries() {
+            let (k, _, value) = entry?;
+            match k.cmp(key) {
+                Ordering::Less => {}
+                Ordering::Equal => return Ok(Some(value.map(<[u8]>::to_vec))),
+                Ordering::Greater => break,
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// Iterator over a [`Block`]'s entries; see [`Block::entries`].
+#[derive(Debug)]
+pub(crate) struct Entries<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = Result<EntryRef<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        // Taken, not borrowed: a malformed entry leaves nothing to walk.
+        let rest = std::mem::take(&mut self.rest);
+        let corrupt = |m: &str| Some(Err(StoreError::Corrupt(m.into())));
+        let Some((header, rest)) = rest.split_first_chunk::<ENTRY_HEADER>() else {
+            return corrupt("entry header truncated");
+        };
+        let [k0, k1, k2, k3, s0, s1, s2, s3, s4, s5, s6, s7, flag, v0, v1, v2, v3] = *header;
+        let klen = u32::from_le_bytes([k0, k1, k2, k3]) as usize;
+        let seq = u64::from_le_bytes([s0, s1, s2, s3, s4, s5, s6, s7]);
+        let has_value = flag != 0;
+        let vlen = if has_value {
+            u32::from_le_bytes([v0, v1, v2, v3]) as usize
+        } else {
+            0
+        };
+        let Some((key, rest)) = rest.split_at_checked(klen) else {
+            return corrupt("entry body truncated");
+        };
+        let Some((value, rest)) = rest.split_at_checked(vlen) else {
+            return corrupt("entry body truncated");
+        };
+        self.rest = rest;
+        Some(Ok((key, seq, has_value.then_some(value))))
     }
 }
 
@@ -388,39 +522,21 @@ fn parse_index(raw: &[u8]) -> Result<Vec<IndexEntry>> {
     Ok(out)
 }
 
-fn parse_block(body: &[u8]) -> Result<Vec<TableEntry>> {
-    let corrupt = |m: &str| StoreError::Corrupt(m.into());
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < body.len() {
-        if pos + 17 > body.len() {
-            return Err(corrupt("entry header truncated"));
-        }
-        let klen = le_u32(&body[pos..pos + 4]) as usize;
-        let seq = le_u64(&body[pos + 4..pos + 12]);
-        let has_value = body[pos + 12] != 0;
-        let vlen = le_u32(&body[pos + 13..pos + 17]) as usize;
-        pos += 17;
-        if pos + klen + if has_value { vlen } else { 0 } > body.len() {
-            return Err(corrupt("entry body truncated"));
-        }
-        let key = body[pos..pos + klen].to_vec();
-        pos += klen;
-        let value = if has_value {
-            let v = body[pos..pos + vlen].to_vec();
-            pos += vlen;
-            Some(v)
-        } else {
-            None
-        };
-        out.push(TableEntry { key, seq, value });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    impl Block {
+        /// A verified block holding `entries` (strictly ascending keys), as the
+        /// writer would frame it.
+        pub(crate) fn with_entries(entries: &[EntryRef<'_>]) -> Block {
+            let mut body = Vec::new();
+            for &(key, seq, value) in entries {
+                encode_entry(&mut body, key, seq, value);
+            }
+            Block::from_frame(frame(&body)).expect("a framed block verifies")
+        }
+    }
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("grub-sst-{}-{name}.sst", std::process::id()))
@@ -546,15 +662,136 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn tiny_blocks_are_cut_at_the_size_target() {
-        let path = temp_path("blocks");
+    /// Fifty `k{i:04}` → `v` entries in 64-byte blocks: 23-byte entries,
+    /// three to a block.
+    fn tiny_table(name: &str) -> PathBuf {
+        let path = temp_path(name);
         let mut w = SsTableWriter::create(&path, 64, 10).unwrap();
         for i in 0..50u32 {
             w.add(format!("k{i:04}").as_bytes(), i as u64 + 1, Some(b"v"))
                 .unwrap();
         }
         w.finish().unwrap();
+        path
+    }
+
+    /// A structural fault planted in a block that still passes its CRC.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Damage {
+        /// The first entry's value swallows all but 5 bytes of the block,
+        /// leaving too little for the next entry's header.
+        HeaderTruncated,
+        /// The last entry's value is one byte longer than the block.
+        BodyTruncated,
+        /// The last entry's key length is `u32::MAX`.
+        KeyOverrun,
+    }
+
+    impl Damage {
+        pub(crate) const ALL: [Damage; 3] = [
+            Damage::HeaderTruncated,
+            Damage::BodyTruncated,
+            Damage::KeyOverrun,
+        ];
+
+        /// The `StoreError::Corrupt` message the decoder reports.
+        pub(crate) fn message(self) -> &'static str {
+            match self {
+                Damage::HeaderTruncated => "entry header truncated",
+                Damage::BodyTruncated | Damage::KeyOverrun => "entry body truncated",
+            }
+        }
+    }
+
+    /// Plants `damage` in data block `idx` of the table at `path` and
+    /// re-frames the block with a matching CRC, so only the entry decoder
+    /// can catch it. Every length outside the block stays as it was.
+    pub(crate) fn damage_block(path: &Path, idx: usize, damage: Damage) {
+        let mut data = std::fs::read(path).unwrap();
+        let mut offset = 0;
+        for _ in 0..idx {
+            offset += FRAME_HEADER + le_u32(&data[offset..offset + 4]) as usize;
+        }
+        let blen = le_u32(&data[offset..offset + 4]) as usize;
+        let body = &mut data[offset + FRAME_HEADER..offset + FRAME_HEADER + blen];
+        let (mut last, mut pos) = (0, 0);
+        while pos < blen {
+            last = pos;
+            let klen = le_u32(&body[pos..pos + 4]) as usize;
+            pos += ENTRY_HEADER + klen + le_u32(&body[pos + 13..pos + 17]) as usize;
+        }
+        match damage {
+            Damage::HeaderTruncated => {
+                let klen = le_u32(&body[0..4]) as usize;
+                let vlen = blen - 5 - (ENTRY_HEADER + klen);
+                body[13..17].copy_from_slice(&(vlen as u32).to_le_bytes());
+            }
+            Damage::BodyTruncated => {
+                let vlen = le_u32(&body[last + 13..last + 17]) + 1;
+                body[last + 13..last + 17].copy_from_slice(&vlen.to_le_bytes());
+            }
+            Damage::KeyOverrun => {
+                body[last..last + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            }
+        }
+        let crc = crc32(body);
+        data[offset + 4..offset + 8].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(path, &data).unwrap();
+    }
+
+    fn assert_corrupt<T: std::fmt::Debug>(result: Result<T>, message: &str) {
+        match result {
+            Err(StoreError::Corrupt(m)) => assert_eq!(m, message),
+            other => panic!("expected Corrupt({message:?}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_blocks_fail_open_and_iteration_with_corrupt() {
+        for damage in Damage::ALL {
+            // Block 0 is decoded by the open itself.
+            let path = tiny_table(&format!("hostile-open-{damage:?}"));
+            damage_block(&path, 0, damage);
+            assert_corrupt(SsTableReader::open(&path), damage.message());
+            std::fs::remove_file(&path).ok();
+            // A later block opens fine and fails the walk that reaches it.
+            let path = tiny_table(&format!("hostile-iter-{damage:?}"));
+            damage_block(&path, 5, damage);
+            let r = SsTableReader::open(&path).unwrap();
+            assert_corrupt(r.iter_all(), damage.message());
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn block_lookup_stops_at_the_first_greater_key() {
+        let block = Block::with_entries(&[
+            (b"b", 1, Some(b"bee")),
+            (b"d", 2, None),
+            (b"f", 3, Some(b"")),
+        ]);
+        assert_eq!(block.get(b"b").unwrap(), Some(Some(b"bee".to_vec())));
+        assert_eq!(block.get(b"d").unwrap(), Some(None), "tombstone");
+        assert_eq!(block.get(b"f").unwrap(), Some(Some(Vec::new())));
+        for absent in [&b"a"[..], b"c", b"e", b"g"] {
+            assert_eq!(block.get(absent).unwrap(), None);
+        }
+        // Entries past the first greater key are never decoded: a block
+        // whose tail is malformed still answers keys before the damage.
+        let mut body = Vec::new();
+        encode_entry(&mut body, b"b", 1, Some(b"bee"));
+        body.extend_from_slice(&[0xFF; 5]);
+        let block = Block::from_frame(frame(&body)).unwrap();
+        assert_eq!(block.get(b"a").unwrap(), None);
+        assert_eq!(block.get(b"b").unwrap(), Some(Some(b"bee".to_vec())));
+        assert_corrupt(block.get(b"c"), "entry header truncated");
+        let entries: Vec<_> = block.entries().collect();
+        assert_eq!(entries.len(), 2, "a malformed entry ends the walk");
+    }
+
+    #[test]
+    fn tiny_blocks_are_cut_at_the_size_target() {
+        let path = tiny_table("blocks");
         let r = SsTableReader::open(&path).unwrap();
         // 23-byte entries: a block takes three before it reaches 64 bytes.
         assert_eq!(r.block_count(), 17);

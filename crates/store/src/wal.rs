@@ -25,21 +25,6 @@ pub struct WalRecord {
 }
 
 impl WalRecord {
-    fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(
-            8 + 1 + 4 + self.key.len() + 4 + self.value.as_ref().map(|v| v.len()).unwrap_or(0),
-        );
-        payload.extend_from_slice(&self.seq.to_le_bytes());
-        payload.push(self.value.is_some() as u8);
-        payload.extend_from_slice(&(self.key.len() as u32).to_le_bytes());
-        payload.extend_from_slice(&self.key);
-        if let Some(v) = &self.value {
-            payload.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            payload.extend_from_slice(v);
-        }
-        payload
-    }
-
     fn decode(payload: &[u8]) -> Option<WalRecord> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
@@ -64,11 +49,17 @@ impl WalRecord {
     }
 }
 
+/// Bytes of a frame's header: the payload length, then its CRC-32.
+const FRAME_HEADER: usize = 8;
+
 /// An append-only write-ahead log.
 #[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
     file: File,
+    /// The frame being appended, reused so an append allocates nothing once
+    /// it has grown to the largest record.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -80,20 +71,40 @@ impl Wal {
     pub fn open(path: impl Into<PathBuf>) -> Result<Self> {
         let path = path.into();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Wal { path, file })
+        Ok(Wal {
+            path,
+            file,
+            frame: Vec::new(),
+        })
     }
 
-    /// Appends one record (buffered by the OS; see [`Wal::sync`]).
+    /// Appends the record `(seq, key, value)` — `None` is a delete
+    /// tombstone — buffered by the OS; see [`Wal::sync`].
+    ///
+    /// The payload is encoded straight into the frame behind a reserved
+    /// header, whose length and CRC are filled in over the payload slice:
+    /// the bytes are [`WalRecord`]'s framing, with no copy of the key or
+    /// value beyond the frame itself.
     ///
     /// # Errors
     ///
     /// Any filesystem error writing the frame.
-    pub fn append(&mut self, record: &WalRecord) -> Result<()> {
-        let payload = record.encode();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+    pub fn append(&mut self, seq: u64, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.extend_from_slice(&[0; FRAME_HEADER]);
+        frame.extend_from_slice(&seq.to_le_bytes());
+        frame.push(value.is_some() as u8);
+        frame.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        frame.extend_from_slice(key);
+        if let Some(v) = value {
+            frame.extend_from_slice(&(v.len() as u32).to_le_bytes());
+            frame.extend_from_slice(v);
+        }
+        let (header, payload) = frame.split_at_mut(FRAME_HEADER);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+        let frame = &self.frame;
         if should_trip(FaultPoint::MidWalAppend) {
             // Simulated crash mid-append: the torn half of the frame reaches
             // the log (exactly what a power cut during write_all leaves),
@@ -102,7 +113,7 @@ impl Wal {
             self.file.sync_data().ok();
             return Err(StoreError::Injected("mid-wal-append"));
         }
-        self.file.write_all(&frame)?;
+        self.file.write_all(frame)?;
         Ok(())
     }
 
@@ -186,6 +197,25 @@ impl Wal {
 mod tests {
     use super::*;
 
+    impl WalRecord {
+        /// The record's frame payload, built the plain way: the oracle
+        /// [`Wal::append`]'s in-place encoding is tested against.
+        fn encode(&self) -> Vec<u8> {
+            let mut payload = Vec::with_capacity(
+                8 + 1 + 4 + self.key.len() + 4 + self.value.as_ref().map(|v| v.len()).unwrap_or(0),
+            );
+            payload.extend_from_slice(&self.seq.to_le_bytes());
+            payload.push(self.value.is_some() as u8);
+            payload.extend_from_slice(&(self.key.len() as u32).to_le_bytes());
+            payload.extend_from_slice(&self.key);
+            if let Some(v) = &self.value {
+                payload.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                payload.extend_from_slice(v);
+            }
+            payload
+        }
+    }
+
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("grub-wal-{}-{name}.log", std::process::id()))
     }
@@ -198,14 +228,44 @@ mod tests {
         }
     }
 
+    fn append(wal: &mut Wal, record: &WalRecord) -> Result<()> {
+        wal.append(record.seq, &record.key, record.value.as_deref())
+    }
+
+    #[test]
+    fn in_place_frames_match_the_record_encoding() {
+        let path = temp_path("frames");
+        std::fs::remove_file(&path).ok();
+        let records = [
+            rec(1, "eth-usd", Some("150")),
+            rec(2, "eth-usd", None),
+            rec(3, "", Some("")),
+            rec(u64::MAX, "k", Some(&"v".repeat(300))),
+            rec(5, &"k".repeat(70), None),
+        ];
+        let mut want = Vec::new();
+        let mut wal = Wal::open(&path).unwrap();
+        for record in &records {
+            append(&mut wal, record).unwrap();
+            let payload = record.encode();
+            want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            want.extend_from_slice(&crc32(&payload).to_le_bytes());
+            want.extend_from_slice(&payload);
+        }
+        drop(wal);
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+        assert_eq!(Wal::replay(&path).unwrap(), records);
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn append_and_replay() {
         let path = temp_path("basic");
         std::fs::remove_file(&path).ok();
         {
             let mut wal = Wal::open(&path).unwrap();
-            wal.append(&rec(1, "a", Some("1"))).unwrap();
-            wal.append(&rec(2, "b", None)).unwrap();
+            append(&mut wal, &rec(1, "a", Some("1"))).unwrap();
+            append(&mut wal, &rec(2, "b", None)).unwrap();
             wal.sync().unwrap();
         }
         let records = Wal::replay(&path).unwrap();
@@ -226,8 +286,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
         {
             let mut wal = Wal::open(&path).unwrap();
-            wal.append(&rec(1, "a", Some("1"))).unwrap();
-            wal.append(&rec(2, "b", Some("2"))).unwrap();
+            append(&mut wal, &rec(1, "a", Some("1"))).unwrap();
+            append(&mut wal, &rec(2, "b", Some("2"))).unwrap();
             wal.sync().unwrap();
         }
         // Chop a few bytes off the end, simulating a crash mid-write.
@@ -244,8 +304,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
         {
             let mut wal = Wal::open(&path).unwrap();
-            wal.append(&rec(1, "a", Some("1"))).unwrap();
-            wal.append(&rec(2, "b", Some("2"))).unwrap();
+            append(&mut wal, &rec(1, "a", Some("1"))).unwrap();
+            append(&mut wal, &rec(2, "b", Some("2"))).unwrap();
         }
         let mut data = std::fs::read(&path).unwrap();
         // Flip a byte inside the *first* record's payload.
@@ -267,8 +327,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
         {
             let mut wal = Wal::open(&path).unwrap();
-            wal.append(&rec(1, "a", Some("1"))).unwrap();
-            wal.append(&rec(2, "b", Some("2"))).unwrap();
+            append(&mut wal, &rec(1, "a", Some("1"))).unwrap();
+            append(&mut wal, &rec(2, "b", Some("2"))).unwrap();
             wal.sync().unwrap();
         }
         let data = std::fs::read(&path).unwrap();
@@ -291,7 +351,7 @@ mod tests {
         // next replay (the bug: they used to land after the garbage and be
         // unreachable forever).
         let mut wal = Wal::open(&path).unwrap();
-        wal.append(&rec(2, "c", Some("3"))).unwrap();
+        append(&mut wal, &rec(2, "c", Some("3"))).unwrap();
         wal.sync().unwrap();
         drop(wal);
         let records = Wal::replay(&path).unwrap();
@@ -307,9 +367,9 @@ mod tests {
         let path = temp_path("fault-append");
         std::fs::remove_file(&path).ok();
         let mut wal = Wal::open(&path).unwrap();
-        wal.append(&rec(1, "a", Some("1"))).unwrap();
+        append(&mut wal, &rec(1, "a", Some("1"))).unwrap();
         grub_fault::arm(grub_fault::FaultPlan::at(FaultPoint::MidWalAppend));
-        let err = wal.append(&rec(2, "b", Some("2"))).unwrap_err();
+        let err = append(&mut wal, &rec(2, "b", Some("2"))).unwrap_err();
         assert!(matches!(err, StoreError::Injected(_)), "typed crash error");
         drop(wal);
         // The torn half-frame is on disk; recovery keeps the intact prefix.
@@ -323,7 +383,7 @@ mod tests {
         let path = temp_path("reset");
         std::fs::remove_file(&path).ok();
         let mut wal = Wal::open(&path).unwrap();
-        wal.append(&rec(1, "a", Some("1"))).unwrap();
+        append(&mut wal, &rec(1, "a", Some("1"))).unwrap();
         wal.reset().unwrap();
         assert!(Wal::replay(&path).unwrap().is_empty());
         std::fs::remove_file(&path).ok();
@@ -334,7 +394,7 @@ mod tests {
         let path = temp_path("empty");
         std::fs::remove_file(&path).ok();
         let mut wal = Wal::open(&path).unwrap();
-        wal.append(&rec(1, "", Some(""))).unwrap();
+        append(&mut wal, &rec(1, "", Some(""))).unwrap();
         drop(wal);
         let records = Wal::replay(&path).unwrap();
         assert_eq!(records[0].key, b"");

@@ -1,13 +1,16 @@
-//! The work ledger: SHA-256 compressions counted over two engine runs,
-//! pinned as constants.
+//! The work ledger: SHA-256 compressions and the store's CRC-32 bytes
+//! counted over two engine runs, pinned as constants.
 //!
 //! `grub_crypto::compressions()` counts 64-byte blocks, not time, so it
 //! depends only on the bytes hashed: the same run counts the same on every
 //! machine and under either compression kernel. A change that hashes more
 //! or less — one more inner hash per flush, a proof that grew a level, a
 //! block digest over more bytes — moves these numbers even when no digest,
-//! root or Gas figure does. Like the goldens, a PR that moves one must say
-//! why.
+//! root or Gas figure does. `grub_store::crc::checksummed_bytes()` is the
+//! SP store's counterpart: every WAL frame written or replayed and every
+//! SSTable block written or read is checksummed once, so one more block
+//! read per `get`, or a block verified twice, moves it whatever the CRC
+//! kernel. Like the goldens, a PR that moves one must say why.
 //!
 //! Two runs, picked for where their hashing happens: the sorted YCSB-A
 //! feed is Merkle-heavy (DO flush, SP sync, proofs, the on-chain
@@ -20,6 +23,7 @@ use grub::core::system::SystemConfig;
 use grub::crypto::compressions;
 use grub::engine::specs::{demo_policies, zipfian_ratio_specs, DEMO_RATIOS};
 use grub::engine::{EngineConfig, FeedEngine, FeedSpec};
+use grub::store::crc::checksummed_bytes;
 use grub::workload::ycsb::{preload, YcsbKind, YcsbRunner};
 
 /// Compressions one engine run spends.
@@ -33,22 +37,36 @@ struct Ledger {
     total: u64,
 }
 
-fn ledger(config: &EngineConfig, specs: Vec<FeedSpec>) -> Ledger {
-    let start = compressions();
+/// Bytes the SP stores checksum in one engine run.
+#[derive(Debug, PartialEq, Eq)]
+struct Checksummed {
+    /// Building the engine: the preload's tables written and opened.
+    deploy: u64,
+    /// The whole run, from before `FeedEngine::new` to the report.
+    total: u64,
+}
+
+fn ledger(config: &EngineConfig, specs: Vec<FeedSpec>) -> (Ledger, Checksummed) {
+    let (start, crc_start) = (compressions(), checksummed_bytes());
     let engine = FeedEngine::new(config, specs).expect("engine builds");
-    let deployed = compressions();
+    let (deployed, crc_deployed) = (compressions(), checksummed_bytes());
     let (report, _chain) = engine.run_with_chain().expect("engine runs");
     assert_eq!(report.failed_delivers(), 0);
-    Ledger {
+    let ledger = Ledger {
         deploy: deployed - start,
         rounds: report.metrics.iter().map(|m| m.sha256_compressions).sum(),
         total: compressions() - start,
-    }
+    };
+    let checksummed = Checksummed {
+        deploy: crc_deployed - crc_start,
+        total: checksummed_bytes() - crc_start,
+    };
+    (ledger, checksummed)
 }
 
 /// YCSB-A epochs under Memoryless K=2 over 4,096 sorted 64-byte records,
 /// preloaded NR — the `golden_digests` bulk-loaded run.
-fn ycsb_a_sorted() -> Ledger {
+fn ycsb_a_sorted() -> (Ledger, Checksummed) {
     const RECORDS: u64 = 4096;
     const RECORD_LEN: usize = 64;
     const SEED: u64 = 11;
@@ -69,7 +87,7 @@ fn ycsb_a_sorted() -> Ledger {
 
 /// Eight one-key feeds on two shards, full batching, reorgs and depth-3
 /// confirmation — the `golden_digests` reorg fleet.
-fn reorg_fleet() -> Ledger {
+fn reorg_fleet() -> (Ledger, Checksummed) {
     let mut config = EngineConfig::new(2);
     config.chain = ChainConfig::default().reorg(7, 5, 2).confirm_depth(3);
     let mut specs = zipfian_ratio_specs(8, 1600, DEMO_RATIOS, &demo_policies());
@@ -88,11 +106,18 @@ fn ycsb_a_sorted_run_compressions() {
         "two identical runs counted differently"
     );
     assert_eq!(
-        first,
+        first.0,
         Ledger {
             deploy: 40_967,
             rounds: 60_057,
             total: 101_025,
+        }
+    );
+    assert_eq!(
+        first.1,
+        Checksummed {
+            deploy: 405_524,
+            total: 898_972,
         }
     );
 }
@@ -106,11 +131,18 @@ fn reorg_fleet_compressions() {
         "two identical runs counted differently"
     );
     assert_eq!(
-        first,
+        first.0,
         Ledger {
             deploy: 89,
             rounds: 10_700,
             total: 10_790,
+        }
+    );
+    assert_eq!(
+        first.1,
+        Checksummed {
+            deploy: 0,
+            total: 48_012,
         }
     );
 }
