@@ -481,17 +481,12 @@ pub struct Blockchain {
     /// Lookup-only (never iterated), so determinism is unaffected; empty
     /// whenever latency is off.
     tx_eligible: HashMap<u64, u64>,
-    /// Under [`ChainConfig::confirm_depth`]: mined-but-unconfirmed blocks,
-    /// ascending by height — `(height, txs mined in that block)`. Entries
-    /// move to `confirmed_ready` once the confirmation frontier passes them;
-    /// a rollback discards entries above its target (they re-enter as the
-    /// canonical branch re-commits).
-    pending_confirm: Vec<(u64, Vec<TxId>)>,
-    /// Confirmed-block ledger awaiting collection by
-    /// [`Blockchain::drain_confirmed`], ascending by height. Heights here
-    /// are at or below the confirmation frontier, which no rollback can
-    /// cross — once listed, a transaction is settled.
-    confirmed_ready: Vec<(u64, Vec<TxId>)>,
+    /// Under [`ChainConfig::confirm_depth`]: the heights of mined blocks
+    /// that included something and are not yet confirmed, ascending. A
+    /// height leaves once the confirmation frontier passes it; a rollback
+    /// discards heights above its target (they re-enter as the canonical
+    /// branch re-commits).
+    pending_confirm: Vec<u64>,
 }
 
 /// Everything needed to undo one executed block, so it costs what the block
@@ -544,7 +539,6 @@ impl Blockchain {
             reorg_events: Vec::new(),
             tx_eligible: HashMap::new(),
             pending_confirm: Vec::new(),
-            confirmed_ready: Vec::new(),
         }
     }
 
@@ -747,11 +741,7 @@ impl Blockchain {
         let pending = self.take_block_pending();
         let mut undo = self.config.reorg.map(|_| self.begin_undo());
         let block = self.execute_block(&pending, 0, undo.as_mut().map(|u| &mut u.writes));
-        let sealed_ids: Vec<TxId> = if self.config.confirm_depth > 0 {
-            block.receipts.iter().map(|r| r.tx_id).collect()
-        } else {
-            Vec::new()
-        };
+        let mined_something = !block.receipts.is_empty();
         self.digest_acc = fold_block_digest(&self.digest_acc, &block);
         if let Some((height, expected)) = self.checkpoint {
             if self.mined == height {
@@ -783,15 +773,12 @@ impl Blockchain {
             // Only blocks that mined something enter the ledger: empty
             // blocks have nothing to acknowledge, and skipping them is what
             // lets `await_confirmations` terminate by mining empty blocks.
-            if !sealed_ids.is_empty() {
-                self.pending_confirm.push((self.mined, sealed_ids));
+            if mined_something {
+                self.pending_confirm.push(self.mined);
             }
             let frontier = self.confirmed_height();
-            let confirmed = self
-                .pending_confirm
-                .partition_point(|(h, _)| *h <= frontier);
-            self.confirmed_ready
-                .extend(self.pending_confirm.drain(..confirmed));
+            let confirmed = self.pending_confirm.partition_point(|h| *h <= frontier);
+            self.pending_confirm.drain(..confirmed);
         }
     }
 
@@ -858,11 +845,11 @@ impl Blockchain {
             .map(|undo| self.undo_block(undo))
             .collect();
         replay.reverse();
-        // Unconfirmed ledger entries above the target are abandoned with
-        // their blocks; they re-enter as the canonical branch re-commits.
-        // Confirmed entries are never above the target — the frontier guard
-        // above is what makes the `confirmed_ready` ledger settled.
-        self.pending_confirm.retain(|(h, _)| *h <= target);
+        // Unconfirmed heights above the target are abandoned with their
+        // blocks; they re-enter as the canonical branch re-commits.
+        // Confirmed blocks are never above the target — the frontier guard
+        // above is what makes them settled.
+        self.pending_confirm.retain(|h| *h <= target);
         self.blocks.truncate(self.blocks.len() - depth);
         Ok(replay)
     }
@@ -1100,7 +1087,7 @@ impl Blockchain {
     /// empty (always, at depth 0).
     pub fn confirmation_lag(&self) -> u64 {
         match self.pending_confirm.last() {
-            Some((h, _)) => (h + self.config.confirm_depth).saturating_sub(self.mined),
+            Some(h) => (h + self.config.confirm_depth).saturating_sub(self.mined),
             None => 0,
         }
     }
@@ -1120,14 +1107,6 @@ impl Blockchain {
             self.try_produce_block()?;
         }
         Ok(())
-    }
-
-    /// Drains the confirmed-block ledger: `(height, txs)` entries for every
-    /// block whose depth passed [`ChainConfig::confirm_depth`] since the
-    /// last drain, ascending by height with no gaps and no duplicates.
-    /// Always empty at depth 0.
-    pub fn drain_confirmed(&mut self) -> Vec<(u64, Vec<TxId>)> {
-        std::mem::take(&mut self.confirmed_ready)
     }
 
     /// Guards the documented precondition of the `_since` queries under
@@ -1976,42 +1955,43 @@ mod tests {
     }
 
     #[test]
-    fn confirmation_ledger_drains_in_order_without_gaps() {
+    fn every_transaction_confirms_once_at_or_below_the_frontier() {
         let mut chain =
             Blockchain::with_config(ChainConfig::default().confirm_depth(3).latency(5, 1));
         let widget = Address::derive("widget");
         let user = Address::derive("user");
         chain.deploy(widget, Rc::new(Widget), Layer::Application);
         let mut submitted = Vec::new();
-        let mut confirmed: Vec<(u64, Vec<TxId>)> = Vec::new();
         for v in 0..10 {
             submitted.push(submit_set(&mut chain, widget, user, v));
             chain.produce_block();
-            confirmed.extend(chain.drain_confirmed());
         }
         assert!(
             chain.confirmation_lag() > 0,
             "the tip blocks are not yet three deep"
         );
         chain.await_confirmations().expect("no faults armed");
-        confirmed.extend(chain.drain_confirmed());
         assert_eq!(chain.confirmation_lag(), 0);
         assert_eq!(
             chain.confirmed_height(),
             chain.height() - 3,
             "the frontier trails the tip by the configured depth"
         );
-        let heights: Vec<u64> = confirmed.iter().map(|(h, _)| *h).collect();
-        let mut sorted = heights.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(heights, sorted, "ascending heights, no duplicates");
-        let mut all_confirmed: Vec<TxId> = confirmed.into_iter().flat_map(|(_, txs)| txs).collect();
-        all_confirmed.sort_unstable_by_key(|id| id.0);
-        assert_eq!(
-            all_confirmed, submitted,
-            "every submitted transaction confirms exactly once"
-        );
+        for id in submitted {
+            let mined: Vec<u64> = chain
+                .blocks()
+                .iter()
+                .flat_map(|b| &b.receipts)
+                .filter(|r| r.tx_id == id)
+                .map(|r| r.block_number)
+                .collect();
+            assert_eq!(mined.len(), 1, "{id:?} mined once");
+            assert!(
+                mined[0] <= chain.confirmed_height(),
+                "{id:?} mined at {} above the frontier",
+                mined[0]
+            );
+        }
     }
 
     #[test]

@@ -342,26 +342,99 @@ impl Contract for StorageManager {
     }
 }
 
-/// Encodes the input of an `update()` transaction.
+/// Encodes the input of one `update(digest, rUpdates, toR, toNR)`
+/// transaction, however large, for callers that size their own updates.
+///
+/// The feed's own updates are this payload cut into chunks by one rule,
+/// which the DO applies to its epochs and its replicated preload alike: a
+/// `rUpdates` or `toR` pair counts `key + value + 16` bytes and a `toNR` key
+/// `key + 8`, and a new chunk starts when the count would pass
+/// [`MAX_TX_PAYLOAD_BYTES`] and the current one is not empty. Every chunk
+/// carries the final digest.
 pub fn encode_update(
     digest: &Hash32,
     r_updates: &[(Vec<u8>, Vec<u8>)],
     to_r: &[(Vec<u8>, Vec<u8>)],
     to_nr: &[Vec<u8>],
 ) -> Vec<u8> {
+    fn pairs(records: &[(Vec<u8>, Vec<u8>)]) -> impl Iterator<Item = (&[u8], &[u8])> {
+        records
+            .iter()
+            .map(|(key, value)| (key.as_slice(), value.as_slice()))
+    }
+    encode_update_chunk(
+        digest,
+        [r_updates.len(), to_r.len(), to_nr.len()],
+        pairs(r_updates),
+        pairs(to_r),
+        to_nr.iter().map(Vec::as_slice),
+    )
+}
+
+/// Encodes an `update(digest, rUpdates, toR, toNR)` (Listing 2), its
+/// sections borrowed in Listing 2 order, in the chunks [`encode_update`]'s
+/// budget rule cuts — the one writer of the feed's `update()` bytes. The
+/// rule overstates the framing (length prefixes are 4 bytes), but sizing
+/// exactly would move the chunk boundaries and with them the Gas of
+/// large-record runs. The contract overwrites the root slot idempotently,
+/// so every chunk carries the digest; empty sections are one digest-only
+/// chunk.
+pub(crate) fn encode_update_chunks<'a>(
+    digest: &Hash32,
+    r_updates: impl Iterator<Item = (&'a [u8], &'a [u8])> + Clone,
+    to_r: impl Iterator<Item = (&'a [u8], &'a [u8])> + Clone,
+    to_nr: impl Iterator<Item = &'a [u8]> + Clone,
+) -> Vec<Vec<u8>> {
+    let pair_bytes = |(key, value): (&[u8], &[u8])| key.len() + value.len() + 16;
+    let sizes = r_updates
+        .clone()
+        .map(pair_bytes)
+        .map(|n| (0, n))
+        .chain(to_r.clone().map(pair_bytes).map(|n| (1, n)))
+        .chain(to_nr.clone().map(|key| (2, key.len() + 8)));
+    let (mut r_updates, mut to_r, mut to_nr) = (r_updates, to_r, to_nr);
+    let mut chunks = Vec::new();
+    let mut counts = [0usize; 3];
+    let mut bytes = 0;
+    for (section, size) in sizes {
+        if bytes + size > MAX_TX_PAYLOAD_BYTES && bytes > 0 {
+            chunks.push(encode_update_chunk(
+                digest,
+                std::mem::take(&mut counts),
+                r_updates.by_ref(),
+                to_r.by_ref(),
+                to_nr.by_ref(),
+            ));
+            bytes = 0;
+        }
+        bytes += size;
+        counts[section] += 1;
+    }
+    chunks.push(encode_update_chunk(digest, counts, r_updates, to_r, to_nr));
+    chunks
+}
+
+/// One `update()` payload: the digest, then the next `counts[i]` items of
+/// each section, each section behind its count.
+fn encode_update_chunk<'a>(
+    digest: &Hash32,
+    [n_r_updates, n_to_r, n_to_nr]: [usize; 3],
+    r_updates: impl Iterator<Item = (&'a [u8], &'a [u8])>,
+    to_r: impl Iterator<Item = (&'a [u8], &'a [u8])>,
+    to_nr: impl Iterator<Item = &'a [u8]>,
+) -> Vec<u8> {
     let mut enc = Encoder::new();
-    enc.hash(digest);
-    enc.u64(r_updates.len() as u64);
-    for (k, v) in r_updates {
-        enc.bytes(k).bytes(v);
+    enc.hash(digest).u64(n_r_updates as u64);
+    for (key, value) in r_updates.take(n_r_updates) {
+        enc.bytes(key).bytes(value);
     }
-    enc.u64(to_r.len() as u64);
-    for (k, v) in to_r {
-        enc.bytes(k).bytes(v);
+    enc.u64(n_to_r as u64);
+    for (key, value) in to_r.take(n_to_r) {
+        enc.bytes(key).bytes(value);
     }
-    enc.u64(to_nr.len() as u64);
-    for k in to_nr {
-        enc.bytes(k);
+    enc.u64(n_to_nr as u64);
+    for key in to_nr.take(n_to_nr) {
+        enc.bytes(key);
     }
     enc.finish()
 }
@@ -1325,5 +1398,196 @@ mod tests {
         let block = fx.chain.produce_block();
         let err = block.receipts[0].error.as_deref().unwrap_or_default();
         assert!(err.contains("trailing"), "{err}");
+    }
+}
+
+/// The `update()` chunker `encode_update_chunks` replaced, kept as its
+/// oracle: it took the epoch's three owned lists, copied each item into a
+/// per-chunk list and encoded every chunk with the owned-list
+/// `encode_update` of its day (kept here too, so the oracle shares no code
+/// with the encoder it checks). Every chunk the one encoder writes must be
+/// byte-identical to this one's.
+#[cfg(test)]
+pub(crate) mod update_oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// An `update()`'s three sections: `rUpdates`, `toR` and `toNR`.
+    pub(crate) type Sections = (
+        Vec<(Vec<u8>, Vec<u8>)>,
+        Vec<(Vec<u8>, Vec<u8>)>,
+        Vec<Vec<u8>>,
+    );
+
+    /// The owned-list `encode_update`, as it was.
+    fn encode_update_as_it_was(
+        digest: &Hash32,
+        r_updates: &[(Vec<u8>, Vec<u8>)],
+        to_r: &[(Vec<u8>, Vec<u8>)],
+        to_nr: &[Vec<u8>],
+    ) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.hash(digest);
+        enc.u64(r_updates.len() as u64);
+        for (k, v) in r_updates {
+            enc.bytes(k).bytes(v);
+        }
+        enc.u64(to_r.len() as u64);
+        for (k, v) in to_r {
+            enc.bytes(k).bytes(v);
+        }
+        enc.u64(to_nr.len() as u64);
+        for k in to_nr {
+            enc.bytes(k);
+        }
+        enc.finish()
+    }
+
+    /// The pre-encoder chunker, as it was: items in Listing 2 order, a pair
+    /// counted `k + v + 16` bytes and a key `k + 8`, a new chunk before the
+    /// count would pass the budget.
+    pub(crate) fn encode_update_chunked(digest: &Hash32, sections: &Sections) -> Vec<Vec<u8>> {
+        #[derive(Clone, Copy)]
+        enum Item<'a> {
+            RUpdate(&'a (Vec<u8>, Vec<u8>)),
+            ToR(&'a (Vec<u8>, Vec<u8>)),
+            ToNr(&'a Vec<u8>),
+        }
+        let items: Vec<Item<'_>> = sections
+            .0
+            .iter()
+            .map(Item::RUpdate)
+            .chain(sections.1.iter().map(Item::ToR))
+            .chain(sections.2.iter().map(Item::ToNr))
+            .collect();
+        let mut out = Vec::new();
+        let mut r_updates: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut to_r: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut to_nr: Vec<Vec<u8>> = Vec::new();
+        let mut bytes = 0usize;
+        let flush_chunk = |r: &mut Vec<(Vec<u8>, Vec<u8>)>,
+                           tr: &mut Vec<(Vec<u8>, Vec<u8>)>,
+                           tn: &mut Vec<Vec<u8>>| {
+            encode_update_as_it_was(
+                digest,
+                &std::mem::take(r),
+                &std::mem::take(tr),
+                &std::mem::take(tn),
+            )
+        };
+        for item in items {
+            let size = match item {
+                Item::RUpdate((k, v)) | Item::ToR((k, v)) => k.len() + v.len() + 16,
+                Item::ToNr(k) => k.len() + 8,
+            };
+            if bytes + size > MAX_TX_PAYLOAD_BYTES && bytes > 0 {
+                out.push(flush_chunk(&mut r_updates, &mut to_r, &mut to_nr));
+                bytes = 0;
+            }
+            bytes += size;
+            match item {
+                Item::RUpdate(kv) => r_updates.push(kv.clone()),
+                Item::ToR(kv) => to_r.push(kv.clone()),
+                Item::ToNr(k) => to_nr.push(k.clone()),
+            }
+        }
+        out.push(flush_chunk(&mut r_updates, &mut to_r, &mut to_nr));
+        out
+    }
+
+    /// Decodes `update()` chunks back into each chunk's digest and the
+    /// three sections, joined in chunk order.
+    pub(crate) fn decode_update_chunks(chunks: &[Vec<u8>]) -> (Vec<Hash32>, Sections) {
+        let mut digests = Vec::new();
+        let mut sections: Sections = Default::default();
+        for chunk in chunks {
+            let mut dec = Decoder::new(chunk);
+            digests.push(dec.hash().unwrap());
+            let pair = |dec: &mut Decoder<'_>| {
+                let key = dec.bytes().unwrap().to_vec();
+                (key, dec.bytes().unwrap().to_vec())
+            };
+            for _ in 0..dec.u64().unwrap() {
+                sections.0.push(pair(&mut dec));
+            }
+            for _ in 0..dec.u64().unwrap() {
+                sections.1.push(pair(&mut dec));
+            }
+            for _ in 0..dec.u64().unwrap() {
+                sections.2.push(dec.bytes().unwrap().to_vec());
+            }
+            assert!(dec.is_empty(), "trailing bytes in an update chunk");
+        }
+        (digests, sections)
+    }
+
+    fn chunks_of(digest: &Hash32, sections: &Sections) -> Vec<Vec<u8>> {
+        encode_update_chunks(
+            digest,
+            sections.0.iter().map(|(k, v)| (k.as_slice(), v.as_slice())),
+            sections.1.iter().map(|(k, v)| (k.as_slice(), v.as_slice())),
+            sections.2.iter().map(Vec::as_slice),
+        )
+    }
+
+    fn record() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+        (1..24usize, 0..8193usize, any::<u8>())
+            .prop_map(|(k, v, b)| (vec![b'k'.wrapping_add(b); k], vec![b; v]))
+    }
+
+    #[test]
+    fn large_sections_split_exactly_as_the_oracle_splits_them() {
+        let digest = Hash32::new([7; 32]);
+        // 7 KiB replicas: three to a chunk, whatever section they sit in.
+        let big = |i: u8| (vec![i; 8], vec![i; 7 << 10]);
+        let sections: Sections = (
+            (0..4).map(big).collect(),
+            (4..9).map(big).collect(),
+            (0..3).map(|i| vec![i; 8]).collect(),
+        );
+        let chunks = chunks_of(&digest, &sections);
+        assert_eq!(chunks.len(), 3);
+        assert_eq!(chunks, encode_update_chunked(&digest, &sections));
+        let (digests, decoded) = decode_update_chunks(&chunks);
+        assert!(digests.iter().all(|d| *d == digest));
+        assert_eq!(decoded, sections);
+        // Empty sections are one digest-only chunk, which is also what the
+        // one-chunk `encode_update` writes for them.
+        let empty: Sections = Default::default();
+        assert_eq!(
+            chunks_of(&digest, &empty),
+            encode_update_chunked(&digest, &empty)
+        );
+        assert_eq!(
+            chunks_of(&digest, &empty),
+            vec![encode_update(&digest, &[], &[], &[])]
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random sections of 0–8 KiB values, most of them several chunks
+        /// long: the one encoder writes the oracle's chunks byte for byte.
+        #[test]
+        fn the_one_encoder_matches_the_old_chunker(
+            r_updates in prop::collection::vec(record(), 0..12),
+            to_r in prop::collection::vec(record(), 0..12),
+            to_nr in prop::collection::vec((1..40usize, any::<u8>()), 0..12),
+            seed in any::<u8>(),
+        ) {
+            let digest = Hash32::new([seed; 32]);
+            let to_nr = to_nr.into_iter().map(|(n, b)| vec![b; n]).collect();
+            let sections: Sections = (r_updates, to_r, to_nr);
+            let chunks = chunks_of(&digest, &sections);
+            prop_assert_eq!(&chunks, &encode_update_chunked(&digest, &sections));
+            prop_assert_eq!(
+                encode_update(&digest, &sections.0, &sections.1, &sections.2),
+                encode_update_as_it_was(&digest, &sections.0, &sections.1, &sections.2)
+            );
+            let (digests, decoded) = decode_update_chunks(&chunks);
+            prop_assert!(digests.iter().all(|d| *d == digest));
+            prop_assert_eq!(decoded, sections);
+        }
     }
 }

@@ -27,27 +27,25 @@ use std::collections::{BTreeSet, HashMap};
 use grub_chain::{Address, Blockchain};
 use grub_merkle::{record_value_hash, MerkleKv, ProofKey, ReplState, TreeOp};
 
-use crate::contract::encode_update;
+use crate::contract::encode_update_chunks;
 use crate::policy::ReplicationPolicy;
 use crate::provider::SpSync;
 use crate::with_entry;
 
-/// The content of one epoch's `update` transaction(s) plus the off-chain
-/// sync the SP must apply (the `gPuts` RPC). Structured so the harness can
-/// split oversized epochs across several transactions (`Ctx` is defined for
-/// payloads under 1000 words).
+/// One epoch's `update()` transaction(s), encoded, plus the off-chain sync
+/// the SP must apply (the `gPuts` RPC).
 #[derive(Debug, Default)]
 pub struct EpochFlush {
     /// New root digest after all of this epoch's mutations.
     pub digest: grub_crypto::Hash32,
-    /// One element per write occurrence to an already-replicated record.
-    pub r_updates: Vec<(Vec<u8>, Vec<u8>)>,
-    /// NR→R transitions with the value to install.
-    pub to_r: Vec<(Vec<u8>, Vec<u8>)>,
-    /// R→NR transitions (replica evictions).
-    pub to_nr: Vec<Vec<u8>>,
-    /// Whether anything changed (an `update` must be sent).
-    pub dirty: bool,
+    /// The epoch's `update(digest, rUpdates, toR, toNR)` payloads, each
+    /// carrying `digest`, cut by the one budget rule of
+    /// [`encode_update`](crate::contract::encode_update): a pair counts
+    /// `key + value + 16` bytes, a `toNR` key `key + 8`, and a chunk closes
+    /// before its count would pass
+    /// [`MAX_TX_PAYLOAD_BYTES`](crate::contract::MAX_TX_PAYLOAD_BYTES).
+    /// Empty when nothing changed and no `update` is due.
+    pub chunks: Vec<Vec<u8>>,
     /// Off-chain operations for the SP, in the exact order the DO applied
     /// them to its mirror.
     pub sp_sync: Vec<SpSync>,
@@ -132,7 +130,8 @@ impl DataOwner {
     /// Loads the initial dataset (no policy decisions, no staging), before
     /// metering starts, and returns the `update()` inputs that seed the
     /// chain with it: the root digest alone, or — for a replicated preload —
-    /// the records too, in chunks under `Ctx`'s 1000-word bound.
+    /// the records too as `toR`, in chunks cut by the same rule as an
+    /// epoch's ([`EpochFlush::chunks`]).
     ///
     /// The DO takes the records: each key and value moves into its entry,
     /// so the dataset is not copied. The mirror hashes them first, as one
@@ -149,7 +148,17 @@ impl DataOwner {
             })
             .collect();
         self.nodes_rehashed += self.mirror.apply_batch(tree_ops) as u64;
-        let seed = seed_chunks(&self.mirror.root(), &records, state);
+        // Even an empty or NR preload pins its digest on chain.
+        let replicas = records
+            .iter()
+            .filter(|_| state == ReplState::Replicated)
+            .map(|(key, value)| (key.as_bytes(), value.as_slice()));
+        let seed = encode_update_chunks(
+            &self.mirror.root(),
+            std::iter::empty(),
+            replicas,
+            std::iter::empty(),
+        );
         self.entries.reserve(records.len());
         for (key, value) in records {
             // Committed and desired now agree, whatever was observed before.
@@ -310,7 +319,8 @@ impl DataOwner {
     }
 
     /// Closes the epoch: applies staged writes and decided transitions to
-    /// the mirror, and produces the `update()` payload plus the SP sync.
+    /// the mirror, and produces the encoded `update()` chunks plus the SP
+    /// sync.
     ///
     /// Mutation order (writes in arrival order, then transitions in key
     /// order) is deterministic so the SP's tree converges to the same root.
@@ -349,9 +359,6 @@ impl DataOwner {
         }
         // 2. Apply transitions (desired ≠ committed), in key order: the
         //    pending set holds every key that can need one.
-        let mut hint_formalized = 0usize;
-        let mut to_r: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut to_nr: Vec<Vec<u8>> = Vec::new();
         for key in std::mem::take(&mut self.pending) {
             // `set_desired` queues a key only after creating its entry.
             let Some(entry) = self.entries.get_mut(&key) else {
@@ -377,102 +384,86 @@ impl DataOwner {
                 ProofKey::new(to, key.as_bytes().to_vec()),
                 record_value_hash(value),
             ));
-            match to {
-                ReplState::Replicated => {
+            entry.committed = to;
+            sync.push(SpSync::Relocate { key, from, to });
+        }
+        self.nodes_rehashed += self.mirror.apply_batch(tree_ops) as u64;
+
+        // 3. The update's sections, borrowed from `sync` and the entries.
+        let mut r_updates: Vec<(&[u8], &[u8])> = Vec::new();
+        let mut to_r: Vec<(&[u8], &[u8])> = Vec::new();
+        let mut to_nr: Vec<&[u8]> = Vec::new();
+        let mut replications = 0;
+        for op in &sync {
+            match op {
+                // A write to a record that stays replicated — one array
+                // element per occurrence, as in Listing 2. A key
+                // transitions at most once per flush, so "replicated when
+                // written and replicated now" means it stayed.
+                SpSync::Write {
+                    key,
+                    value,
+                    state: ReplState::Replicated,
+                } if self.state_of(key) == ReplState::Replicated => {
+                    r_updates.push((key.as_bytes(), value));
+                }
+                SpSync::Write { .. } => {}
+                SpSync::Relocate {
+                    key,
+                    to: ReplState::Replicated,
+                    ..
+                } => {
+                    replications += 1;
                     // A replica installed mid-epoch by `deliver(replicate)`
                     // already holds the current value unless a later write
                     // superseded it — don't pay the payload and the storage
                     // write a second time (deliver-time replication leaves
                     // the epoch update carrying only the digest-side
                     // transition).
-                    if hinted.contains(&key) && !hinted_written.contains(key.as_str()) {
-                        hint_formalized += 1;
-                    } else {
-                        to_r.push((key.as_bytes().to_vec(), value.clone()));
+                    if hinted.contains(key) && !hinted_written.contains(key.as_str()) {
+                        continue;
+                    }
+                    if let Some(value) = self.entries.get(key).and_then(|e| e.value.as_deref()) {
+                        to_r.push((key.as_bytes(), value));
                     }
                 }
-                ReplState::NotReplicated => to_nr.push(key.as_bytes().to_vec()),
+                SpSync::Relocate { key, .. } => to_nr.push(key.as_bytes()),
             }
-            entry.committed = to;
-            sync.push(SpSync::Relocate { key, from, to });
         }
-        // 3. Updates to records that stay replicated — one array element per
-        //    write occurrence, as in Listing 2. A key transitions at most
-        //    once per flush, so "replicated when written and replicated now"
-        //    is exactly "replicated and not in `to_r`".
-        let r_updates: Vec<(Vec<u8>, Vec<u8>)> = sync[..writes]
-            .iter()
-            .filter_map(|op| match op {
-                SpSync::Write {
-                    key,
-                    value,
-                    state: ReplState::Replicated,
-                } if self.state_of(key) == ReplState::Replicated => {
-                    Some((key.as_bytes().to_vec(), value.clone()))
-                }
-                _ => None,
-            })
-            .collect();
-
         // Reconcile mid-epoch deliver-installed replicas: keys that settled
         // back to NR must have the hinted replica evicted (no tree change —
         // the tree never left NR); keys now formally R were covered by the
-        // transition loop above. The loop pushed its evictions in key
-        // order, so whether it already evicted a key is a binary search.
+        // transitions above. Those evictions are in key order, so whether
+        // one already evicted a key is a binary search.
         let transitioned = to_nr.len();
         for key in &hinted {
             if self.state_of(key) == ReplState::NotReplicated
                 && to_nr[..transitioned]
-                    .binary_search_by(|evicted| evicted.as_slice().cmp(key.as_bytes()))
+                    .binary_search(&key.as_bytes())
                     .is_err()
             {
-                to_nr.push(key.as_bytes().to_vec());
+                to_nr.push(key.as_bytes());
             }
         }
-        let replications = to_r.len() + hint_formalized;
-        let evictions = to_nr.len();
-        let dirty = !sync.is_empty() || !to_nr.is_empty() || !to_r.is_empty();
-        self.nodes_rehashed += self.mirror.apply_batch(tree_ops) as u64;
+        let digest = self.mirror.root();
+        let chunks = if sync.is_empty() && to_nr.is_empty() {
+            Vec::new()
+        } else {
+            encode_update_chunks(
+                &digest,
+                r_updates.iter().copied(),
+                to_r.iter().copied(),
+                to_nr.iter().copied(),
+            )
+        };
         EpochFlush {
-            digest: self.mirror.root(),
-            r_updates,
-            to_r,
-            to_nr,
-            dirty,
+            digest,
+            chunks,
+            evictions: to_nr.len(),
             sp_sync: sync,
             replications,
-            evictions,
         }
     }
-}
-
-/// The `update()` inputs that seed the chain with a freshly loaded dataset
-/// under `digest`: the digest alone — even an empty feed pins its
-/// (empty-tree) digest on chain — or, for a replicated preload, the records
-/// too, in chunks of just over 20,000 bytes to stay under `Ctx`'s X < 1000.
-fn seed_chunks(
-    digest: &grub_crypto::Hash32,
-    records: &[(String, Vec<u8>)],
-    state: ReplState,
-) -> Vec<Vec<u8>> {
-    if state == ReplState::NotReplicated || records.is_empty() {
-        return vec![encode_update(digest, &[], &[], &[])];
-    }
-    let mut chunks = Vec::new();
-    let mut batch: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    let mut batch_bytes = 0usize;
-    for (key, value) in records {
-        batch.push((key.as_bytes().to_vec(), value.clone()));
-        batch_bytes += key.len() + value.len() + 16;
-        if batch_bytes > 20_000 {
-            chunks.push(encode_update(digest, &[], &std::mem::take(&mut batch), &[]));
-            batch_bytes = 0;
-        }
-    }
-    if !batch.is_empty() {
-        chunks.push(encode_update(digest, &[], &batch, &[]));
-    }
-    chunks
 }
 
 impl std::fmt::Debug for DataOwner {
@@ -488,7 +479,13 @@ impl std::fmt::Debug for DataOwner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contract::update_oracle::{decode_update_chunks, Sections};
     use crate::policy::{Bl2, Memoryless};
+
+    /// The flush's `update()` sections, decoded from its chunks.
+    fn sections(flush: &EpochFlush) -> Sections {
+        decode_update_chunks(&flush.chunks).1
+    }
 
     fn owner_with_k(k: u64) -> DataOwner {
         DataOwner::new(Address::derive("DO"), Box::new(Memoryless::new(k)))
@@ -500,12 +497,12 @@ mod tests {
         o.observe_write("a", b"1".to_vec());
         o.observe_write("b", b"2".to_vec());
         let flush = o.flush_epoch();
-        assert!(flush.dirty);
-        assert!(
-            flush.r_updates.is_empty(),
+        assert_eq!(flush.chunks.len(), 1, "an update is due");
+        assert_eq!(
+            sections(&flush),
+            Sections::default(),
             "no values ride along for NR keys"
         );
-        assert!(flush.to_r.is_empty() && flush.to_nr.is_empty());
         assert_eq!(flush.replications, 0);
         assert_eq!(flush.evictions, 0);
         assert_eq!(flush.sp_sync.len(), 2);
@@ -546,7 +543,7 @@ mod tests {
         o.observe_write("a", b"2".to_vec());
         let f2 = o.flush_epoch();
         // Second write is an r_update (stays R) carrying the value.
-        assert_eq!(f2.r_updates, vec![(b"a".to_vec(), b"2".to_vec())]);
+        assert_eq!(sections(&f2).0, vec![(b"a".to_vec(), b"2".to_vec())]);
         assert_eq!(f2.replications, 0);
     }
 
@@ -554,7 +551,7 @@ mod tests {
     fn empty_epoch_flushes_nothing() {
         let mut o = owner_with_k(2);
         let flush = o.flush_epoch();
-        assert!(!flush.dirty);
+        assert!(flush.chunks.is_empty());
         assert!(flush.sp_sync.is_empty());
     }
 
@@ -575,7 +572,7 @@ mod tests {
         o.observe_read("ghost");
         for _ in 0..3 {
             // Nothing to relocate, nothing emitted — but the decision stands.
-            assert!(!o.flush_epoch().dirty);
+            assert!(o.flush_epoch().chunks.is_empty());
             assert!(o.pending.contains("ghost"));
         }
         // Memoryless resets on a write, so the key settles NR and leaves.
@@ -593,7 +590,8 @@ mod tests {
         o.observe_read("a"); // wants R
         o.observe_write("a", b"2".to_vec()); // back to NR
         let flush = o.flush_epoch();
-        assert!(flush.to_r.is_empty() && flush.to_nr.is_empty());
+        let (_, to_r, to_nr) = sections(&flush);
+        assert!(to_r.is_empty() && to_nr.is_empty());
         assert_eq!(flush.sp_sync.len(), 1, "the write only, no Relocate");
         assert!(o.pending.is_empty());
     }
@@ -609,7 +607,7 @@ mod tests {
         o.preload(&records, ReplState::Replicated);
         assert!(o.pending.is_empty());
         assert_eq!(o.desired_state("x"), ReplState::Replicated);
-        assert!(!o.flush_epoch().dirty);
+        assert!(o.flush_epoch().chunks.is_empty());
         // The next observation that disagrees queues it again.
         o.observe_write("x", b"2".to_vec());
         assert_eq!(o.flush_epoch().evictions, 1);
@@ -623,6 +621,6 @@ mod tests {
         assert_eq!(sync.len(), 1);
         assert_eq!(o.state_of("x"), ReplState::Replicated);
         // No staged writes: next flush is clean.
-        assert!(!o.flush_epoch().dirty);
+        assert!(o.flush_epoch().chunks.is_empty());
     }
 }

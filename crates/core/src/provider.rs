@@ -14,8 +14,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use grub_chain::{Address, Blockchain, Transaction};
-use grub_gas::Layer;
+use grub_chain::{Address, Blockchain};
 use grub_merkle::{record_value_hash, MerkleKv, ProofKey, ProofNode, ReplState, TreeOp};
 use grub_store::{Db, Options};
 
@@ -323,7 +322,8 @@ impl StorageProvider {
     }
 
     /// Scans the chain's event log for requests since the last poll and
-    /// builds the `deliver` transactions answering them.
+    /// builds the `deliver()` inputs answering them: point requests in key
+    /// order, then range requests in event order.
     ///
     /// Point requests for the same key within the window are coalesced into
     /// one delivery carrying all their callbacks.
@@ -331,7 +331,7 @@ impl StorageProvider {
     /// # Errors
     ///
     /// Propagates store I/O failures.
-    pub fn watchdog(&mut self, chain: &Blockchain, manager: Address) -> Result<Vec<Transaction>> {
+    pub fn watchdog(&mut self, chain: &Blockchain, manager: Address) -> Result<Vec<Vec<u8>>> {
         let mut point: BTreeMap<Vec<u8>, Vec<(Address, String)>> = BTreeMap::new();
         let mut ranges: Vec<(Vec<u8>, Vec<u8>, Address, String)> = Vec::new();
         for event in chain.events_since(self.watch_cursor, manager, "Request") {
@@ -349,25 +349,24 @@ impl StorageProvider {
         }
         self.watch_cursor = chain.height();
 
-        let mut txs = Vec::new();
+        let mut delivers = Vec::new();
         for (key, callbacks) in point {
             let replicate = self.decision_hints.get(&key) == Some(&ReplState::Replicated);
-            txs.push(self.build_deliver(manager, key.clone(), key, replicate, callbacks)?);
+            delivers.push(self.build_deliver(key.clone(), key, replicate, callbacks)?);
         }
         for (start, end, cb_addr, cb_func) in ranges {
-            txs.push(self.build_deliver(manager, start, end, false, vec![(cb_addr, cb_func)])?);
+            delivers.push(self.build_deliver(start, end, false, vec![(cb_addr, cb_func)])?);
         }
-        Ok(txs)
+        Ok(delivers)
     }
 
     fn build_deliver(
         &mut self,
-        manager: Address,
         start: Vec<u8>,
         end: Vec<u8>,
         replicate: bool,
         callbacks: Vec<(Address, String)>,
-    ) -> Result<Transaction> {
+    ) -> Result<Vec<u8>> {
         let lo = ProofKey::new(ReplState::NotReplicated, start.clone());
         let hi = ProofKey::new(ReplState::NotReplicated, end.clone());
         let (mut records, mut proof) = match (&self.mode, &self.stale) {
@@ -406,13 +405,8 @@ impl StorageProvider {
             }
             AdversaryMode::Honest | AdversaryMode::ReplayStale => {}
         }
-        let input = encode_deliver(&start, &end, replicate, &records, &proof, &callbacks);
-        Ok(Transaction::new(
-            self.address,
-            manager,
-            "deliver",
-            input,
-            Layer::Feed,
+        Ok(encode_deliver(
+            &start, &end, replicate, &records, &proof, &callbacks,
         ))
     }
 

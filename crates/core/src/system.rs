@@ -37,7 +37,7 @@ use grub_gas::{GasSnapshot, Layer};
 use grub_merkle::ReplState;
 use grub_workload::{Op, OpSource};
 
-use crate::contract::{NullConsumer, OnChainTrace, StorageManager, MAX_TX_PAYLOAD_BYTES};
+use crate::contract::{NullConsumer, OnChainTrace, StorageManager};
 use crate::metrics::{EpochReport, RunReport};
 use crate::owner::DataOwner;
 use crate::policy::{PolicyKind, ReplicationPolicy};
@@ -195,8 +195,15 @@ impl DriverIdentity {
 /// batcher that routes the chunks through a shard-level transaction.
 #[derive(Clone, Debug, Default)]
 pub struct StagedUpdate {
-    /// Encoded `update()` inputs, each under the `Ctx` 1000-word bound.
-    /// Empty when the epoch had nothing to flush.
+    /// Encoded `update()` inputs, moved from [`EpochFlush::chunks`]: each
+    /// carries the epoch's digest, and the DO cut them by one rule — a pair
+    /// counts `key + value + 16` bytes, a `toNR` key `key + 8`, and a chunk
+    /// closes before its count would pass [`MAX_TX_PAYLOAD_BYTES`], keeping
+    /// each under the `Ctx` 1000-word bound. Empty when the epoch had
+    /// nothing to flush.
+    ///
+    /// [`EpochFlush::chunks`]: crate::owner::EpochFlush::chunks
+    /// [`MAX_TX_PAYLOAD_BYTES`]: crate::contract::MAX_TX_PAYLOAD_BYTES
     pub chunks: Vec<Vec<u8>>,
     /// Trace operations closed out by this epoch.
     pub ops: usize,
@@ -459,21 +466,12 @@ impl EpochDriver {
     /// Propagates store failures.
     pub fn stage_update(&mut self) -> Result<StagedUpdate> {
         let ops = std::mem::replace(&mut self.ops_in_epoch, 0);
-        // The DO's epoch update (gPuts write path). Oversized epochs are
-        // split across payload chunks: Ctx(X) is defined for X < 1000 words
-        // and every chunk carries the same final digest.
-        let mut flush = self.owner.flush_epoch();
-        // The encoded chunks only need digest/r_updates/to_r/to_nr, so the
-        // sync ops move to the SP without a clone.
-        self.provider
-            .apply_sync_batch(std::mem::take(&mut flush.sp_sync))?;
-        let chunks = if flush.dirty {
-            encode_update_chunked(&flush)
-        } else {
-            Vec::new()
-        };
+        // The DO's epoch update (gPuts write path), already encoded; the
+        // sync ops move to the SP.
+        let flush = self.owner.flush_epoch();
+        self.provider.apply_sync_batch(flush.sp_sync)?;
         Ok(StagedUpdate {
-            chunks,
+            chunks: flush.chunks,
             ops,
             replications: flush.replications,
             evictions: flush.evictions,
@@ -548,7 +546,7 @@ impl EpochDriver {
         }
         self.seal_block(chain)?;
         self.acknowledge(chain)?;
-        let delivers = self.watchdog_delivers(chain)?;
+        let delivers = self.provider.watchdog(chain, self.manager)?;
         Ok(StagedReads::metered(chain, before, delivers, 0))
     }
 
@@ -666,14 +664,14 @@ impl EpochDriver {
                 chain.submit(tx);
             }
             self.seal_block(chain)?;
-            let delivers = self.watchdog_delivers(chain)?;
+            let delivers = self.provider.watchdog(chain, self.manager)?;
             failed += self.mine_delivers(chain, delivers)?;
         }
         for (start, end) in scans {
             self.owner.observe_read(&start);
             self.submit_scan(chain, &start, &end);
             self.seal_block(chain)?;
-            let delivers = self.watchdog_delivers(chain)?;
+            let delivers = self.provider.watchdog(chain, self.manager)?;
             failed += self.mine_delivers(chain, delivers)?;
         }
         self.acknowledge(chain)?;
@@ -691,13 +689,6 @@ impl EpochDriver {
         self.owner
             .observe_fee_price(chain.fee_price_permille(chain.confirmed_height()));
         Ok(())
-    }
-
-    /// The SP watchdog's answers to the feed's outstanding requests, as
-    /// `deliver()` inputs.
-    fn watchdog_delivers(&mut self, chain: &Blockchain) -> Result<Vec<Vec<u8>>> {
-        let txs = self.provider.watchdog(chain, self.manager)?;
-        Ok(txs.into_iter().map(|tx| tx.input).collect())
     }
 
     /// Submits `delivers` as this feed's own `deliver()` transactions and
@@ -1039,58 +1030,6 @@ pub fn mine_until_drained(
         block.receipts.iter().try_for_each(&mut on_receipt)?;
     }
     Ok(())
-}
-
-/// Splits an epoch flush into one or more `update()` payloads, each within
-/// [`MAX_TX_PAYLOAD_BYTES`]. Every chunk carries the epoch's final digest;
-/// the contract overwrites the root slot idempotently.
-fn encode_update_chunked(flush: &crate::owner::EpochFlush) -> Vec<Vec<u8>> {
-    #[derive(Clone, Copy)]
-    enum Item<'a> {
-        RUpdate(&'a (Vec<u8>, Vec<u8>)),
-        ToR(&'a (Vec<u8>, Vec<u8>)),
-        ToNr(&'a Vec<u8>),
-    }
-    let items: Vec<Item<'_>> = flush
-        .r_updates
-        .iter()
-        .map(Item::RUpdate)
-        .chain(flush.to_r.iter().map(Item::ToR))
-        .chain(flush.to_nr.iter().map(Item::ToNr))
-        .collect();
-    let mut out = Vec::new();
-    let mut r_updates: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    let mut to_r: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    let mut to_nr: Vec<Vec<u8>> = Vec::new();
-    let mut bytes = 0usize;
-    let flush_chunk = |r: &mut Vec<(Vec<u8>, Vec<u8>)>,
-                       tr: &mut Vec<(Vec<u8>, Vec<u8>)>,
-                       tn: &mut Vec<Vec<u8>>| {
-        crate::contract::encode_update(
-            &flush.digest,
-            &std::mem::take(r),
-            &std::mem::take(tr),
-            &std::mem::take(tn),
-        )
-    };
-    for item in items {
-        let size = match item {
-            Item::RUpdate((k, v)) | Item::ToR((k, v)) => k.len() + v.len() + 16,
-            Item::ToNr(k) => k.len() + 8,
-        };
-        if bytes + size > MAX_TX_PAYLOAD_BYTES && bytes > 0 {
-            out.push(flush_chunk(&mut r_updates, &mut to_r, &mut to_nr));
-            bytes = 0;
-        }
-        bytes += size;
-        match item {
-            Item::RUpdate(kv) => r_updates.push(kv.clone()),
-            Item::ToR(kv) => to_r.push(kv.clone()),
-            Item::ToNr(k) => to_nr.push(k.clone()),
-        }
-    }
-    out.push(flush_chunk(&mut r_updates, &mut to_r, &mut to_nr));
-    out
 }
 
 /// Computes the inclusive end key of a scan of `len` records.

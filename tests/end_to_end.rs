@@ -221,12 +221,104 @@ fn reading_absent_keys_is_safe() {
     assert_eq!(report.failed_delivers(), 0);
 }
 
-/// Large-record epochs split their update transactions instead of
-/// violating the Ctx payload bound.
+/// One mined `update()` chunk: its digest and each item's size as the
+/// chunking rule counts it (a pair `key + value + 16`, a `toNR` key
+/// `key + 8`), in payload order, plus its `toR` count.
+struct UpdateChunk {
+    digest: grub::crypto::Hash32,
+    sizes: Vec<usize>,
+    to_r: u64,
+}
+
+fn decode_update_chunk(input: &[u8]) -> UpdateChunk {
+    let mut dec = grub::chain::codec::Decoder::new(input);
+    let digest = dec.hash().unwrap();
+    let mut sizes = Vec::new();
+    let mut counts = Vec::new();
+    for pairs in [true, true, false] {
+        let n = dec.u64().unwrap();
+        counts.push(n);
+        for _ in 0..n {
+            let key = dec.bytes().unwrap().len();
+            sizes.push(if pairs {
+                key + dec.bytes().unwrap().len() + 16
+            } else {
+                key + 8
+            });
+        }
+    }
+    assert!(dec.is_empty(), "trailing bytes in an update chunk");
+    UpdateChunk {
+        digest,
+        sizes,
+        to_r: counts[1],
+    }
+}
+
+/// Asserts that one update's chunks are cut by the one budget rule: each
+/// holds what fits under `MAX_TX_PAYLOAD_BYTES` (or one oversized item),
+/// and each cut falls where the next item would have passed the budget.
+fn assert_cut_by_the_budget_rule(update: &[UpdateChunk]) {
+    use grub::core::contract::MAX_TX_PAYLOAD_BYTES;
+    for chunk in update {
+        let counted: usize = chunk.sizes.iter().sum();
+        assert!(counted <= MAX_TX_PAYLOAD_BYTES || chunk.sizes.len() == 1);
+    }
+    for pair in update.windows(2) {
+        let counted: usize = pair[0].sizes.iter().sum();
+        assert!(
+            counted + pair[1].sizes[0] > MAX_TX_PAYLOAD_BYTES,
+            "cut too early"
+        );
+    }
+}
+
+/// Large-record epochs and a large replicated preload split their update
+/// transactions under one budget rule instead of violating the Ctx payload
+/// bound, and every chunk carries its update's digest.
 #[test]
 fn oversized_epochs_chunk_update_transactions() {
     let trace = RatioWorkload::new("big", 0.0).value_len(4096).generate(64);
-    let report = run(&trace, PolicyKind::Bl2);
+    // 32 replicated 1,000-byte records: a seed of more than 24 KB, whose
+    // cuts fall where the epoch rule puts them (23 + 9 records), not after
+    // 20,000 bytes (20 + 12).
+    let preload: Vec<(String, Vec<u8>)> = (0..32u8)
+        .map(|i| (format!("pre{i:02}"), vec![i; 1000]))
+        .collect();
+    let config = SystemConfig::new(PolicyKind::Bl2).preload(preload);
+    let mut system = GrubSystem::new(&config).expect("system");
+    system.drive(&mut trace.source()).expect("drive");
+    let manager = system.driver().manager();
+    let chunks: Vec<UpdateChunk> = system
+        .chain()
+        .calls_since(0, manager)
+        .into_iter()
+        .filter(|call| call.func == "update")
+        .map(|call| decode_update_chunk(&call.input))
+        .collect();
+    // Every chunk of an update carries its digest, and the digest moves
+    // with every update (each epoch writes a fresh value).
+    let updates: Vec<&[UpdateChunk]> = chunks.chunk_by(|a, b| a.digest == b.digest).collect();
+    assert_eq!(updates.len(), 3, "the seed and two epochs");
+    let seed = updates[0];
+    assert!(
+        seed.len() >= 2,
+        "a > 24 KB preload seeds in {} chunk(s)",
+        seed.len()
+    );
+    assert_eq!(seed.iter().map(|c| c.to_r).sum::<u64>(), 32);
+    assert!(
+        updates[1..].iter().any(|update| update.len() >= 2),
+        "no epoch split into chunks"
+    );
+    for update in &updates {
+        assert_cut_by_the_budget_rule(update);
+    }
+    assert_eq!(
+        chunks.last().unwrap().digest,
+        system.driver().owner().root()
+    );
+    let report = system.into_report();
     assert_eq!(report.total_ops(), 64);
     assert!(report.feed_gas_total() > 0);
 }

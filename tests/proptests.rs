@@ -514,12 +514,14 @@ mod owner_differential {
 
     use proptest::prelude::*;
 
+    use grub::chain::codec::Decoder;
     use grub::chain::Address;
     use grub::core::owner::DataOwner;
     use grub::core::policy::{
         Bl1, Bl2, FeeAware, Memorizing, Memoryless, ReplicationPolicy, SelfTuningK,
     };
     use grub::core::provider::{SpSync, StorageProvider};
+    use grub::crypto::Hash32;
     use grub::gas::GasSchedule;
     use grub::merkle::ReplState;
 
@@ -642,6 +644,30 @@ mod owner_differential {
         }
     }
 
+    type Records = Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// Decodes a flush's `update()` chunks into each chunk's digest and the
+    /// `rUpdates`, `toR` and `toNR` sections, joined in chunk order.
+    fn decode_update_chunks(chunks: &[Vec<u8>]) -> (Vec<Hash32>, Records, Records, Vec<Vec<u8>>) {
+        let mut digests = Vec::new();
+        let (mut r_updates, mut to_r, mut to_nr) = (Records::new(), Records::new(), Vec::new());
+        for chunk in chunks {
+            let mut dec = Decoder::new(chunk);
+            digests.push(dec.hash().unwrap());
+            for records in [&mut r_updates, &mut to_r] {
+                for _ in 0..dec.u64().unwrap() {
+                    let key = dec.bytes().unwrap().to_vec();
+                    records.push((key, dec.bytes().unwrap().to_vec()));
+                }
+            }
+            for _ in 0..dec.u64().unwrap() {
+                to_nr.push(dec.bytes().unwrap().to_vec());
+            }
+            assert!(dec.is_empty(), "trailing bytes in an update chunk");
+        }
+        (digests, r_updates, to_r, to_nr)
+    }
+
     /// Drives one DO through `script`, checking every flush against the
     /// oracle and the mirror root against an SP fed the same sync ops.
     pub fn run_script(which_policy: u8, script: &[DoOp]) {
@@ -675,16 +701,18 @@ mod owner_differential {
                     let want = oracle(&owner, &staged, &hinted);
                     let got = owner.flush_epoch();
                     assert_eq!(got.sp_sync, want.sp_sync, "sp_sync (order included)");
-                    assert_eq!(got.to_r, want.to_r, "to_r");
-                    assert_eq!(got.to_nr, want.to_nr, "to_nr");
-                    assert_eq!(got.r_updates, want.r_updates, "r_updates");
+                    let (digests, r_updates, to_r, to_nr) = decode_update_chunks(&got.chunks);
+                    assert_eq!(to_r, want.to_r, "to_r");
+                    assert_eq!(to_nr, want.to_nr, "to_nr");
+                    assert_eq!(r_updates, want.r_updates, "r_updates");
                     assert_eq!(got.replications, want.replications);
                     assert_eq!(got.evictions, want.to_nr.len());
                     assert_eq!(
-                        got.dirty,
+                        !got.chunks.is_empty(),
                         !want.sp_sync.is_empty() || !want.to_nr.is_empty(),
-                        "dirty"
+                        "an update is due"
                     );
+                    assert!(digests.iter().all(|d| *d == owner.root()), "chunk digest");
                     assert_eq!(got.digest, owner.root());
                     sp.apply_sync_batch(got.sp_sync).expect("sp sync");
                     assert_eq!(sp.root(), owner.root(), "SP root != DO mirror root");
