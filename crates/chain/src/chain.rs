@@ -454,7 +454,11 @@ pub struct Blockchain {
     registry: HashMap<Address, Deployed>,
     storages: HashMap<Address, ContractStorage>,
     meter: GasMeter,
-    mempool: Vec<(TxId, Transaction)>,
+    /// Queued transactions, each tagged with the first height it may mine at:
+    /// above the next block only while a seeded inclusion delay
+    /// ([`ChainConfig::latency`]) holds it back, and 0 once it has been
+    /// selected, so it never re-waits its delay.
+    mempool: Vec<(u64, (TxId, Transaction))>,
     /// Retained block bodies — the full chain by default, a sliding window
     /// under [`ChainConfig::retain_blocks`].
     blocks: Vec<Block>,
@@ -476,11 +480,6 @@ pub struct Blockchain {
     undo: VecDeque<BlockUndo>,
     /// Every fork the seeded reorg process has executed.
     reorg_events: Vec<ReorgEvent>,
-    /// Under [`ChainConfig::latency`]: the height at which each delayed
-    /// transaction becomes eligible to mine, keyed by [`TxId`] value.
-    /// Lookup-only (never iterated), so determinism is unaffected; empty
-    /// whenever latency is off.
-    tx_eligible: HashMap<u64, u64>,
     /// Under [`ChainConfig::confirm_depth`]: the heights of mined blocks
     /// that included something and are not yet confirmed, ascending. A
     /// height leaves once the confirmation frontier passes it; a rollback
@@ -537,7 +536,6 @@ impl Blockchain {
             now_ms: 0,
             undo: VecDeque::new(),
             reorg_events: Vec::new(),
-            tx_eligible: HashMap::new(),
             pending_confirm: Vec::new(),
         }
     }
@@ -564,6 +562,7 @@ impl Blockchain {
     pub fn submit(&mut self, tx: Transaction) -> TxId {
         let id = TxId(self.next_tx_id);
         self.next_tx_id += 1;
+        let mut eligible_at = 0;
         if let Some(lat) = self.config.latency {
             let mut delay = seeded_mix(lat.seed, id.0) % (lat.max_delay_blocks.max(1) + 1);
             if let Some(mp) = self.config.mempool {
@@ -572,10 +571,10 @@ impl Blockchain {
                 delay += (self.mempool.len() / mp.max_txs_per_block.max(1)) as u64;
             }
             if delay > 0 {
-                self.tx_eligible.insert(id.0, self.mined + 1 + delay);
+                eligible_at = self.mined + 1 + delay;
             }
         }
-        self.mempool.push((id, tx));
+        self.mempool.push((eligible_at, (id, tx)));
         id
     }
 
@@ -614,17 +613,17 @@ impl Blockchain {
     /// in a consistent canonical state (for the mid-reorg crash point:
     /// rolled back to the fork's target height, mempool cleared).
     pub fn try_produce_block(&mut self) -> Result<&Block, BlockError> {
-        if let Some(reorg) = self.config.reorg {
-            let next = self.mined + 1;
-            if next.is_multiple_of(reorg.period) && self.rollback_capacity() > 0 {
+        match self.config.reorg {
+            Some(reorg)
+                if (self.mined + 1).is_multiple_of(reorg.period)
+                    && self.rollback_capacity() > 0 =>
+            {
                 self.run_reorg(reorg)?;
-                // grub-lint: allow(panic) — run_reorg re-commits the canonical branch, so the chain is never empty here
-                return Ok(self.blocks.last().expect("reorg re-committed the tip"));
             }
+            _ => self.seal_canonical_block(),
         }
-        self.seal_canonical_block();
-        // grub-lint: allow(panic) — seal_canonical_block just pushed a block
-        Ok(self.blocks.last().expect("just pushed"))
+        // grub-lint: allow(panic) — both arms end by sealing a canonical block
+        Ok(self.blocks.last().expect("a block was just sealed"))
     }
 
     /// Selects the transactions the next block will mine: everything whose
@@ -634,37 +633,26 @@ impl Blockchain {
     /// overflow re-queues ahead of still-delayed transactions; a
     /// transaction selected once never re-waits its delay.
     fn take_block_pending(&mut self) -> Vec<(TxId, Transaction)> {
-        let mut candidates = if self.tx_eligible.is_empty() {
-            std::mem::take(&mut self.mempool)
-        } else {
-            let next = self.mined + 1;
-            let pool = std::mem::take(&mut self.mempool);
-            let mut ready = Vec::with_capacity(pool.len());
-            for (id, tx) in pool {
-                if self.tx_eligible.get(&id.0).is_none_or(|&h| h <= next) {
-                    self.tx_eligible.remove(&id.0);
-                    ready.push((id, tx));
-                } else {
-                    self.mempool.push((id, tx));
-                }
-            }
-            ready
-        };
-        match self.config.mempool {
-            None => candidates,
-            Some(mp) => {
-                let cap = mp.max_txs_per_block.max(1);
-                candidates.sort_by_key(|(_, tx)| Reverse(tx.priority));
-                if candidates.len() <= cap {
-                    candidates
-                } else {
-                    let mut overflow = candidates.split_off(cap);
-                    overflow.append(&mut self.mempool);
-                    self.mempool = overflow;
-                    candidates
-                }
+        let next = self.mined + 1;
+        let mut candidates = Vec::with_capacity(self.mempool.len());
+        let mut delayed = Vec::new();
+        for (eligible_at, pending) in std::mem::take(&mut self.mempool) {
+            if eligible_at <= next {
+                candidates.push(pending);
+            } else {
+                delayed.push((eligible_at, pending));
             }
         }
+        self.mempool = delayed;
+        if let Some(mp) = self.config.mempool {
+            let cap = mp.max_txs_per_block.max(1);
+            candidates.sort_by_key(|(_, tx)| Reverse(tx.priority));
+            if candidates.len() > cap {
+                let overflow = candidates.split_off(cap).into_iter().map(|p| (0, p));
+                self.mempool.splice(0..0, overflow);
+            }
+        }
+        candidates
     }
 
     /// An undo record for the next block, capturing what executing it will
@@ -699,9 +687,9 @@ impl Blockchain {
     /// an undo record. State mutations (height, clock, storages, meter)
     /// happen here; what makes a block *canonical* — digest fold, checkpoint
     /// check, retention, the undo window — is the caller's job.
-    fn execute_block(
+    fn execute_block<'t>(
         &mut self,
-        pending: &[(TxId, Transaction)],
+        pending: impl ExactSizeIterator<Item = &'t (TxId, Transaction)>,
         jitter_ms: u64,
         mut writes: Option<&mut Vec<JournalEntry>>,
     ) -> Block {
@@ -740,7 +728,7 @@ impl Blockchain {
     fn seal_canonical_block(&mut self) {
         let pending = self.take_block_pending();
         let mut undo = self.config.reorg.map(|_| self.begin_undo());
-        let block = self.execute_block(&pending, 0, undo.as_mut().map(|u| &mut u.writes));
+        let block = self.execute_block(pending.iter(), 0, undo.as_mut().map(|u| &mut u.writes));
         let mined_something = !block.receipts.is_empty();
         self.digest_acc = fold_block_digest(&self.digest_acc, &block);
         if let Some((height, expected)) = self.checkpoint {
@@ -868,7 +856,8 @@ impl Blockchain {
         let jitter =
             1 + seeded_mix(cfg.seed ^ 0x666f_726b, next) % self.config.block_period_ms.max(1);
         let mut fork_undo = self.begin_undo();
-        let fork = self.execute_block(&pending, jitter, Some(&mut fork_undo.writes));
+        let fork_txs = pending.iter().map(|(_, pending)| pending);
+        let fork = self.execute_block(fork_txs, jitter, Some(&mut fork_undo.writes));
         let fork_digest = fold_block_digest(&self.digest_acc, &fork);
         // The canonical branch wins: undo the fork block, then `depth`
         // canonical ancestors.
@@ -897,7 +886,7 @@ impl Blockchain {
         for txs in replay {
             debug_assert!(self.mempool.is_empty(), "re-commit must not mix blocks");
             let resubmitted: Vec<TxId> = txs.iter().map(|(id, _)| *id).collect();
-            self.mempool = txs;
+            self.mempool = txs.into_iter().map(|p| (0, p)).collect();
             self.seal_canonical_block();
             if let Some(event) = self.reorg_events.last_mut() {
                 event.resubmitted.extend(resubmitted);
@@ -1109,13 +1098,17 @@ impl Blockchain {
         Ok(())
     }
 
-    /// Guards the documented precondition of the `_since` queries under
+    /// The retained blocks `(from_block, ..]` the `_since` queries read,
+    /// found by binary search (`blocks` ascends by number), so a poll costs
+    /// the blocks it returns, not the whole retained chain.
+    ///
+    /// Guards the queries' documented precondition under
     /// [`ChainConfig::retain_blocks`]: every block in `(from_block, ..]`
     /// must still be retained, or the query would silently omit pruned
     /// history. Debug-only, like the workspace's Gas-arithmetic guards —
     /// the production schedulers advance their cursors every epoch, far
     /// inside any sane window.
-    fn assert_cursor_in_window(&self, from_block: u64) {
+    fn blocks_since(&self, from_block: u64) -> &[Block] {
         debug_assert!(
             from_block >= self.mined
                 || self
@@ -1128,6 +1121,8 @@ impl Blockchain {
             self.blocks.first().map(|b| b.number),
             self.mined,
         );
+        let start = self.blocks.partition_point(|b| b.number <= from_block);
+        &self.blocks[start..]
     }
 
     /// Events matching `contract` and `name` in blocks `(from_block, ..]`.
@@ -1135,10 +1130,8 @@ impl Blockchain {
     /// This is what off-chain watchdogs (the SP daemon, the DO monitor) poll,
     /// standing in for Ethereum's `eth_getLogs`.
     pub fn events_since(&self, from_block: u64, contract: Address, name: &str) -> Vec<&Event> {
-        self.assert_cursor_in_window(from_block);
-        self.blocks
+        self.blocks_since(from_block)
             .iter()
-            .filter(|b| b.number > from_block)
             .flat_map(|b| b.events.iter())
             .filter(|e| e.contract == contract && e.name == name)
             .collect()
@@ -1147,10 +1140,8 @@ impl Blockchain {
     /// Contract invocations of contract `to` in blocks `(from_block, ..]` —
     /// the monitor's view of the call history (paper §3.2).
     pub fn calls_since(&self, from_block: u64, to: Address) -> Vec<&CallRecord> {
-        self.assert_cursor_in_window(from_block);
-        self.blocks
+        self.blocks_since(from_block)
             .iter()
-            .filter(|b| b.number > from_block)
             .flat_map(|b| b.call_records.iter())
             .filter(|c| c.to == to)
             .collect()
@@ -1635,7 +1626,7 @@ mod tests {
         assert_eq!(chain.height(), tip_height - 2);
         assert_ne!(chain.chain_digest(), tip_digest);
         for txs in replay {
-            chain.mempool = txs;
+            chain.mempool = txs.into_iter().map(|p| (0, p)).collect();
             chain.produce_block();
         }
         assert_eq!(chain.height(), tip_height);
@@ -2106,6 +2097,70 @@ mod tests {
     }
 
     #[test]
+    fn since_queries_seek_the_blocks_a_full_filter_finds() {
+        // The queries before the seek, kept as the oracle: filter every
+        // retained block. Compared by identity, so a wrong block is seen
+        // even when it holds an equal record.
+        fn filtered<'c, T: 'c>(
+            chain: &'c Blockchain,
+            from: u64,
+            items: impl Fn(&'c Block) -> &'c [T],
+            keep: impl Fn(&T) -> bool,
+        ) -> Vec<*const T> {
+            let blocks = chain.blocks().iter().filter(|b| b.number > from);
+            blocks
+                .flat_map(items)
+                .filter(|x| keep(x))
+                .map(|x| x as *const T)
+                .collect()
+        }
+        let widgets = [Address::derive("widget"), Address::derive("widget-2")];
+        let user = Address::derive("user");
+        let check = |chain: &Blockchain| {
+            let oldest = chain
+                .blocks()
+                .first()
+                .map_or(chain.height(), |b| b.number - 1);
+            for from in oldest..=chain.height() + 1 {
+                for w in widgets {
+                    let events = chain.events_since(from, w, "ValueSet");
+                    let events: Vec<*const Event> = events.into_iter().map(|e| e as _).collect();
+                    let want = filtered(chain, from, |b| &b.events, |e| e.contract == w);
+                    assert_eq!(events, want, "events after {from}");
+                    let calls = chain.calls_since(from, w);
+                    let calls: Vec<*const CallRecord> = calls.into_iter().map(|c| c as _).collect();
+                    let want = filtered(chain, from, |b| &b.call_records, |c| c.to == w);
+                    assert_eq!(calls, want, "calls after {from}");
+                }
+            }
+        };
+        for retain in [None, Some(5)] {
+            let mut config = ChainConfig::default().reorg(1, 1_000_000, 4);
+            config.retain_blocks = retain;
+            let mut chain = Blockchain::with_config(config);
+            for w in widgets {
+                chain.deploy(w, Rc::new(Widget), Layer::Application);
+            }
+            check(&chain);
+            for v in 0..16u64 {
+                // Every fourth block is empty; some carry two calls.
+                if v % 4 != 3 {
+                    submit_set(&mut chain, widgets[(v % 2) as usize], user, v);
+                }
+                if v % 3 == 0 {
+                    submit_set(&mut chain, widgets[1], user, v);
+                }
+                chain.produce_block();
+                check(&chain);
+                if v == 9 {
+                    chain.rollback(3).expect("inside the window");
+                    check(&chain);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn digest_checkpoint_passes_on_identical_replay() {
         let (mut chain, widget, user) = setup();
         let mut enc = Encoder::new();
@@ -2366,7 +2421,8 @@ mod undo_tests {
         let replay = chain.rollback(1).expect("inside the window");
         assert_state_eq(&chain, &at_2);
         assert_eq!(chain.storage(pad(0)).unwrap().peek(&[1]), Some(&vec![3; 4]));
-        chain.mempool = replay.into_iter().next().expect("one block");
+        let txs = replay.into_iter().next().expect("one block");
+        chain.mempool = txs.into_iter().map(|p| (0, p)).collect();
         chain.produce_block();
         assert_state_eq(&chain, &at_3);
         // Two blocks at once: three writes to one slot, the oldest pre-image
@@ -2637,7 +2693,7 @@ mod undo_tests {
                     if recommit {
                         let queued = std::mem::take(&mut chain.mempool);
                         for txs in replay {
-                            chain.mempool = txs;
+                            chain.mempool = txs.into_iter().map(|p| (0, p)).collect();
                             chain.produce_block();
                             assert_state_eq(&chain, &oracle[chain.blocks().len()]);
                         }

@@ -3,10 +3,9 @@
 use std::fmt;
 
 use grub_crypto::{derive_address, hex};
-use serde::{Deserialize, Serialize};
 
 /// A 20-byte account or contract address (Ethereum-style).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Address([u8; 20]);
 
 impl Address {
@@ -55,7 +54,7 @@ impl fmt::Display for Address {
 
 /// A transaction identifier: (block number, index within block) once mined,
 /// or a mempool sequence number before that.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TxId(pub u64);
 
 #[cfg(test)]

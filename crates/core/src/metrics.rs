@@ -1,9 +1,9 @@
 //! Per-epoch Gas reporting, in the shape the paper's figures use.
 
-use serde::{Deserialize, Serialize};
+use grub_gas::Gas;
 
 /// Gas accounting for one epoch of trace operations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EpochReport {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -24,16 +24,12 @@ pub struct EpochReport {
 impl EpochReport {
     /// Feed-layer Gas per operation, the paper's principal Y axis.
     pub fn feed_gas_per_op(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            self.feed_gas as f64 / self.ops as f64
-        }
+        Gas(self.feed_gas).per_op(self.ops)
     }
 }
 
 /// The result of driving one trace through one configuration.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// Display name of the policy that ran.
     pub policy: String,
@@ -59,12 +55,7 @@ impl RunReport {
 
     /// Average feed-layer Gas per operation across the whole run.
     pub fn feed_gas_per_op(&self) -> f64 {
-        let ops = self.total_ops();
-        if ops == 0 {
-            0.0
-        } else {
-            self.feed_gas_total() as f64 / ops as f64
-        }
+        Gas(self.feed_gas_total()).per_op(self.total_ops())
     }
 
     /// The per-epoch feed Gas/op series (the paper's time-series plots).

@@ -44,6 +44,11 @@ use crate::policy::{PolicyKind, ReplicationPolicy};
 use crate::provider::{AdversaryMode, StorageProvider};
 use crate::{GrubError, Result};
 
+/// Reads batched per consumer transaction (§5.1: "each transaction
+/// encoding 32 operations"). A live-tempo read is submitted alone, so only
+/// batched reads are chunked by it.
+const READS_PER_TX: usize = 32;
+
 /// Configuration of one experiment run.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -52,8 +57,6 @@ pub struct SystemConfig {
     /// Trace operations per epoch (the paper's experiments use 32, or 4 for
     /// the BtcRelay study).
     pub epoch_ops: usize,
-    /// Reads batched per consumer transaction (§5.1: 32).
-    pub reads_per_tx: usize,
     /// Records preloaded before metering starts.
     pub preload: Vec<(String, Vec<u8>)>,
     /// Where monitoring counters live (BL3 baselines store them on-chain).
@@ -88,7 +91,6 @@ impl SystemConfig {
         SystemConfig {
             policy,
             epoch_ops: 32,
-            reads_per_tx: 32,
             preload: Vec::new(),
             on_chain_trace: OnChainTrace::None,
             preload_replicated: None,
@@ -109,7 +111,6 @@ impl SystemConfig {
     /// studies' tempo).
     pub fn live_reads(mut self) -> Self {
         self.coalesce_reads = false;
-        self.reads_per_tx = 1;
         self
     }
 
@@ -293,10 +294,11 @@ impl StagedReads {
 /// 6. [`EpochDriver::finish_staged_epoch`] books the [`EpochReport`].
 ///
 /// [`EpochDriver::close_epoch`] is steps 2–6 with the feed's own
-/// transactions; [`EpochDriver::run_read_phase`] is steps 4–6. Live tempo
-/// ([`SystemConfig::live_reads`]) is the one special case: reads and
-/// delivers alternate block by block, and the acknowledgment boundary
-/// follows the last deliver.
+/// transactions; [`EpochDriver::run_read_phase`] is steps 4–6. Only the
+/// driver knows the read tempo: at live tempo ([`SystemConfig::live_reads`])
+/// step 4 alternates reads and their delivers block by block, reaches the
+/// acknowledgment boundary after the last deliver, and leaves step 5
+/// nothing to mine.
 pub struct EpochDriver {
     owner: DataOwner,
     provider: StorageProvider,
@@ -307,7 +309,6 @@ pub struct EpochDriver {
     ops_in_epoch: usize,
     manager: Address,
     consumer: Address,
-    reads_per_tx: usize,
     reports: Vec<EpochReport>,
     completed_ops: usize,
     read_tx_builder: Option<ReadTxBuilder>,
@@ -412,7 +413,6 @@ impl EpochDriver {
             ops_in_epoch: 0,
             manager,
             consumer,
-            reads_per_tx: config.reads_per_tx.max(1),
             reports: Vec::new(),
             completed_ops: 0,
             read_tx_builder: None,
@@ -498,14 +498,10 @@ impl EpochDriver {
     /// Propagates store failures and protocol-violating transaction
     /// failures.
     pub fn run_read_phase(&mut self, chain: &mut Blockchain, staged: &StagedUpdate) -> Result<()> {
-        let reads = if self.coalesce_reads {
-            let before = chain.gas_snapshot();
-            let staged_reads = self.stage_reads(chain)?;
-            let failed = self.mine_delivers(chain, staged_reads.delivers)?;
-            StagedReads::metered(chain, before, Vec::new(), failed)
-        } else {
-            self.run_live_reads(chain)?
-        };
+        let before = chain.gas_snapshot();
+        let reads = self.stage_reads(chain)?;
+        let failed = self.mine_delivers(chain, reads.delivers)?;
+        let reads = StagedReads::metered(chain, before, Vec::new(), reads.failed_delivers + failed);
         self.finish_staged_epoch(staged, &reads);
         Ok(())
     }
@@ -515,25 +511,22 @@ impl EpochDriver {
     /// boundary, and returns the watchdog's `deliver()` payloads
     /// *unsubmitted* with the feed's own snapshot-differenced Gas. The
     /// caller mines the delivers, then books the epoch with
-    /// [`EpochDriver::finish_staged_epoch`]. Only valid in coalesced-read
-    /// mode ([`SystemConfig::coalesce_reads`]): a live-tempo feed cannot
-    /// defer its delivers.
+    /// [`EpochDriver::finish_staged_epoch`]. At live tempo
+    /// ([`SystemConfig::live_reads`]) each read's delivers must land in the
+    /// block after its own, so the driver mines them here and returns none.
     ///
     /// # Errors
     ///
-    /// Returns an error in live-read mode; propagates store failures and
-    /// protocol-violating transaction failures.
+    /// Propagates store failures and protocol-violating transaction
+    /// failures.
     pub fn stage_reads(&mut self, chain: &mut Blockchain) -> Result<StagedReads> {
-        if !self.coalesce_reads {
-            return Err(GrubError::Chain(
-                "staged reads require coalesced-read mode (live-tempo feeds \
-                 cannot defer delivers)"
-                    .into(),
-            ));
-        }
         let before = chain.gas_snapshot();
         let reads = std::mem::take(&mut self.pending_reads);
         let scans = std::mem::take(&mut self.pending_scans);
+        if !self.coalesce_reads {
+            let failed = self.run_live_reads(chain, reads, scans)?;
+            return Ok(StagedReads::metered(chain, before, Vec::new(), failed));
+        }
         // Consumer read transactions share one block (§5.1 methodology).
         for key in &reads {
             self.push_hint(key);
@@ -566,12 +559,6 @@ impl EpochDriver {
             evictions: update.evictions,
             failed_delivers: reads.failed_delivers,
         });
-    }
-
-    /// Whether this feed batches an epoch's reads into shared blocks
-    /// (coalesced mode) — the mode required by [`EpochDriver::stage_reads`].
-    pub fn coalesces_reads(&self) -> bool {
-        self.coalesce_reads
     }
 
     /// Closes the current epoch end to end with this feed's own
@@ -649,10 +636,13 @@ impl EpochDriver {
 
     /// The live-tempo read phase: the update lands in its own block, then
     /// every read and scan gets its own block followed by its delivers.
-    fn run_live_reads(&mut self, chain: &mut Blockchain) -> Result<StagedReads> {
-        let before = chain.gas_snapshot();
-        let reads = std::mem::take(&mut self.pending_reads);
-        let scans = std::mem::take(&mut self.pending_scans);
+    /// Returns how many of those delivers the contract rejected.
+    fn run_live_reads(
+        &mut self,
+        chain: &mut Blockchain,
+        reads: Vec<String>,
+        scans: Vec<(String, String)>,
+    ) -> Result<usize> {
         let mut failed = 0;
         self.seal_block(chain)?;
         for key in reads {
@@ -675,7 +665,7 @@ impl EpochDriver {
             failed += self.mine_delivers(chain, delivers)?;
         }
         self.acknowledge(chain)?;
-        Ok(StagedReads::metered(chain, before, Vec::new(), failed))
+        Ok(failed)
     }
 
     /// The epoch's acknowledgment boundary. Depth-N acknowledgment first:
@@ -715,7 +705,7 @@ impl EpochDriver {
             return builder(reads);
         }
         reads
-            .chunks(self.reads_per_tx)
+            .chunks(READS_PER_TX)
             .map(|chunk| {
                 let mut enc = Encoder::new();
                 enc.u64(chunk.len() as u64);

@@ -43,8 +43,6 @@ mod sha2;
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 pub use sha2::{compress_soft, compressions, Sha256};
 
 /// A 32-byte digest, the unit of authentication throughout the workspace.
@@ -61,7 +59,7 @@ pub use sha2::{compress_soft, compressions, Sha256};
 /// assert_eq!(zero.as_bytes(), &[0u8; 32]);
 /// assert_eq!(zero.to_hex(), "0".repeat(64));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Hash32([u8; 32]);
 
 impl Hash32 {

@@ -12,7 +12,6 @@ use grub_fault::{FaultPoint, KnobError};
 use grub_gas::{checked_add_gas, checked_sub_gas, Layer};
 use grub_store::StoreError;
 use grub_workload::{OpSource, PeekableSource, Trace};
-use serde::{Deserialize, Serialize};
 
 use crate::report::{EngineReport, EpochMetrics, TenantReport};
 use crate::router::ShardRouter;
@@ -82,7 +81,7 @@ fn fault_check(point: FaultPoint) -> Result<()> {
 /// How much of a round the engine batches across feeds — the three rungs
 /// of the savings ladder. Every rung runs the same round loop; the rung
 /// only decides how feeds group and how a group commits.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Batching {
     /// Each feed is its own group and commits with its own transactions:
     /// N independent single-feed runs on one chain, the baseline the
@@ -335,10 +334,11 @@ pub fn tenant_shard(tenant: &str, shards: usize) -> usize {
 struct Shard {
     operator: Address,
     router: Address,
-    update_gas: u64,
-    update_txs: usize,
-    deliver_gas: u64,
-    deliver_txs: usize,
+    /// Metered Gas of the shard's engine-submitted transactions, indexed by
+    /// [`BatchKind`].
+    gas: [u64; 2],
+    /// How many of those transactions the shard sent, indexed likewise.
+    txs: [usize; 2],
 }
 
 struct FeedSlot {
@@ -348,8 +348,9 @@ struct FeedSlot {
     /// The tenant's op stream with a one-op lookahead, so the scheduler's
     /// exhaustion test never consumes an operation.
     source: PeekableSource,
-    batched_update_gas: u64,
-    batched_deliver_gas: u64,
+    /// The feed's cumulative shares of shard batch transactions, indexed by
+    /// [`BatchKind`].
+    batched: [u64; 2],
     budget: Option<TenantBudget>,
     /// Quota balance, in feed-layer Gas. Signed: spending is charged at the
     /// actual metered cost and may run the bucket into debt.
@@ -380,7 +381,8 @@ impl FeedSlot {
 
     /// The feed's cumulative share of shard batch transactions.
     fn batched_gas(&self) -> u64 {
-        checked_add_gas(self.batched_update_gas, self.batched_deliver_gas)
+        let [update, deliver] = self.batched;
+        checked_add_gas(update, deliver)
     }
 
     /// The feed's quota class (Standard when it has no budget at all).
@@ -431,8 +433,8 @@ impl FeedSlot {
     }
 }
 
-/// Which router entry point a shard batch goes through, and which accounts
-/// its metered Gas books into.
+/// Which router entry point a shard batch goes through, and which slot of
+/// every per-kind ledger (`[update, deliver]`) its metered Gas books into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum BatchKind {
     Update,
@@ -446,6 +448,23 @@ impl BatchKind {
             BatchKind::Deliver => "batchDeliver",
         }
     }
+
+    /// The feed's own call a lone section rides instead: sender and entry
+    /// point on its storage manager.
+    fn direct_call(self, driver: &EpochDriver) -> (Address, &'static str) {
+        match self {
+            BatchKind::Update => (driver.data_owner(), "update"),
+            BatchKind::Deliver => (driver.provider_address(), "deliver"),
+        }
+    }
+}
+
+/// What the current round's shard batches booked, indexed by [`BatchKind`]
+/// — reset at the top of every round, copied into its [`EpochMetrics`].
+#[derive(Clone, Copy, Debug, Default)]
+struct RoundTally {
+    gas: [u64; 2],
+    sections: [usize; 2],
 }
 
 /// One runnable feed's round-local state as it moves through the pipeline:
@@ -468,10 +487,7 @@ pub struct FeedEngine {
     scrub: ScrubMode,
     rounds: usize,
     metrics: Vec<EpochMetrics>,
-    /// Sections the current round's shard batches carried so far — reset at
-    /// the top of every round, snapshotted into its [`EpochMetrics`].
-    round_update_sections: usize,
-    round_deliver_sections: usize,
+    round: RoundTally,
 }
 
 impl FeedEngine {
@@ -498,10 +514,8 @@ impl FeedEngine {
                 Shard {
                     operator,
                     router,
-                    update_gas: 0,
-                    update_txs: 0,
-                    deliver_gas: 0,
-                    deliver_txs: 0,
+                    gas: [0; 2],
+                    txs: [0; 2],
                 }
             })
             .collect();
@@ -530,8 +544,7 @@ impl FeedEngine {
                 shard,
                 driver,
                 source: PeekableSource::new(spec.source),
-                batched_update_gas: 0,
-                batched_deliver_gas: 0,
+                batched: [0; 2],
                 budget: spec.budget,
                 balance: 0,
                 last_epoch_cost: None,
@@ -549,8 +562,7 @@ impl FeedEngine {
             scrub: config.scrub,
             rounds: 0,
             metrics: Vec::new(),
-            round_update_sections: 0,
-            round_deliver_sections: 0,
+            round: RoundTally::default(),
         })
     }
 
@@ -626,11 +638,8 @@ impl FeedEngine {
         let gas_before = self.chain.gas_snapshot();
         let ops_before = self.completed_ops();
         let parked_before: usize = self.feeds.iter().map(|f| f.parked_rounds).sum();
-        let update_gas_before: u64 = self.shards.iter().map(|s| s.update_gas).sum();
-        let deliver_gas_before: u64 = self.shards.iter().map(|s| s.deliver_gas).sum();
         let perf_before = self.perf_totals();
-        self.round_update_sections = 0;
-        self.round_deliver_sections = 0;
+        self.round = RoundTally::default();
         let height_before = self.chain.height();
         self.run_round()?;
         // Round boundary = acknowledgment boundary: every block this round
@@ -644,38 +653,22 @@ impl FeedEngine {
         let (feed_delta, app_delta) = gas_after.since(gas_before);
         // Fee tape over the heights this round mined: the per-round min/max
         // gas-price multiplier, base price when flat or no block sealed.
-        let (fee_low, fee_high) = {
-            let mut low = grub_gas::BASE_PRICE_PERMILLE;
-            let mut high = grub_gas::BASE_PRICE_PERMILLE;
-            let mut any = false;
-            for h in (height_before + 1)..=self.chain.height() {
-                let p = self.chain.fee_price_permille(h);
-                if any {
-                    low = low.min(p);
-                    high = high.max(p);
-                } else {
-                    low = p;
-                    high = p;
-                    any = true;
-                }
-            }
-            (low, high)
-        };
+        let prices =
+            (height_before + 1..=self.chain.height()).map(|h| self.chain.fee_price_permille(h));
+        let base = grub_gas::BASE_PRICE_PERMILLE;
+        let RoundTally {
+            gas: [update_gas, deliver_gas],
+            sections: [update_sections, deliver_sections],
+        } = self.round;
         self.metrics.push(EpochMetrics {
             round: self.rounds,
             staged_ops: self.completed_ops() - ops_before,
             feed_gas: feed_delta.amount(),
             app_gas: app_delta.amount(),
-            update_gas: checked_sub_gas(
-                self.shards.iter().map(|s| s.update_gas).sum(),
-                update_gas_before,
-            ),
-            deliver_gas: checked_sub_gas(
-                self.shards.iter().map(|s| s.deliver_gas).sum(),
-                deliver_gas_before,
-            ),
-            update_sections: self.round_update_sections,
-            deliver_sections: self.round_deliver_sections,
+            update_gas,
+            deliver_gas,
+            update_sections,
+            deliver_sections,
             parked: self.feeds.iter().map(|f| f.parked_rounds).sum::<usize>() - parked_before,
             max_parked_streak: self
                 .feeds
@@ -685,8 +678,8 @@ impl FeedEngine {
                 .unwrap_or(0),
             scrub_findings,
             scrub_repaired,
-            fee_low_permille: fee_low,
-            fee_high_permille: fee_high,
+            fee_low_permille: prices.clone().min().unwrap_or(base),
+            fee_high_permille: prices.max().unwrap_or(base),
             confirmed_height: self.chain.confirmed_height(),
             wall_clock_micros: started.elapsed().as_micros().try_into().unwrap_or(u64::MAX),
             cache_hits: perf_after.cache_hits - perf_before.cache_hits,
@@ -833,15 +826,16 @@ impl FeedEngine {
     /// into shared-proof payloads ([`coalesce_delivers`]: one section per
     /// feed, unless the calldata bound splits it), then the group's
     /// sections ride one `batchDeliver` transaction; finally the epochs are
-    /// booked and quotas charged. Live-tempo feeds — and every feed in the
-    /// lower rungs — run the per-feed read phase with their own per-request
-    /// deliver transactions, and the empty batch is a no-op.
+    /// booked and quotas charged. A live-tempo feed's driver mines its own
+    /// delivers and stages none; every feed in the lower rungs runs the
+    /// per-feed read phase with its own deliver transactions, and the empty
+    /// batch is a no-op.
     fn run_shard_read_phase(&mut self, shard_idx: usize, staged: Vec<RoundFeed>) -> Result<()> {
         let mut sections: Vec<(usize, Vec<u8>)> = Vec::new();
         let mut booked: Vec<(RoundFeed, StagedReads)> = Vec::new();
         for rf in staged {
             let feed = &mut self.feeds[rf.idx];
-            if self.batching == Batching::Full && feed.driver.coalesces_reads() {
+            if self.batching == Batching::Full {
                 let mut reads = feed.driver.stage_reads(&mut self.chain)?;
                 for payload in coalesce_delivers(std::mem::take(&mut reads.delivers)) {
                     sections.push((rf.idx, payload));
@@ -864,10 +858,11 @@ impl FeedEngine {
     /// Coalesces one shard's same-round sections into as few router
     /// transactions as the `Ctx` payload bound allows (overflow spills into
     /// follow-up transactions in the same block), mines that block, and
-    /// splits each transaction's metered Gas over its sections
-    /// proportionally to payload bytes. The residue of the integer division
-    /// goes to the last section, so the per-feed shares always sum exactly
-    /// to the metered shard total.
+    /// books each receipt once: into the shard's and the round's `kind`
+    /// ledgers, and split over its sections proportionally to payload bytes
+    /// into the feeds'. The residue of the integer division goes to the last
+    /// section, so the per-feed shares always sum exactly to the metered
+    /// shard total.
     ///
     /// A planned transaction that would carry exactly one section is sent
     /// as the feed's own direct call instead (the DO's `update()` / the
@@ -883,29 +878,26 @@ impl FeedEngine {
         if sections.is_empty() {
             return Ok(());
         }
-        match kind {
-            BatchKind::Update => self.round_update_sections += sections.len(),
-            BatchKind::Deliver => self.round_deliver_sections += sections.len(),
-        }
+        let k = kind as usize;
+        self.round.sections[k] += sections.len();
         // Chunk the sections into planned transactions, preserving order.
-        type Planned = (Vec<(Address, Vec<u8>)>, Vec<(usize, usize)>);
-        let mut planned: Vec<Planned> = Vec::new(); // (sections, (feed, bytes))
-        let mut batch: Vec<(Address, Vec<u8>)> = Vec::new();
-        let mut parts: Vec<(usize, usize)> = Vec::new();
+        let mut planned: Vec<Vec<(usize, Vec<u8>)>> = Vec::new();
+        let mut batch: Vec<(usize, Vec<u8>)> = Vec::new();
         let mut bytes = 0usize;
         for (feed_idx, payload) in sections {
             let section_bytes = payload.len() + SECTION_OVERHEAD_BYTES;
             if bytes + section_bytes > MAX_TX_PAYLOAD_BYTES && !batch.is_empty() {
-                planned.push((std::mem::take(&mut batch), std::mem::take(&mut parts)));
+                planned.push(std::mem::take(&mut batch));
                 bytes = 0;
             }
             bytes += section_bytes;
-            parts.push((feed_idx, payload.len()));
-            batch.push((self.feeds[feed_idx].driver.manager(), payload));
+            batch.push((feed_idx, payload));
         }
-        planned.push((batch, parts));
+        planned.push(batch);
+        // Each submitted transaction with its sections' (feed, payload bytes).
         let mut submitted: Vec<(TxId, Vec<(usize, usize)>)> = Vec::with_capacity(planned.len());
-        for (mut batch, parts) in planned {
+        for mut batch in planned {
+            let parts: Vec<(usize, usize)> = batch.iter().map(|(f, p)| (*f, p.len())).collect();
             // Under mempool congestion, a transaction's priority is its
             // tenants' quota tier (a batch takes the highest tier aboard),
             // so latency-sensitive feeds keep mining first when blocks fill.
@@ -914,20 +906,14 @@ impl FeedEngine {
                 .map(|(feed_idx, _)| tier_priority(self.feeds[*feed_idx].tier()))
                 .max()
                 .unwrap_or(0);
-            // Lone section: the feed's own transaction is strictly cheaper
-            // than a one-section batch. (`batch` and `parts` grow together.)
-            let lone = match parts[..] {
-                [(feed_idx, _)] => batch.pop().map(|section| (feed_idx, section)),
-                _ => None,
-            };
-            let id = if let Some((feed_idx, (manager, payload))) = lone {
+            let id = if batch.len() == 1 {
+                // Lone section: the feed's own transaction is strictly
+                // cheaper than a one-section batch.
+                let (feed_idx, payload) = batch.swap_remove(0);
                 let driver = &self.feeds[feed_idx].driver;
-                let (from, func) = match kind {
-                    BatchKind::Update => (driver.data_owner(), "update"),
-                    BatchKind::Deliver => (driver.provider_address(), "deliver"),
-                };
+                let (from, func) = kind.direct_call(driver);
                 self.chain.submit(
-                    Transaction::new(from, manager, func, payload, Layer::Feed)
+                    Transaction::new(from, driver.manager(), func, payload, Layer::Feed)
                         .with_priority(priority),
                 )
             } else {
@@ -940,20 +926,19 @@ impl FeedEngine {
         // Receipts are matched back by transaction id: under congestion a
         // block's execution order is priority order, not submission order.
         let before = self.chain.gas_snapshot();
-        let mut mined = 0usize;
         let mut by_id: std::collections::HashMap<u64, (bool, Option<String>, u64)> =
             std::collections::HashMap::with_capacity(submitted.len());
         mine_until_drained(&mut self.chain, |r| {
-            mined += 1;
             by_id.insert(r.tx_id.0, (r.success, r.error.clone(), r.gas_used));
             Ok(())
         })?;
         // Guard the receipt↔transaction pairing: a stray mempool entry
         // would silently misattribute Gas shares, so refuse it.
-        if mined != submitted.len() {
+        if by_id.len() != submitted.len() {
             return Err(GrubError::Chain(format!(
-                "shard {shard_idx} {} blocks mined {mined} receipts for {} transactions",
+                "shard {shard_idx} {} blocks mined {} receipts for {} transactions",
                 kind.func(),
+                by_id.len(),
                 submitted.len()
             )));
         }
@@ -990,36 +975,21 @@ impl FeedEngine {
                 )));
             }
             let shard = &mut self.shards[shard_idx];
-            match kind {
-                BatchKind::Update => {
-                    shard.update_gas = checked_add_gas(shard.update_gas, gas_used);
-                    shard.update_txs += 1;
-                }
-                BatchKind::Deliver => {
-                    shard.deliver_gas = checked_add_gas(shard.deliver_gas, gas_used);
-                    shard.deliver_txs += 1;
-                }
-            }
+            shard.gas[k] = checked_add_gas(shard.gas[k], gas_used);
+            shard.txs[k] += 1;
+            self.round.gas[k] = checked_add_gas(self.round.gas[k], gas_used);
             let total_bytes: u64 = parts.iter().map(|(_, b)| *b as u64).sum();
             let mut assigned = 0u64;
             let last = parts.len() - 1;
-            for (i, (feed_idx, bytes)) in parts.iter().enumerate() {
+            for (i, (feed_idx, bytes)) in parts.into_iter().enumerate() {
                 let share = if i == last {
                     checked_sub_gas(gas_used, assigned)
                 } else {
-                    ((u128::from(gas_used) * *bytes as u128) / u128::from(total_bytes.max(1)))
-                        as u64
+                    ((u128::from(gas_used) * bytes as u128) / u128::from(total_bytes.max(1))) as u64
                 };
                 assigned = checked_add_gas(assigned, share);
-                let feed = &mut self.feeds[*feed_idx];
-                match kind {
-                    BatchKind::Update => {
-                        feed.batched_update_gas = checked_add_gas(feed.batched_update_gas, share);
-                    }
-                    BatchKind::Deliver => {
-                        feed.batched_deliver_gas = checked_add_gas(feed.batched_deliver_gas, share);
-                    }
-                }
+                let batched = &mut self.feeds[feed_idx].batched[k];
+                *batched = checked_add_gas(*batched, share);
             }
         }
         Ok(())
@@ -1029,16 +999,20 @@ impl FeedEngine {
         &mut self,
         shard_idx: usize,
         kind: BatchKind,
-        batch: Vec<(Address, Vec<u8>)>,
+        batch: Vec<(usize, Vec<u8>)>,
         priority: u8,
     ) -> TxId {
+        let sections: Vec<(Address, Vec<u8>)> = batch
+            .into_iter()
+            .map(|(feed_idx, payload)| (self.feeds[feed_idx].driver.manager(), payload))
+            .collect();
         let shard = &self.shards[shard_idx];
         self.chain.submit(
             Transaction::new(
                 shard.operator,
                 shard.router,
                 kind.func(),
-                encode_sections(&batch),
+                encode_sections(&sections),
                 Layer::Feed,
             )
             .with_priority(priority),
@@ -1084,22 +1058,26 @@ impl FeedEngine {
         let tenants: Vec<TenantReport> = self
             .feeds
             .into_iter()
-            .map(|feed| TenantReport {
-                tenant: feed.tenant,
-                shard: feed.shard,
-                batched_update_gas: feed.batched_update_gas,
-                batched_deliver_gas: feed.batched_deliver_gas,
-                parked_rounds: feed.parked_rounds,
-                max_parked_streak: feed.max_parked_streak,
-                run: feed.driver.into_report(),
+            .map(|feed| {
+                let [batched_update_gas, batched_deliver_gas] = feed.batched;
+                TenantReport {
+                    tenant: feed.tenant,
+                    shard: feed.shard,
+                    batched_update_gas,
+                    batched_deliver_gas,
+                    parked_rounds: feed.parked_rounds,
+                    max_parked_streak: feed.max_parked_streak,
+                    run: feed.driver.into_report(),
+                }
             })
             .collect();
+        let (update, deliver) = (BatchKind::Update as usize, BatchKind::Deliver as usize);
         EngineReport {
             tenants,
-            shard_update_gas: self.shards.iter().map(|s| s.update_gas).collect(),
-            shard_update_txs: self.shards.iter().map(|s| s.update_txs).collect(),
-            shard_deliver_gas: self.shards.iter().map(|s| s.deliver_gas).collect(),
-            shard_deliver_txs: self.shards.iter().map(|s| s.deliver_txs).collect(),
+            shard_update_gas: self.shards.iter().map(|s| s.gas[update]).collect(),
+            shard_update_txs: self.shards.iter().map(|s| s.txs[update]).collect(),
+            shard_deliver_gas: self.shards.iter().map(|s| s.gas[deliver]).collect(),
+            shard_deliver_txs: self.shards.iter().map(|s| s.txs[deliver]).collect(),
             rounds,
             batching,
             metrics: self.metrics,
@@ -1209,9 +1187,13 @@ mod tests {
         let metered: u64 = report.shard_update_gas.iter().sum();
         assert_eq!(attributed, metered, "no update gas lost to rounding");
         assert!(metered > 0, "write-heavy feeds must batch updates");
+        let per_round: u64 = report.metrics.iter().map(|m| m.update_gas).sum();
+        assert_eq!(per_round, metered, "the round tally books each receipt");
         let attributed: u64 = report.tenants.iter().map(|t| t.batched_deliver_gas).sum();
         let metered: u64 = report.shard_deliver_gas.iter().sum();
         assert_eq!(attributed, metered, "no deliver gas lost to rounding");
+        let per_round: u64 = report.metrics.iter().map(|m| m.deliver_gas).sum();
+        assert_eq!(per_round, metered, "the round tally books each receipt");
     }
 
     #[test]

@@ -3,13 +3,12 @@
 use std::fmt::Write as _;
 
 use grub_core::metrics::RunReport;
-use grub_gas::checked_add_gas;
-use serde::{Deserialize, Serialize};
+use grub_gas::{checked_add_gas, Gas};
 
 use crate::Batching;
 
 /// One tenant's share of a multi-tenant run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TenantReport {
     /// Tenant name.
     pub tenant: String,
@@ -50,12 +49,7 @@ impl TenantReport {
 
     /// Feed-layer Gas per operation, batch share included.
     pub fn feed_gas_per_op(&self) -> f64 {
-        let ops = self.total_ops();
-        if ops == 0 {
-            0.0
-        } else {
-            self.feed_gas_total() as f64 / ops as f64
-        }
+        Gas(self.feed_gas_total()).per_op(self.total_ops())
     }
 }
 
@@ -66,7 +60,7 @@ impl TenantReport {
 /// wall-clock is measured and therefore excluded from
 /// [`EngineReport::render_table`] (the determinism artifact) — it feeds
 /// `benchmark run`'s `round_us_p50` instead.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct EpochMetrics {
     /// Scheduler round index (0-based).
     pub round: usize,
@@ -136,7 +130,7 @@ pub struct EpochMetrics {
 /// deterministic functions of the engine's specs (the per-round
 /// [`EpochMetrics::wall_clock_micros`] excepted), so two identical runs
 /// render byte-identical tables.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EngineReport {
     /// Per-tenant reports, in declaration order.
     pub tenants: Vec<TenantReport>,
@@ -183,12 +177,7 @@ impl EngineReport {
 
     /// Aggregate feed-layer Gas per operation.
     pub fn feed_gas_per_op(&self) -> f64 {
-        let ops = self.total_ops();
-        if ops == 0 {
-            0.0
-        } else {
-            self.feed_gas_total() as f64 / ops as f64
-        }
+        Gas(self.feed_gas_total()).per_op(self.total_ops())
     }
 
     /// Rejected deliver transactions across all tenants (zero under honest

@@ -36,15 +36,11 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An amount of Gas.
 ///
 /// A newtype over `u64` so Gas quantities cannot be confused with word or
 /// byte counts.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct Gas(pub u64);
 
 impl Gas {
@@ -54,11 +50,6 @@ impl Gas {
     /// The raw amount.
     pub fn amount(self) -> u64 {
         self.0
-    }
-
-    /// Saturating subtraction, useful when computing savings.
-    pub fn saturating_sub(self, rhs: Gas) -> Gas {
-        Gas(self.0.saturating_sub(rhs.0))
     }
 
     /// Gas per operation as a float, for reporting series.
@@ -142,7 +133,7 @@ pub fn words_for_bytes(bytes: usize) -> u64 {
 ///
 /// All experiments use [`GasSchedule::default`]; the fields are public so
 /// ablations can explore alternative fee markets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GasSchedule {
     /// Base cost of any transaction (`21000`).
     pub tx_base: u64,
@@ -253,7 +244,7 @@ impl GasSchedule {
 /// envelopes (the 21000+payload cost of a query transaction submitted by a
 /// DU's customer) are paid by neither the feed nor the application operator,
 /// so they land in [`Layer::User`] and are excluded from the paper's metrics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Layer {
     /// GRuB itself: the storage-manager contract, `update`/`deliver`
     /// transactions, proofs, events.
@@ -267,7 +258,7 @@ pub enum Layer {
 }
 
 /// Fine-grained cost source, for breakdown reporting and ablations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CostKind {
     /// Transaction base + payload cost.
     Transaction,
@@ -302,7 +293,7 @@ pub fn seeded_mix(seed: u64, index: u64) -> u64 {
 /// All regimes are *pure functions of block height*: re-mining a block at the
 /// same height (e.g. when replaying the canonical branch after a reorg)
 /// reproduces the same price, so fee volatility never breaks determinism.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FeeRegime {
     /// A square wave alternating between `low` and `high` every `period`
     /// blocks (seeded phase).
@@ -351,7 +342,7 @@ pub enum FeeRegime {
 /// assert_eq!(fee.price_permille(42), fee.price_permille(42));
 /// assert!(fee.price_permille(42) >= 1);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FeeProcess {
     /// The regime shaping the price path.
     pub regime: FeeRegime,
@@ -613,7 +604,7 @@ impl GasMeter {
 }
 
 /// A point-in-time snapshot of meter totals; subtract two to get a delta.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GasSnapshot {
     /// Feed-layer total at snapshot time.
     pub feed: u64,
@@ -838,7 +829,6 @@ mod tests {
         let g = Gas(10) + Gas(5);
         assert_eq!(g, Gas(15));
         assert_eq!(g - Gas(5), Gas(10));
-        assert_eq!(Gas(3).saturating_sub(Gas(10)), Gas::ZERO);
         let sum: Gas = [Gas(1), Gas(2), Gas(3)].into_iter().sum();
         assert_eq!(sum, Gas(6));
         assert_eq!(Gas(100).per_op(4), 25.0);

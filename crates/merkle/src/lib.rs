@@ -43,7 +43,6 @@ pub use proof::{ProofNode, RangeProof, VerifyError};
 pub use tree::{MerkleKv, TreeOp};
 
 use grub_crypto::{sha256, Hash32, Sha256};
-use serde::{Deserialize, Serialize};
 
 /// Whether a record currently has an on-chain replica.
 ///
@@ -53,9 +52,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `NotReplicated` orders before `Replicated`, giving the paper's layout of
 /// the NR group first (range queries on the read path only touch NR records).
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ReplState {
     /// The record lives only on the SP; reads need a `deliver` transaction.
     /// The default: a record nobody has decided about is not replicated.
@@ -87,7 +84,7 @@ impl ReplState {
 /// The authenticated key of a record: replication state, then data key.
 ///
 /// Ordering is state-major, matching the tree layout of Figure 4b.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProofKey {
     /// Replication state prefix.
     pub state: ReplState,

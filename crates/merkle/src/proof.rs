@@ -18,12 +18,11 @@ use std::error::Error;
 use std::fmt;
 
 use grub_crypto::Hash32;
-use serde::{Deserialize, Serialize};
 
 use crate::{inner_hash, leaf_hash, ProofKey};
 
 /// A node of a pruned-subtree range proof.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProofNode {
     /// A subtree entirely outside the (extended) range, collapsed to its
     /// digest.
@@ -183,7 +182,7 @@ impl Error for VerifyError {}
 /// another. Minimality — every revealed leaf lies in some query's run, and
 /// no inner node has two opaque children — makes the encoding for a query
 /// set unique.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RangeProof {
     /// Pruned tree (None ⇔ the whole tree is empty).
     pub tree: Option<ProofNode>,

@@ -52,11 +52,9 @@ pub mod ycsb;
 
 pub use source::{OpSource, PeekableSource, TraceSource};
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic recipe for a value: materialized on demand so large
 /// traces stay small in memory.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ValueSpec {
     /// Value length in bytes.
     pub len: usize,
@@ -91,7 +89,7 @@ impl ValueSpec {
 }
 
 /// One operation against the data feed.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Op {
     /// A data-producer update (`gPuts` element).
     Write {
@@ -130,7 +128,7 @@ impl Op {
 }
 
 /// An ordered sequence of operations.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     /// The operations, in arrival order.
     pub ops: Vec<Op>,

@@ -363,7 +363,9 @@ fn confirmed_reads_stay_fresh_under_the_full_stack() {
 /// booked. Run under a flat fee, a spiking fee schedule, and the spike plus
 /// depth-3 confirmation and inclusion latency, for a fee-blind and a
 /// fee-aware policy — where the DO reads the fee tape relative to the
-/// deliver block is what a second lifecycle would get wrong.
+/// deliver block is what a second lifecycle would get wrong — at batched
+/// and at live read tempo, where `stage_reads` mines the per-read blocks
+/// and their delivers itself.
 #[test]
 fn close_epoch_is_the_staged_lifecycle() {
     let chains = [
@@ -394,10 +396,13 @@ fn close_epoch_is_the_staged_lifecycle() {
     .generate(24);
     let mut diverged = Vec::new();
     for (chain_name, chain_config) in chains {
-        for policy in &policies {
-            let label = format!("{chain_name}/{policy:?}");
+        for (policy, live) in policies.iter().flat_map(|p| [(p, false), (p, true)]) {
+            let label = format!("{chain_name}/{policy:?}/live={live}");
             let mut config = SystemConfig::new(policy.clone()).epoch_ops(8);
             config.chain = chain_config;
+            if live {
+                config = config.live_reads();
+            }
 
             let mut system = GrubSystem::new(&config).unwrap();
             system
