@@ -602,7 +602,10 @@ impl Blockchain {
     pub fn produce_block(&mut self) -> &Block {
         match self.try_produce_block() {
             Ok(block) => block,
-            // grub-lint: allow(panic) — documented "# Panics"; fault-aware callers use try_produce_block
+            #[expect(
+                clippy::panic,
+                reason = "documented under # Panics; fault-aware callers use try_produce_block"
+            )]
             Err(err) => panic!("produce_block: {err}"),
         }
     }
@@ -612,6 +615,10 @@ impl Blockchain {
     /// typed [`BlockError`] instead of a panic. On error, the chain is left
     /// in a consistent canonical state (for the mid-reorg crash point:
     /// rolled back to the fork's target height, mempool cleared).
+    #[expect(
+        clippy::expect_used,
+        reason = "both arms end by sealing a canonical block"
+    )]
     pub fn try_produce_block(&mut self) -> Result<&Block, BlockError> {
         match self.config.reorg {
             Some(reorg)
@@ -622,7 +629,6 @@ impl Blockchain {
             }
             _ => self.seal_canonical_block(),
         }
-        // grub-lint: allow(panic) — both arms end by sealing a canonical block
         Ok(self.blocks.last().expect("a block was just sealed"))
     }
 
@@ -2249,6 +2255,11 @@ mod undo_tests {
     /// modulo empty maps: undoing a contract's first write leaves its
     /// `or_default()` map behind (so does a reverted transaction), which no
     /// contract can observe — but a map the oracle has must never go missing.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        reason = "the maps are collected into BTreeMaps or probed key by key, so no order is observed"
+    )]
     fn assert_state_eq(chain: &Blockchain, want: &StateSnapshot) {
         assert_eq!(chain.height(), want.mined, "height");
         assert_eq!(chain.now_ms(), want.now_ms, "clock");

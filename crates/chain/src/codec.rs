@@ -120,9 +120,9 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// Returns [`VmError::Decode`] if fewer than 8 bytes remain.
+    #[expect(clippy::expect_used, reason = "take(8) returned exactly 8 bytes")]
     pub fn u64(&mut self) -> Result<u64, VmError> {
         let b = self.take(8)?;
-        // grub-lint: allow(panic) — take(8) returned exactly 8 bytes
         Ok(u64::from_le_bytes(b.try_into().expect("slice len 8")))
     }
 
@@ -155,7 +155,7 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<&'a [u8], VmError> {
-        // grub-lint: allow(panic) — take(4) returned exactly 4 bytes
+        #[expect(clippy::expect_used, reason = "take(4) returned exactly 4 bytes")]
         let len = u32::from_le_bytes(self.take(4)?.try_into().expect("slice len 4")) as usize;
         self.take(len)
     }

@@ -188,7 +188,10 @@ fn map_heap_bytes<V>(map: &HashMap<String, V>, value_heap: impl Fn(&V) -> usize)
     } else {
         buckets * std::mem::size_of::<(String, V)>() + buckets + 16
     };
-    // grub-lint: allow(determinism) — a sum of sizes, the same in any order
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a sum of sizes, the same in any order"
+    )]
     let owned: usize = map.iter().map(|(k, v)| k.capacity() + value_heap(v)).sum();
     table + owned
 }

@@ -308,8 +308,8 @@ impl DataOwner {
     /// produced, with its committed replication state and latest value.
     /// This is the ground truth the scrubber audits the SP against.
     pub fn live_records(&self) -> Vec<(String, ReplState, Vec<u8>)> {
+        #[expect(clippy::disallowed_methods, reason = "sorted by key below")]
         let mut out: Vec<(String, ReplState, Vec<u8>)> = self
-            // grub-lint: allow(determinism) — sorted by key below
             .entries
             .iter()
             .filter_map(|(key, e)| Some((key.clone(), e.committed, e.value.clone()?)))

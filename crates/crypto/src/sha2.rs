@@ -162,7 +162,10 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         // `sse4.1`, and has no other precondition (it takes references and
         // touches no pointer). The checks above confirm `sha`, `sse4.1` and
         // `ssse3` on this CPU; `sse2` is part of the x86-64 baseline.
-        #[allow(unsafe_code)]
+        #[expect(
+            unsafe_code,
+            reason = "the CPU feature checks above are the kernel's only precondition"
+        )]
         unsafe {
             x86::compress_sha_ni(state, block);
         }

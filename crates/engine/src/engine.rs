@@ -632,7 +632,10 @@ impl FeedEngine {
     /// counter snapshots around [`FeedEngine::run_round`], a scrub pass at
     /// the epoch boundary, and one [`EpochMetrics`] entry appended.
     fn run_metered_round(&mut self) -> Result<()> {
-        // grub-lint: allow(determinism) — wall-clock timing feeds EpochMetrics reporting only, never the digest
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock timing feeds EpochMetrics reporting only, never the digest"
+        )]
         let started = std::time::Instant::now();
         let compressions_before = grub_crypto::compressions();
         let gas_before = self.chain.gas_snapshot();

@@ -195,8 +195,12 @@ impl std::error::Error for KnobError {}
 
 /// Reads the environment knob `name`, trimmed: `None` — the knob is off —
 /// when it is unset, empty or `0`. Every `GRUB_*` knob the library crates
-/// honour is read here (`grub-lint`'s registry-sync rule checks), and each
+/// honour is read here (clippy bans `env::var` everywhere else), and each
 /// has a pure parser from the returned text to its typed value.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one place the library crates read the environment"
+)]
 pub fn knob(name: &'static str) -> Option<String> {
     let raw = std::env::var_os(name)?;
     let raw = raw.to_string_lossy();

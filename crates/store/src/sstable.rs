@@ -479,14 +479,20 @@ impl<'a> Iterator for Entries<'a> {
 }
 
 /// Reads a little-endian `u32` from a slice of exactly 4 bytes.
+#[expect(
+    clippy::expect_used,
+    reason = "every caller passes a 4-byte range already bounds-checked"
+)]
 fn le_u32(b: &[u8]) -> u32 {
-    // grub-lint: allow(panic) — every caller passes a 4-byte range already bounds-checked
     u32::from_le_bytes(b.try_into().expect("4-byte slice"))
 }
 
 /// Reads a little-endian `u64` from a slice of exactly 8 bytes.
+#[expect(
+    clippy::expect_used,
+    reason = "every caller passes an 8-byte range already bounds-checked"
+)]
 fn le_u64(b: &[u8]) -> u64 {
-    // grub-lint: allow(panic) — every caller passes an 8-byte range already bounds-checked
     u64::from_le_bytes(b.try_into().expect("8-byte slice"))
 }
 

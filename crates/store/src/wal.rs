@@ -164,10 +164,16 @@ impl Wal {
         let mut out = Vec::new();
         let mut pos = 0usize;
         while pos + 8 <= data.len() {
-            // grub-lint: allow(panic) — the loop condition guarantees 8 bytes remain at `pos`
+            #[expect(
+                clippy::expect_used,
+                reason = "the loop condition guarantees 8 bytes remain at `pos`"
+            )]
             let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+            #[expect(
+                clippy::expect_used,
+                reason = "the loop condition guarantees 8 bytes remain at `pos`"
+            )]
             let expect_crc =
-                // grub-lint: allow(panic) — the loop condition guarantees 8 bytes remain at `pos`
                 u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
             if pos + 8 + len > data.len() {
                 break; // torn tail

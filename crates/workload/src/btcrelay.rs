@@ -118,7 +118,10 @@ impl BtcRelayTrace {
         BtcRelaySource {
             params: self.clone(),
             rng: StdRng::seed_from_u64(self.seed),
-            // grub-lint: allow(panic) — TABLE6_DISTRIBUTION is a static table with positive weights
+            #[expect(
+                clippy::expect_used,
+                reason = "TABLE6_DISTRIBUTION is a static table with positive weights"
+            )]
             index: WeightedIndex::new(&weights).expect("static weights are valid"),
             pending: VecDeque::from(vec![0; self.read_delay_blocks + 1]),
             height: 0,
@@ -187,12 +190,19 @@ impl OpSource for BtcRelaySource {
         // Schedule at the delay offset, then pop the bursts due *now* —
         // with delay 0 that slot is the one just incremented, matching the
         // materialized schedule's same-block emission.
-        *self
+        #[expect(
+            clippy::expect_used,
+            reason = "the ring is built with delay+1 slots and every pop is paired with a push"
+        )]
+        let slot = self
             .pending
             .get_mut(self.params.read_delay_blocks)
-            // grub-lint: allow(panic) — the ring is built with delay+1 slots and every pop is paired with a push
-            .expect("ring holds delay+1 slots") += bursts;
-        // grub-lint: allow(panic) — the ring is built with delay+1 slots and every pop is paired with a push
+            .expect("ring holds delay+1 slots");
+        *slot += bursts;
+        #[expect(
+            clippy::expect_used,
+            reason = "the ring is built with delay+1 slots and every pop is paired with a push"
+        )]
         let due = self.pending.pop_front().expect("ring is never empty");
         self.pending.push_back(0);
         let newest = h;

@@ -83,10 +83,13 @@ impl Multiplex {
         // Distribute the remainder by descending fractional part; sort is
         // stable, so equal fractions favor hotter tenants deterministically.
         let mut order: Vec<usize> = (0..self.tenants).collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "fractional parts of finite quotas are never NaN"
+        )]
         order.sort_by(|&a, &b| {
             let fa = quotas[a] - quotas[a].floor();
             let fb = quotas[b] - quotas[b].floor();
-            // grub-lint: allow(panic) — fractional parts of finite quotas are never NaN
             fb.partial_cmp(&fa).expect("finite fractions")
         });
         // In exact arithmetic the remainder is < tenants, but extreme
@@ -94,8 +97,11 @@ impl Multiplex {
         // undershoot by more than one op per tenant — cycle the order so
         // the budgets still sum exactly instead of silently dropping ops.
         let mut top_up = order.iter().cycle();
+        #[expect(
+            clippy::expect_used,
+            reason = "cycle() over a non-empty tenant list never ends"
+        )]
         while assigned < self.total_ops {
-            // grub-lint: allow(panic) — cycle() over a non-empty tenant list never ends
             out[*top_up.next().expect("at least one tenant")] += 1;
             assigned += 1;
         }
@@ -104,7 +110,10 @@ impl Multiplex {
         // overshoot can never starve the hot tenants.
         let mut trim = order.iter().rev().cycle();
         while assigned > self.total_ops {
-            // grub-lint: allow(panic) — cycle() over a non-empty tenant list never ends
+            #[expect(
+                clippy::expect_used,
+                reason = "cycle() over a non-empty tenant list never ends"
+            )]
             let &i = trim.next().expect("at least one tenant");
             if out[i] > 0 {
                 out[i] -= 1;

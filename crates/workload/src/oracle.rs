@@ -114,7 +114,10 @@ impl OracleTrace {
         OracleSource {
             params: self.clone(),
             rng: StdRng::seed_from_u64(self.seed),
-            // grub-lint: allow(panic) — TABLE1_DISTRIBUTION is a static table with positive weights
+            #[expect(
+                clippy::expect_used,
+                reason = "TABLE1_DISTRIBUTION is a static table with positive weights"
+            )]
             index: WeightedIndex::new(&weights).expect("static weights are valid"),
             poke: 0,
             asset_pos: self.assets,

@@ -81,7 +81,10 @@ impl TempoSource {
                     self.buffer.push_back(write);
                     let due = (w + 1) * r_total / w_total;
                     while emitted_reads < due {
-                        // grub-lint: allow(panic) — due = (w+1)·r/w ≤ r_total, so the reads iterator cannot run dry
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "due = (w+1)·r/w ≤ r_total, so the reads iterator cannot run dry"
+                        )]
                         let read = reads.next().expect("due ≤ total reads");
                         self.buffer.push_back(read);
                         emitted_reads += 1;
