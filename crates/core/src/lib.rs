@@ -78,8 +78,6 @@ pub enum GrubError {
     Store(grub_store::StoreError),
     /// A transaction reverted unexpectedly.
     Chain(String),
-    /// A proof failed verification where it must not.
-    Verify(String),
     /// An SP sync moves a record the SP's store does not hold. Carrying on
     /// with an invented value would take the SP root silently away from
     /// the DO's and surface only later, as failed deliver verifications.
@@ -96,7 +94,6 @@ impl fmt::Display for GrubError {
         match self {
             GrubError::Store(e) => write!(f, "store error: {e}"),
             GrubError::Chain(what) => write!(f, "chain error: {what}"),
-            GrubError::Verify(what) => write!(f, "verification failed: {what}"),
             GrubError::MissingRecord { key, state } => {
                 write!(f, "SP store holds no record {key:?} under {state:?}")
             }

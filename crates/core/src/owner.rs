@@ -264,6 +264,13 @@ impl DataOwner {
         self.hinted.insert(key.to_owned());
     }
 
+    /// Whether a `deliver` of `key` this epoch should install its replica:
+    /// the key was noted by [`DataOwner::note_hinted_replica`] since the
+    /// last flush.
+    pub(crate) fn is_hinted(&self, key: &[u8]) -> bool {
+        std::str::from_utf8(key).is_ok_and(|key| self.hinted.contains(key))
+    }
+
     /// Reconstructs the read keys from the chain's contract-call history
     /// since the last scan — the §3.2 monitor. The returned keys let tests
     /// validate that the trace-order observations match what the chain

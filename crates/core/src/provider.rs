@@ -79,10 +79,6 @@ pub struct StorageProvider {
     mode: AdversaryMode,
     /// Snapshot for [`AdversaryMode::ReplayStale`].
     stale: Option<StaleSnapshot>,
-    /// Latest replication decisions pushed from the DO's control plane:
-    /// deliveries for keys marked [`ReplState::Replicated`] set the
-    /// `replicate` flag (the paper's deliver-time replica installation).
-    decision_hints: std::collections::HashMap<Vec<u8>, ReplState>,
     /// Cumulative Merkle nodes rehashed by the batched sync path — the
     /// observability counter behind `EpochMetrics::merkle_nodes_rehashed`.
     nodes_rehashed: u64,
@@ -121,7 +117,6 @@ impl StorageProvider {
             watch_cursor: 0,
             mode: AdversaryMode::Honest,
             stale: None,
-            decision_hints: std::collections::HashMap::new(),
             nodes_rehashed: 0,
         })
     }
@@ -165,7 +160,6 @@ impl StorageProvider {
             watch_cursor: 0,
             mode: AdversaryMode::Honest,
             stale: None,
-            decision_hints: std::collections::HashMap::new(),
             nodes_rehashed: 0,
         })
     }
@@ -199,17 +193,6 @@ impl StorageProvider {
     /// The SP's current root digest (must match the DO's mirror).
     pub fn root(&self) -> grub_crypto::Hash32 {
         self.tree.root()
-    }
-
-    /// Records the DO's current desired replication state for `key`; the
-    /// next point delivery of that key carries the `replicate` flag.
-    pub fn set_decision_hint(&mut self, key: &str, state: ReplState) {
-        match self.decision_hints.get_mut(key.as_bytes()) {
-            Some(hint) => *hint = state,
-            None => {
-                self.decision_hints.insert(key.as_bytes().to_vec(), state);
-            }
-        }
     }
 
     fn storage_key(state: ReplState, key: &str) -> Vec<u8> {
@@ -326,12 +309,22 @@ impl StorageProvider {
     /// order, then range requests in event order.
     ///
     /// Point requests for the same key within the window are coalesced into
-    /// one delivery carrying all their callbacks.
+    /// one delivery carrying all their callbacks. A point delivery sets the
+    /// `replicate` flag (the paper's deliver-time replica installation)
+    /// exactly when `replicate(key)` says the DO hinted that replica this
+    /// epoch ([`DataOwner::note_hinted_replica`](crate::owner::DataOwner::note_hinted_replica)),
+    /// so every replica a deliver installs is one the DO's next flush
+    /// formalizes or evicts.
     ///
     /// # Errors
     ///
     /// Propagates store I/O failures.
-    pub fn watchdog(&mut self, chain: &Blockchain, manager: Address) -> Result<Vec<Vec<u8>>> {
+    pub fn watchdog(
+        &mut self,
+        chain: &Blockchain,
+        manager: Address,
+        replicate: impl Fn(&[u8]) -> bool,
+    ) -> Result<Vec<Vec<u8>>> {
         let mut point: BTreeMap<Vec<u8>, Vec<(Address, String)>> = BTreeMap::new();
         let mut ranges: Vec<(Vec<u8>, Vec<u8>, Address, String)> = Vec::new();
         for event in chain.events_since(self.watch_cursor, manager, "Request") {
@@ -351,8 +344,8 @@ impl StorageProvider {
 
         let mut delivers = Vec::new();
         for (key, callbacks) in point {
-            let replicate = self.decision_hints.get(&key) == Some(&ReplState::Replicated);
-            delivers.push(self.build_deliver(key.clone(), key, replicate, callbacks)?);
+            let install = replicate(&key);
+            delivers.push(self.build_deliver(key.clone(), key, install, callbacks)?);
         }
         for (start, end, cb_addr, cb_func) in ranges {
             delivers.push(self.build_deliver(start, end, false, vec![(cb_addr, cb_func)])?);

@@ -61,12 +61,11 @@ pub struct SystemConfig {
     pub preload: Vec<(String, Vec<u8>)>,
     /// Where monitoring counters live (BL3 baselines store them on-chain).
     pub on_chain_trace: OnChainTrace,
-    /// Overrides the preload placement: `None` derives it from the policy
-    /// (BL2 preloads replicated, everything else not); `Some(true)` warm-
-    /// starts an adaptive policy with the dataset already replicated — the
-    /// slot capex lands in the unmetered provisioning phase and steady-state
-    /// re-replication costs `Cupdate` via slot reuse.
-    pub preload_replicated: Option<bool>,
+    /// Preloads the dataset replicated under any policy (BL2 always does):
+    /// a warm-started adaptive policy begins with the replicas in place —
+    /// the slot capex lands in the unmetered provisioning phase and
+    /// steady-state re-replication costs `Cupdate` via slot reuse.
+    pub warm_start: bool,
     /// Whether an epoch's reads are batched into shared blocks (the §5.1
     /// methodology, 32 ops per transaction) or arrive one per block as a
     /// live trace replay does (§4's oracle and BtcRelay experiments). When
@@ -93,7 +92,7 @@ impl SystemConfig {
             epoch_ops: 32,
             preload: Vec::new(),
             on_chain_trace: OnChainTrace::None,
-            preload_replicated: None,
+            warm_start: false,
             coalesce_reads: true,
             store_dir: None,
             store_options: None,
@@ -103,7 +102,7 @@ impl SystemConfig {
 
     /// Warm-starts the deployment with the preload already replicated.
     pub fn warm_start(mut self) -> Self {
-        self.preload_replicated = Some(true);
+        self.warm_start = true;
         self
     }
 
@@ -384,10 +383,7 @@ impl EpochDriver {
 
         // Preload: BL2-style policies want the dataset replicated up front;
         // warm-started adaptive deployments may too.
-        let preload_state = if config
-            .preload_replicated
-            .unwrap_or(matches!(config.policy, PolicyKind::Bl2))
-        {
+        let preload_state = if config.warm_start || matches!(config.policy, PolicyKind::Bl2) {
             ReplState::Replicated
         } else {
             ReplState::NotReplicated
@@ -506,8 +502,8 @@ impl EpochDriver {
         Ok(())
     }
 
-    /// Runs the epoch's read phase up to the deliver step: pushes decision
-    /// hints, mines the consumer read block, reaches the acknowledgment
+    /// Runs the epoch's read phase up to the deliver step: notes hinted
+    /// replicas, mines the consumer read block, reaches the acknowledgment
     /// boundary, and returns the watchdog's `deliver()` payloads
     /// *unsubmitted* with the feed's own snapshot-differenced Gas. The
     /// caller mines the delivers, then books the epoch with
@@ -529,7 +525,7 @@ impl EpochDriver {
         }
         // Consumer read transactions share one block (§5.1 methodology).
         for key in &reads {
-            self.push_hint(key);
+            self.hint_replica(key);
         }
         for tx in self.build_read_txs(&reads) {
             chain.submit(tx);
@@ -539,7 +535,7 @@ impl EpochDriver {
         }
         self.seal_block(chain)?;
         self.acknowledge(chain)?;
-        let delivers = self.provider.watchdog(chain, self.manager)?;
+        let delivers = self.watchdog(chain)?;
         Ok(StagedReads::metered(chain, before, delivers, 0))
     }
 
@@ -624,14 +620,23 @@ impl EpochDriver {
         self.ops_in_epoch += 1;
     }
 
-    /// Pushes the DO's current decision for `key` to the SP and records a
-    /// hinted replica when a deliver-time installation is expected.
-    fn push_hint(&mut self, key: &str) {
-        let want = self.owner.desired_state(key);
-        self.provider.set_decision_hint(key, want);
-        if want == ReplState::Replicated && self.owner.state_of(key) == ReplState::NotReplicated {
+    /// Records a hinted replica when the DO wants `key` replicated and it
+    /// is not yet: its next delivery installs the replica.
+    fn hint_replica(&mut self, key: &str) {
+        if self.owner.desired_state(key) == ReplState::Replicated
+            && self.owner.state_of(key) == ReplState::NotReplicated
+        {
             self.owner.note_hinted_replica(key);
         }
+    }
+
+    /// The SP's watchdog, answering requests since its last poll; a point
+    /// delivery installs its replica exactly when the DO hinted the key this
+    /// epoch.
+    fn watchdog(&mut self, chain: &Blockchain) -> Result<Vec<Vec<u8>>> {
+        let owner = &self.owner;
+        self.provider
+            .watchdog(chain, self.manager, |key| owner.is_hinted(key))
     }
 
     /// The live-tempo read phase: the update lands in its own block, then
@@ -646,22 +651,23 @@ impl EpochDriver {
         let mut failed = 0;
         self.seal_block(chain)?;
         for key in reads {
-            // The monitor observes this read when its block lands, and the
-            // SP learns the (possibly flipped) decision before delivering.
+            // The monitor observes this read when its block lands, and a
+            // (possibly flipped) decision's replica is hinted before the SP
+            // delivers.
             self.owner.observe_read(&key);
-            self.push_hint(&key);
+            self.hint_replica(&key);
             for tx in self.build_read_txs(std::slice::from_ref(&key)) {
                 chain.submit(tx);
             }
             self.seal_block(chain)?;
-            let delivers = self.provider.watchdog(chain, self.manager)?;
+            let delivers = self.watchdog(chain)?;
             failed += self.mine_delivers(chain, delivers)?;
         }
         for (start, end) in scans {
             self.owner.observe_read(&start);
             self.submit_scan(chain, &start, &end);
             self.seal_block(chain)?;
-            let delivers = self.provider.watchdog(chain, self.manager)?;
+            let delivers = self.watchdog(chain)?;
             failed += self.mine_delivers(chain, delivers)?;
         }
         self.acknowledge(chain)?;

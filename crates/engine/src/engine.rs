@@ -16,55 +16,31 @@ use grub_workload::{OpSource, PeekableSource, Trace};
 use crate::report::{EngineReport, EpochMetrics, TenantReport};
 use crate::router::ShardRouter;
 
-/// When (and whether) the engine cross-checks each feed's SP store against
-/// the DO's authoritative records and the on-chain root at scheduler-round
-/// boundaries (the background Merkle scrubber,
-/// [`grub_core::scrub::Scrubber`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScrubMode {
-    /// No scrubbing (the default).
-    #[default]
-    Off,
-    /// Audit every feed after each round; findings land in that round's
-    /// [`EpochMetrics`].
-    Detect,
-    /// Audit and repair: divergent keys are re-synced from the DO.
-    Repair,
-}
-
-impl std::str::FromStr for ScrubMode {
-    type Err = KnobError;
-
-    /// Parses a `GRUB_SCRUB` value: empty, `0` or `off` →
-    /// [`ScrubMode::Off`]; `1` or `detect` → [`ScrubMode::Detect`];
-    /// `repair` → [`ScrubMode::Repair`]. Anything else is an error, so a
-    /// typo cannot silently select a different mode.
-    fn from_str(raw: &str) -> std::result::Result<Self, KnobError> {
-        match raw {
-            "" | "0" | "off" => Ok(ScrubMode::Off),
-            "1" | "detect" => Ok(ScrubMode::Detect),
-            "repair" => Ok(ScrubMode::Repair),
-            _ => Err(KnobError::new(
-                "GRUB_SCRUB",
-                raw,
-                "unset, \"\", 0, off, 1, detect or repair",
-            )),
-        }
+/// Parses a `GRUB_SCRUB` value into the engine's round-boundary scrubber
+/// ([`EngineConfig::scrub`]): empty, `0` or `off` → `None`; `1` or `detect`
+/// → a detecting [`Scrubber`]; `repair` → [`Scrubber::repairing`]. Anything
+/// else is an error, so a typo cannot silently select a different mode.
+fn parse_scrub(raw: &str) -> std::result::Result<Option<Scrubber>, KnobError> {
+    match raw {
+        "" | "0" | "off" => Ok(None),
+        "1" | "detect" => Ok(Some(Scrubber::default())),
+        "repair" => Ok(Some(Scrubber::repairing())),
+        _ => Err(KnobError::new(
+            "GRUB_SCRUB",
+            raw,
+            "unset, \"\", 0, off, 1, detect or repair",
+        )),
     }
 }
 
-impl ScrubMode {
-    /// Reads the `GRUB_SCRUB` environment knob: unset →
-    /// [`ScrubMode::Off`], otherwise parsed by the [`FromStr`] impl.
-    ///
-    /// # Errors
-    ///
-    /// A [`KnobError`] for any value outside the accepted set.
-    ///
-    /// [`FromStr`]: std::str::FromStr
-    pub fn from_env() -> std::result::Result<Self, KnobError> {
-        grub_fault::knob("GRUB_SCRUB").map_or(Ok(ScrubMode::Off), |raw| raw.parse())
-    }
+/// Reads the `GRUB_SCRUB` environment knob: unset → `None` (no scrubbing),
+/// otherwise the scrubber its value names.
+///
+/// # Errors
+///
+/// A [`KnobError`] for any value outside the accepted set.
+pub fn scrub_from_env() -> std::result::Result<Option<Scrubber>, KnobError> {
+    grub_fault::knob("GRUB_SCRUB").map_or(Ok(None), |raw| parse_scrub(&raw))
 }
 
 /// Kills the run at an armed [`grub_fault`] crash point: the typed error
@@ -106,8 +82,10 @@ pub struct EngineConfig {
     pub shards: usize,
     /// The batching rung ([`Batching`]); [`Batching::Full`] by default.
     pub batching: Batching,
-    /// Background Merkle scrubbing at round boundaries ([`ScrubMode`]).
-    pub scrub: ScrubMode,
+    /// The background Merkle scrubber run over every feed at each round
+    /// boundary ([`grub_core::scrub::Scrubber`]); `None` (the default)
+    /// scrubs nothing. Findings land in that round's [`EpochMetrics`].
+    pub scrub: Option<Scrubber>,
     /// Chain timing parameters shared by all feeds.
     pub chain: ChainConfig,
 }
@@ -119,13 +97,13 @@ impl EngineConfig {
         EngineConfig {
             shards: shards.max(1),
             batching: Batching::Full,
-            scrub: ScrubMode::default(),
+            scrub: None,
             chain: ChainConfig::default(),
         }
     }
 
-    /// Enables background scrubbing at round boundaries.
-    pub fn with_scrub(mut self, scrub: ScrubMode) -> Self {
+    /// Sets background scrubbing at round boundaries (`None` turns it off).
+    pub fn with_scrub(mut self, scrub: Option<Scrubber>) -> Self {
         self.scrub = scrub;
         self
     }
@@ -372,13 +350,6 @@ impl FeedSlot {
         self.source.is_exhausted()
     }
 
-    /// Pulls the next epoch's worth of operations from the stream into the
-    /// driver. A parked feed is simply not pulled, so its stream position
-    /// never moves.
-    fn ingest_epoch(&mut self) {
-        self.driver.ingest(&mut self.source);
-    }
-
     /// The feed's cumulative share of shard batch transactions.
     fn batched_gas(&self) -> u64 {
         let [update, deliver] = self.batched;
@@ -459,11 +430,19 @@ impl BatchKind {
     }
 }
 
-/// What the current round's shard batches booked, indexed by [`BatchKind`]
-/// — reset at the top of every round, copied into its [`EpochMetrics`].
+/// What the current round booked where it happened — reset at the top of
+/// every round, copied into its [`EpochMetrics`].
 #[derive(Clone, Copy, Debug, Default)]
 struct RoundTally {
+    /// Trace operations staged into the round's epochs.
+    staged_ops: usize,
+    /// Feeds the quota parked this round.
+    parked: usize,
+    /// The longest park streak among them.
+    max_parked_streak: usize,
+    /// Shard-batch Gas, indexed by [`BatchKind`].
     gas: [u64; 2],
+    /// Shard-batch sections, indexed likewise.
     sections: [usize; 2],
 }
 
@@ -484,7 +463,7 @@ pub struct FeedEngine {
     shards: Vec<Shard>,
     feeds: Vec<FeedSlot>,
     batching: Batching,
-    scrub: ScrubMode,
+    scrub: Option<Scrubber>,
     rounds: usize,
     metrics: Vec<EpochMetrics>,
     round: RoundTally,
@@ -639,8 +618,6 @@ impl FeedEngine {
         let started = std::time::Instant::now();
         let compressions_before = grub_crypto::compressions();
         let gas_before = self.chain.gas_snapshot();
-        let ops_before = self.completed_ops();
-        let parked_before: usize = self.feeds.iter().map(|f| f.parked_rounds).sum();
         let perf_before = self.perf_totals();
         self.round = RoundTally::default();
         let height_before = self.chain.height();
@@ -660,25 +637,23 @@ impl FeedEngine {
             (height_before + 1..=self.chain.height()).map(|h| self.chain.fee_price_permille(h));
         let base = grub_gas::BASE_PRICE_PERMILLE;
         let RoundTally {
+            staged_ops,
+            parked,
+            max_parked_streak,
             gas: [update_gas, deliver_gas],
             sections: [update_sections, deliver_sections],
         } = self.round;
         self.metrics.push(EpochMetrics {
             round: self.rounds,
-            staged_ops: self.completed_ops() - ops_before,
+            staged_ops,
             feed_gas: feed_delta.amount(),
             app_gas: app_delta.amount(),
             update_gas,
             deliver_gas,
             update_sections,
             deliver_sections,
-            parked: self.feeds.iter().map(|f| f.parked_rounds).sum::<usize>() - parked_before,
-            max_parked_streak: self
-                .feeds
-                .iter()
-                .map(|f| f.parked_streak)
-                .max()
-                .unwrap_or(0),
+            parked,
+            max_parked_streak,
             scrub_findings,
             scrub_repaired,
             fee_low_permille: prices.clone().min().unwrap_or(base),
@@ -708,20 +683,11 @@ impl FeedEngine {
         total
     }
 
-    /// Trace operations completed so far, across all feeds. O(feeds): each
-    /// driver keeps a running counter, so the per-round metrics snapshot
-    /// never re-walks the growing epoch-report history.
-    fn completed_ops(&self) -> usize {
-        self.feeds.iter().map(|f| f.driver.completed_ops()).sum()
-    }
-
-    /// One scrub pass over every feed at a round boundary (no-op with
-    /// scrubbing [`ScrubMode::Off`]). Returns (findings, repaired) totals.
+    /// One scrub pass over every feed at a round boundary (no-op without a
+    /// scrubber). Returns (findings, repaired) totals.
     fn run_scrub_pass(&mut self) -> Result<(usize, usize)> {
-        let scrubber = match self.scrub {
-            ScrubMode::Off => return Ok((0, 0)),
-            ScrubMode::Detect => Scrubber::default(),
-            ScrubMode::Repair => Scrubber::repairing(),
+        let Some(scrubber) = self.scrub else {
+            return Ok((0, 0));
         };
         let mut findings = 0;
         let mut repaired = 0;
@@ -739,17 +705,24 @@ impl FeedEngine {
     /// Every feed with trace remaining and quota to spend runs one epoch,
     /// higher quota tiers first. The runnable feeds form commit groups: one
     /// per feed with batching off, one per shard (ascending) otherwise.
-    /// Every group is ingested and staged off-chain first, then the groups
-    /// commit in order — per group, its updates (the feed's own pending
-    /// transactions, or one shard batch mined as the write block) followed
-    /// by the read phase. Staging never touches the chain, so where it sits
-    /// relative to other groups' blocks cannot move a digest.
+    /// Each group stages and commits before the next begins, in the
+    /// paper's epoch order (§3.3): its feeds ingest and stage off-chain,
+    /// then its updates land (the feed's own pending transactions, or one
+    /// shard batch mined as the write block), then its read phase runs.
+    /// Staging never touches the chain, so where it sits relative to other
+    /// groups' blocks cannot move a digest.
     fn run_round(&mut self) -> Result<()> {
         let round = self.rounds;
         let mut runnable: Vec<usize> = Vec::new();
-        for idx in 0..self.feeds.len() {
-            if !self.feeds[idx].exhausted() && self.feeds[idx].refill_and_decide(round) {
+        for (idx, feed) in self.feeds.iter_mut().enumerate() {
+            if feed.exhausted() {
+                continue;
+            }
+            if feed.refill_and_decide(round) {
                 runnable.push(idx);
+            } else {
+                self.round.parked += 1;
+                self.round.max_parked_streak = self.round.max_parked_streak.max(feed.parked_streak);
             }
         }
         if runnable.is_empty() {
@@ -775,13 +748,20 @@ impl FeedEngine {
                 .filter(|(_, idxs)| !idxs.is_empty())
                 .collect()
         };
-        let mut staged: Vec<(usize, Vec<RoundFeed>)> = Vec::with_capacity(groups.len());
-        for (shard, idxs) in groups {
+        for (pos, (shard, idxs)) in groups.into_iter().enumerate() {
+            if pos > 0 {
+                // Between two groups of the same round: the previous group's
+                // blocks are mined, this group is not staged.
+                fault_check(FaultPoint::MidShardCommit)?;
+            }
             let mut round_feeds = Vec::with_capacity(idxs.len());
             for idx in idxs {
+                // A parked feed is simply not pulled, so its stream position
+                // never moves.
                 let feed = &mut self.feeds[idx];
-                feed.ingest_epoch();
+                feed.driver.ingest(&mut feed.source);
                 let update = feed.driver.stage_update()?;
+                self.round.staged_ops += update.ops;
                 round_feeds.push(RoundFeed {
                     idx,
                     batched_before: feed.batched_gas(),
@@ -789,15 +769,6 @@ impl FeedEngine {
                 });
             }
             fault_check(FaultPoint::PostStage)?;
-            staged.push((shard, round_feeds));
-        }
-        fault_check(FaultPoint::PreMerge)?;
-        for (pos, (shard, mut round_feeds)) in staged.into_iter().enumerate() {
-            if pos > 0 {
-                // Between two group commits of the same round: the previous
-                // group's blocks are mined, this group's are not.
-                fault_check(FaultPoint::MidShardCommit)?;
-            }
             if self.batching == Batching::Off {
                 // The feed's own update transactions stay pending and ride
                 // its read block, as in a standalone `close_epoch`.
@@ -1115,14 +1086,15 @@ mod tests {
 
     #[test]
     fn scrub_knob_accepts_three_classes_and_rejects_typos() {
+        let repair = |raw| parse_scrub(raw).map(|s| s.map(|s| s.repair));
         for raw in ["", "0", "off"] {
-            assert_eq!(raw.parse(), Ok(ScrubMode::Off), "{raw:?}");
+            assert_eq!(repair(raw), Ok(None), "{raw:?}");
         }
         for raw in ["1", "detect"] {
-            assert_eq!(raw.parse(), Ok(ScrubMode::Detect), "{raw:?}");
+            assert_eq!(repair(raw), Ok(Some(false)), "{raw:?}");
         }
-        assert_eq!("repair".parse(), Ok(ScrubMode::Repair));
-        let err = "repiar".parse::<ScrubMode>().unwrap_err();
+        assert_eq!(repair("repair"), Ok(Some(true)));
+        let err = parse_scrub("repiar").unwrap_err();
         assert_eq!((err.name, err.raw.as_str()), ("GRUB_SCRUB", "repiar"));
         let shown = err.to_string();
         assert!(shown.contains("GRUB_SCRUB") && shown.contains("repiar"));

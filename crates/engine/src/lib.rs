@@ -15,15 +15,17 @@
 //! ```text
 //!               FeedEngine (deterministic shard scheduler, one executor)
 //!
-//!   STAGE (off-chain, EpochDriver::ingest + stage_update — no chain borrow)
-//!        group 0: [feed a ingest→flush→encode] [feed b …]
-//!        group 1: [feed c ingest→flush→encode] [feed d …]
-//!                     │ staged update sections, group-ordered
-//!   MERGE (group order; a group is a shard, or one feed when unbatched)
-//!        group 0 updates → group 0 read phase →
-//!                      group 1 updates → group 1 read phase → …
-//!                     │
-//!   COMMIT (on-chain)      ┌── shard 0 ──┐       ┌── shard 1 ───┐
+//!   round r: runnable feeds → commit groups (a shard, or one feed when
+//!   unbatched), in group order; each group stages and commits before the
+//!   next begins:
+//!
+//!     group 0: STAGE  [feed a ingest→flush→encode] [feed b …]  (off-chain)
+//!              COMMIT updates → read phase                     (on-chain)
+//!     group 1: STAGE  [feed c ingest→flush→encode] [feed d …]
+//!              COMMIT updates → read phase
+//!     …                   │
+//!                         ▼
+//!                          ┌── shard 0 ──┐       ┌── shard 1 ───┐
 //!                          │ ShardRouter │       │ ShardRouter  │
 //!                          │ batchUpdate │       │ batchUpdate  │
 //!                          │ batchDeliver│       │ batchDeliver │
@@ -42,16 +44,17 @@
 //!   epoch's worth of operations and close that epoch, higher quota tiers
 //!   first. Every [`Batching`] rung runs the same round loop: the runnable
 //!   feeds form commit groups — one per shard, or one per feed with
-//!   batching [`Off`](Batching::Off) — every group stages off-chain, then
-//!   the groups commit in order, each its updates and then its read phase.
+//!   batching [`Off`](Batching::Off) — and each group in turn stages
+//!   off-chain, commits its updates, then runs its read phase: the paper's
+//!   epoch order (§3.3), the DO's `update` before the reads and delivers.
 //!   A shard group's updates are one batch mined as the write block; an
 //!   unbatched feed's own update transactions ride its read block, so with
 //!   batching off a round is the sum-of-singles reference the savings are
 //!   measured against.
 //! * **Determinism contract** — a run is a deterministic function of its
-//!   specs: staging never touches the chain, and the merge commits the
-//!   groups in a fixed order (ascending shards, or the drain order of
-//!   single-feed groups) — so reruns mine byte-for-byte identical chains
+//!   specs: staging never touches the chain, and the groups run in a fixed
+//!   order (ascending shards, or the drain order of single-feed groups) —
+//!   so reruns mine byte-for-byte identical chains
 //!   (equal [`Blockchain::chain_digest`](grub_chain::Blockchain::chain_digest)),
 //!   quotas and parking included. No wall clock or map iteration order
 //!   ever reaches the schedule.
@@ -163,7 +166,8 @@ mod router;
 pub mod specs;
 
 pub use engine::{
-    tenant_shard, Batching, EngineConfig, FeedEngine, FeedSpec, QuotaTier, ScrubMode, TenantBudget,
+    scrub_from_env, tenant_shard, Batching, EngineConfig, FeedEngine, FeedSpec, QuotaTier,
+    TenantBudget,
 };
 pub use grub_fault::KnobError;
 pub use report::{EngineReport, EpochMetrics, TenantReport};

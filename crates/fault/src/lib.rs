@@ -30,23 +30,22 @@
 
 use std::cell::Cell;
 
-/// A named crash point in the stage→merge→commit pipeline.
+/// A named crash point in the stage-and-commit pipeline.
 ///
 /// The engine's round stages and commits feeds in *groups* — one per shard
-/// when batching, one per feed when not — and crosses the first four points
-/// in every batching rung: `PostStage` per group, `PreMerge` once,
-/// `MidShardCommit` between groups and `PostWriteBlock` after each shard
-/// write block (an unbatched group has none).
+/// when batching, one per feed when not — one group after the other, and
+/// crosses the first three points in every batching rung: `PostStage` per
+/// group, `MidShardCommit` between groups and `PostWriteBlock` after each
+/// shard write block (an unbatched group has none).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
     /// After one group's off-chain staging (policy flush, SP sync, section
-    /// encoding) completes, before anything reaches the chain.
+    /// encoding) completes, before the group's blocks reach the chain. Its
+    /// first crossing in a round leaves one group staged and nothing of the
+    /// round committed.
     PostStage,
-    /// After every group of the round has staged, before the first group
-    /// commits.
-    PreMerge,
-    /// Between two groups' commits within one round — the first group's
-    /// blocks are mined, the rest never happen.
+    /// Between two groups within one round — the previous group's blocks
+    /// are mined, the next group is not staged, the rest never happen.
     MidShardCommit,
     /// After a shard's batched `update` block is mined, before its read
     /// phase runs.
@@ -69,9 +68,8 @@ pub enum FaultPoint {
 
 impl FaultPoint {
     /// Every named crash point, in pipeline order.
-    pub const ALL: [FaultPoint; 8] = [
+    pub const ALL: [FaultPoint; 7] = [
         FaultPoint::PostStage,
-        FaultPoint::PreMerge,
         FaultPoint::MidShardCommit,
         FaultPoint::PostWriteBlock,
         FaultPoint::MidWalAppend,
@@ -84,7 +82,6 @@ impl FaultPoint {
     pub fn name(self) -> &'static str {
         match self {
             FaultPoint::PostStage => "post-stage",
-            FaultPoint::PreMerge => "pre-merge",
             FaultPoint::MidShardCommit => "mid-shard-commit",
             FaultPoint::PostWriteBlock => "post-write-block",
             FaultPoint::MidWalAppend => "mid-wal-append",
@@ -249,14 +246,14 @@ mod tests {
     #[test]
     fn fault_point_knob_parses_or_names_the_bad_value() {
         assert_eq!(
-            parse_plan("pre-merge"),
-            Ok(FaultPlan::at(FaultPoint::PreMerge))
+            parse_plan("post-stage"),
+            Ok(FaultPlan::at(FaultPoint::PostStage))
         );
         assert_eq!(
             parse_plan("mid-wal-append:3"),
             Ok(FaultPlan::nth(FaultPoint::MidWalAppend, 3))
         );
-        for raw in ["nope", "pre-merge:x", "pre-merge:-1", ":2"] {
+        for raw in ["nope", "pre-merge", "post-stage:x", "post-stage:-1", ":2"] {
             let err = parse_plan(raw).unwrap_err();
             assert_eq!((err.name, err.raw.as_str()), ("GRUB_FAULT_POINT", raw));
             let shown = err.to_string();
@@ -267,7 +264,10 @@ mod tests {
     #[test]
     fn trips_once_then_disarms() {
         arm(FaultPlan::at(FaultPoint::PostStage));
-        assert!(!should_trip(FaultPoint::PreMerge), "other points pass");
+        assert!(
+            !should_trip(FaultPoint::MidShardCommit),
+            "other points pass"
+        );
         assert!(should_trip(FaultPoint::PostStage), "armed point trips");
         assert!(
             !should_trip(FaultPoint::PostStage),
@@ -309,8 +309,8 @@ mod tests {
 
     #[test]
     fn disarm_clears_pending_plan() {
-        arm(FaultPlan::at(FaultPoint::PreMerge));
-        assert_eq!(disarm(), Some(FaultPlan::at(FaultPoint::PreMerge)));
-        assert!(!should_trip(FaultPoint::PreMerge));
+        arm(FaultPlan::at(FaultPoint::PostWriteBlock));
+        assert_eq!(disarm(), Some(FaultPlan::at(FaultPoint::PostWriteBlock)));
+        assert!(!should_trip(FaultPoint::PostWriteBlock));
     }
 }

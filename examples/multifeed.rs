@@ -36,7 +36,7 @@
 
 use grub::chain::ChainConfig;
 use grub::engine::specs::{demo_policies, zipfian_ratio_specs};
-use grub::engine::{EngineConfig, FeedEngine, FeedSpec, ScrubMode};
+use grub::engine::{scrub_from_env, EngineConfig, FeedEngine, FeedSpec};
 
 fn build_specs(total_ops: usize) -> Vec<FeedSpec> {
     // A wider ratio rotation than the default demo fleet: includes a
@@ -47,7 +47,7 @@ fn build_specs(total_ops: usize) -> Vec<FeedSpec> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = grub::fault::knob("GRUB_SMOKE").is_some();
-    let scrub = ScrubMode::from_env()?;
+    let scrub = scrub_from_env()?;
     let total_ops = if smoke { 256 } else { 2048 };
     let shards = 2;
     // Chain realism from the environment: GRUB_REORG / GRUB_FEE_SCHEDULE /
@@ -66,8 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("fault injection armed from GRUB_FAULT_POINT: {plan:?}");
         grub::fault::arm(plan);
     }
-    if scrub != ScrubMode::Off {
-        println!("epoch-boundary Merkle scrubbing on (GRUB_SCRUB): {scrub:?}");
+    if let Some(scrubber) = scrub {
+        let mode = if scrubber.repair { "Repair" } else { "Detect" };
+        println!("epoch-boundary Merkle scrubbing on (GRUB_SCRUB): {mode}");
     }
     if realism.reorg.is_some()
         || realism.fee.is_some()

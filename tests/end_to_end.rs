@@ -369,3 +369,69 @@ fn cold_and_warm_block_cache_mine_identical_chains() {
         cold_stats.block_reads
     );
 }
+
+/// A read builder may send a read to a different `gGet` key than the one
+/// the trace read. A deliver of that key installs a replica only when the
+/// DO hinted it this epoch, so every replica on chain is one a flush
+/// formalizes or evicts, and no later write leaves a stale one behind.
+#[test]
+fn remapped_reads_never_install_a_replica_the_do_did_not_hint() {
+    use grub::chain::codec::Encoder;
+    use grub::chain::{Address, Transaction};
+    use grub::core::contract::EVICTED_MARKER;
+    use grub::gas::Layer;
+
+    let config = SystemConfig::new(PolicyKind::Memoryless { k: 1 })
+        .live_reads()
+        .epoch_ops(1);
+    let mut system = GrubSystem::new(&config).expect("system");
+    let consumer = Address::derive("grub-null-consumer");
+    // Every read, whatever its key, becomes `batchRead(["k"])`.
+    system
+        .driver_mut()
+        .set_read_tx_builder(Box::new(move |keys| {
+            keys.iter()
+                .map(|_| {
+                    let mut enc = Encoder::new();
+                    enc.u64(1).bytes(b"k");
+                    let input = enc.finish();
+                    let user = Address::derive("end-user");
+                    Transaction::new(user, consumer, "batchRead", input, Layer::User)
+                })
+                .collect()
+        }));
+    let write = |seed| Op::Write {
+        key: "k".into(),
+        value: ValueSpec::new(16, seed),
+    };
+    let read = |key: &str| Op::Read { key: key.into() };
+    let mut trace = Trace::new();
+    trace.ops = vec![
+        write(1),
+        read("k"),
+        write(2),
+        read("other"),
+        write(3),
+        read("other2"),
+    ];
+    system.drive(&mut trace.source()).expect("drive");
+
+    let records = system.driver().owner().live_records();
+    let (_, state, latest) = records
+        .iter()
+        .find(|(key, ..)| key == "k")
+        .expect("the DO holds k");
+    assert_eq!(*latest, ValueSpec::new(16, 3).materialize());
+    assert_eq!(*state, ReplState::NotReplicated);
+    let manager = system.driver().manager();
+    let replica = system
+        .chain()
+        .storage(manager)
+        .and_then(|s| s.peek(b"kv:k"))
+        .filter(|v| v.as_slice() != EVICTED_MARKER);
+    assert_eq!(
+        replica, None,
+        "k is NR, yet the chain holds a replica of it"
+    );
+    assert_eq!(failed_delivers(&system), 0);
+}

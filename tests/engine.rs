@@ -18,12 +18,15 @@
 //!    feed's epochs produce identical results once they finally run.
 //! 5. **Malformed batches rejected** — truncated or forged `batchDeliver`
 //!    payloads revert with a typed decode error; nothing panics.
+//! 6. **Round-boundary scrubbing** — a record damaged at rest is found
+//!    after every round, and a repairing scrubber fixes it once.
 
 use std::rc::Rc;
 
 use grub::chain::codec::encode_sections;
 use grub::chain::{Address, Blockchain, Transaction};
 use grub::core::policy::PolicyKind;
+use grub::core::scrub::Scrubber;
 use grub::core::system::{GrubSystem, SystemConfig};
 use grub::engine::specs::{demo_policies, zipfian_ratio_specs, DEMO_RATIOS};
 use grub::engine::{EngineConfig, FeedEngine, FeedSpec, QuotaTier, ShardRouter, TenantBudget};
@@ -515,4 +518,55 @@ fn eight_feed_mixed_skew_run_is_deterministic_and_batching_saves() {
         batched.feed_gas_total(),
         unbatched.feed_gas_total()
     );
+}
+
+/// The engine's round-boundary scrub, end to end: a preloaded record the
+/// trace never reads is damaged in the SP's store before the first round.
+/// A repairing scrubber finds and fixes it after round 0 and finds nothing
+/// after; a detecting one finds it again after every round.
+#[test]
+fn round_boundary_scrub_finds_and_repairs_a_damaged_record() {
+    let run = |scrub: Scrubber| {
+        let config = SystemConfig::new(PolicyKind::Memoryless { k: 2 })
+            .epoch_ops(4)
+            .preload(vec![
+                ("cold".into(), b"untouched".to_vec()),
+                ("hot".into(), b"seed".to_vec()),
+            ]);
+        let specs = vec![FeedSpec::from_source(
+            "scrubbed",
+            config,
+            Box::new(RatioWorkload::new("hot", 1.0).source(6)),
+        )];
+        let engine_config = EngineConfig::new(1).with_scrub(Some(scrub));
+        let mut engine = FeedEngine::new(&engine_config, specs).unwrap();
+        let driver = engine.driver_mut("scrubbed").unwrap();
+        let state = driver.owner().state_of("cold");
+        driver
+            .provider_mut()
+            .tamper_value(state, "cold", b"GARBAGE".to_vec())
+            .unwrap();
+        let report = engine.run().unwrap();
+        assert!(report.metrics.len() >= 2, "the trace must span rounds");
+        assert_eq!(report.failed_delivers(), 0);
+        report.metrics
+    };
+    let repaired = run(Scrubber::repairing());
+    let first = &repaired[0];
+    assert!(first.scrub_findings >= 1, "round 0 must find the damage");
+    assert_eq!(first.scrub_repaired, first.scrub_findings);
+    for m in &repaired[1..] {
+        assert_eq!(
+            (m.scrub_findings, m.scrub_repaired),
+            (0, 0),
+            "round {}",
+            m.round
+        );
+    }
+    let detected = run(Scrubber::default());
+    for m in &detected {
+        let seen = (m.scrub_findings, m.scrub_repaired);
+        assert_eq!(seen, (detected[0].scrub_findings, 0), "round {}", m.round);
+    }
+    assert!(detected[0].scrub_findings >= 1);
 }

@@ -1,4 +1,4 @@
-//! Crash-point fault injection through the engine's stage → merge → commit
+//! Crash-point fault injection through the engine's stage-and-commit
 //! pipeline, with the full recovery contract:
 //!
 //! * every named [`FaultPoint`] kills the 8-feed mixed-skew fleet mid-run;

@@ -393,7 +393,7 @@ proptest! {
     /// block, and there the draw falls back to the point between groups.
     #[test]
     fn crashed_engine_recovers_to_the_clean_chain_digest(
-        point_idx in 0usize..6,
+        point_idx in 0usize..5,
         batching in prop::sample::select(vec![
             grub::engine::Batching::Off,
             grub::engine::Batching::Updates,

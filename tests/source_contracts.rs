@@ -231,8 +231,8 @@ fn registries_match_the_tree() {
     assert_eq!(drift, Vec::<String>::new());
     assert_clean(missing_docs, &files);
     let points = every_fault_point! {
-        PostStage, PreMerge, MidShardCommit, PostWriteBlock, MidWalAppend, MidSstableFlush,
-        MidReorgRollback, MidResubmission,
+        PostStage, MidShardCommit, PostWriteBlock, MidWalAppend, MidSstableFlush, MidReorgRollback,
+        MidResubmission,
     };
     let libs = files.iter().filter(|(p, _)| {
         let rel = p.strip_prefix(root()).expect("under the root");
@@ -345,6 +345,6 @@ fn registry_drift_is_flagged_both_directions() {
     let pointers = "//! Pointers to ARCHITECTURE.md, NOWHERE.md and ROADMAP.md.";
     assert_eq!(missing_docs(pointers), ["NOWHERE.md is not at the root"]);
     let hooks =
-        "fn f() { hit(FaultPoint::PreMerge) } #[cfg(test)] fn t() { hit(FaultPoint::PostStage) }";
-    assert_eq!(fault_hooks(hooks), ["PreMerge"]);
+        "fn f() { hit(FaultPoint::MidShardCommit) } #[cfg(test)] fn t() { hit(FaultPoint::PostStage) }";
+    assert_eq!(fault_hooks(hooks), ["MidShardCommit"]);
 }
