@@ -10,7 +10,8 @@ fn main() -> Result<(), grub_fault::KnobError> {
     for (name, title, f) in selected {
         let start = std::time::Instant::now();
         println!("==== {name}: {title} ====\n");
-        println!("{}", f());
+        let tables: Vec<String> = f().iter().map(grub_bench::Table::render).collect();
+        println!("{}", tables.join("\n"));
         println!("---- ({name} took {:.1?})\n", start.elapsed());
     }
     println!("all experiments done in {:.1?}", start_all.elapsed());
