@@ -2,7 +2,6 @@
 //! and the chain-realism axes (seeded reorgs, a volatile gas-price process,
 //! bounded-capacity mempool contention).
 
-use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
@@ -34,9 +33,9 @@ pub struct ReorgConfig {
 /// Mempool contention parameters (see [`ChainConfig::mempool`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MempoolConfig {
-    /// Maximum transactions mined per block (min 1). Overflow stays queued
-    /// for later blocks, ordered by descending [`Transaction::priority`]
-    /// (stable: equal priorities keep submission order).
+    /// Maximum transactions mined per block (min 1). Eligible transactions
+    /// mine in queue order; overflow stays queued for later blocks, ahead of
+    /// newer submissions.
     pub max_txs_per_block: usize,
 }
 
@@ -364,14 +363,10 @@ pub struct Transaction {
     pub input: Vec<u8>,
     /// Which layer pays the `Ctx` envelope cost.
     pub envelope_layer: Layer,
-    /// Mempool priority under [`ChainConfig::mempool`] congestion: higher
-    /// values mine first; ties keep submission order. Ignored (all
-    /// transactions mine together) when the mempool is unbounded.
-    pub priority: u8,
 }
 
 impl Transaction {
-    /// Builds a transaction (default priority 0).
+    /// Builds a transaction.
     pub fn new(
         from: Address,
         to: Address,
@@ -385,14 +380,7 @@ impl Transaction {
             func: func.into(),
             input,
             envelope_layer,
-            priority: 0,
         }
-    }
-
-    /// Sets the mempool priority (see [`Transaction::priority`]).
-    pub fn with_priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
-        self
     }
 }
 
@@ -589,10 +577,11 @@ impl Blockchain {
     /// The sealed block is folded into the chain's running digest before it
     /// is retained, and — under [`ChainConfig::retain_blocks`] — the oldest
     /// bodies past the window are dropped. Under [`ChainConfig::mempool`]
-    /// congestion only the highest-priority transactions up to the per-block
-    /// capacity mine; the rest stay queued. Under [`ChainConfig::reorg`],
-    /// heights divisible by the fork period first mine an abandoned fork
-    /// block, roll the chain back, and re-commit the canonical branch.
+    /// congestion only the first transactions in queue order, up to the
+    /// per-block capacity, mine; the rest stay queued. Under
+    /// [`ChainConfig::reorg`], heights divisible by the fork period first
+    /// mine an abandoned fork block, roll the chain back, and re-commit the
+    /// canonical branch.
     ///
     /// # Panics
     ///
@@ -634,8 +623,8 @@ impl Blockchain {
 
     /// Selects the transactions the next block will mine: everything whose
     /// inclusion delay has elapsed (everything, when latency is off), then —
-    /// under mempool congestion — the top `max_txs_per_block` by priority
-    /// (stable, so equal priorities keep submission order). Capacity
+    /// under mempool congestion — the first `max_txs_per_block` of them in
+    /// queue order (submission order, earlier overflow first). Capacity
     /// overflow re-queues ahead of still-delayed transactions; a
     /// transaction selected once never re-waits its delay.
     fn take_block_pending(&mut self) -> Vec<(TxId, Transaction)> {
@@ -652,7 +641,6 @@ impl Blockchain {
         self.mempool = delayed;
         if let Some(mp) = self.config.mempool {
             let cap = mp.max_txs_per_block.max(1);
-            candidates.sort_by_key(|(_, tx)| Reverse(tx.priority));
             if candidates.len() > cap {
                 let overflow = candidates.split_off(cap).into_iter().map(|p| (0, p));
                 self.mempool.splice(0..0, overflow);
@@ -1749,7 +1737,7 @@ mod tests {
     }
 
     #[test]
-    fn congested_mempool_splits_blocks_by_priority() {
+    fn congested_mempool_splits_blocks_in_submission_order() {
         let mut capped = Blockchain::with_config(ChainConfig::default().mempool(2));
         let widget = Address::derive("widget");
         let user = Address::derive("user");
@@ -1757,37 +1745,32 @@ mod tests {
         let mut enc = Encoder::new();
         enc.u64(1);
         let payload = enc.finish();
-        let mut ids = Vec::new();
-        for priority in [0u8, 1, 2, 0, 2] {
-            let tx = Transaction::new(user, widget, "set", payload.clone(), Layer::User)
-                .with_priority(priority);
-            ids.push(capped.submit(tx));
-        }
-        let first: Vec<TxId> = capped
-            .produce_block()
-            .receipts
-            .iter()
-            .map(|r| r.tx_id)
+        let ids: Vec<TxId> = (0..5)
+            .map(|_| {
+                capped.submit(Transaction::new(
+                    user,
+                    widget,
+                    "set",
+                    payload.clone(),
+                    Layer::User,
+                ))
+            })
+            .collect();
+        let blocks: Vec<Vec<TxId>> = (0..3)
+            .map(|_| {
+                capped
+                    .produce_block()
+                    .receipts
+                    .iter()
+                    .map(|r| r.tx_id)
+                    .collect()
+            })
             .collect();
         assert_eq!(
-            first,
-            vec![ids[2], ids[4]],
-            "highest priority mines first; ties keep submission order"
+            blocks,
+            vec![vec![ids[0], ids[1]], vec![ids[2], ids[3]], vec![ids[4]]],
+            "a full block mines the oldest transactions; overflow drains in later blocks"
         );
-        let second: Vec<TxId> = capped
-            .produce_block()
-            .receipts
-            .iter()
-            .map(|r| r.tx_id)
-            .collect();
-        assert_eq!(second, vec![ids[1], ids[0]]);
-        let third: Vec<TxId> = capped
-            .produce_block()
-            .receipts
-            .iter()
-            .map(|r| r.tx_id)
-            .collect();
-        assert_eq!(third, vec![ids[3]], "overflow drains in later blocks");
         assert_eq!(capped.mempool_len(), 0);
     }
 

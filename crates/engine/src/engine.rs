@@ -124,132 +124,6 @@ impl EngineConfig {
     }
 }
 
-/// Priority tier of a tenant's Gas quota ([`TenantBudget::tier`]) — the
-/// engine's quota classes.
-///
-/// Tiers order tenants within a scheduler round two ways:
-///
-/// * **Refill rate** — higher tiers refill faster: per round, `High` earns
-///   4 × `gas_per_round`, `Standard` 1 ×, and `Low` 1 × every *other*
-///   round.
-/// * **Drain order** — within a round, higher tiers run first: their
-///   epochs stage first and their sections occupy the front of the shard's
-///   batch, so on a spill the high tier rides the first transaction of the
-///   block. The ordering is stable, so same-tier feeds keep declaration
-///   order and runs stay deterministic.
-///
-/// Every tier carries a *starvation bound* K
-/// ([`QuotaTier::starvation_bound`]): a feed is parked at most K − 1
-/// consecutive rounds, after which it is force-run regardless of balance
-/// (driving its bucket into debt if needed). Adversarial high-tier
-/// pressure can therefore delay a low-tier feed, but never beyond K rounds
-/// per epoch — asserted in `tests/engine.rs`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub enum QuotaTier {
-    /// Background tier: half-rate refill, drains last, K = 8.
-    Low,
-    /// The default tier: 1 × refill, K = 4.
-    #[default]
-    Standard,
-    /// Latency-sensitive tier: 4 × refill, drains first, K = 2.
-    High,
-}
-
-impl QuotaTier {
-    /// Feed-layer Gas added to the tier's bucket at scheduler round
-    /// `round`, given the budget's base `gas_per_round`.
-    pub fn refill(self, round: usize, gas_per_round: u64) -> u64 {
-        match self {
-            QuotaTier::High => gas_per_round.saturating_mul(4),
-            QuotaTier::Standard => gas_per_round,
-            // Half rate, deterministically: earns only on even rounds.
-            QuotaTier::Low => {
-                if round.is_multiple_of(2) {
-                    gas_per_round
-                } else {
-                    0
-                }
-            }
-        }
-    }
-
-    /// The starvation bound K: a feed of this tier runs at least once every
-    /// K scheduler rounds, no matter how deep its quota debt is.
-    pub fn starvation_bound(self) -> usize {
-        match self {
-            QuotaTier::High => 2,
-            QuotaTier::Standard => 4,
-            QuotaTier::Low => 8,
-        }
-    }
-}
-
-/// Mempool ordering rank of a quota tier — higher mines first when a
-/// bounded mempool ([`grub_chain::MempoolConfig`]) fills a block.
-fn tier_priority(tier: QuotaTier) -> u8 {
-    match tier {
-        QuotaTier::Low => 0,
-        QuotaTier::Standard => 1,
-        QuotaTier::High => 2,
-    }
-}
-
-/// A per-tenant feed-layer Gas quota, enforced by the scheduler as a token
-/// bucket with deferral.
-///
-/// Every scheduler round the tenant's balance grows by `gas_per_round`
-/// (capped at `burst`); a feed whose next epoch is estimated to cost more
-/// than its balance is *parked* — it keeps its trace position and all staged
-/// state untouched and is retried next round, by which time the bucket has
-/// refilled. Spending is charged at the epoch's actual metered feed-layer
-/// cost (the tenant's own transactions plus its byte-proportional share of
-/// shard batches) and may drive the balance into debt, parking the feed for
-/// proportionally more rounds. The estimate is the previous epoch's actual
-/// cost, so a tenant's first epoch always runs.
-///
-/// Parking never starves, twice over: the balance strictly increases while
-/// parked, a feed whose epochs cost more than `burst` (so no amount of
-/// waiting would cover them) runs as soon as the bucket is full — and the
-/// quota class's starvation bound ([`QuotaTier::starvation_bound`])
-/// force-runs any feed parked K − 1 consecutive rounds regardless of
-/// balance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TenantBudget {
-    /// Feed-layer Gas granted to the tenant each scheduler round (≥ 1),
-    /// before the tier's refill scaling.
-    pub gas_per_round: u64,
-    /// Cap on the accumulated unspent allowance (≥ `gas_per_round`).
-    pub burst: u64,
-    /// The quota class: refill scaling, drain priority, and starvation
-    /// bound. Defaults to [`QuotaTier::Standard`].
-    pub tier: QuotaTier,
-}
-
-impl TenantBudget {
-    /// A budget granting `gas` per round with a default burst of four
-    /// rounds' allowance, in the [`QuotaTier::Standard`] class.
-    pub fn per_round(gas: u64) -> Self {
-        let gas = gas.max(1);
-        TenantBudget {
-            gas_per_round: gas,
-            burst: gas.saturating_mul(4),
-            tier: QuotaTier::Standard,
-        }
-    }
-
-    /// Overrides the burst cap (clamped to at least one round's allowance).
-    pub fn burst(mut self, burst: u64) -> Self {
-        self.burst = burst.max(self.gas_per_round);
-        self
-    }
-
-    /// Assigns the quota class ([`QuotaTier`]).
-    pub fn tier(mut self, tier: QuotaTier) -> Self {
-        self.tier = tier;
-        self
-    }
-}
-
 /// One tenant's feed: a name, a full single-feed configuration, and the
 /// workload *stream* the engine will pull through it.
 #[derive(Clone, Debug)]
@@ -264,9 +138,6 @@ pub struct FeedSpec {
     /// materialized [`Trace`] rides along as `trace.into_source()`;
     /// generator sources stream at O(1) trace-side memory.
     pub source: Box<dyn OpSource>,
-    /// Optional per-tenant Gas quota ([`TenantBudget`]); `None` schedules
-    /// the feed every round unconditionally.
-    pub budget: Option<TenantBudget>,
 }
 
 impl FeedSpec {
@@ -280,14 +151,7 @@ impl FeedSpec {
             tenant: tenant.into(),
             config,
             source,
-            budget: None,
         }
-    }
-
-    /// Attaches a per-tenant Gas quota.
-    pub fn with_budget(mut self, budget: TenantBudget) -> Self {
-        self.budget = Some(budget);
-        self
     }
 
     /// Materializes the spec's stream from its current position (cloning
@@ -329,78 +193,11 @@ struct FeedSlot {
     /// The feed's cumulative shares of shard batch transactions, indexed by
     /// [`BatchKind`].
     batched: [u64; 2],
-    budget: Option<TenantBudget>,
-    /// Quota balance, in feed-layer Gas. Signed: spending is charged at the
-    /// actual metered cost and may run the bucket into debt.
-    balance: i128,
-    /// Actual feed-layer cost of the most recent epoch — the scheduler's
-    /// cost estimate for the next one.
-    last_epoch_cost: Option<u64>,
-    parked_rounds: usize,
-    /// Consecutive rounds parked since the feed last ran — what the tier's
-    /// starvation bound caps.
-    parked_streak: usize,
-    /// Longest park streak observed, surfaced in the tenant report so tests
-    /// can assert the starvation bound held.
-    max_parked_streak: usize,
 }
 
 impl FeedSlot {
     fn exhausted(&self) -> bool {
         self.source.is_exhausted()
-    }
-
-    /// The feed's cumulative share of shard batch transactions.
-    fn batched_gas(&self) -> u64 {
-        let [update, deliver] = self.batched;
-        checked_add_gas(update, deliver)
-    }
-
-    /// The feed's quota class (Standard when it has no budget at all).
-    fn tier(&self) -> QuotaTier {
-        self.budget.map_or(QuotaTier::Standard, |b| b.tier)
-    }
-
-    /// Refills the quota bucket for round `round` and decides whether the
-    /// feed can afford its next epoch. Feeds without a budget always run.
-    fn refill_and_decide(&mut self, round: usize) -> bool {
-        let Some(budget) = self.budget else {
-            return true;
-        };
-        let per_round = budget.gas_per_round.max(1);
-        let burst = i128::from(budget.burst.max(per_round));
-        let refill = i128::from(budget.tier.refill(round, per_round));
-        self.balance = (self.balance + refill).min(burst);
-        let estimate = i128::from(self.last_epoch_cost.unwrap_or(0));
-        // Park while the estimated cost exceeds the balance — unless the
-        // bucket is already full (waiting cannot help) or the tier's
-        // starvation bound is due (a feed parked K−1 consecutive rounds
-        // must run on the Kth, debt or not).
-        if estimate > self.balance
-            && self.balance < burst
-            && self.parked_streak + 1 < budget.tier.starvation_bound()
-        {
-            self.parked_rounds += 1;
-            self.parked_streak += 1;
-            self.max_parked_streak = self.max_parked_streak.max(self.parked_streak);
-            return false;
-        }
-        self.parked_streak = 0;
-        true
-    }
-
-    /// Charges the epoch the driver just booked against the quota (debt
-    /// allowed) and records it as the next round's estimate. Its actual
-    /// metered feed-layer cost is the booked report's own Gas plus the
-    /// batch shares accrued since `batched_before`.
-    fn charge_epoch(&mut self, batched_before: u64) {
-        let own = self.driver.reports().last().map_or(0, |e| e.feed_gas);
-        let share = checked_sub_gas(self.batched_gas(), batched_before);
-        let cost = checked_add_gas(own, share);
-        self.last_epoch_cost = Some(cost);
-        if self.budget.is_some() {
-            self.balance -= i128::from(cost);
-        }
     }
 }
 
@@ -436,10 +233,6 @@ impl BatchKind {
 struct RoundTally {
     /// Trace operations staged into the round's epochs.
     staged_ops: usize,
-    /// Feeds the quota parked this round.
-    parked: usize,
-    /// The longest park streak among them.
-    max_parked_streak: usize,
     /// Shard-batch Gas, indexed by [`BatchKind`].
     gas: [u64; 2],
     /// Shard-batch sections, indexed likewise.
@@ -447,10 +240,9 @@ struct RoundTally {
 }
 
 /// One runnable feed's round-local state as it moves through the pipeline:
-/// staged update payloads plus the batch-share baseline for quota charging.
+/// its staged update payloads.
 struct RoundFeed {
     idx: usize,
-    batched_before: u64,
     update: StagedUpdate,
 }
 
@@ -524,12 +316,6 @@ impl FeedEngine {
                 driver,
                 source: PeekableSource::new(spec.source),
                 batched: [0; 2],
-                budget: spec.budget,
-                balance: 0,
-                last_epoch_cost: None,
-                parked_rounds: 0,
-                parked_streak: 0,
-                max_parked_streak: 0,
             });
         }
         chain.meter_reset();
@@ -554,9 +340,8 @@ impl FeedEngine {
         FeedEngine::new(config, specs)?.run()
     }
 
-    /// Drives every feed's trace to completion, one epoch per feed per
-    /// round (quota-parked feeds skip rounds), and returns the per-tenant
-    /// + aggregate report.
+    /// Drives every feed's trace to completion, one epoch per live feed per
+    /// round, and returns the per-tenant + aggregate report.
     ///
     /// # Errors
     ///
@@ -638,8 +423,6 @@ impl FeedEngine {
         let base = grub_gas::BASE_PRICE_PERMILLE;
         let RoundTally {
             staged_ops,
-            parked,
-            max_parked_streak,
             gas: [update_gas, deliver_gas],
             sections: [update_sections, deliver_sections],
         } = self.round;
@@ -652,8 +435,6 @@ impl FeedEngine {
             deliver_gas,
             update_sections,
             deliver_sections,
-            parked,
-            max_parked_streak,
             scrub_findings,
             scrub_repaired,
             fee_low_permille: prices.clone().min().unwrap_or(base),
@@ -702,39 +483,19 @@ impl FeedEngine {
 
     /// One scheduler round, the same loop in every [`Batching`] rung.
     ///
-    /// Every feed with trace remaining and quota to spend runs one epoch,
-    /// higher quota tiers first. The runnable feeds form commit groups: one
-    /// per feed with batching off, one per shard (ascending) otherwise.
-    /// Each group stages and commits before the next begins, in the
-    /// paper's epoch order (§3.3): its feeds ingest and stage off-chain,
-    /// then its updates land (the feed's own pending transactions, or one
-    /// shard batch mined as the write block), then its read phase runs.
-    /// Staging never touches the chain, so where it sits relative to other
-    /// groups' blocks cannot move a digest.
+    /// Every feed with trace remaining runs one epoch, in declaration order.
+    /// The runnable feeds form commit groups: one per feed with batching
+    /// off, one per shard (ascending) otherwise. Each group stages and
+    /// commits before the next begins, in the paper's epoch order (§3.3):
+    /// its feeds ingest and stage off-chain, then its updates land (the
+    /// feed's own pending transactions, or one shard batch mined as the
+    /// write block), then its read phase runs. Staging never touches the
+    /// chain, so where it sits relative to other groups' blocks cannot move
+    /// a digest.
     fn run_round(&mut self) -> Result<()> {
-        let round = self.rounds;
-        let mut runnable: Vec<usize> = Vec::new();
-        for (idx, feed) in self.feeds.iter_mut().enumerate() {
-            if feed.exhausted() {
-                continue;
-            }
-            if feed.refill_and_decide(round) {
-                runnable.push(idx);
-            } else {
-                self.round.parked += 1;
-                self.round.max_parked_streak = self.round.max_parked_streak.max(feed.parked_streak);
-            }
-        }
-        if runnable.is_empty() {
-            return Ok(()); // every live feed is parked; quota refills next round
-        }
-        // Priority drain order: higher tiers run (and batch) first within
-        // the round. The sort is stable, so same-tier feeds keep their
-        // declaration order and the schedule stays deterministic.
-        runnable.sort_by_key(|&idx| std::cmp::Reverse(self.feeds[idx].tier()));
+        let runnable = (0..self.feeds.len()).filter(|&idx| !self.feeds[idx].exhausted());
         let groups: Vec<(usize, Vec<usize>)> = if self.batching == Batching::Off {
             runnable
-                .into_iter()
                 .map(|idx| (self.feeds[idx].shard, vec![idx]))
                 .collect()
         } else {
@@ -756,17 +517,11 @@ impl FeedEngine {
             }
             let mut round_feeds = Vec::with_capacity(idxs.len());
             for idx in idxs {
-                // A parked feed is simply not pulled, so its stream position
-                // never moves.
                 let feed = &mut self.feeds[idx];
                 feed.driver.ingest(&mut feed.source);
                 let update = feed.driver.stage_update()?;
                 self.round.staged_ops += update.ops;
-                round_feeds.push(RoundFeed {
-                    idx,
-                    batched_before: feed.batched_gas(),
-                    update,
-                });
+                round_feeds.push(RoundFeed { idx, update });
             }
             fault_check(FaultPoint::PostStage)?;
             if self.batching == Batching::Off {
@@ -800,10 +555,9 @@ impl FeedEngine {
     /// into shared-proof payloads ([`coalesce_delivers`]: one section per
     /// feed, unless the calldata bound splits it), then the group's
     /// sections ride one `batchDeliver` transaction; finally the epochs are
-    /// booked and quotas charged. A live-tempo feed's driver mines its own
-    /// delivers and stages none; every feed in the lower rungs runs the
-    /// per-feed read phase with its own deliver transactions, and the empty
-    /// batch is a no-op.
+    /// booked. A live-tempo feed's driver mines its own delivers and stages
+    /// none; every feed in the lower rungs runs the per-feed read phase with
+    /// its own deliver transactions, and the empty batch is a no-op.
     fn run_shard_read_phase(&mut self, shard_idx: usize, staged: Vec<RoundFeed>) -> Result<()> {
         let mut sections: Vec<(usize, Vec<u8>)> = Vec::new();
         let mut booked: Vec<(RoundFeed, StagedReads)> = Vec::new();
@@ -817,14 +571,13 @@ impl FeedEngine {
                 booked.push((rf, reads));
             } else {
                 feed.driver.run_read_phase(&mut self.chain, &rf.update)?;
-                feed.charge_epoch(rf.batched_before);
             }
         }
         self.submit_shard_batch(shard_idx, BatchKind::Deliver, sections)?;
         for (rf, reads) in booked {
-            let feed = &mut self.feeds[rf.idx];
-            feed.driver.finish_staged_epoch(&rf.update, &reads);
-            feed.charge_epoch(rf.batched_before);
+            self.feeds[rf.idx]
+                .driver
+                .finish_staged_epoch(&rf.update, &reads);
         }
         Ok(())
     }
@@ -872,33 +625,28 @@ impl FeedEngine {
         let mut submitted: Vec<(TxId, Vec<(usize, usize)>)> = Vec::with_capacity(planned.len());
         for mut batch in planned {
             let parts: Vec<(usize, usize)> = batch.iter().map(|(f, p)| (*f, p.len())).collect();
-            // Under mempool congestion, a transaction's priority is its
-            // tenants' quota tier (a batch takes the highest tier aboard),
-            // so latency-sensitive feeds keep mining first when blocks fill.
-            let priority = parts
-                .iter()
-                .map(|(feed_idx, _)| tier_priority(self.feeds[*feed_idx].tier()))
-                .max()
-                .unwrap_or(0);
             let id = if batch.len() == 1 {
                 // Lone section: the feed's own transaction is strictly
                 // cheaper than a one-section batch.
                 let (feed_idx, payload) = batch.swap_remove(0);
                 let driver = &self.feeds[feed_idx].driver;
                 let (from, func) = kind.direct_call(driver);
-                self.chain.submit(
-                    Transaction::new(from, driver.manager(), func, payload, Layer::Feed)
-                        .with_priority(priority),
-                )
+                self.chain.submit(Transaction::new(
+                    from,
+                    driver.manager(),
+                    func,
+                    payload,
+                    Layer::Feed,
+                ))
             } else {
-                self.submit_router_tx(shard_idx, kind, batch, priority)
+                self.submit_router_tx(shard_idx, kind, batch)
             };
             submitted.push((id, parts));
         }
         // Mine until the mempool drains — one block in the uncongested case,
         // several when a bounded mempool splits or delays the batch.
-        // Receipts are matched back by transaction id: under congestion a
-        // block's execution order is priority order, not submission order.
+        // Receipts are matched back by transaction id: inclusion latency
+        // and reorg resubmission can mine them out of submission order.
         let before = self.chain.gas_snapshot();
         let mut by_id: std::collections::HashMap<u64, (bool, Option<String>, u64)> =
             std::collections::HashMap::with_capacity(submitted.len());
@@ -974,23 +722,19 @@ impl FeedEngine {
         shard_idx: usize,
         kind: BatchKind,
         batch: Vec<(usize, Vec<u8>)>,
-        priority: u8,
     ) -> TxId {
         let sections: Vec<(Address, Vec<u8>)> = batch
             .into_iter()
             .map(|(feed_idx, payload)| (self.feeds[feed_idx].driver.manager(), payload))
             .collect();
         let shard = &self.shards[shard_idx];
-        self.chain.submit(
-            Transaction::new(
-                shard.operator,
-                shard.router,
-                kind.func(),
-                encode_sections(&sections),
-                Layer::Feed,
-            )
-            .with_priority(priority),
-        )
+        self.chain.submit(Transaction::new(
+            shard.operator,
+            shard.router,
+            kind.func(),
+            encode_sections(&sections),
+            Layer::Feed,
+        ))
     }
 
     /// The shared chain, for assertions.
@@ -1039,8 +783,6 @@ impl FeedEngine {
                     shard: feed.shard,
                     batched_update_gas,
                     batched_deliver_gas,
-                    parked_rounds: feed.parked_rounds,
-                    max_parked_streak: feed.max_parked_streak,
                     run: feed.driver.into_report(),
                 }
             })
@@ -1202,93 +944,6 @@ mod tests {
         assert_eq!(report.shard_deliver_gas.iter().sum::<u64>(), 0);
         assert!(report.tenants.iter().all(|t| t.batched_update_gas == 0));
         assert!(report.tenants.iter().all(|t| t.batched_deliver_gas == 0));
-    }
-
-    #[test]
-    fn quota_parks_and_never_starves() {
-        // A tight budget: one epoch of this workload costs well over 2000
-        // gas, so the feed must park between epochs yet still complete.
-        // Small epochs (4 ops) so the trace spans several epochs — the
-        // first epoch always runs (no cost history), parking starts after.
-        let cfg = || SystemConfig::new(PolicyKind::Memoryless { k: 2 }).epoch_ops(4);
-        let specs = vec![
-            FeedSpec::from_source(
-                "budgeted",
-                cfg(),
-                Box::new(RatioWorkload::new("budgeted-key", 1.0).source(12)),
-            )
-            .with_budget(TenantBudget::per_round(2_000)),
-            FeedSpec::from_source(
-                "free",
-                cfg(),
-                Box::new(RatioWorkload::new("free-key", 1.0).source(12)),
-            ),
-        ];
-        let total_ops: usize = specs.iter().map(|s| s.materialized().ops.len()).sum();
-        let report = FeedEngine::run_specs(&EngineConfig::new(1), specs).unwrap();
-        assert_eq!(report.total_ops(), total_ops, "parked feed must complete");
-        let budgeted = &report.tenants[0];
-        assert!(
-            budgeted.parked_rounds > 0,
-            "a tight quota must actually defer epochs"
-        );
-        assert_eq!(report.tenants[1].parked_rounds, 0);
-        // The schedule stretched: more rounds than the unhindered feed's
-        // epoch count.
-        assert!(report.rounds > report.tenants[1].run.epochs.len());
-    }
-
-    #[test]
-    fn quota_tiers_refill_and_bound_as_documented() {
-        assert_eq!(QuotaTier::High.refill(0, 10), 40);
-        assert_eq!(QuotaTier::High.refill(1, 10), 40);
-        assert_eq!(QuotaTier::Standard.refill(7, 10), 10);
-        assert_eq!(QuotaTier::Low.refill(0, 10), 10, "low earns on even rounds");
-        assert_eq!(QuotaTier::Low.refill(1, 10), 0, "and skips odd rounds");
-        assert!(QuotaTier::High.starvation_bound() < QuotaTier::Standard.starvation_bound());
-        assert!(QuotaTier::Standard.starvation_bound() < QuotaTier::Low.starvation_bound());
-        // The Ord derive is the drain order: higher tier sorts later, so
-        // Reverse puts it first in the schedule.
-        assert!(QuotaTier::Low < QuotaTier::Standard && QuotaTier::Standard < QuotaTier::High);
-        assert_eq!(TenantBudget::per_round(5).tier, QuotaTier::Standard);
-    }
-
-    #[test]
-    fn higher_tier_sections_lead_the_shard_batch() {
-        // One shard, two write-leaning feeds; the feed declared *second*
-        // carries the High tier, so tier — not declaration order — must put
-        // its update section first in every shard batch.
-        let budget = |tier| TenantBudget::per_round(1_000_000).tier(tier);
-        let specs = vec![
-            spec("aaa", 0.5, 8).with_budget(budget(QuotaTier::Low)),
-            spec("bbb", 0.5, 8).with_budget(budget(QuotaTier::High)),
-        ];
-        let (_, chain) = FeedEngine::new(&EngineConfig::new(1), specs)
-            .unwrap()
-            .run_with_chain()
-            .unwrap();
-        let mgr_low = Address::derive("grub-storage-manager/tenant/aaa");
-        let mgr_high = Address::derive("grub-storage-manager/tenant/bbb");
-        let mut saw_batched_round = false;
-        for block in chain.blocks() {
-            let records = &block.call_records;
-            if !records.iter().any(|c| c.func == "batchUpdate") {
-                continue;
-            }
-            let pos = |mgr| {
-                records
-                    .iter()
-                    .position(|c| c.to == mgr && c.func == "update")
-            };
-            if let (Some(high), Some(low)) = (pos(mgr_high), pos(mgr_low)) {
-                saw_batched_round = true;
-                assert!(
-                    high < low,
-                    "high tier must drain first within the batch ({high} vs {low})"
-                );
-            }
-        }
-        assert!(saw_batched_round, "the feeds must actually share a batch");
     }
 
     #[test]

@@ -40,11 +40,11 @@
 //!   tree) and its own namespaced storage-manager + consumer contracts.
 //!   Feeds cannot observe each other's keys, decisions, or replicas.
 //! * **Scheduling** — the engine runs feeds in *rounds*: round `r` lets
-//!   every feed with trace left (and quota to spend, see below) ingest one
-//!   epoch's worth of operations and close that epoch, higher quota tiers
-//!   first. Every [`Batching`] rung runs the same round loop: the runnable
-//!   feeds form commit groups — one per shard, or one per feed with
-//!   batching [`Off`](Batching::Off) — and each group in turn stages
+//!   every feed with trace left ingest one epoch's worth of operations and
+//!   close that epoch, in declaration order. Every [`Batching`] rung runs
+//!   the same round loop: the runnable feeds form commit groups — one per
+//!   shard, or one per feed with batching [`Off`](Batching::Off) — and
+//!   each group in turn stages
 //!   off-chain, commits its updates, then runs its read phase: the paper's
 //!   epoch order (§3.3), the DO's `update` before the reads and delivers.
 //!   A shard group's updates are one batch mined as the write block; an
@@ -53,11 +53,10 @@
 //!   measured against.
 //! * **Determinism contract** — a run is a deterministic function of its
 //!   specs: staging never touches the chain, and the groups run in a fixed
-//!   order (ascending shards, or the drain order of single-feed groups) —
-//!   so reruns mine byte-for-byte identical chains
-//!   (equal [`Blockchain::chain_digest`](grub_chain::Blockchain::chain_digest)),
-//!   quotas and parking included. No wall clock or map iteration order
-//!   ever reaches the schedule.
+//!   order (ascending shards, or declaration order for single-feed
+//!   groups) — so reruns mine byte-for-byte identical chains
+//!   (equal [`Blockchain::chain_digest`](grub_chain::Blockchain::chain_digest)).
+//!   No wall clock or map iteration order ever reaches the schedule.
 //! * **Sharding** — each tenant is assigned to one of a fixed set of shards
 //!   by FNV-1a hash of its name ([`tenant_shard`]). A shard owns an
 //!   on-chain [`ShardRouter`] contract and a shard-operator account.
@@ -83,26 +82,6 @@
 //!   ([`EngineConfig::without_read_batching`]) turns it off to isolate the
 //!   write-only savings; live-tempo feeds fall back to their own
 //!   per-request deliver transactions automatically.
-//! * **Per-tenant Gas quotas** — an optional [`TenantBudget`] per feed
-//!   turns the scheduler into a token bucket with deferral. Knobs:
-//!   `gas_per_round` (feed-layer Gas granted per scheduler round, ≥ 1),
-//!   `burst` (cap on accumulated unspent allowance, default 4 rounds'
-//!   worth), and `tier` (the quota class, default
-//!   [`QuotaTier::Standard`]). A feed whose next epoch is estimated (by its
-//!   previous epoch's actual metered cost: own transactions plus
-//!   byte-proportional batch shares) to exceed its balance is *parked* —
-//!   trace position and staged state untouched — and retried next round;
-//!   spending may run the bucket into debt, parking proportionally longer.
-//!   A full bucket always runs, and deferral never changes what an epoch
-//!   computes, only when it runs.
-//! * **Priority tiers** — [`QuotaTier`] classes the quota three ways:
-//!   `High` refills 4 × `gas_per_round` per round, `Standard` 1 ×, `Low`
-//!   1 × every other round; within a round higher tiers run first and
-//!   their sections lead the shard batch (on a spill the high tier rides
-//!   the first transaction); and each tier carries a starvation bound K
-//!   (High 2, Standard 4, Low 8) — a feed parked K − 1 consecutive rounds
-//!   is force-run on the Kth regardless of balance, so adversarial
-//!   high-tier pressure can delay a low-tier epoch by at most K rounds.
 //!
 //! # Invariants
 //!
@@ -111,7 +90,7 @@
 //!    the engine submits exactly the transactions N single-feed
 //!    `GrubSystem` runs would: total
 //!    feed-layer Gas equals the sum of the N standalone runs (checked in
-//!    `tests/engine.rs`), quota deferral included.
+//!    `tests/engine.rs`).
 //! 2. **Batching only removes envelopes and shared proof levels** — the
 //!    batched paths change *who carries* the update and deliver payloads:
 //!    replica storage writes, digests, delivered records and callbacks are
@@ -126,8 +105,7 @@
 //!    the shares sum exactly to the metered shard totals — spilled batches
 //!    included — so the aggregate report loses nothing to rounding.
 //! 4. **Determinism** — two runs with identical specs produce byte-identical
-//!    [`EngineReport::render_table`] output *and* equal chain digests,
-//!    quotas and parking included.
+//!    [`EngineReport::render_table`] output *and* equal chain digests.
 //!
 //! # Example
 //!
@@ -165,10 +143,7 @@ mod report;
 mod router;
 pub mod specs;
 
-pub use engine::{
-    scrub_from_env, tenant_shard, Batching, EngineConfig, FeedEngine, FeedSpec, QuotaTier,
-    TenantBudget,
-};
+pub use engine::{scrub_from_env, tenant_shard, Batching, EngineConfig, FeedEngine, FeedSpec};
 pub use grub_fault::KnobError;
 pub use report::{EngineReport, EpochMetrics, TenantReport};
 pub use router::ShardRouter;

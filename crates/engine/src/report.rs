@@ -23,13 +23,6 @@ pub struct TenantReport {
     /// The tenant's byte-proportional share of its shard's batched deliver
     /// transactions (zero below [`Batching::Full`]).
     pub batched_deliver_gas: u64,
-    /// Scheduler rounds in which the tenant's quota parked its next epoch
-    /// (zero without a [`TenantBudget`](crate::TenantBudget)).
-    pub parked_rounds: usize,
-    /// Longest run of *consecutive* parked rounds — by the quota class's
-    /// starvation bound, always strictly below
-    /// [`QuotaTier::starvation_bound`](crate::QuotaTier::starvation_bound).
-    pub max_parked_streak: usize,
 }
 
 impl TenantReport {
@@ -78,10 +71,6 @@ pub struct EpochMetrics {
     pub update_sections: usize,
     /// Deliver sections carried by this round's shard batches.
     pub deliver_sections: usize,
-    /// Feeds the quota scheduler parked this round.
-    pub parked: usize,
-    /// Longest consecutive-park streak across feeds, as of this round.
-    pub max_parked_streak: usize,
     /// Scrub findings reported at this round's epoch boundary (zero with
     /// scrubbing off).
     pub scrub_findings: usize,
@@ -192,21 +181,13 @@ impl EngineReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<14}{:>6}  {:<30}{:>8}{:>14}{:>12}{:>10}{:>10}{:>8}",
-            "tenant",
-            "shard",
-            "policy",
-            "ops",
-            "feed gas",
-            "gas/op",
-            "upd gas",
-            "dlv gas",
-            "parked"
+            "{:<14}{:>6}  {:<30}{:>8}{:>14}{:>12}{:>10}{:>10}",
+            "tenant", "shard", "policy", "ops", "feed gas", "gas/op", "upd gas", "dlv gas"
         );
         for t in &self.tenants {
             let _ = writeln!(
                 out,
-                "{:<14}{:>6}  {:<30}{:>8}{:>14}{:>12.1}{:>10}{:>10}{:>8}",
+                "{:<14}{:>6}  {:<30}{:>8}{:>14}{:>12.1}{:>10}{:>10}",
                 t.tenant,
                 t.shard,
                 t.run.policy,
@@ -215,7 +196,6 @@ impl EngineReport {
                 t.feed_gas_per_op(),
                 t.batched_update_gas,
                 t.batched_deliver_gas,
-                t.parked_rounds,
             );
         }
         let mode = match self.batching {
@@ -225,7 +205,7 @@ impl EngineReport {
         };
         let _ = writeln!(
             out,
-            "{:<14}{:>6}  {:<30}{:>8}{:>14}{:>12.1}{:>10}{:>10}{:>8}",
+            "{:<14}{:>6}  {:<30}{:>8}{:>14}{:>12.1}{:>10}{:>10}",
             "TOTAL",
             "-",
             mode,
@@ -234,7 +214,6 @@ impl EngineReport {
             self.feed_gas_per_op(),
             self.shard_update_gas.iter().sum::<u64>(),
             self.shard_deliver_gas.iter().sum::<u64>(),
-            self.tenants.iter().map(|t| t.parked_rounds).sum::<usize>(),
         );
         let _ = writeln!(
             out,
@@ -273,8 +252,6 @@ mod tests {
             },
             batched_update_gas: batch,
             batched_deliver_gas: 5,
-            parked_rounds: 0,
-            max_parked_streak: 0,
         }
     }
 

@@ -65,7 +65,7 @@ impl Gas {
 /// Adds two Gas amounts: loud on overflow in debug builds, saturating in
 /// release. Wrapping would silently *under-charge* (a wrapped counter reads
 /// lower than the true total); saturation keeps any release-mode error
-/// one-sided and conservative. Quota/meter accounting throughout the
+/// one-sided and conservative. Meter accounting throughout the
 /// workspace goes through this helper.
 pub fn checked_add_gas(a: u64, b: u64) -> u64 {
     let sum = a.checked_add(b);

@@ -7,20 +7,20 @@
 //!   chain digest, height, and Gas report of the straight-line run, in all
 //!   three batching modes.
 //! * **Congestion exactness** — a bounded mempool delays and splits shard
-//!   batches across blocks by tenant priority without disturbing a single
-//!   unit of Gas attribution: the congested run renders a byte-identical
-//!   report table.
+//!   batches across blocks in submission order without disturbing a single
+//!   unit of Gas attribution or the order of a single call: the congested
+//!   run renders a byte-identical report table.
 //! * **Fee determinism** — the seeded gas-price process reprices runs
 //!   deterministically and surfaces its tape in the per-round metrics.
 //! * **Fee-aware deferral** — a fee-aware policy wrapper holds replica
 //!   installs out of expensive windows and strictly undercuts its
 //!   fee-blind inner policy on a spiked schedule.
 
-use grub::chain::ChainConfig;
+use grub::chain::{Address, Blockchain, ChainConfig};
 use grub::core::policy::PolicyKind;
 use grub::core::system::{GrubSystem, SystemConfig};
 use grub::engine::specs::{demo_policies, zipfian_ratio_specs, DEMO_RATIOS};
-use grub::engine::{Batching, EngineConfig, FeedEngine, FeedSpec, QuotaTier, TenantBudget};
+use grub::engine::{Batching, EngineConfig, FeedEngine, FeedSpec};
 use grub::gas::{FeeProcess, FeeRegime, BASE_PRICE_PERMILLE};
 use grub::workload::{Op, Trace, ValueSpec};
 
@@ -86,8 +86,8 @@ fn reorg_replay_is_digest_identical_in_every_engine_mode() {
 
 /// A bounded mempool (one transaction per block) forces a spilled shard
 /// batch — which normally rides one block as several transactions — to
-/// queue and split across blocks in tenant-priority order. Completion,
-/// per-tenant Gas attribution, and quota accounting must be *exactly* the
+/// queue and split across blocks in submission order. Completion, per-tenant
+/// Gas attribution and the sequence of executed calls must be *exactly* the
 /// uncongested run's — only the block packing (and hence the chain digest
 /// and height) may change.
 #[test]
@@ -95,10 +95,8 @@ fn congested_mempool_splits_blocks_with_exact_attribution() {
     // The spill fleet: 14 write-heavy BL2 feeds with 4 KiB values on ONE
     // shard overflow the batch payload bound every round, so each round
     // plans several update transactions — the co-blocked traffic a block
-    // cap actually bites on. Tiers rotate so congestion ordering crosses
-    // priority classes, with budgets too large to ever park.
-    let tiered_fleet = || -> Vec<FeedSpec> {
-        let tiers = [QuotaTier::High, QuotaTier::Standard, QuotaTier::Low];
+    // cap actually bites on.
+    let spill_fleet = || -> Vec<FeedSpec> {
         (0..14)
             .map(|i| {
                 let mut config = SystemConfig::new(PolicyKind::Bl2);
@@ -112,13 +110,12 @@ fn congested_mempool_splits_blocks_with_exact_attribution() {
                             .source(8),
                     ),
                 )
-                .with_budget(TenantBudget::per_round(100_000_000).tier(tiers[i % 3]))
             })
             .collect()
     };
     let mut plain = engine_config(Batching::Full);
     plain.shards = 1;
-    let (plain_report, plain_chain) = FeedEngine::new(&plain, tiered_fleet())
+    let (plain_report, plain_chain) = FeedEngine::new(&plain, spill_fleet())
         .unwrap()
         .run_with_chain()
         .unwrap();
@@ -130,7 +127,7 @@ fn congested_mempool_splits_blocks_with_exact_attribution() {
     let mut congested = engine_config(Batching::Full);
     congested.shards = 1;
     congested.chain = ChainConfig::default().mempool(1);
-    let (congested_report, congested_chain) = FeedEngine::new(&congested, tiered_fleet())
+    let (congested_report, congested_chain) = FeedEngine::new(&congested, spill_fleet())
         .unwrap()
         .run_with_chain()
         .unwrap();
@@ -141,6 +138,22 @@ fn congested_mempool_splits_blocks_with_exact_attribution() {
          ({} congested vs {} plain)",
         congested_chain.height(),
         plain_chain.height()
+    );
+    // A cap repacks blocks but never reorders them: concatenated over every
+    // block, the executed calls are the uncongested run's, call for call.
+    let calls = |chain: &Blockchain| -> Vec<(Address, String, Vec<u8>)> {
+        chain
+            .blocks()
+            .iter()
+            .flat_map(|block| &block.call_records)
+            .map(|c| (c.to, c.func.clone(), c.input.clone()))
+            .collect()
+    };
+    let plain_calls = calls(&plain_chain);
+    assert!(!plain_calls.is_empty(), "the chain must record its calls");
+    assert!(
+        calls(&congested_chain) == plain_calls,
+        "congestion must not reorder, add or drop a call"
     );
     assert_eq!(
         congested_report.render_table(),

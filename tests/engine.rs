@@ -14,8 +14,7 @@
 //!    into one `batchDeliver` transaction strictly undercuts write-only
 //!    batching whenever any round delivers for ≥ 2 feeds of a shard.
 //! 4. **Determinism** — two engine runs with the same specs render
-//!    byte-identical reports, quota deferral included; a quota-parked
-//!    feed's epochs produce identical results once they finally run.
+//!    byte-identical reports.
 //! 5. **Malformed batches rejected** — truncated or forged `batchDeliver`
 //!    payloads revert with a typed decode error; nothing panics.
 //! 6. **Round-boundary scrubbing** — a record damaged at rest is found
@@ -29,7 +28,7 @@ use grub::core::policy::PolicyKind;
 use grub::core::scrub::Scrubber;
 use grub::core::system::{GrubSystem, SystemConfig};
 use grub::engine::specs::{demo_policies, zipfian_ratio_specs, DEMO_RATIOS};
-use grub::engine::{EngineConfig, FeedEngine, FeedSpec, QuotaTier, ShardRouter, TenantBudget};
+use grub::engine::{EngineConfig, FeedEngine, FeedSpec, ShardRouter};
 use grub::gas::Layer;
 use grub::workload::ratio::RatioWorkload;
 use grub::workload::ycsb;
@@ -202,59 +201,6 @@ fn lone_section_rounds_cost_no_more_than_unbatched() {
     assert_eq!(full.failed_delivers(), 0);
 }
 
-/// Invariant 4, quota half: deferral changes *when* epochs run, never what
-/// they compute. With batching off, a quota-parked tenant's feed-layer Gas
-/// still equals its standalone single-feed run exactly; with batching on,
-/// reruns stay byte-identical.
-#[test]
-fn quota_deferral_is_deterministic_and_preserves_results() {
-    let budget = TenantBudget::per_round(30_000);
-    let build_specs = || -> Vec<FeedSpec> {
-        let mut specs = mixed_specs();
-        // The mixed feed spans several epochs, so a tight quota has
-        // something to defer.
-        specs[2] = specs[2].clone().with_budget(budget);
-        specs
-    };
-
-    // Deterministic: byte-identical rendered reports across reruns.
-    let a = FeedEngine::run_specs(&EngineConfig::new(2), build_specs()).expect("run a");
-    let b = FeedEngine::run_specs(&EngineConfig::new(2), build_specs()).expect("run b");
-    assert_eq!(
-        a.render_table(),
-        b.render_table(),
-        "quota-deferred runs must render byte-identical reports"
-    );
-    assert!(
-        a.tenants[2].parked_rounds > 0,
-        "the quota must actually park the mixed feed"
-    );
-
-    // Parked epochs produce identical results when they finally run: the
-    // unbatched engine with the quota still matches the standalone runs
-    // exactly, tenant by tenant.
-    let singles: Vec<u64> = build_specs()
-        .iter()
-        .map(|s| {
-            GrubSystem::run(&mut s.source.clone(), &s.config)
-                .expect("single-feed run")
-                .feed_gas_total()
-        })
-        .collect();
-    let unbatched = FeedEngine::run_specs(&EngineConfig::new(2).unbatched(), build_specs())
-        .expect("unbatched quota run");
-    assert!(unbatched.tenants[2].parked_rounds > 0);
-    for (tenant, single) in unbatched.tenants.iter().zip(&singles) {
-        assert_eq!(
-            tenant.feed_gas_total(),
-            *single,
-            "{}: deferral must not change the tenant's gas",
-            tenant.tenant
-        );
-    }
-    assert_eq!(unbatched.failed_delivers(), 0);
-}
-
 /// Invariant 5: malformed `batchDeliver` payloads — truncated framing,
 /// forged section counts — revert with a typed decode error instead of
 /// panicking the chain.
@@ -287,117 +233,6 @@ fn malformed_batch_deliver_payloads_rejected_without_panic() {
             "rejection must be a typed decode error, got: {err}"
         );
     }
-}
-
-/// The starvation bound under adversarial high-tier pressure: three
-/// high-tier feeds refill 4× per round and drain first, while one low-tier
-/// feed's bucket (1 Gas on even rounds, bottomless burst so a full bucket
-/// never rescues it) can never afford an epoch. Only the tier's K-round
-/// bound makes it run — and it must, every ≤ K rounds, to completion.
-#[test]
-fn high_tier_pressure_cannot_starve_low_tier() {
-    let build_specs = || -> Vec<FeedSpec> {
-        let mut specs: Vec<FeedSpec> = (0..3)
-            .map(|i| {
-                FeedSpec::from_source(
-                    format!("vip-{i}"),
-                    SystemConfig::new(PolicyKind::Memoryless { k: 2 }).epoch_ops(4),
-                    Box::new(RatioWorkload::new(format!("vip-{i}-key"), 1.0).source(24)),
-                )
-                .with_budget(TenantBudget::per_round(1_000_000).tier(QuotaTier::High))
-            })
-            .collect();
-        specs.push(
-            FeedSpec::from_source(
-                "steerage",
-                SystemConfig::new(PolicyKind::Memoryless { k: 2 }).epoch_ops(4),
-                Box::new(RatioWorkload::new("steerage-key", 1.0).source(24)),
-            )
-            .with_budget(
-                TenantBudget::per_round(1)
-                    .burst(u64::MAX / 4)
-                    .tier(QuotaTier::Low),
-            ),
-        );
-        specs
-    };
-    let total_ops: usize = build_specs()
-        .iter()
-        .map(|s| s.materialized().ops.len())
-        .sum();
-    let report = FeedEngine::run_specs(&EngineConfig::new(1), build_specs()).expect("tiered run");
-    assert_eq!(
-        report.total_ops(),
-        total_ops,
-        "the low-tier feed must complete its trace"
-    );
-    let low = report
-        .tenants
-        .iter()
-        .find(|t| t.tenant == "steerage")
-        .expect("low-tier tenant");
-    assert!(
-        low.parked_rounds > 0,
-        "the pressure must actually park the low-tier feed"
-    );
-    assert!(
-        low.max_parked_streak < QuotaTier::Low.starvation_bound(),
-        "park streak {} must stay below the starvation bound {}",
-        low.max_parked_streak,
-        QuotaTier::Low.starvation_bound()
-    );
-    // The high tiers were never throttled that hard.
-    for t in report.tenants.iter().filter(|t| t.tenant != "steerage") {
-        assert!(
-            t.max_parked_streak < QuotaTier::High.starvation_bound(),
-            "{}: high tier streak {} exceeds its bound",
-            t.tenant,
-            t.max_parked_streak
-        );
-    }
-    // Determinism survives tiers: a rerun renders byte-identically.
-    let again = FeedEngine::run_specs(&EngineConfig::new(1), build_specs()).expect("tiered rerun");
-    assert_eq!(report.render_table(), again.render_table());
-}
-
-/// Tiers change *when* epochs run, never what they compute: an unbatched
-/// engine whose tenants carry mixed-tier quotas still meters exactly the
-/// sum of N standalone single-feed runs, tenant by tenant.
-#[test]
-fn tiered_unbatched_run_still_equals_sum_of_singles() {
-    let build_specs = || -> Vec<FeedSpec> {
-        let mut specs = mixed_specs();
-        specs[0] = specs[0]
-            .clone()
-            .with_budget(TenantBudget::per_round(40_000).tier(QuotaTier::High));
-        specs[1] = specs[1]
-            .clone()
-            .with_budget(TenantBudget::per_round(60_000).tier(QuotaTier::Standard));
-        specs[2] = specs[2]
-            .clone()
-            .with_budget(TenantBudget::per_round(25_000).tier(QuotaTier::Low));
-        specs
-    };
-    let singles: Vec<u64> = build_specs()
-        .iter()
-        .map(|s| {
-            GrubSystem::run(&mut s.source.clone(), &s.config)
-                .expect("single-feed run")
-                .feed_gas_total()
-        })
-        .collect();
-    let report = FeedEngine::run_specs(&EngineConfig::new(2).unbatched(), build_specs())
-        .expect("tiered unbatched run");
-    for (tenant, single) in report.tenants.iter().zip(&singles) {
-        assert_eq!(
-            tenant.feed_gas_total(),
-            *single,
-            "{}: tiered deferral must not change the tenant's gas",
-            tenant.tenant
-        );
-    }
-    assert_eq!(report.feed_gas_total(), singles.iter().sum::<u64>());
-    assert_eq!(report.failed_delivers(), 0);
 }
 
 /// The ingestion-layer acceptance contract: an engine run whose feeds pull
