@@ -32,12 +32,12 @@ impl Erc20 {
         out
     }
 
-    fn balance(ctx: &mut CallContext<'_>, addr: &Address) -> Result<u64, VmError> {
-        Ok(ctx.sload_u64(&Self::balance_slot(addr))?.unwrap_or(0))
+    fn balance(ctx: &mut CallContext<'_>, addr: &Address) -> u64 {
+        ctx.sload_u64(&Self::balance_slot(addr)).unwrap_or(0)
     }
 
-    fn set_balance(ctx: &mut CallContext<'_>, addr: &Address, amount: u64) -> Result<(), VmError> {
-        ctx.sstore_u64(&Self::balance_slot(addr), amount)
+    fn set_balance(ctx: &mut CallContext<'_>, addr: &Address, amount: u64) {
+        ctx.sstore_u64(&Self::balance_slot(addr), amount);
     }
 
     fn move_tokens(
@@ -46,15 +46,15 @@ impl Erc20 {
         to: &Address,
         amount: u64,
     ) -> Result<(), VmError> {
-        let from_balance = Self::balance(ctx, from)?;
+        let from_balance = Self::balance(ctx, from);
         if from_balance < amount {
             return Err(VmError::Revert(format!(
                 "insufficient balance: {from_balance} < {amount}"
             )));
         }
-        let to_balance = Self::balance(ctx, to)?;
-        Self::set_balance(ctx, from, from_balance - amount)?;
-        Self::set_balance(ctx, to, to_balance + amount)?;
+        let to_balance = Self::balance(ctx, to);
+        Self::set_balance(ctx, from, from_balance - amount);
+        Self::set_balance(ctx, to, to_balance + amount);
         Ok(())
     }
 }
@@ -74,10 +74,10 @@ impl Contract for Erc20 {
                 }
                 let to = dec.address()?;
                 let amount = dec.u64()?;
-                let balance = Self::balance(ctx, &to)?;
-                Self::set_balance(ctx, &to, balance + amount)?;
-                let supply = ctx.sload_u64(b"supply")?.unwrap_or(0);
-                ctx.sstore_u64(b"supply", supply + amount)?;
+                let balance = Self::balance(ctx, &to);
+                Self::set_balance(ctx, &to, balance + amount);
+                let supply = ctx.sload_u64(b"supply").unwrap_or(0);
+                ctx.sstore_u64(b"supply", supply + amount);
                 Ok(Vec::new())
             }
             "burn" => {
@@ -86,13 +86,13 @@ impl Contract for Erc20 {
                 }
                 let from = dec.address()?;
                 let amount = dec.u64()?;
-                let balance = Self::balance(ctx, &from)?;
+                let balance = Self::balance(ctx, &from);
                 if balance < amount {
                     return Err(VmError::Revert("burn exceeds balance".into()));
                 }
-                Self::set_balance(ctx, &from, balance - amount)?;
-                let supply = ctx.sload_u64(b"supply")?.unwrap_or(0);
-                ctx.sstore_u64(b"supply", supply - amount)?;
+                Self::set_balance(ctx, &from, balance - amount);
+                let supply = ctx.sload_u64(b"supply").unwrap_or(0);
+                ctx.sstore_u64(b"supply", supply - amount);
                 Ok(Vec::new())
             }
             "transfer" => {
@@ -106,7 +106,7 @@ impl Contract for Erc20 {
                 let spender = dec.address()?;
                 let amount = dec.u64()?;
                 let owner = ctx.caller;
-                ctx.sstore_u64(&Self::allowance_slot(&owner, &spender), amount)?;
+                ctx.sstore_u64(&Self::allowance_slot(&owner, &spender), amount);
                 Ok(Vec::new())
             }
             "transferFrom" => {
@@ -115,23 +115,23 @@ impl Contract for Erc20 {
                 let amount = dec.u64()?;
                 let spender = ctx.caller;
                 let slot = Self::allowance_slot(&owner, &spender);
-                let allowance = ctx.sload_u64(&slot)?.unwrap_or(0);
+                let allowance = ctx.sload_u64(&slot).unwrap_or(0);
                 if allowance < amount {
                     return Err(VmError::Revert("allowance exceeded".into()));
                 }
-                ctx.sstore_u64(&slot, allowance - amount)?;
+                ctx.sstore_u64(&slot, allowance - amount);
                 Self::move_tokens(ctx, &owner, &to, amount)?;
                 Ok(Vec::new())
             }
             "balanceOf" => {
                 let addr = dec.address()?;
-                let balance = Self::balance(ctx, &addr)?;
+                let balance = Self::balance(ctx, &addr);
                 let mut enc = Encoder::new();
                 enc.u64(balance);
                 Ok(enc.finish())
             }
             "totalSupply" => {
-                let supply = ctx.sload_u64(b"supply")?.unwrap_or(0);
+                let supply = ctx.sload_u64(b"supply").unwrap_or(0);
                 let mut enc = Encoder::new();
                 enc.u64(supply);
                 Ok(enc.finish())

@@ -121,11 +121,11 @@ impl PeggedToken {
             .hash(&Hash32::ZERO) // expected block hash (unknown yet)
             .boolean(is_burn);
         encode_spv(&mut enc, &proof);
-        ctx.sstore(&Self::pending_slot(&txid), &enc.finish())?;
+        ctx.sstore(&Self::pending_slot(&txid), &enc.finish());
         // Track the txid under the height so onHeader can find it.
-        let mut ids = ctx.sload(b"pending-ids")?.unwrap_or_default();
+        let mut ids = ctx.sload(b"pending-ids").unwrap_or_default();
         ids.extend_from_slice(txid.as_bytes());
-        ctx.sstore(b"pending-ids", &ids)?;
+        ctx.sstore(b"pending-ids", &ids);
         Self::request_header(ctx, self.manager, height)?;
         Ok(Vec::new())
     }
@@ -140,7 +140,7 @@ impl PeggedToken {
         header: &BlockHeader,
     ) -> Result<bool, VmError> {
         let slot = Self::pending_slot(&txid);
-        let Some(entry) = ctx.sload(&slot)? else {
+        let Some(entry) = ctx.sload(&slot) else {
             return Ok(false);
         };
         let mut dec = Decoder::new(&entry);
@@ -158,17 +158,17 @@ impl PeggedToken {
         if confirmed == 0 {
             // The deposit block itself: check SPV inclusion.
             if !proof.verify(&txid, header) {
-                ctx.sdelete(&slot)?;
+                ctx.sdelete(&slot);
                 return Err(VmError::Revert("SPV proof rejected".into()));
             }
         } else if header.prev_hash != expected {
             // A confirmation block must extend the previous one.
-            ctx.sdelete(&slot)?;
+            ctx.sdelete(&slot);
             return Err(VmError::Revert("confirmation chain broken".into()));
         }
         let confirmed = confirmed + 1;
         if confirmed >= CONFIRMATIONS {
-            ctx.sdelete(&slot)?;
+            ctx.sdelete(&slot);
             let action = if is_burn { "burn" } else { "mint" };
             ctx.call(
                 self.token,
@@ -186,7 +186,7 @@ impl PeggedToken {
             .hash(&header.block_hash())
             .boolean(is_burn);
         encode_spv(&mut enc, &proof);
-        ctx.sstore(&slot, &enc.finish())?;
+        ctx.sstore(&slot, &enc.finish());
         Self::request_header(ctx, self.manager, deposit_height + confirmed)?;
         Ok(false)
     }
@@ -220,18 +220,18 @@ impl Contract for PeggedToken {
                 };
                 // Walk every pending request; completed ones are removed
                 // from the id list.
-                let ids = ctx.sload(b"pending-ids")?.unwrap_or_default();
+                let ids = ctx.sload(b"pending-ids").unwrap_or_default();
                 let mut keep = Vec::new();
                 for chunk in ids.chunks(32) {
                     let mut txid = [0u8; 32];
                     txid.copy_from_slice(chunk);
                     let txid = Hash32::new(txid);
                     let done = self.advance(ctx, txid, height, &header)?;
-                    if !done && ctx.sload(&Self::pending_slot(&txid))?.is_some() {
+                    if !done && ctx.sload(&Self::pending_slot(&txid)).is_some() {
                         keep.extend_from_slice(txid.as_bytes());
                     }
                 }
-                ctx.sstore(b"pending-ids", &keep)?;
+                ctx.sstore(b"pending-ids", &keep);
                 Ok(Vec::new())
             }
             _ => Err(VmError::UnknownFunction(func.to_owned())),

@@ -43,17 +43,12 @@ impl SCoinIssuer {
         SCoinIssuer { manager, token }
     }
 
-    fn queue_push(
-        ctx: &mut CallContext<'_>,
-        kind: u8,
-        account: Address,
-        amount: u64,
-    ) -> Result<(), VmError> {
-        let tail = ctx.sload_u64(b"q:tail")?.unwrap_or(0);
+    fn queue_push(ctx: &mut CallContext<'_>, kind: u8, account: Address, amount: u64) {
+        let tail = ctx.sload_u64(b"q:tail").unwrap_or(0);
         let mut enc = Encoder::new();
         enc.boolean(kind == 1).address(&account).u64(amount);
-        ctx.sstore(&slot(b"q:", tail), &enc.finish())?;
-        ctx.sstore_u64(b"q:tail", tail + 1)
+        ctx.sstore(&slot(b"q:", tail), &enc.finish());
+        ctx.sstore_u64(b"q:tail", tail + 1);
     }
 
     fn request_price(ctx: &mut CallContext<'_>, manager: Address) -> Result<(), VmError> {
@@ -94,7 +89,7 @@ impl Contract for SCoinIssuer {
                 if eth_milli == 0 {
                     return Err(VmError::Revert("zero issuance".into()));
                 }
-                Self::queue_push(ctx, 0, buyer, eth_milli)?;
+                Self::queue_push(ctx, 0, buyer, eth_milli);
                 Self::request_price(ctx, self.manager)?;
                 Ok(Vec::new())
             }
@@ -105,7 +100,7 @@ impl Contract for SCoinIssuer {
                 if scoins == 0 {
                     return Err(VmError::Revert("zero redemption".into()));
                 }
-                Self::queue_push(ctx, 1, seller, scoins)?;
+                Self::queue_push(ctx, 1, seller, scoins);
                 Self::request_price(ctx, self.manager)?;
                 Ok(Vec::new())
             }
@@ -122,11 +117,11 @@ impl Contract for SCoinIssuer {
                 let value = dec.bytes()?;
                 let price_milli = Self::parse_price(value);
                 // Drain the pending queue at this price.
-                let head = ctx.sload_u64(b"q:head")?.unwrap_or(0);
-                let tail = ctx.sload_u64(b"q:tail")?.unwrap_or(0);
+                let head = ctx.sload_u64(b"q:head").unwrap_or(0);
+                let tail = ctx.sload_u64(b"q:tail").unwrap_or(0);
                 for i in head..tail {
                     let entry = ctx
-                        .sload(&slot(b"q:", i))?
+                        .sload(&slot(b"q:", i))
                         .ok_or_else(|| VmError::Revert("queue hole".into()))?;
                     let mut edec = Decoder::new(&entry);
                     let is_redeem = edec.boolean()?;
@@ -149,8 +144,8 @@ impl Contract for SCoinIssuer {
                             "burn",
                             &erc20::encode_addr_amount(account, amount),
                         )?;
-                        let locked = ctx.sload_u64(b"locked")?.unwrap_or(0);
-                        ctx.sstore_u64(b"locked", locked.saturating_sub(eth_milli))?;
+                        let locked = ctx.sload_u64(b"locked").unwrap_or(0);
+                        ctx.sstore_u64(b"locked", locked.saturating_sub(eth_milli));
                     } else {
                         // Mint: scoins = eth · price, with 150% of the
                         // nominal value locked as collateral.
@@ -163,15 +158,15 @@ impl Contract for SCoinIssuer {
                             "mint",
                             &erc20::encode_addr_amount(account, scoins),
                         )?;
-                        let locked = ctx.sload_u64(b"locked")?.unwrap_or(0);
-                        ctx.sstore_u64(b"locked", locked + amount)?;
+                        let locked = ctx.sload_u64(b"locked").unwrap_or(0);
+                        ctx.sstore_u64(b"locked", locked + amount);
                     }
                 }
-                ctx.sstore_u64(b"q:head", tail)?;
+                ctx.sstore_u64(b"q:head", tail);
                 Ok(Vec::new())
             }
             "lockedEth" => {
-                let locked = ctx.sload_u64(b"locked")?.unwrap_or(0);
+                let locked = ctx.sload_u64(b"locked").unwrap_or(0);
                 let mut enc = Encoder::new();
                 enc.u64(locked);
                 Ok(enc.finish())

@@ -55,18 +55,16 @@ pub struct LatencyConfig {
     pub max_delay_blocks: u64,
 }
 
-/// Chain timing parameters (paper §3.4): block period `B`, finality depth
-/// `F`, and transaction propagation delay `Pt` — plus the simulator's
-/// block-retention window for streamed-scale runs and the optional
+/// Chain parameters. The paper's timing parameters (§3.4) are three: the
+/// block period `B` ([`ChainConfig::block_period_ms`]), the inclusion
+/// latency `Pt = (1 + max_delay_blocks)·B` ([`ChainConfig::latency`]) and
+/// the confirmation depth `F` ([`ChainConfig::confirm_depth`]). The rest
+/// are the block-retention window for streamed-scale runs and the optional
 /// chain-realism axes (reorgs, fee volatility, mempool congestion).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChainConfig {
-    /// Average block production period, milliseconds (Ethereum: 10–19 s).
+    /// Block production period `B`, milliseconds (Ethereum: 10–19 s).
     pub block_period_ms: u64,
-    /// Blocks needed before a transaction is considered final (Ethereum: 250).
-    pub finality_depth: u64,
-    /// Worst-case transaction propagation delay to all nodes, milliseconds.
-    pub propagation_ms: u64,
     /// How many mined block bodies to keep resident: `None` (the default)
     /// keeps the whole chain, `Some(n)` drops the oldest bodies past `n` —
     /// what lets a million-op streamed run execute at bounded memory.
@@ -86,13 +84,9 @@ pub struct ChainConfig {
     /// Bounded per-block transaction capacity; `None` (the default) mines
     /// every queued transaction in one block.
     pub mempool: Option<MempoolConfig>,
-    /// Operational confirmation depth: a mined transaction is acknowledged
+    /// Confirmation depth `F`: a mined transaction is acknowledged
     /// (policy-visible, DO/SP-observable) only once its block is this many
-    /// blocks deep. `0` (the default) acknowledges at the tip, which is the
-    /// pre-confirmation-semantics behavior. Distinct from
-    /// [`ChainConfig::finality_depth`], the paper's worst-case safety
-    /// parameter `F` (Ethereum: 250): `confirm_depth` is the depth the
-    /// *harness* waits for before treating a write as settled, and it also
+    /// blocks deep. `0` (the default) acknowledges at the tip. It also
     /// clamps how deep the seeded fork process may roll back — a reorg never
     /// crosses the confirmation frontier.
     pub confirm_depth: u64,
@@ -105,8 +99,6 @@ impl Default for ChainConfig {
     fn default() -> Self {
         ChainConfig {
             block_period_ms: 13_000,
-            finality_depth: 250,
-            propagation_ms: 500,
             retain_blocks: None,
             reorg: None,
             fee: None,
@@ -304,8 +296,8 @@ impl std::fmt::Display for ReorgError {
                 available,
             } => write!(
                 f,
-                "cannot roll back {requested} blocks: no state snapshot at \
-                 the target height (deepest possible rollback is {available})"
+                "cannot roll back {requested} blocks: the target height is \
+                 below the undo window (deepest possible rollback is {available})"
             ),
             ReorgError::PastConfirmationFrontier {
                 requested,
@@ -1280,18 +1272,18 @@ mod tests {
                 "set" => {
                     let mut dec = Decoder::new(input);
                     let v = dec.u64()?;
-                    ctx.sstore_u64(b"value", v)?;
+                    ctx.sstore_u64(b"value", v);
                     ctx.emit("ValueSet", input.to_vec());
                     Ok(Vec::new())
                 }
                 "get" => {
-                    let v = ctx.sload_u64(b"value")?.unwrap_or(0);
+                    let v = ctx.sload_u64(b"value").unwrap_or(0);
                     let mut enc = Encoder::new();
                     enc.u64(v);
                     Ok(enc.finish())
                 }
                 "fail_after_write" => {
-                    ctx.sstore_u64(b"value", 999)?;
+                    ctx.sstore_u64(b"value", 999);
                     Err(VmError::Revert("deliberate".into()))
                 }
                 "call_self_get" => {
@@ -2288,28 +2280,28 @@ mod undo_tests {
             let value = vec![input[1]; 1 + usize::from(input[1] % 40)];
             match func {
                 "put" => {
-                    ctx.sstore(key, &value)?;
+                    ctx.sstore(key, &value);
                     ctx.emit("Put", input.to_vec());
                 }
-                "del" => ctx.sdelete(key)?,
+                "del" => ctx.sdelete(key),
                 "put_fail" => {
-                    ctx.sstore(key, &value)?;
+                    ctx.sstore(key, &value);
                     return Err(VmError::Revert("deliberate".into()));
                 }
                 // A nested frame's writes join the transaction's journal.
                 "relay" => {
-                    ctx.sstore(key, &value)?;
+                    ctx.sstore(key, &value);
                     ctx.call(peer, "put", input)?;
                 }
                 // The simulator keeps the writes of a callee whose error the
                 // caller swallows, so the journal must keep them too.
                 "relay_caught" => {
                     let _ = ctx.call(peer, "put_fail", input);
-                    ctx.sdelete(key)?;
+                    ctx.sdelete(key);
                 }
                 // The callee's error bubbles: both frames' writes revert.
                 "relay_fail" => {
-                    ctx.sstore(key, &value)?;
+                    ctx.sstore(key, &value);
                     ctx.call(peer, "put_fail", input)?;
                 }
                 _ => return Err(VmError::UnknownFunction(func.to_owned())),

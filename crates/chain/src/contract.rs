@@ -129,12 +129,7 @@ impl<'a> CallContext<'a> {
     }
 
     /// Reads a storage slot, charging `Cread` per word (minimum one word).
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; returns `Result` so implementations can add quota
-    /// enforcement without breaking callers.
-    pub fn sload(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, VmError> {
+    pub fn sload(&mut self, key: &[u8]) -> Option<Vec<u8>> {
         let value = self
             .state
             .storages
@@ -149,12 +144,12 @@ impl<'a> CallContext<'a> {
         self.state
             .meter
             .charge(self.layer, CostKind::StorageRead, cost);
-        Ok(value)
+        value
     }
 
     /// Writes a storage slot, charging `Cinsert` for fresh slots and
     /// `Cupdate` for overwrites, per word of the new value.
-    pub fn sstore(&mut self, key: &[u8], value: &[u8]) -> Result<(), VmError> {
+    pub fn sstore(&mut self, key: &[u8], value: &[u8]) {
         let this = self.this;
         let words = words_for_bytes(value.len()).max(1);
         let existed = self
@@ -180,12 +175,11 @@ impl<'a> CallContext<'a> {
             key: key.to_vec(),
             prior,
         });
-        Ok(())
     }
 
     /// Deletes a storage slot (replica eviction). Metered as a one-word
     /// update — Table 2 has no delete row and the paper models no refunds.
-    pub fn sdelete(&mut self, key: &[u8]) -> Result<(), VmError> {
+    pub fn sdelete(&mut self, key: &[u8]) {
         let this = self.this;
         let cost = self.state.meter.schedule().storage_update(1);
         self.state
@@ -197,21 +191,20 @@ impl<'a> CallContext<'a> {
             key: key.to_vec(),
             prior,
         });
-        Ok(())
     }
 
     /// Convenience: reads a slot holding a `u64`.
-    pub fn sload_u64(&mut self, key: &[u8]) -> Result<Option<u64>, VmError> {
-        Ok(self.sload(key)?.map(|v| {
+    pub fn sload_u64(&mut self, key: &[u8]) -> Option<u64> {
+        self.sload(key).map(|v| {
             let mut b = [0u8; 8];
             b.copy_from_slice(&v[..8.min(v.len())]);
             u64::from_le_bytes(b)
-        }))
+        })
     }
 
     /// Convenience: writes a slot holding a `u64`.
-    pub fn sstore_u64(&mut self, key: &[u8], value: u64) -> Result<(), VmError> {
-        self.sstore(key, &value.to_le_bytes())
+    pub fn sstore_u64(&mut self, key: &[u8], value: u64) {
+        self.sstore(key, &value.to_le_bytes());
     }
 
     /// Hashes data on-chain, charging `Chash(X) = 30 + 6·X`.

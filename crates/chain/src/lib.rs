@@ -9,16 +9,22 @@
 //!
 //! The simulator provides:
 //!
-//! * [`Blockchain`] — mempool, block production every `B` ms, finality depth
-//!   `F`, an event log, and a registry of [`Contract`]s;
+//! * [`Blockchain`] — mempool, block production, seeded reorgs, an event
+//!   log, and a registry of [`Contract`]s;
 //! * Gas-metered contract storage ([`contract::CallContext::sstore`] and
 //!   friends) charging exactly `Cinsert`/`Cupdate`/`Cread` per 32-byte word;
 //! * transactions charged `Ctx(X) = 21000 + 2176·X` on their payload with the
 //!   envelope attributed to a [`grub_gas::Layer`];
 //! * internal calls with callbacks, revert journaling, and event emission
-//!   (EVM `LOG`-style) that off-chain watchdogs can poll;
-//! * [`network`] — a multi-node propagation/finality model used to validate
-//!   the paper's consistency theorems (§3.4, Appendix E).
+//!   (EVM `LOG`-style) that off-chain watchdogs can poll.
+//!
+//! Its timing parameters are the block period `B`
+//! ([`ChainConfig::block_period_ms`]), the inclusion latency
+//! `Pt = (1 + L)·B` for `L` = [`LatencyConfig::max_delay_blocks`], and the
+//! confirmation depth `F` ([`ChainConfig::confirm_depth`]). Its `network`
+//! tests and `tests/consistency.rs` assert the paper's consistency theorems
+//! (§3.4, App. E): with no mempool cap, a transaction sent at `t` confirms
+//! by `t + Pt + F·B`, and two sent together settle in one seed-decided order.
 //!
 //! # Examples
 //!
@@ -34,8 +40,8 @@
 //!         -> Result<Vec<u8>, VmError> {
 //!         match func {
 //!             "bump" => {
-//!                 let n = ctx.sload_u64(b"n")?.unwrap_or(0);
-//!                 ctx.sstore_u64(b"n", n + 1)?;
+//!                 let n = ctx.sload_u64(b"n").unwrap_or(0);
+//!                 ctx.sstore_u64(b"n", n + 1);
 //!                 Ok(Vec::new())
 //!             }
 //!             _ => Err(VmError::UnknownFunction(func.to_owned())),
@@ -58,7 +64,7 @@
 pub mod chain;
 pub mod codec;
 pub mod contract;
-pub mod network;
+mod network;
 pub mod storage;
 mod types;
 

@@ -1,310 +1,224 @@
-//! A multi-node propagation and finality model.
+//! The paper's consistency theorems (§3.4, Appendix E) at the transaction
+//! level, on the one chain that stands for the whole network.
 //!
-//! The Gas experiments run on the single-node [`crate::Blockchain`]; this
-//! module models what that simulator abstracts away — transaction
-//! propagation (`Pt`), block production (`B`) and finality (`F`) across many
-//! nodes — so the paper's consistency theorems (§3.4, Appendix E) can be
-//! validated:
-//!
-//! * **Theorem 3.1 / E.1** — the ordering of concurrent operations is
-//!   non-deterministic (miner-decided) but identical across all nodes once
-//!   the involved transactions are final.
-//! * **Theorem 3.2 / E.2** — a transaction submitted at `t` is visible and
-//!   final on *every* node by `t + Pt + F·B`; GRuB adds its epoch `E` on the
-//!   write path, giving the paper's freshness bound `E + Pt + F·B`.
-//!
-//! The model is deliberately small: one logical miner (standing in for the
-//! consensus protocol's serialization decision), per-message random delays
-//! bounded by `Pt`, and a deterministic seed so tests are reproducible.
+//! The theorems speak of many nodes. This simulator runs one, and the
+//! view every honest node converges on is its canonical branch up to
+//! `Blockchain::confirmed_height`: "final on every node" reads "mined on
+//! the canonical branch at or below the confirmation frontier", and "the
+//! same order on every node" reads "the same order on a replica that
+//! suffered reorgs as on one that did not". The tests run over latency
+//! seeds × confirmation depth `F` ∈ {0, 3} × seeded reorgs off/on, with no
+//! mempool cap (`B` the block period, `L` the latency's `max_delay_blocks`,
+//! `Pt = (1 + L)·B`). `tests/consistency.rs` checks the same theorems for
+//! GRuB's own `gPut` and `deliver`.
 
-use crate::chain::ChainConfig;
+#![cfg(test)]
 
-/// A transaction in flight through the network model, identified by label.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct PendingTx {
-    label: String,
-    submit_time_ms: u64,
-    arrival_at_miner_ms: u64,
-}
-
-/// A mined block in the network model.
-#[derive(Clone, Debug)]
-pub struct ModelBlock {
-    /// Height (1-based).
-    pub number: u64,
-    /// Production time at the miner.
-    pub produced_ms: u64,
-    /// Labels of the included transactions, in consensus order.
-    pub txs: Vec<String>,
-}
-
-/// Multi-node network simulation with bounded propagation delays.
-///
-/// # Examples
-///
-/// ```
-/// use grub_chain::network::NetworkSim;
-/// use grub_chain::ChainConfig;
-///
-/// let config = ChainConfig { block_period_ms: 1000, finality_depth: 3, propagation_ms: 400,
-///     ..ChainConfig::default() };
-/// let mut net = NetworkSim::new(4, config, 7);
-/// net.submit(0, 100, "putA");
-/// net.run_until(10_000);
-/// let bound = 100 + config.propagation_ms + config.finality_depth * config.block_period_ms;
-/// for node in 0..4 {
-///     assert!(net.finalized_view(node, bound).contains(&"putA".to_string()));
-/// }
-/// ```
-pub struct NetworkSim {
-    nodes: usize,
-    config: ChainConfig,
-    rng_state: u64,
-    pending: Vec<PendingTx>,
-    blocks: Vec<ModelBlock>,
-    /// `block_arrival[node][block_index]` = time the block reached the node.
-    block_arrival: Vec<Vec<u64>>,
-    now_ms: u64,
-}
-
-impl NetworkSim {
-    /// Creates a network of `nodes` nodes with a deterministic seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0`.
-    pub fn new(nodes: usize, config: ChainConfig, seed: u64) -> Self {
-        assert!(nodes > 0, "need at least one node");
-        NetworkSim {
-            nodes,
-            config,
-            rng_state: seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1),
-            pending: Vec::new(),
-            blocks: Vec::new(),
-            block_arrival: vec![Vec::new(); nodes],
-            now_ms: 0,
-        }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64* — deterministic, no external dependency.
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn delay(&mut self) -> u64 {
-        if self.config.propagation_ms == 0 {
-            0
-        } else {
-            self.next_rand() % (self.config.propagation_ms + 1)
-        }
-    }
-
-    /// Submits a transaction from `node` at `time_ms` (absolute sim time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or `time_ms` is in the simulated
-    /// past.
-    pub fn submit(&mut self, node: usize, time_ms: u64, label: impl Into<String>) {
-        assert!(node < self.nodes, "node {node} out of range");
-        assert!(
-            time_ms >= self.now_ms,
-            "cannot submit in the past ({time_ms} < {})",
-            self.now_ms
-        );
-        let delay = self.delay();
-        self.pending.push(PendingTx {
-            label: label.into(),
-            submit_time_ms: time_ms,
-            arrival_at_miner_ms: time_ms + delay,
-        });
-    }
-
-    /// Advances the simulation, producing blocks every `B`, until `t_ms`.
-    pub fn run_until(&mut self, t_ms: u64) {
-        let period = self.config.block_period_ms;
-        while self.now_ms + period <= t_ms {
-            self.now_ms += period;
-            let produced = self.now_ms;
-            // The miner serializes every transaction that reached it; ties in
-            // arrival are broken by submission recency *and* a random shuffle
-            // of same-time arrivals, modelling consensus non-determinism.
-            let mut ready: Vec<PendingTx> = Vec::new();
-            let mut rest = Vec::new();
-            for tx in self.pending.drain(..) {
-                if tx.arrival_at_miner_ms <= produced {
-                    ready.push(tx);
-                } else {
-                    rest.push(tx);
-                }
-            }
-            self.pending = rest;
-            ready.sort_by_key(|tx| tx.arrival_at_miner_ms);
-            // Shuffle runs of equal arrival times.
-            let mut i = 0;
-            while i < ready.len() {
-                let mut j = i + 1;
-                while j < ready.len()
-                    && ready[j].arrival_at_miner_ms == ready[i].arrival_at_miner_ms
-                {
-                    j += 1;
-                }
-                for k in (i + 1..j).rev() {
-                    let swap_with = i + (self.next_rand() as usize) % (k - i + 1);
-                    ready.swap(k, swap_with);
-                }
-                i = j;
-            }
-            let block = ModelBlock {
-                number: self.blocks.len() as u64 + 1,
-                produced_ms: produced,
-                txs: ready.into_iter().map(|tx| tx.label).collect(),
-            };
-            for node in 0..self.nodes {
-                let d = self.delay();
-                self.block_arrival[node].push(produced + d);
-            }
-            self.blocks.push(block);
-        }
-        self.now_ms = self.now_ms.max(t_ms);
-    }
-
-    /// All blocks mined so far (consensus order).
-    pub fn blocks(&self) -> &[ModelBlock] {
-        &self.blocks
-    }
-
-    /// Transactions visible to `node` at `t_ms` (blocks received by then),
-    /// in consensus order.
-    pub fn node_view(&self, node: usize, t_ms: u64) -> Vec<String> {
-        self.view_impl(node, t_ms, false)
-    }
-
-    /// Transactions *finalized* for `node` at `t_ms`: the block is received
-    /// and at least `F` blocks (including it) have been produced by `t_ms`.
-    pub fn finalized_view(&self, node: usize, t_ms: u64) -> Vec<String> {
-        self.view_impl(node, t_ms, true)
-    }
-
-    fn view_impl(&self, node: usize, t_ms: u64, finalized_only: bool) -> Vec<String> {
-        assert!(node < self.nodes, "node {node} out of range");
-        let produced_by_t = self.blocks.iter().filter(|b| b.produced_ms <= t_ms).count() as u64;
-        let mut out = Vec::new();
-        for (idx, block) in self.blocks.iter().enumerate() {
-            if self.block_arrival[node][idx] > t_ms {
-                continue;
-            }
-            if finalized_only {
-                // F blocks counted inclusive of the one containing the tx.
-                let depth = produced_by_t.saturating_sub(block.number) + 1;
-                if depth < self.config.finality_depth {
-                    continue;
-                }
-            }
-            out.extend(block.txs.iter().cloned());
-        }
-        out
-    }
-
-    /// The paper's worst-case visibility bound for a transaction submitted at
-    /// `submit_ms`: `submit + Pt + F·B`.
-    pub fn finality_bound_ms(&self, submit_ms: u64) -> u64 {
-        submit_ms
-            + self.config.propagation_ms
-            + self.config.finality_depth * self.config.block_period_ms
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::rc::Rc;
 
-    fn config() -> ChainConfig {
-        ChainConfig {
-            block_period_ms: 1_000,
-            finality_depth: 5,
-            propagation_ms: 400,
-            ..ChainConfig::default()
+    use grub_gas::Layer;
+
+    use crate::contract::{CallContext, Contract, VmError};
+    use crate::{Address, Blockchain, ChainConfig, Transaction, TxId};
+
+    /// `L`: the most blocks the theorem chains' seeded latency holds a
+    /// transaction back.
+    const MAX_DELAY: u64 = 2;
+
+    /// A contract whose every call succeeds and does nothing.
+    struct Noop;
+
+    impl Contract for Noop {
+        fn call(
+            &self,
+            _ctx: &mut CallContext<'_>,
+            _func: &str,
+            _input: &[u8],
+        ) -> Result<Vec<u8>, VmError> {
+            Ok(Vec::new())
         }
     }
 
+    /// Every chain the theorem tests run, as `(label, seed, config)`:
+    /// latency seed × `F` ∈ {0, 3} × reorgs off, then on.
+    fn theorem_chains() -> impl Iterator<Item = (String, u64, ChainConfig)> {
+        (0..12u64).flat_map(|seed| {
+            [0, 3].into_iter().flat_map(move |depth| {
+                [false, true].into_iter().map(move |reorg| {
+                    let mut config = ChainConfig::default()
+                        .latency(seed, MAX_DELAY)
+                        .confirm_depth(depth);
+                    if reorg {
+                        config = config.reorg(7, 3, 2);
+                    }
+                    (format!("seed={seed} F={depth} reorg={reorg}"), seed, config)
+                })
+            })
+        })
+    }
+
+    /// A chain with a no-op contract deployed and a few empty blocks mined,
+    /// so a reorg has canonical history to roll back.
+    fn warmed_chain(config: ChainConfig) -> (Blockchain, Address) {
+        let mut chain = Blockchain::with_config(config);
+        let noop = Address::derive("noop");
+        chain.deploy(noop, Rc::new(Noop), Layer::Application);
+        for _ in 0..4 {
+            chain.produce_block();
+        }
+        (chain, noop)
+    }
+
+    fn submit_noop(chain: &mut Blockchain, noop: Address) -> TxId {
+        let user = Address::derive("user");
+        chain.submit(Transaction::new(
+            user,
+            noop,
+            "ping",
+            Vec::new(),
+            Layer::User,
+        ))
+    }
+
+    /// The canonical heights `id` mined at, one per receipt.
+    fn canonical_heights(chain: &Blockchain, id: TxId) -> Vec<u64> {
+        chain
+            .blocks()
+            .iter()
+            .flat_map(|b| b.receipts.iter().map(move |r| (b.number, r.tx_id)))
+            .filter(|(_, tx)| *tx == id)
+            .map(|(height, _)| height)
+            .collect()
+    }
+
+    /// Theorem 3.2 / E.2 — a transaction submitted at height `h` (time `t`)
+    /// mines once, by height `h + 1 + L`, and the block that confirms it is
+    /// stamped no later than `t + Pt + F·B`.
     #[test]
     fn tx_final_everywhere_within_paper_bound() {
-        // Theorem 3.2/E.2 visibility component: submitted at t, final on all
-        // nodes by t + Pt + F·B.
-        for seed in 0..20 {
-            let mut net = NetworkSim::new(5, config(), seed);
-            let submit = 777;
-            net.submit(2, submit, "tx");
-            let bound = net.finality_bound_ms(submit);
-            net.run_until(bound + 10_000);
-            for node in 0..5 {
+        for (label, _, config) in theorem_chains() {
+            let (mut chain, noop) = warmed_chain(config);
+            // (id, height and time at submission, time of the confirming block)
+            let mut txs: Vec<(TxId, u64, u64, Option<u64>)> = Vec::new();
+            while txs.len() < 8 || txs.iter().any(|tx| tx.3.is_none()) {
                 assert!(
-                    net.finalized_view(node, bound).contains(&"tx".to_string()),
-                    "seed {seed} node {node}: tx not final by bound {bound}"
+                    chain.height() < 64,
+                    "{label}: a transaction never confirmed"
+                );
+                if txs.len() < 8 {
+                    let id = submit_noop(&mut chain, noop);
+                    txs.push((id, chain.height(), chain.now_ms(), None));
+                }
+                let tip_ms = chain.produce_block().time_ms;
+                for tx in txs.iter_mut().filter(|tx| tx.3.is_none()) {
+                    let mined = canonical_heights(&chain, tx.0);
+                    if mined
+                        .first()
+                        .is_some_and(|&h| h <= chain.confirmed_height())
+                    {
+                        tx.3 = Some(tip_ms);
+                    }
+                }
+            }
+            let period = config.block_period_ms;
+            for (id, height, time, confirmed_ms) in txs {
+                let mined = canonical_heights(&chain, id);
+                assert_eq!(mined.len(), 1, "{label}: {id:?} mined at {mined:?}");
+                assert!(
+                    mined[0] <= height + 1 + MAX_DELAY,
+                    "{label}: {id:?} submitted at height {height} mined at {}",
+                    mined[0]
+                );
+                let bound = time + (1 + MAX_DELAY) * period + config.confirm_depth * period;
+                assert!(
+                    confirmed_ms.is_some_and(|ms| ms <= bound),
+                    "{label}: {id:?} submitted at {time} ms confirmed at {confirmed_ms:?} ms, \
+                     past t + Pt + F·B = {bound} ms"
                 );
             }
         }
     }
 
-    #[test]
-    fn concurrent_ordering_identical_across_nodes_after_finality() {
-        // Theorem 3.1/E.1: order may vary by seed, but within one execution
-        // every node sees the same order once both txs are final.
-        let mut orders = std::collections::HashSet::new();
-        for seed in 0..30 {
-            let mut net = NetworkSim::new(4, config(), seed);
-            net.submit(0, 100, "a");
-            net.submit(3, 100, "b"); // concurrent with "a"
-            let bound = net.finality_bound_ms(100);
-            net.run_until(bound + 10_000);
-            let reference = net.finalized_view(0, bound + 5_000);
-            assert_eq!(reference.len(), 2);
-            for node in 1..4 {
-                assert_eq!(
-                    net.finalized_view(node, bound + 5_000),
-                    reference,
-                    "seed {seed}: node {node} disagrees"
-                );
-            }
-            orders.insert(reference);
-        }
-        // Non-determinism: across seeds both orders must occur.
-        assert_eq!(orders.len(), 2, "expected both a<b and b<a orderings");
-    }
-
+    /// A mined transaction stays out of the confirmed view until `F` more
+    /// blocks bury it.
     #[test]
     fn unfinalized_blocks_are_not_in_finalized_view() {
-        let mut net = NetworkSim::new(2, config(), 1);
-        net.submit(0, 0, "x");
-        // Run long enough to mine the tx but not to finalize it (F=5 blocks).
-        net.run_until(2_500);
-        assert!(net.node_view(0, 2_500).contains(&"x".to_string()));
-        assert!(net.finalized_view(0, 2_500).is_empty());
-    }
-
-    #[test]
-    fn views_respect_block_arrival_delays() {
-        let mut net = NetworkSim::new(3, config(), 9);
-        net.submit(0, 0, "x");
-        net.run_until(1_000);
-        // At exactly production time, a node whose delay > 0 may not see it;
-        // after Pt it must.
-        let late = 1_000 + config().propagation_ms;
-        for node in 0..3 {
-            assert!(net.node_view(node, late).contains(&"x".to_string()));
+        let (mut chain, noop) = warmed_chain(ChainConfig::default().confirm_depth(5));
+        let id = submit_noop(&mut chain, noop);
+        chain.produce_block();
+        let mined = canonical_heights(&chain, id);
+        assert_eq!(mined, vec![chain.height()]);
+        for _ in 0..5 {
+            assert!(
+                mined[0] > chain.confirmed_height(),
+                "height {} confirmed at tip {}",
+                mined[0],
+                chain.height()
+            );
+            chain.produce_block();
         }
+        assert_eq!(chain.confirmed_height(), mined[0]);
     }
 
+    /// Theorem 3.1 / E.1 — two transactions submitted in the same block
+    /// mine in an order their seeded inclusion delays decide, both orders
+    /// occur across seeds, and a reorged chain settles on exactly the order
+    /// and `chain_digest` of the same seed's straight-line chain.
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_node_panics() {
-        let net = NetworkSim::new(2, config(), 0);
-        net.node_view(5, 0);
+    fn concurrent_ordering_identical_across_nodes_after_finality() {
+        let mut straight = BTreeMap::new();
+        let mut orders = BTreeSet::new();
+        let mut pairs_rolled_back = 0;
+        for (label, seed, config) in theorem_chains() {
+            let (mut chain, noop) = warmed_chain(config);
+            let pair = [submit_noop(&mut chain, noop), submit_noop(&mut chain, noop)];
+            for _ in 0..(1 + MAX_DELAY + config.confirm_depth + 3) {
+                chain.produce_block();
+            }
+            let settled: Vec<TxId> = chain
+                .blocks()
+                .iter()
+                .flat_map(|b| b.receipts.iter().map(|r| r.tx_id))
+                .filter(|id| pair.contains(id))
+                .collect();
+            assert_eq!(settled.len(), 2, "{label}: settled {settled:?}");
+            for id in pair {
+                let mined = canonical_heights(&chain, id);
+                assert!(
+                    mined[0] <= chain.confirmed_height(),
+                    "{label}: {id:?} at height {} is not confirmed",
+                    mined[0]
+                );
+            }
+            let run = (settled, chain.chain_digest());
+            if config.reorg.is_none() {
+                orders.insert(run.0.iter().map(|id| id.0 - pair[0].0).collect::<Vec<_>>());
+                straight.insert((seed, config.confirm_depth), run);
+                continue;
+            }
+            let rolled_back = |id: &TxId| {
+                chain
+                    .reorg_events()
+                    .iter()
+                    .any(|event| event.abandoned.contains(id))
+            };
+            if pair.iter().all(rolled_back) {
+                pairs_rolled_back += 1;
+            }
+            let want = &straight[&(seed, config.confirm_depth)];
+            assert_eq!(run.0, want.0, "{label}: a reorg changed the settled order");
+            assert_eq!(run.1, want.1, "{label}: a reorg changed the chain digest");
+        }
+        assert_eq!(
+            orders.len(),
+            2,
+            "both orders of a same-block pair must occur across seeds: {orders:?}"
+        );
+        assert!(
+            pairs_rolled_back > 0,
+            "no reorg rolled back both transactions of a pair — the net tested nothing"
+        );
     }
 }

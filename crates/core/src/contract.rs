@@ -129,10 +129,10 @@ impl StorageManager {
         slot
     }
 
-    fn bump_counter(&self, ctx: &mut CallContext<'_>, key: &[u8]) -> Result<(), VmError> {
+    fn bump_counter(&self, ctx: &mut CallContext<'_>, key: &[u8]) {
         let slot = Self::counter_slot(key);
-        let n = ctx.sload_u64(&slot)?.unwrap_or(0);
-        ctx.sstore_u64(&slot, n + 1)
+        let n = ctx.sload_u64(&slot).unwrap_or(0);
+        ctx.sstore_u64(&slot, n + 1);
     }
 
     /// `update()` — the DO's epoch transaction (write path, §3.3).
@@ -142,15 +142,15 @@ impl StorageManager {
         }
         let mut dec = Decoder::new(input);
         let digest = dec.hash()?;
-        ctx.sstore(SLOT_ROOT, digest.as_bytes())?;
+        ctx.sstore(SLOT_ROOT, digest.as_bytes());
         // Updates to records that are already replicated.
         let n_updates = dec.count(RECORD_MIN_BYTES)?;
         for _ in 0..n_updates {
             let key = dec.bytes()?.to_vec();
             let value = dec.bytes()?.to_vec();
-            ctx.sstore(&Self::replica_slot(&key), &value)?;
+            ctx.sstore(&Self::replica_slot(&key), &value);
             if self.trace_mode == OnChainTrace::ReadsAndWrites {
-                self.bump_counter(ctx, &key)?;
+                self.bump_counter(ctx, &key);
             }
         }
         // NR→R transitions: insert fresh replicas.
@@ -158,13 +158,13 @@ impl StorageManager {
         for _ in 0..n_to_r {
             let key = dec.bytes()?.to_vec();
             let value = dec.bytes()?.to_vec();
-            ctx.sstore(&Self::replica_slot(&key), &value)?;
+            ctx.sstore(&Self::replica_slot(&key), &value);
         }
         // R→NR transitions: evict replicas, leaving the slot warm for reuse.
         let n_to_nr = dec.count(4)?;
         for _ in 0..n_to_nr {
             let key = dec.bytes()?.to_vec();
-            ctx.sstore(&Self::replica_slot(&key), EVICTED_MARKER)?;
+            ctx.sstore(&Self::replica_slot(&key), EVICTED_MARKER);
         }
         if !dec.is_empty() {
             return Err(VmError::Decode(format!(
@@ -182,9 +182,9 @@ impl StorageManager {
         let cb_addr = dec.address()?;
         let cb_func = dec.string()?;
         if self.trace_mode != OnChainTrace::None {
-            self.bump_counter(ctx, &key)?;
+            self.bump_counter(ctx, &key);
         }
-        match ctx.sload(&Self::replica_slot(&key))? {
+        match ctx.sload(&Self::replica_slot(&key)) {
             Some(value) if value != EVICTED_MARKER => {
                 // Replica hit: synchronous callback with the single record.
                 let mut enc = Encoder::new();
@@ -215,7 +215,7 @@ impl StorageManager {
         let cb_addr = dec.address()?;
         let cb_func = dec.string()?;
         if self.trace_mode != OnChainTrace::None {
-            self.bump_counter(ctx, &start)?;
+            self.bump_counter(ctx, &start);
         }
         let mut enc = Encoder::new();
         enc.bytes(&start)
@@ -232,7 +232,7 @@ impl StorageManager {
 
         // Load the trusted digest.
         let root_bytes = ctx
-            .sload(SLOT_ROOT)?
+            .sload(SLOT_ROOT)
             .ok_or_else(|| VmError::Revert("no root digest on chain".into()))?;
         let root = Decoder::new(&root_bytes).hash()?;
 
@@ -297,7 +297,7 @@ impl StorageManager {
             // the replica in its next epoch update.
             if *replicate {
                 if let [(key, value)] = records.as_slice() {
-                    ctx.sstore(&Self::replica_slot(key), value)?;
+                    ctx.sstore(&Self::replica_slot(key), value);
                 }
             }
             // Dispatch callbacks with the authenticated record set.
@@ -319,7 +319,7 @@ impl StorageManager {
     /// `root()` — view returning the stored digest (unmetered via
     /// `static_call` in tests).
     fn root(&self, ctx: &mut CallContext<'_>) -> Result<Vec<u8>, VmError> {
-        let root = ctx.sload(SLOT_ROOT)?.unwrap_or_default();
+        let root = ctx.sload(SLOT_ROOT).unwrap_or_default();
         Ok(root)
     }
 }

@@ -55,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod consistency;
 pub mod contract;
 pub mod metrics;
 pub mod owner;

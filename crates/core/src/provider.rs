@@ -447,8 +447,12 @@ impl StorageProvider {
     }
 
     /// Raw store access for tests.
-    pub fn value_of(&self, state: ReplState, key: &str) -> Option<Vec<u8>> {
-        self.db.get(&Self::storage_key(state, key)).ok().flatten()
+    ///
+    /// # Errors
+    ///
+    /// Propagates store I/O failures and corrupt blocks.
+    pub fn value_of(&self, state: ReplState, key: &str) -> Result<Option<Vec<u8>>> {
+        Ok(self.db.get(&Self::storage_key(state, key))?)
     }
 
     /// Every live record in the store, decoded to `(state, key, value)` and
@@ -613,7 +617,7 @@ mod tests {
         sp.apply_sync_batch(vec![write("a", b"1", ReplState::NotReplicated)])
             .unwrap();
         assert_eq!(
-            sp.value_of(ReplState::NotReplicated, "a"),
+            sp.value_of(ReplState::NotReplicated, "a").unwrap(),
             Some(b"1".to_vec())
         );
         assert!(sp
@@ -634,8 +638,11 @@ mod tests {
             },
         ])
         .unwrap();
-        assert_eq!(sp.value_of(ReplState::NotReplicated, "a"), None);
-        assert_eq!(sp.value_of(ReplState::Replicated, "a"), Some(b"1".to_vec()));
+        assert_eq!(sp.value_of(ReplState::NotReplicated, "a").unwrap(), None);
+        assert_eq!(
+            sp.value_of(ReplState::Replicated, "a").unwrap(),
+            Some(b"1".to_vec())
+        );
     }
 
     #[test]
@@ -661,7 +668,7 @@ mod tests {
         );
         assert_eq!(sp.root(), root, "no tree mutation applied");
         assert_eq!(
-            sp.value_of(ReplState::NotReplicated, "a"),
+            sp.value_of(ReplState::NotReplicated, "a").unwrap(),
             Some(b"1".to_vec()),
             "no empty value invented under the target state either"
         );
@@ -686,6 +693,32 @@ mod tests {
         // A mode that takes no snapshot still switches.
         sp.set_mode(AdversaryMode::ForgeValue).unwrap();
         assert_eq!(sp.mode, AdversaryMode::ForgeValue);
+    }
+
+    #[test]
+    fn value_of_reports_a_corrupt_block_as_an_error() {
+        let options = Options {
+            memtable_bytes: 64,
+            block_cache_capacity: 0,
+            ..Options::default()
+        };
+        let mut sp = StorageProvider::new_with_options(Address::derive("SP"), options).unwrap();
+        sp.apply_sync_batch(vec![write("a", b"1", ReplState::NotReplicated)])
+            .unwrap();
+        sp.db.flush().unwrap();
+        let table = std::fs::read_dir(sp.store_dir())
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .find(|path| path.extension().is_some_and(|ext| ext == "sst"))
+            .unwrap();
+        // Byte 8 is the first byte of data block 0, past its length and CRC.
+        let mut bytes = std::fs::read(&table).unwrap();
+        bytes[8] ^= 0xFF;
+        std::fs::write(&table, bytes).unwrap();
+        assert!(
+            sp.value_of(ReplState::NotReplicated, "a").is_err(),
+            "a corrupt block must not read as an absent record"
+        );
     }
 
     #[test]

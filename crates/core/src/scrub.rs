@@ -273,7 +273,7 @@ mod tests {
             report.findings
         );
         assert_eq!(
-            driver.provider().value_of(state, "eth"),
+            driver.provider().value_of(state, "eth").unwrap(),
             Some(b"3000".to_vec())
         );
     }
